@@ -165,7 +165,7 @@ func BenchmarkDelaySensitivity(b *testing.B) {
 // one-worker pool and a per-CPU pool and reports the wall-clock speedup. On a
 // single-CPU machine both arms take the serial path and the ratio sits at
 // ~1.0x; on a 4-core runner the parallel arm should cut the sweep at least in
-// half (cmd/parcel-bench benchsweep records the same ratio to BENCH_sweep.json).
+// half (bench/'s runner.parallel_efficiency probe records the same ratio).
 func BenchmarkSweepSerialVsParallel(b *testing.B) {
 	cfg := benchCfg(8)
 	cfg.Runs = 2

@@ -117,16 +117,6 @@ func benchHotpath(w io.Writer, path string) error {
 				load()
 			}
 		}},
-		{"PageLoadPARCELLegacy", func(b *testing.B) {
-			// The pre-batching engine: private topology, no pools, no exec
-			// cache. Kept as the reference the batched steady state is
-			// measured against.
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				topo := scenario.Build(page, scenario.DefaultParams())
-				core.Run(topo, core.DefaultProxyConfig(), core.DefaultClientConfig())
-			}
-		}},
 		{"PageLoadDIR", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

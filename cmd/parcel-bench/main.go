@@ -6,14 +6,14 @@
 //	parcel-bench [-pages N] [-runs N] [-seed S] [-jitter D] [-parallelism N] TARGET...
 //
 // Targets: fig3 fig5 fig6a fig6b fig6c fig7a fig7b fig7c fig8 fig9 fig10
-// fig11 model delay table1 spdy summary benchsweep benchhotpath loadgen all
+// fig11 model delay table1 spdy summary losssweep benchhotpath loadgen
+// chaosgen all
 //
 // Independent targets render concurrently (each into its own buffer, printed
 // in request order); the simulations inside each target additionally fan out
-// on the -parallelism worker pool. benchsweep times a serial vs parallel
-// sweep and writes the result to BENCH_sweep.json; benchhotpath profiles
-// page-load allocations against the committed budget and writes
-// BENCH_hotpath.json; loadgen drives a multi-tenant fleet through one proxy
+// on the -parallelism worker pool. benchhotpath profiles page-load
+// allocations against the committed budget and writes BENCH_hotpath.json;
+// loadgen drives a multi-tenant fleet through one proxy
 // on both the virtual-clock and real-TCP arms and writes BENCH_loadgen.json;
 // chaosgen repeats the fleet run under injected origin faults plus a mid-run
 // proxy drain and restart and writes BENCH_chaos.json. These timing targets
@@ -27,13 +27,10 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"reflect"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -58,10 +55,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "generator and jitter seed")
 	jitter := flag.Duration("jitter", 2*time.Millisecond, "LTE per-packet jitter stddev")
 	parallelism := flag.Int("parallelism", 0, "simulation worker pool size (0 = one per CPU, 1 = serial)")
-	batch := flag.Int("batch", 16, "simulations multiplexed per worker (1 = legacy per-task engine)")
-	benchOut := flag.String("benchout", "BENCH_sweep.json", "output path for the benchsweep target")
 	hotpathOut := flag.String("hotpathout", "BENCH_hotpath.json", "output path for the benchhotpath target")
-	minSpeedup := flag.Float64("minspeedup", 0, "benchsweep fails if parallel speedup is below this (0 = no floor; use on multi-core CI)")
 	loadgenOut := flag.String("loadgenout", "BENCH_loadgen.json", "output path for the loadgen target")
 	chaosOut := flag.String("chaosout", "BENCH_chaos.json", "output path for the chaosgen target")
 	tenants := flag.Int("tenants", 200, "loadgen fleet size (concurrent sessions per arm)")
@@ -74,11 +68,10 @@ func main() {
 	cfg.Seed = *seed
 	cfg.Jitter = *jitter
 	cfg.Parallelism = *parallelism
-	cfg.BatchSize = *batch
 
 	targets := flag.Args()
 	if len(targets) == 0 {
-		fmt.Fprintf(os.Stderr, "usage: parcel-bench [flags] TARGET...\ntargets: %s benchsweep benchhotpath loadgen chaosgen all\n",
+		fmt.Fprintf(os.Stderr, "usage: parcel-bench [flags] TARGET...\ntargets: %s benchhotpath loadgen chaosgen all\n",
 			strings.Join(allTargets, " "))
 		os.Exit(2)
 	}
@@ -87,18 +80,13 @@ func main() {
 	}
 
 	// Validate everything up front so an unknown target fails before any
-	// multi-second sweep starts, and pull benchsweep out: it measures wall
-	// clock, so it must not share the machine with other targets.
-	wantBench := false
+	// multi-second sweep starts, and pull the timing targets out: they
+	// measure wall clock, so they must not share the machine with others.
 	wantHotpath := false
 	wantLoadgen := false
 	wantChaos := false
 	renderTargets := targets[:0:0]
 	for _, t := range targets {
-		if t == "benchsweep" {
-			wantBench = true
-			continue
-		}
 		if t == "benchhotpath" {
 			wantHotpath = true
 			continue
@@ -112,7 +100,7 @@ func main() {
 			continue
 		}
 		if !knownTarget(t) {
-			fmt.Fprintf(os.Stderr, "parcel-bench: unknown target %q (want one of %s benchsweep benchhotpath loadgen chaosgen)\n",
+			fmt.Fprintf(os.Stderr, "parcel-bench: unknown target %q (want one of %s benchhotpath loadgen chaosgen)\n",
 				t, strings.Join(allTargets, " "))
 			os.Exit(2)
 		}
@@ -120,12 +108,6 @@ func main() {
 	}
 	// The timing targets run alone, before anything else competes for the
 	// machine.
-	if wantBench {
-		if err := benchSweep(os.Stdout, cfg, *batch, *benchOut, *minSpeedup); err != nil {
-			fmt.Fprintf(os.Stderr, "parcel-bench: %v\n", err)
-			os.Exit(1)
-		}
-	}
 	if wantHotpath {
 		if err := benchHotpath(os.Stdout, *hotpathOut); err != nil {
 			fmt.Fprintf(os.Stderr, "parcel-bench: %v\n", err)
@@ -205,120 +187,6 @@ func render(w io.Writer, target string, cfg experiments.Config) {
 	case "losssweep":
 		losssweep(w, cfg)
 	}
-}
-
-// benchArm is one timed Sweep configuration: its worker-pool width, batch
-// size, and the GOMAXPROCS it ran under, alongside the wall clock.
-type benchArm struct {
-	Name       string  `json:"name"`
-	Workers    int     `json:"workers"`
-	BatchSize  int     `json:"batch_size"`
-	GOMAXPROCS int     `json:"gomaxprocs"`
-	Seconds    float64 `json:"seconds"`
-}
-
-// benchReport is the JSON shape the benchsweep target writes: the legacy
-// serial engine and the batched engine timed over one identical Sweep, and
-// the derived speedup.
-type benchReport struct {
-	Pages       int        `json:"pages"`
-	Runs        int        `json:"runs"`
-	Schemes     int        `json:"schemes"`
-	Simulations int        `json:"simulations"`
-	GOMAXPROCS  int        `json:"gomaxprocs"`
-	Arms        []benchArm `json:"arms"`
-	Speedup     float64    `json:"speedup"`
-}
-
-// benchSweep times the same DIR+PARCEL(IND) sweep on the legacy engine (one
-// private topology per task, one worker, batch size 1 — the pre-batching
-// code path) and on the batched engine (multiplexed simulations over shared
-// arenas and the exec-outcome cache, at least four workers), checks the
-// outputs agree bit for bit, and writes the report to path. A non-zero
-// minSpeedup turns the measured speedup into a gate.
-func benchSweep(w io.Writer, cfg experiments.Config, batch int, path string, minSpeedup float64) error {
-	header(w, "benchsweep: legacy serial engine vs batched engine wall clock")
-	schemes := []experiments.Scheme{
-		experiments.DIRScheme,
-		experiments.ParcelScheme(sched.ConfigIND),
-	}
-	// Warm both engines once so page generation and lazy init don't skew
-	// either arm (one page only: the exec-outcome and artifact caches stay
-	// cold for the rest of the set, which the batched arm fills on its own
-	// clock like any real sweep would).
-	warm := cfg
-	warm.Pages = 1
-	warm.Runs = 1
-	warm.Parallelism = 1
-	warm.BatchSize = 1
-	experiments.Sweep(warm, schemes)
-	warm.BatchSize = batch
-	experiments.Sweep(warm, schemes)
-
-	serialCfg := cfg
-	serialCfg.Parallelism = 1
-	serialCfg.BatchSize = 1
-	t0 := time.Now()
-	serial := experiments.Sweep(serialCfg, schemes)
-	serialDur := time.Since(t0)
-
-	batchCfg := cfg
-	batchCfg.BatchSize = batch
-	if batchCfg.Parallelism >= 0 && batchCfg.Parallelism <= 1 {
-		// The batched arm always fans out: at least four workers, so the
-		// gate exercises batching and parallel claim together even when the
-		// flag asked for the default or serial pool.
-		batchCfg.Parallelism = max(4, runner.Parallelism(0))
-	}
-	t1 := time.Now()
-	batched := experiments.Sweep(batchCfg, schemes)
-	batchedDur := time.Since(t1)
-
-	for i := range serial {
-		for name, run := range serial[i].Runs {
-			if !reflect.DeepEqual(batched[i].Runs[name], run) {
-				return fmt.Errorf("batched sweep diverged from serial on page %d scheme %s", i, name)
-			}
-		}
-	}
-
-	rep := benchReport{
-		Pages:       cfg.Pages,
-		Runs:        cfg.Runs,
-		Schemes:     len(schemes),
-		Simulations: cfg.Pages * len(schemes) * cfg.Runs,
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Arms: []benchArm{
-			{Name: "serial-legacy", Workers: 1, BatchSize: 1,
-				GOMAXPROCS: runtime.GOMAXPROCS(0), Seconds: serialDur.Seconds()},
-			{Name: "batched", Workers: batchCfg.Parallelism, BatchSize: batch,
-				GOMAXPROCS: runtime.GOMAXPROCS(0), Seconds: batchedDur.Seconds()},
-		},
-	}
-	if batchedDur > 0 {
-		rep.Speedup = serialDur.Seconds() / batchedDur.Seconds()
-	}
-	fmt.Fprintf(w, "%d simulations (%d pages x %d schemes x %d runs), GOMAXPROCS=%d\n",
-		rep.Simulations, rep.Pages, rep.Schemes, rep.Runs, rep.GOMAXPROCS)
-	for _, arm := range rep.Arms {
-		fmt.Fprintf(w, "%-14s (workers=%d batch=%2d): %8.3fs\n", arm.Name, arm.Workers, arm.BatchSize, arm.Seconds)
-	}
-	fmt.Fprintf(w, "speedup: %.2fx (outputs verified identical)\n", rep.Speedup)
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s\n", path)
-	if minSpeedup > 0 && rep.Speedup < minSpeedup {
-		return fmt.Errorf("batched sweep speedup %.2fx below required %.2fx (GOMAXPROCS=%d)",
-			rep.Speedup, minSpeedup, rep.GOMAXPROCS)
-	}
-	return nil
 }
 
 func header(w io.Writer, title string) {

@@ -1,7 +1,9 @@
 // Command parcel-proxy runs the real-network PARCEL proxy (§4.2): it accepts
 // client connections, performs object identification by parsing and
 // executing pages fetched from the origin, and pushes MHTML bundles per the
-// configured schedule.
+// configured schedule. It runs what the load and chaos harnesses prove: the
+// default resilience policy on every origin fetch, a 256 MB cross-session
+// object cache, and — on SIGINT — a graceful drain before it closes.
 package main
 
 import (
@@ -30,6 +32,7 @@ func main() {
 		Sched:       parseSched(*policy),
 		QuietPeriod: *quiet,
 		FixedRandom: true,
+		CacheBytes:  256 << 20,
 	}
 	if *verbose {
 		cfg.Logf = log.Printf
@@ -43,6 +46,11 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
 	<-sig
+	// Live sessions get five seconds to finish their pages, then a TDrain
+	// notice to resume elsewhere; Close only reaps what the drain left.
+	if err := proxy.Drain(5 * time.Second); err != nil {
+		log.Printf("parcel-proxy: drain: %v", err)
+	}
 	proxy.Close()
 }
 

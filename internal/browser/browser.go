@@ -107,8 +107,8 @@ type Options struct {
 	MaxDepth int
 	// ExecCache routes scripts through the process-wide execution-outcome
 	// cache (see execcache.go). Replay is validated to be bit-identical to
-	// execution; the batched sweep engine enables it, the legacy per-task
-	// path leaves it off.
+	// execution; the batched sweep engine enables it, private-topology
+	// runs (scenario.Build) leave it off.
 	ExecCache bool
 	// JSPools, when non-nil, supplies the interpreter's frame and
 	// call-argument free lists — shared across every engine of a

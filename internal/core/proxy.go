@@ -37,15 +37,18 @@ type ProxyConfig struct {
 	// session this proxy serves: origin responses are published into it and
 	// later sessions' fetches are served from it at proxy-local time, so a
 	// fleet of tenants loading the same page pulls each object from the
-	// origin once. nil (the default) keeps the historical fetch-always path.
+	// origin once. nil (the default) fetches every object from the origin.
 	Cache *objcache.Cache
-	// Resilience, when non-nil, wraps every origin fetch in the
-	// internal/resilience discipline: per-attempt deadlines, jittered-backoff
-	// retries, and a per-origin circuit breaker — plus, with Cache set,
-	// serve-stale-on-error and negative caching. nil (the default) keeps the
-	// historical fetch path byte-identical; the retry backoff is the only new
-	// RNG consumer and it draws strictly after a failure, so fault-free runs
-	// reproduce the legacy event stream exactly.
+	// Resilience, when non-nil, arms the internal/resilience discipline on
+	// every origin fetch: per-attempt deadlines, jittered-backoff retries,
+	// and a per-origin circuit breaker — plus, with Cache set,
+	// serve-stale-on-error and negative caching. nil (the default) runs the
+	// same fetch path inert: no deadline event, no breaker, and every origin
+	// status passed through as the answer. The figure sweeps leave it nil
+	// (arming it costs a scheduled-and-cancelled deadline per object); the
+	// chaos harness sets it. The retry backoff is the only RNG consumer and
+	// it draws strictly after a failure, so fault-free runs are identical
+	// either way.
 	Resilience *resilience.Policy
 }
 
@@ -74,8 +77,8 @@ type Proxy struct {
 	// session is delivered at arrival. Only allocated when cfg.Cache is set.
 	flights map[string]*simFlight
 
-	// resil holds the per-origin circuit breakers of the resilient fetch
-	// path. Only allocated when cfg.Resilience is set.
+	// resil holds the per-origin circuit breakers. Only allocated when
+	// cfg.Resilience is set.
 	resil *resilience.Group
 }
 
@@ -177,75 +180,63 @@ type proxyFetcher struct {
 	client *httpsim.Client
 }
 
+// Fetch is the session's one origin-fetch path: the HTTPS skip, then the
+// shared cache (fresh hit, join of an in-flight fetch, or negative-cache
+// refusal), then the per-origin breaker, then the origin itself under the
+// retry discipline of resilient.go. Without a cache or a policy the
+// corresponding steps are skipped, not replaced.
 func (f *proxyFetcher) Fetch(url string, cb func(browser.Result)) {
+	p := f.s.proxy
+	sim := p.topo.Sim
+	now := sim.Now()
 	if isHTTPS(url) {
 		// The proxy cannot parse encrypted traffic; the client fetches
 		// these itself over the fallback path (§4.5).
 		f.s.SkippedHTTPS++
-		cb(browser.Result{URL: url, Status: 204, At: f.s.proxy.topo.Sim.Now()})
+		cb(browser.Result{URL: url, Status: 204, At: now})
 		return
 	}
-	if f.s.proxy.cfg.Resilience != nil {
-		f.fetchResilient(url, cb)
-		return
-	}
-	if c := f.s.proxy.cfg.Cache; c != nil {
-		if obj, ok := c.Get(url); ok {
+	c := p.cfg.Cache
+	if c != nil {
+		if obj, lk := c.ProbeAt(url, now); lk == objcache.LookupFresh {
 			f.s.CacheHits++
 			// Deliver asynchronously at proxy-local time: the engine's fetch
 			// contract is callback-after-return, and a hit skips the
 			// proxy↔origin round trip entirely.
-			sim := f.s.proxy.topo.Sim
-			sim.ScheduleArgAt(sim.Now(), deliverCachedObject, &cachedDelivery{
-				s: f.s, obj: obj, cb: cb,
-			})
+			sim.ScheduleArgAt(now, deliverCachedObject, &cachedDelivery{s: f.s, obj: obj, cb: cb})
 			return
 		}
-		p := f.s.proxy
 		if fl, ok := p.flights[url]; ok {
 			// Single-flight: another session already has this URL on the
-			// wire; join its fetch instead of duplicating it. A successful
-			// join counts as a hit (the session paid no origin traffic),
-			// matching the real-TCP cache's GetOrFetch semantics.
+			// wire; join its fetch instead of duplicating it. A join counts
+			// as a hit (the session paid no origin traffic), the same rule
+			// the real-TCP arm books.
 			f.s.CacheHits++
 			fl.waiters = append(fl.waiters, &cachedDelivery{s: f.s, cb: cb})
 			return
 		}
+		if c.NegativeActive(url, now) {
+			// The URL's recent hard failure is still negatively cached: serve
+			// stale or fail fast, but do not contact the origin.
+			f.failWithoutOrigin(url, cb)
+			return
+		}
+	}
+	var br *resilience.Breaker
+	if p.resil != nil {
+		domain, _ := httpsim.SplitURL(url)
+		br = p.resil.For(domain)
+		if !br.Allow(now) {
+			f.s.BreakerFastFails++
+			f.failWithoutOrigin(url, cb)
+			return
+		}
+	}
+	if c != nil {
 		p.flights[url] = &simFlight{}
 		f.s.CacheMisses++
-		f.client.Do(httpsim.Request{Method: "GET", URL: url}, func(resp httpsim.Response, at time.Duration) {
-			fl := p.flights[url]
-			delete(p.flights, url)
-			f.s.OriginBytes += int64(len(resp.Body))
-			c.Put(objcache.Object{
-				URL: resp.URL, ContentType: resp.ContentType, Status: resp.Status,
-				Validator: originValidator(resp), Body: resp.Body,
-			})
-			it := sched.Item{
-				URL: resp.URL, ContentType: resp.ContentType, Status: resp.Status,
-				Body: resp.Body, ArrivedAt: at,
-			}
-			f.s.collect(it)
-			cb(browser.Result{URL: it.URL, Status: it.Status, ContentType: it.ContentType, Body: it.Body, At: at})
-			// Joined sessions receive the same bytes at the same arrival, in
-			// join order (deterministic: appends follow the event order).
-			if fl != nil {
-				for _, w := range fl.waiters {
-					w.s.collect(it)
-					w.cb(browser.Result{URL: it.URL, Status: it.Status, ContentType: it.ContentType, Body: it.Body, At: at})
-				}
-			}
-		})
-		return
 	}
-	f.client.Do(httpsim.Request{Method: "GET", URL: url}, func(resp httpsim.Response, at time.Duration) {
-		f.s.OriginBytes += int64(len(resp.Body))
-		f.s.collect(sched.Item{
-			URL: resp.URL, ContentType: resp.ContentType, Status: resp.Status,
-			Body: resp.Body, ArrivedAt: at,
-		})
-		cb(browser.Result{URL: resp.URL, Status: resp.Status, ContentType: resp.ContentType, Body: resp.Body, At: at})
-	})
+	f.issueAttempt(&originAttempt{f: f, url: url, cb: cb, br: br})
 }
 
 // cachedDelivery carries one cache hit to its continuation (the noclosure

@@ -11,66 +11,28 @@ import (
 	"github.com/parcel-go/parcel/internal/sched"
 )
 
-// This file is the simulation arm's resilient origin-fetch path, the
-// virtual-clock twin of parcelnet's resilientFetcher: per-attempt deadlines,
-// a jittered-backoff retry budget, a per-origin circuit breaker, and — with
-// the shared cache — serve-stale-on-error and negative caching. The whole
-// path is gated on ProxyConfig.Resilience != nil; a nil policy keeps the
-// historical fetch path byte-identical, and the retry backoff draws the
-// simulator RNG only after a failure, so fault-free runs consume exactly the
-// RNG stream they always did.
+// This file is the retry discipline behind proxyFetcher.Fetch, the
+// virtual-clock twin of parcelnet's resilientFetcher: per-attempt deadlines, a
+// jittered-backoff retry budget, a per-origin circuit breaker, and — with the
+// shared cache — serve-stale-on-error and negative caching. With a nil
+// ProxyConfig.Resilience the first attempt's answer is final whatever its
+// status, so none of the failure machinery below is reachable; the retry
+// backoff draws the simulator RNG only after a failure, so fault-free runs
+// consume exactly the same RNG stream with or without a policy.
 
-// originAttempt tracks one resilient fetch across its retries. gen
-// invalidates the straggler callbacks of an abandoned attempt: the deadline
-// and the origin response race, and whichever resolves the attempt first
-// bumps gen so the loser finds itself stale and returns.
+// originAttempt tracks one origin fetch across its retries. gen invalidates
+// the straggler callbacks of an abandoned attempt: the deadline and the
+// origin response race, and whichever resolves the attempt first bumps gen so
+// the loser finds itself stale and returns.
 type originAttempt struct {
 	f   *proxyFetcher
 	url string
 	cb  func(browser.Result)
-	br  *resilience.Breaker
+	br  *resilience.Breaker // nil without a policy
 
 	attempt  int // attempts issued so far (1-based once running)
 	gen      int
 	deadline *eventsim.Event
-}
-
-// fetchResilient is proxyFetcher.Fetch on the resilient path.
-func (f *proxyFetcher) fetchResilient(url string, cb func(browser.Result)) {
-	p := f.s.proxy
-	sim := p.topo.Sim
-	now := sim.Now()
-	c := p.cfg.Cache
-	if c != nil {
-		if obj, lk := c.ProbeAt(url, now); lk == objcache.LookupFresh {
-			f.s.CacheHits++
-			sim.ScheduleArgAt(now, deliverCachedObject, &cachedDelivery{s: f.s, obj: obj, cb: cb})
-			return
-		}
-		if fl, ok := p.flights[url]; ok {
-			f.s.CacheHits++
-			fl.waiters = append(fl.waiters, &cachedDelivery{s: f.s, cb: cb})
-			return
-		}
-		if c.NegativeActive(url, now) {
-			// The URL's recent hard failure is still negatively cached: serve
-			// stale or fail fast, but do not contact the origin.
-			f.failWithoutOrigin(url, cb)
-			return
-		}
-	}
-	domain, _ := httpsim.SplitURL(url)
-	br := p.resil.For(domain)
-	if !br.Allow(now) {
-		f.s.BreakerFastFails++
-		f.failWithoutOrigin(url, cb)
-		return
-	}
-	if c != nil {
-		p.flights[url] = &simFlight{}
-		f.s.CacheMisses++
-	}
-	f.issueAttempt(&originAttempt{f: f, url: url, cb: cb, br: br})
 }
 
 // failWithoutOrigin resolves a fetch that must not touch the origin (open
@@ -98,9 +60,9 @@ func (f *proxyFetcher) issueAttempt(a *originAttempt) {
 	a.attempt++
 	a.gen++
 	gen := a.gen
-	if t := p.cfg.Resilience.Timeout; t > 0 {
+	if pol := p.cfg.Resilience; pol != nil && pol.Timeout > 0 {
 		//parcelvet:allow pooldiscipline(Event handles are arena-backed and valid for the simulator's lifetime; the field only holds the handle so the response can Cancel its deadline)
-		a.deadline = sim.ScheduleArgAt(sim.Now()+t, originAttemptDeadline, a)
+		a.deadline = sim.ScheduleArgAt(sim.Now()+pol.Timeout, originAttemptDeadline, a)
 	}
 	f.client.Do(httpsim.Request{Method: "GET", URL: a.url}, func(resp httpsim.Response, at time.Duration) {
 		f.attemptResponded(a, gen, resp, at)
@@ -118,13 +80,17 @@ func (f *proxyFetcher) attemptResponded(a *originAttempt, gen int, resp httpsim.
 		a.deadline = nil
 	}
 	now := f.s.proxy.topo.Sim.Now()
-	if resp.Status < 500 {
-		a.br.Success(now)
-		f.finishSuccess(a, resp, at)
+	switch {
+	case a.br == nil:
+		// No policy: the origin's answer is the object, whatever its status.
+	case resp.Status >= 500:
+		a.br.Failure(now)
+		f.attemptFailed(a, resp)
 		return
+	default:
+		a.br.Success(now)
 	}
-	a.br.Failure(now)
-	f.attemptFailed(a, resp)
+	f.finishSuccess(a, resp, at)
 }
 
 // originAttemptDeadline fires when an attempt's per-request deadline passes
@@ -172,8 +138,8 @@ func retryOriginAttempt(arg any) {
 	f.issueAttempt(a)
 }
 
-// finishSuccess publishes a successful response exactly as the legacy path
-// does — cache, driving session, then every flight joiner in join order.
+// finishSuccess publishes a response: cache, driving session, then every
+// flight joiner in join order (deterministic: appends follow event order).
 func (f *proxyFetcher) finishSuccess(a *originAttempt, resp httpsim.Response, at time.Duration) {
 	p := f.s.proxy
 	fl := f.resolveFlight(a.url)

@@ -8,7 +8,6 @@ import (
 	"github.com/parcel-go/parcel/internal/objcache"
 	"github.com/parcel-go/parcel/internal/resilience"
 	"github.com/parcel-go/parcel/internal/scenario"
-	"github.com/parcel-go/parcel/internal/sched"
 )
 
 // testResiliencePolicy is a permissive policy for tests that exercise
@@ -21,35 +20,6 @@ func testResiliencePolicy() *resilience.Policy {
 		BackoffMax:       2 * time.Second,
 		FailureThreshold: 1000,
 		OpenFor:          3 * time.Second,
-	}
-}
-
-// TestSimResilientNoFaultsMatchesLegacy pins the golden-figure contract: with
-// the resilient path armed but no faults injected, a page load produces the
-// same virtual-clock milestones as the legacy fetch path — deadline events
-// are scheduled and cancelled, no retry ever fires, no extra RNG is drawn.
-func TestSimResilientNoFaultsMatchesLegacy(t *testing.T) {
-	page := testPage(t, 0)
-
-	legacyRun, _, _ := parcelRun(t, page, sched.ConfigIND)
-
-	topo := scenario.Build(page, scenario.DefaultParams())
-	pc := DefaultProxyConfig()
-	pc.Resilience = testResiliencePolicy()
-	proxy := StartProxy(topo, pc)
-	client := NewClient(topo, DefaultClientConfig())
-	run := client.Load()
-
-	if run.OLT != legacyRun.OLT || run.TLT != legacyRun.TLT {
-		t.Errorf("resilient fault-free run diverged: OLT %v vs %v, TLT %v vs %v",
-			run.OLT, legacyRun.OLT, run.TLT, legacyRun.TLT)
-	}
-	sess := proxy.Sessions[0]
-	if sess.OriginRetries != 0 || sess.StaleServes != 0 || sess.BreakerFastFails != 0 {
-		t.Errorf("fault-free run consumed the resilience machinery: %+v", sess)
-	}
-	if proxy.Resilience().Opens() != 0 {
-		t.Error("breaker opened with no faults")
 	}
 }
 
@@ -144,6 +114,12 @@ func TestSimResilientServesStaleWhenOriginFails(t *testing.T) {
 	warm := NewClient(topo, DefaultClientConfig())
 	if run := warm.Load(); run.OLT == 0 {
 		t.Fatal("warm load never fired onload")
+	}
+	// The simulated origin hashes nothing; the store path derived the cache
+	// generation from the delivered bytes, the same digest the real arm's
+	// origin serves as its ETag.
+	if main, ok := pc.Cache.Get(page.MainURL); !ok || main.Validator != httpsim.ContentValidator(main.Body) {
+		t.Fatalf("main object cached=%v under validator %q, want the content hash of its body", ok, main.Validator)
 	}
 
 	// Every origin fails from here on.

@@ -9,7 +9,7 @@
 // Determinism: a simulation's event order is internal to its own simulator
 // and seeded by (Seed, task index) alone, so the round-robin interleaving
 // below cannot reorder anything observable. Batch boundaries are a pure
-// function of (n, BatchSize), never of scheduling, and results land in
+// function of (n, batchSize), never of scheduling, and results land in
 // index-chosen slots — batched output is bit-for-bit the serial output.
 package experiments
 
@@ -106,20 +106,16 @@ func runBatch(st *batchState, tasks []batchTask, cfg Config, out []metrics.PageR
 	return st
 }
 
+// batchSize is how many page simulations one worker multiplexes through its
+// shared event loop and arena pools. Like stepQuantum it shapes only where
+// time and memory go: TestBatchMatchesSerial pins the engine bit-for-bit to a
+// plain loop of RunOnce, the one-private-topology-per-task reference.
+const batchSize = 16
+
 // runTasks fans n simulation tasks out across the cfg.Parallelism pool with
-// the batch engine. BatchSize == 1 instead takes the legacy engine — one
-// private topology per task through RunOnce, no shared arenas, no exec
-// cache — which is the pre-batching code path, kept both as the baseline
-// arm for benchmarking and as the reference the batch engine must match
-// bit-for-bit.
+// the batch engine.
 func runTasks(cfg Config, n int, task func(i int) batchTask) []metrics.PageRun {
-	if cfg.BatchSize == 1 {
-		return runner.Map(cfg.Parallelism, n, func(i int) metrics.PageRun {
-			t := task(i)
-			return RunOnce(t.page, t.s, cfg, t.seed)
-		})
-	}
-	return runner.MapBatches(cfg.Parallelism, n, cfg.BatchSize,
+	return runner.MapBatches(cfg.Parallelism, n, batchSize,
 		func(st *batchState, lo, hi int, out []metrics.PageRun) *batchState {
 			tasks := make([]batchTask, hi-lo)
 			for i := range tasks {

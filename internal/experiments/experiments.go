@@ -37,11 +37,6 @@ type Config struct {
 	// from (Seed, round) alone, so results are bit-for-bit identical at any
 	// parallelism level.
 	Parallelism int
-	// BatchSize is how many page simulations one worker multiplexes through
-	// its shared event loop and arena pools (see batch.go): 0 (the default)
-	// means 16, 1 forces the legacy one-topology-per-task engine. Results
-	// are bit-for-bit identical at any batch size.
-	BatchSize int
 	// SharedCache gives every PARCEL proxy the sweep starts a cross-session
 	// object cache (a fresh one per topology). Sweep sessions are
 	// single-tenant with unique per-page URLs, so the cache never hits and
@@ -66,9 +61,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Jitter > 0 {
 		c.Scenario.LTEJitter = c.Jitter
-	}
-	if c.BatchSize == 0 {
-		c.BatchSize = 16
 	}
 	return c
 }
@@ -169,10 +161,9 @@ type PageResult struct {
 // round) simulation out as one task of the batched engine — the flattening
 // exposes the evaluation's full width (pages × schemes × rounds independent
 // topologies) to the cfg.Parallelism worker pool, and each worker
-// multiplexes cfg.BatchSize of those simulations through shared arena pools
-// — and then reduces rounds to medians in index order, so the result is
-// identical to the serial page-by-page loop at any parallelism level and
-// any batch size.
+// multiplexes batchSize of those simulations through shared arena pools —
+// and then reduces rounds to medians in index order, so the result is
+// identical to the serial page-by-page loop at any parallelism level.
 func Sweep(cfg Config, schemes []Scheme) []PageResult {
 	cfg = cfg.withDefaults()
 	pages := cfg.PageSet()

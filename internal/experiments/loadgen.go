@@ -40,15 +40,15 @@ type LoadgenSimConfig struct {
 
 	// OriginFaults arms fault injection on every origin server (the chaos
 	// arm). The zero value injects nothing and keeps the run bit-identical to
-	// the historical loadgen figures.
+	// the recorded loadgen figures.
 	OriginFaults httpsim.OriginFaults
-	// Resilience, when set, arms the proxy's resilient origin-fetch path:
-	// per-attempt deadlines, retry budget, per-origin breakers. Nil keeps the
-	// legacy fetch path.
+	// Resilience, when set, arms the proxy's origin-fetch discipline:
+	// per-attempt deadlines, retry budget, per-origin breakers. Nil runs the
+	// same fetch path inert (see core.ProxyConfig.Resilience).
 	Resilience *resilience.Policy
-	// CacheFreshFor is the shared cache's freshness window under Resilience —
-	// entries older than it revalidate at the origin and serve stale when the
-	// origin is failing. 0 means entries never go stale.
+	// CacheFreshFor is the shared cache's freshness window — entries older
+	// than it revalidate at the origin and, under Resilience, serve stale when
+	// the origin is failing. 0 means entries never go stale.
 	CacheFreshFor time.Duration
 }
 
@@ -99,9 +99,8 @@ func LoadgenSim(cfg LoadgenSimConfig) LoadgenSimResult {
 	pc.Resilience = cfg.Resilience
 	var cache *objcache.Cache
 	if cfg.CacheBytes > 0 {
-		ccfg := objcache.Config{Capacity: cfg.CacheBytes}
+		ccfg := objcache.Config{Capacity: cfg.CacheBytes, FreshFor: cfg.CacheFreshFor}
 		if cfg.Resilience != nil {
-			ccfg.FreshFor = cfg.CacheFreshFor
 			ccfg.NegTTL = cfg.Resilience.WithDefaults().NegTTL
 		}
 		cache = objcache.New(ccfg)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/parcel-go/parcel/internal/httpsim"
+	"github.com/parcel-go/parcel/internal/metrics"
 	"github.com/parcel-go/parcel/internal/resilience"
 	"github.com/parcel-go/parcel/internal/sched"
 )
@@ -36,6 +37,20 @@ func TestLoadgenSimSharedCache(t *testing.T) {
 	}
 	if res.Cache.Hits == 0 {
 		t.Errorf("cache never hit: %+v", res.Cache)
+	}
+	// Fault-free runs consume no resilience machinery, and arming the policy
+	// changes nothing a tenant can observe: the deadline events it schedules
+	// are all cancelled, and no retry, stale serve or breaker ever fires.
+	armedCfg := chaosSimConfig()
+	armedCfg.OriginFaults = httpsim.OriginFaults{}
+	armed := LoadgenSim(armedCfg)
+	if !reflect.DeepEqual(armed.Loads, res.Loads) {
+		t.Error("arming the resilience policy moved a fault-free fleet run")
+	}
+	for _, rep := range []metrics.FleetReport{r, armed.Report} {
+		if rep.Retries != 0 || rep.StaleServes != 0 || rep.BreakerOpens != 0 {
+			t.Errorf("fault-free run consumed the resilience machinery: %+v", rep)
+		}
 	}
 	// Cross-session dedup: with the cache, fleet origin bytes are far below
 	// tenants × page weight — they equal what the earliest tenant of each

@@ -38,10 +38,9 @@ type Response struct {
 	URL         string
 	ContentType string
 	Body        []byte // actual content; parsers consume this
-	// Validator is the origin's content validator (ETag): the stored object's
-	// Validator if set, otherwise ContentValidator over the body. Truncated
-	// (partial-fault) responses keep the full body's validator, so a retry
-	// that fetches the complete object lands in the same cache generation.
+	// Validator is the stored object's pinned content validator (ETag), empty
+	// when the store pins none: consumers that cache the response derive
+	// ContentValidator over the body themselves, so uncached loads never hash.
 	Validator string
 }
 
@@ -80,7 +79,7 @@ type Object struct {
 	Body        []byte
 	Status      int // 0 means 200
 	// Validator optionally pins the object's content validator (ETag). Empty
-	// means servers derive one from the body with ContentValidator.
+	// means caching consumers derive one from the body with ContentValidator.
 	Validator string
 }
 
@@ -119,10 +118,6 @@ type Server struct {
 
 	faults OriginFaults
 	stats  OriginFaultStats
-	// validators memoizes ContentValidator per URL: origin stores are
-	// immutable within a run, and hashing a large body on every request would
-	// put real work on the hot path for nothing.
-	validators map[string]string
 
 	// Requests counts requests served (including 404s).
 	Requests int
@@ -132,7 +127,7 @@ type Server struct {
 // per-request processing (think) time. sched is the simulation the host
 // belongs to.
 func NewServer(sched *eventsim.Simulator, host *simnet.Host, store Store, think time.Duration) *Server {
-	s := &Server{sched: sched, host: host, store: store, think: think, validators: make(map[string]string)}
+	s := &Server{sched: sched, host: host, store: store, think: think}
 	host.Listen(func(c *simnet.Conn) {
 		c.OnMessage(host, func(m simnet.Message) {
 			if _, isHello := m.Payload.(tlsHello); isHello {
@@ -158,14 +153,11 @@ func NewServer(sched *eventsim.Simulator, host *simnet.Host, store Store, think 
 				} else if obj.Status != 0 {
 					resp.Status = obj.Status
 				}
-				if found {
-					resp.Validator = s.validatorFor(req.URL, obj)
-				}
+				resp.Validator = obj.Validator
 				if fault == faultPartial && resp.Status == 200 {
 					// A truncated transfer: half the body arrives, then the
-					// connection-level failure surfaces as a 502. The
-					// validator stays the full body's so a successful retry
-					// joins the same cache generation.
+					// connection-level failure surfaces as a 502 (never
+					// cached, so the retry's full body starts the generation).
 					resp.Status = 502
 					resp.Body = resp.Body[:len(resp.Body)/2]
 				}
@@ -183,19 +175,6 @@ func NewServer(sched *eventsim.Simulator, host *simnet.Host, store Store, think 
 		})
 	})
 	return s
-}
-
-// validatorFor resolves obj's content validator, memoizing derived hashes.
-func (s *Server) validatorFor(url string, obj Object) string {
-	if obj.Validator != "" {
-		return obj.Validator
-	}
-	if v, ok := s.validators[url]; ok {
-		return v
-	}
-	v := ContentValidator(obj.Body)
-	s.validators[url] = v
-	return v
 }
 
 // Directory maps domain names to the simnet hosts that serve them.

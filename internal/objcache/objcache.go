@@ -12,8 +12,9 @@
 // the package stays sim-deterministic (parcel-vet enforces this) and a
 // virtual-time fleet simulation using it reproduces bit-identically.
 //
-// GetOrFetch adds single-flight de-duplication: concurrent sessions missing
-// on the same URL share one origin fetch instead of stampeding the origin.
+// GetOrFetchStale adds single-flight de-duplication: concurrent sessions
+// missing on the same URL share one origin fetch instead of stampeding the
+// origin.
 package objcache
 
 import (
@@ -46,7 +47,7 @@ type Config struct {
 	Segments int
 	// FreshFor is how long a stored entry counts as fresh before lookups must
 	// revalidate at the origin. Zero (the default) means entries never go
-	// stale — the legacy behavior.
+	// stale.
 	FreshFor time.Duration
 	// NegTTL is how long a hard origin failure is negatively cached (serve
 	// stale / fail fast without re-contacting the origin). Zero disables
@@ -56,10 +57,10 @@ type Config struct {
 
 // Stats is a point-in-time aggregate across segments.
 type Stats struct {
-	Hits        int64 // Get/GetOrFetch served from a resident entry
+	Hits        int64 // lookups served from a fresh resident entry
 	Misses      int64 // lookups that found nothing resident
 	Evictions   int64 // entries removed under byte pressure
-	Shared      int64 // GetOrFetch callers that joined another caller's fetch
+	Shared      int64 // callers that joined another caller's in-flight fetch
 	StaleServes int64 // stale bodies served because the origin was failing
 	NegHits     int64 // lookups answered inside a negative-cache window
 	Entries     int   // resident objects
@@ -165,20 +166,17 @@ func (c *Cache) segFor(key string) *segment {
 	return &c.segs[h.Sum32()%uint32(len(c.segs))]
 }
 
+// Get, Put and GetOrFetch are the clock-free spelling of ProbeAt, PutAt and
+// GetOrFetchStale for callers with no notion of time: every store and lookup
+// happens at now = 0, so entries never age out of their freshness window.
+
 // Get returns the resident object for url, if any, refreshing its recency.
 func (c *Cache) Get(url string) (Object, bool) {
-	key := Key(url)
-	s := c.segFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[key]
-	if !ok {
-		s.misses++
+	obj, lk := c.ProbeAt(url, 0)
+	if lk != LookupFresh {
 		return Object{}, false
 	}
-	s.hits++
-	s.lru.moveToFront(e)
-	return e.obj, true
+	return obj, true
 }
 
 // Put inserts obj (canonicalizing its URL) unless an entry with the same
@@ -186,32 +184,41 @@ func (c *Cache) Get(url string) (Object, bool) {
 // key never yields two different payloads. A new validator replaces the
 // entry. Error statuses (>= 400) and objects larger than a segment's budget
 // are not admitted.
-func (c *Cache) Put(obj Object) {
-	key := Key(obj.URL)
-	s := c.segFor(key)
-	s.mu.Lock()
-	s.putLocked(key, obj)
-	s.mu.Unlock()
+func (c *Cache) Put(obj Object) { c.PutAt(obj, 0) }
+
+// GetOrFetch returns the object for url, fetching it at most once across
+// concurrent callers: a miss either starts the origin fetch or joins the one
+// already in flight for the same key. hit reports whether the object was
+// resident (joining a flight is not a hit here — the origin was still
+// contacted once on the caller group's behalf).
+func (c *Cache) GetOrFetch(url string, fetch func() (Object, error)) (obj Object, hit bool, err error) {
+	obj, out, err := c.GetOrFetchStale(url, 0, fetch)
+	return obj, out == OutcomeHit, err
 }
 
-// putLocked stores obj and returns its resident entry — the refreshed
-// same-generation entry or the freshly inserted one — or nil when the store
-// was rejected (error status or oversize).
-func (s *segment) putLocked(key string, obj Object) *entry {
+// putAtLocked stores obj as of now, with the segment lock held. A rejected
+// store (error status or oversize) touches nothing — in particular it does
+// not refresh whatever older entry is resident. An admitted one clears the
+// key's negative-cache window and stale mark: the origin just proved itself
+// healthy.
+func (s *segment) putAtLocked(key string, obj Object, now time.Duration) {
 	if obj.Status >= 400 || int64(len(obj.Body)) > s.cap {
-		return nil
+		return
 	}
+	delete(s.neg, key)
 	if e, ok := s.entries[key]; ok {
 		if e.obj.Validator == obj.Validator {
-			// Same generation: keep the first body (purity), refresh recency.
+			// Same generation: keep the first body (purity), refresh recency
+			// and freshness.
 			s.lru.moveToFront(e)
-			return e
+			e.storedAt, e.stale = now, false
+			return
 		}
 		s.bytes -= int64(len(e.obj.Body))
 		s.lru.remove(e)
 		delete(s.entries, key)
 	}
-	e := &entry{obj: obj}
+	e := &entry{obj: obj, storedAt: now}
 	e.obj.URL = key
 	s.entries[key] = e
 	s.lru.pushFront(e)
@@ -227,44 +234,6 @@ func (s *segment) putLocked(key string, obj Object) *entry {
 		s.evicted++
 	}
 	checkAccounting(s)
-	return e
-}
-
-// GetOrFetch returns the object for url, fetching it at most once across
-// concurrent callers: a miss either starts the origin fetch or joins the one
-// already in flight for the same key. hit reports whether the object was
-// resident (joining a flight counts as a miss — the origin was still
-// contacted once on the caller group's behalf).
-func (c *Cache) GetOrFetch(url string, fetch func() (Object, error)) (obj Object, hit bool, err error) {
-	key := Key(url)
-	s := c.segFor(key)
-	s.mu.Lock()
-	if e, ok := s.entries[key]; ok {
-		s.hits++
-		s.lru.moveToFront(e)
-		obj = e.obj
-		s.mu.Unlock()
-		return obj, true, nil
-	}
-	s.misses++
-	if f, ok := s.flights[key]; ok {
-		s.shared++
-		s.mu.Unlock()
-		<-f.done
-		return f.obj, false, f.err
-	}
-	f := s.openFlightLocked(key)
-	s.mu.Unlock()
-
-	defer s.settleFlightOnPanic(f)
-	f.obj, f.err = fetch()
-	if f.err == nil {
-		s.mu.Lock()
-		s.putLocked(key, f.obj)
-		s.mu.Unlock()
-	}
-	s.settleFlight(f)
-	return f.obj, false, f.err
 }
 
 // openFlightLocked registers a single-flight slot for key, with the segment

@@ -5,13 +5,13 @@ import (
 	"time"
 )
 
-// This file is the cache's origin-resilience surface: freshness windows,
-// serve-stale-on-error, and brief negative caching of hard failures. Like the
-// rest of the package it is clock-free — every API takes the caller's notion
-// of now (virtual time on the simulation arm, wall-clock offset on the real
-// arm), so the fleet simulation reproduces bit-identically. Callers that
-// never pass a freshness window (FreshFor == 0) get exactly the legacy
-// behavior: entries never go stale and nothing here runs.
+// This file is the cache's lookup, store and single-flight implementation,
+// with its origin-resilience surface: freshness windows, serve-stale-on-error,
+// and brief negative caching of hard failures. Like the rest of the package
+// it is clock-free — every API takes the caller's notion of now (virtual time
+// on the simulation arm, wall-clock offset on the real arm), so the fleet
+// simulation reproduces bit-identically. With FreshFor == 0 entries never go
+// stale, and with NegTTL == 0 no failure is remembered.
 
 // ErrNegativeCached reports that a lookup was refused because the URL's
 // recent hard failure is still negatively cached and no stale body is
@@ -70,29 +70,14 @@ func (s *segment) fresh(e *entry, now time.Duration) bool {
 	return s.freshFor == 0 || now-e.storedAt < s.freshFor
 }
 
-// PutAt is Put with an explicit store time: the entry is fresh until
-// now+FreshFor (forever when FreshFor is 0). A successful store also clears
-// any negative-cache window and stale mark for the key — the origin just
-// proved itself healthy.
+// PutAt stores obj as of now: the entry is fresh until now+FreshFor (forever
+// when FreshFor is 0). See Put for the admission and generation rules.
 func (c *Cache) PutAt(obj Object, now time.Duration) {
 	key := Key(obj.URL)
 	s := c.segFor(key)
 	s.mu.Lock()
 	s.putAtLocked(key, obj, now)
 	s.mu.Unlock()
-}
-
-func (s *segment) putAtLocked(key string, obj Object, now time.Duration) {
-	if obj.Status >= 400 || int64(len(obj.Body)) > s.cap {
-		// putLocked would reject it; don't refresh whatever old entry is
-		// resident off the back of an inadmissible store.
-		return
-	}
-	delete(s.neg, key)
-	if e := s.putLocked(key, obj); e != nil {
-		e.storedAt = now
-		e.stale = false
-	}
 }
 
 // ProbeAt classifies what the cache holds for url at now, refreshing recency
@@ -177,8 +162,8 @@ func (c *Cache) ServeStale(url string) (Object, bool) {
 	return e.obj, true
 }
 
-// GetOrFetchStale is GetOrFetch with freshness, serve-stale-on-error, and
-// negative caching, for the real (blocking) arm:
+// GetOrFetchStale is the blocking single-flight lookup, with freshness,
+// serve-stale-on-error, and negative caching:
 //
 //   - a fresh resident entry is a hit;
 //   - a negatively cached failure serves the stale body if one is resident,

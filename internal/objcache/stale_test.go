@@ -3,6 +3,7 @@ package objcache
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -284,23 +285,145 @@ func TestOutcomeStrings(t *testing.T) {
 	}
 }
 
-func TestStaleLayerKeepsLegacyPathIdentical(t *testing.T) {
-	// A cache configured without FreshFor/NegTTL must behave exactly like the
-	// legacy cache through the legacy API even when stale APIs are poked.
-	c := New(Config{Capacity: 1 << 20, Segments: 4})
+// cacheOp is one step of a spelling-equivalence script: a store of obj, or a
+// lookup of url (plain when fetch is nil, single-flight otherwise).
+type cacheOp struct {
+	put   *Object
+	url   string
+	fetch func() (Object, error)
+}
+
+func putOp(o Object) cacheOp   { return cacheOp{put: &o} }
+func getOp(url string) cacheOp { return cacheOp{url: url} }
+func fetchOp(url string, o Object, err error) cacheOp {
+	return cacheOp{url: url, fetch: func() (Object, error) { return o, err }}
+}
+
+// opResult is what one cacheOp observed: the object, whether it was served
+// from a resident entry, and the error text.
+type opResult struct {
+	obj Object
+	hit bool
+	err string
+}
+
+// TestClockFreeSpellingMatchesTimedAtZero drives Get/Put/GetOrFetch and
+// ProbeAt/PutAt/GetOrFetchStale at now = 0 over the same scripts — the
+// sequential cases of objcache_test.go — and requires identical objects and
+// identical Stats: the two spellings are one implementation, and at time zero
+// nothing ages, so neither touches the stale or negative-cache counters.
+func TestClockFreeSpellingMatchesTimedAtZero(t *testing.T) {
+	boom := errors.New("origin down")
+	var eviction, fifty []cacheOp
+	for i := 0; i < 2000; i++ {
+		eviction = append(eviction, putOp(obj(fmt.Sprintf("http://d%d.test/o%d", i%7, i), "v", 1024, byte(i))))
+	}
+	eviction = append(eviction, putOp(obj("http://huge.test/x", "v", 64<<10, 'h')), getOp("http://huge.test/x"))
+	lru := []cacheOp{
+		putOp(obj("http://d.test/keep", "v", 1024, 'k')),
+		putOp(obj("http://d.test/drop", "v", 1024, 'd')),
+		getOp("http://d.test/keep"),
+	}
+	for i := 0; i < 7; i++ {
+		lru = append(lru, putOp(obj(fmt.Sprintf("http://d.test/f%d", i), "v", 1024, byte(i))))
+	}
+	lru = append(lru, getOp("http://d.test/keep"), getOp("http://d.test/drop"))
 	for i := 0; i < 50; i++ {
-		url := fmt.Sprintf("http://a.com/%d", i)
-		c.Put(sobj(url, fmt.Sprintf("body-%d", i)))
+		fifty = append(fifty, putOp(sobj(fmt.Sprintf("http://a.com/%d", i), fmt.Sprintf("body-%d", i))))
 	}
 	for i := 0; i < 50; i++ {
-		url := fmt.Sprintf("http://a.com/%d", i)
-		if _, ok := c.Get(url); !ok {
-			t.Fatalf("legacy get missed %s", url)
+		fifty = append(fifty, getOp(fmt.Sprintf("http://a.com/%d", i)))
+	}
+
+	scripts := []struct {
+		name string
+		cfg  Config
+		ops  []cacheOp
+	}{
+		{"validator generations", Config{Capacity: 1 << 20, Segments: 4}, []cacheOp{
+			putOp(obj("http://d0.test/a", "v1", 100, 'a')),
+			getOp("http://D0.test/a#frag"),
+			putOp(obj("http://d0.test/a", "v1", 100, 'b')),
+			getOp("http://d0.test/a"),
+			putOp(obj("http://d0.test/a", "v2", 50, 'c')),
+			getOp("http://d0.test/a"),
+			putOp(Object{URL: "http://d0.test/404", Status: 404, Validator: "e", Body: []byte("nope")}),
+			getOp("http://d0.test/404"),
+		}},
+		{"eviction pressure", Config{Capacity: 64 << 10, Segments: 4}, eviction},
+		{"lru order", Config{Capacity: 8 << 10, Segments: 1}, lru},
+		{"fetch then hit", Config{Capacity: 1 << 20, Segments: 2}, []cacheOp{
+			fetchOp("http://d.test/one", obj("http://d.test/one", "v1", 64, 'x'), nil),
+			fetchOp("http://d.test/one", Object{}, boom),
+			getOp("http://d.test/one"),
+		}},
+		{"failed fetch not cached", Config{Capacity: 1 << 20, Segments: 1}, []cacheOp{
+			fetchOp("http://d.test/x", Object{}, boom),
+			getOp("http://d.test/x"),
+			fetchOp("http://d.test/x", obj("http://d.test/x", "v", 8, 'y'), nil),
+		}},
+		{"zero capacity", Config{Capacity: 0, Segments: 2}, []cacheOp{
+			putOp(obj("http://d.test/a", "v", 10, 'a')),
+			getOp("http://d.test/a"),
+			fetchOp("http://d.test/a", obj("http://d.test/a", "v", 10, 'a'), nil),
+		}},
+		{"fifty put then get", Config{Capacity: 1 << 20, Segments: 4}, fifty},
+	}
+
+	clockFree := func(c *Cache, op cacheOp) (r opResult) {
+		var err error
+		switch {
+		case op.put != nil:
+			c.Put(*op.put)
+		case op.fetch == nil:
+			r.obj, r.hit = c.Get(op.url)
+		default:
+			r.obj, r.hit, err = c.GetOrFetch(op.url, op.fetch)
 		}
+		if err != nil {
+			r.err = err.Error()
+		}
+		return r
 	}
-	st := c.Stats()
-	if st.StaleServes != 0 || st.NegHits != 0 {
-		t.Fatalf("legacy path touched stale counters: %+v", st)
+	timedAtZero := func(c *Cache, op cacheOp) (r opResult) {
+		var err error
+		switch {
+		case op.put != nil:
+			c.PutAt(*op.put, 0)
+		case op.fetch == nil:
+			var lk Lookup
+			if r.obj, lk = c.ProbeAt(op.url, 0); lk == LookupStale {
+				t.Errorf("ProbeAt(%s, 0) found a stale entry", op.url)
+			}
+			r.hit = lk == LookupFresh
+		default:
+			var out Outcome
+			r.obj, out, err = c.GetOrFetchStale(op.url, 0, op.fetch)
+			r.hit = out == OutcomeHit
+		}
+		if err != nil {
+			r.err = err.Error()
+		}
+		return r
+	}
+
+	for _, sc := range scripts {
+		t.Run(sc.name, func(t *testing.T) {
+			a, b := New(sc.cfg), New(sc.cfg)
+			for i, op := range sc.ops {
+				ra, rb := clockFree(a, op), timedAtZero(b, op)
+				if !reflect.DeepEqual(ra, rb) {
+					t.Fatalf("op %d: clock-free %+v, timed-at-zero %+v", i, ra, rb)
+				}
+			}
+			sa, sb := a.Stats(), b.Stats()
+			if sa != sb {
+				t.Fatalf("stats diverged:\n clock-free    %+v\n timed-at-zero %+v", sa, sb)
+			}
+			if sa.StaleServes != 0 || sa.NegHits != 0 {
+				t.Fatalf("time-zero script touched the stale counters: %+v", sa)
+			}
+		})
 	}
 }
 

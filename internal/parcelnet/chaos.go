@@ -74,10 +74,6 @@ func RunChaosLoadgen(cfg ChaosConfig) (ChaosResult, error) {
 	if cfg.DrainTimeout == 0 {
 		cfg.DrainTimeout = 2 * time.Second
 	}
-	pol := cfg.Resilience.WithDefaults()
-	if err := pol.Validate(); err != nil {
-		return ChaosResult{}, err
-	}
 
 	origin, err := StartOrigin("127.0.0.1:0", lg.Store)
 	if err != nil {
@@ -104,7 +100,7 @@ func RunChaosLoadgen(cfg ChaosConfig) (ChaosResult, error) {
 		MuxChunkSize:      lg.MuxChunkSize,
 		MuxStreamWindow:   lg.MuxStreamWindow,
 		MuxConnWindow:     lg.MuxConnWindow,
-		Resilience:        &pol,
+		Resilience:        cfg.Resilience,
 		CacheFreshFor:     cfg.CacheFreshFor,
 		Logf:              lg.Logf,
 	}

@@ -64,6 +64,11 @@ func TestChaosLoadgenSmoke(t *testing.T) {
 	if res.Resilience.Retries == 0 {
 		t.Error("resilient fetch path never retried through the injected errors")
 	}
+	// Joining another session's flight is a hit: only the first session of
+	// each proxy incarnation pays origin fetches for the one shared page.
+	if r.CacheHitRate <= 0.9 {
+		t.Errorf("cache hit rate = %v across 40 sessions of one page, want > 0.9", r.CacheHitRate)
+	}
 	if len(r.PhaseP99) == 0 {
 		t.Error("no per-phase percentiles: every session completed before the drain?")
 	}

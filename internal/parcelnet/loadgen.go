@@ -147,6 +147,7 @@ func RunLoadgen(cfg LoadgenConfig) (LoadgenResult, error) {
 		ProxyShed:      proxy.ShedTotal(),
 		SessionsServed: proxy.SessionsServed(),
 	}
+	res.Report.BreakerOpens = proxy.ResilienceStats().BreakerOpens
 	return res, nil
 }
 

@@ -52,6 +52,12 @@ func TestLoadgenSmoke(t *testing.T) {
 	if res.Cache.Hits+res.Cache.Shared == 0 {
 		t.Errorf("cache never shared: %+v", res.Cache)
 	}
+	// The policy is always armed on this arm; a fault-free run must consume
+	// none of its machinery.
+	if r.Retries != 0 || r.StaleServes != 0 || r.BreakerOpens != 0 {
+		t.Errorf("fault-free run consumed the resilience machinery: retries=%d stale=%d breaker opens=%d",
+			r.Retries, r.StaleServes, r.BreakerOpens)
+	}
 }
 
 // TestLoadgen500Tenants is the scale gate from the issue: ≥500 concurrent

@@ -67,16 +67,17 @@ type ProxyConfig struct {
 	// buffers so backpressure is reachable at test scale).
 	WrapConn func(net.Conn) net.Conn
 
-	// Resilience, when set, wraps origin fetches in the internal/resilience
-	// discipline: per-attempt deadlines, a jittered-backoff retry budget, and
-	// per-origin circuit breakers. With the shared cache enabled it also
-	// arms serve-stale-on-error (CacheFreshFor) and negative caching
-	// (Policy.NegTTL). Nil keeps the legacy fetch path byte-for-byte.
-	Resilience *resilience.Policy
-	// CacheFreshFor is the shared cache's freshness window under Resilience:
-	// entries older than this are revalidated at the origin, and served stale
-	// when the origin is failing. 0 means entries never go stale (the legacy
-	// behavior). Ignored without Resilience or without CacheBytes.
+	// Resilience is the internal/resilience discipline every origin fetch
+	// runs under: per-attempt deadlines, a jittered-backoff retry budget, and
+	// per-origin circuit breakers; zero fields take the package defaults, so
+	// the zero value is Policy{}.WithDefaults(). With the shared cache enabled
+	// it also arms serve-stale-on-error (CacheFreshFor) and negative caching
+	// (Policy.NegTTL).
+	Resilience resilience.Policy
+	// CacheFreshFor is the shared cache's freshness window: entries older
+	// than this are revalidated at the origin, and served stale when the
+	// origin is failing. 0 means entries never go stale. Ignored without
+	// CacheBytes.
 	CacheFreshFor time.Duration
 
 	// MuxChunkSize is the parcelmux data-chunk size for sessions that request
@@ -100,8 +101,8 @@ type Proxy struct {
 	ln    net.Listener
 	wg    sync.WaitGroup
 	fetch *OriginFetcher
-	cache *objcache.Cache   // nil when CacheBytes == 0
-	res   *resilientFetcher // nil when Resilience is not configured
+	cache *objcache.Cache // nil when CacheBytes == 0
+	res   *resilientFetcher
 
 	// queued is the proxy-wide reservation counter for encoded-but-unsent
 	// bundle bytes; deferred/shedTotal aggregate admission outcomes.
@@ -152,6 +153,9 @@ func StartProxy(addr string, cfg ProxyConfig) (*Proxy, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
+	if err := cfg.Resilience.Validate(); err != nil {
+		return nil, err
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -161,20 +165,12 @@ func StartProxy(addr string, cfg ProxyConfig) (*Proxy, error) {
 		ln:    ln,
 		fetch: NewOriginFetcherN(cfg.OriginAddr, cfg.OriginConns),
 	}
-	if cfg.Resilience != nil {
-		if err := cfg.Resilience.Validate(); err != nil {
-			ln.Close()
-			return nil, err
-		}
-		p.res = newResilientFetcher(p.fetch, *cfg.Resilience)
-	}
+	p.res = newResilientFetcher(p.fetch, cfg.Resilience)
 	if cfg.CacheBytes > 0 {
-		ccfg := objcache.Config{Capacity: cfg.CacheBytes, Segments: cfg.Shards}
-		if p.res != nil {
-			ccfg.FreshFor = cfg.CacheFreshFor
-			ccfg.NegTTL = p.res.policy.NegTTL
-		}
-		p.cache = objcache.New(ccfg)
+		p.cache = objcache.New(objcache.Config{
+			Capacity: cfg.CacheBytes, Segments: cfg.Shards,
+			FreshFor: cfg.CacheFreshFor, NegTTL: p.res.policy.NegTTL,
+		})
 	}
 	p.shards = make([]*shard, cfg.Shards)
 	for i := range p.shards {
@@ -741,53 +737,6 @@ func (s *session) startPage(req PageRequest) bool {
 	)
 	crawl.start(req.URL)
 	return true
-}
-
-// fetchURL is the session's object source: the shared cross-session cache
-// when enabled (counting per-session hits/misses and attributing origin
-// bytes to the session that actually caused the fetch), a plain origin fetch
-// otherwise.
-func (s *session) fetchURL(url string) ([]byte, string, int, error) {
-	p := s.proxy
-	if p.res != nil {
-		return s.fetchResilient(url)
-	}
-	if p.cache == nil {
-		body, ct, status, err := p.fetch.Fetch(url)
-		if err == nil {
-			s.mu.Lock()
-			s.originBytes += int64(len(body))
-			s.mu.Unlock()
-		}
-		return body, ct, status, err
-	}
-	performed := false
-	obj, hit, err := p.cache.GetOrFetch(url, func() (objcache.Object, error) {
-		performed = true
-		body, ct, status, validator, ferr := p.fetch.FetchValidated(url)
-		if ferr != nil {
-			return objcache.Object{}, ferr
-		}
-		// Only the session whose fetch actually ran pays the origin bytes;
-		// single-flight joiners get the object for free.
-		s.mu.Lock()
-		s.originBytes += int64(len(body))
-		s.mu.Unlock()
-		return objcache.Object{URL: url, ContentType: ct, Status: status, Validator: validator, Body: body}, nil
-	})
-	s.mu.Lock()
-	// A session-level hit is any lookup that cost this session no origin
-	// fetch: a resident entry, or joining another session's flight.
-	if hit || (!performed && err == nil) {
-		s.cacheHits++
-	} else {
-		s.cacheMisses++
-	}
-	s.mu.Unlock()
-	if err != nil {
-		return nil, "", 0, err
-	}
-	return obj.Body, obj.ContentType, obj.Status, nil
 }
 
 // collect feeds one crawled object into the schedule and resets the §4.5

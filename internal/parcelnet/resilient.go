@@ -105,12 +105,8 @@ type ResilienceStats struct {
 	BreakerFastFails int64
 }
 
-// ResilienceStats returns the proxy's resilient-fetch counters (zero when the
-// resilient path is not configured).
+// ResilienceStats returns the proxy's resilient-fetch counters.
 func (p *Proxy) ResilienceStats() ResilienceStats {
-	if p.res == nil {
-		return ResilienceStats{}
-	}
 	return ResilienceStats{
 		Retries:          p.res.retries.Load(),
 		BreakerOpens:     p.res.group.Opens(),
@@ -118,50 +114,49 @@ func (p *Proxy) ResilienceStats() ResilienceStats {
 	}
 }
 
-// fetchResilient is fetchURL on the resilient path: breaker + retries +
-// deadlines around the origin, and — with the shared cache enabled —
-// serve-stale-on-error and negative caching behind them. Failures still
-// return an error; the crawler converts it into a 502 object so the session
-// completes (degraded, not dead).
-func (s *session) fetchResilient(url string) ([]byte, string, int, error) {
+// fetchURL is the session's object source, and its one origin-fetch path:
+// breaker + retries + deadlines around the origin, behind — when the shared
+// cache is enabled — single-flight de-duplication, serve-stale-on-error and
+// negative caching. Failures return an error; the crawler converts it into a
+// 502 object so the session completes (degraded, not dead).
+func (s *session) fetchURL(url string) ([]byte, string, int, error) {
 	p := s.proxy
-	onRetry := func() {
-		s.mu.Lock()
-		s.originRetries++
-		s.mu.Unlock()
-	}
-	if p.cache == nil {
-		body, ct, status, _, err := p.res.do(url, onRetry)
-		if err == nil {
+	// fetched marks that this session's own origin fetch ran and succeeded;
+	// it alone pays the origin bytes — single-flight joiners get the object
+	// for free.
+	fetched := false
+	fetch := func() (objcache.Object, error) {
+		body, ct, status, validator, err := p.res.do(url, func() {
 			s.mu.Lock()
-			s.originBytes += int64(len(body))
+			s.originRetries++
 			s.mu.Unlock()
+		})
+		if err != nil {
+			return objcache.Object{}, err
 		}
-		return body, ct, status, err
-	}
-	obj, outcome, err := p.cache.GetOrFetchStale(url, p.res.now(), func() (objcache.Object, error) {
-		body, ct, status, validator, ferr := p.res.do(url, onRetry)
-		if ferr != nil {
-			return objcache.Object{}, ferr
-		}
-		// Only the session whose fetch actually ran pays the origin bytes;
-		// single-flight joiners get the object for free.
+		fetched = true
 		s.mu.Lock()
 		s.originBytes += int64(len(body))
 		s.mu.Unlock()
 		return objcache.Object{URL: url, ContentType: ct, Status: status, Validator: validator, Body: body}, nil
-	})
+	}
+	if p.cache == nil {
+		obj, err := fetch()
+		return obj.Body, obj.ContentType, obj.Status, err
+	}
+	obj, outcome, err := p.cache.GetOrFetchStale(url, p.res.now(), fetch)
 	s.mu.Lock()
-	switch outcome {
-	case objcache.OutcomeHit:
+	// A session-level hit is any lookup that cost this session no origin
+	// fetch — a resident entry, a stale serve (tagged separately as the
+	// degradation it is), or joining another session's flight: the rule the
+	// simulation arm books.
+	if err == nil && !fetched {
 		s.cacheHits++
-	case objcache.OutcomeStale:
-		// A stale serve costs this session no origin fetch either; count it a
-		// hit for the hit-rate and tag the degradation separately.
-		s.cacheHits++
-		s.staleServes++
-	default:
+	} else {
 		s.cacheMisses++
+	}
+	if outcome == objcache.OutcomeStale {
+		s.staleServes++
 	}
 	s.mu.Unlock()
 	if err != nil {

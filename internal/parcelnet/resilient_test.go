@@ -35,7 +35,7 @@ func TestResilientRetriesThroughFlap(t *testing.T) {
 		Sched:       sched.ConfigIND,
 		QuietPeriod: 300 * time.Millisecond,
 		FixedRandom: true,
-		Resilience: &resilience.Policy{
+		Resilience: resilience.Policy{
 			Timeout:          2 * time.Second,
 			MaxRetries:       3,
 			BackoffBase:      500 * time.Millisecond,
@@ -96,7 +96,7 @@ func TestResilientServesStaleWhenOriginDies(t *testing.T) {
 		FixedRandom:   true,
 		CacheBytes:    1 << 20,
 		CacheFreshFor: 50 * time.Millisecond,
-		Resilience: &resilience.Policy{
+		Resilience: resilience.Policy{
 			Timeout:    2 * time.Second,
 			MaxRetries: 0,
 			NegTTL:     time.Second,
@@ -167,7 +167,7 @@ func TestResilientBreakerOpensOnDeadOrigin(t *testing.T) {
 		Sched:       sched.ConfigIND,
 		QuietPeriod: 100 * time.Millisecond,
 		FixedRandom: true,
-		Resilience: &resilience.Policy{
+		Resilience: resilience.Policy{
 			Timeout:          time.Second,
 			MaxRetries:       0,
 			FailureThreshold: 2,
@@ -209,7 +209,7 @@ func TestResilientPolicyValidation(t *testing.T) {
 	_, err := StartProxy("127.0.0.1:0", ProxyConfig{
 		OriginAddr: "127.0.0.1:1",
 		Sched:      sched.ConfigIND,
-		Resilience: &resilience.Policy{Timeout: -time.Second},
+		Resilience: resilience.Policy{Timeout: -time.Second},
 	})
 	if err == nil {
 		t.Fatal("StartProxy accepted a negative resilience timeout")

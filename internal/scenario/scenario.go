@@ -107,8 +107,8 @@ type Topology struct {
 
 	// ExecCache and JSPools configure the browser engines built on this
 	// topology (see browser.Options). Both are set by BuildWith when the
-	// topology draws from shared Resources; Build leaves them zero so the
-	// legacy serial path is byte-for-byte the historical engine.
+	// topology draws from shared Resources; Build leaves them zero, which
+	// is what makes a private topology the batch engine's reference.
 	ExecCache bool
 	JSPools   *minijs.Pools
 
