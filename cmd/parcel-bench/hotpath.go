@@ -53,6 +53,13 @@ const hotpathBaselineAllocs = 29634
 // webgen page cache closed the residual hot-path churn (measured ~2.1k).
 const hotpathTargetAllocs = 2500
 
+// crawlTargetAllocs is the budget for one warm discovery crawl of the
+// benchmark page on the TCP proxy (CrawlWarm): cached trees and refs, every
+// cacheable script replayed from the exec-outcome memo. What remains is a
+// closure per requested URL, the resource walk of the main document, and
+// the timer-arming inline script, which always executes (measured 179).
+const crawlTargetAllocs = 250
+
 // hotpathCase is one measured benchmark in the hot-path report.
 type hotpathCase struct {
 	Name        string  `json:"name"`
@@ -78,13 +85,19 @@ type hotpathReport struct {
 	// not gated.
 	Wire          []hotpathCase `json:"wire"`
 	WireZeroAlloc bool          `json:"wire_zero_alloc"`
+	// Crawl is one TCP-proxy session's discovery crawl over an in-memory
+	// fetch function, caches and exec-outcome memo warm.
+	Crawl                  hotpathCase `json:"crawl"`
+	CrawlTargetAllocsPerOp int64       `json:"crawl_target_allocs_per_op"`
+	CrawlWithinTarget      bool        `json:"crawl_within_target"`
 }
 
 // benchHotpath measures the allocation profile of the simulator's hot paths
-// — a full PARCEL page load, a full DIR page load, and an HTML parse — and
-// writes the report to path. The PARCEL case is compared against the
-// committed pre-optimization baseline and the regression budget; the target
-// exits non-zero if the budget is blown, so CI can gate on it.
+// — a full PARCEL page load, a full DIR page load, an HTML parse, and one
+// warm discovery crawl on the TCP proxy — and writes the report to path. The
+// PARCEL case is compared against the committed pre-optimization baseline and
+// the regression budget, the crawl against its own; the target exits non-zero
+// if a budget is blown, so CI can gate on it.
 func benchHotpath(w io.Writer, path string) error {
 	header(w, "benchhotpath: hot-path allocation profile")
 	page := webgen.Generate(webgen.Spec{Seed: 77, NumPages: 4})[2]
@@ -245,10 +258,27 @@ func benchHotpath(w io.Writer, path string) error {
 		}},
 	}
 
+	crawlWarm := func(b *testing.B) {
+		objects := make([]parcelnet.Object, len(page.Objects))
+		for i, o := range page.Objects {
+			objects[i] = parcelnet.Object{URL: o.URL, ContentType: o.ContentType, Body: o.Body}
+		}
+		cb := parcelnet.NewCrawlBench(page.MainURL, objects)
+		if n := cb.Crawl(); n != page.ObjectCount {
+			b.Fatalf("crawl requested %d of %d objects", n, page.ObjectCount)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			cb.Crawl()
+		}
+	}
+
 	rep := hotpathReport{
-		BaselineAllocsPerOp: hotpathBaselineAllocs,
-		TargetAllocsPerOp:   hotpathTargetAllocs,
-		WireZeroAlloc:       true,
+		BaselineAllocsPerOp:    hotpathBaselineAllocs,
+		TargetAllocsPerOp:      hotpathTargetAllocs,
+		WireZeroAlloc:          true,
+		CrawlTargetAllocsPerOp: crawlTargetAllocs,
 	}
 	measure := func(name string, fn func(b *testing.B)) hotpathCase {
 		r := testing.Benchmark(fn)
@@ -276,6 +306,8 @@ func benchHotpath(w io.Writer, path string) error {
 		}
 		rep.Wire = append(rep.Wire, hc)
 	}
+	rep.Crawl = measure("CrawlWarm", crawlWarm)
+	rep.CrawlWithinTarget = rep.Crawl.AllocsPerOp <= crawlTargetAllocs
 
 	parcelAllocs := rep.Cases[0].AllocsPerOp
 	rep.ReductionPercent = 100 * (1 - float64(parcelAllocs)/float64(hotpathBaselineAllocs))
@@ -298,6 +330,10 @@ func benchHotpath(w io.Writer, path string) error {
 	}
 	if !rep.WireZeroAlloc {
 		return fmt.Errorf("hot-path regression: parcelmux encode/decode no longer alloc-free (see wire cases)")
+	}
+	if !rep.CrawlWithinTarget {
+		return fmt.Errorf("hot-path regression: warm discovery crawl %d allocs/op exceeds budget %d",
+			rep.Crawl.AllocsPerOp, crawlTargetAllocs)
 	}
 	return nil
 }

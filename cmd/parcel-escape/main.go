@@ -66,6 +66,10 @@ var hotSet = []hotFunc{
 	{"internal/minijs", "Interp", "getArgs"},
 	{"internal/minijs", "Interp", "putArgs"},
 
+	// discovery: exec-outcome replay, the per-script path of every memoised
+	// page load on both arms — validate, charge, bind, no allocation.
+	{"internal/discovery", "Env", "replay"},
+
 	// eventsim: the virtual-clock dispatch loop.
 	{"internal/eventsim", "Simulator", "Step"},
 

@@ -165,7 +165,7 @@ func matchDiagnostics(t *testing.T, fset *token.FileSet, pkgName string, got []a
 }
 
 func TestDeterminism(t *testing.T) {
-	for _, fix := range []string{"determ_sim", "determ_sim_clean", "determ_exempt", "determ_cache", "determ_cache_clean", "determ_resil", "determ_resil_clean"} {
+	for _, fix := range []string{"determ_sim", "determ_sim_clean", "determ_exempt", "determ_cache", "determ_cache_clean", "determ_resil", "determ_resil_clean", "determ_memo", "determ_memo_clean"} {
 		t.Run(fix, func(t *testing.T) { runFixture(t, Determinism, fix) })
 	}
 }
@@ -177,7 +177,7 @@ func TestPoolDiscipline(t *testing.T) {
 }
 
 func TestNoClosure(t *testing.T) {
-	for _, fix := range []string{"noclosure_hot", "noclosure_clean", "noclosure_resil"} {
+	for _, fix := range []string{"noclosure_hot", "noclosure_clean", "noclosure_resil", "noclosure_memo"} {
 		t.Run(fix, func(t *testing.T) { runFixture(t, NoClosure, fix) })
 	}
 }

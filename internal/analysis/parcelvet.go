@@ -92,6 +92,12 @@ var simDeterministic = map[string]bool{
 	// it, so a wall-clock or global-RNG read there would make retry schedules
 	// — and therefore golden chaos figures — irreproducible.
 	"internal/resilience": true,
+	// The discovery memo sits on both arms as well: an artifact or a script
+	// outcome must be a pure function of its key, and a replay must equal the
+	// execution it stands for, so a wall-clock read, a global-RNG draw or a
+	// map-ordered effect list there would make one host's recording wrong on
+	// the other. Its hosts own the clock and the RNG (Host.SetTimeout, Rand).
+	"internal/discovery": true,
 
 	// analysistest fixtures
 	"determ_sim":         true,
@@ -100,6 +106,8 @@ var simDeterministic = map[string]bool{
 	"determ_cache_clean": true,
 	"determ_resil":       true,
 	"determ_resil_clean": true,
+	"determ_memo":        true,
+	"determ_memo_clean":  true,
 }
 
 // realClockAllowlist is the checked-in exemption list: packages that talk to
@@ -138,11 +146,16 @@ var hotPackages = map[string]bool{
 	// arm; a capturing closure per retry would allocate on the same per-event
 	// path the rule protects.
 	"internal/resilience": true,
+	// The shared script environment runs inside the engine's per-script path
+	// on the simulation arm; timers belong to the host, so nothing here
+	// should schedule at all, let alone with a capturing closure.
+	"internal/discovery": true,
 
 	// analysistest fixtures
 	"noclosure_hot":   true,
 	"noclosure_clean": true,
 	"noclosure_resil": true,
+	"noclosure_memo":  true,
 }
 
 // wirePackages lists the packages carrying the real-network framed-wire

@@ -19,6 +19,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/parcel-go/parcel/internal/discovery"
 	"github.com/parcel-go/parcel/internal/eventsim"
 	"github.com/parcel-go/parcel/internal/htmlparse"
 	"github.com/parcel-go/parcel/internal/minijs"
@@ -105,8 +106,8 @@ type Options struct {
 	FixedRandom bool
 	// MaxDepth bounds recursive discovery (iframes, document.write chains).
 	MaxDepth int
-	// ExecCache routes scripts through the process-wide execution-outcome
-	// cache (see execcache.go). Replay is validated to be bit-identical to
+	// ExecCache routes scripts through the process-wide exec-outcome memo
+	// (internal/discovery). Replay is validated to be bit-identical to
 	// execution; the batched sweep engine enables it, private-topology
 	// runs (scenario.Build) leave it off.
 	ExecCache bool
@@ -121,7 +122,7 @@ type Engine struct {
 	sim   *eventsim.Simulator
 	fetch Fetcher
 	opt   Options
-	in    *minijs.Interp
+	env   *discovery.Env // script environment; the engine is its Host
 
 	baseURL string
 	dom     *htmlparse.Node
@@ -148,15 +149,6 @@ type Engine struct {
 
 	handlers map[string][]*minijs.Closure // "event/target" -> handlers
 
-	// active script context and effect buffer (single-threaded simulator,
-	// so plain fields are safe)
-	curCtx  *scriptCtx
-	effects *[]func()
-
-	// rec collects the outcome of the script currently executing for the
-	// exec cache; nil outside a recording run.
-	rec *execRecorder
-
 	// DOMOps counts script-driven DOM mutations (instrumentation).
 	DOMOps int
 	// TimersSet counts setTimeout registrations.
@@ -175,14 +167,13 @@ func New(sim *eventsim.Simulator, fetch Fetcher, opt Options) *Engine {
 		sim:       sim,
 		fetch:     fetch,
 		opt:       opt,
-		in:        minijs.NewWithPools(opt.JSPools),
 		requested: make(map[string]bool),
 		loaded:    make(map[string]bool),
 		results:   make(map[string]Result),
 		waiters:   make(map[string][]func(Result)),
 		handlers:  make(map[string][]*minijs.Closure),
 	}
-	e.bindBuiltins()
+	e.env = discovery.NewEnv(minijs.NewWithPools(opt.JSPools), engineHost{e}, opt.FixedRandom, opt.MaxDepth)
 	return e
 }
 
@@ -364,8 +355,8 @@ func (e *Engine) processHTML(r Result, blocking bool, depth int) {
 		// artifact cache: every scheme and round loading this document
 		// shares one immutable DOM. The parse cost above is modelled from
 		// the byte length either way.
-		root, nodes, ok := cachedHTML(r.Body)
-		if !ok {
+		root, nodes, err := discovery.HTML(r.Body)
+		if err != nil {
 			// Treat unparseable HTML like an empty page (browser resilience).
 			e.finish(blocking)
 			return
@@ -420,7 +411,7 @@ func (w *docWalker) resume() {
 				}
 			}
 		case "style":
-			for _, u := range cachedAssetURLs(n.Text, w.baseURL) {
+			for _, u := range discovery.AssetURLs(n.Text, w.baseURL) {
 				e.requestObject(u, w.blocking, w.depth+1)
 			}
 		case "script":
@@ -475,7 +466,7 @@ func (e *Engine) processCSS(r Result, blocking bool, depth int) {
 	cost := perKB(e.opt.CPU.CSSParsePerKB, len(r.Body))
 	e.task(cost, func() {
 		if depth < e.opt.MaxDepth {
-			for _, ref := range cachedCSSRefs(r.Body, r.URL) {
+			for _, ref := range discovery.CSSRefs(r.Body, r.URL) {
 				e.requestObject(ref.URL, blocking, depth+1)
 			}
 		}
@@ -483,48 +474,13 @@ func (e *Engine) processCSS(r Result, blocking bool, depth int) {
 	})
 }
 
-// discoverFromTree flat-discovers a fragment (document.write injections):
-// dynamically injected markup does not re-enter the parser-blocking walk.
-func (e *Engine) discoverFromTree(root *htmlparse.Node, baseURL string, blocking bool, depth int) {
-	if depth >= e.opt.MaxDepth {
-		return
-	}
-	for _, res := range htmlparse.Resources(root, baseURL) {
-		b := blocking
-		if res.Async {
-			b = false
-		}
-		e.requestObject(res.URL, b, depth+1)
-	}
-	for _, css := range htmlparse.InlineStyles(root) {
-		for _, u := range cachedAssetURLs(css, baseURL) {
-			e.requestObject(u, blocking, depth+1)
-		}
-	}
-	for _, script := range htmlparse.InlineScripts(root) {
-		e.execScript(script, baseURL, blocking, depth)
-	}
-}
-
-// scriptCtx carries the execution context script builtins need.
-type scriptCtx struct {
-	baseURL  string
-	blocking bool // fetches block onload (false inside timers/handlers)
-	depth    int
-}
-
-// execScript runs a script body: the interpreter executes immediately (its
-// side effects are buffered), and the effects are applied after the modelled
-// CPU cost, serialized on the engine core.
-func (e *Engine) execScript(src, baseURL string, blocking bool, depth int) {
-	e.execScriptThen(src, baseURL, blocking, depth, nil)
-}
-
-// execScriptThen is execScript with a continuation invoked after the
-// script's effects apply (the parser-blocking resume point). Scripts go
-// through the memoized minijs.Compile, so a body executed by any engine in
-// the process — proxy and client in one PARCEL load, every scheme and
-// round in a sweep — is lexed, parsed, and slot-resolved exactly once.
+// execScriptThen runs a script body: the interpreter executes immediately
+// (its side effects are buffered), and the effects are applied after the
+// modelled CPU cost, serialized on the engine core; then, if non-nil, is the
+// continuation invoked after they apply (the parser-blocking resume point).
+// Scripts go through the memoized minijs.Compile, so a body executed by any
+// engine in the process — proxy and client in one PARCEL load, every scheme
+// and round in a sweep — is lexed, parsed, and slot-resolved exactly once.
 func (e *Engine) execScriptThen(src, baseURL string, blocking bool, depth int, then func()) {
 	prog, err := minijs.Compile(src)
 	e.execCompiledThen(prog, err, baseURL, blocking, depth, then)
@@ -550,52 +506,76 @@ func (e *Engine) execCompiledThen(prog *minijs.Program, err error, baseURL strin
 		}
 		return
 	}
-	ctx := scriptCtx{baseURL: baseURL, blocking: blocking, depth: depth}
-	if e.opt.ExecCache {
-		e.execCachedThen(prog, ctx, then)
-		return
-	}
-	e.runBufferedThen(ctx, func() error {
-		return e.in.Run(prog)
-	}, then)
+	effects, ops, err := e.env.Run(prog, e.opt.ExecCache)
+	e.applyAfter(discovery.Ctx{BaseURL: baseURL, Blocking: blocking, Depth: depth}, effects, ops, err, then)
 }
 
-// runBuffered executes fn with effect buffering, then applies the buffered
-// effects after the measured CPU cost. The caller must already have
-// accounted one pending unit (with ctx.blocking) for the execution; it is
-// finished when the effects apply.
-func (e *Engine) runBuffered(ctx scriptCtx, fn func() error) {
-	e.runBufferedThen(ctx, fn, nil)
+// callClosure runs a timer or handler closure; like execCompiledThen the
+// caller's pending unit is finished when the effects apply.
+func (e *Engine) callClosure(fn *minijs.Closure, ctx discovery.Ctx) {
+	effects, ops, err := e.env.Call(fn)
+	e.applyAfter(ctx, effects, ops, err, nil)
 }
 
-func (e *Engine) runBufferedThen(ctx scriptCtx, fn func() error, then func()) {
-	saved := e.curCtx
-	e.curCtx = &ctx
-	before := e.in.Ops()
-	var effects []func()
-	savedBuf := e.effects
-	e.effects = &effects
-	if err := fn(); err != nil {
+// applyAfter delivers an executed (or replayed) script's buffered effects
+// after its modelled CPU cost, then finishes the pending unit the caller
+// accounted for the execution (with ctx.Blocking).
+func (e *Engine) applyAfter(ctx discovery.Ctx, effects []discovery.Effect, ops int, err error, then func()) {
+	if err != nil {
 		e.JSErrors = append(e.JSErrors, err)
 	}
-	e.effects = savedBuf
-	e.curCtx = saved
-	cost := time.Duration(e.in.Ops()-before) * e.opt.CPU.JSOp
-	e.task(cost, func() {
-		for _, apply := range effects {
-			apply()
-		}
-		e.finish(ctx.blocking)
+	e.task(time.Duration(ops)*e.opt.CPU.JSOp, func() {
+		e.env.Apply(effects, ctx)
+		e.finish(ctx.Blocking)
 		if then != nil {
 			then()
 		}
 	})
 }
 
-func (e *Engine) addEffect(fn func()) {
-	if e.effects == nil {
-		fn() // no buffering active (defensive; should not happen)
-		return
+// engineHost is the Engine as discovery.Host: where script effects land.
+type engineHost struct{ e *Engine }
+
+func (h engineHost) Request(url string, blocking bool, depth int) {
+	h.e.requestObject(url, blocking, depth)
+}
+
+func (h engineHost) RunScript(src string, ctx discovery.Ctx) {
+	h.e.execScriptThen(src, ctx.BaseURL, ctx.Blocking, ctx.Depth, nil)
+}
+
+func (h engineHost) DOMOp() { h.e.DOMOps++ }
+
+func (h engineHost) SetTimeout(ms float64, fn *minijs.Closure, ctx discovery.Ctx) {
+	e := h.e
+	e.TimersSet++
+	e.pendingTotal++
+	ctx.Blocking = false
+	//parcelvet:allow noclosure(one allocation per page-level JS timer, not per packet; the continuation needs the full script context and closure value, which have no pooled carrier)
+	e.sim.Schedule(time.Duration(ms)*time.Millisecond, func() { e.callClosure(fn, ctx) })
+}
+
+func (h engineHost) OnEvent(event, target string, fn *minijs.Closure) {
+	key := event + "/" + target
+	h.e.handlers[key] = append(h.e.handlers[key], fn)
+}
+
+func (h engineHost) Rand(n int) int { return h.e.sim.Rand().Intn(n) }
+
+// FireEvent delivers a user interaction (e.g. a button click, §8.2) to the
+// page's registered handlers. Handlers execute locally in this engine; any
+// fetches they perform are non-blocking. It returns the number of handlers
+// invoked.
+func (e *Engine) FireEvent(event, target string) int {
+	hs := e.handlers[event+"/"+target]
+	for _, h := range hs {
+		e.pendingTotal++ // balanced when the handler's effects apply
+		e.callClosure(h, discovery.Ctx{BaseURL: e.baseURL})
 	}
-	*e.effects = append(*e.effects, fn)
+	return len(hs)
+}
+
+// Handlers returns the number of handlers registered for event/target.
+func (e *Engine) Handlers(event, target string) int {
+	return len(e.handlers[event+"/"+target])
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sort"
 	"strings"
 	"time"
 
@@ -159,7 +160,14 @@ func (c *Client) onMessage(m simnet.Message) {
 		}
 	case completeNote:
 		c.notified = true
+		// Fallback requests go out in URL order: map order here would make
+		// TLT, BytesUp and radio energy differ from run to run.
+		missing := make([]string, 0, len(c.waiting))
 		for url := range c.waiting {
+			missing = append(missing, url)
+		}
+		sort.Strings(missing)
+		for _, url := range missing {
 			c.requestMissing(url)
 		}
 	}

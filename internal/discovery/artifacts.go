@@ -1,4 +1,11 @@
-package browser
+// Package discovery is what both arms' object identification (§4.2) shares:
+// the content-keyed page-artifact cache (parsed DOM trees, CSS refs,
+// inline-style asset URLs), the script host environment page JavaScript runs
+// against, and the validated exec-outcome memo that replays what a script
+// does instead of re-interpreting it. browser.Engine (virtual clock) and
+// parcelnet's crawler (goroutines, real time) are its two hosts; everything
+// here is a pure function of its inputs, so it holds no clock and no RNG.
+package discovery
 
 import (
 	"strings"
@@ -10,19 +17,21 @@ import (
 )
 
 // Page-artifact cache: parsed DOM trees, CSS ref lists, and inline-style
-// asset URLs, shared across every engine in the process. The same webgen
+// asset URLs, shared across every host in the process. The same webgen
 // page is loaded by the DIR, CB, and PARCEL schemes — and by every round of
-// a sweep — and within one PARCEL load the proxy's discovery browser and
-// the client's renderer each parse the identical bytes. All cached values
+// a sweep, and by every tenant session of the TCP proxy — and within one
+// PARCEL load the proxy's discovery browser and the client's renderer each
+// parse the identical bytes. All cached values
 // are pure functions of their keys (document bytes, or stylesheet text +
 // base URL), and htmlparse trees are immutable once Parse returns (the
-// engine only reads them), so sharing cannot leak state between rounds:
+// hosts only read them), so sharing cannot leak state between rounds:
 // eviction or a cold cache can only cost a re-parse, never change a metric.
 // Modelled CPU costs stay untouched by construction — they derive from byte
 // lengths (perKB) and interpreter op counts, not from real Go work done.
 //
-// Concurrency: the experiment runner loads pages from a worker pool, so the
-// cache is guarded by an RWMutex; hits take the read lock only.
+// Concurrency: the experiment runner loads pages from a worker pool and the
+// TCP proxy crawls from one goroutine per object, so the cache is guarded by
+// an RWMutex; hits take the read lock only.
 
 // maxArtifactEntries bounds the total entry count across the three maps.
 // When full, the cache is cleared outright (epoch clear, like the minijs
@@ -32,7 +41,7 @@ const maxArtifactEntries = 4096
 type htmlArtifact struct {
 	root  *htmlparse.Node
 	nodes []*htmlparse.Node // element nodes (Tag != "") in document order
-	bad   bool              // body does not parse (deterministic per body)
+	err   error             // body does not parse (deterministic per body)
 }
 
 var artCache = struct {
@@ -54,19 +63,34 @@ var artCache = struct {
 // the write lock. Callers that cached an outer map pointer must re-fetch it
 // after inserting (insert helpers below handle this).
 func evictLocked() {
-	if artCache.n < maxArtifactEntries {
-		return
+	if artCache.n >= maxArtifactEntries {
+		clearLocked()
 	}
+}
+
+func clearLocked() {
 	artCache.html = make(map[string]*htmlArtifact, 64)
 	artCache.refs = make(map[string]map[string][]cssparse.Ref, 16)
 	artCache.assets = make(map[string]map[string][]string, 16)
 	artCache.n = 0
 }
 
+// Reset drops every memoized artifact and script outcome. Nothing depends on
+// the caches' contents, so this only costs recomputation; the equivalence
+// tests use it to compare a cold memo against a warm one.
+func Reset() {
+	artCache.mu.Lock()
+	clearLocked()
+	artCache.mu.Unlock()
+	outcomes.Lock()
+	outcomes.m = nil
+	outcomes.Unlock()
+}
+
 func buildHTMLArtifact(body []byte) *htmlArtifact {
 	root, err := htmlparse.Parse(body)
 	if err != nil {
-		return &htmlArtifact{bad: true}
+		return &htmlArtifact{err: err}
 	}
 	art := &htmlArtifact{root: root}
 	htmlparse.Walk(root, func(n *htmlparse.Node) {
@@ -77,10 +101,10 @@ func buildHTMLArtifact(body []byte) *htmlArtifact {
 	return art
 }
 
-// cachedHTML returns the parsed tree and its element list for a document
-// body, parsing at most once per distinct body process-wide. ok is false
-// when the body does not parse.
-func cachedHTML(body []byte) (root *htmlparse.Node, nodes []*htmlparse.Node, ok bool) {
+// HTML returns the parsed tree and its element list for a document body,
+// parsing at most once per distinct body process-wide. err is the parse
+// error of a body that does not parse.
+func HTML(body []byte) (root *htmlparse.Node, nodes []*htmlparse.Node, err error) {
 	artCache.mu.RLock()
 	art := artCache.html[string(body)]
 	artCache.mu.RUnlock()
@@ -96,12 +120,12 @@ func cachedHTML(body []byte) (root *htmlparse.Node, nodes []*htmlparse.Node, ok 
 		}
 		artCache.mu.Unlock()
 	}
-	return art.root, art.nodes, !art.bad
+	return art.root, art.nodes, art.err
 }
 
-// cachedHTMLString is cachedHTML for fragments already held as strings
-// (document.write payloads).
-func cachedHTMLString(html string) (*htmlparse.Node, bool) {
+// htmlString is HTML for fragments already held as strings (document.write
+// payloads).
+func htmlString(html string) (*htmlparse.Node, error) {
 	artCache.mu.RLock()
 	art := artCache.html[html]
 	artCache.mu.RUnlock()
@@ -117,12 +141,12 @@ func cachedHTMLString(html string) (*htmlparse.Node, bool) {
 		}
 		artCache.mu.Unlock()
 	}
-	return art.root, !art.bad
+	return art.root, art.err
 }
 
-// cachedCSSRefs returns cssparse.Refs(body, baseURL), computed once per
-// (base URL, stylesheet bytes) pair.
-func cachedCSSRefs(body []byte, baseURL string) []cssparse.Ref {
+// CSSRefs returns cssparse.Refs(body, baseURL), computed once per (base URL,
+// stylesheet bytes) pair.
+func CSSRefs(body []byte, baseURL string) []cssparse.Ref {
 	artCache.mu.RLock()
 	inner := artCache.refs[baseURL]
 	refs, hit := inner[string(body)]
@@ -148,9 +172,9 @@ func cachedCSSRefs(body []byte, baseURL string) []cssparse.Ref {
 	return refs
 }
 
-// cachedAssetURLs returns cssparse.AssetURLs(text, baseURL), computed once
-// per (base URL, inline-style text) pair.
-func cachedAssetURLs(text, baseURL string) []string {
+// AssetURLs returns cssparse.AssetURLs(text, baseURL), computed once per
+// (base URL, inline-style text) pair.
+func AssetURLs(text, baseURL string) []string {
 	artCache.mu.RLock()
 	urls, hit := artCache.assets[baseURL][text]
 	artCache.mu.RUnlock()
@@ -184,8 +208,8 @@ func cachedAssetURLs(text, baseURL string) []string {
 func Prewarm(url, contentType string, body []byte) {
 	switch {
 	case strings.Contains(contentType, "html"):
-		_, nodes, ok := cachedHTML(body)
-		if !ok {
+		_, nodes, err := HTML(body)
+		if err != nil {
 			return
 		}
 		for _, n := range nodes {
@@ -195,11 +219,11 @@ func Prewarm(url, contentType string, body []byte) {
 					_, _ = minijs.Compile(n.Text)
 				}
 			case "style":
-				cachedAssetURLs(n.Text, url)
+				AssetURLs(n.Text, url)
 			}
 		}
 	case strings.Contains(contentType, "css"):
-		cachedCSSRefs(body, url)
+		CSSRefs(body, url)
 	case strings.Contains(contentType, "javascript"):
 		_, _ = minijs.CompileBytes(body)
 	}

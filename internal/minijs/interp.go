@@ -2,6 +2,7 @@ package minijs
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -233,6 +234,16 @@ func (in *Interp) BindNative(name string, f Native) { in.Bind(name, NativeValue(
 func (in *Interp) Global(name string) (Value, bool) {
 	v, ok := in.globals[name]
 	return v, ok
+}
+
+// GlobalNames returns the names bound in the global scope, sorted.
+func (in *Interp) GlobalNames() []string {
+	names := make([]string, 0, len(in.globals))
+	for name := range in.globals {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // Ops returns the cumulative count of evaluation steps, the interpreter's

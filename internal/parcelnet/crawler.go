@@ -7,10 +7,8 @@ import (
 	"sync"
 	"time"
 
-	"github.com/parcel-go/parcel/internal/cssparse"
-	"github.com/parcel-go/parcel/internal/htmlparse"
+	"github.com/parcel-go/parcel/internal/discovery"
 	"github.com/parcel-go/parcel/internal/minijs"
-	"github.com/parcel-go/parcel/internal/webgen"
 )
 
 // Object is one crawled object.
@@ -27,57 +25,85 @@ type Object struct {
 type fetchFunc func(url string) (body []byte, contentType string, status int, err error)
 
 // crawler performs the proxy-side object identification of §4.2 over real
-// HTTP: it parses HTML and CSS and executes page JavaScript to discover
-// every object, fetching concurrently on the proxy's fast path.
+// HTTP, fetching concurrently on the proxy's fast path. What it does with a
+// fetched object is internal/discovery's: cached trees and refs for HTML and
+// CSS, and page JavaScript run in the shared script environment through the
+// exec-outcome memo — the crawler is that environment's goroutine-and-timer
+// host (discovery.Host), as browser.Engine is its virtual-clock one.
 type crawler struct {
-	fetch       fetchFunc
-	fixedRandom bool
-	maxDepth    int
-	onObject    func(Object) // called once per fetched object
-	onLoad      func()       // all onload-blocking work done
-	onIdle      func()       // all work (including timers) done
+	fetch    fetchFunc
+	onObject func(Object) // called once per fetched object
+	onLoad   func()       // all onload-blocking work done
+	onIdle   func()       // all work (including timers) done
+
+	// afterFunc arms page timers (time.AfterFunc; the equivalence tests and
+	// CrawlBench substitute their own clock). noMemo runs every script for
+	// real: the reference arm the tests compare the memoised crawl against.
+	afterFunc func(time.Duration, func()) stopper
+	noMemo    bool
 
 	mu              sync.Mutex
-	requested       map[string]bool
+	requested       map[string]crawlRequest
 	pendingBlocking int
 	pendingTotal    int
 	onloadFired     bool
 	idleFired       bool
+	stopped         bool
+	timers          map[stopper]struct{} // armed page timers, for stop
 
+	// jsMu serializes the page's one interpreter: scripts arrive from a
+	// goroutine per fetched object and from timers.
 	jsMu sync.Mutex
-	js   *minijs.Interp
+	env  *discovery.Env
 	rng  *rand.Rand
-
-	// jsCtx is the active script context (guarded by jsMu during Run).
-	jsCtx struct {
-		baseURL  string
-		blocking bool
-		depth    int
-	}
 
 	// Errors collects tolerated page errors.
 	errMu  sync.Mutex
 	Errors []error
 }
 
+// crawlRequest is how a URL was first discovered.
+type crawlRequest struct {
+	blocking bool
+	depth    int
+}
+
+// stopper is the part of *time.Timer the crawl uses.
+type stopper interface{ Stop() bool }
+
+// crawlMaxDepth bounds recursive discovery (iframes, document.write chains).
+const crawlMaxDepth = 8
+
 func newCrawler(fetch fetchFunc, fixedRandom bool, onObject func(Object), onLoad, onIdle func()) *crawler {
 	c := &crawler{
-		fetch:       fetch,
-		fixedRandom: fixedRandom,
-		maxDepth:    8,
-		onObject:    onObject,
-		onLoad:      onLoad,
-		onIdle:      onIdle,
-		requested:   make(map[string]bool),
-		js:          minijs.New(),
-		rng:         rand.New(rand.NewSource(int64(webgen.FixedRandValue))),
+		fetch:     fetch,
+		onObject:  onObject,
+		onLoad:    onLoad,
+		onIdle:    onIdle,
+		afterFunc: func(d time.Duration, f func()) stopper { return time.AfterFunc(d, f) },
+		requested: make(map[string]crawlRequest),
+		timers:    make(map[stopper]struct{}),
+		rng:       rand.New(rand.NewSource(discovery.FixedRandValue)),
 	}
-	c.bindBuiltins()
+	c.env = discovery.NewEnv(minijs.New(), c, fixedRandom, crawlMaxDepth)
 	return c
 }
 
 // start crawls from the main URL.
-func (c *crawler) start(url string) { c.request(url, true, 0) }
+func (c *crawler) start(url string) { c.Request(url, true, 0) }
+
+// stop ends the crawl when its session does: pending page timers are
+// stopped, Request becomes a no-op, fetches already in flight are dropped on
+// arrival, and no callback fires afterwards. It is idempotent.
+func (c *crawler) stop() {
+	c.mu.Lock()
+	c.stopped = true
+	for t := range c.timers {
+		t.Stop()
+	}
+	c.timers = nil
+	c.mu.Unlock()
+}
 
 func (c *crawler) addError(err error) {
 	c.errMu.Lock()
@@ -85,14 +111,14 @@ func (c *crawler) addError(err error) {
 	c.errMu.Unlock()
 }
 
-// request fetches url once; blocking objects gate the onload callback.
-func (c *crawler) request(url string, blocking bool, depth int) {
+// Request fetches url once; blocking objects gate the onload callback.
+func (c *crawler) Request(url string, blocking bool, depth int) {
 	c.mu.Lock()
-	if c.requested[url] || depth > c.maxDepth {
+	if _, dup := c.requested[url]; dup || c.stopped || depth > crawlMaxDepth {
 		c.mu.Unlock()
 		return
 	}
-	c.requested[url] = true
+	c.requested[url] = crawlRequest{blocking, depth}
 	c.pendingTotal++
 	if blocking {
 		c.pendingBlocking++
@@ -106,12 +132,21 @@ func (c *crawler) request(url string, blocking bool, depth int) {
 			c.addError(err)
 			obj.Status = 502
 		}
+		if c.isStopped() {
+			return
+		}
 		c.onObject(obj)
 		if obj.Status < 400 {
 			c.process(obj, blocking, depth)
 		}
 		c.finish(blocking)
 	}()
+}
+
+func (c *crawler) isStopped() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.stopped
 }
 
 func (c *crawler) finish(blocking bool) {
@@ -129,6 +164,9 @@ func (c *crawler) finish(blocking bool) {
 		c.idleFired = true
 		fireIdle = true
 	}
+	if c.stopped {
+		fireLoad, fireIdle = false, false
+	}
 	c.mu.Unlock()
 	if fireLoad && c.onLoad != nil {
 		c.onLoad()
@@ -142,138 +180,81 @@ func (c *crawler) finish(blocking bool) {
 func (c *crawler) process(obj Object, blocking bool, depth int) {
 	switch {
 	case strings.Contains(obj.ContentType, "html"):
-		root, err := htmlparse.Parse(obj.Body)
+		root, _, err := discovery.HTML(obj.Body)
 		if err != nil {
 			c.addError(fmt.Errorf("parse %s: %w", obj.URL, err))
 			return
 		}
-		for _, res := range htmlparse.Resources(root, obj.URL) {
-			b := blocking && !res.Async
-			c.request(res.URL, b, depth+1)
-		}
-		for _, css := range htmlparse.InlineStyles(root) {
-			for _, u := range cssparse.AssetURLs(css, obj.URL) {
-				c.request(u, blocking, depth+1)
-			}
-		}
-		for _, script := range htmlparse.InlineScripts(root) {
-			c.execScript(script, obj.URL, blocking, depth)
-		}
+		discovery.Fragment(c, root, discovery.Ctx{BaseURL: obj.URL, Blocking: blocking, Depth: depth})
 	case strings.Contains(obj.ContentType, "css"):
-		for _, ref := range cssparse.Refs(string(obj.Body), obj.URL) {
-			c.request(ref.URL, blocking, depth+1)
+		for _, ref := range discovery.CSSRefs(obj.Body, obj.URL) {
+			c.Request(ref.URL, blocking, depth+1)
 		}
 	case strings.Contains(obj.ContentType, "javascript"):
-		c.execScript(string(obj.Body), obj.URL, blocking, depth)
+		prog, err := minijs.CompileBytes(obj.Body)
+		c.execScript(prog, err, discovery.Ctx{BaseURL: obj.URL, Blocking: blocking, Depth: depth})
 	}
 }
 
-// execScript runs page JS under the crawler's interpreter; its fetch/timer
-// builtins feed discovery.
-func (c *crawler) execScript(src, baseURL string, blocking bool, depth int) {
+// RunScript runs an inline script (discovery.Host).
+func (c *crawler) RunScript(src string, ctx discovery.Ctx) {
 	prog, err := minijs.Compile(src)
+	c.execScript(prog, err, ctx)
+}
+
+// execScript runs page JS in the crawl's script environment — always through
+// the exec-outcome memo — then applies what it buffered: fetches and timers
+// feed discovery.
+func (c *crawler) execScript(prog *minijs.Program, err error, ctx discovery.Ctx) {
 	if err != nil {
-		c.addError(fmt.Errorf("js parse %s: %w", baseURL, err))
+		c.addError(fmt.Errorf("js parse %s: %w", ctx.BaseURL, err))
 		return
 	}
 	c.jsMu.Lock()
-	saved := c.jsCtx
-	c.jsCtx.baseURL = baseURL
-	c.jsCtx.blocking = blocking
-	c.jsCtx.depth = depth
-	err = c.js.Run(prog)
-	c.jsCtx = saved
+	effects, _, err := c.env.Run(prog, !c.noMemo)
 	c.jsMu.Unlock()
 	if err != nil {
-		c.addError(fmt.Errorf("js run %s: %w", baseURL, err))
+		c.addError(fmt.Errorf("js run %s: %w", ctx.BaseURL, err))
 	}
+	c.env.Apply(effects, ctx)
 }
 
-func (c *crawler) bindBuiltins() {
-	fetchFn := func(respectCtx bool) minijs.Native {
-		return func(args []minijs.Value) (minijs.Value, error) {
-			if len(args) < 1 {
-				return minijs.Null(), fmt.Errorf("fetch needs a URL")
-			}
-			u := htmlparse.ResolveURL(c.jsCtx.baseURL, args[0].Str())
-			if u == "" {
-				return minijs.Null(), nil
-			}
-			blocking := respectCtx && c.jsCtx.blocking
-			c.request(u, blocking, c.jsCtx.depth+1)
-			return minijs.Null(), nil
-		}
+// SetTimeout arms a page timer on the wall clock (discovery.Host).
+func (c *crawler) SetTimeout(ms float64, fn *minijs.Closure, ctx discovery.Ctx) {
+	ctx.Blocking = false
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.stopped {
+		return
 	}
-	c.js.BindNative("fetch", fetchFn(true))
-	c.js.BindNative("fetchAsync", fetchFn(false))
-	c.js.BindNative("setTimeout", func(args []minijs.Value) (minijs.Value, error) {
-		if len(args) < 2 {
-			return minijs.Null(), fmt.Errorf("setTimeout needs (ms, fn)")
-		}
-		ms := args[0].Num()
-		fn := args[1].Closure()
-		if fn == nil {
-			return minijs.Null(), fmt.Errorf("setTimeout second arg must be a function")
-		}
-		ctx := c.jsCtx
+	c.pendingTotal++
+	var t stopper
+	t = c.afterFunc(time.Duration(ms)*time.Millisecond, func() {
 		c.mu.Lock()
-		c.pendingTotal++
+		delete(c.timers, t)
+		stopped := c.stopped
 		c.mu.Unlock()
-		time.AfterFunc(time.Duration(ms)*time.Millisecond, func() {
-			c.jsMu.Lock()
-			saved := c.jsCtx
-			c.jsCtx = ctx
-			c.jsCtx.blocking = false
-			_, err := c.js.CallClosure(fn)
-			c.jsCtx = saved
-			c.jsMu.Unlock()
-			if err != nil {
-				c.addError(err)
-			}
-			c.finish(false)
-		})
-		return minijs.Null(), nil
-	})
-	c.js.BindNative("onEvent", func(args []minijs.Value) (minijs.Value, error) {
-		return minijs.Null(), nil // handlers run on the client, not the proxy
-	})
-	c.js.BindNative("rand", func(args []minijs.Value) (minijs.Value, error) {
-		n := 1 << 20
-		if len(args) > 0 && args[0].Num() > 0 {
-			n = int(args[0].Num())
+		if stopped {
+			return
 		}
-		if c.fixedRandom {
-			return minijs.Number(webgen.FixedRandValue), nil
+		c.jsMu.Lock()
+		effects, _, err := c.env.Call(fn)
+		c.jsMu.Unlock()
+		if err != nil {
+			c.addError(fmt.Errorf("js timer %s: %w", ctx.BaseURL, err))
 		}
-		return minijs.Number(float64(c.rng.Intn(n))), nil
+		c.env.Apply(effects, ctx)
+		c.finish(false)
 	})
-	c.js.BindNative("log", func([]minijs.Value) (minijs.Value, error) { return minijs.Null(), nil })
-	domOp := minijs.NativeValue(func([]minijs.Value) (minijs.Value, error) { return minijs.Null(), nil })
-	c.js.Bind("document", minijs.Namespace(map[string]minijs.Value{
-		"write": minijs.NativeValue(func(args []minijs.Value) (minijs.Value, error) {
-			if len(args) < 1 {
-				return minijs.Null(), nil
-			}
-			root, err := htmlparse.Parse([]byte(args[0].Str()))
-			if err != nil {
-				return minijs.Null(), nil
-			}
-			ctx := c.jsCtx
-			for _, res := range htmlparse.Resources(root, ctx.baseURL) {
-				c.request(res.URL, ctx.blocking && !res.Async, ctx.depth+1)
-			}
-			for _, script := range htmlparse.InlineScripts(root) {
-				// Already under jsMu; run directly in the current context.
-				prog, perr := minijs.Compile(script)
-				if perr != nil {
-					continue
-				}
-				if rerr := c.js.Run(prog); rerr != nil {
-					c.addError(rerr)
-				}
-			}
-			return minijs.Null(), nil
-		}),
-		"append": domOp, "remove": domOp, "show": domOp, "hide": domOp,
-	}))
+	c.timers[t] = struct{}{}
 }
+
+// OnEvent is a no-op: handlers run on the client, not the proxy.
+func (c *crawler) OnEvent(string, string, *minijs.Closure) {}
+
+// DOMOp is a no-op: the proxy keeps no DOM.
+func (c *crawler) DOMOp() {}
+
+// Rand draws from the crawl's seeded source; scripts run under jsMu, so the
+// source is never shared.
+func (c *crawler) Rand(n int) int { return c.rng.Intn(n) }

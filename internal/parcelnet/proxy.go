@@ -414,6 +414,7 @@ type session struct {
 	completeQueued bool
 
 	bundler      *sched.Bundler
+	crawl        *crawler          // the page's discovery crawl; set once by startPage, stopped by teardown
 	cache        map[string]Object // session view; bodies nil when the shared cache holds them
 	have         map[string]bool   // resume manifest: objects the client holds
 	quiet        *time.Timer
@@ -556,11 +557,16 @@ func (s *session) drainNotice() {
 	}
 }
 
-// teardown releases everything a session holds: the connection, the pending
-// quiet timer, the writer goroutine, and any push-budget reservations. It
-// runs exactly once, when serve returns, and unregisters the session from its
-// shard.
+// teardown releases everything a session holds: the connection, the page
+// crawl with its pending script timers, the pending quiet timer, the writer
+// goroutine, and any push-budget reservations. It runs exactly once, when
+// serve returns, and unregisters the session from its shard.
 func (s *session) teardown() {
+	if s.crawl != nil {
+		// Page timers run for seconds past the last frame; a crawl that
+		// outlived its session would keep fetching and pin every body.
+		s.crawl.stop()
+	}
 	s.mu.Lock()
 	s.closed = true
 	if s.quiet != nil {
@@ -728,14 +734,14 @@ func (s *session) startPage(req PageRequest) bool {
 		s.enqueueLocked(outFrame{typ: TMuxSettings, payload: s.mux.settingsPayload()})
 	}
 	s.bundler = sched.NewBundler(cfg.Sched, s.flushLocked)
-	s.mu.Unlock()
-
-	crawl := newCrawler(s.fetchURL, cfg.FixedRandom,
+	s.crawl = newCrawler(s.fetchURL, cfg.FixedRandom,
 		func(obj Object) { s.collect(obj) },
 		func() { s.onLoad() },
 		func() { /* completion handled by the quiet heuristic */ },
 	)
-	crawl.start(req.URL)
+	s.mu.Unlock()
+
+	s.crawl.start(req.URL)
 	return true
 }
 

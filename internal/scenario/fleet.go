@@ -5,7 +5,7 @@ import (
 	"strconv"
 	"time"
 
-	"github.com/parcel-go/parcel/internal/browser"
+	"github.com/parcel-go/parcel/internal/discovery"
 	"github.com/parcel-go/parcel/internal/dnssim"
 	"github.com/parcel-go/parcel/internal/eventsim"
 	"github.com/parcel-go/parcel/internal/httpsim"
@@ -94,7 +94,7 @@ func BuildFleet(pages []webgen.Page, tenants int, p Params) *Fleet {
 
 	for _, page := range pages {
 		for _, obj := range page.Objects {
-			browser.Prewarm(obj.URL, obj.ContentType, obj.Body)
+			discovery.Prewarm(obj.URL, obj.ContentType, obj.Body)
 		}
 	}
 

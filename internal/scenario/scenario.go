@@ -10,7 +10,7 @@ package scenario
 import (
 	"time"
 
-	"github.com/parcel-go/parcel/internal/browser"
+	"github.com/parcel-go/parcel/internal/discovery"
 	"github.com/parcel-go/parcel/internal/dnssim"
 	"github.com/parcel-go/parcel/internal/eventsim"
 	"github.com/parcel-go/parcel/internal/httpsim"
@@ -250,7 +250,7 @@ func BuildWith(page webgen.Page, p Params, res *Resources) *Topology {
 	// cached DOM trees, CSS ref lists, and compiled scripts instead of
 	// re-parsing identical bytes per engine.
 	for _, obj := range page.Objects {
-		browser.Prewarm(obj.URL, obj.ContentType, obj.Body)
+		discovery.Prewarm(obj.URL, obj.ContentType, obj.Body)
 	}
 
 	topo := &Topology{
