@@ -70,8 +70,10 @@ var hotSet = []hotFunc{
 	// page load on both arms — validate, charge, bind, no allocation.
 	{"internal/discovery", "Env", "replay"},
 
-	// eventsim: the virtual-clock dispatch loop.
+	// eventsim: the virtual-clock dispatch loop and the queue under it.
 	{"internal/eventsim", "Simulator", "Step"},
+	{"internal/eventsim", "eventQueue", "push"},
+	{"internal/eventsim", "eventQueue", "pop"},
 
 	// simnet: the per-segment sender path.
 	{"internal/simnet", "sender", "pump"},

@@ -147,7 +147,7 @@ func (f *proxyFetcher) finishSuccess(a *originAttempt, resp httpsim.Response, at
 	if c := p.cfg.Cache; c != nil {
 		c.PutAt(objcache.Object{
 			URL: resp.URL, ContentType: resp.ContentType, Status: resp.Status,
-			Validator: originValidator(resp), Body: resp.Body,
+			Validator: resp.ETag(), Body: resp.Body,
 		}, p.topo.Sim.Now())
 	}
 	it := sched.Item{
@@ -216,15 +216,4 @@ func (f *proxyFetcher) resolveFlight(url string) *simFlight {
 	fl := p.flights[url]
 	delete(p.flights, url)
 	return fl
-}
-
-// originValidator is the freshness token for a simulated origin response: the
-// server's content-hash ETag when it sent one, else a hash of the body taken
-// here. Replay stores are immutable for a topology's lifetime, so equal
-// bodies mean equal generations on every arm.
-func originValidator(resp httpsim.Response) string {
-	if resp.Validator != "" {
-		return resp.Validator
-	}
-	return httpsim.ContentValidator(resp.Body)
 }

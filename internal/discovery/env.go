@@ -190,11 +190,17 @@ func (v *Env) poison() {
 func (v *Env) Run(prog *minijs.Program, memo bool) (effects []Effect, ops int, err error) {
 	if memo {
 		ent := loadOutcome(prog)
-		if ent == nil {
+		switch {
+		case ent == nil:
+			counters.recorded.Add(1)
 			return v.record(prog)
-		}
-		if ent.cacheable && v.replay(ent) {
+		case !ent.cacheable:
+			counters.nonCacheable.Add(1)
+		case v.replay(ent):
+			counters.replayed.Add(1)
 			return ent.effects, ent.ops, nil
+		default:
+			counters.misses.Add(1)
 		}
 	}
 	before := v.in.Ops()

@@ -2,6 +2,7 @@ package discovery
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"github.com/parcel-go/parcel/internal/minijs"
 )
@@ -64,6 +65,45 @@ const maxOutcomes = 4096
 var outcomes struct {
 	sync.RWMutex
 	m map[*minijs.Program]*outcome
+}
+
+// counters are the memo's hit/miss events, process-wide like the memo.
+var counters struct {
+	recorded, replayed, nonCacheable, misses atomic.Uint64
+}
+
+// MemoStats counts what Env.Run did with the scripts routed through the
+// memo since the process started. Recorded + Replayed + NonCacheable +
+// Misses is every memoised Run; all but Replayed interpreted the script.
+type MemoStats struct {
+	// Recorded is first sightings: the script executed while its outcome was
+	// recorded (racing recorders of one program each count).
+	Recorded uint64
+	// Replayed is outcomes applied without interpreting the script.
+	Replayed uint64
+	// NonCacheable is re-executions of scripts recorded as touching
+	// interpreter or host identity.
+	NonCacheable uint64
+	// Misses is re-executions of cacheable scripts whose recorded read-set,
+	// FixedRandom requirement or op budget did not validate.
+	Misses uint64
+	// Programs is the number of distinct programs holding an outcome now.
+	Programs int
+}
+
+// Stats returns the memo counters. Read-only: nothing in the system branches
+// on them.
+func Stats() MemoStats {
+	outcomes.RLock()
+	n := len(outcomes.m)
+	outcomes.RUnlock()
+	return MemoStats{
+		Recorded:     counters.recorded.Load(),
+		Replayed:     counters.replayed.Load(),
+		NonCacheable: counters.nonCacheable.Load(),
+		Misses:       counters.misses.Load(),
+		Programs:     n,
+	}
 }
 
 func loadOutcome(prog *minijs.Program) *outcome {

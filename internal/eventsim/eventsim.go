@@ -9,7 +9,6 @@
 package eventsim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -30,7 +29,6 @@ type Event struct {
 	fn     func()
 	afn    func(any)
 	arg    any
-	index  int // heap index; -1 when not queued
 	cancel bool
 }
 
@@ -48,36 +46,6 @@ func (e *Event) Cancel() {
 
 // Cancelled reports whether Cancel was called on the event.
 func (e *Event) Cancelled() bool { return e.cancel }
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	//parcelvet:allow pooldiscipline(heap.Interface plumbing: the popped Event goes straight to Step, which runs and forgets it; arena blocks are never recycled mid-run)
-	return e
-}
 
 // eventBlockSize is how many Events one arena block holds. Events are the
 // dominant allocation of a simulation run (two-plus per packet), so they are
@@ -117,10 +85,10 @@ func (p *Pools) getBlock() []Event {
 // driving the simulation. Parallel experiment runners get their concurrency
 // by building one private Simulator (topology) per task, never by sharing
 // one. Build with -tags simdebug to turn this contract into a runtime check
-// that panics on cross-goroutine use instead of corrupting the event heap.
+// that panics on cross-goroutine use instead of corrupting the event queue.
 type Simulator struct {
 	now    time.Duration
-	queue  eventHeap
+	queue  eventQueue
 	seq    uint64
 	rng    *rand.Rand
 	fired  uint64
@@ -142,7 +110,7 @@ func New(seed int64) *Simulator { return NewWithPools(seed, nil) }
 func NewWithPools(seed int64, p *Pools) *Simulator {
 	s := &Simulator{
 		rng:   rand.New(rand.NewSource(seed)),
-		queue: make(eventHeap, 0, eventBlockSize),
+		queue: make(eventQueue, 0, eventBlockSize),
 		pools: p,
 	}
 	s.claimOwner()
@@ -225,8 +193,8 @@ func (s *Simulator) ScheduleAt(t time.Duration, fn func()) *Event {
 	s.checkOwner()
 	s.seq++
 	e := s.newEvent()
-	*e = Event{at: t, seq: s.seq, fn: fn, index: -1}
-	heap.Push(&s.queue, e)
+	*e = Event{at: t, seq: s.seq, fn: fn}
+	s.queue.push(queueEntry{at: t, seq: s.seq, ev: e})
 	//parcelvet:allow pooldiscipline(Event handles are arena-backed and valid for the simulator's lifetime; callers hold them only to Cancel)
 	return e
 }
@@ -245,8 +213,8 @@ func (s *Simulator) ScheduleArgAt(t time.Duration, fn func(any), arg any) *Event
 	s.checkOwner()
 	s.seq++
 	e := s.newEvent()
-	*e = Event{at: t, seq: s.seq, afn: fn, arg: arg, index: -1}
-	heap.Push(&s.queue, e)
+	*e = Event{at: t, seq: s.seq, afn: fn, arg: arg}
+	s.queue.push(queueEntry{at: t, seq: s.seq, ev: e})
 	//parcelvet:allow pooldiscipline(Event handles are arena-backed and valid for the simulator's lifetime; callers hold them only to Cancel)
 	return e
 }
@@ -256,7 +224,8 @@ func (s *Simulator) ScheduleArgAt(t time.Duration, fn func(any), arg any) *Event
 func (s *Simulator) Step() bool {
 	s.checkOwner()
 	for len(s.queue) > 0 {
-		e := heap.Pop(&s.queue).(*Event)
+		e := s.queue[0].ev
+		s.queue.pop()
 		if e.cancel {
 			continue
 		}
@@ -286,12 +255,12 @@ func (s *Simulator) Run() {
 // to exactly t.
 func (s *Simulator) RunUntil(t time.Duration) {
 	for len(s.queue) > 0 {
-		e := s.queue[0]
-		if e.cancel {
-			heap.Pop(&s.queue)
+		head := s.queue[0]
+		if head.ev.cancel {
+			s.queue.pop()
 			continue
 		}
-		if e.at > t {
+		if head.at > t {
 			break
 		}
 		s.Step()

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/parcel-go/parcel/internal/httpsim"
 	"github.com/parcel-go/parcel/internal/sched"
 	"github.com/parcel-go/parcel/internal/stats"
 )
@@ -291,13 +292,20 @@ func TestModelWorkedExample(t *testing.T) {
 
 func TestSweepDeterministic(t *testing.T) {
 	cfg := quickCfg(3)
-	a := Sweep(cfg, []Scheme{ParcelScheme(sched.ConfigIND)})
-	b := Sweep(cfg, []Scheme{ParcelScheme(sched.ConfigIND)})
+	schemes := []Scheme{DIRScheme, ParcelScheme(sched.ConfigIND)}
+	hashed := httpsim.ValidatorHashes()
+	a := Sweep(cfg, schemes)
+	b := Sweep(cfg, schemes)
 	for i := range a {
 		ra, rb := a[i].Runs["PARCEL(IND)"], b[i].Runs["PARCEL(IND)"]
 		if ra.OLT != rb.OLT || ra.RadioJ != rb.RadioJ {
 			t.Fatalf("sweep not deterministic on page %d", i)
 		}
+	}
+	// Without a shared cache nothing consumes a validator, so a sweep —
+	// generation, topology set-up and every load — hashes no body.
+	if n := httpsim.ValidatorHashes() - hashed; n != 0 {
+		t.Errorf("cacheless sweep hashed %d bodies, want 0", n)
 	}
 }
 

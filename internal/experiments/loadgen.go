@@ -64,8 +64,17 @@ type LoadgenSimResult struct {
 
 // LoadgenSim runs one fleet simulation: build the multi-tenant topology,
 // start a proxy with the shared cache, release the tenants staggered, and
-// drain the virtual clock. Deterministic: same config, same bits.
+// drain the virtual clock. Deterministic: same config, same bits. Each call
+// owns one scenario.Resources, so the fleet's session engines replay page
+// scripts from the discovery memo exactly as sweep engines do.
 func LoadgenSim(cfg LoadgenSimConfig) LoadgenSimResult {
+	return loadgenSim(cfg, scenario.NewResources())
+}
+
+// loadgenSim is LoadgenSim on the given resources; nil pools builds the
+// private fleet whose engines interpret every script (the memo-equivalence
+// reference).
+func loadgenSim(cfg LoadgenSimConfig, pools *scenario.Resources) LoadgenSimResult {
 	if cfg.Tenants <= 0 {
 		cfg.Tenants = 1
 	}
@@ -91,7 +100,7 @@ func LoadgenSim(cfg LoadgenSimConfig) LoadgenSimResult {
 	}
 
 	pages := webgen.Generate(webgen.Spec{Seed: cfg.Seed, NumPages: cfg.Pages})
-	fleet := scenario.BuildFleet(pages, cfg.Tenants, params)
+	fleet := scenario.BuildFleet(pages, cfg.Tenants, params, pools)
 
 	pc := core.DefaultProxyConfig()
 	pc.Sched = cfg.Sched

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/parcel-go/parcel/internal/discovery"
 	"github.com/parcel-go/parcel/internal/httpsim"
 	"github.com/parcel-go/parcel/internal/metrics"
 	"github.com/parcel-go/parcel/internal/resilience"
@@ -186,5 +187,66 @@ func TestLoadgenSimDeterministic(t *testing.T) {
 	b := LoadgenSim(cfg)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("two runs of one LoadgenSimConfig produced different results")
+	}
+}
+
+// TestLoadgenSimReplaysScripts is the fleet twin of the crawler's memo
+// equivalence suite, and the guard that keeps the fleet on the memo: every
+// proxy session engine of a fleet replays page scripts from
+// internal/discovery — each distinct program is interpreted for recording
+// once however many tenants load its page — and the run is bit-identical to
+// the same fleet with the memo bypassed (a private topology, whose engines
+// interpret everything).
+func TestLoadgenSimReplaysScripts(t *testing.T) {
+	cfg := LoadgenSimConfig{
+		Tenants:    40,
+		Pages:      4,
+		Seed:       5,
+		Sched:      sched.ConfigONLD,
+		CacheBytes: 64 << 20,
+	}
+	discovery.Reset()
+	before := discovery.Stats()
+	bypassed := loadgenSim(cfg, nil)
+	if d := discovery.Stats(); d != before {
+		t.Fatalf("memo-bypassed fleet touched the memo: %+v -> %+v", before, d)
+	}
+
+	memo := LoadgenSim(cfg)
+	cold := discovery.Stats()
+	if recorded := cold.Recorded - before.Recorded; recorded != uint64(cold.Programs) {
+		t.Errorf("recorded %d scripts for %d distinct programs, want each once", recorded, cold.Programs)
+	}
+	if replayed, recorded := cold.Replayed-before.Replayed, cold.Recorded-before.Recorded; replayed < 5*recorded {
+		t.Errorf("40 tenants on 4 pages replayed %d scripts against %d recorded, want replays >> records", replayed, recorded)
+	}
+	if !reflect.DeepEqual(memo, bypassed) {
+		t.Error("fleet run on the discovery memo differs from the memo-bypassed run")
+	}
+
+	warm := LoadgenSim(cfg)
+	if after := discovery.Stats(); after.Recorded != cold.Recorded || after.Programs != cold.Programs {
+		t.Errorf("warm fleet run recorded again: %+v -> %+v", cold, after)
+	}
+	if !reflect.DeepEqual(warm, bypassed) {
+		t.Error("warm-memo fleet run differs from the memo-bypassed run")
+	}
+}
+
+// BenchmarkLoadgenSim is one small fleet run end to end (generation is
+// memoised, so set-up is topology wiring only).
+func BenchmarkLoadgenSim(b *testing.B) {
+	cfg := LoadgenSimConfig{
+		Tenants:    20,
+		Pages:      4,
+		Seed:       1,
+		Sched:      sched.ConfigONLD,
+		CacheBytes: 64 << 20,
+	}
+	LoadgenSim(cfg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		LoadgenSim(cfg)
 	}
 }

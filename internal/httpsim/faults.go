@@ -3,6 +3,7 @@ package httpsim
 import (
 	"fmt"
 	"hash/fnv"
+	"sync/atomic"
 	"time"
 )
 
@@ -140,10 +141,19 @@ func (s *Server) decideFault() faultDecision {
 	return faultNone
 }
 
+// validatorHashes counts ContentValidator calls (see ValidatorHashes).
+var validatorHashes atomic.Uint64
+
+// ValidatorHashes returns how many bodies ContentValidator has hashed since
+// the process started: the probe behind "a run that caches nothing hashes
+// nothing" and "a pinned store hashes each body once".
+func ValidatorHashes() uint64 { return validatorHashes.Load() }
+
 // ContentValidator is the canonical content-hash validator both arms use as
 // the cache ETag: FNV-64a over the body, hex-encoded. Same bytes, same
 // validator — which is exactly the objcache generation contract.
 func ContentValidator(body []byte) string {
+	validatorHashes.Add(1)
 	h := fnv.New64a()
 	h.Write(body)
 	return fmt.Sprintf("%016x", h.Sum64())

@@ -119,6 +119,26 @@ func TestOriginFaultPartialTruncatesBody(t *testing.T) {
 	if got.Validator != "" {
 		t.Fatalf("unpinned partial response carries validator %q", got.Validator)
 	}
+
+	// Nor does a truncated response ever carry the full body's validator,
+	// whether the store recorded one or pinned a memo slot (already filled
+	// here): its ETag is the hash of the half that arrived.
+	for name, obj := range map[string]Object{
+		"recorded": {URL: "http://example.com/", Body: full, Validator: "etag-recorded"},
+		"pinned":   Object{URL: "http://example.com/", Body: full}.Pinned(),
+	} {
+		whole := obj.ETag()
+		f := newFixture(t, MapStore{obj.URL: obj}, 6)
+		if err := f.server.SetFaults(OriginFaults{PartialRate: 1}); err != nil {
+			t.Fatal(err)
+		}
+		f.client.Do(Request{Method: "GET", URL: obj.URL}, func(r Response, at time.Duration) { got = r })
+		f.sim.Run()
+		if got.Status != 502 || got.Validator != "" || got.ETag() == whole || got.ETag() != ContentValidator(full[:len(full)/2]) {
+			t.Errorf("%s object: truncated response status %d validator %q ETag %q (full body's is %q)",
+				name, got.Status, got.Validator, got.ETag(), whole)
+		}
+	}
 }
 
 func TestOriginFaultFlapWindow(t *testing.T) {
@@ -192,7 +212,51 @@ func TestValidatorThreading(t *testing.T) {
 		t.Fatalf("server derived validators %q/%q for an unpinned object", r1.Validator, r2.Validator)
 	}
 	want := ContentValidator(faultStore()["http://example.com/"].Body)
-	if v1, v2 := ContentValidator(r1.Body), ContentValidator(r2.Body); v1 != want || v2 != want {
+	if v1, v2 := r1.ETag(), r2.ETag(); v1 != want || v2 != want {
 		t.Fatalf("derived validators %q/%q, want %q", v1, v2, want)
+	}
+}
+
+// TestPinnedValidatorHashesOnce pins the memo slot's contract: serving a
+// pinned object hashes nothing, the first ETag on any copy — the stored
+// object or a response carrying it — hashes the body once, and every later
+// call on every copy is free and equal to ContentValidator(body).
+func TestPinnedValidatorHashesOnce(t *testing.T) {
+	obj := faultStore()["http://example.com/"].Pinned()
+	if again := obj.Pinned(); again.pin != obj.pin {
+		t.Fatal("Pinned on a pinned object replaced its slot")
+	}
+	f := newFixture(t, MapStore{obj.URL: obj}, 6)
+	var resps []Response
+	before := ValidatorHashes()
+	for i := 0; i < 3; i++ {
+		f.client.Do(Request{Method: "GET", URL: obj.URL}, func(r Response, at time.Duration) { resps = append(resps, r) })
+	}
+	f.sim.Run()
+	if n := ValidatorHashes() - before; n != 0 {
+		t.Fatalf("serving a pinned object hashed %d bodies, want 0", n)
+	}
+	want := ContentValidator(obj.Body)
+	before = ValidatorHashes()
+	for _, r := range resps {
+		if r.Validator != "" || r.ETag() != want {
+			t.Fatalf("response validator %q ETag %q, want derived %q", r.Validator, r.ETag(), want)
+		}
+	}
+	if obj.ETag() != want {
+		t.Fatalf("object ETag %q, want %q", obj.ETag(), want)
+	}
+	if n := ValidatorHashes() - before; n != 1 {
+		t.Fatalf("%d hashes for one pinned body, want 1", n)
+	}
+
+	// Unpinned objects still get a validator, derived on every call.
+	bare := faultStore()["http://example.com/"]
+	before = ValidatorHashes()
+	if bare.ETag() != want || bare.ETag() != want {
+		t.Fatalf("unpinned ETag %q, want %q", bare.ETag(), want)
+	}
+	if n := ValidatorHashes() - before; n != 2 {
+		t.Fatalf("%d hashes for two unpinned ETag calls, want 2", n)
 	}
 }

@@ -8,6 +8,7 @@ package httpsim
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"github.com/parcel-go/parcel/internal/dnssim"
@@ -38,11 +39,16 @@ type Response struct {
 	URL         string
 	ContentType string
 	Body        []byte // actual content; parsers consume this
-	// Validator is the stored object's pinned content validator (ETag), empty
-	// when the store pins none: consumers that cache the response derive
-	// ContentValidator over the body themselves, so uncached loads never hash.
+	// Validator is the stored object's recorded validator (ETag), empty when
+	// the store recorded none. Consumers that cache the response call ETag;
+	// nothing else reads a validator, so uncached loads never hash.
 	Validator string
+	pin       *validatorPin // the stored object's; nil for error responses
 }
+
+// ETag returns the response's content validator: the recorded one, else the
+// served object's ContentValidator (see Object.ETag).
+func (r Response) ETag() string { return etag(r.Validator, r.pin, r.Body) }
 
 // WireSize is the bytes the response occupies on the wire.
 func (r Response) WireSize() int { return responseOverhead + len(r.Body) }
@@ -78,9 +84,46 @@ type Object struct {
 	ContentType string
 	Body        []byte
 	Status      int // 0 means 200
-	// Validator optionally pins the object's content validator (ETag). Empty
-	// means caching consumers derive one from the body with ContentValidator.
+	// Validator optionally records the object's validator (a captured ETag).
+	// Empty means ETag derives one from the body.
 	Validator string
+	pin       *validatorPin // set by Pinned; shared by every copy
+}
+
+// validatorPin memoises ContentValidator for one immutable body. Racing
+// first callers each hash and store the same string, so a plain atomic
+// pointer is enough.
+type validatorPin = atomic.Pointer[string]
+
+// Pinned returns o with a slot that memoises its content validator, filled
+// by the first ETag call on any copy of the result — so an immutable store
+// of pinned objects hashes each body at most once per process, and a run in
+// which nothing caches hashes nothing. Body must not change afterwards.
+func (o Object) Pinned() Object {
+	if o.pin == nil {
+		o.pin = new(validatorPin)
+	}
+	return o
+}
+
+// ETag returns the object's content validator: the recorded Validator when
+// there is one, else ContentValidator(Body) — memoised if the object was
+// pinned, hashed on every call if not.
+func (o Object) ETag() string { return etag(o.Validator, o.pin, o.Body) }
+
+func etag(recorded string, pin *validatorPin, body []byte) string {
+	if recorded != "" {
+		return recorded
+	}
+	if pin == nil {
+		return ContentValidator(body)
+	}
+	if v := pin.Load(); v != nil {
+		return *v
+	}
+	v := ContentValidator(body)
+	pin.Store(&v)
+	return v
 }
 
 // Store resolves a URL to origin content.
@@ -153,13 +196,15 @@ func NewServer(sched *eventsim.Simulator, host *simnet.Host, store Store, think 
 				} else if obj.Status != 0 {
 					resp.Status = obj.Status
 				}
-				resp.Validator = obj.Validator
 				if fault == faultPartial && resp.Status == 200 {
 					// A truncated transfer: half the body arrives, then the
 					// connection-level failure surfaces as a 502 (never
-					// cached, so the retry's full body starts the generation).
+					// cached, so the retry's full body starts the generation)
+					// and without the full body's validator.
 					resp.Status = 502
 					resp.Body = resp.Body[:len(resp.Body)/2]
+				} else if found {
+					resp.Validator, resp.pin = obj.Validator, obj.pin
 				}
 				c.Send(host, resp.WireSize(), resp, req.URL, nil)
 			}

@@ -92,12 +92,8 @@ func (o *Origin) handle(w http.ResponseWriter, r *http.Request) {
 	if obj.ContentType != "" {
 		w.Header().Set("Content-Type", obj.ContentType)
 	}
-	validator := obj.Validator
-	if validator == "" {
-		validator = BodyValidator(obj.Body)
-	}
 	w.Header().Set("Content-Length", strconv.Itoa(len(obj.Body)))
-	w.Header().Set("ETag", `"`+validator+`"`)
+	w.Header().Set("ETag", `"`+obj.ETag()+`"`)
 	status := obj.Status
 	if status == 0 {
 		status = http.StatusOK

@@ -46,11 +46,14 @@ func FromPages(pages ...webgen.Page) *Archive {
 	return a
 }
 
-// Record stores one object, overwriting any previous version of its URL.
+// Record stores one object, overwriting any previous version of its URL. The
+// archive is a snapshot: o.Body must not change afterwards, which is what
+// lets the stored object memoise its content validator (httpsim.Object.Pinned)
+// instead of hashing the body for every response.
 func (a *Archive) Record(o httpsim.Object) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.objects[o.URL] = o
+	a.objects[o.URL] = o.Pinned()
 }
 
 // Get implements httpsim.Store.

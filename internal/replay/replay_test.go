@@ -114,3 +114,55 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		t.Fatal("loaded missing file")
 	}
 }
+
+// TestArchivePinsValidators: an archive serves each object's validator
+// without hashing its body per response. Objects recorded from generated
+// pages share the pages' memo slots (one hash per body process-wide), an
+// object recorded without a validator gets one derived on demand and
+// memoised, and a recorded validator is served as captured.
+func TestArchivePinsValidators(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		pages := webgen.Generate(webgen.Spec{Seed: seed, NumPages: 6})
+		before := httpsim.ValidatorHashes()
+		a := FromPages(pages...)
+		if n := httpsim.ValidatorHashes() - before; n != 0 {
+			t.Fatalf("seed %d: FromPages hashed %d bodies, want 0", seed, n)
+		}
+		for _, u := range a.URLs() {
+			o, _ := a.Get(u)
+			if want := httpsim.ContentValidator(o.Body); o.ETag() != want {
+				t.Fatalf("seed %d %s: archive ETag %q, want %q", seed, u, o.ETag(), want)
+			}
+		}
+		// Everything is memoised now, in the archive and in the pages.
+		before = httpsim.ValidatorHashes()
+		for _, u := range a.URLs() {
+			o, _ := a.Get(u)
+			o.ETag()
+		}
+		if n := httpsim.ValidatorHashes() - before; n != 0 {
+			t.Fatalf("seed %d: a second pass over the archive hashed %d bodies", seed, n)
+		}
+	}
+
+	a := NewArchive()
+	a.Record(httpsim.Object{URL: "http://x.com/bare", Body: []byte("no validator recorded")})
+	a.Record(httpsim.Object{URL: "http://x.com/etag", Body: []byte("captured"), Validator: "W/origin-etag"})
+	before := httpsim.ValidatorHashes()
+	for i := 0; i < 3; i++ {
+		bare, _ := a.Get("http://x.com/bare")
+		if bare.ETag() == "" {
+			t.Fatal("object recorded without a validator serves none")
+		}
+		tagged, _ := a.Get("http://x.com/etag")
+		if tagged.ETag() != "W/origin-etag" {
+			t.Fatalf("recorded validator served as %q", tagged.ETag())
+		}
+	}
+	if n := httpsim.ValidatorHashes() - before; n != 1 {
+		t.Fatalf("%d hashes for one unvalidated object fetched three times, want 1", n)
+	}
+	if bare, _ := a.Get("http://x.com/bare"); bare.ETag() != httpsim.ContentValidator(bare.Body) {
+		t.Fatalf("derived validator %q is not the content hash", bare.ETag())
+	}
+}

@@ -3,11 +3,7 @@ package scenario
 import (
 	"sort"
 	"strconv"
-	"time"
 
-	"github.com/parcel-go/parcel/internal/discovery"
-	"github.com/parcel-go/parcel/internal/dnssim"
-	"github.com/parcel-go/parcel/internal/eventsim"
 	"github.com/parcel-go/parcel/internal/httpsim"
 	"github.com/parcel-go/parcel/internal/simnet"
 	"github.com/parcel-go/parcel/internal/webgen"
@@ -31,16 +27,16 @@ type Fleet struct {
 // pages (each domain served once, with the union store), a proxy, DNS, and
 // tenants access hosts. Domains are deduplicated and sorted so host creation
 // order — and with it every seeded draw — is a pure function of the inputs.
-func BuildFleet(pages []webgen.Page, tenants int, p Params) *Fleet {
+// res is BuildWith's: nil builds a private fleet whose session engines
+// interpret every script, the reference the memoised fleet is compared to.
+func BuildFleet(pages []webgen.Page, tenants int, p Params, res *Resources) *Fleet {
 	if p.LTERTT == 0 {
 		p = DefaultParams()
 	}
-	sim := eventsim.New(p.Seed)
-	n := simnet.New(sim)
-
-	proxy := n.AddHost("proxy", simnet.HostConfig{DownlinkBps: p.ProxyBps, UplinkBps: p.ProxyBps})
-	dns := n.AddHost("dns", simnet.HostConfig{})
-	n.SetPath(proxy, dns, simnet.PathParams{RTT: 2 * time.Millisecond})
+	topo := newTopology(p, res)
+	// Page seeds the proxy sessions' map-capacity hints; the first page is as
+	// good a guess as any for a homogeneous fleet.
+	topo.Page = pages[0]
 
 	// Union the page stores and collect the distinct domains in sorted order.
 	store := make(httpsim.MapStore)
@@ -58,58 +54,21 @@ func BuildFleet(pages []webgen.Page, tenants int, p Params) *Fleet {
 		}
 	}
 	sort.Strings(domains)
-
-	rng := sim.Rand()
-	dir := make(httpsim.Directory, len(domains))
-	origins := make([]*httpsim.Server, 0, len(domains))
-	for _, domain := range domains {
-		origin := n.AddHost("origin:"+domain, simnet.HostConfig{DownlinkBps: p.ProxyBps, UplinkBps: p.ProxyBps})
-		originRTT := p.ProxyOriginRTT
-		if p.HeterogeneousOrigins {
-			originRTT = time.Duration(10+rng.Intn(110)) * time.Millisecond
-		}
-		n.SetPath(proxy, origin, simnet.PathParams{RTT: originRTT})
-		srv := httpsim.NewServer(sim, origin, store, p.OriginThink)
-		if p.OriginFaults.Active() {
-			if err := srv.SetFaults(p.OriginFaults); err != nil {
-				panic("scenario: bad origin faults: " + err.Error())
-			}
-		}
-		origins = append(origins, srv)
-		dir[domain] = origin
-	}
-	dnssim.NewServer(sim, dns, p.DNSServerTime)
+	topo.addOrigins(domains, store, nil)
 
 	// Tenants only talk to the proxy (load clients have no engine and no
 	// direct-origin path), so one access path each suffices.
-	accessRTT := p.LTERTT
 	hosts := make([]*simnet.Host, tenants)
 	for i := range hosts {
-		h := n.AddHost("tenant:"+strconv.Itoa(i), simnet.HostConfig{
+		h := topo.Net.AddHost("tenant:"+strconv.Itoa(i), simnet.HostConfig{
 			DownlinkBps: p.LTEDownBps, UplinkBps: p.LTEUpBps,
 		})
-		n.SetPath(h, proxy, simnet.PathParams{RTT: accessRTT, Jitter: p.LTEJitter})
+		topo.Net.SetPath(h, topo.Proxy, simnet.PathParams{RTT: p.LTERTT, Jitter: p.LTEJitter})
 		hosts[i] = h
 	}
 
 	for _, page := range pages {
-		for _, obj := range page.Objects {
-			discovery.Prewarm(obj.URL, obj.ContentType, obj.Body)
-		}
-	}
-
-	topo := &Topology{
-		Params:        p,
-		Sim:           sim,
-		Net:           n,
-		Proxy:         proxy,
-		DNS:           dns,
-		Dir:           dir,
-		Origins:       origins,
-		ProxyResolver: dnssim.NewResolver(proxy, dns),
-		// Page seeds the proxy sessions' map-capacity hints; the first page
-		// is as good a guess as any for a homogeneous fleet.
-		Page: pages[0],
+		prewarm(page)
 	}
 	return &Fleet{Topology: topo, Tenants: hosts, Pages: pages}
 }

@@ -105,10 +105,11 @@ type Topology struct {
 	// fault-injection harnesses can read their OriginFaultStats.
 	Origins []*httpsim.Server
 
-	// ExecCache and JSPools configure the browser engines built on this
-	// topology (see browser.Options). Both are set by BuildWith when the
-	// topology draws from shared Resources; Build leaves them zero, which
-	// is what makes a private topology the batch engine's reference.
+	// ExecCache and JSPools configure every browser engine built on this
+	// topology — client, DIR and each proxy session (see browser.Options).
+	// newTopology sets both when the topology draws from shared Resources
+	// and leaves them zero otherwise, which is what makes a private topology
+	// the reference the memoised engines are compared against.
 	ExecCache bool
 	JSPools   *minijs.Pools
 
@@ -170,24 +171,17 @@ func (t *Topology) Release() {
 func Build(page webgen.Page, p Params) *Topology { return BuildWith(page, p, nil) }
 
 // BuildWith is Build drawing arenas and scratch from res (nil for private
-// allocations, i.e. plain Build). Topologies built from shared Resources
-// also enable the script exec-outcome cache on their engines; replay
-// validation keeps results bit-identical to the uncached path.
+// allocations, i.e. plain Build).
 func BuildWith(page webgen.Page, p Params, res *Resources) *Topology {
 	if p.LTERTT == 0 {
 		p = DefaultParams()
 	}
-	var sim *eventsim.Simulator
-	var n *simnet.Network
-	var clientTrace *trace.Recorder
+	topo := newTopology(p, res)
+	n := topo.Net
+
+	clientTrace := &trace.Recorder{}
 	if res != nil {
-		sim = eventsim.NewWithPools(p.Seed, res.Events)
-		n = simnet.NewWithPools(sim, res.Net)
 		clientTrace = res.getRecorder()
-	} else {
-		sim = eventsim.New(p.Seed)
-		n = simnet.New(sim)
-		clientTrace = &trace.Recorder{}
 	}
 	// The page's size is known here: the capture holds roughly one DATA
 	// packet per MSS of body, an ACK for every other segment, and a few
@@ -206,71 +200,89 @@ func BuildWith(page webgen.Page, p Params, res *Resources) *Topology {
 		jitter = 0
 	}
 	client := n.AddHost("client", clientCfg)
-	proxy := n.AddHost("proxy", simnet.HostConfig{DownlinkBps: p.ProxyBps, UplinkBps: p.ProxyBps})
-	dns := n.AddHost("dns", simnet.HostConfig{})
+	topo.Client = client
+	topo.ClientTrace = clientTrace
+	topo.ClientResolver = dnssim.NewResolver(client, topo.DNS)
+	topo.Page = page
 
-	n.SetPath(client, proxy, simnet.PathParams{RTT: accessRTT, Jitter: jitter})
-	n.SetPath(client, dns, simnet.PathParams{RTT: accessRTT, Jitter: jitter})
-	n.SetPath(proxy, dns, simnet.PathParams{RTT: 2 * time.Millisecond})
+	n.SetPath(client, topo.Proxy, simnet.PathParams{RTT: accessRTT, Jitter: jitter})
+	n.SetPath(client, topo.DNS, simnet.PathParams{RTT: accessRTT, Jitter: jitter})
 	if p.AccessFaults.Active() {
-		n.SetFaults(client, proxy, p.AccessFaults)
-		n.SetFaults(client, dns, p.AccessFaults)
+		n.SetFaults(client, topo.Proxy, p.AccessFaults)
+		n.SetFaults(client, topo.DNS, p.AccessFaults)
 	}
+	topo.addOrigins(page.Domains, page.SharedStore(), func(origin *simnet.Host, originRTT time.Duration) {
+		// Client reaches origins through the LTE access plus the wired leg.
+		n.SetPath(client, origin, simnet.PathParams{RTT: accessRTT + originRTT, Jitter: jitter})
+		if p.AccessFaults.Active() {
+			n.SetFaults(client, origin, p.AccessFaults)
+		}
+	})
+	prewarm(page)
+	return topo
+}
 
-	rng := sim.Rand()
-	dir := make(httpsim.Directory, len(page.Domains))
-	origins := make([]*httpsim.Server, 0, len(page.Domains))
-	store := page.SharedStore()
-	for _, domain := range page.Domains {
+// newTopology starts a topology: simulator, network, and the proxy-side
+// hosts every topology has (proxy, DNS and the wired path between them). It
+// is the one place that decides what a topology draws from res — the event
+// and packet arenas, the engines' interpreter pools and the exec-outcome
+// memo — so no constructor can build engines that miss one of them.
+func newTopology(p Params, res *Resources) *Topology {
+	topo := &Topology{Params: p, res: res}
+	if res != nil {
+		topo.Sim = eventsim.NewWithPools(p.Seed, res.Events)
+		topo.Net = simnet.NewWithPools(topo.Sim, res.Net)
+		topo.ExecCache = true
+		topo.JSPools = res.JS
+	} else {
+		topo.Sim = eventsim.New(p.Seed)
+		topo.Net = simnet.New(topo.Sim)
+	}
+	n := topo.Net
+	topo.Proxy = n.AddHost("proxy", simnet.HostConfig{DownlinkBps: p.ProxyBps, UplinkBps: p.ProxyBps})
+	topo.DNS = n.AddHost("dns", simnet.HostConfig{})
+	n.SetPath(topo.Proxy, topo.DNS, simnet.PathParams{RTT: 2 * time.Millisecond})
+	dnssim.NewServer(topo.Sim, topo.DNS, p.DNSServerTime)
+	topo.ProxyResolver = dnssim.NewResolver(topo.Proxy, topo.DNS)
+	return topo
+}
+
+// addOrigins creates one origin host and server per domain, in the order
+// given, each serving store behind its own proxy↔origin path. wire, when
+// non-nil, adds whatever else reaches the new origin (the client's direct
+// path).
+func (t *Topology) addOrigins(domains []string, store httpsim.Store, wire func(origin *simnet.Host, originRTT time.Duration)) {
+	p, n := t.Params, t.Net
+	rng := t.Sim.Rand()
+	t.Dir = make(httpsim.Directory, len(domains))
+	t.Origins = make([]*httpsim.Server, 0, len(domains))
+	for _, domain := range domains {
 		origin := n.AddHost("origin:"+domain, simnet.HostConfig{DownlinkBps: p.ProxyBps, UplinkBps: p.ProxyBps})
 		originRTT := p.ProxyOriginRTT
 		if p.HeterogeneousOrigins {
 			originRTT = time.Duration(10+rng.Intn(110)) * time.Millisecond
 		}
-		// Client reaches origins through the LTE access plus the wired leg.
-		n.SetPath(client, origin, simnet.PathParams{RTT: accessRTT + originRTT, Jitter: jitter})
-		n.SetPath(proxy, origin, simnet.PathParams{RTT: originRTT})
-		if p.AccessFaults.Active() {
-			n.SetFaults(client, origin, p.AccessFaults)
+		n.SetPath(t.Proxy, origin, simnet.PathParams{RTT: originRTT})
+		if wire != nil {
+			wire(origin, originRTT)
 		}
-		srv := httpsim.NewServer(sim, origin, store, p.OriginThink)
+		srv := httpsim.NewServer(t.Sim, origin, store, p.OriginThink)
 		if p.OriginFaults.Active() {
 			if err := srv.SetFaults(p.OriginFaults); err != nil {
 				panic("scenario: bad origin faults: " + err.Error())
 			}
 		}
-		origins = append(origins, srv)
-		dir[domain] = origin
+		t.Origins = append(t.Origins, srv)
+		t.Dir[domain] = origin
 	}
+}
 
-	dnssim.NewServer(sim, dns, p.DNSServerTime)
-
-	// Pre-warm the process-wide artifact and program caches with the page's
-	// objects: every scheme and sweep round that loads this page then hits
-	// cached DOM trees, CSS ref lists, and compiled scripts instead of
-	// re-parsing identical bytes per engine.
+// prewarm fills the process-wide artifact and program caches with the page's
+// objects: every scheme, sweep round and tenant session that loads this page
+// then hits cached DOM trees, CSS ref lists, and compiled scripts instead of
+// re-parsing identical bytes per engine.
+func prewarm(page webgen.Page) {
 	for _, obj := range page.Objects {
 		discovery.Prewarm(obj.URL, obj.ContentType, obj.Body)
 	}
-
-	topo := &Topology{
-		Params:         p,
-		Sim:            sim,
-		Net:            n,
-		Client:         client,
-		Proxy:          proxy,
-		DNS:            dns,
-		ClientTrace:    clientTrace,
-		Dir:            dir,
-		Origins:        origins,
-		ClientResolver: dnssim.NewResolver(client, dns),
-		ProxyResolver:  dnssim.NewResolver(proxy, dns),
-		Page:           page,
-		res:            res,
-	}
-	if res != nil {
-		topo.ExecCache = true
-		topo.JSPools = res.JS
-	}
-	return topo
 }

@@ -168,17 +168,14 @@ func (n *Network) SetFaults(a, b *Host, f FaultParams) {
 }
 
 func setPeerFaults(h, to *Host, f FaultParams) {
-	for i := range h.peers {
-		if h.peers[i].to == to {
-			if f.Active() {
-				h.peers[i].faults = &linkFaults{p: f}
-			} else {
-				h.peers[i].faults = nil
-			}
-			return
-		}
+	if to.id >= len(h.peers) || h.peers[to.id].to != to {
+		panic(fmt.Sprintf("simnet: SetFaults before SetPath between %q and %q", h.Name, to.Name))
 	}
-	panic(fmt.Sprintf("simnet: SetFaults before SetPath between %q and %q", h.Name, to.Name))
+	pp := &h.peers[to.id]
+	pp.faults = nil
+	if f.Active() {
+		pp.faults = &linkFaults{p: f}
+	}
 }
 
 // FaultStats returns the injection counters accumulated so far.

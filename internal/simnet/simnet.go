@@ -62,11 +62,12 @@ type HostConfig struct {
 	Recorder *trace.Recorder
 }
 
-// peerPath caches the path parameters toward one directly wired peer, so the
-// per-packet lookup is a short pointer scan instead of a map hash on a
-// composite string key. Topologies wire a handful of paths per host, so the
-// scan beats hashing even before the allocation the map key used to cost.
-// faults, when non-nil, holds this direction's injection state (SetFaults).
+// peerPath caches the path parameters toward one directly wired peer. A host
+// keeps them in a slice indexed by the peer's id, so the per-packet lookup is
+// one bounds check and one load whether the host has three peers (a page
+// topology's client) or hundreds (a fleet's proxy). to is nil in the slots of
+// hosts this one has no path to. faults, when non-nil, holds this
+// direction's injection state (SetFaults).
 type peerPath struct {
 	to     *Host
 	params PathParams
@@ -78,11 +79,12 @@ type Host struct {
 	Name string
 	cfg  HostConfig
 	net  *Network
+	id   int // creation order within net; indexes every host's peers
 
 	egressBusy  time.Duration
 	ingressBusy time.Duration
 
-	peers []peerPath
+	peers []peerPath // indexed by the peer's id
 
 	accept func(*Conn)
 	dgram  func(from *Host, payload any, size int, at time.Duration)
@@ -91,10 +93,8 @@ type Host struct {
 // peerTo returns the cached path entry toward to; it panics if the pair was
 // never wired, which catches topology mistakes at their source.
 func (h *Host) peerTo(to *Host) *peerPath {
-	for i := range h.peers {
-		if h.peers[i].to == to {
-			return &h.peers[i]
-		}
+	if to.id < len(h.peers) && h.peers[to.id].to == to {
+		return &h.peers[to.id]
 	}
 	panic(fmt.Sprintf("simnet: no path between %q and %q", h.Name, to.Name))
 }
@@ -171,7 +171,7 @@ func (n *Network) AddHost(name string, cfg HostConfig) *Host {
 	if _, ok := n.hosts[name]; ok {
 		panic(fmt.Sprintf("simnet: duplicate host %q", name))
 	}
-	h := &Host{Name: name, cfg: cfg, net: n}
+	h := &Host{Name: name, cfg: cfg, net: n, id: len(n.hosts)}
 	n.hosts[name] = h
 	return h
 }
@@ -190,13 +190,12 @@ func (n *Network) SetPath(a, b *Host, p PathParams) {
 }
 
 func setPeer(h, to *Host, p PathParams) {
-	for i := range h.peers {
-		if h.peers[i].to == to {
-			h.peers[i].params = p
-			return
-		}
+	if grow := to.id + 1 - len(h.peers); grow > 0 {
+		h.peers = append(h.peers, make([]peerPath, grow)...)
 	}
-	h.peers = append(h.peers, peerPath{to: to, params: p})
+	pp := &h.peers[to.id]
+	pp.to = to
+	pp.params = p
 }
 
 // PathBetween returns the path parameters between two hosts; it panics if the

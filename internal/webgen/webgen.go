@@ -135,9 +135,13 @@ func generateSet(spec Spec) []Page {
 		}
 		page := generatePage(rng, cfg)
 		// Build the origin store once per page; every topology serving this
-		// page shares it read-only.
+		// page shares it read-only. The objects are pinned in place, so the
+		// store, page.Objects and any replay archive recorded from them share
+		// one lazily computed validator per body.
 		page.store = make(httpsim.MapStore, len(page.Objects))
-		for _, o := range page.Objects {
+		for i, o := range page.Objects {
+			o = o.Pinned()
+			page.Objects[i] = o
 			page.store[o.URL] = o
 		}
 		pages = append(pages, page)

@@ -7,6 +7,7 @@ import (
 
 	"github.com/parcel-go/parcel/internal/browser"
 	"github.com/parcel-go/parcel/internal/eventsim"
+	"github.com/parcel-go/parcel/internal/httpsim"
 	"github.com/parcel-go/parcel/internal/stats"
 )
 
@@ -216,5 +217,39 @@ func TestOnloadBeforeCompleteOnGeneratedPages(t *testing.T) {
 func BenchmarkGenerate34Pages(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Generate(Spec{Seed: int64(i), NumPages: 34})
+	}
+}
+
+// TestGeneratedObjectsPinValidatorsLazily pins the validator contract of the
+// memoised page sets: generating a set hashes nothing (a sweep, which caches
+// nothing, never pays for validators), every object's ETag equals
+// ContentValidator(body), and page.Objects and the shared store share one
+// memo slot per object, so each body is hashed exactly once.
+func TestGeneratedObjectsPinValidatorsLazily(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		before := httpsim.ValidatorHashes()
+		pages := generateSet(Spec{Seed: seed, NumPages: 12})
+		if n := httpsim.ValidatorHashes() - before; n != 0 {
+			t.Fatalf("seed %d: generation hashed %d bodies, want 0", seed, n)
+		}
+		objects := 0
+		for _, p := range pages {
+			store := p.SharedStore()
+			for _, o := range p.Objects {
+				objects++
+				want := httpsim.ContentValidator(o.Body)
+				if got := store[o.URL].ETag(); got != want {
+					t.Fatalf("seed %d %s: store ETag %q, want %q", seed, o.URL, got, want)
+				}
+				if got := o.ETag(); got != want {
+					t.Fatalf("seed %d %s: object ETag %q, want %q", seed, o.URL, got, want)
+				}
+			}
+		}
+		// One reference hash per object above, one memoised hash behind the
+		// two ETag calls.
+		if n := httpsim.ValidatorHashes() - before; n != uint64(2*objects) {
+			t.Fatalf("seed %d: %d hashes for %d objects, want %d", seed, n, objects, 2*objects)
+		}
 	}
 }
