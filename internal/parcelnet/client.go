@@ -607,7 +607,9 @@ func (c *Client) fetchShed(urls []string) {
 // completion notification has arrived and the object is still missing, a
 // fallback request is sent to the proxy (once) — or, in degraded mode,
 // fetched directly from the origin. It fails after timeout; a dead client
-// fails immediately with ErrClosed or ErrProxyGone instead.
+// fails immediately with ErrClosed or ErrProxyGone instead. The received
+// parts outlive the connection: a part that arrived before Close, or before
+// the proxy was lost, is returned with a nil error.
 func (c *Client) Object(url string, timeout time.Duration) (mhtml.Part, error) {
 	deadline := time.Now().Add(timeout)
 	timer := time.AfterFunc(timeout, func() {
@@ -689,7 +691,8 @@ func (c *Client) Object(url string, timeout time.Duration) (mhtml.Part, error) {
 
 // WaitComplete blocks until the proxy's completion notification (or timeout).
 // A degraded client reports completion immediately; a dead client returns
-// ErrClosed or ErrProxyGone instead of waiting out the timeout.
+// ErrClosed or ErrProxyGone instead of waiting out the timeout, unless the
+// notification had already arrived.
 func (c *Client) WaitComplete(timeout time.Duration) (CompleteNote, error) {
 	deadline := time.Now().Add(timeout)
 	timer := time.AfterFunc(timeout, func() {

@@ -1,9 +1,9 @@
 package parcelnet
 
 import (
+	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"strconv"
@@ -151,20 +151,21 @@ func BodyValidator(body []byte) string {
 
 // Fetch retrieves a logical URL, returning the body and content type.
 func (f *OriginFetcher) Fetch(logicalURL string) (body []byte, contentType string, status int, err error) {
-	body, contentType, status, _, err = f.FetchValidated(logicalURL)
+	body, contentType, status, _, err = f.FetchValidatedCtx(context.Background(), logicalURL)
 	return body, contentType, status, err
 }
 
-// FetchValidated is Fetch plus the origin's validator (the ETag, unquoted; a
+// FetchValidatedCtx is Fetch plus the origin's validator (the ETag, unquoted; a
 // content digest of the body when the origin sends none, so the validator is
-// never empty for a successful response).
-func (f *OriginFetcher) FetchValidated(logicalURL string) (body []byte, contentType string, status int, validator string, err error) {
-	return f.FetchValidatedCtx(context.Background(), logicalURL)
-}
-
-// FetchValidatedCtx is FetchValidated under a caller context: the resilient
-// fetch path uses the context deadline as its per-attempt timeout, well under
-// the Client's own 30 s backstop.
+// never empty for a successful response), under a caller context: the
+// resilient fetch path uses the context deadline as its per-attempt timeout,
+// well under the Client's own 30 s backstop.
+//
+// The body is read once, into a buffer sized from the response's
+// Content-Length. The length is only a hint: it is clamped to [0, maxFrame],
+// so a lying header reserves no more than one frame, and the body is read to
+// EOF whatever it said, so an absent or understated length costs buffer
+// growth, not bytes. A body that ends before its stated length is an error.
 func (f *OriginFetcher) FetchValidatedCtx(ctx context.Context, logicalURL string) (body []byte, contentType string, status int, validator string, err error) {
 	domain, path := httpsim.SplitURL(logicalURL)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+f.OriginAddr+path, nil)
@@ -177,10 +178,15 @@ func (f *OriginFetcher) FetchValidatedCtx(ctx context.Context, logicalURL string
 		return nil, "", 0, "", fmt.Errorf("fetch %s: %w", logicalURL, err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
+	// ReadFrom wants bytes.MinRead spare before every Read, the one that
+	// returns EOF included: with that much past the hint, an honest length
+	// never regrows the buffer.
+	hint := min(max(resp.ContentLength, 0), maxFrame)
+	buf := bytes.NewBuffer(make([]byte, 0, hint+bytes.MinRead))
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
 		return nil, "", 0, "", fmt.Errorf("fetch %s: %w", logicalURL, err)
 	}
+	data := buf.Bytes()
 	validator = strings.Trim(resp.Header.Get("ETag"), `"`)
 	if validator == "" {
 		validator = BodyValidator(data)

@@ -1,6 +1,7 @@
 package parcelnet
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -31,7 +32,7 @@ func TestOriginFaultErrorServes503(t *testing.T) {
 	defer leakcheck.Check(t)()
 	o, f := faultyOrigin(t, replay.OriginFaults{ErrorRate: 1})
 	defer o.Close()
-	_, _, status, _, err := f.FetchValidated("http://site.example/")
+	_, _, status, _, err := f.FetchValidatedCtx(context.Background(), "http://site.example/")
 	if err != nil {
 		t.Fatalf("503 must be a response, not a transport error: %v", err)
 	}
@@ -48,7 +49,7 @@ func TestOriginFaultPartialIsTransportError(t *testing.T) {
 	defer leakcheck.Check(t)()
 	o, f := faultyOrigin(t, replay.OriginFaults{PartialRate: 1})
 	defer o.Close()
-	_, _, _, _, err := f.FetchValidated("http://site.example/")
+	_, _, _, _, err := f.FetchValidatedCtx(context.Background(), "http://site.example/")
 	if err == nil {
 		t.Fatal("truncated body read did not error")
 	}
@@ -64,7 +65,7 @@ func TestOriginFaultStallDelays(t *testing.T) {
 	o, f := faultyOrigin(t, replay.OriginFaults{StallRate: 1, StallFor: stall})
 	defer o.Close()
 	t0 := time.Now()
-	_, _, status, _, err := f.FetchValidated("http://site.example/")
+	_, _, status, _, err := f.FetchValidatedCtx(context.Background(), "http://site.example/")
 	if err != nil || status != 200 {
 		t.Fatalf("stalled fetch: status %d, err %v", status, err)
 	}
@@ -88,7 +89,7 @@ func TestOriginServesPinnedValidator(t *testing.T) {
 	}
 	defer o.Close()
 	f := NewOriginFetcher(o.Addr())
-	body, _, status, validator, err := f.FetchValidated("http://site.example/")
+	body, _, status, validator, err := f.FetchValidatedCtx(context.Background(), "http://site.example/")
 	if err != nil || status != 200 {
 		t.Fatalf("fetch: status %d, err %v", status, err)
 	}
@@ -113,7 +114,7 @@ func TestOriginDerivedValidatorMatchesSimArm(t *testing.T) {
 	}
 	defer o.Close()
 	f := NewOriginFetcher(o.Addr())
-	_, _, _, validator, err := f.FetchValidated("http://site.example/")
+	_, _, _, validator, err := f.FetchValidatedCtx(context.Background(), "http://site.example/")
 	if err != nil {
 		t.Fatal(err)
 	}
