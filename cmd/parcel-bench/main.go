@@ -6,19 +6,11 @@
 //	parcel-bench [-pages N] [-runs N] [-seed S] [-jitter D] [-parallelism N] TARGET...
 //
 // Targets: fig3 fig5 fig6a fig6b fig6c fig7a fig7b fig7c fig8 fig9 fig10
-// fig11 model delay table1 spdy summary losssweep benchhotpath loadgen
-// chaosgen all
+// fig11 model delay table1 spdy summary losssweep all
 //
 // Independent targets render concurrently (each into its own buffer, printed
 // in request order); the simulations inside each target additionally fan out
-// on the -parallelism worker pool. benchhotpath profiles page-load
-// allocations against the committed budget and writes BENCH_hotpath.json;
-// loadgen drives a multi-tenant fleet through one proxy
-// on both the virtual-clock and real-TCP arms and writes BENCH_loadgen.json;
-// chaosgen repeats the fleet run under injected origin faults plus a mid-run
-// proxy drain and restart and writes BENCH_chaos.json. These timing targets
-// always run by themselves, before any other requested target, so nothing
-// competes with the clock.
+// on the -parallelism worker pool.
 //
 // Absolute numbers come from a simulator, not the authors' LTE testbed; the
 // shapes (who wins, by what factor, the trade-off orderings) are what the
@@ -55,11 +47,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "generator and jitter seed")
 	jitter := flag.Duration("jitter", 2*time.Millisecond, "LTE per-packet jitter stddev")
 	parallelism := flag.Int("parallelism", 0, "simulation worker pool size (0 = one per CPU, 1 = serial)")
-	hotpathOut := flag.String("hotpathout", "BENCH_hotpath.json", "output path for the benchhotpath target")
-	loadgenOut := flag.String("loadgenout", "BENCH_loadgen.json", "output path for the loadgen target")
-	chaosOut := flag.String("chaosout", "BENCH_chaos.json", "output path for the chaosgen target")
-	tenants := flag.Int("tenants", 200, "loadgen fleet size (concurrent sessions per arm)")
-	loadgenP99 := flag.Duration("loadgenp99", 0, "loadgen fails if the sim arm's p99 completion latency exceeds this (0 = no gate)")
 	flag.Parse()
 
 	cfg := experiments.DefaultConfig()
@@ -71,7 +58,7 @@ func main() {
 
 	targets := flag.Args()
 	if len(targets) == 0 {
-		fmt.Fprintf(os.Stderr, "usage: parcel-bench [flags] TARGET...\ntargets: %s benchhotpath loadgen chaosgen all\n",
+		fmt.Fprintf(os.Stderr, "usage: parcel-bench [flags] TARGET...\ntargets: %s all\n",
 			strings.Join(allTargets, " "))
 		os.Exit(2)
 	}
@@ -80,62 +67,21 @@ func main() {
 	}
 
 	// Validate everything up front so an unknown target fails before any
-	// multi-second sweep starts, and pull the timing targets out: they
-	// measure wall clock, so they must not share the machine with others.
-	wantHotpath := false
-	wantLoadgen := false
-	wantChaos := false
-	renderTargets := targets[:0:0]
+	// multi-second sweep starts.
 	for _, t := range targets {
-		if t == "benchhotpath" {
-			wantHotpath = true
-			continue
-		}
-		if t == "loadgen" {
-			wantLoadgen = true
-			continue
-		}
-		if t == "chaosgen" {
-			wantChaos = true
-			continue
-		}
 		if !knownTarget(t) {
-			fmt.Fprintf(os.Stderr, "parcel-bench: unknown target %q (want one of %s benchhotpath loadgen chaosgen)\n",
+			fmt.Fprintf(os.Stderr, "parcel-bench: unknown target %q (want one of %s)\n",
 				t, strings.Join(allTargets, " "))
 			os.Exit(2)
 		}
-		renderTargets = append(renderTargets, t)
-	}
-	// The timing targets run alone, before anything else competes for the
-	// machine.
-	if wantHotpath {
-		if err := benchHotpath(os.Stdout, *hotpathOut); err != nil {
-			fmt.Fprintf(os.Stderr, "parcel-bench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	// loadgen also runs alone: its TCP arm reports wall-clock percentiles.
-	if wantLoadgen {
-		if err := benchLoadgen(os.Stdout, *tenants, *seed, *loadgenOut, *loadgenP99); err != nil {
-			fmt.Fprintf(os.Stderr, "parcel-bench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	// chaosgen likewise: its TCP arm times drain/restart recovery on the
-	// wall clock.
-	if wantChaos {
-		if err := benchChaos(os.Stdout, *tenants, *seed, *chaosOut); err != nil {
-			fmt.Fprintf(os.Stderr, "parcel-bench: %v\n", err)
-			os.Exit(1)
-		}
 	}
 
-	// Each remaining target is independent of the others: render them
-	// concurrently, each into a private buffer, and print the buffers in
-	// the order they were asked for.
-	outputs := runner.Map(cfg.Parallelism, len(renderTargets), func(i int) []byte {
+	// Targets are independent of one another: render them concurrently, each
+	// into a private buffer, and print the buffers in the order they were
+	// asked for.
+	outputs := runner.Map(cfg.Parallelism, len(targets), func(i int) []byte {
 		var buf bytes.Buffer
-		render(&buf, renderTargets[i], cfg)
+		render(&buf, targets[i], cfg)
 		return buf.Bytes()
 	})
 	for _, out := range outputs {

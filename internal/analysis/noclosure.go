@@ -10,7 +10,8 @@ import (
 // NoClosure enforces the PR 2 closure-free-continuation rule statically: in
 // hot packages, a capturing closure handed to Schedule/ScheduleAt allocates
 // once per event — on the simnet data path that is once per packet, which is
-// exactly the allocation class the benchhotpath budget exists to forbid.
+// exactly the allocation class the page-load allocation budget
+// (experiments.TestPageLoadAllocBudget) exists to forbid.
 // Continuations there must use ScheduleArgAt with a package-level func and a
 // typed argument (usually a pooled object's fields).
 var NoClosure = &analysis.Analyzer{

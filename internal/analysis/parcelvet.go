@@ -5,8 +5,8 @@
 // exactly-once pooled-packet delivery, zero-alloc hot paths, and bounded
 // per-session resources — were previously enforced only when a test happened
 // to execute the offending path (-tags simdebug panics, the golden suite,
-// the benchhotpath budget). The eight analyzers here catch every violation
-// at `go vet` time instead:
+// the page-load allocation budget). The eight analyzers here catch every
+// violation at `go vet` time instead:
 //
 //   - determinism: sim-deterministic packages must not read wall clocks or
 //     the global RNG, and must not let map iteration order reach output.

@@ -1,8 +1,8 @@
 // Fleet load simulation: many tenants through one proxy on the virtual
-// clock. This is the deterministic arm of the loadgen harness — the real-TCP
-// arm lives in parcelnet.RunLoadgen — and exists so multi-tenant scaling
-// numbers (latency percentiles, cache hit rate, egress per user) are exactly
-// reproducible from a seed.
+// clock. This is the deterministic arm of the fleet harness — the real-TCP
+// arm is parcelnet's test helper runFleet — and exists so multi-tenant
+// scaling numbers (latency percentiles, cache hit rate, egress per user) are
+// exactly reproducible from a seed. bench/'s sim_fleet workload runs it.
 package experiments
 
 import (
@@ -40,7 +40,7 @@ type LoadgenSimConfig struct {
 
 	// OriginFaults arms fault injection on every origin server (the chaos
 	// arm). The zero value injects nothing and keeps the run bit-identical to
-	// the recorded loadgen figures.
+	// the pinned fleet figures (TestLoadgenSimFleet200).
 	OriginFaults httpsim.OriginFaults
 	// Resilience, when set, arms the proxy's origin-fetch discipline:
 	// per-attempt deadlines, retry budget, per-origin breakers. Nil runs the

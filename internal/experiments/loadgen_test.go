@@ -119,6 +119,71 @@ func TestLoadgenSimChaos(t *testing.T) {
 	}
 }
 
+// TestLoadgenSimFleet200 is the sim arm of the 200-tenant fleet gates (the
+// TCP arm is parcelnet's fleet rows) and the in-module owner of the figures
+// bench/'s sim_fleet workload reproduces at seed 1: the run is a pure function
+// of its config, so the numbers are pinned exactly. A change that moves them
+// changed the simulated system; say so and re-pin here and in bench/.
+func TestLoadgenSimFleet200(t *testing.T) {
+	fleet := LoadgenSimConfig{
+		Tenants:    200,
+		Pages:      4,
+		Seed:       1,
+		Sched:      sched.ConfigONLD,
+		CacheBytes: 256 << 20,
+	}
+	chaos := fleet
+	chaos.OriginFaults, chaos.Resilience = chaosSimConfig().OriginFaults, chaosSimConfig().Resilience
+	rows := []struct {
+		name     string
+		cfg      LoadgenSimConfig
+		p50, p99 time.Duration
+		faults   int   // injected by the origins
+		retries  int64 // fired by the proxy's resilient fetch path
+	}{
+		{name: "fleet", cfg: fleet, p50: 3857766994, p99: 11416513234},
+		{name: "chaos", cfg: chaos, p50: 3507430556, p99: 11622823023, faults: 22, retries: 22},
+	}
+	// Retried fetches land in the same cache entries, so both rows pull the
+	// same bytes from the origins at the same hit rate.
+	const (
+		p99Budget   = 30 * time.Second
+		hitRate     = 0.9801311475409836
+		originBytes = 5111690
+	)
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			res := LoadgenSim(row.cfg)
+			r := res.Report
+			if r.Sessions != 200 || r.Completed != 200 {
+				t.Fatalf("%d/200 tenants completed (%d failed)", r.Completed, r.Failed)
+			}
+			if r.FallbackWriteErrors != 0 {
+				t.Errorf("%d fallback writes silently failed", r.FallbackWriteErrors)
+			}
+			if r.P99 > p99Budget {
+				t.Errorf("p99 %v exceeds budget %v", r.P99, p99Budget)
+			}
+			if f := res.Faults; f.Errors+f.Stalls+f.Partials+f.FlapErrors != row.faults {
+				t.Errorf("origins injected %+v, want %d faults", f, row.faults)
+			}
+			if r.Retries != row.retries {
+				t.Errorf("retries = %d, want %d", r.Retries, row.retries)
+			}
+			if r.P50 != row.p50 || r.P99 != row.p99 {
+				t.Errorf("p50 = %d ns, p99 = %d ns; pinned %d and %d", r.P50, r.P99, row.p50, row.p99)
+			}
+			if r.CacheHitRate != hitRate || r.OriginBytes != originBytes {
+				t.Errorf("hit rate = %v, origin bytes = %d; pinned %v and %d",
+					r.CacheHitRate, r.OriginBytes, hitRate, originBytes)
+			}
+			if r.Deferred != 0 || r.Shed != 0 {
+				t.Errorf("deferred = %d, shed = %d on an arm without admission control", r.Deferred, r.Shed)
+			}
+		})
+	}
+}
+
 // TestLoadgenSimOriginFaultProfiles is the CI chaos job's origin-fault
 // matrix: each profile — outright errors, slow stalls, timed flaps — is run
 // on its own (the job crosses the subtests with CHAOS_SEED), every tenant

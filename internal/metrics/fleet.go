@@ -57,9 +57,9 @@ type SessionLoad struct {
 	Phase int
 }
 
-// FleetReport aggregates a load-generator run: per-session latency
+// FleetReport aggregates a fleet run on either arm: per-session latency
 // percentiles over completed sessions, cache effectiveness, and per-user
-// egress — the schema behind BENCH_loadgen.json.
+// egress.
 type FleetReport struct {
 	Sessions  int
 	Completed int

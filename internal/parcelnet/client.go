@@ -137,8 +137,8 @@ type Client struct {
 	// move off while it shut down, handing back a resume manifest.
 	Drained int
 	// FallbackWriteErrors counts fallback TObjectRequest writes that failed —
-	// requests the proxy never saw. Loadgen gates on this so silent fallback
-	// failures cannot pass as healthy runs.
+	// requests the proxy never saw. The fleet tests gate on this so silent
+	// fallback failures cannot pass as healthy runs.
 	FallbackWriteErrors int
 
 	// FirstAt and CompleteAt are wall-clock milestones. FirstCriticalAt is

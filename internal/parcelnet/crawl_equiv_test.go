@@ -443,27 +443,60 @@ func TestCrossHostReplay(t *testing.T) {
 	}
 }
 
-// TestCrawlMemoRaceStress runs 32 free-running crawls of one page at once —
-// no schedule, real goroutines, timers firing at once — so the race detector
-// sees the shared caches under the contention a busy proxy puts on them.
-// Every crawl must still discover the whole page.
+// freeCrawl runs one free-running crawl of the page at mainURL to idle — real
+// goroutines, no schedule, page timers firing at once — and returns how many
+// URLs it requested: what a warm-cache session costs the proxy before the
+// first byte is scheduled.
+func (st site) freeCrawl(mainURL string) int {
+	idle := make(chan struct{})
+	c := newCrawler(st.fetch, true, func(Object) {}, nil, func() { close(idle) })
+	c.afterFunc = func(_ time.Duration, f func()) stopper { return time.AfterFunc(0, f) }
+	c.start(mainURL)
+	<-idle
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.requested)
+}
+
+// TestCrawlMemoRaceStress runs 32 free-running crawls of one page at once so
+// the race detector sees the shared caches under the contention a busy proxy
+// puts on them. Every crawl must still discover the whole page.
 func TestCrawlMemoRaceStress(t *testing.T) {
 	page := webgen.Generate(webgen.Spec{Seed: 7, NumPages: 4})[1]
-	objects := make([]Object, 0, len(page.Objects))
-	for _, o := range webgenSite(page) {
-		objects = append(objects, o)
-	}
-	cb := NewCrawlBench(page.MainURL, objects)
+	st := webgenSite(page)
 	discovery.Reset()
 	var wg sync.WaitGroup
 	for i := 0; i < 32; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if n := cb.Crawl(); n != page.ObjectCount {
+			if n := st.freeCrawl(page.MainURL); n != page.ObjectCount {
 				t.Errorf("crawl requested %d of %d objects", n, page.ObjectCount)
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// crawlWarmAllocBudget bounds one warm discovery crawl of the benchmark page:
+// cached trees and refs, every cacheable script replayed from the
+// exec-outcome memo. What remains is a closure per requested URL, the
+// resource walk of the main document, and the timer-arming inline script,
+// which always executes. Measured 179 on go1.24, the same plain and under
+// -race, -cover and -tags simdebug.
+const crawlWarmAllocBudget = 250
+
+// TestCrawlWarmAllocBudget fails when a warm crawl starts allocating per
+// script or per object again (the memo bypassed, a cache missed).
+func TestCrawlWarmAllocBudget(t *testing.T) {
+	page := webgen.Generate(webgen.Spec{Seed: 77, NumPages: 4})[2]
+	st := webgenSite(page)
+	if n := st.freeCrawl(page.MainURL); n != page.ObjectCount {
+		t.Fatalf("crawl requested %d of %d objects", n, page.ObjectCount)
+	}
+	if avg := testing.AllocsPerRun(50, func() { st.freeCrawl(page.MainURL) }); avg > crawlWarmAllocBudget {
+		t.Errorf("warm discovery crawl allocates %.0f/op, budget %d", avg, crawlWarmAllocBudget)
+	} else {
+		t.Logf("warm discovery crawl: %.0f allocs/op (budget %d)", avg, crawlWarmAllocBudget)
+	}
 }

@@ -36,9 +36,10 @@ type crawler struct {
 	onLoad   func()       // all onload-blocking work done
 	onIdle   func()       // all work (including timers) done
 
-	// afterFunc arms page timers (time.AfterFunc; the equivalence tests and
-	// CrawlBench substitute their own clock). noMemo runs every script for
-	// real: the reference arm the tests compare the memoised crawl against.
+	// afterFunc arms page timers (time.AfterFunc; the equivalence and
+	// alloc-budget tests substitute their own clock). noMemo runs every
+	// script for real: the reference arm the tests compare the memoised crawl
+	// against.
 	afterFunc func(time.Duration, func()) stopper
 	noMemo    bool
 

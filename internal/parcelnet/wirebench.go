@@ -1,14 +1,12 @@
 package parcelnet
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
-// WireBench exposes the parcelmux encode/decode hot path to parcel-bench so
-// the steady-state per-frame cost can be gated at zero allocations per
-// operation. The mux internals are deliberately unexported; this harness is
-// the one sanctioned way to drive them from outside the package.
+// WireBench exposes the parcelmux encode/decode hot path to the benchmark
+// module (bench/layers.go) and to TestWireBenchAllocFree, which gates the
+// steady-state per-frame cost at zero allocations per operation. The mux
+// internals are deliberately unexported; this harness is the one sanctioned
+// way to drive them from outside the package.
 //
 // EncodeStep cycles one sender over a fixed body: each call assembles the
 // next frame into the sender's reusable scratch, and when the stream ends it
@@ -89,39 +87,4 @@ func (wb *WireBench) DecodeStep() (int, error) {
 		return len(payload), err
 	}
 	return 0, fmt.Errorf("parcelnet: WireBench cycle holds unexpected frame type %d", f[0])
-}
-
-// CrawlBench exposes one session's discovery crawl to parcel-bench the same
-// way: each Crawl runs a fresh crawler over an in-memory page to idle, page
-// timers firing at once, which is what a warm-cache session costs the proxy
-// before the first byte is scheduled.
-type CrawlBench struct {
-	mainURL string
-	objects map[string]Object
-}
-
-// NewCrawlBench builds a harness crawling objects from mainURL.
-func NewCrawlBench(mainURL string, objects []Object) *CrawlBench {
-	cb := &CrawlBench{mainURL: mainURL, objects: make(map[string]Object, len(objects))}
-	for _, o := range objects {
-		cb.objects[o.URL] = o
-	}
-	return cb
-}
-
-// Crawl crawls the page once and returns how many URLs it requested.
-func (cb *CrawlBench) Crawl() int {
-	idle := make(chan struct{})
-	c := newCrawler(func(url string) ([]byte, string, int, error) {
-		if o, ok := cb.objects[url]; ok {
-			return o.Body, o.ContentType, 200, nil
-		}
-		return nil, "", 404, nil
-	}, true, func(Object) {}, nil, func() { close(idle) })
-	c.afterFunc = func(_ time.Duration, f func()) stopper { return time.AfterFunc(0, f) }
-	c.start(cb.mainURL)
-	<-idle
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.requested)
 }
