@@ -90,7 +90,7 @@ type completeNote struct {
 
 	// OriginRetries/StaleServes surface the resilient fetch path's work for
 	// this session: re-attempts against failing origins, and objects served
-	// from a stale cache entry. Zero unless ProxyConfig.Resilience is set.
+	// from a stale cache entry.
 	OriginRetries int
 	StaleServes   int
 }

@@ -39,17 +39,13 @@ type ProxyConfig struct {
 	// fleet of tenants loading the same page pulls each object from the
 	// origin once. nil (the default) fetches every object from the origin.
 	Cache *objcache.Cache
-	// Resilience, when non-nil, arms the internal/resilience discipline on
-	// every origin fetch: per-attempt deadlines, jittered-backoff retries,
-	// and a per-origin circuit breaker — plus, with Cache set,
-	// serve-stale-on-error and negative caching. nil (the default) runs the
-	// same fetch path inert: no deadline event, no breaker, and every origin
-	// status passed through as the answer. The figure sweeps leave it nil
-	// (arming it costs a scheduled-and-cancelled deadline per object); the
-	// chaos harness sets it. The retry backoff is the only RNG consumer and
-	// it draws strictly after a failure, so fault-free runs are identical
-	// either way.
-	Resilience *resilience.Policy
+	// Resilience is the internal/resilience discipline every origin fetch
+	// runs under: per-attempt deadlines, jittered-backoff retries and a
+	// per-origin circuit breaker — plus, with Cache set, serve-stale-on-error
+	// and negative caching. Zero fields take the resilience defaults. The
+	// retry backoff is the only RNG consumer and it draws strictly after a
+	// failure, so the policy's values cannot move a fault-free run.
+	Resilience resilience.Policy
 }
 
 // DefaultProxyConfig returns the evaluation defaults (IND schedule).
@@ -72,25 +68,12 @@ type Proxy struct {
 	// Sessions lists per-connection session states (instrumentation).
 	Sessions []*ProxySession
 
-	// flights joins concurrent cache-miss fetches of one URL across
-	// sessions (single-flight): the origin is asked once, every waiting
-	// session is delivered at arrival. Only allocated when cfg.Cache is set.
-	flights map[string]*simFlight
-
-	// resil holds the per-origin circuit breakers. Only allocated when
-	// cfg.Resilience is set.
+	// resil holds the per-origin circuit breakers.
 	resil *resilience.Group
 }
 
-// Resilience exposes the proxy's breaker group for harness-level accounting
-// (nil unless ProxyConfig.Resilience was set).
+// Resilience exposes the proxy's breaker group for harness-level accounting.
 func (p *Proxy) Resilience() *resilience.Group { return p.resil }
-
-// simFlight is one in-progress shared-cache origin fetch; waiters are the
-// sessions that requested the URL while it was already on the wire.
-type simFlight struct {
-	waiters []*cachedDelivery
-}
 
 // StartProxy installs the proxy listener.
 func StartProxy(topo *scenario.Topology, cfg ProxyConfig) *Proxy {
@@ -100,18 +83,10 @@ func StartProxy(topo *scenario.Topology, cfg ProxyConfig) *Proxy {
 	if cfg.CPU == (browser.CPUModel{}) {
 		cfg.CPU = browser.ProxyCPU()
 	}
-	p := &Proxy{topo: topo, cfg: cfg}
-	if cfg.Cache != nil {
-		p.flights = make(map[string]*simFlight)
+	if err := cfg.Resilience.Validate(); err != nil {
+		panic("core: bad resilience policy: " + err.Error())
 	}
-	if cfg.Resilience != nil {
-		pol := cfg.Resilience.WithDefaults()
-		if err := pol.Validate(); err != nil {
-			panic("core: bad resilience policy: " + err.Error())
-		}
-		p.cfg.Resilience = &pol
-		p.resil = resilience.NewGroup(pol)
-	}
+	p := &Proxy{topo: topo, cfg: cfg, resil: resilience.NewGroup(cfg.Resilience)}
 	topo.Proxy.Listen(func(c *simnet.Conn) {
 		s := &ProxySession{proxy: p, conn: c}
 		p.Sessions = append(p.Sessions, s)
@@ -163,11 +138,11 @@ type ProxySession struct {
 	CacheMisses int
 	OriginBytes int64
 
-	// Resilient-path accounting (zero unless ProxyConfig.Resilience is set):
-	// OriginRetries counts origin re-attempts made on this session's behalf,
-	// StaleServes counts objects served from a stale cache entry because the
-	// origin failed past its retry budget, and BreakerFastFails counts
-	// fetches refused outright by an open per-origin breaker.
+	// Resilient-path accounting: OriginRetries counts origin re-attempts made
+	// on this session's behalf, StaleServes counts objects served from a
+	// stale cache entry because the origin failed past its retry budget, and
+	// BreakerFastFails counts fetches refused outright by an open per-origin
+	// breaker.
 	OriginRetries    int
 	StaleServes      int
 	BreakerFastFails int
@@ -180,85 +155,27 @@ type proxyFetcher struct {
 	client *httpsim.Client
 }
 
-// Fetch is the session's one origin-fetch path: the HTTPS skip, then the
-// shared cache (fresh hit, join of an in-flight fetch, or negative-cache
-// refusal), then the per-origin breaker, then the origin itself under the
-// retry discipline of resilient.go. Without a cache or a policy the
-// corresponding steps are skipped, not replaced.
+// Fetch is the engine's entry to the session's one origin-fetch procedure
+// (resilient.go), after the HTTPS skip.
 func (f *proxyFetcher) Fetch(url string, cb func(browser.Result)) {
-	p := f.s.proxy
-	sim := p.topo.Sim
-	now := sim.Now()
 	if isHTTPS(url) {
 		// The proxy cannot parse encrypted traffic; the client fetches
 		// these itself over the fallback path (§4.5).
 		f.s.SkippedHTTPS++
-		cb(browser.Result{URL: url, Status: 204, At: now})
+		cb(browser.Result{URL: url, Status: 204, At: f.s.proxy.topo.Sim.Now()})
 		return
 	}
-	c := p.cfg.Cache
-	if c != nil {
-		if obj, lk := c.ProbeAt(url, now); lk == objcache.LookupFresh {
-			f.s.CacheHits++
-			// Deliver asynchronously at proxy-local time: the engine's fetch
-			// contract is callback-after-return, and a hit skips the
-			// proxy↔origin round trip entirely.
-			sim.ScheduleArgAt(now, deliverCachedObject, &cachedDelivery{s: f.s, obj: obj, cb: cb})
-			return
-		}
-		if fl, ok := p.flights[url]; ok {
-			// Single-flight: another session already has this URL on the
-			// wire; join its fetch instead of duplicating it. A join counts
-			// as a hit (the session paid no origin traffic), the same rule
-			// the real-TCP arm books.
-			f.s.CacheHits++
-			fl.waiters = append(fl.waiters, &cachedDelivery{s: f.s, cb: cb})
-			return
-		}
-		if c.NegativeActive(url, now) {
-			// The URL's recent hard failure is still negatively cached: serve
-			// stale or fail fast, but do not contact the origin.
-			f.failWithoutOrigin(url, cb)
-			return
-		}
-	}
-	var br *resilience.Breaker
-	if p.resil != nil {
-		domain, _ := httpsim.SplitURL(url)
-		br = p.resil.For(domain)
-		if !br.Allow(now) {
-			f.s.BreakerFastFails++
-			f.failWithoutOrigin(url, cb)
-			return
-		}
-	}
-	if c != nil {
-		p.flights[url] = &simFlight{}
-		f.s.CacheMisses++
-	}
-	f.issueAttempt(&originAttempt{f: f, url: url, cb: cb, br: br})
+	f.fetch(url, toEngine, cb)
 }
 
-// cachedDelivery carries one cache hit to its continuation (the noclosure
-// ScheduleArgAt idiom: package-level func + typed argument, no capture).
-type cachedDelivery struct {
-	s   *ProxySession
-	obj objcache.Object
-	cb  func(browser.Result)
-}
-
-// deliverCachedObject hands a cache-resident object to the session exactly as
-// an origin response would arrive: collected (bundled + cached for fallback)
-// and then surfaced to the engine.
-func deliverCachedObject(arg any) {
-	d := arg.(*cachedDelivery)
-	at := d.s.proxy.topo.Sim.Now()
-	it := sched.Item{
-		URL: d.obj.URL, ContentType: d.obj.ContentType, Status: d.obj.Status,
-		Body: d.obj.Body, ArrivedAt: at,
+// toEngine is an engine fetch's continuation: the object is collected (bundled,
+// and kept for fallback requests) before the engine processes it; a failed
+// fetch surfaces as a degraded object, not a hung page.
+func toEngine(of *originFetch, it sched.Item, ok bool) {
+	if ok {
+		of.f.s.collect(it)
 	}
-	d.s.collect(it)
-	d.cb(browser.Result{URL: it.URL, Status: it.Status, ContentType: it.ContentType, Body: it.Body, At: at})
+	of.cb(resultFromItem(it, it.ArrivedAt))
 }
 
 func (s *ProxySession) onMessage(m simnet.Message) {
@@ -431,18 +348,20 @@ func (s *ProxySession) sendBundle(items []sched.Item, reason sched.FlushReason) 
 func (s *ProxySession) serveFallback(url string) {
 	s.FallbacksSeen++
 	if it, ok := s.cache[url]; ok {
-		rsp := objectResponse{Item: it}
-		s.conn.Send(s.proxy.topo.Proxy, rsp.wireSize(), rsp, labelBundle, nil)
+		s.answerFallback(it)
 		return
 	}
-	s.fetchForFallback(url)
+	s.fetcher.fetch(url, toFallbackRequest, nil)
 }
 
-func (s *ProxySession) fetchForFallback(url string) {
-	s.fetcher.client.Do(httpsim.Request{Method: "GET", URL: url}, func(resp httpsim.Response, at time.Duration) {
-		it := sched.Item{URL: resp.URL, ContentType: resp.ContentType, Status: resp.Status, Body: resp.Body, ArrivedAt: at}
-		s.storeItem(url, it)
-		rsp := objectResponse{Item: it}
-		s.conn.Send(s.proxy.topo.Proxy, rsp.wireSize(), rsp, labelBundle, nil)
-	})
+// toFallbackRequest is a §4.5 fallback fetch's continuation: the object is
+// kept for later requests and answers the client's objectRequest.
+func toFallbackRequest(of *originFetch, it sched.Item, _ bool) {
+	of.f.s.storeItem(of.url, it)
+	of.f.s.answerFallback(it)
+}
+
+func (s *ProxySession) answerFallback(it sched.Item) {
+	rsp := objectResponse{Item: it}
+	s.conn.Send(s.proxy.topo.Proxy, rsp.wireSize(), rsp, labelBundle, nil)
 }

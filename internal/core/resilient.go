@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"time"
 
 	"github.com/parcel-go/parcel/internal/browser"
@@ -11,209 +12,174 @@ import (
 	"github.com/parcel-go/parcel/internal/sched"
 )
 
-// This file is the retry discipline behind proxyFetcher.Fetch, the
-// virtual-clock twin of parcelnet's resilientFetcher: per-attempt deadlines, a
-// jittered-backoff retry budget, a per-origin circuit breaker, and — with the
-// shared cache — serve-stale-on-error and negative caching. With a nil
-// ProxyConfig.Resilience the first attempt's answer is final whatever its
-// status, so none of the failure machinery below is reachable; the retry
-// backoff draws the simulator RNG only after a failure, so fault-free runs
-// consume exactly the same RNG stream with or without a policy.
+// This file is the virtual-clock driver of the origin-fetch procedure, the
+// twin of parcelnet's blocking resilientFetcher.do + GetOrFetchStale. What the
+// procedure decides lives elsewhere: objcache.Begin / Flight.Settle own fresh /
+// negative / join / lead / stale-or-fail, resilience.Attempt owns attempt /
+// retry / breaker. Here are only the event loop's hands: an Issue is an
+// httpsim request raced by a scheduled deadline, a Wait is a scheduled event,
+// and the resolution goes to the fetch's continuation. The backoff draw is the
+// only RNG the procedure consumes and it happens strictly after a failure, so
+// fault-free runs leave the simulator's RNG stream untouched.
 
-// originAttempt tracks one origin fetch across its retries. gen invalidates
-// the straggler callbacks of an abandoned attempt: the deadline and the
-// origin response race, and whichever resolves the attempt first bumps gen so
-// the loser finds itself stale and returns.
-type originAttempt struct {
+// errOriginFailed settles a fetch whose retry budget is spent.
+var errOriginFailed = errors.New("core: origin failed past the retry budget")
+
+// originFetch is one run of the procedure for one session.
+type originFetch struct {
 	f   *proxyFetcher
 	url string
-	cb  func(browser.Result)
-	br  *resilience.Breaker // nil without a policy
+	// done is the fetch's continuation: it receives the resolved object, or
+	// with ok false a bodiless 502 when the origin failed and nothing stale
+	// was resident. cb is the engine's callback, for done == toEngine.
+	done func(of *originFetch, it sched.Item, ok bool)
+	cb   func(browser.Result)
 
-	attempt  int // attempts issued so far (1-based once running)
+	// flight is set when this fetch leads the shared cache's flight for url.
+	flight *objcache.Flight
+	try    resilience.Attempt
+	// gen invalidates the loser of the race between an attempt's response and
+	// its deadline: whichever resolves the attempt first bumps it.
 	gen      int
 	deadline *eventsim.Event
+	// early is a resolution Begin returned itself, awaiting delivery.
+	early objcache.Result
 }
 
-// failWithoutOrigin resolves a fetch that must not touch the origin (open
-// breaker or active negative cache): the stale resident body when there is
-// one, else a degraded 502 delivered synchronously like the HTTPS skip.
-func (f *proxyFetcher) failWithoutOrigin(url string, cb func(browser.Result)) {
+// fetch runs the procedure for url and hands the outcome to done: shared
+// cache first (fresh hit, negative-cache answer, or join of the flight already
+// open), then, as the flight's leader, the origin under the retry discipline.
+// Without a cache the cache steps are skipped, not replaced.
+func (f *proxyFetcher) fetch(url string, done func(*originFetch, sched.Item, bool), cb func(browser.Result)) {
 	p := f.s.proxy
 	sim := p.topo.Sim
+	of := &originFetch{f: f, url: url, done: done, cb: cb}
 	if c := p.cfg.Cache; c != nil {
-		if obj, ok := c.ServeStale(url); ok {
-			f.s.CacheHits++
-			f.s.StaleServes++
-			sim.ScheduleArgAt(sim.Now(), deliverCachedObject, &cachedDelivery{s: f.s, obj: obj, cb: cb})
+		res, fl := c.Begin(url, sim.Now(), of.resolved)
+		if fl == nil {
+			if res.Outcome != objcache.OutcomePending {
+				// Deliver asynchronously at proxy-local time: the engine's fetch
+				// contract is callback-after-return, and an answer from the
+				// cache skips the proxy↔origin round trip entirely.
+				of.early = res
+				sim.ScheduleArgAt(sim.Now(), deliverEarly, of)
+			}
 			return
 		}
-		f.s.CacheMisses++
+		of.flight = fl
 	}
-	cb(browser.Result{URL: url, Status: 502, At: sim.Now()})
+	domain, _ := httpsim.SplitURL(url)
+	of.try = p.resil.Attempt(domain)
+	of.step(of.try.Start(sim.Now()))
 }
 
-// issueAttempt sends one origin request with a deadline racing it.
-func (f *proxyFetcher) issueAttempt(a *originAttempt) {
-	p := f.s.proxy
-	sim := p.topo.Sim
-	a.attempt++
-	a.gen++
-	gen := a.gen
-	if pol := p.cfg.Resilience; pol != nil && pol.Timeout > 0 {
+// deliverEarly, originDeadline and originBackoffElapsed are the procedure's
+// scheduled continuations (the noclosure ScheduleArgAt idiom: package-level
+// func + typed argument, no capture).
+func deliverEarly(arg any) {
+	of := arg.(*originFetch)
+	of.resolved(of.early)
+}
+
+func originDeadline(arg any) {
+	of := arg.(*originFetch)
+	of.gen++ // the pending response is a straggler now
+	sim := of.f.s.proxy.topo.Sim
+	of.step(of.try.TimedOut(sim.Now(), sim.Rand()))
+}
+
+func originBackoffElapsed(arg any) {
+	of := arg.(*originFetch)
+	of.step(of.try.Start(of.f.s.proxy.topo.Sim.Now()))
+}
+
+// step carries out one instruction of the attempt stepper.
+func (of *originFetch) step(st resilience.Step) {
+	s := of.f.s
+	sim := s.proxy.topo.Sim
+	switch st.Action {
+	case resilience.Issue:
+		if of.try.Issued() > 1 {
+			s.OriginRetries++
+		}
+		of.gen++
+		gen := of.gen
 		//parcelvet:allow pooldiscipline(Event handles are arena-backed and valid for the simulator's lifetime; the field only holds the handle so the response can Cancel its deadline)
-		a.deadline = sim.ScheduleArgAt(sim.Now()+pol.Timeout, originAttemptDeadline, a)
+		of.deadline = sim.ScheduleArgAt(sim.Now()+st.After, originDeadline, of)
+		of.f.client.Do(httpsim.Request{Method: "GET", URL: of.url}, func(resp httpsim.Response, _ time.Duration) {
+			of.responded(gen, resp)
+		})
+	case resilience.Wait:
+		sim.ScheduleArgAt(sim.Now()+st.After, originBackoffElapsed, of)
+	case resilience.Refused:
+		s.BreakerFastFails++
+		of.settle(httpsim.Response{}, resilience.ErrOpen)
+	case resilience.Failed:
+		of.settle(httpsim.Response{}, errOriginFailed)
 	}
-	f.client.Do(httpsim.Request{Method: "GET", URL: a.url}, func(resp httpsim.Response, at time.Duration) {
-		f.attemptResponded(a, gen, resp, at)
-	})
 }
 
-// attemptResponded resolves an attempt with the origin's answer — unless the
-// deadline got there first, in which case the response is a straggler.
-func (f *proxyFetcher) attemptResponded(a *originAttempt, gen int, resp httpsim.Response, at time.Duration) {
-	if gen != a.gen {
+// responded reports an attempt's answer to the stepper — unless the deadline
+// got there first, in which case the response is a straggler.
+func (of *originFetch) responded(gen int, resp httpsim.Response) {
+	if gen != of.gen {
 		return
 	}
-	if a.deadline != nil {
-		a.deadline.Cancel()
-		a.deadline = nil
-	}
-	now := f.s.proxy.topo.Sim.Now()
-	switch {
-	case a.br == nil:
-		// No policy: the origin's answer is the object, whatever its status.
-	case resp.Status >= 500:
-		a.br.Failure(now)
-		f.attemptFailed(a, resp)
-		return
-	default:
-		a.br.Success(now)
-	}
-	f.finishSuccess(a, resp, at)
-}
-
-// originAttemptDeadline fires when an attempt's per-request deadline passes
-// before its response: the attempt is charged as a failure and the pending
-// response invalidated (the noclosure ScheduleArgAt idiom: package-level
-// func + typed argument).
-func originAttemptDeadline(arg any) {
-	a := arg.(*originAttempt)
-	a.deadline = nil
-	a.gen++
-	f := a.f
-	now := f.s.proxy.topo.Sim.Now()
-	a.br.Failure(now)
-	f.attemptFailed(a, httpsim.Response{URL: a.url, Status: 504})
-}
-
-// attemptFailed routes a failed attempt: retry after jittered backoff while
-// budget remains, else resolve terminally. The backoff draw is the only RNG
-// this file consumes, and it happens strictly after a failure.
-func (f *proxyFetcher) attemptFailed(a *originAttempt, resp httpsim.Response) {
-	p := f.s.proxy
-	sim := p.topo.Sim
-	pol := p.cfg.Resilience
-	if a.attempt > pol.MaxRetries {
-		f.finishFailure(a, resp)
+	of.deadline.Cancel()
+	sim := of.f.s.proxy.topo.Sim
+	if st := of.try.Responded(sim.Now(), resp.Status, nil, sim.Rand()); st.Action != resilience.Done {
+		of.step(st)
 		return
 	}
-	delay := pol.Backoff(a.attempt, sim.Rand())
-	sim.ScheduleArgAt(sim.Now()+delay, retryOriginAttempt, a)
+	of.f.s.OriginBytes += int64(len(resp.Body))
+	of.settle(resp, nil)
 }
 
-// retryOriginAttempt re-issues a fetch after its backoff — unless the breaker
-// opened in the meantime (our own failures, or other sessions failing on the
-// same origin), in which case it resolves terminally without dialing.
-func retryOriginAttempt(arg any) {
-	a := arg.(*originAttempt)
-	f := a.f
-	now := f.s.proxy.topo.Sim.Now()
-	if !a.br.Allow(now) {
-		f.s.BreakerFastFails++
-		f.finishFailure(a, httpsim.Response{URL: a.url, Status: 503})
+// settle ends the origin leg with the origin's answer or the reason there is
+// none. The flight's leader hands it to the cache, which stores or negatively
+// caches it, resolves stale-or-fail, and resolves this fetch and every joiner.
+func (of *originFetch) settle(resp httpsim.Response, err error) {
+	res := objcache.Result{Outcome: objcache.OutcomeFailed, Err: err}
+	if err == nil {
+		res = objcache.Result{Outcome: objcache.OutcomeFetched, Obj: objcache.Object{
+			URL: resp.URL, ContentType: resp.ContentType, Status: resp.Status, Body: resp.Body,
+		}}
+	}
+	if of.flight == nil {
+		of.resolved(res)
 		return
 	}
-	f.s.OriginRetries++
-	f.issueAttempt(a)
+	if err == nil {
+		res.Obj.Validator = resp.ETag()
+	}
+	of.flight.Settle(res.Obj, err, of.f.s.proxy.topo.Sim.Now())
 }
 
-// finishSuccess publishes a response: cache, driving session, then every
-// flight joiner in join order (deterministic: appends follow event order).
-func (f *proxyFetcher) finishSuccess(a *originAttempt, resp httpsim.Response, at time.Duration) {
-	p := f.s.proxy
-	fl := f.resolveFlight(a.url)
-	f.s.OriginBytes += int64(len(resp.Body))
-	if c := p.cfg.Cache; c != nil {
-		c.PutAt(objcache.Object{
-			URL: resp.URL, ContentType: resp.ContentType, Status: resp.Status,
-			Validator: resp.ETag(), Body: resp.Body,
-		}, p.topo.Sim.Now())
-	}
-	it := sched.Item{
-		URL: resp.URL, ContentType: resp.ContentType, Status: resp.Status,
-		Body: resp.Body, ArrivedAt: at,
-	}
-	f.s.collect(it)
-	a.cb(resultFromItem(it, at))
-	if fl != nil {
-		for _, w := range fl.waiters {
-			w.s.collect(it)
-			w.cb(resultFromItem(it, at))
+// resolved is the procedure's one exit — leader, joiner, cache answer and
+// cacheless fetch alike: book the session's accounting, then run the
+// continuation.
+func (of *originFetch) resolved(res objcache.Result) {
+	s := of.f.s
+	now := s.proxy.topo.Sim.Now()
+	ok := res.Outcome != objcache.OutcomeFailed
+	if s.proxy.cfg.Cache != nil {
+		// A session-level hit is any fetch that cost this session no origin
+		// transfer — a resident entry, a stale serve (tagged separately as the
+		// degradation it is), or joining another session's flight: the rule
+		// the real-TCP arm books.
+		if led := of.flight != nil; ok && !(led && res.Outcome == objcache.OutcomeFetched) {
+			s.CacheHits++
+		} else {
+			s.CacheMisses++
 		}
 	}
-}
-
-// finishFailure resolves a fetch whose retry budget is spent: negatively
-// cache the failure, then serve the stale resident body to the driving
-// session and every joiner, or surface the failure status when nothing is
-// resident (a degraded object, not a hung page).
-func (f *proxyFetcher) finishFailure(a *originAttempt, resp httpsim.Response) {
-	p := f.s.proxy
-	sim := p.topo.Sim
-	now := sim.Now()
-	fl := f.resolveFlight(a.url)
-	c := p.cfg.Cache
-	if c != nil {
-		c.NoteFailure(a.url, now)
-		if obj, ok := c.ServeStale(a.url); ok {
-			f.s.StaleServes++
-			it := sched.Item{
-				URL: obj.URL, ContentType: obj.ContentType, Status: obj.Status,
-				Body: obj.Body, ArrivedAt: now,
-			}
-			f.s.collect(it)
-			a.cb(resultFromItem(it, now))
-			if fl != nil {
-				for _, w := range fl.waiters {
-					w.s.StaleServes++
-					w.s.collect(it)
-					w.cb(resultFromItem(it, now))
-				}
-			}
-			return
-		}
+	if res.Outcome == objcache.OutcomeStale {
+		s.StaleServes++
 	}
-	status := resp.Status
-	if status < 500 {
-		status = 502
+	it := sched.Item{URL: of.url, Status: 502, ArrivedAt: now}
+	if ok {
+		o := res.Obj
+		it = sched.Item{URL: o.URL, ContentType: o.ContentType, Status: o.Status, Body: o.Body, ArrivedAt: now}
 	}
-	a.cb(browser.Result{URL: a.url, Status: status, At: now})
-	if fl != nil {
-		for _, w := range fl.waiters {
-			w.cb(browser.Result{URL: a.url, Status: status, At: now})
-		}
-	}
-}
-
-// resolveFlight detaches and returns the in-progress flight for url (nil
-// without the shared cache).
-func (f *proxyFetcher) resolveFlight(url string) *simFlight {
-	p := f.s.proxy
-	if p.cfg.Cache == nil {
-		return nil
-	}
-	fl := p.flights[url]
-	delete(p.flights, url)
-	return fl
+	of.done(of, it, ok)
 }

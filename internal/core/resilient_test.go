@@ -8,12 +8,13 @@ import (
 	"github.com/parcel-go/parcel/internal/objcache"
 	"github.com/parcel-go/parcel/internal/resilience"
 	"github.com/parcel-go/parcel/internal/scenario"
+	"github.com/parcel-go/parcel/internal/webgen"
 )
 
 // testResiliencePolicy is a permissive policy for tests that exercise
 // retries without tripping the breaker.
-func testResiliencePolicy() *resilience.Policy {
-	return &resilience.Policy{
+func testResiliencePolicy() resilience.Policy {
+	return resilience.Policy{
 		Timeout:          10 * time.Second,
 		MaxRetries:       5,
 		BackoffBase:      500 * time.Millisecond,
@@ -68,7 +69,7 @@ func TestSimResilientBreakerOpens(t *testing.T) {
 	params.OriginFaults = httpsim.OriginFaults{ErrorRate: 1}
 	topo := scenario.Build(page, params)
 	pc := DefaultProxyConfig()
-	pc.Resilience = &resilience.Policy{
+	pc.Resilience = resilience.Policy{
 		Timeout:          5 * time.Second,
 		MaxRetries:       4,
 		BackoffBase:      100 * time.Millisecond,
@@ -104,7 +105,7 @@ func TestSimResilientServesStaleWhenOriginFails(t *testing.T) {
 		FreshFor: time.Nanosecond, // everything is stale by the next load
 		NegTTL:   time.Second,
 	})
-	pc.Resilience = &resilience.Policy{
+	pc.Resilience = resilience.Policy{
 		Timeout:          5 * time.Second,
 		MaxRetries:       0,
 		FailureThreshold: 1 << 30, // keep the breaker out of this test
@@ -146,5 +147,45 @@ func TestSimResilientServesStaleWhenOriginFails(t *testing.T) {
 	st := pc.Cache.Stats()
 	if st.StaleServes == 0 {
 		t.Errorf("cache recorded no stale serves: %+v", st)
+	}
+}
+
+// TestFallbackFetchRunsTheFetchProcedure: a §4.5 fallback request for a URL
+// the proxy never saw (the client's JS derived a different random URL) goes
+// through the session's one fetch procedure, so it is on the session's books
+// like any other origin fetch — a miss, its bytes in OriginBytes — and the
+// client is answered.
+func TestFallbackFetchRunsTheFetchProcedure(t *testing.T) {
+	var page webgen.Page
+	for _, p := range webgen.Generate(webgen.Spec{Seed: 99, NumPages: 34}) {
+		if p.HasRandomURL {
+			page = p
+			break
+		}
+	}
+	topo := scenario.Build(page, scenario.DefaultParams())
+	pc := DefaultProxyConfig()
+	pc.Cache = objcache.New(objcache.Config{Capacity: 64 << 20})
+	proxy := StartProxy(topo, pc)
+	cc := DefaultClientConfig()
+	cc.FixedRandom = false
+	client := NewClient(topo, cc)
+	client.Load()
+	if _, ok := client.Engine.CompleteAt(); !ok {
+		t.Fatal("client stalled on missing object")
+	}
+	sess := proxy.Sessions[0]
+	if client.Fallbacks == 0 || sess.FallbacksSeen != client.Fallbacks {
+		t.Fatalf("client sent %d fallback requests, proxy saw %d; want at least one", client.Fallbacks, sess.FallbacksSeen)
+	}
+	// One session on an empty cache: everything it holds, pushed or fetched
+	// for a fallback request, it fetched from the origin itself.
+	var held int64
+	for _, it := range sess.cache {
+		held += int64(len(it.Body))
+	}
+	if sess.CacheMisses != len(sess.cache) || sess.CacheHits != 0 || sess.OriginBytes != held {
+		t.Errorf("session booked %d misses, %d hits, %d origin bytes; it holds %d objects of %d bytes",
+			sess.CacheMisses, sess.CacheHits, sess.OriginBytes, len(sess.cache), held)
 	}
 }

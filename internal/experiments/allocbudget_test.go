@@ -15,13 +15,13 @@ import (
 // engine's resources — shared arenas, the exec-outcome memo and collector
 // scratch amortized across loads, exactly what one page costs a sweep worker.
 // Before the pooling work the same load took 29,634 allocations. Measured on
-// go1.24: 2444 plain and under -cover, 2494 (every run) under -race, and
-// 44,636 under -tags simdebug, whose owner checks parse runtime.Stack on every
+// go1.24: 2446 plain and under -cover, 2496 (every run) under -race, and
+// about 45,000 under -tags simdebug, whose owner checks parse runtime.Stack on every
 // schedule and step — hence this file's build constraint.
 const pageLoadAllocBudget = 2500
 
 // TestPageLoadAllocBudget fails when the sim fetch path grows a per-object or
-// per-packet allocation: the load sits ~55 under its budget.
+// per-packet allocation: the load sits ~55 under its budget, 4 under -race.
 func TestPageLoadAllocBudget(t *testing.T) {
 	page := webgen.Generate(webgen.Spec{Seed: 77, NumPages: 4})[2]
 	res := scenario.NewResources()

@@ -42,13 +42,13 @@ type LoadgenSimConfig struct {
 	// arm). The zero value injects nothing and keeps the run bit-identical to
 	// the pinned fleet figures (TestLoadgenSimFleet200).
 	OriginFaults httpsim.OriginFaults
-	// Resilience, when set, arms the proxy's origin-fetch discipline:
-	// per-attempt deadlines, retry budget, per-origin breakers. Nil runs the
-	// same fetch path inert (see core.ProxyConfig.Resilience).
-	Resilience *resilience.Policy
+	// Resilience is the proxy's origin-fetch discipline: per-attempt
+	// deadlines, retry budget, per-origin breakers. Zero fields take the
+	// resilience defaults (see core.ProxyConfig.Resilience).
+	Resilience resilience.Policy
 	// CacheFreshFor is the shared cache's freshness window — entries older
-	// than it revalidate at the origin and, under Resilience, serve stale when
-	// the origin is failing. 0 means entries never go stale.
+	// than it revalidate at the origin and serve stale when the origin is
+	// failing. 0 means entries never go stale.
 	CacheFreshFor time.Duration
 }
 
@@ -108,11 +108,10 @@ func loadgenSim(cfg LoadgenSimConfig, pools *scenario.Resources) LoadgenSimResul
 	pc.Resilience = cfg.Resilience
 	var cache *objcache.Cache
 	if cfg.CacheBytes > 0 {
-		ccfg := objcache.Config{Capacity: cfg.CacheBytes, FreshFor: cfg.CacheFreshFor}
-		if cfg.Resilience != nil {
-			ccfg.NegTTL = cfg.Resilience.WithDefaults().NegTTL
-		}
-		cache = objcache.New(ccfg)
+		cache = objcache.New(objcache.Config{
+			Capacity: cfg.CacheBytes, FreshFor: cfg.CacheFreshFor,
+			NegTTL: cfg.Resilience.WithDefaults().NegTTL,
+		})
 		pc.Cache = cache
 	}
 	proxy := core.StartProxy(fleet.Topology, pc)
@@ -133,9 +132,7 @@ func loadgenSim(cfg LoadgenSimConfig, pools *scenario.Resources) LoadgenSimResul
 	if cache != nil {
 		res.Cache = cache.Stats()
 	}
-	if g := proxy.Resilience(); g != nil {
-		res.Report.BreakerOpens = g.Opens()
-	}
+	res.Report.BreakerOpens = proxy.Resilience().Opens()
 	for _, srv := range fleet.Origins {
 		fs := srv.FaultStats()
 		res.Faults.Errors += fs.Errors

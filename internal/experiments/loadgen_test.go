@@ -89,7 +89,7 @@ func chaosSimConfig() LoadgenSimConfig {
 			ErrorRate: 0.05,
 			Flaps:     []httpsim.FlapWindow{{Start: 0, End: 300 * time.Millisecond}},
 		},
-		Resilience: &resilience.Policy{
+		Resilience: resilience.Policy{
 			Timeout:          10 * time.Second,
 			MaxRetries:       5,
 			BackoffBase:      200 * time.Millisecond,
@@ -140,9 +140,10 @@ func TestLoadgenSimFleet200(t *testing.T) {
 		p50, p99 time.Duration
 		faults   int   // injected by the origins
 		retries  int64 // fired by the proxy's resilient fetch path
+		shared   int64 // fetches that joined another session's flight
 	}{
-		{name: "fleet", cfg: fleet, p50: 3857766994, p99: 11416513234},
-		{name: "chaos", cfg: chaos, p50: 3507430556, p99: 11622823023, faults: 22, retries: 22},
+		{name: "fleet", cfg: fleet, p50: 3857766994, p99: 11416513234, shared: 7366},
+		{name: "chaos", cfg: chaos, p50: 3507430556, p99: 11622823023, faults: 22, retries: 22, shared: 9092},
 	}
 	// Retried fetches land in the same cache entries, so both rows pull the
 	// same bytes from the origins at the same hit rate.
@@ -150,6 +151,7 @@ func TestLoadgenSimFleet200(t *testing.T) {
 		p99Budget   = 30 * time.Second
 		hitRate     = 0.9801311475409836
 		originBytes = 5111690
+		entries     = 308 // distinct objects across the four pages
 	)
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -179,6 +181,24 @@ func TestLoadgenSimFleet200(t *testing.T) {
 			}
 			if r.Deferred != 0 || r.Shed != 0 {
 				t.Errorf("deferred = %d, shed = %d on an arm without admission control", r.Deferred, r.Shed)
+			}
+			// The cache's own books reconcile with the sessions': every miss
+			// that did not join a flight led the one fetch that stored its
+			// entry, nothing was served degraded, and a session hit is a
+			// resident entry or a joined flight. Sessions book into their
+			// completion note, so fetches landing after it (page timers) are on
+			// the cache's books only.
+			c := res.Cache
+			if c.Shared != row.shared || c.Misses-c.Shared != entries || c.Entries != entries {
+				t.Errorf("cache shared = %d, misses - shared = %d, entries = %d; pinned %d, %d, %d",
+					c.Shared, c.Misses-c.Shared, c.Entries, row.shared, entries, entries)
+			}
+			if c.StaleServes != 0 || c.NegHits != 0 {
+				t.Errorf("stale serves = %d, negative-cache hits = %d with every fault retried away", c.StaleServes, c.NegHits)
+			}
+			if r.CacheHits > c.Hits+c.Shared || r.CacheMisses > c.Misses-c.Shared {
+				t.Errorf("sessions booked %d hits / %d misses, more than the cache's %d hits + %d shared / %d led",
+					r.CacheHits, r.CacheMisses, c.Hits, c.Shared, c.Misses-c.Shared)
 			}
 		})
 	}

@@ -12,13 +12,12 @@
 // the package stays sim-deterministic (parcel-vet enforces this) and a
 // virtual-time fleet simulation using it reproduces bit-identically.
 //
-// GetOrFetchStale adds single-flight de-duplication: concurrent sessions
-// missing on the same URL share one origin fetch instead of stampeding the
-// origin.
+// Begin and Flight.Settle add single-flight de-duplication: concurrent
+// sessions missing on the same URL share one origin fetch instead of
+// stampeding the origin.
 package objcache
 
 import (
-	"errors"
 	"hash/fnv"
 	"strings"
 	"sync"
@@ -84,21 +83,6 @@ type entry struct {
 	prev, next *entry
 }
 
-// flight is one in-progress origin fetch that concurrent callers join.
-type flight struct {
-	done chan struct{}
-	key  string
-	obj  Object
-	err  error
-	// settled is owner-only state: set by settleFlight before done closes so
-	// the panic safety net can tell whether the flight still needs settling.
-	settled bool
-}
-
-// errFetchPanicked is the error joiners observe when the owning caller's
-// fetch function panicked instead of returning.
-var errFetchPanicked = errors.New("objcache: fetch panicked")
-
 type segment struct {
 	mu       sync.Mutex
 	cap      int64
@@ -106,7 +90,7 @@ type segment struct {
 	negTTL   time.Duration
 	bytes    int64
 	entries  map[string]*entry
-	flights  map[string]*flight
+	flights  map[string]*Flight
 	// neg maps key -> end of its negative-cache window.
 	neg         map[string]time.Duration
 	lru         list
@@ -132,7 +116,7 @@ func New(cfg Config) *Cache {
 		c.segs[i].freshFor = cfg.FreshFor
 		c.segs[i].negTTL = cfg.NegTTL
 		c.segs[i].entries = make(map[string]*entry)
-		c.segs[i].flights = make(map[string]*flight)
+		c.segs[i].flights = make(map[string]*Flight)
 		c.segs[i].neg = make(map[string]time.Duration)
 	}
 	return c
@@ -234,42 +218,6 @@ func (s *segment) putAtLocked(key string, obj Object, now time.Duration) {
 		s.evicted++
 	}
 	checkAccounting(s)
-}
-
-// openFlightLocked registers a single-flight slot for key, with the segment
-// lock held. Every path out of the owning caller must settle the flight —
-// including a panicking fetch — or all future fetches of key join a flight
-// that never lands and block forever.
-//
-//parcelvet:acquire flight
-func (s *segment) openFlightLocked(key string) *flight {
-	f := &flight{done: make(chan struct{}), key: key}
-	s.flights[key] = f
-	return f
-}
-
-// settleFlight publishes the flight's outcome: the slot is removed so new
-// callers start a fresh fetch, then done closes so joiners wake with
-// f.obj/f.err in place. Owner-only; called with the segment unlocked.
-//
-//parcelvet:release flight
-func (s *segment) settleFlight(f *flight) {
-	s.mu.Lock()
-	delete(s.flights, f.key)
-	s.mu.Unlock()
-	f.settled = true
-	close(f.done)
-}
-
-// settleFlightOnPanic is the owner's deferred safety net around fetch: if the
-// fetch panicked, the flight is settled with errFetchPanicked before the
-// panic unwinds, so joiners fail instead of hanging. No-op after a normal
-// settleFlight.
-func (s *segment) settleFlightOnPanic(f *flight) {
-	if !f.settled {
-		f.err = errFetchPanicked
-		s.settleFlight(f)
-	}
 }
 
 // Stats aggregates the segment counters.

@@ -31,7 +31,7 @@ const (
 	LookupStale
 )
 
-// Outcome classifies how GetOrFetchStale satisfied a request.
+// Outcome classifies how a fetch was satisfied.
 type Outcome int
 
 const (
@@ -46,6 +46,9 @@ const (
 	// OutcomeFailed means the origin failed and nothing stale was resident;
 	// the error is returned.
 	OutcomeFailed
+	// OutcomePending is Begin's answer while a flight is open: the resolution
+	// arrives through the continuation.
+	OutcomePending
 )
 
 func (o Outcome) String() string {
@@ -58,6 +61,8 @@ func (o Outcome) String() string {
 		return "stale"
 	case OutcomeFailed:
 		return "failed"
+	case OutcomePending:
+		return "pending"
 	}
 	return "unknown"
 }
@@ -113,131 +118,149 @@ func (c *Cache) MarkStale(url string) {
 	s.mu.Unlock()
 }
 
-// NoteFailure negatively caches a hard origin failure for url: until
-// now+NegTTL, callers should serve stale (or fail fast) instead of
-// re-contacting the origin — the lid on retry storms. A zero NegTTL disables
-// negative caching.
-func (c *Cache) NoteFailure(url string, now time.Duration) {
-	key := Key(url)
-	s := c.segFor(key)
-	if s.negTTL == 0 {
-		return
-	}
-	s.mu.Lock()
-	s.neg[key] = now + s.negTTL
-	s.mu.Unlock()
+// Result is how one fetch of a URL resolved: Outcome says from where, Obj is
+// the object unless Outcome is OutcomeFailed, and Err is set only then.
+type Result struct {
+	Obj     Object
+	Outcome Outcome
+	Err     error
 }
 
-// NegativeActive reports whether url's negative-cache window covers now.
-func (c *Cache) NegativeActive(url string, now time.Duration) bool {
-	key := Key(url)
-	s := c.segFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	until, ok := s.neg[key]
-	if !ok {
-		return false
-	}
-	if now >= until {
-		delete(s.neg, key)
-		return false
-	}
-	s.negHits++
-	return true
+// Flight is the handle Begin gives the one caller that must fetch a URL from
+// the origin on behalf of every caller waiting for it. Every path out of that
+// caller must Settle the flight — including a panicking fetch — or all future
+// fetches of the key join a flight that never lands.
+type Flight struct {
+	s   *segment
+	key string
+	// waiters are the continuations Settle runs: the leader's first, then the
+	// joiners' in join order. Guarded by s.mu until the flight is settled.
+	waiters []func(Result)
+	// settled is leader-only state, read by the panic safety net.
+	settled bool
 }
 
-// ServeStale returns url's resident entry regardless of freshness, counting
-// a stale serve. The caller has decided the origin cannot be (re)contacted.
-func (c *Cache) ServeStale(url string) (Object, bool) {
-	key := Key(url)
-	s := c.segFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[key]
-	if !ok {
-		return Object{}, false
-	}
-	s.staleServes++
-	s.lru.moveToFront(e)
-	return e.obj, true
-}
+// errFetchPanicked is the error joiners observe when the leader's fetch
+// function panicked instead of returning.
+var errFetchPanicked = errors.New("objcache: fetch panicked")
 
-// GetOrFetchStale is the blocking single-flight lookup, with freshness,
-// serve-stale-on-error, and negative caching:
+// Begin is the non-blocking half of the fetch procedure. It decides at now how
+// a fetch of url proceeds, in this order:
 //
 //   - a fresh resident entry is a hit;
-//   - a negatively cached failure serves the stale body if one is resident,
-//     else fails fast with ErrNegativeCached — the origin is not contacted;
-//   - otherwise the origin is fetched (single-flight across callers; a stale
-//     resident entry stays served to nobody while exactly one caller
-//     revalidates);
-//   - on fetch success the entry is stored fresh at now;
-//   - on fetch failure the failure is negatively cached and the stale body is
-//     served if resident, else the error surfaces.
-func (c *Cache) GetOrFetchStale(url string, now time.Duration, fetch func() (Object, error)) (Object, Outcome, error) {
+//   - inside the key's negative-cache window the stale body is served if one is
+//     resident, else the fetch is refused with ErrNegativeCached — the origin is
+//     not contacted;
+//   - if a flight for the key is open, wake joins it;
+//   - otherwise the caller leads: a flight opens with wake as its first waiter
+//     and Begin returns its handle. The leader fetches from the origin (a stale
+//     resident entry stays served to nobody meanwhile) and hands the outcome to
+//     Flight.Settle.
+//
+// In the last two cases the Result is OutcomePending and wake receives the
+// resolution from Settle; wake is never called for a Result Begin returns
+// itself.
+//
+//parcelvet:acquire flight
+func (c *Cache) Begin(url string, now time.Duration, wake func(Result)) (Result, *Flight) {
 	key := Key(url)
 	s := c.segFor(key)
 	s.mu.Lock()
-	if e, ok := s.entries[key]; ok && s.fresh(e, now) {
+	defer s.mu.Unlock()
+	e, resident := s.entries[key]
+	if resident && s.fresh(e, now) {
 		s.hits++
 		s.lru.moveToFront(e)
-		obj := e.obj
-		s.mu.Unlock()
-		return obj, OutcomeHit, nil
+		return Result{Obj: e.obj, Outcome: OutcomeHit}, nil
 	}
 	if until, ok := s.neg[key]; ok && now < until {
 		s.negHits++
-		if e, ok := s.entries[key]; ok {
-			s.staleServes++
-			s.lru.moveToFront(e)
-			obj := e.obj
-			s.mu.Unlock()
-			return obj, OutcomeStale, nil
+		if !resident {
+			s.misses++
 		}
-		s.misses++
-		s.mu.Unlock()
-		return Object{}, OutcomeFailed, ErrNegativeCached
+		return s.staleOrFailLocked(key, ErrNegativeCached, 1), nil
 	}
 	s.misses++
 	if f, ok := s.flights[key]; ok {
 		s.shared++
-		s.mu.Unlock()
-		<-f.done
-		if f.err == nil {
-			return f.obj, OutcomeFetched, nil
-		}
-		return c.staleOrFail(s, key, f.err)
+		f.waiters = append(f.waiters, wake)
+		return Result{Outcome: OutcomePending}, nil
 	}
-	f := s.openFlightLocked(key)
-	s.mu.Unlock()
-
-	defer s.settleFlightOnPanic(f)
-	f.obj, f.err = fetch()
-	if f.err == nil {
-		s.mu.Lock()
-		s.putAtLocked(key, f.obj, now)
-		s.mu.Unlock()
-		s.settleFlight(f)
-		return f.obj, OutcomeFetched, nil
-	}
-	s.mu.Lock()
-	if s.negTTL > 0 {
-		s.neg[key] = now + s.negTTL
-	}
-	s.mu.Unlock()
-	s.settleFlight(f)
-	return c.staleOrFail(s, key, f.err)
+	f := &Flight{s: s, key: key, waiters: []func(Result){wake}}
+	s.flights[key] = f
+	return Result{Outcome: OutcomePending}, f
 }
 
-// staleOrFail resolves a failed fetch: the stale resident body when there is
-// one, the fetch error otherwise.
-func (c *Cache) staleOrFail(s *segment, key string, fetchErr error) (Object, Outcome, error) {
+// Settle publishes the leader's fetch outcome as of now. A success is stored
+// fresh; a failure opens the key's negative-cache window and resolves to the
+// stale resident body when there is one, to fetchErr otherwise. The slot is
+// removed so later callers start a new flight, then every waiter runs with the
+// one resolution — leader first, joiners in join order — with the segment
+// unlocked.
+//
+//parcelvet:release flight
+func (f *Flight) Settle(obj Object, fetchErr error, now time.Duration) {
+	s := f.s
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.entries[key]; ok {
-		s.staleServes++
-		s.lru.moveToFront(e)
-		return e.obj, OutcomeStale, nil
+	res := Result{Obj: obj, Outcome: OutcomeFetched}
+	if fetchErr == nil {
+		s.putAtLocked(f.key, obj, now)
+	} else {
+		if s.negTTL > 0 {
+			s.neg[f.key] = now + s.negTTL
+		}
+		res = s.staleOrFailLocked(f.key, fetchErr, len(f.waiters))
 	}
-	return Object{}, OutcomeFailed, fetchErr
+	delete(s.flights, f.key)
+	f.settled = true
+	s.mu.Unlock()
+	for _, wake := range f.waiters {
+		wake(res)
+	}
+}
+
+// settleOnPanic is the leader's deferred safety net around a blocking fetch:
+// if the fetch panicked, the flight is settled as failed before the panic
+// unwinds, so joiners fail instead of hanging. No-op after a normal Settle.
+//
+//parcelvet:release flight
+func (f *Flight) settleOnPanic(now time.Duration) {
+	if !f.settled {
+		f.Settle(Object{}, errFetchPanicked, now)
+	}
+}
+
+// staleOrFailLocked resolves a fetch the origin cannot answer, for n callers
+// at once: the stale resident body when there is one, fetchErr otherwise.
+// Called with the segment lock held.
+func (s *segment) staleOrFailLocked(key string, fetchErr error, n int) Result {
+	e, ok := s.entries[key]
+	if !ok {
+		return Result{Outcome: OutcomeFailed, Err: fetchErr}
+	}
+	s.staleServes += int64(n)
+	s.lru.moveToFront(e)
+	return Result{Obj: e.obj, Outcome: OutcomeStale}
+}
+
+// GetOrFetchStale is Begin and Settle for callers that can block: the leader
+// runs fetch and settles with what it returned, a joiner waits for the
+// leader, and everyone returns the one resolution.
+func (c *Cache) GetOrFetchStale(url string, now time.Duration, fetch func() (Object, error)) (Object, Outcome, error) {
+	var woken Result
+	done := make(chan struct{})
+	res, f := c.Begin(url, now, func(r Result) {
+		woken = r
+		close(done)
+	})
+	if f != nil {
+		defer f.settleOnPanic(now)
+		obj, err := fetch()
+		f.Settle(obj, err, now)
+	}
+	if res.Outcome == OutcomePending {
+		<-done
+		res = woken
+	}
+	return res.Obj, res.Outcome, res.Err
 }

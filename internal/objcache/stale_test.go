@@ -54,17 +54,47 @@ func TestMarkStaleForcesRevalidation(t *testing.T) {
 	}
 }
 
+// lead begins a fetch of url at now and requires it to lead a new flight.
+func lead(t *testing.T, c *Cache, url string, now time.Duration, wake func(Result)) *Flight {
+	t.Helper()
+	res, f := c.Begin(url, now, wake)
+	if f == nil || res.Outcome != OutcomePending {
+		t.Fatalf("Begin(%s, %v) = %+v, want to lead a flight", url, now, res)
+	}
+	return f
+}
+
+// failAt leads a flight for url at now, settles it with an origin failure and
+// returns how the leader resolved.
+func failAt(t *testing.T, c *Cache, url string, now time.Duration) (got Result) {
+	t.Helper()
+	lead(t, c, url, now, func(r Result) { got = r }).Settle(Object{}, errors.New("origin down"), now)
+	return got
+}
+
+// refusedAt reports whether a fetch of url at now is answered inside a
+// negative-cache window (served stale or refused) instead of leading a flight;
+// a flight it opened is settled with a 404, which the cache does not admit.
+func refusedAt(c *Cache, url string, now time.Duration) (Result, bool) {
+	res, f := c.Begin(url, now, func(Result) {})
+	if f != nil {
+		f.Settle(Object{URL: url, Status: 404}, nil, now)
+		return res, false
+	}
+	return res, true
+}
+
 func TestNegativeCacheWindow(t *testing.T) {
 	c := staleCache(0, 5*time.Second)
-	c.NoteFailure("http://a.com/x", 10*time.Second)
-	if !c.NegativeActive("http://a.com/x", 12*time.Second) {
-		t.Fatal("window not active at +2s")
+	failAt(t, c, "http://a.com/x", 10*time.Second)
+	if res, refused := refusedAt(c, "http://a.com/x", 12*time.Second); !refused || !errors.Is(res.Err, ErrNegativeCached) {
+		t.Fatalf("window not active at +2s: %+v", res)
 	}
-	if c.NegativeActive("http://a.com/x", 15*time.Second) {
+	if _, refused := refusedAt(c, "http://a.com/x", 15*time.Second); refused {
 		t.Fatal("window active at exactly TTL")
 	}
-	// Expired windows are pruned and stay inactive.
-	if c.NegativeActive("http://a.com/x", 16*time.Second) {
+	// Expired windows stay inactive.
+	if _, refused := refusedAt(c, "http://a.com/x", 16*time.Second); refused {
 		t.Fatal("window active after expiry")
 	}
 	st := c.Stats()
@@ -75,17 +105,19 @@ func TestNegativeCacheWindow(t *testing.T) {
 
 func TestNoteFailureNoopWithoutNegTTL(t *testing.T) {
 	c := staleCache(0, 0)
-	c.NoteFailure("http://a.com/x", 0)
-	if c.NegativeActive("http://a.com/x", 0) {
+	failAt(t, c, "http://a.com/x", 0)
+	if _, refused := refusedAt(c, "http://a.com/x", 0); refused {
 		t.Fatal("negative caching active with NegTTL=0")
 	}
 }
 
 func TestPutClearsNegativeWindow(t *testing.T) {
-	c := staleCache(0, time.Minute)
-	c.NoteFailure("http://a.com/x", 0)
+	c := staleCache(500*time.Millisecond, time.Minute)
+	failAt(t, c, "http://a.com/x", 0)
 	c.PutAt(sobj("http://a.com/x", "recovered"), time.Second)
-	if c.NegativeActive("http://a.com/x", 2*time.Second) {
+	// The entry is stale again by 2 s; with the window still up it would be
+	// served stale instead of revalidated.
+	if _, refused := refusedAt(c, "http://a.com/x", 2*time.Second); refused {
 		t.Fatal("successful store left the negative window up")
 	}
 }
@@ -93,30 +125,88 @@ func TestPutClearsNegativeWindow(t *testing.T) {
 func TestRejectedPutDoesNotRefresh(t *testing.T) {
 	c := staleCache(10*time.Second, time.Minute)
 	c.PutAt(sobj("http://a.com/x", "one"), 0)
-	c.NoteFailure("http://a.com/x", 15*time.Second)
+	failAt(t, c, "http://a.com/x", 15*time.Second)
 	// A 503 response must neither refresh the stale entry nor clear the
 	// negative window.
 	c.PutAt(Object{URL: "http://a.com/x", Status: 503, Validator: "err", Body: []byte("oops")}, 16*time.Second)
 	if _, lk := c.ProbeAt("http://a.com/x", 17*time.Second); lk != LookupStale {
 		t.Fatalf("rejected store refreshed entry: %v", lk)
 	}
-	if !c.NegativeActive("http://a.com/x", 17*time.Second) {
-		t.Fatal("rejected store cleared negative window")
+	if res, refused := refusedAt(c, "http://a.com/x", 17*time.Second); !refused || res.Outcome != OutcomeStale {
+		t.Fatalf("rejected store cleared negative window: %+v", res)
 	}
 }
 
 func TestServeStaleCountsAndServes(t *testing.T) {
 	c := staleCache(time.Second, 0)
 	c.PutAt(sobj("http://a.com/x", "one"), 0)
-	o, ok := c.ServeStale("http://a.com/x")
-	if !ok || string(o.Body) != "one" {
-		t.Fatalf("ServeStale = %v %q", ok, o.Body)
+	if res := failAt(t, c, "http://a.com/x", 5*time.Second); res.Outcome != OutcomeStale || string(res.Obj.Body) != "one" {
+		t.Fatalf("failed revalidation resolved %+v, want the stale body", res)
 	}
-	if _, ok := c.ServeStale("http://a.com/none"); ok {
-		t.Fatal("served stale for absent key")
+	if res := failAt(t, c, "http://a.com/none", 5*time.Second); res.Outcome != OutcomeFailed || res.Err == nil {
+		t.Fatalf("served stale for absent key: %+v", res)
 	}
 	if st := c.Stats(); st.StaleServes != 1 {
 		t.Fatalf("StaleServes = %d, want 1", st.StaleServes)
+	}
+}
+
+// TestFlightWakesContinuationAndBlockingJoiners joins one flight both ways —
+// a continuation registered through Begin and a caller blocked in
+// GetOrFetchStale — and settles it once with a success and once with a
+// failure over a stale entry: leader and both joiners get the one resolution,
+// the leader first.
+func TestFlightWakesContinuationAndBlockingJoiners(t *testing.T) {
+	const url = "http://a.com/x"
+	for _, tc := range []struct {
+		name string
+		err  error
+		want Outcome
+		body string
+	}{
+		{"fetched", nil, OutcomeFetched, "two"},
+		{"stale", errors.New("origin down"), OutcomeStale, "one"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := staleCache(10*time.Second, time.Second)
+			c.PutAt(sobj(url, "one"), 0)
+			now := 30 * time.Second
+			var mu sync.Mutex
+			var order []string
+			var byContinuation Result
+			note := func(who string) {
+				mu.Lock()
+				order = append(order, who)
+				mu.Unlock()
+			}
+			f := lead(t, c, url, now, func(Result) { note("leader") })
+			if res, jf := c.Begin(url, now, func(r Result) { byContinuation = r; note("continuation") }); jf != nil || res.Outcome != OutcomePending {
+				t.Fatalf("second Begin = %+v, flight %v; want to join", res, jf)
+			}
+			blocked := make(chan Result)
+			go func() {
+				obj, out, err := c.GetOrFetchStale(url, now, func() (Object, error) {
+					t.Error("blocking joiner fetched")
+					return Object{}, nil
+				})
+				blocked <- Result{Obj: obj, Outcome: out, Err: err}
+			}()
+			for c.Stats().Shared < 2 {
+				time.Sleep(time.Millisecond)
+			}
+			f.Settle(sobj(url, "two"), tc.err, now)
+			for who, res := range map[string]Result{"continuation": byContinuation, "blocking": <-blocked} {
+				if res.Outcome != tc.want || res.Err != nil || string(res.Obj.Body) != tc.body {
+					t.Errorf("%s joiner resolved %+v, want %v with body %q", who, res, tc.want, tc.body)
+				}
+			}
+			if len(order) != 2 || order[0] != "leader" || order[1] != "continuation" {
+				t.Errorf("continuations ran in order %v, want leader then joiner", order)
+			}
+			if st := c.Stats(); st.Shared != 2 || (tc.want == OutcomeStale && st.StaleServes != 3) {
+				t.Errorf("stats = %+v, want 2 shared and one stale serve per waiter", st)
+			}
+		})
 	}
 }
 

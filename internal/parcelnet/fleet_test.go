@@ -463,6 +463,14 @@ func checkFleet(t *testing.T, row fleetRow, res fleetResult, pageBytes int64) {
 			t.Errorf("fault-free run consumed the resilience machinery: retries=%d stale=%d breaker opens=%d",
 				r.Retries, r.StaleServes, r.BreakerOpens)
 		}
+		// The sessions' books reconcile with the cache's own: a session hit is
+		// a fresh resident entry or a joined flight, nothing else. Sessions
+		// book into their completion note, so the books are equal on the rows
+		// whose every fetch lands before it (onePageCopy holds origin bytes to
+		// the same) and the cache's run ahead by the later fetches elsewhere.
+		if r.CacheHits > res.cacheShares || (row.onePageCopy && r.CacheHits != res.cacheShares) {
+			t.Errorf("sessions booked %d cache hits, the cache %d hits + joined flights", r.CacheHits, res.cacheShares)
+		}
 	}
 	t.Logf("%d tenants: p50=%v p99=%v hit-rate=%.3f faults=%d retries=%d drain notices=%d",
 		cfg.clients, r.P50, r.P99, r.CacheHitRate, res.faults.Total(), res.originRetries, res.drainNotices)

@@ -165,11 +165,11 @@ func StartProxy(addr string, cfg ProxyConfig) (*Proxy, error) {
 		ln:    ln,
 		fetch: NewOriginFetcherN(cfg.OriginAddr, cfg.OriginConns),
 	}
-	p.res = newResilientFetcher(p.fetch, cfg.Resilience)
+	p.res = newResilientFetcher(p.fetch.FetchValidatedCtx, cfg.Resilience)
 	if cfg.CacheBytes > 0 {
 		p.cache = objcache.New(objcache.Config{
 			Capacity: cfg.CacheBytes, Segments: cfg.Shards,
-			FreshFor: cfg.CacheFreshFor, NegTTL: p.res.policy.NegTTL,
+			FreshFor: cfg.CacheFreshFor, NegTTL: p.res.group.Policy().NegTTL,
 		})
 	}
 	p.shards = make([]*shard, cfg.Shards)

@@ -20,22 +20,22 @@ import (
 // breaker so one sick domain fails fast instead of stacking every session's
 // retries onto it.
 type resilientFetcher struct {
-	fetch   *OriginFetcher
-	policy  resilience.Policy
+	fetch   attemptFunc
 	group   *resilience.Group
 	started time.Time
 
-	mu  sync.Mutex
+	mu  sync.Mutex // guards rng
 	rng *rand.Rand
 
 	retries atomic.Int64
 }
 
-func newResilientFetcher(fetch *OriginFetcher, policy resilience.Policy) *resilientFetcher {
-	policy = policy.WithDefaults()
+// attemptFunc is one origin attempt: OriginFetcher.FetchValidatedCtx.
+type attemptFunc func(ctx context.Context, url string) (body []byte, ct string, status int, validator string, err error)
+
+func newResilientFetcher(fetch attemptFunc, policy resilience.Policy) *resilientFetcher {
 	return &resilientFetcher{
 		fetch:   fetch,
-		policy:  policy,
 		group:   resilience.NewGroup(policy),
 		started: time.Now(),
 		rng:     rand.New(rand.NewSource(1)),
@@ -45,54 +45,42 @@ func newResilientFetcher(fetch *OriginFetcher, policy resilience.Policy) *resili
 // now is the fetcher's monotonic clock for breaker bookkeeping.
 func (r *resilientFetcher) now() time.Duration { return time.Since(r.started) }
 
-// backoff draws the jittered delay before retry number attempt.
-func (r *resilientFetcher) backoff(attempt int) time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.policy.Backoff(attempt, r.rng)
-}
-
-// do fetches url with deadlines, retries, and the breaker. A response with
-// status < 500 (404s included — the origin answered) is success. Terminal
-// failures — transport errors, 5xx past the retry budget, or a fast-fail on
+// do fetches url by driving one resilience.Attempt with blocking calls: an
+// Issue is a fetch under a context deadline, a Wait is a sleep. Terminal
+// failures — transport errors or 5xx past the retry budget, or a refusal by
 // an open breaker — return an error, which is what lets the cache layer above
-// serve stale. onRetry (may be nil) is invoked once per re-attempt so the
-// driving session can be charged for them.
+// serve stale. onRetry is invoked once per re-attempt so the driving session
+// can be charged for them.
 func (r *resilientFetcher) do(url string, onRetry func()) (body []byte, ct string, status int, validator string, err error) {
 	domain, _ := httpsim.SplitURL(url)
-	br := r.group.For(domain)
-	if !br.Allow(r.now()) {
-		return nil, "", 0, "", fmt.Errorf("fetch %s: %w", url, resilience.ErrOpen)
-	}
-	attempts := r.policy.MaxRetries + 1
-	for attempt := 1; ; attempt++ {
-		ctx, cancel := context.WithTimeout(context.Background(), r.policy.Timeout)
-		body, ct, status, validator, err = r.fetch.FetchValidatedCtx(ctx, url)
-		cancel()
-		if err == nil && status < 500 {
-			br.Success(r.now())
+	try := r.group.Attempt(domain)
+	for step := try.Start(r.now()); ; {
+		switch step.Action {
+		case resilience.Issue:
+			if try.Issued() > 1 {
+				onRetry()
+				r.retries.Add(1)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), step.After)
+			body, ct, status, validator, err = r.fetch(ctx, url)
+			cancel()
+			r.mu.Lock()
+			step = try.Responded(r.now(), status, err, r.rng)
+			r.mu.Unlock()
+		case resilience.Wait:
+			time.Sleep(step.After)
+			step = try.Start(r.now())
+		case resilience.Done:
 			return body, ct, status, validator, nil
-		}
-		br.Failure(r.now())
-		if attempt >= attempts {
-			break
-		}
-		if onRetry != nil {
-			onRetry()
-		}
-		r.retries.Add(1)
-		time.Sleep(r.backoff(attempt))
-		// Between attempts the breaker may have opened (our own failures, or a
-		// fleet of sessions failing on the same origin): respect it instead of
-		// hammering a declared-sick origin.
-		if !br.Allow(r.now()) {
+		case resilience.Refused:
 			return nil, "", 0, "", fmt.Errorf("fetch %s: %w", url, resilience.ErrOpen)
+		default: // resilience.Failed
+			if err == nil {
+				err = fmt.Errorf("fetch %s: origin status %d after %d attempts", url, status, try.Issued())
+			}
+			return nil, "", 0, "", err
 		}
 	}
-	if err == nil {
-		err = fmt.Errorf("fetch %s: origin status %d after %d attempts", url, status, attempts)
-	}
-	return nil, "", 0, "", err
 }
 
 // ResilienceStats aggregates the resilient fetch path's counters.

@@ -1,13 +1,19 @@
 package parcelnet
 
 import (
+	"context"
+	"errors"
 	"testing"
 	"time"
 
+	"github.com/parcel-go/parcel/internal/core"
+	"github.com/parcel-go/parcel/internal/httpsim"
 	"github.com/parcel-go/parcel/internal/leakcheck"
 	"github.com/parcel-go/parcel/internal/replay"
 	"github.com/parcel-go/parcel/internal/resilience"
+	"github.com/parcel-go/parcel/internal/scenario"
 	"github.com/parcel-go/parcel/internal/sched"
+	"github.com/parcel-go/parcel/internal/webgen"
 )
 
 // TestResilientRetriesThroughFlap runs a session against an origin that is
@@ -213,5 +219,110 @@ func TestResilientPolicyValidation(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("StartProxy accepted a negative resilience timeout")
+	}
+}
+
+// TestResilientDriversAgree runs one script through both drivers of the
+// resilience.Attempt stepper — this package's blocking loop over a fake fetch
+// func, and core's event-loop driver against httpsim fault injection — and
+// requires the same failed attempts, retries, breaker opens, refusals and
+// final outcome from each. A script fails an origin's first attempts (or all
+// of them); only the clock differs: the blocking arm runs with zero backoff,
+// the simulated one with backoffs long enough to outlast a flap window.
+func TestResilientDriversAgree(t *testing.T) {
+	type tally struct {
+		failedAttempts, retries int
+		opens, refusals         int64
+		ok                      bool
+	}
+	const forever = 1 << 30
+	scripts := []struct {
+		name string
+		pol  resilience.Policy
+		// fail is how many of the origin's first attempts fail; timeouts makes
+		// them stalls past the deadline instead of 503s.
+		fail     int
+		timeouts bool
+		want     tally
+	}{
+		{name: "503 then ok", pol: resilience.Policy{MaxRetries: 3, FailureThreshold: 100}, fail: 1,
+			want: tally{failedAttempts: 1, retries: 1, ok: true}},
+		{name: "budget exhausted", pol: resilience.Policy{MaxRetries: 2, FailureThreshold: 100}, fail: forever,
+			want: tally{failedAttempts: 3, retries: 2}},
+		{name: "timeouts", pol: resilience.Policy{MaxRetries: 1, FailureThreshold: 100}, fail: forever, timeouts: true,
+			want: tally{failedAttempts: 2, retries: 1}},
+		{name: "breaker opens mid-retry", pol: resilience.Policy{MaxRetries: 4, FailureThreshold: 2, OpenFor: time.Hour}, fail: forever,
+			want: tally{failedAttempts: 2, retries: 1, opens: 1, refusals: 1}},
+	}
+	page := webgen.Generate(webgen.Spec{Seed: 1, NumPages: 1})[0]
+	for _, sc := range scripts {
+		t.Run(sc.name, func(t *testing.T) {
+			blocking := func() (got tally) {
+				pol := sc.pol
+				pol.Timeout, pol.BackoffBase, pol.BackoffMax = 20*time.Millisecond, 1, 1
+				calls := 0
+				r := newResilientFetcher(func(ctx context.Context, url string) ([]byte, string, int, string, error) {
+					calls++
+					switch {
+					case calls > sc.fail:
+						return []byte("body"), "text/html", 200, "v", nil
+					case sc.timeouts:
+						<-ctx.Done()
+						got.failedAttempts++
+						return nil, "", 0, "", ctx.Err()
+					}
+					got.failedAttempts++
+					return nil, "text/plain", 503, "", nil
+				}, pol)
+				_, _, _, _, err := r.do(page.MainURL, func() { got.retries++ })
+				if refused := errors.Is(err, resilience.ErrOpen); refused != (sc.want.refusals > 0) {
+					t.Errorf("blocking arm: err = %v, refused by the breaker = %v", err, refused)
+				}
+				if int64(got.retries) != r.retries.Load() {
+					t.Errorf("blocking arm: %d retries charged to the session, %d counted by the proxy", got.retries, r.retries.Load())
+				}
+				got.opens, got.refusals, got.ok = r.group.Opens(), r.group.FastFails(), err == nil
+				return got
+			}()
+
+			// The simulated origin fails by the clock, not by count: a flap
+			// window the first attempt falls into and every backoff outlasts,
+			// or faults that never stop. A failed main document ends the crawl,
+			// so the tally is that one fetch's; LoadClient sends no §4.5
+			// fallback requests that would add their own.
+			simulated := func() (got tally) {
+				pol := sc.pol
+				pol.Timeout, pol.BackoffBase, pol.BackoffMax = time.Second, 20*time.Second, 20*time.Second
+				params := scenario.DefaultParams()
+				switch {
+				case sc.fail < forever:
+					params.OriginFaults = httpsim.OriginFaults{Flaps: []httpsim.FlapWindow{{Start: 0, End: 5 * time.Second}}}
+				case sc.timeouts:
+					params.OriginFaults = httpsim.OriginFaults{StallRate: 1, StallFor: 3 * time.Second}
+				default:
+					params.OriginFaults = httpsim.OriginFaults{ErrorRate: 1}
+				}
+				topo := scenario.Build(page, params)
+				pc := core.DefaultProxyConfig()
+				pc.Resilience = pol
+				proxy := core.StartProxy(topo, pc)
+				core.NewLoadClient(0, topo.Sim, topo.Client, topo.Proxy, page.MainURL).StartAt(0)
+				topo.Sim.Run()
+				for _, srv := range topo.Origins {
+					got.failedAttempts += srv.FaultStats().Total()
+				}
+				sess := proxy.Sessions[0]
+				g := proxy.Resilience()
+				if int64(sess.BreakerFastFails) != g.FastFails() {
+					t.Errorf("simulated arm: session booked %d refusals, breakers %d", sess.BreakerFastFails, g.FastFails())
+				}
+				got.retries, got.opens, got.refusals, got.ok = sess.OriginRetries, g.Opens(), g.FastFails(), sess.ObjectsPushed > 0
+				return got
+			}()
+
+			if blocking != sc.want || simulated != sc.want {
+				t.Errorf("blocking arm %+v, simulated arm %+v, want both %+v", blocking, simulated, sc.want)
+			}
+		})
 	}
 }
