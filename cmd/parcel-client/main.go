@@ -1,5 +1,5 @@
 // Command parcel-client loads a page through a real-network PARCEL proxy and
-// reports what arrived: bundles, objects, bytes, and timings. With -lte it
+// reports what arrived: objects, stream bytes, and timings. With -lte it
 // shapes the proxy connection like the paper's cellular access (§7.2).
 package main
 
@@ -18,7 +18,6 @@ func main() {
 	proxy := flag.String("proxy", "127.0.0.1:8080", "PARCEL proxy address")
 	url := flag.String("url", "", "page URL to load (required)")
 	lte := flag.Bool("lte", false, "shape the connection like the paper's LTE access")
-	mux := flag.Bool("mux", false, "use the parcelmux stream layer (prioritized, flow-controlled pushes)")
 	wait := flag.Duration("wait", 30*time.Second, "completion wait budget")
 	list := flag.Bool("list", false, "list every received object")
 	flag.Parse()
@@ -38,7 +37,7 @@ func main() {
 	}
 
 	start := time.Now()
-	client, err := parcelnet.DialConfig(*proxy, parcelnet.ClientConfig{Dial: dial, Mux: *mux})
+	client, err := parcelnet.DialConfig(*proxy, parcelnet.ClientConfig{Dial: dial})
 	if err != nil {
 		log.Fatalf("parcel-client: %v", err)
 	}
@@ -54,14 +53,8 @@ func main() {
 
 	fmt.Printf("page:      %s\n", *url)
 	fmt.Printf("objects:   %d pushed (%.2f MB page bytes)\n", note.ObjectsPushed, float64(note.BytesPushed)/1e6)
-	if *mux {
-		fmt.Printf("streams:   %.2f MB on the wire, resumed %d\n", float64(client.BytesReceived)/1e6, note.ObjectsResumed)
-		if !client.FirstCriticalAt.IsZero() {
-			fmt.Printf("first critical: %v\n", client.FirstCriticalAt.Sub(start))
-		}
-	} else {
-		fmt.Printf("bundles:   %d (%.2f MB on the wire)\n", client.BundlesReceived, float64(client.BytesReceived)/1e6)
-	}
+	fmt.Printf("streams:   %.2f MB on the wire, resumed %d\n", float64(client.BytesReceived)/1e6, note.ObjectsResumed)
+	fmt.Printf("first critical: %v\n", client.FirstCriticalAt.Sub(start))
 	fmt.Printf("first byte: %v\n", client.FirstAt.Sub(start))
 	fmt.Printf("complete:  %v (wall %v)\n", client.CompleteAt.Sub(start), elapsed)
 	fmt.Printf("fallbacks: %d\n", client.Fallbacks)

@@ -32,7 +32,6 @@ func main() {
 		Sched:       parseSched(*policy),
 		QuietPeriod: *quiet,
 		FixedRandom: true,
-		CacheBytes:  256 << 20,
 	}
 	if *verbose {
 		cfg.Logf = log.Printf

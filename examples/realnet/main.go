@@ -68,8 +68,8 @@ func main() {
 
 	fmt.Printf("\nloaded %s over shaped LTE:\n", page.MainURL)
 	fmt.Printf("  objects pushed:   %d (page has %d)\n", note.ObjectsPushed, page.ObjectCount)
-	fmt.Printf("  bundles received: %d\n", client.BundlesReceived)
-	fmt.Printf("  wire bytes:       %.2f MB\n", float64(client.BytesReceived)/1e6)
+	fmt.Printf("  streams:          %.2f MB on the wire, resumed %d\n", float64(client.BytesReceived)/1e6, note.ObjectsResumed)
+	fmt.Printf("  first critical:   %v\n", client.FirstCriticalAt.Sub(start).Round(time.Millisecond))
 	fmt.Printf("  first byte:       %v\n", client.FirstAt.Sub(start).Round(time.Millisecond))
 	fmt.Printf("  complete:         %v\n", client.CompleteAt.Sub(start).Round(time.Millisecond))
 	fmt.Printf("  fallback requests: %d\n", client.Fallbacks)

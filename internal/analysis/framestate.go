@@ -55,19 +55,19 @@ var frameConstRe = regexp.MustCompile(`^T[A-Z][A-Za-z]*$`)
 var framePhase = map[string]int{
 	"TPageRequest": 0, "TMuxSettings": 0,
 	"TStreamOpen": 1,
-	"TBundle":     2, "TObjectRequest": 2, "TObjectResponse": 2,
-	"TStreamData": 2, "TWindowUpdate": 2, "TShed": 2,
+	"TStreamData": 2, "TObjectRequest": 2, "TObjectResponse": 2,
+	"TWindowUpdate": 2, "TShed": 2,
 	"TComplete": 3,
 	"TDrain":    4,
 }
 
 // frameEmitters is the declared protocol state machine's emission table:
 // the only functions allowed to put each frame type on the wire. The proxy
-// side: startPage answers the handshake, the admit path stages bundles,
-// shedLocked/drainNotice emit the two PR 9 notes from their legal states
-// (admission overflow, proxy drain), writeLoop/declareComplete own the
-// TComplete barrier, and the mux writer goroutine (nextFrame) is the sole
-// source of stream frames. The client side: RequestPage/reconnect handshake,
+// side: startPage answers the handshake, shedLocked/drainNotice emit the
+// two PR 9 notes from their legal states (admission overflow, proxy drain),
+// writeLoop owns the TComplete barrier, and the mux writer goroutine
+// (nextFrame) is the sole source of stream frames — the only way object
+// bytes are pushed. The client side: RequestPage/reconnect handshake,
 // Object issues fallback requests, WriteWindowUpdate is the only
 // flow-control credit writer (the client acks only streams it has seen
 // open, so TWindowUpdate stays on live streams by construction).
@@ -76,11 +76,10 @@ var frameEmitters = map[string]map[string]bool{
 	"TMuxSettings":    {"startPage": true},
 	"TStreamOpen":     {"nextFrame": true},
 	"TStreamData":     {"nextFrame": true},
-	"TBundle":         {"admitLocked": true, "admitOneLocked": true},
 	"TObjectRequest":  {"Object": true},
 	"TObjectResponse": {"serveFallback": true},
 	"TWindowUpdate":   {"WriteWindowUpdate": true},
-	"TComplete":       {"writeLoop": true, "declareComplete": true},
+	"TComplete":       {"writeLoop": true},
 	"TShed":           {"shedLocked": true},
 	"TDrain":          {"drainNotice": true},
 }

@@ -5,7 +5,6 @@ package framestate_bad
 
 const (
 	TPageRequest byte = iota + 1
-	TBundle
 	TComplete
 	TObjectRequest
 	TObjectResponse
@@ -42,17 +41,17 @@ func nextFrame() {
 	write(TStreamOpen, nil) // want "nextFrame emits TStreamOpen after TStreamData: protocol phase order violated"
 }
 
-// writeLoop crosses the TComplete barrier backwards: a bundle after the
+// writeLoop crosses the TComplete barrier backwards: a shed note after the
 // completion note is both a phase regression and an undeclared emitter.
 func writeLoop() {
 	write(TComplete, nil)
-	write(TBundle, nil) // want "writeLoop emits TBundle but is not a registered emitter" "writeLoop emits TBundle after TComplete: protocol phase order violated"
+	write(TShed, nil) // want "writeLoop emits TShed but is not a registered emitter" "writeLoop emits TShed after TComplete: protocol phase order violated"
 }
 
-// sneaky stages the frame through a composite literal instead of a write
-// call; still an emission.
-func sneaky() {
-	f := outFrame{typ: TComplete} // want "sneaky emits TComplete but is not a registered emitter for it: the protocol state machine allows only declareComplete/writeLoop"
+// declareComplete stages the frame through a composite literal instead of a
+// write call; still an emission, and only the writer may cross the barrier.
+func declareComplete() {
+	f := outFrame{typ: TComplete} // want "declareComplete emits TComplete but is not a registered emitter for it: the protocol state machine allows only writeLoop"
 	_ = f
 }
 

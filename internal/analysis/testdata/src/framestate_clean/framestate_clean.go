@@ -5,7 +5,6 @@ package framestate_clean
 
 const (
 	TPageRequest byte = iota + 1
-	TBundle
 	TComplete
 	TObjectRequest
 	TObjectResponse
@@ -47,25 +46,21 @@ func shedLocked() {
 	write(TShed, nil)
 }
 
-func declareComplete() {
-	f := outFrame{typ: TComplete}
-	_ = f
-}
-
 func drainNotice() {
 	write(TDrain, nil)
 }
 
-// writeLoop owns the completion barrier.
+// writeLoop owns the completion barrier, staged as a composite literal.
 func writeLoop() {
-	write(TComplete, nil)
+	f := outFrame{typ: TComplete}
+	_ = f
 }
 
 // dispatch only reads frame types — switch cases and comparisons are never
 // emissions.
 func dispatch(typ byte) int {
 	switch typ {
-	case TBundle:
+	case TShed:
 		return 1
 	case TComplete:
 		return 2

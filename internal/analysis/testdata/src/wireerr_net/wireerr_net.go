@@ -23,6 +23,10 @@ type session struct{}
 // error means the note never reached the send queue.
 func (s *session) enqueueJSONLocked(typ byte, v any) error { return nil }
 
+// stageNoteLocked mirrors the completion note's staging point behind the
+// stream barrier.
+func (s *session) stageNoteLocked(v any) error { return nil }
+
 func bad(c *conn, w *FrameWriter) {
 	c.SetReadDeadline(time.Time{})      // want "error from SetReadDeadline discarded"
 	w.WriteFrame(1, nil)                // want "error from WriteFrame discarded"
@@ -39,6 +43,7 @@ func badControlNotes(s *session) {
 	s.enqueueJSONLocked(9, nil)      // want "error from enqueueJSONLocked discarded"
 	_ = s.enqueueJSONLocked(10, nil) // want "error from enqueueJSONLocked assigned to blank identifier"
 	go s.enqueueJSONLocked(11, nil)  // want "error from enqueueJSONLocked discarded by go statement"
+	s.stageNoteLocked(nil)           // want "error from stageNoteLocked discarded"
 }
 
 func allowedDiscard(w *FrameWriter) {

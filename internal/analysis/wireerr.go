@@ -15,7 +15,7 @@ import (
 var WireErr = &analysis.Analyzer{
 	Name: "wireerr",
 	Doc: "flag discarded error returns from framed-wire writes (WriteFrame/WriteJSON/" +
-		"FrameWriter.Write/enqueueJSONLocked) and deadline setters in parcelnet/netem",
+		"FrameWriter.Write/enqueueJSONLocked/stageNoteLocked) and deadline setters in parcelnet/netem",
 	Run: runWireErr,
 }
 
@@ -29,16 +29,18 @@ var deadlineFuncs = map[string]bool{
 // wireWriteFuncs are the framed-wire write entry points, including the
 // parcelmux raw-frame and flow-control writers: a dropped WriteRaw strands a
 // stream mid-object and a dropped WriteWindowUpdate deadlocks the sender
-// against an exhausted window. enqueueJSONLocked is the session-side staging
-// point for the PR 9 control notes (TDrain/TShed/TComplete): dropping its
-// error silently discards the frame, so the client never learns the session
-// is draining or that an object was shed.
+// against an exhausted window. enqueueJSONLocked and stageNoteLocked are
+// the session-side staging points for the control notes (TDrain/TShed and
+// TComplete): dropping their error silently discards the frame, so the client
+// never learns the session is draining, that an object was shed, or that the
+// page completed.
 var wireWriteFuncs = map[string]bool{
 	"WriteFrame":        true,
 	"WriteJSON":         true,
 	"WriteRaw":          true,
 	"WriteWindowUpdate": true,
 	"enqueueJSONLocked": true,
+	"stageNoteLocked":   true,
 }
 
 func runWireErr(pass *analysis.Pass) (any, error) {

@@ -1,8 +1,11 @@
 package parcelnet
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -88,7 +91,7 @@ func (c *gatedConn) Close() error {
 
 // TestSlowReaderDefersThenDelivers is the defer path: while the client's link
 // is stalled the session fills its push budget and the proxy parks further
-// bundles (Deferred, not OOM); when the link drains, every parked object is
+// objects (Deferred, not OOM); when the link drains, every parked object is
 // delivered — nothing shed, nothing lost — and the proxy-wide queue never
 // exceeded its budget.
 func TestSlowReaderDefersThenDelivers(t *testing.T) {
@@ -171,7 +174,7 @@ func TestSlowReaderDefersThenDelivers(t *testing.T) {
 }
 
 // TestProxyBudgetShedsToDirectOrigin is the shed path: a proxy-wide budget
-// smaller than any bundle can never admit a push, so every object is shed —
+// smaller than any object can never admit a push, so every object is shed —
 // and a client with a direct-origin path still completes the page from the
 // origin, guided by the shed notes.
 func TestProxyBudgetShedsToDirectOrigin(t *testing.T) {
@@ -186,7 +189,7 @@ func TestProxyBudgetShedsToDirectOrigin(t *testing.T) {
 		OriginAddr:      origin.Addr(),
 		Sched:           sched.ConfigIND,
 		QuietPeriod:     300 * time.Millisecond,
-		ProxyPushBudget: 1 << 10, // below any bundle: everything sheds
+		ProxyPushBudget: 1 << 10, // below any object's body: everything sheds
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -316,54 +319,109 @@ func TestSlowTenantDoesNotStallFastTenants(t *testing.T) {
 	}
 }
 
-// TestDuplicatePageRequestTearsDownSession pins the double-TPageRequest fix:
-// a second page request on one connection must tear the session down instead
-// of replacing s.mux/s.bundler in place — the replaced mux's queued bytes
-// were reserved against the proxy-wide budget and nothing would ever drain
-// them, shrinking the budget for every tenant until restart. After teardown
-// the reservation must return to zero.
+// TestDuplicatePageRequestTearsDownSession is the table of client input the
+// stream layer has to define for itself, each row a raw connection that never
+// acknowledges a byte. A window update ahead of the page request is ignored —
+// crediting it would widen the connection window before the settings frame
+// announces it — and so is a frame type nobody knows: the page then loads
+// against exactly the configured connection window. A second page request
+// tears the session down (two bundlers feeding one stream scheduler would
+// push every object twice). Whatever the row, once the connection is gone
+// every reserved byte is back in the proxy-wide budget.
 func TestDuplicatePageRequestTearsDownSession(t *testing.T) {
-	defer leakcheck.Check(t)()
-	archive, mainURL := bigArchive(8, 16<<10)
-	origin, err := StartOrigin("127.0.0.1:0", replay.Rewriting{Store: archive})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer origin.Close()
-	proxy, err := StartProxy("127.0.0.1:0", ProxyConfig{
-		OriginAddr:  origin.Addr(),
-		Sched:       sched.ConfigIND,
-		QuietPeriod: time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxy.Close()
+	const connWindow = 4 << 10
+	windowUpdate := binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(nil, 0), 1<<20)
+	for _, row := range []struct {
+		name      string
+		before    func(fw *FrameWriter) error // written ahead of the page request
+		duplicate bool
+	}{
+		{name: "window update before page request",
+			before: func(fw *FrameWriter) error { return fw.Write(TWindowUpdate, windowUpdate) }},
+		{name: "unknown frame type",
+			before: func(fw *FrameWriter) error { return fw.Write(0x7f, []byte("?")) }},
+		{name: "duplicate page request", duplicate: true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			defer leakcheck.Check(t)()
+			archive, mainURL := bigArchive(8, 16<<10)
+			origin, err := StartOrigin("127.0.0.1:0", replay.Rewriting{Store: archive})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer origin.Close()
+			proxy, err := StartProxy("127.0.0.1:0", ProxyConfig{
+				OriginAddr:    origin.Addr(),
+				Sched:         sched.ConfigIND,
+				QuietPeriod:   time.Second,
+				MuxChunkSize:  1 << 10,
+				MuxConnWindow: connWindow,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer proxy.Close()
 
-	conn, err := net.Dial("tcp", proxy.Addr())
-	if err != nil {
-		t.Fatal(err)
+			conn, err := net.Dial("tcp", proxy.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			fw := NewFrameWriter(conn)
+			if row.before != nil {
+				if err := row.before(fw); err != nil {
+					t.Fatal(err)
+				}
+			}
+			req := PageRequest{URL: mainURL}
+			if err := fw.WriteJSON(TPageRequest, &req); err != nil {
+				t.Fatal(err)
+			}
+			if row.duplicate {
+				if err := fw.WriteJSON(TPageRequest, &req); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			// Read until the proxy hangs up or falls silent.
+			var first byte
+			var frames, dataBytes int
+			var rerr error
+			for {
+				if err := conn.SetReadDeadline(time.Now().Add(250 * time.Millisecond)); err != nil {
+					t.Fatal(err)
+				}
+				typ, payload, err := ReadFramePooled(conn)
+				if err != nil {
+					rerr = err
+					break
+				}
+				if frames == 0 {
+					first = typ
+				}
+				frames++
+				if typ == TStreamData {
+					dataBytes += len(payload) - 5
+				}
+				ReleaseFrameBuf(payload)
+			}
+			hungUp := !errors.Is(rerr, os.ErrDeadlineExceeded)
+			if hungUp != row.duplicate {
+				t.Errorf("proxy hung up = %v (%v), want %v", hungUp, rerr, row.duplicate)
+			}
+			if !row.duplicate {
+				if first != TMuxSettings {
+					t.Errorf("first frame type %d, want TMuxSettings", first)
+				}
+				if dataBytes != connWindow {
+					t.Errorf("unacknowledged session was sent %d stream bytes, want the %d-byte connection window", dataBytes, connWindow)
+				}
+				if proxy.Sessions() != 1 {
+					t.Errorf("sessions = %d, want the session still alive", proxy.Sessions())
+				}
+			}
+			conn.Close()
+			waitFor(t, 5*time.Second, func() bool { return proxy.Sessions() == 0 && proxy.QueuedBytes() == 0 })
+		})
 	}
-	defer conn.Close()
-	fw := NewFrameWriter(conn)
-	req := PageRequest{URL: mainURL, Mux: true}
-	if err := fw.WriteJSON(TPageRequest, &req); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.WriteJSON(TPageRequest, &req); err != nil {
-		t.Fatal(err)
-	}
-	// The proxy must close the connection on the duplicate: drain to EOF.
-	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	for {
-		_, payload, err := ReadFramePooled(conn)
-		if err != nil {
-			break
-		}
-		ReleaseFrameBuf(payload)
-	}
-	// Teardown must hand every queued byte back to the proxy-wide budget.
-	waitFor(t, 5*time.Second, func() bool { return proxy.QueuedBytes() == 0 })
 }

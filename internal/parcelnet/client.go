@@ -49,10 +49,9 @@ type ClientConfig struct {
 	// degrades to once the retry budget is spent: the page completes in DIR
 	// mode, fetching remaining objects straight from the origin.
 	DirectOrigin string
-	// Mux requests the parcelmux stream layer: objects arrive as prioritized,
-	// flow-controlled stream chunks instead of monolithic bundles, and a
-	// reconnect resumes partially-received objects at their byte offset.
-	// Default false — the legacy bundle path.
+	// Mux is inert and read by no code: streams are the only wire format. It
+	// stays declared because bench/ sets it and only a benchmark PR may edit
+	// bench/ (ROADMAP item 2(3) removes both).
 	Mux bool
 	// Logf, when set, receives recovery diagnostics.
 	Logf func(format string, args ...any)
@@ -80,15 +79,16 @@ func (cfg *ClientConfig) fillDefaults() {
 }
 
 // Client is the real-network PARCEL client: it opens the single proxy
-// connection, sends the page request, receives pushed bundles into a local
+// connection, sends the page request, reassembles pushed streams into a local
 // object store, and requests still-missing objects after the proxy's
 // completion notification (§4.5). If the proxy connection drops mid-page the
 // client reconnects with backoff and resumes the session (re-sending the
-// request with a manifest of objects it already holds); once the retry
-// budget is spent it degrades to fetching directly from the origin when
-// ClientConfig.DirectOrigin is set. Rendering/JS execution is up to the
-// embedding application (the simulation packages model it; a real deployment
-// would hand the store to a WebView, §5.2).
+// request with a manifest of the objects, and the prefixes of half-received
+// objects, it already holds); once the retry budget is spent it degrades to
+// fetching directly from the origin when ClientConfig.DirectOrigin is set.
+// Rendering/JS execution is up to the embedding application (the simulation
+// packages model it; a real deployment would hand the store to a WebView,
+// §5.2).
 type Client struct {
 	addr string
 	cfg  ClientConfig
@@ -114,9 +114,7 @@ type Client struct {
 	asm      *muxAssembler
 	partials map[string][]byte
 
-	// BundlesReceived counts pushed bundles.
-	BundlesReceived int
-	// BytesReceived counts MHTML payload bytes received.
+	// BytesReceived counts stream and fallback-response payload bytes received.
 	BytesReceived int64
 	// Fallbacks counts missing-object requests (to the proxy, or directly to
 	// the origin once degraded).
@@ -165,6 +163,7 @@ func DialConfig(addr string, cfg ClientConfig) (*Client, error) {
 		store: make(map[string]mhtml.Part),
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}
+	c.asm = newMuxAssembler(c.partialHeld)
 	c.cond = sync.NewCond(&c.mu)
 	conn, err := c.dial()
 	if err != nil {
@@ -210,15 +209,10 @@ func (c *Client) Degraded() bool {
 
 // RequestPage asks the proxy to load url on the client's behalf.
 func (c *Client) RequestPage(url, userAgent, screen string) error {
-	req := PageRequest{URL: url, UserAgent: userAgent, Screen: screen, Mux: c.cfg.Mux}
+	req := PageRequest{URL: url, UserAgent: userAgent, Screen: screen}
 	c.mu.Lock()
 	c.startedAt = time.Now()
 	c.page = &req
-	if c.cfg.Mux {
-		// The assembler must exist before the request is on the wire: the
-		// proxy's TMuxSettings answer can race the unlock otherwise.
-		c.asm = newMuxAssembler(c.partialHeld)
-	}
 	fw := c.fw
 	c.mu.Unlock()
 	return fw.WriteJSON(TPageRequest, req)
@@ -251,16 +245,13 @@ func (c *Client) readLoop(conn net.Conn) {
 // (the read loop recycles it). It returns true on a fatal protocol error.
 func (c *Client) handleClientFrame(typ byte, payload []byte) bool {
 	switch typ {
-	case TBundle, TObjectResponse:
+	case TObjectResponse:
 		parts, err := mhtml.Decode(payload)
 		if err != nil {
-			c.fail(fmt.Errorf("parcelnet: bad bundle: %w", err))
+			c.fail(fmt.Errorf("parcelnet: bad object response: %w", err))
 			return true
 		}
 		c.mu.Lock()
-		if typ == TBundle {
-			c.BundlesReceived++
-		}
 		c.BytesReceived += int64(len(payload))
 		if c.FirstAt.IsZero() {
 			c.FirstAt = time.Now()
@@ -278,10 +269,7 @@ func (c *Client) handleClientFrame(typ byte, payload []byte) bool {
 		c.mu.Unlock()
 	case TMuxSettings:
 		c.mu.Lock()
-		var err error
-		if c.asm != nil {
-			err = c.asm.onSettings(payload)
-		}
+		err := c.asm.onSettings(payload)
 		c.mu.Unlock()
 		if err != nil {
 			c.fail(err)
@@ -289,11 +277,6 @@ func (c *Client) handleClientFrame(typ byte, payload []byte) bool {
 		}
 	case TStreamOpen:
 		c.mu.Lock()
-		if c.asm == nil {
-			c.mu.Unlock()
-			c.fail(fmt.Errorf("parcelnet: stream frame without mux session"))
-			return true
-		}
 		c.BytesReceived += int64(len(payload))
 		part, err := c.asm.onOpen(payload)
 		if part != nil {
@@ -306,11 +289,6 @@ func (c *Client) handleClientFrame(typ byte, payload []byte) bool {
 		}
 	case TStreamData:
 		c.mu.Lock()
-		if c.asm == nil {
-			c.mu.Unlock()
-			c.fail(fmt.Errorf("parcelnet: stream frame without mux session"))
-			return true
-		}
 		c.BytesReceived += int64(len(payload))
 		part, acks, err := c.asm.onData(payload)
 		if part != nil {
@@ -444,17 +422,16 @@ func (c *Client) onDisconnect(conn net.Conn, err error) {
 	// Harvest the dead connection's half-received streams into the resume
 	// state before anything else: whatever bytes made it across are kept, and
 	// the next connection's manifest asks for the rest of each object.
-	if c.asm != nil {
-		if held := c.asm.partials(); len(held) > 0 {
-			if c.partials == nil {
-				c.partials = make(map[string][]byte, len(held))
-			}
-			for u, b := range held {
-				c.partials[u] = b
-			}
+	// A fresh assembler serves the next connection (HPACK tables reset with it).
+	if held := c.asm.partials(); len(held) > 0 {
+		if c.partials == nil {
+			c.partials = make(map[string][]byte, len(held))
 		}
-		c.asm = nil
+		for u, b := range held {
+			c.partials[u] = b
+		}
 	}
+	c.asm = newMuxAssembler(c.partialHeld)
 	if c.page == nil || c.notified || c.cfg.MaxRetries < 0 {
 		// No page in flight (or it already completed): nothing to resume.
 		if c.rerr == nil {
@@ -498,19 +475,15 @@ func (c *Client) reconnect(dead net.Conn) {
 			req.Have = append(req.Have, u)
 		}
 		sort.Strings(req.Have)
-		if req.Mux {
-			// Extend the manifest with half-received objects: the proxy
-			// reopens each stream at the recorded offset. A fresh assembler
-			// serves the new connection (HPACK tables reset with it).
-			req.Partial = nil
-			for u, b := range c.partials {
-				if _, done := c.store[u]; !done && len(b) > 0 {
-					req.Partial = append(req.Partial, PartialObject{URL: u, Bytes: int64(len(b))})
-				}
+		// Extend the manifest with half-received objects: the proxy reopens
+		// each stream at the recorded offset.
+		req.Partial = nil
+		for u, b := range c.partials {
+			if _, done := c.store[u]; !done && len(b) > 0 {
+				req.Partial = append(req.Partial, PartialObject{URL: u, Bytes: int64(len(b))})
 			}
-			sort.Slice(req.Partial, func(i, j int) bool { return req.Partial[i].URL < req.Partial[j].URL })
-			c.asm = newMuxAssembler(c.partialHeld)
 		}
+		sort.Slice(req.Partial, func(i, j int) bool { return req.Partial[i].URL < req.Partial[j].URL })
 		c.conn = conn
 		c.fw = NewFrameWriter(conn)
 		fw := c.fw

@@ -234,10 +234,7 @@ func TestShedToDirectUnderMuxStreams(t *testing.T) {
 	defer proxy.Close()
 	defer g.Open()
 
-	client, err := DialConfig(proxy.Addr(), ClientConfig{
-		Mux:          true,
-		DirectOrigin: origin.Addr(),
-	})
+	client, err := DialConfig(proxy.Addr(), ClientConfig{DirectOrigin: origin.Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,9 +249,7 @@ func TestShedToDirectUnderMuxStreams(t *testing.T) {
 	live := 0
 	for _, s := range proxy.activeSessions() {
 		s.mu.Lock()
-		if s.mux != nil {
-			live += s.mux.live
-		}
+		live += s.mux.live
 		s.mu.Unlock()
 	}
 	if live == 0 {

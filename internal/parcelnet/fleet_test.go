@@ -43,8 +43,6 @@ type fleetConfig struct {
 	netem netem.Params
 	// stagger spaces session starts (0: a pure thundering herd).
 	stagger time.Duration
-	// mux runs every tenant over the parcelmux stream layer.
-	mux bool
 
 	// faults arms origin fault injection for the whole run.
 	faults replay.OriginFaults
@@ -139,7 +137,7 @@ func runFleet(t *testing.T, cfg fleetConfig) fleetResult {
 		}
 	}()
 
-	ccfg := ClientConfig{DirectOrigin: origin.Addr(), Mux: cfg.mux}
+	ccfg := ClientConfig{DirectOrigin: origin.Addr()}
 	if cfg.netem != (netem.Params{}) {
 		ccfg.Dial = func(network, addr string) (net.Conn, error) {
 			conn, err := net.DialTimeout(network, addr, 5*time.Second)
@@ -307,11 +305,10 @@ var fleetRows = []fleetRow{
 		cfg: fleetConfig{clients: 25, shards: 4, cacheBytes: 4 << 20,
 			netem: netem.Params{Latency: 5 * time.Millisecond, Bps: 4 << 20}},
 		onePageCopy: true, noReconnects: true},
-	// The stream layer end to end at the size of the 200-tenant gate: the
-	// fleet bench/ and the sim arm load (200 tenants × 4 pages, 256 MB, mux),
-	// over real sockets, with TTFC percentiles and no silent fallbacks.
+	// The 200-tenant gate: the fleet bench/ and the sim arm load (200 tenants
+	// × 4 pages, 256 MB), over real sockets.
 	{test: "TestMuxLoadgenSmoke", name: "mux200", long: true, pages: 4,
-		cfg: fleetConfig{clients: 200, cacheBytes: 256 << 20, mux: true}},
+		cfg: fleetConfig{clients: 200, cacheBytes: 256 << 20}},
 	// The scale gate: ≥ 500 concurrent sessions through one proxy, leak-free.
 	// Unshaped — the point is session-machinery scale, not link emulation.
 	// The page's 120 ms script timer must fire inside the quiet window for
@@ -337,7 +334,7 @@ var fleetRows = []fleetRow{
 	// machine's speed (at 300 ms the drain notified nobody in 5 runs of 6 on
 	// the 2-core box).
 	{test: "TestChaosLoadgenSmoke", name: "chaos200", long: true, pages: 4,
-		cfg: fleetConfig{clients: 200, shards: 4, cacheBytes: 256 << 20, mux: true,
+		cfg: fleetConfig{clients: 200, shards: 4, cacheBytes: 256 << 20,
 			stagger: 2 * time.Millisecond, faults: chaosFaults(1), resilience: chaosPolicy,
 			drainAfter: 150 * time.Millisecond, drainTimeout: 150 * time.Millisecond}},
 	// The restart handoff in isolation: no origin faults, just a drain and
@@ -391,11 +388,12 @@ func runFleetRows(t *testing.T) {
 }
 
 // checkFleet holds a run to the gates its config implies. Every run: all
-// sessions complete with ordered percentiles, the shared cache hits, no
-// fallback request is lost silently. A fault-free, drain-free run consumes
-// none of the always-armed resilience machinery; a faulted one must show the
-// faults and the retries that absorbed them; a drained one must show the
-// notices, the tagged samples and the recovery phase.
+// sessions complete with ordered percentiles, a first critical object lands
+// before completion, the shared cache hits, no fallback request is lost
+// silently. A fault-free, drain-free run consumes none of the always-armed
+// resilience machinery; a faulted one must show the faults and the retries
+// that absorbed them; a drained one must show the notices, the tagged samples
+// and the recovery phase.
 func checkFleet(t *testing.T, row fleetRow, res fleetResult, pageBytes int64) {
 	t.Helper()
 	cfg, r := row.cfg, res.report
@@ -411,13 +409,11 @@ func checkFleet(t *testing.T, row fleetRow, res fleetResult, pageBytes int64) {
 	if r.FallbackWriteErrors != 0 {
 		t.Errorf("%d fallback writes silently failed", r.FallbackWriteErrors)
 	}
-	if cfg.mux {
-		if r.TTFCP99 <= 0 {
-			t.Errorf("no TTFC percentiles under mux: %+v", r)
-		}
-		if r.TTFCP50 > r.P50 {
-			t.Errorf("TTFC p50 %v above completion p50 %v", r.TTFCP50, r.P50)
-		}
+	if r.TTFCP99 <= 0 {
+		t.Errorf("no TTFC percentiles: %+v", r)
+	}
+	if r.TTFCP50 > r.P50 {
+		t.Errorf("TTFC p50 %v above completion p50 %v", r.TTFCP50, r.P50)
 	}
 	if row.onePageCopy && r.OriginBytes != pageBytes {
 		t.Errorf("fleet origin bytes = %d, want one page copy %d", r.OriginBytes, pageBytes)

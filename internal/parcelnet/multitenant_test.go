@@ -13,7 +13,7 @@ import (
 )
 
 // TestMultiTenantSharedCache drives a fleet of concurrent sessions through
-// one sharded proxy with the cross-session cache enabled: every session
+// one sharded proxy and its cross-session cache: every session
 // completes with the full object set, yet the origin is fetched once per URL
 // — the fleet's total origin bytes equal one copy of the page, and every
 // session beyond the flight group reports cache hits.

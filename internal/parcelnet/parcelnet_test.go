@@ -2,12 +2,15 @@ package parcelnet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/parcel-go/parcel/internal/httpsim"
+	"github.com/parcel-go/parcel/internal/leakcheck"
 	"github.com/parcel-go/parcel/internal/netem"
 	"github.com/parcel-go/parcel/internal/replay"
 	"github.com/parcel-go/parcel/internal/sched"
@@ -98,25 +101,177 @@ func TestEndToEndPageLoad(t *testing.T) {
 	}
 }
 
-func TestONLDBundlesFewer(t *testing.T) {
-	run := func(cfg sched.Config) int {
-		proxyAddr, mainURL, _ := startStack(t, cfg)
-		client, err := Dial(proxyAddr, nil)
+// tapConn records both directions of a client connection.
+type tapConn struct {
+	net.Conn
+	mu      sync.Mutex
+	in, out []byte
+}
+
+func (c *tapConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.mu.Lock()
+	c.in = append(c.in, p[:n]...)
+	c.mu.Unlock()
+	return n, err
+}
+
+func (c *tapConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	c.out = append(c.out, p...)
+	c.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+// sent returns the raw bytes written so far; received the types of the whole
+// frames read so far.
+func (c *tapConn) sent() []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]byte(nil), c.out...)
+}
+
+func (c *tapConn) received() []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var types []byte
+	for b := c.in; len(b) >= 5; {
+		n := 5 + int(binary.BigEndian.Uint32(b[1:]))
+		if len(b) < n {
+			break
+		}
+		types = append(types, b[0])
+		b = b[n:]
+	}
+	return types
+}
+
+// TestZeroConfigIsTheMeasuredConfig: a proxy given only its origin and a
+// client given nothing run the configuration bench/ measures — streams on the
+// wire, the shared cache behind every fetch — and ClientConfig.Mux, which
+// bench/ still sets, changes neither the request nor the answer.
+func TestZeroConfigIsTheMeasuredConfig(t *testing.T) {
+	defer leakcheck.Check(t)()
+	archive, mainURL := testArchive()
+	origin, err := StartOrigin("127.0.0.1:0", replay.Rewriting{Store: archive})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer origin.Close()
+	proxy, err := StartProxy("127.0.0.1:0", ProxyConfig{OriginAddr: origin.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+
+	// Each session loads as far as the deepest discovery chain (document →
+	// script → image); neither waits out the 2 s default quiet period.
+	load := func(cfg ClientConfig) *tapConn {
+		var tap *tapConn
+		cfg.Dial = func(network, addr string) (net.Conn, error) {
+			conn, err := net.Dial(network, addr)
+			tap = &tapConn{Conn: conn}
+			return tap, err
+		}
+		client, err := DialConfig(proxy.Addr(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer client.Close()
-		client.RequestPage(mainURL, "", "")
+		if err := client.RequestPage(mainURL, "", ""); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := client.Object("http://cdn.shop.test/dyn.png", 10*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		frames := tap.received()
+		if frames[0] != TMuxSettings {
+			t.Errorf("Mux=%v: first frame type %d, want TMuxSettings", cfg.Mux, frames[0])
+		}
+		for _, typ := range frames[1:] {
+			if typ != TStreamOpen && typ != TStreamData {
+				t.Errorf("Mux=%v: frame type %d among the streams: %v", cfg.Mux, typ, frames)
+			}
+		}
+		client.mu.Lock()
+		defer client.mu.Unlock()
+		if client.FirstCriticalAt.IsZero() {
+			t.Errorf("Mux=%v: FirstCriticalAt not set", cfg.Mux)
+		}
+		return tap
+	}
+	first := load(ClientConfig{})
+	second := load(ClientConfig{Mux: true})
+	if !bytes.Equal(first.sent(), second.sent()) {
+		t.Errorf("ClientConfig.Mux changed the request:\n%q\n%q", first.sent(), second.sent())
+	}
+	if st := proxy.CacheStats(); st.Hits+st.Shared == 0 {
+		t.Errorf("second session shared nothing: %+v", st)
+	}
+}
+
+// heldStore serves an archive but blocks one URL's response until release is
+// closed: the page's onload cannot fire while it is held.
+type heldStore struct {
+	httpsim.Store
+	url     string
+	release chan struct{}
+}
+
+func (h heldStore) Get(url string) (httpsim.Object, bool) {
+	if url == h.url {
+		<-h.release
+	}
+	return h.Store.Get(url)
+}
+
+// TestSchedReachesBundler is the one TCP assertion that ProxyConfig.Sched
+// picks the release schedule: with an onload-blocking image held at the
+// origin, IND has already streamed the main document while ONLD has released
+// nothing. What each policy releases and when is sched's own suite
+// (TestINDFlushesPerObject, TestONLDHoldsUntilOnload).
+func TestSchedReachesBundler(t *testing.T) {
+	run := func(cfg sched.Config, whileHeld func(c *Client, mainURL string)) {
+		archive, mainURL := testArchive()
+		held := heldStore{Store: replay.Rewriting{Store: archive}, url: "http://www.shop.test/hero.jpg", release: make(chan struct{})}
+		origin, err := StartOrigin("127.0.0.1:0", held)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer origin.Close()
+		proxy, err := StartProxy("127.0.0.1:0", ProxyConfig{
+			OriginAddr: origin.Addr(), Sched: cfg, QuietPeriod: 300 * time.Millisecond, FixedRandom: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer proxy.Close()
+		client, err := Dial(proxy.Addr(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer client.Close()
+		if err := client.RequestPage(mainURL, "", ""); err != nil {
+			t.Fatal(err)
+		}
+		whileHeld(client, mainURL)
+		close(held.release)
 		if _, err := client.WaitComplete(10 * time.Second); err != nil {
 			t.Fatal(err)
 		}
-		return client.BundlesReceived
+		if got := len(client.Objects()); got != archive.Len() {
+			t.Fatalf("%v: %d/%d objects after release", cfg, got, archive.Len())
+		}
 	}
-	ind := run(sched.ConfigIND)
-	onld := run(sched.ConfigONLD)
-	if onld >= ind {
-		t.Fatalf("ONLD bundles %d >= IND bundles %d", onld, ind)
-	}
+	run(sched.ConfigIND, func(c *Client, mainURL string) {
+		waitFor(t, 5*time.Second, func() bool { return c.Has(mainURL) })
+	})
+	run(sched.ConfigONLD, func(c *Client, _ string) {
+		time.Sleep(150 * time.Millisecond) // IND's main document lands within a few ms
+		if got := c.Objects(); len(got) != 0 {
+			t.Fatalf("ONLD released %v before onload", got)
+		}
+	})
 }
 
 func TestFallbackFetchesUnknownObject(t *testing.T) {
@@ -194,25 +349,25 @@ func TestShapedDialStillCorrect(t *testing.T) {
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte{1, 2, 3, 0, 255}
-	if err := WriteFrame(&buf, TBundle, payload); err != nil {
+	if err := WriteFrame(&buf, TObjectResponse, payload); err != nil {
 		t.Fatal(err)
 	}
 	typ, got, err := ReadFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != TBundle || !bytes.Equal(got, payload) {
+	if typ != TObjectResponse || !bytes.Equal(got, payload) {
 		t.Fatalf("frame round-trip: typ=%d payload=%v", typ, got)
 	}
 }
 
 func TestFrameRejectsOversize(t *testing.T) {
 	var buf bytes.Buffer
-	buf.Write([]byte{TBundle, 0xFF, 0xFF, 0xFF, 0xFF})
+	buf.Write([]byte{TObjectResponse, 0xFF, 0xFF, 0xFF, 0xFF})
 	if _, _, err := ReadFrame(&buf); err == nil {
 		t.Fatal("oversize frame accepted")
 	}
-	if err := WriteFrame(&buf, TBundle, make([]byte, maxFrame+1)); err == nil {
+	if err := WriteFrame(&buf, TObjectResponse, make([]byte, maxFrame+1)); err == nil {
 		t.Fatal("oversize write accepted")
 	}
 }

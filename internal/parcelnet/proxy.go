@@ -24,7 +24,8 @@ type ProxyConfig struct {
 	// OriginAddr is where every logical domain is served (the replay
 	// origin); production deployments would resolve DNS instead.
 	OriginAddr string
-	// Sched is the bundle schedule.
+	// Sched is the §4.4 release schedule: when collected objects are handed
+	// to the stream layer.
 	Sched sched.Config
 	// QuietPeriod is the §4.5 completion heuristic window.
 	QuietPeriod time.Duration
@@ -40,27 +41,27 @@ type ProxyConfig struct {
 	// Shards independent registries so registration, reaping, and counters
 	// never contend on one proxy-wide lock. 0 means GOMAXPROCS.
 	Shards int
-	// CacheBytes enables the cross-session object cache with the given byte
-	// budget: origin objects fetched for one session are served to every
-	// other session from memory, single-flighted so concurrent misses cost
-	// one origin fetch. 0 disables the cache (each session fetches its own
-	// objects, the pre-multi-tenant behaviour).
+	// CacheBytes is the cross-session object cache's byte budget: origin
+	// objects fetched for one session are served to every other session from
+	// memory, single-flighted so concurrent misses cost one origin fetch.
+	// 0 (or negative) means 256 MB.
 	CacheBytes int64
 	// OriginConns bounds the proxy-wide origin connection pool (the shared
 	// fetcher replaces the historical per-session fetchers, whose pools
 	// multiplied by session count). 0 means 64 — the paper's
 	// "well-provisioned" server pool (§4.3).
 	OriginConns int
-	// SessionPushBudget bounds the encoded-but-unsent bundle bytes queued per
-	// session. When a flush would exceed it, the items are deferred — parked
-	// and re-admitted as the client drains — instead of growing the queue
-	// without bound behind a slow reader. 0 means 8 MB; negative disables
-	// the budget.
+	// SessionPushBudget bounds the admitted-but-unsent stream body bytes queued
+	// per session. When an object would exceed it, it is deferred — parked,
+	// with everything scheduled after it, and re-admitted as the client drains
+	// — instead of growing the queue without bound behind a slow reader.
+	// 0 means 8 MB; negative disables the budget.
 	SessionPushBudget int64
-	// ProxyPushBudget bounds queued bundle bytes across all sessions. When a
-	// flush cannot reserve against it, the items are shed: the client is told
-	// (TShed) to fetch them over its direct-origin path, trading push benefit
-	// for bounded memory. 0 means 64 MB; negative disables the budget.
+	// ProxyPushBudget bounds queued stream bytes across all sessions. When a
+	// session with nothing queued cannot reserve against it, the object is
+	// shed: the client is told (TShed) to fetch it over its direct-origin
+	// path, trading push benefit for bounded memory. 0 means 64 MB; negative
+	// disables the budget.
 	ProxyPushBudget int64
 	// WrapConn, when set, wraps every accepted connection before the session
 	// reads from it (tests use it to shape the server side or shrink socket
@@ -70,21 +71,18 @@ type ProxyConfig struct {
 	// Resilience is the internal/resilience discipline every origin fetch
 	// runs under: per-attempt deadlines, a jittered-backoff retry budget, and
 	// per-origin circuit breakers; zero fields take the package defaults, so
-	// the zero value is Policy{}.WithDefaults(). With the shared cache enabled
-	// it also arms serve-stale-on-error (CacheFreshFor) and negative caching
+	// the zero value is Policy{}.WithDefaults(). It also arms the shared
+	// cache's serve-stale-on-error (CacheFreshFor) and negative caching
 	// (Policy.NegTTL).
 	Resilience resilience.Policy
 	// CacheFreshFor is the shared cache's freshness window: entries older
 	// than this are revalidated at the origin, and served stale when the
-	// origin is failing. 0 means entries never go stale. Ignored without
-	// CacheBytes.
+	// origin is failing. 0 means entries never go stale.
 	CacheFreshFor time.Duration
 
-	// MuxChunkSize is the parcelmux data-chunk size for sessions that request
-	// the stream layer (0 means 32 KB). MuxStreamWindow and MuxConnWindow are
-	// the initial per-stream and per-connection flow-control windows (0 means
-	// 256 KB and 1 MB). Sessions that do not set PageRequest.Mux are served
-	// over the legacy monolithic-bundle path regardless.
+	// MuxChunkSize is the parcelmux data-chunk size (0 means 32 KB).
+	// MuxStreamWindow and MuxConnWindow are the initial per-stream and
+	// per-connection flow-control windows (0 means 256 KB and 1 MB).
 	MuxChunkSize    int
 	MuxStreamWindow int64
 	MuxConnWindow   int64
@@ -94,18 +92,18 @@ type ProxyConfig struct {
 }
 
 // Proxy is a running real-network PARCEL proxy: a listener fanning sessions
-// out over shards, a shared origin fetcher, and (optionally) the
-// cross-session object cache and push-budget admission control.
+// out over shards, a shared origin fetcher, the cross-session object cache
+// and push-budget admission control.
 type Proxy struct {
 	cfg   ProxyConfig
 	ln    net.Listener
 	wg    sync.WaitGroup
 	fetch *OriginFetcher
-	cache *objcache.Cache // nil when CacheBytes == 0
+	cache *objcache.Cache
 	res   *resilientFetcher
 
-	// queued is the proxy-wide reservation counter for encoded-but-unsent
-	// bundle bytes; deferred/shedTotal aggregate admission outcomes.
+	// queued is the proxy-wide reservation counter for admitted-but-unsent
+	// stream bytes; deferred/shedTotal aggregate admission outcomes.
 	queued    atomic.Int64
 	deferred  atomic.Int64
 	shedTotal atomic.Int64
@@ -138,6 +136,9 @@ func StartProxy(addr string, cfg ProxyConfig) (*Proxy, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
 	}
+	if cfg.CacheBytes <= 0 {
+		cfg.CacheBytes = 256 << 20
+	}
 	if cfg.OriginConns <= 0 {
 		cfg.OriginConns = 64
 	}
@@ -166,12 +167,10 @@ func StartProxy(addr string, cfg ProxyConfig) (*Proxy, error) {
 		fetch: NewOriginFetcherN(cfg.OriginAddr, cfg.OriginConns),
 	}
 	p.res = newResilientFetcher(p.fetch.FetchValidatedCtx, cfg.Resilience)
-	if cfg.CacheBytes > 0 {
-		p.cache = objcache.New(objcache.Config{
-			Capacity: cfg.CacheBytes, Segments: cfg.Shards,
-			FreshFor: cfg.CacheFreshFor, NegTTL: p.res.group.Policy().NegTTL,
-		})
-	}
+	p.cache = objcache.New(objcache.Config{
+		Capacity: cfg.CacheBytes, Segments: cfg.Shards,
+		FreshFor: cfg.CacheFreshFor, NegTTL: p.res.group.Policy().NegTTL,
+	})
 	p.shards = make([]*shard, cfg.Shards)
 	for i := range p.shards {
 		p.shards[i] = &shard{active: make(map[*session]struct{})}
@@ -314,16 +313,11 @@ func (p *Proxy) ShardSessions() []int {
 	return out
 }
 
-// CacheStats returns the shared object cache's counters (zero when disabled).
-func (p *Proxy) CacheStats() objcache.Stats {
-	if p.cache == nil {
-		return objcache.Stats{}
-	}
-	return p.cache.Stats()
-}
+// CacheStats returns the shared object cache's counters.
+func (p *Proxy) CacheStats() objcache.Stats { return p.cache.Stats() }
 
 // QueuedBytes returns the current proxy-wide reservation against
-// ProxyPushBudget: encoded bundle bytes accepted but not yet written.
+// ProxyPushBudget: stream body bytes admitted but not yet written.
 func (p *Proxy) QueuedBytes() int64 { return p.queued.Load() }
 
 // DeferredTotal returns how many objects admission control has parked behind
@@ -335,10 +329,10 @@ func (p *Proxy) DeferredTotal() int64 { return p.deferred.Load() }
 func (p *Proxy) ShedTotal() int64 { return p.shedTotal.Load() }
 
 // reserve claims n bytes of the proxy-wide push budget, failing when the
-// budget is exhausted (the shed signal). Reservations are released as the
-// writer drains frames (releaseQueuedLocked) or handed off with the frame
-// that carries them (enqueueLocked, muxSender.add); the pairing analyzer
-// checks every admission path does one or the other.
+// budget is exhausted (the shed signal). A reservation is handed to the
+// stream that carries the bytes (muxSender.add) and released as the writer
+// drains its chunks (releaseQueuedLocked); the pairing analyzer checks the
+// admission path does so.
 //
 //parcelvet:acquire pushq
 func (p *Proxy) reserve(n int64) bool {
@@ -376,12 +370,12 @@ func (p *Proxy) shardFor(addr string) *shard {
 	return p.shards[h.Sum32()%uint32(len(p.shards))]
 }
 
-// outFrame is one queued write: an encoded frame plus the bytes it reserved
-// against the session and proxy push budgets (0 for control frames).
+// outFrame is one queued control frame (settings, shed and drain notes,
+// fallback responses, the completion note). Control frames reserve nothing
+// against the push budgets; object bytes travel as mux streams.
 type outFrame struct {
-	typ      byte
-	payload  []byte
-	reserved int64
+	typ     byte
+	payload []byte
 }
 
 // session is the per-connection proxy state.
@@ -393,29 +387,28 @@ type session struct {
 
 	mu       sync.Mutex
 	sendCond *sync.Cond
-	// sendq is the write queue the session's writer goroutine drains; the
-	// serve loop, the crawler callbacks, and the quiet timer only ever
-	// enqueue, so a slow client blocks its writer, never the proxy.
+	// sendq is the control-frame queue and mux the parcelmux stream
+	// scheduler; the session's writer goroutine drains both. The serve loop,
+	// the crawler callbacks, and the quiet timer only ever enqueue, so a slow
+	// client blocks its writer, never the proxy. sendqBytes is the stream body
+	// bytes reserved against the push budgets and not yet written.
 	sendq      []outFrame
+	mux        *muxSender
 	sendqBytes int64
 	writerDone chan struct{}
-	// parked holds deferred items: flushed by the bundler while the session
+	// parked holds deferred items: released by the bundler while the session
 	// budget was full, re-admitted as the writer drains.
 	parked []sched.Item
-	// mux is the parcelmux stream scheduler for sessions that requested the
-	// multiplexed layer (nil on the legacy bundle path). partialOffsets maps
-	// resume-manifest URLs to the byte offset the client already holds;
-	// completeNote/completeQueued stage the TComplete frame until every live
-	// stream has drained.
-	mux            *muxSender
+	// partialOffsets maps resume-manifest URLs to the byte offset the client
+	// already holds. completeNote stages the encoded TComplete payload until
+	// every live stream has drained (nil: nothing staged).
 	partialOffsets map[string]int64
 	resumed        int
 	completeNote   []byte
-	completeQueued bool
 
 	bundler      *sched.Bundler
 	crawl        *crawler          // the page's discovery crawl; set once by startPage, stopped by teardown
-	cache        map[string]Object // session view; bodies nil when the shared cache holds them
+	cache        map[string]Object // session view: metadata only, bodies live in the shared cache
 	have         map[string]bool   // resume manifest: objects the client holds
 	quiet        *time.Timer
 	onloadSeen   bool
@@ -432,7 +425,6 @@ type session struct {
 	originRetries int
 	staleServes   int
 	originBytes   int64
-	sharedBodies  bool
 }
 
 func (p *Proxy) serve(conn net.Conn) {
@@ -441,13 +433,13 @@ func (p *Proxy) serve(conn net.Conn) {
 	}
 	sh := p.shardFor(conn.RemoteAddr().String())
 	s := &session{
-		proxy:        p,
-		shard:        sh,
-		conn:         conn,
-		fw:           NewFrameWriter(conn),
-		cache:        make(map[string]Object),
-		writerDone:   make(chan struct{}),
-		sharedBodies: p.cache != nil,
+		proxy:      p,
+		shard:      sh,
+		conn:       conn,
+		fw:         NewFrameWriter(conn),
+		mux:        newMuxSender(p.cfg.MuxChunkSize, p.cfg.MuxStreamWindow, p.cfg.MuxConnWindow),
+		cache:      make(map[string]Object),
+		writerDone: make(chan struct{}),
 	}
 	s.sendCond = sync.NewCond(&s.mu)
 	sh.mu.Lock()
@@ -510,7 +502,11 @@ func (s *session) handleFrame(typ byte, payload []byte) bool {
 		id := binary.BigEndian.Uint32(payload[0:])
 		inc := binary.BigEndian.Uint32(payload[4:])
 		s.mu.Lock()
-		if s.mux != nil {
+		if s.bundler == nil {
+			// No page, so no stream to credit; crediting the connection window
+			// would let a client widen it before the settings frame announces it.
+			p.cfg.Logf("window update before page request ignored (stream %d, +%d)", id, inc)
+		} else {
 			s.mux.credit(id, inc)
 			s.sendCond.Signal()
 		}
@@ -527,7 +523,7 @@ func (s *session) handleFrame(typ byte, payload []byte) bool {
 // the connection open.
 func (s *session) idleLocked() bool {
 	return s.completeSent && len(s.sendq) == 0 && len(s.parked) == 0 &&
-		!s.completeQueued && (s.mux == nil || s.mux.live == 0)
+		s.completeNote == nil && s.mux.live == 0
 }
 
 // drainNotice queues the session's TDrain frame. The pending manifest is
@@ -544,9 +540,7 @@ func (s *session) drainNotice() {
 	for _, it := range s.parked {
 		note.Pending = append(note.Pending, it.URL)
 	}
-	if s.mux != nil {
-		note.Pending = append(note.Pending, s.mux.pendingURLs()...)
-	}
+	note.Pending = append(note.Pending, s.mux.pendingURLs()...)
 	sort.Strings(note.Pending)
 	s.proxy.drained.Add(1)
 	if err := s.enqueueJSONLocked(TDrain, note); err != nil {
@@ -603,9 +597,9 @@ func (s *session) writeLoop() {
 				s.mu.Unlock()
 				return
 			}
-			// Control frames (settings, shed notes, fallback responses, legacy
-			// bundles) drain ahead of mux data; the TComplete barrier waits for
-			// every live stream to finish so completion never overtakes data.
+			// Control frames (settings, shed notes, fallback responses) drain
+			// ahead of stream data; the TComplete barrier waits for every live
+			// stream to finish so completion never overtakes data.
 			if len(s.sendq) > 0 {
 				f = s.sendq[0]
 				s.sendq[0] = outFrame{}
@@ -613,17 +607,15 @@ func (s *session) writeLoop() {
 				haveCtl = true
 				break
 			}
-			if s.mux != nil {
-				if fr, n, ok := s.mux.nextFrame(); ok {
-					raw, drained = fr, int64(n)
-					break
-				}
-				if s.completeQueued && s.mux.live == 0 {
-					f = outFrame{typ: TComplete, payload: s.completeNote}
-					s.completeQueued = false
-					haveCtl = true
-					break
-				}
+			if fr, n, ok := s.mux.nextFrame(); ok {
+				raw, drained = fr, int64(n)
+				break
+			}
+			if s.completeNote != nil && s.mux.live == 0 {
+				f = outFrame{typ: TComplete, payload: s.completeNote}
+				s.completeNote = nil
+				haveCtl = true
+				break
 			}
 			s.sendCond.Wait()
 		}
@@ -639,7 +631,7 @@ func (s *session) writeLoop() {
 		}
 
 		s.mu.Lock()
-		s.releaseQueuedLocked(f.reserved + drained)
+		s.releaseQueuedLocked(drained)
 		if err != nil {
 			s.proxy.cfg.Logf("session write: %v", err)
 			s.drainLocked()
@@ -653,8 +645,8 @@ func (s *session) writeLoop() {
 }
 
 // releaseQueuedLocked returns n reserved bytes to the session and proxy push
-// budgets — the single point where pushq reservations die, as frames drain
-// onto the wire or with the session itself.
+// budgets — the single point where pushq reservations die, as stream chunks
+// drain onto the wire or with the session itself.
 //
 //parcelvet:release pushq
 func (s *session) releaseQueuedLocked(n int64) {
@@ -668,20 +660,12 @@ func (s *session) releaseQueuedLocked(n int64) {
 // drainLocked releases every remaining reservation of a dying session so the
 // proxy-wide budget is never leaked by disconnects.
 func (s *session) drainLocked() {
-	for _, f := range s.sendq {
-		s.releaseQueuedLocked(f.reserved)
-	}
 	s.sendq = nil
-	if s.mux != nil {
-		s.releaseQueuedLocked(s.mux.drain())
-	}
+	s.releaseQueuedLocked(s.mux.drain())
 }
 
-// enqueueLocked appends one frame to the send queue and wakes the writer.
-// The frame's reservation rides with it: ownership of those pushq bytes
-// passes to the send queue, and the writer releases them as it drains.
-//
-//parcelvet:transfer pushq
+// enqueueLocked appends one control frame to the send queue and wakes the
+// writer.
 func (s *session) enqueueLocked(f outFrame) {
 	s.sendq = append(s.sendq, f)
 	s.sendCond.Signal()
@@ -703,9 +687,8 @@ func (s *session) enqueueJSONLocked(typ byte, v any) error {
 
 // startPage begins serving one page request. It returns false — tearing the
 // session down — on a second TPageRequest over the same connection: the
-// protocol is one page per session, and silently replacing s.mux/s.bundler
-// would strand the old mux sender's reservations in sendqBytes and the
-// proxy-wide budget forever (drainLocked only ever drains the current mux).
+// protocol is one page per session, and a second bundler feeding the same
+// stream scheduler would push every object twice.
 func (s *session) startPage(req PageRequest) bool {
 	cfg := s.proxy.cfg
 	cfg.Logf("page request: %s (ua=%q, have=%d)", req.URL, req.UserAgent, len(req.Have))
@@ -719,21 +702,21 @@ func (s *session) startPage(req PageRequest) bool {
 	for _, u := range req.Have {
 		s.have[u] = true
 	}
-	if req.Mux {
-		s.mux = newMuxSender(cfg.MuxChunkSize, cfg.MuxStreamWindow, cfg.MuxConnWindow)
-		if len(req.Partial) > 0 {
-			s.partialOffsets = make(map[string]int64, len(req.Partial))
-			for _, po := range req.Partial {
-				if po.Bytes > 0 {
-					s.partialOffsets[po.URL] = po.Bytes
-				}
+	if len(req.Partial) > 0 {
+		s.partialOffsets = make(map[string]int64, len(req.Partial))
+		for _, po := range req.Partial {
+			if po.Bytes > 0 {
+				s.partialOffsets[po.URL] = po.Bytes
 			}
 		}
-		// Settings ride the control queue so the client learns the windows
-		// before the first stream frame.
-		s.enqueueLocked(outFrame{typ: TMuxSettings, payload: s.mux.settingsPayload()})
 	}
-	s.bundler = sched.NewBundler(cfg.Sched, s.flushLocked)
+	// Settings ride the control queue so the client learns the windows
+	// before the first stream frame.
+	s.enqueueLocked(outFrame{typ: TMuxSettings, payload: s.mux.settingsPayload()})
+	s.bundler = sched.NewBundler(cfg.Sched, func(items []sched.Item, _ sched.FlushReason) {
+		// The bundler releases with s.mu held.
+		s.admitUntilParkLocked(items, true)
+	})
 	s.crawl = newCrawler(s.fetchURL, cfg.FixedRandom,
 		func(obj Object) { s.collect(obj) },
 		func() { s.onLoad() },
@@ -746,7 +729,7 @@ func (s *session) startPage(req PageRequest) bool {
 }
 
 // collect feeds one crawled object into the schedule and resets the §4.5
-// inactivity window. Objects the resume manifest already lists are cached
+// inactivity window. Objects the resume manifest already lists are recorded
 // (they can still be served via fallback) but not re-pushed.
 func (s *session) collect(obj Object) {
 	s.mu.Lock()
@@ -762,7 +745,7 @@ func (s *session) collect(obj Object) {
 	if s.completeSent {
 		// Objects arriving after the completion notification (missed by the
 		// heuristic) are pushed individually so the client is never starved.
-		s.flushLocked([]sched.Item{itemFromObject(obj)}, sched.FlushComplete)
+		s.admitUntilParkLocked([]sched.Item{itemFromObject(obj)}, true)
 		s.mu.Unlock()
 		return
 	}
@@ -773,14 +756,11 @@ func (s *session) collect(obj Object) {
 	s.mu.Unlock()
 }
 
-// storeLocked records the session's view of an object. With the shared cache
-// enabled only metadata is kept — the body lives (deduplicated) in the cache
-// and fallback requests re-resolve through it — so N sessions of one page
-// cost one body, not N.
+// storeLocked records the session's view of an object: metadata only. The
+// body lives (deduplicated) in the shared cache and fallback requests
+// re-resolve through it, so N sessions of one page cost one body, not N.
 func (s *session) storeLocked(obj Object) {
-	if s.sharedBodies {
-		obj.Body = nil
-	}
+	obj.Body = nil
 	s.cache[obj.URL] = obj
 }
 
@@ -804,8 +784,8 @@ func (s *session) armQuietLocked() {
 
 func (s *session) declareComplete() {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.completeSent || s.closed {
-		s.mu.Unlock()
 		return
 	}
 	s.completeSent = true
@@ -816,7 +796,7 @@ func (s *session) declareComplete() {
 		s.shedLocked(s.parked)
 		s.parked = nil
 	}
-	note := CompleteNote{
+	err := s.stageNoteLocked(CompleteNote{
 		ObjectsPushed:   s.pushed,
 		BytesPushed:     s.pushedBytes,
 		ObjectsSkipped:  s.skipped,
@@ -828,71 +808,66 @@ func (s *session) declareComplete() {
 		OriginRetries:   s.originRetries,
 		StaleServes:     s.staleServes,
 		OriginBytes:     s.originBytes,
-	}
-	if s.mux != nil {
-		// Under mux the note cannot ride the control queue — control frames
-		// drain ahead of stream data, and completion must come last. Stage it
-		// for the writer, which emits it once every live stream has finished.
-		data, err := json.Marshal(note)
-		if err != nil {
-			s.proxy.cfg.Logf("encode complete note: %v", err)
-		} else {
-			s.completeNote = data
-			s.completeQueued = true
-			s.sendCond.Signal()
-		}
-		s.mu.Unlock()
-		return
-	}
-	// The note rides the send queue so it cannot overtake queued bundles.
-	if err := s.enqueueJSONLocked(TComplete, note); err != nil {
+	})
+	if err != nil {
 		// Without the note the client waits out its completion timeout; close
 		// the connection instead so it fails over immediately.
 		s.proxy.cfg.Logf("%v", err)
 		s.conn.Close()
 	}
-	s.mu.Unlock()
+}
+
+// stageNoteLocked encodes the completion note and stages it for the
+// writer. It cannot ride the control queue — control frames drain ahead of
+// stream data, and completion must come last — so the writer emits it once
+// every live stream has finished. Callers must tear the session down on the
+// returned marshal error (wireerr enforces this).
+func (s *session) stageNoteLocked(note CompleteNote) error {
+	data, err := json.Marshal(note)
+	if err != nil {
+		return fmt.Errorf("parcelnet: encode completion note: %w", err)
+	}
+	s.completeNote = data
+	s.sendCond.Signal()
+	return nil
 }
 
 func itemFromObject(o Object) sched.Item {
 	return sched.Item{URL: o.URL, ContentType: o.ContentType, Status: o.Status, Body: o.Body}
 }
 
-// flushLocked admits one scheduled bundle; the bundler invokes it with s.mu
-// held. Admission control happens here: within the session budget the bundle
-// is encoded and queued; over it, items are deferred (parked for re-admission
-// as the writer drains); and when the proxy-wide budget cannot cover the
-// bundle, items are shed to the client's direct-origin path.
-func (s *session) flushLocked(items []sched.Item, reason sched.FlushReason) {
-	if s.mux != nil {
-		s.admitMuxLocked(items)
-		return
-	}
-	s.admitLocked(items)
-}
-
-// admitMuxLocked admits scheduled items as parcelmux streams, one stream per
-// object. The same budgets apply as on the legacy path, but per item: a
-// stream reserves its remaining body bytes on admission and releases them
-// chunk by chunk as the writer drains. Once one item parks, the rest park
-// behind it so schedule order survives deferral.
-func (s *session) admitMuxLocked(items []sched.Item) {
+// admitUntilParkLocked is admission control for one release of the schedule
+// (fresh) or for the parked backlog (not fresh): items are admitted in order
+// until the first one that has to wait, and the rest park behind it so
+// schedule order survives deferral. Only a fresh park counts as a deferral;
+// re-parking a backlog is the same deferral continuing.
+func (s *session) admitUntilParkLocked(items []sched.Item, fresh bool) {
 	if s.closed {
 		return
 	}
 	for i, it := range items {
-		if len(s.parked) > 0 {
-			s.parkLocked(items[i:])
-			return
+		if len(s.parked) == 0 && s.admitItemLocked(it) {
+			continue
 		}
-		s.admitMuxItemLocked(it, true)
+		rest := items[i:]
+		s.parked = append(s.parked, rest...)
+		if fresh {
+			s.deferredSeen += len(rest)
+			s.proxy.deferred.Add(int64(len(rest)))
+		}
+		return
 	}
 }
 
-// admitMuxItemLocked admits one object to the mux scheduler. fresh marks a
-// first-time admission (a park counts as a new deferral); re-admissions from
-// the parked list pass false so they are not double-counted.
-func (s *session) admitMuxItemLocked(it sched.Item, fresh bool) {
+// admitItemLocked settles one object against the push budgets: it opens a
+// stream for it (reserving its remaining body bytes, which the writer
+// releases chunk by chunk) or sheds it to the client's direct-origin path,
+// and returns true; or it returns false because the object has to wait for
+// this session's own queue to drain. A session with nothing queued never
+// waits: within the proxy-wide budget its object is admitted however large
+// (one oversized object cannot livelock), and beyond it the object is shed,
+// since nothing of this session's will drain to make room.
+func (s *session) admitItemLocked(it sched.Item) bool {
 	offset := s.partialOffsets[it.URL]
 	total := int64(len(it.Body))
 	if offset > total {
@@ -901,23 +876,14 @@ func (s *session) admitMuxItemLocked(it sched.Item, fresh bool) {
 	rem := it.Body[offset:]
 	n := int64(len(rem))
 	if b := s.proxy.cfg.SessionPushBudget; b > 0 && s.sendqBytes > 0 && s.sendqBytes+n > b {
-		if fresh {
-			s.parkLocked([]sched.Item{it})
-		} else {
-			s.parked = append(s.parked, it)
-		}
-		return
+		return false
 	}
 	if !s.proxy.reserve(n) {
-		switch {
-		case s.sendqBytes > 0 && fresh:
-			s.parkLocked([]sched.Item{it})
-		case s.sendqBytes > 0:
-			s.parked = append(s.parked, it)
-		default:
-			s.shedLocked([]sched.Item{it})
+		if s.sendqBytes > 0 {
+			return false
 		}
-		return
+		s.shedLocked([]sched.Item{it})
+		return true
 	}
 	if offset > 0 {
 		s.resumed++
@@ -928,45 +894,7 @@ func (s *session) admitMuxItemLocked(it sched.Item, fresh bool) {
 	s.sendqBytes += n
 	s.mux.add(it.URL, it.ContentType, it.Status, rem, offset, total)
 	s.sendCond.Signal()
-}
-
-func (s *session) admitLocked(items []sched.Item) {
-	if len(items) == 0 || s.closed {
-		return
-	}
-	parts := make([]mhtml.Part, len(items))
-	var bodyBytes int64
-	for i, it := range items {
-		parts[i] = mhtml.Part{URL: it.URL, ContentType: it.ContentType, Status: it.Status, Body: it.Body}
-		bodyBytes += int64(len(it.Body))
-	}
-	payload := mhtml.Encode(parts)
-	n := int64(len(payload))
-	// Defer: the session's queue is occupied and this bundle would blow its
-	// budget. Park the items — the writer re-admits them as frames drain, and
-	// completion sheds whatever never fit. A bundle arriving at an empty
-	// queue is always admitted so a single oversized flush cannot livelock.
-	if b := s.proxy.cfg.SessionPushBudget; b > 0 && s.sendqBytes > 0 && s.sendqBytes+n > b {
-		s.parkLocked(items)
-		return
-	}
-	// The proxy-wide budget has no room. With frames still queued this is
-	// another deferral (our own drain releases budget, so retrying is
-	// guaranteed progress); with an empty queue nothing of ours will drain,
-	// so the items are shed: the client fetches them itself (DIR
-	// degradation) instead of the proxy queueing unboundedly.
-	if !s.proxy.reserve(n) {
-		if s.sendqBytes > 0 {
-			s.parkLocked(items)
-		} else {
-			s.shedLocked(items)
-		}
-		return
-	}
-	s.pushed += len(items)
-	s.pushedBytes += bodyBytes
-	s.sendqBytes += n
-	s.enqueueLocked(outFrame{typ: TBundle, payload: payload, reserved: n})
+	return true
 }
 
 // shedLocked records and announces shed objects.
@@ -985,21 +913,12 @@ func (s *session) shedLocked(items []sched.Item) {
 	}
 }
 
-// parkLocked defers items for later re-admission, counting each object once.
-func (s *session) parkLocked(items []sched.Item) {
-	s.parked = append(s.parked, items...)
-	s.deferredSeen += len(items)
-	s.proxy.deferred.Add(int64(len(items)))
-}
-
-// promoteParkedLocked re-admits deferred items once the queue has drained
-// below the session budget — one item per bundle, so a long parked backlog
-// refills the queue incrementally instead of as one budget-busting batch.
-// Re-admission may re-park a tail that still does not fit; an empty queue
-// admits unconditionally, so parked items always make progress once the
-// client catches up.
+// promoteParkedLocked re-admits the parked backlog once the queue has drained
+// below half the session budget, so a long backlog refills the queue
+// incrementally; an empty queue admits unconditionally, so parked items
+// always make progress once the client catches up.
 func (s *session) promoteParkedLocked() {
-	if len(s.parked) == 0 || s.closed {
+	if len(s.parked) == 0 {
 		return
 	}
 	if b := s.proxy.cfg.SessionPushBudget; b > 0 && s.sendqBytes > 0 && s.sendqBytes >= b/2 {
@@ -1007,63 +926,26 @@ func (s *session) promoteParkedLocked() {
 	}
 	items := s.parked
 	s.parked = nil
-	for i, it := range items {
-		if len(s.parked) > 0 {
-			// Admission started parking again: keep the rest parked in order
-			// without re-counting them as new deferrals.
-			s.parked = append(s.parked, items[i:]...)
-			break
-		}
-		s.admitOneLocked(it)
-	}
+	s.admitUntilParkLocked(items, false)
 }
 
-// admitOneLocked re-admits a single previously-deferred item. Unlike
-// admitLocked it does not re-count a parked item as a new deferral.
-func (s *session) admitOneLocked(it sched.Item) {
-	if s.mux != nil {
-		s.admitMuxItemLocked(it, false)
-		return
-	}
-	payload := mhtml.Encode([]mhtml.Part{{URL: it.URL, ContentType: it.ContentType, Status: it.Status, Body: it.Body}})
-	n := int64(len(payload))
-	if b := s.proxy.cfg.SessionPushBudget; b > 0 && s.sendqBytes > 0 && s.sendqBytes+n > b {
-		s.parked = append(s.parked, it)
-		return
-	}
-	if !s.proxy.reserve(n) {
-		if s.sendqBytes > 0 {
-			s.parked = append(s.parked, it)
-		} else {
-			s.shedLocked([]sched.Item{it})
-		}
-		return
-	}
-	s.pushed++
-	s.pushedBytes += int64(len(it.Body))
-	s.sendqBytes += n
-	s.enqueueLocked(outFrame{typ: TBundle, payload: payload, reserved: n})
-}
-
-// serveFallback answers a missing-object request from the session's view or
-// the origin. With the shared cache enabled the body is re-resolved through
-// it (a hit for anything recently pushed).
+// serveFallback answers a missing-object request. The body is re-resolved
+// through the shared cache (a hit for anything recently pushed); only a
+// recorded error status is answered from the session's view alone.
 func (s *session) serveFallback(url string) {
 	s.mu.Lock()
 	obj, ok := s.cache[url]
 	s.mu.Unlock()
-	if !ok || (obj.Body == nil && obj.Status < 400) {
+	if !ok || obj.Status < 400 {
 		body, ct, status, err := s.fetchURL(url)
 		if err != nil {
 			s.proxy.cfg.Logf("fallback fetch %s: %v", url, err)
 			status = 502
 		}
-		if ok && obj.Body == nil {
-			// The session saw this object before; serve the cached identity's
-			// content type when the refetch lost it.
-			if ct == "" {
-				ct = obj.ContentType
-			}
+		if ok && ct == "" {
+			// The session saw this object before; serve the recorded content
+			// type when the refetch lost it.
+			ct = obj.ContentType
 		}
 		obj = Object{URL: url, ContentType: ct, Status: status, Body: body}
 		s.mu.Lock()

@@ -103,10 +103,10 @@ func (p *Proxy) ResilienceStats() ResilienceStats {
 }
 
 // fetchURL is the session's object source, and its one origin-fetch path:
-// breaker + retries + deadlines around the origin, behind — when the shared
-// cache is enabled — single-flight de-duplication, serve-stale-on-error and
-// negative caching. Failures return an error; the crawler converts it into a
-// 502 object so the session completes (degraded, not dead).
+// breaker + retries + deadlines around the origin, behind the shared cache's
+// single-flight de-duplication, serve-stale-on-error and negative caching.
+// Failures return an error; the crawler converts it into a 502 object so the
+// session completes (degraded, not dead).
 func (s *session) fetchURL(url string) ([]byte, string, int, error) {
 	p := s.proxy
 	// fetched marks that this session's own origin fetch ran and succeeded;
@@ -127,10 +127,6 @@ func (s *session) fetchURL(url string) ([]byte, string, int, error) {
 		s.originBytes += int64(len(body))
 		s.mu.Unlock()
 		return objcache.Object{URL: url, ContentType: ct, Status: status, Validator: validator, Body: body}, nil
-	}
-	if p.cache == nil {
-		obj, err := fetch()
-		return obj.Body, obj.ContentType, obj.Status, err
 	}
 	obj, outcome, err := p.cache.GetOrFetchStale(url, p.res.now(), fetch)
 	s.mu.Lock()

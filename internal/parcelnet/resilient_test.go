@@ -155,9 +155,12 @@ func TestResilientServesStaleWhenOriginDies(t *testing.T) {
 }
 
 // TestResilientBreakerOpensOnDeadOrigin drives sessions at an origin that was
-// never reachable: after FailureThreshold consecutive failures the per-origin
-// breaker opens and later fetches fail fast instead of dialing, while every
-// session still completes (degraded 502 objects, not hung pages).
+// never reachable. The first session's attempt and first retry are the
+// FailureThreshold consecutive failures that open the per-origin breaker, and
+// its next retry fails fast instead of dialing; the failure is then
+// negatively cached, so the later sessions are refused by the cache and never
+// reach the breaker. Every session still completes (degraded 502 objects, not
+// hung pages).
 func TestResilientBreakerOpensOnDeadOrigin(t *testing.T) {
 	defer leakcheck.Check(t)()
 	archive, mainURL := testArchive()
@@ -175,9 +178,9 @@ func TestResilientBreakerOpensOnDeadOrigin(t *testing.T) {
 		FixedRandom: true,
 		Resilience: resilience.Policy{
 			Timeout:          time.Second,
-			MaxRetries:       0,
 			FailureThreshold: 2,
 			OpenFor:          10 * time.Second,
+			NegTTL:           10 * time.Second,
 		},
 	})
 	if err != nil {
@@ -204,8 +207,11 @@ func TestResilientBreakerOpensOnDeadOrigin(t *testing.T) {
 	if rs.BreakerOpens == 0 {
 		t.Errorf("breaker never opened against a dead origin: %+v", rs)
 	}
-	if rs.BreakerFastFails == 0 {
-		t.Errorf("no fast-fails recorded on the open breaker: %+v", rs)
+	if rs.BreakerFastFails != 1 {
+		t.Errorf("breaker fast-fails = %d, want the first session's one: %+v", rs.BreakerFastFails, rs)
+	}
+	if st := proxy.CacheStats(); st.NegHits != 2 {
+		t.Errorf("negative-cache hits = %d, want one per later session: %+v", st.NegHits, st)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package parcelnet is the real-network implementation of PARCEL: a proxy
-// and client speaking a framed bundle protocol over real TCP connections,
+// and client speaking a framed stream protocol over real TCP connections,
 // plus an HTTP origin server that serves replay archives. It is the
 // deployable counterpart of the simulated internal/core — same split of
 // functionality (proxy-side object identification and push, client-side
@@ -18,16 +18,15 @@ import (
 // Frame types.
 const (
 	TPageRequest byte = iota + 1
-	TBundle           // payload: MHTML bundle
+	_                 // 2 is retired: the monolithic bundle frame
 	TComplete         // payload: JSON CompleteNote
 	TObjectRequest
 	TObjectResponse // payload: MHTML bundle with one part
 	TShed           // payload: JSON ShedNote — objects the proxy will not push
 
-	// parcelmux frame types: the multiplexed stream layer. A session that
-	// requested Mux in its PageRequest receives objects as interleaved
-	// per-stream chunks instead of monolithic TBundle frames, so a large
-	// object can no longer head-of-line-block small critical ones.
+	// parcelmux frame types: the multiplexed stream layer. Pushed objects
+	// arrive as interleaved per-stream chunks, so a large object cannot
+	// head-of-line-block small critical ones.
 	TMuxSettings  // payload: [u32 streamWindow][u32 connWindow][u32 chunkSize]
 	TStreamOpen   // payload: [u32 id][flags][prio][uvarint offset,total][meta]
 	TStreamData   // payload: [u32 id][flags][chunk bytes]
@@ -44,15 +43,13 @@ const maxFrame = 64 << 20
 // request with a manifest, and the proxy pushes only what is still missing.
 // Partial extends the manifest to streams that were cut mid-object: the proxy
 // re-opens those streams at the recorded offset instead of resending the
-// prefix. Mux asks for the parcelmux stream layer; a proxy that honours it
-// answers with TMuxSettings before the first stream.
+// prefix. The proxy answers with TMuxSettings before the first stream.
 type PageRequest struct {
 	URL       string          `json:"url"`
 	UserAgent string          `json:"user_agent,omitempty"`
 	Screen    string          `json:"screen,omitempty"`
 	Have      []string        `json:"have,omitempty"`
 	Partial   []PartialObject `json:"partial,omitempty"`
-	Mux       bool            `json:"mux,omitempty"`
 }
 
 // PartialObject is one partially-received stream in a resume manifest: the
