@@ -82,13 +82,19 @@ func NewClient(topo *scenario.Topology, cfg ClientConfig) *Client {
 		waiting:     make(map[string][]func(browser.Result)),
 		postWaiters: make(map[int]func(browser.Result)),
 	}
-	c.Engine = browser.New(topo.Sim, bundleFetcher{c}, browser.Options{
-		CPU:         cfg.CPU,
-		FixedRandom: cfg.FixedRandom,
-		ExecCache:   topo.ExecCache,
-		JSPools:     topo.JSPools,
-	})
+	c.Engine = c.newEngine()
 	return c
+}
+
+// newEngine builds the rendering engine for one load of the page: a revisit
+// (Reload) replays scripts from the topology's memo like the first visit.
+func (c *Client) newEngine() *browser.Engine {
+	return browser.New(c.topo.Sim, bundleFetcher{c}, browser.Options{
+		CPU:         c.cfg.CPU,
+		FixedRandom: c.cfg.FixedRandom,
+		ExecCache:   c.topo.ExecCache,
+		JSPools:     c.topo.JSPools,
+	})
 }
 
 // bundleFetcher is the client's Fetcher: it serves from the pushed-object
@@ -185,6 +191,16 @@ func (c *Client) receive(it sched.Item, at time.Duration) {
 			cb(resultFromItem(it, at))
 		}
 	}
+}
+
+// Objects lists the URLs the client holds (pushed or fallback-fetched), sorted.
+func (c *Client) Objects() []string {
+	urls := make([]string, 0, len(c.store))
+	for u := range c.store {
+		urls = append(urls, u)
+	}
+	sort.Strings(urls)
+	return urls
 }
 
 // requestMissing issues the §4.5 fallback request for one URL.

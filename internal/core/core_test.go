@@ -51,10 +51,10 @@ func TestParcelLoadsFullPage(t *testing.T) {
 		t.Fatalf("client received %d objects, page has %d", client.ObjectsReceived, page.ObjectCount)
 	}
 	sess := proxy.Sessions[0]
-	if sess.ObjectsPushed < page.ObjectCount {
-		t.Fatalf("proxy pushed %d, page has %d", sess.ObjectsPushed, page.ObjectCount)
+	if sess.Counts().ObjectsPushed < page.ObjectCount {
+		t.Fatalf("proxy pushed %d, page has %d", sess.Counts().ObjectsPushed, page.ObjectCount)
 	}
-	if !sess.completeSent {
+	if !sess.page.Completed() {
 		t.Fatal("proxy never declared completion")
 	}
 }

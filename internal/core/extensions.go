@@ -116,10 +116,7 @@ func (c *Client) Reload() metrics.PageRun {
 
 	// A fresh engine renders the revisit; the object store persists (the
 	// device cache).
-	c.Engine = browser.New(topo.Sim, bundleFetcher{c}, browser.Options{
-		CPU:         c.cfg.CPU,
-		FixedRandom: c.cfg.FixedRandom,
-	})
+	c.Engine = c.newEngine()
 	req := pageRequest{URL: topo.Page.MainURL, UserAgent: c.cfg.UserAgent, Screen: c.cfg.Screen}
 	c.conn.Send(topo.Client, req.wireSize(), req, labelPageReq, nil)
 	c.Engine.Load(topo.Page.MainURL)

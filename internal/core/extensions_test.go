@@ -1,12 +1,15 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/parcel-go/parcel/internal/browser"
+	"github.com/parcel-go/parcel/internal/discovery"
 	"github.com/parcel-go/parcel/internal/httpsim"
+	"github.com/parcel-go/parcel/internal/metrics"
 	"github.com/parcel-go/parcel/internal/scenario"
 	"github.com/parcel-go/parcel/internal/webgen"
 )
@@ -149,15 +152,15 @@ func TestRevisitPushesNothingNew(t *testing.T) {
 	client := NewClient(topo, DefaultClientConfig())
 	first := client.Load()
 	sess := proxy.Sessions[0]
-	pushedFirst := sess.ObjectsPushed
+	pushedFirst := sess.Counts().ObjectsPushed
 
 	revisit := client.Reload()
-	if sess.MirrorHits == 0 {
+	if sess.Counts().Skipped == 0 {
 		t.Fatal("no mirror hits on revisit")
 	}
 	// Unchanged objects were not pushed again.
-	if sess.ObjectsPushed != pushedFirst {
-		t.Fatalf("revisit pushed %d extra objects", sess.ObjectsPushed-pushedFirst)
+	if sess.Counts().ObjectsPushed != pushedFirst {
+		t.Fatalf("revisit pushed %d extra objects", sess.Counts().ObjectsPushed-pushedFirst)
 	}
 	if _, ok := client.Engine.CompleteAt(); !ok {
 		t.Fatal("revisit never completed")
@@ -168,6 +171,44 @@ func TestRevisitPushesNothingNew(t *testing.T) {
 	}
 	if revisit.RadioJ >= first.RadioJ {
 		t.Fatalf("revisit radio %.2f J >= first %.2f J", revisit.RadioJ, first.RadioJ)
+	}
+}
+
+// TestRevisitReplaysFromMemo: Reload builds its engine like NewClient does, so
+// on a topology with the script memo the revisit routes as many scripts
+// through the memo as the first visit did (proxy and client engine both) and
+// interprets none for the first time — and it measures what the
+// interpret-everything reference topology measures.
+func TestRevisitReplaysFromMemo(t *testing.T) {
+	page := testPage(t, 0)
+	memoised := func(d, since discovery.MemoStats) uint64 {
+		return d.Recorded + d.Replayed + d.NonCacheable + d.Misses -
+			(since.Recorded + since.Replayed + since.NonCacheable + since.Misses)
+	}
+	revisit := func(res *scenario.Resources) (run metrics.PageRun, first, second uint64) {
+		topo := scenario.BuildWith(page, scenario.DefaultParams(), res)
+		StartProxy(topo, DefaultProxyConfig())
+		client := NewClient(topo, DefaultClientConfig())
+		start := discovery.Stats()
+		client.Load()
+		loaded := discovery.Stats()
+		run = client.Reload()
+		done := discovery.Stats()
+		if done.Recorded != loaded.Recorded {
+			t.Errorf("revisit recorded %d scripts the first visit had not run", done.Recorded-loaded.Recorded)
+		}
+		return run, memoised(loaded, start), memoised(done, loaded)
+	}
+	want, first, second := revisit(nil)
+	if first != 0 || second != 0 {
+		t.Fatalf("reference topology routed %d + %d scripts through the memo", first, second)
+	}
+	got, first, second := revisit(scenario.NewResources())
+	if first == 0 || second != first {
+		t.Errorf("first visit routed %d scripts through the memo, revisit %d; want equal and nonzero", first, second)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("memoised revisit measured\n%+v\nreference\n%+v", got, want)
 	}
 }
 

@@ -1,11 +1,11 @@
 package core
 
 import (
-	"strings"
 	"time"
 
 	"github.com/parcel-go/parcel/internal/eventsim"
 	"github.com/parcel-go/parcel/internal/metrics"
+	"github.com/parcel-go/parcel/internal/sched"
 	"github.com/parcel-go/parcel/internal/simnet"
 )
 
@@ -74,7 +74,7 @@ func (c *LoadClient) onMessage(m simnet.Message) {
 		c.ObjectsReceived += len(msg.Parts)
 		if c.FirstCriticalAt == 0 {
 			for _, p := range msg.Parts {
-				if criticalContentType(p.ContentType) {
+				if sched.Critical(p.ContentType) {
 					c.FirstCriticalAt = m.At
 					break
 				}
@@ -113,15 +113,4 @@ func (c *LoadClient) SessionLoad() metrics.SessionLoad {
 		l.FirstCritical = c.FirstCriticalAt - c.StartedAt
 	}
 	return l
-}
-
-// criticalContentType mirrors the parcelnet mux priority classes: the
-// render-blocking set whose time-to-first-object both arms report.
-func criticalContentType(ct string) bool {
-	for _, sub := range [...]string{"html", "css", "javascript", "json"} {
-		if strings.Contains(ct, sub) {
-			return true
-		}
-	}
-	return false
 }

@@ -12,8 +12,6 @@
 package core
 
 import (
-	"time"
-
 	"github.com/parcel-go/parcel/internal/mhtml"
 	"github.com/parcel-go/parcel/internal/sched"
 )
@@ -72,28 +70,9 @@ func (b bundleMsg) compressedWireSize(factor float64) int {
 }
 
 // completeNote is the proxy's page-completion notification (§4.5): after it,
-// the client may request objects it identified but never received. The cache
-// counters ride along for multi-tenant accounting (the wire size stays the
-// fixed 160-byte control frame: a handful of varint counters fit the slack).
-type completeNote struct {
-	ObjectsPushed int
-	BytesPushed   int64
-	At            time.Duration
-
-	// CacheHits/CacheMisses split this session's origin fetches by whether
-	// the proxy's shared cross-session cache already held the object;
-	// OriginBytes is what the session actually pulled from origin servers
-	// (misses only). All zero when the shared cache is disabled.
-	CacheHits   int
-	CacheMisses int
-	OriginBytes int64
-
-	// OriginRetries/StaleServes surface the resilient fetch path's work for
-	// this session: re-attempts against failing origins, and objects served
-	// from a stale cache entry.
-	OriginRetries int
-	StaleServes   int
-}
+// the client may request objects it identified but never received. The
+// session's counters ride along in the fixed 160-byte control frame's slack.
+type completeNote struct{ sched.Counts }
 
 // objectRequest is the client's fallback fetch for a missing object.
 type objectRequest struct {

@@ -89,6 +89,7 @@ func StartProxy(topo *scenario.Topology, cfg ProxyConfig) *Proxy {
 	p := &Proxy{topo: topo, cfg: cfg, resil: resilience.NewGroup(cfg.Resilience)}
 	topo.Proxy.Listen(func(c *simnet.Conn) {
 		s := &ProxySession{proxy: p, conn: c}
+		s.page = sched.NewSession(s.sendBundle, topo.Page.ObjectCount)
 		p.Sessions = append(p.Sessions, s)
 		c.OnMessage(topo.Proxy, s.onMessage)
 	})
@@ -102,7 +103,8 @@ type ProxySession struct {
 
 	engine  *browser.Engine
 	fetcher *proxyFetcher
-	bundler *sched.Bundler
+	// page is the session policy this type drives.
+	page *sched.Session
 
 	// cache holds every object collected (for fallback requests).
 	cache map[string]sched.Item
@@ -111,42 +113,24 @@ type ProxySession struct {
 	// DownloadTimeline build its series without re-sorting the cache.
 	arrivals []arrival
 
-	quietTimer   *eventsim.Event
-	onloadSeen   bool
-	completeSent bool
+	// quietTimer is the running quiet window and quietGen its generation
+	// (Cancel is exact here, so it is always the last armed).
+	quietTimer *eventsim.Event
+	quietGen   int
 
-	// sent mirrors the client cache across page loads in the session: URLs
-	// already delivered are not pushed again on a revisit (§4.5).
-	sent map[string]bool
-
-	// instrumentation
-	BundleLog     []sched.FlushReason
-	BundlesSent   int
-	MirrorHits    int
-	SkippedHTTPS  int
-	ObjectsPushed int
-	BytesPushed   int64
-	FallbacksSeen int
-	OnloadAt      time.Duration
-	CompleteAt    time.Duration
-
-	// Shared-cache accounting (zero unless ProxyConfig.Cache is set):
-	// CacheHits are origin fetches answered from the cross-session cache,
-	// CacheMisses went to the origin, and OriginBytes is what the misses
-	// actually transferred.
-	CacheHits   int
-	CacheMisses int
-	OriginBytes int64
-
-	// Resilient-path accounting: OriginRetries counts origin re-attempts made
-	// on this session's behalf, StaleServes counts objects served from a
-	// stale cache entry because the origin failed past its retry budget, and
-	// BreakerFastFails counts fetches refused outright by an open per-origin
-	// breaker.
-	OriginRetries    int
-	StaleServes      int
+	// instrumentation beyond Counts: bundle framing, clock readings, and
+	// sim-only tallies (BreakerFastFails: fetches an open breaker refused).
+	BundleLog        []sched.FlushReason
+	BundlesSent      int
+	OnloadAt         time.Duration
+	CompleteAt       time.Duration
+	SkippedHTTPS     int
+	FallbacksSeen    int
 	BreakerFastFails int
 }
+
+// Counts returns the session's accounting (cache counters need ProxyConfig.Cache).
+func (s *ProxySession) Counts() sched.Counts { return s.page.Counts }
 
 // proxyFetcher wraps the proxy's origin HTTP client, teeing every response
 // into the session (bundling + cache) before the engine processes it.
@@ -168,12 +152,13 @@ func (f *proxyFetcher) Fetch(url string, cb func(browser.Result)) {
 	f.fetch(url, toEngine, cb)
 }
 
-// toEngine is an engine fetch's continuation: the object is collected (bundled,
-// and kept for fallback requests) before the engine processes it; a failed
-// fetch surfaces as a degraded object, not a hung page.
+// toEngine is an engine fetch's continuation: the object is collected (kept
+// for fallback requests and offered to the session) before the engine
+// processes it; a failed fetch surfaces as a degraded object, not a hung page.
 func toEngine(of *originFetch, it sched.Item, ok bool) {
-	if ok {
-		of.f.s.collect(it)
+	if s := of.f.s; ok {
+		s.storeItem(it.URL, it)
+		s.step(s.page.Collected(it))
 	}
 	of.cb(resultFromItem(it, it.ArrivedAt))
 }
@@ -196,16 +181,12 @@ func (s *ProxySession) startPage(req pageRequest) {
 	topo := s.proxy.topo
 	cfg := s.proxy.cfg
 	if s.cache == nil {
-		// Size both maps for the page up front: a session collects roughly
-		// one entry per page object, and growing a map re-hashes every entry.
+		// Sized for the page up front: a session collects roughly one entry
+		// per page object, and growing a map re-hashes every entry.
 		s.cache = make(map[string]sched.Item, topo.Page.ObjectCount)
 		s.arrivals = make([]arrival, 0, topo.Page.ObjectCount)
 	}
-	if s.sent == nil {
-		s.sent = make(map[string]bool, topo.Page.ObjectCount)
-	}
-	s.onloadSeen = false
-	s.completeSent = false
+	s.page.StartPage(cfg.Sched, nil)
 	if s.quietTimer != nil {
 		s.quietTimer.Cancel()
 		s.quietTimer = nil
@@ -213,7 +194,6 @@ func (s *ProxySession) startPage(req pageRequest) {
 	httpClient := httpsim.NewClient(topo.Sim, topo.Proxy, topo.Dir, topo.ProxyResolver, cfg.ConnsPerDomain)
 	httpClient.SetMaxTotalConns(64) // well-provisioned server pool (§4.3)
 	s.fetcher = &proxyFetcher{s: s, client: httpClient}
-	s.bundler = sched.NewBundler(cfg.Sched, s.flush)
 	s.engine = browser.New(topo.Sim, s.fetcher, browser.Options{
 		CPU:         cfg.CPU,
 		FixedRandom: cfg.FixedRandom,
@@ -221,10 +201,8 @@ func (s *ProxySession) startPage(req pageRequest) {
 		JSPools:     topo.JSPools,
 		Events: browser.Events{
 			OnLoad: func(at time.Duration) {
-				s.onloadSeen = true
 				s.OnloadAt = at
-				s.bundler.OnLoad()
-				s.armQuietTimer()
+				s.step(s.page.OnLoad())
 			},
 		},
 	})
@@ -261,80 +239,35 @@ func (s *ProxySession) DownloadTimeline() []trace.Point {
 	return points
 }
 
-// collect records a fetched object, offers it to the schedule, and manages
-// the completion heuristic's inactivity window.
-func (s *ProxySession) collect(it sched.Item) {
-	if s.sent[it.URL] {
-		// Already mirrored at the client (same version): no redundant
-		// transfer (§4.5).
-		s.MirrorHits++
-		s.storeItem(it.URL, it)
-		if s.onloadSeen && !s.completeSent {
-			s.armQuietTimer()
+// step carries out what the session asks for: restart the quiet window, or
+// send the §4.5 completion note (the session has drained its schedule).
+func (s *ProxySession) step(st sched.Step) {
+	sim := s.proxy.topo.Sim
+	if st.Quiet != 0 {
+		if s.quietTimer != nil {
+			s.quietTimer.Cancel()
 		}
-		return
+		s.quietGen = st.Quiet
+		//parcelvet:allow pooldiscipline(Event handles are arena-backed and valid for the simulator's lifetime; the field only holds the handle so a superseding quiet timer can Cancel it)
+		s.quietTimer = sim.ScheduleArgAt(sim.Now()+s.proxy.cfg.QuietPeriod, quietFired, s)
 	}
-	s.storeItem(it.URL, it)
-	if !s.completeSent {
-		s.bundler.Add(it)
-		if s.onloadSeen {
-			s.armQuietTimer()
-		}
-		return
+	if st.Complete {
+		s.CompleteAt = sim.Now()
+		s.conn.Send(s.proxy.topo.Proxy, 160, completeNote{s.page.Counts}, labelComplete, nil)
 	}
-	// Objects arriving after the completion notification (missed by the
-	// heuristic) are pushed individually so the client is never starved.
-	s.sendBundle([]sched.Item{it}, sched.FlushComplete)
 }
 
-func (s *ProxySession) armQuietTimer() {
-	if s.completeSent {
-		return
-	}
-	if s.quietTimer != nil {
-		s.quietTimer.Cancel()
-	}
-	//parcelvet:allow pooldiscipline(Event handles are arena-backed and valid for the simulator's lifetime; the field only holds the handle so a superseding quiet timer can Cancel it)
-	s.quietTimer = s.proxy.topo.Sim.Schedule(s.proxy.cfg.QuietPeriod, s.declareComplete)
+// quietFired is the quiet window's continuation (noclosure ScheduleArgAt idiom).
+func quietFired(arg any) {
+	s := arg.(*ProxySession)
+	s.step(s.page.QuietFired(s.quietGen))
 }
 
-// declareComplete fires the §4.5 heuristic: onload has passed and the
-// proxy↔server path has been quiet; drain the schedule and notify the
-// client.
-func (s *ProxySession) declareComplete() {
-	if s.completeSent {
-		return
-	}
-	s.completeSent = true
-	s.CompleteAt = s.proxy.topo.Sim.Now()
-	s.bundler.Complete()
-	note := completeNote{
-		ObjectsPushed: s.ObjectsPushed,
-		BytesPushed:   s.BytesPushed,
-		At:            s.CompleteAt,
-		CacheHits:     s.CacheHits,
-		CacheMisses:   s.CacheMisses,
-		OriginBytes:   s.OriginBytes,
-		OriginRetries: s.OriginRetries,
-		StaleServes:   s.StaleServes,
-	}
-	s.conn.Send(s.proxy.topo.Proxy, 160, note, labelComplete, nil)
-}
-
-// flush transmits one scheduled bundle to the client.
-func (s *ProxySession) flush(items []sched.Item, reason sched.FlushReason) {
-	s.sendBundle(items, reason)
-}
-
+// sendBundle transmits one release of the session to the client.
 func (s *ProxySession) sendBundle(items []sched.Item, reason sched.FlushReason) {
 	s.BundlesSent++
 	s.BundleLog = append(s.BundleLog, reason)
 	msg := bundleMsg{Seq: s.BundlesSent, Reason: reason, Parts: items}
-	for _, it := range items {
-		s.ObjectsPushed++
-		s.BytesPushed += int64(len(it.Body))
-		s.sent[it.URL] = true
-	}
 	size := msg.wireSize()
 	if f := s.proxy.cfg.CompressionFactor; f > 0 && f < 1 {
 		size = msg.compressedWireSize(f)

@@ -100,7 +100,7 @@ func (of *originFetch) step(st resilience.Step) {
 	switch st.Action {
 	case resilience.Issue:
 		if of.try.Issued() > 1 {
-			s.OriginRetries++
+			s.page.OriginRetries++
 		}
 		of.gen++
 		gen := of.gen
@@ -131,7 +131,7 @@ func (of *originFetch) responded(gen int, resp httpsim.Response) {
 		of.step(st)
 		return
 	}
-	of.f.s.OriginBytes += int64(len(resp.Body))
+	of.f.s.page.OriginBytes += int64(len(resp.Body))
 	of.settle(resp, nil)
 }
 
@@ -163,18 +163,9 @@ func (of *originFetch) resolved(res objcache.Result) {
 	now := s.proxy.topo.Sim.Now()
 	ok := res.Outcome != objcache.OutcomeFailed
 	if s.proxy.cfg.Cache != nil {
-		// A session-level hit is any fetch that cost this session no origin
-		// transfer — a resident entry, a stale serve (tagged separately as the
-		// degradation it is), or joining another session's flight: the rule
-		// the real-TCP arm books.
-		if led := of.flight != nil; ok && !(led && res.Outcome == objcache.OutcomeFetched) {
-			s.CacheHits++
-		} else {
-			s.CacheMisses++
-		}
-	}
-	if res.Outcome == objcache.OutcomeStale {
-		s.StaleServes++
+		// Only the flight's leader, and only on the origin's own answer, paid.
+		paid := of.flight != nil && res.Outcome == objcache.OutcomeFetched
+		s.page.Fetch(ok, paid, res.Outcome == objcache.OutcomeStale)
 	}
 	it := sched.Item{URL: of.url, Status: 502, ArrivedAt: now}
 	if ok {

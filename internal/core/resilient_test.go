@@ -45,11 +45,11 @@ func TestSimResilientRetriesThroughFlap(t *testing.T) {
 		t.Fatal("onload never fired: retries did not carry the page past the flap")
 	}
 	sess := proxy.Sessions[0]
-	if sess.OriginRetries == 0 {
+	if sess.Counts().OriginRetries == 0 {
 		t.Error("no origin retries recorded through a 2 s flap window")
 	}
-	if sess.ObjectsPushed < page.ObjectCount {
-		t.Errorf("proxy pushed %d objects, page has %d", sess.ObjectsPushed, page.ObjectCount)
+	if sess.Counts().ObjectsPushed < page.ObjectCount {
+		t.Errorf("proxy pushed %d objects, page has %d", sess.Counts().ObjectsPushed, page.ObjectCount)
 	}
 	var flaps int
 	for _, srv := range topo.Origins {
@@ -81,7 +81,7 @@ func TestSimResilientBreakerOpens(t *testing.T) {
 	client.Load()
 
 	sess := proxy.Sessions[0]
-	if sess.OriginRetries == 0 {
+	if sess.Counts().OriginRetries == 0 {
 		t.Error("no retries against an always-erroring origin")
 	}
 	if sess.BreakerFastFails == 0 {
@@ -138,11 +138,11 @@ func TestSimResilientServesStaleWhenOriginFails(t *testing.T) {
 		t.Fatal("stale load never fired onload: serve-stale did not carry the page")
 	}
 	sess := proxy.Sessions[1]
-	if sess.StaleServes == 0 {
+	if sess.Counts().StaleServes == 0 {
 		t.Error("no stale serves recorded with every origin flapping")
 	}
-	if sess.ObjectsPushed < page.ObjectCount {
-		t.Errorf("stale session pushed %d objects, page has %d", sess.ObjectsPushed, page.ObjectCount)
+	if sess.Counts().ObjectsPushed < page.ObjectCount {
+		t.Errorf("stale session pushed %d objects, page has %d", sess.Counts().ObjectsPushed, page.ObjectCount)
 	}
 	st := pc.Cache.Stats()
 	if st.StaleServes == 0 {
@@ -184,8 +184,8 @@ func TestFallbackFetchRunsTheFetchProcedure(t *testing.T) {
 	for _, it := range sess.cache {
 		held += int64(len(it.Body))
 	}
-	if sess.CacheMisses != len(sess.cache) || sess.CacheHits != 0 || sess.OriginBytes != held {
+	if sess.Counts().CacheMisses != len(sess.cache) || sess.Counts().CacheHits != 0 || sess.Counts().OriginBytes != held {
 		t.Errorf("session booked %d misses, %d hits, %d origin bytes; it holds %d objects of %d bytes",
-			sess.CacheMisses, sess.CacheHits, sess.OriginBytes, len(sess.cache), held)
+			sess.Counts().CacheMisses, sess.Counts().CacheHits, sess.Counts().OriginBytes, len(sess.cache), held)
 	}
 }

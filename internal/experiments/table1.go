@@ -72,7 +72,7 @@ func MeasureTable1(cfg Config) Table1Measured {
 		return Table1Measured{
 			ParcelClientConns:     pRun.ConnsOpened,
 			ParcelClientRequests:  pRun.HTTPRequests,
-			ParcelProxyIdentified: proxy.Sessions[0].ObjectsPushed,
+			ParcelProxyIdentified: proxy.Sessions[0].Counts().ObjectsPushed,
 			InteractionPackets:    pTopo.ClientTrace.Len() - before,
 		}
 	})

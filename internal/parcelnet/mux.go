@@ -3,7 +3,8 @@ package parcelnet
 import (
 	"encoding/binary"
 	"fmt"
-	"strings"
+
+	"github.com/parcel-go/parcel/internal/sched"
 )
 
 // parcelmux: the multiplexed, prioritized, flow-controlled stream layer.
@@ -43,10 +44,8 @@ const (
 // parsing or rendering are critical, everything else (images, fonts, video)
 // is bulk.
 func prioClass(contentType string) int {
-	for _, sub := range [...]string{"html", "css", "javascript", "json"} {
-		if strings.Contains(contentType, sub) {
-			return muxClassCritical
-		}
+	if sched.Critical(contentType) {
+		return muxClassCritical
 	}
 	return muxClassBulk
 }

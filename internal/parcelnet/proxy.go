@@ -406,25 +406,15 @@ type session struct {
 	resumed        int
 	completeNote   []byte
 
-	bundler      *sched.Bundler
-	crawl        *crawler          // the page's discovery crawl; set once by startPage, stopped by teardown
-	cache        map[string]Object // session view: metadata only, bodies live in the shared cache
-	have         map[string]bool   // resume manifest: objects the client holds
-	quiet        *time.Timer
-	onloadSeen   bool
-	completeSent bool
-	closed       bool
+	// page is the session policy; its flush (admission) runs with s.mu held.
+	page   *sched.Session
+	crawl  *crawler          // the page's discovery crawl; set once by startPage, stopped by teardown
+	cache  map[string]Object // session view: metadata only, bodies live in the shared cache
+	quiet  *time.Timer
+	closed bool
 
-	pushed        int
-	pushedBytes   int64
-	skipped       int
-	deferredSeen  int
-	shedSeen      int
-	cacheHits     int
-	cacheMisses   int
-	originRetries int
-	staleServes   int
-	originBytes   int64
+	deferredSeen int
+	shedSeen     int
 }
 
 func (p *Proxy) serve(conn net.Conn) {
@@ -442,6 +432,9 @@ func (p *Proxy) serve(conn net.Conn) {
 		writerDone: make(chan struct{}),
 	}
 	s.sendCond = sync.NewCond(&s.mu)
+	s.page = sched.NewSession(func(items []sched.Item, _ sched.FlushReason) {
+		s.admitUntilParkLocked(items, true)
+	}, 0)
 	sh.mu.Lock()
 	if p.closed.Load() {
 		sh.mu.Unlock()
@@ -502,7 +495,7 @@ func (s *session) handleFrame(typ byte, payload []byte) bool {
 		id := binary.BigEndian.Uint32(payload[0:])
 		inc := binary.BigEndian.Uint32(payload[4:])
 		s.mu.Lock()
-		if s.bundler == nil {
+		if s.crawl == nil {
 			// No page, so no stream to credit; crediting the connection window
 			// would let a client widen it before the settings frame announces it.
 			p.cfg.Logf("window update before page request ignored (stream %d, +%d)", id, inc)
@@ -522,7 +515,7 @@ func (s *session) handleFrame(typ byte, payload []byte) bool {
 // drained. An idle session is only still registered because the client keeps
 // the connection open.
 func (s *session) idleLocked() bool {
-	return s.completeSent && len(s.sendq) == 0 && len(s.parked) == 0 &&
+	return s.page.Completed() && len(s.sendq) == 0 && len(s.parked) == 0 &&
 		s.completeNote == nil && s.mux.live == 0
 }
 
@@ -687,20 +680,15 @@ func (s *session) enqueueJSONLocked(typ byte, v any) error {
 
 // startPage begins serving one page request. It returns false — tearing the
 // session down — on a second TPageRequest over the same connection: the
-// protocol is one page per session, and a second bundler feeding the same
-// stream scheduler would push every object twice.
+// protocol is one page per session (one crawl, one stream scheduler).
 func (s *session) startPage(req PageRequest) bool {
 	cfg := s.proxy.cfg
 	cfg.Logf("page request: %s (ua=%q, have=%d)", req.URL, req.UserAgent, len(req.Have))
 	s.mu.Lock()
-	if s.bundler != nil {
+	if s.crawl != nil {
 		s.mu.Unlock()
 		cfg.Logf("duplicate page request on one session: %s", req.URL)
 		return false
-	}
-	s.have = make(map[string]bool, len(req.Have))
-	for _, u := range req.Have {
-		s.have[u] = true
 	}
 	if len(req.Partial) > 0 {
 		s.partialOffsets = make(map[string]int64, len(req.Partial))
@@ -713,47 +701,27 @@ func (s *session) startPage(req PageRequest) bool {
 	// Settings ride the control queue so the client learns the windows
 	// before the first stream frame.
 	s.enqueueLocked(outFrame{typ: TMuxSettings, payload: s.mux.settingsPayload()})
-	s.bundler = sched.NewBundler(cfg.Sched, func(items []sched.Item, _ sched.FlushReason) {
-		// The bundler releases with s.mu held.
-		s.admitUntilParkLocked(items, true)
-	})
+	// Objects the resume manifest lists are recorded, not re-pushed.
+	s.page.StartPage(cfg.Sched, req.Have)
 	s.crawl = newCrawler(s.fetchURL, cfg.FixedRandom,
-		func(obj Object) { s.collect(obj) },
-		func() { s.onLoad() },
-		func() { /* completion handled by the quiet heuristic */ },
+		func(obj Object) {
+			s.mu.Lock()
+			s.storeLocked(obj)
+			it := sched.Item{URL: obj.URL, ContentType: obj.ContentType, Status: obj.Status, Body: obj.Body}
+			s.stepLocked(s.page.Collected(it))
+			s.mu.Unlock()
+		},
+		func() {
+			s.mu.Lock()
+			s.stepLocked(s.page.OnLoad())
+			s.mu.Unlock()
+		},
+		nil, // completion is the quiet heuristic's
 	)
 	s.mu.Unlock()
 
 	s.crawl.start(req.URL)
 	return true
-}
-
-// collect feeds one crawled object into the schedule and resets the §4.5
-// inactivity window. Objects the resume manifest already lists are recorded
-// (they can still be served via fallback) but not re-pushed.
-func (s *session) collect(obj Object) {
-	s.mu.Lock()
-	s.storeLocked(obj)
-	if s.have[obj.URL] {
-		s.skipped++
-		if s.onloadSeen {
-			s.armQuietLocked()
-		}
-		s.mu.Unlock()
-		return
-	}
-	if s.completeSent {
-		// Objects arriving after the completion notification (missed by the
-		// heuristic) are pushed individually so the client is never starved.
-		s.admitUntilParkLocked([]sched.Item{itemFromObject(obj)}, true)
-		s.mu.Unlock()
-		return
-	}
-	s.bundler.Add(itemFromObject(obj))
-	if s.onloadSeen {
-		s.armQuietLocked()
-	}
-	s.mu.Unlock()
 }
 
 // storeLocked records the session's view of an object: metadata only. The
@@ -764,50 +732,45 @@ func (s *session) storeLocked(obj Object) {
 	s.cache[obj.URL] = obj
 }
 
-func (s *session) onLoad() {
-	s.mu.Lock()
-	s.onloadSeen = true
-	s.bundler.OnLoad()
-	s.armQuietLocked()
-	s.mu.Unlock()
-}
-
-func (s *session) armQuietLocked() {
+// stepLocked carries out what the page session asks for: restart the §4.5
+// quiet window, or close the page with its completion note.
+func (s *session) stepLocked(st sched.Step) {
 	if s.closed {
 		return
 	}
-	if s.quiet != nil {
-		s.quiet.Stop()
+	if gen := st.Quiet; gen != 0 {
+		if s.quiet != nil {
+			s.quiet.Stop()
+		}
+		s.quiet = time.AfterFunc(s.proxy.cfg.QuietPeriod, func() {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			// A timer that Stop came too late for carries a superseded gen.
+			s.stepLocked(s.page.QuietFired(gen))
+		})
 	}
-	s.quiet = time.AfterFunc(s.proxy.cfg.QuietPeriod, s.declareComplete)
-}
-
-func (s *session) declareComplete() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.completeSent || s.closed {
+	if !st.Complete {
 		return
 	}
-	s.completeSent = true
-	s.bundler.Complete()
 	// Parked items that still cannot be admitted are shed now: the page must
 	// terminate with the client knowing everything it has to fetch itself.
 	if len(s.parked) > 0 {
 		s.shedLocked(s.parked)
 		s.parked = nil
 	}
+	c := s.page.Counts
 	err := s.stageNoteLocked(CompleteNote{
-		ObjectsPushed:   s.pushed,
-		BytesPushed:     s.pushedBytes,
-		ObjectsSkipped:  s.skipped,
+		ObjectsPushed:   c.ObjectsPushed,
+		BytesPushed:     c.BytesPushed,
+		ObjectsSkipped:  c.Skipped,
 		ObjectsResumed:  s.resumed,
 		ObjectsDeferred: s.deferredSeen,
 		ObjectsShed:     s.shedSeen,
-		CacheHits:       s.cacheHits,
-		CacheMisses:     s.cacheMisses,
-		OriginRetries:   s.originRetries,
-		StaleServes:     s.staleServes,
-		OriginBytes:     s.originBytes,
+		CacheHits:       c.CacheHits,
+		CacheMisses:     c.CacheMisses,
+		OriginRetries:   c.OriginRetries,
+		StaleServes:     c.StaleServes,
+		OriginBytes:     c.OriginBytes,
 	})
 	if err != nil {
 		// Without the note the client waits out its completion timeout; close
@@ -830,10 +793,6 @@ func (s *session) stageNoteLocked(note CompleteNote) error {
 	s.completeNote = data
 	s.sendCond.Signal()
 	return nil
-}
-
-func itemFromObject(o Object) sched.Item {
-	return sched.Item{URL: o.URL, ContentType: o.ContentType, Status: o.Status, Body: o.Body}
 }
 
 // admitUntilParkLocked is admission control for one release of the schedule
@@ -886,23 +845,26 @@ func (s *session) admitItemLocked(it sched.Item) bool {
 		return true
 	}
 	if offset > 0 {
+		// Booked whole at release; the prefix the client holds is not pushed.
 		s.resumed++
+		s.page.BytesPushed -= offset
 		delete(s.partialOffsets, it.URL)
 	}
-	s.pushed++
-	s.pushedBytes += n
 	s.sendqBytes += n
 	s.mux.add(it.URL, it.ContentType, it.Status, rem, offset, total)
 	s.sendCond.Signal()
 	return true
 }
 
-// shedLocked records and announces shed objects.
+// shedLocked records and announces shed objects, and takes them back out of
+// the pushes the page session booked when it released them.
 func (s *session) shedLocked(items []sched.Item) {
 	urls := make([]string, len(items))
 	for i, it := range items {
 		urls[i] = it.URL
+		s.page.BytesPushed -= int64(len(it.Body))
 	}
+	s.page.ObjectsPushed -= len(items)
 	s.shedSeen += len(items)
 	s.proxy.shedTotal.Add(int64(len(items)))
 	if err := s.enqueueJSONLocked(TShed, ShedNote{URLs: urls}); err != nil {

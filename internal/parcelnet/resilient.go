@@ -109,39 +109,27 @@ func (p *Proxy) ResilienceStats() ResilienceStats {
 // session completes (degraded, not dead).
 func (s *session) fetchURL(url string) ([]byte, string, int, error) {
 	p := s.proxy
-	// fetched marks that this session's own origin fetch ran and succeeded;
-	// it alone pays the origin bytes — single-flight joiners get the object
-	// for free.
-	fetched := false
+	// paid: this session's own origin fetch ran and succeeded. It alone pays
+	// the origin bytes; single-flight joiners get the object for free.
+	paid := false
 	fetch := func() (objcache.Object, error) {
 		body, ct, status, validator, err := p.res.do(url, func() {
 			s.mu.Lock()
-			s.originRetries++
+			s.page.OriginRetries++
 			s.mu.Unlock()
 		})
 		if err != nil {
 			return objcache.Object{}, err
 		}
-		fetched = true
+		paid = true
 		s.mu.Lock()
-		s.originBytes += int64(len(body))
+		s.page.OriginBytes += int64(len(body))
 		s.mu.Unlock()
 		return objcache.Object{URL: url, ContentType: ct, Status: status, Validator: validator, Body: body}, nil
 	}
 	obj, outcome, err := p.cache.GetOrFetchStale(url, p.res.now(), fetch)
 	s.mu.Lock()
-	// A session-level hit is any lookup that cost this session no origin
-	// fetch — a resident entry, a stale serve (tagged separately as the
-	// degradation it is), or joining another session's flight: the rule the
-	// simulation arm books.
-	if err == nil && !fetched {
-		s.cacheHits++
-	} else {
-		s.cacheMisses++
-	}
-	if outcome == objcache.OutcomeStale {
-		s.staleServes++
-	}
+	s.page.Fetch(err == nil, paid, outcome == objcache.OutcomeStale)
 	s.mu.Unlock()
 	if err != nil {
 		return nil, "", 0, err

@@ -322,7 +322,7 @@ func TestResilientDriversAgree(t *testing.T) {
 				if int64(sess.BreakerFastFails) != g.FastFails() {
 					t.Errorf("simulated arm: session booked %d refusals, breakers %d", sess.BreakerFastFails, g.FastFails())
 				}
-				got.retries, got.opens, got.refusals, got.ok = sess.OriginRetries, g.Opens(), g.FastFails(), sess.ObjectsPushed > 0
+				got.retries, got.opens, got.refusals, got.ok = sess.Counts().OriginRetries, g.Opens(), g.FastFails(), sess.Counts().ObjectsPushed > 0
 				return got
 			}()
 

@@ -110,8 +110,8 @@ func (r FlushReason) String() string {
 }
 
 // Bundler accumulates items and emits bundles per the configured policy.
-// It is driven by the proxy: Add per collected object, OnLoad at the proxy's
-// onload event, Complete when the proxy declares the page done.
+// A Session drives it: Add per collected object, OnLoad at the proxy's
+// onload event, Complete when the page is declared done.
 type Bundler struct {
 	cfg   Config
 	flush func(items []Item, reason FlushReason)
@@ -119,11 +119,6 @@ type Bundler struct {
 	pending      []Item
 	pendingBytes int
 	onloadSeen   bool
-
-	// Flushes counts emitted bundles.
-	Flushes int
-	// BytesOut counts total body bytes emitted.
-	BytesOut int64
 }
 
 // NewBundler constructs a bundler; flush receives each emitted bundle.
@@ -144,12 +139,12 @@ func NewBundler(cfg Config, flush func(items []Item, reason FlushReason)) *Bundl
 // held back by a threshold that may never fill.
 func (b *Bundler) Add(it Item) {
 	if b.onloadSeen {
-		b.emit([]Item{it}, FlushObject)
+		b.flush([]Item{it}, FlushObject)
 		return
 	}
 	switch b.cfg.Policy {
 	case IND:
-		b.emit([]Item{it}, FlushObject)
+		b.flush([]Item{it}, FlushObject)
 	case Threshold:
 		b.pending = append(b.pending, it)
 		b.pendingBytes += len(it.Body)
@@ -186,14 +181,6 @@ func (b *Bundler) drain(reason FlushReason) {
 	items := b.pending
 	b.pending = nil
 	b.pendingBytes = 0
-	b.emit(items, reason)
-}
-
-func (b *Bundler) emit(items []Item, reason FlushReason) {
-	b.Flushes++
-	for _, it := range items {
-		b.BytesOut += int64(len(it.Body))
-	}
 	b.flush(items, reason)
 }
 
