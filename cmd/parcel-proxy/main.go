@@ -23,7 +23,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
 	origin := flag.String("origin", "127.0.0.1:8081", "origin (replay server) address")
 	policy := flag.String("sched", "ind", `bundle schedule: "ind", "onld", or a byte threshold like "512K"/"1M"`)
-	quiet := flag.Duration("quiet", 3*time.Second, "completion-heuristic inactivity window (§4.5)")
+	quiet := flag.Duration("quiet", 3*time.Second, "completion-heuristic inactivity window (§4.5); an upper bound: a provably quiescent crawl completes sooner")
 	verbose := flag.Bool("v", false, "log per-session activity")
 	flag.Parse()
 

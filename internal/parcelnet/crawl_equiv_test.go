@@ -2,6 +2,7 @@ package parcelnet
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"sort"
@@ -41,20 +42,25 @@ func webgenSite(p webgen.Page) site {
 // serialCrawl runs one crawl to idle under a deterministic schedule: the
 // crawl's goroutines park in fetch and its page timers on a manual clock, and
 // only when everything is parked does the driver let exactly one proceed —
-// the smallest blocked URL, else the earliest timer. The concurrent crawl's
-// outcome depends on goroutine order (every generated script writes the same
-// two globals); this one is a function of the page and the memo alone.
+// the smallest blocked URL, else the earliest timer, which moves the clock to
+// its due time. The concurrent crawl's outcome depends on goroutine order
+// (every generated script writes the same two globals); this one is a
+// function of the page and the memo alone.
 type serialCrawl struct {
 	st site
 
 	mu      sync.Mutex
 	parked  map[string]chan struct{}
+	clock   time.Duration // since the epoch crawlEpoch
 	timers  []*manualTimer
 	nTimers int
 }
 
+// crawlEpoch is the manual clock's zero.
+var crawlEpoch = time.Unix(0, 0)
+
 type manualTimer struct {
-	d     time.Duration
+	due   time.Duration
 	seq   int
 	f     func()
 	owner *serialCrawl
@@ -75,10 +81,16 @@ func (t *manualTimer) Stop() bool {
 func (sc *serialCrawl) afterFunc(d time.Duration, f func()) stopper {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	t := &manualTimer{d: d, seq: sc.nTimers, f: f, owner: sc}
+	t := &manualTimer{due: sc.clock + d, seq: sc.nTimers, f: f, owner: sc}
 	sc.nTimers++
 	sc.timers = append(sc.timers, t)
 	return t
+}
+
+func (sc *serialCrawl) now() time.Time {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	return crawlEpoch.Add(sc.clock)
 }
 
 func (sc *serialCrawl) fetch(url string) ([]byte, string, int, error) {
@@ -113,12 +125,41 @@ func (sc *serialCrawl) step() {
 	}
 	sort.Slice(sc.timers, func(i, j int) bool {
 		a, b := sc.timers[i], sc.timers[j]
-		return a.d < b.d || a.d == b.d && a.seq < b.seq
+		return a.due < b.due || a.due == b.due && a.seq < b.seq
 	})
 	t := sc.timers[0]
 	sc.timers = sc.timers[1:]
+	sc.clock = t.due
 	sc.mu.Unlock()
 	t.f()
+}
+
+// settle waits until every unit the crawl has in flight is a parked fetch, so
+// what the driver does next is the only thing that happens; it reports
+// whether anything is left to step, parked fetch or armed page timer. The two
+// reads of nParked bracket the crawler's counters so the three values
+// describe one instant.
+func (sc *serialCrawl) settle(t *testing.T, c *crawler) bool {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		p1 := sc.nParked()
+		c.mu.Lock()
+		inflight, armed := c.inflight, len(c.timers)
+		c.mu.Unlock()
+		if p2 := sc.nParked(); p1 == p2 && inflight == p1 {
+			return inflight+armed > 0
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("crawl never settled: %d in flight, %d parked, %d timers", inflight, p1, armed)
+		}
+		runtime.Gosched()
+	}
+}
+
+// use puts c on the schedule's fetch and clock.
+func (sc *serialCrawl) use(c *crawler) {
+	c.fetch, c.afterFunc, c.now = sc.fetch, sc.afterFunc, sc.now
 }
 
 // crawlSnapshot is everything the memo must not change.
@@ -133,31 +174,13 @@ type crawlSnapshot struct {
 func runSerialCrawl(t *testing.T, st site, mainURL string, fixedRandom bool, configure func(*crawler)) crawlSnapshot {
 	t.Helper()
 	sc := &serialCrawl{st: st, parked: map[string]chan struct{}{}}
-	c := newCrawler(sc.fetch, fixedRandom, func(Object) {}, nil, nil)
-	c.afterFunc = sc.afterFunc
+	c := newCrawler(nil, fixedRandom, func(Object) {}, nil, nil)
+	sc.use(c)
 	if configure != nil {
 		configure(c)
 	}
 	c.start(mainURL)
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		// Everything is parked exactly when every pending unit is a parked
-		// fetch or an armed timer; the two reads of nParked bracket the
-		// crawler's counters so the three values describe one instant.
-		p1 := sc.nParked()
-		c.mu.Lock()
-		pending, armed := c.pendingTotal, len(c.timers)
-		c.mu.Unlock()
-		if p2 := sc.nParked(); p1 != p2 || pending != p1+armed {
-			if time.Now().After(deadline) {
-				t.Fatalf("crawl of %s never settled: %d pending, %d parked, %d timers", mainURL, pending, p2, armed)
-			}
-			runtime.Gosched()
-			continue
-		}
-		if pending == 0 {
-			break
-		}
+	for sc.settle(t, c) {
 		sc.step()
 	}
 	return snapshotCrawl(c)
@@ -449,7 +472,14 @@ func TestCrossHostReplay(t *testing.T) {
 // first byte is scheduled.
 func (st site) freeCrawl(mainURL string) int {
 	idle := make(chan struct{})
-	c := newCrawler(st.fetch, true, func(Object) {}, nil, func() { close(idle) })
+	var once sync.Once
+	var c *crawler
+	c = newCrawler(st.fetch, true, func(Object) {}, nil, func() {
+		// Idle is settled with no timer left armed, whatever its due time.
+		if c.quiescent(time.Duration(math.MaxInt64)) {
+			once.Do(func() { close(idle) })
+		}
+	})
 	c.afterFunc = func(_ time.Duration, f func()) stopper { return time.AfterFunc(0, f) }
 	c.start(mainURL)
 	<-idle

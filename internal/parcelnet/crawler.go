@@ -34,23 +34,26 @@ type crawler struct {
 	fetch    fetchFunc
 	onObject func(Object) // called once per fetched object
 	onLoad   func()       // all onload-blocking work done
-	onIdle   func()       // all work (including timers) done
+	// onSettled is called each time, after onload, the last fetch or script
+	// in flight finishes; page timers may still be armed (see quiescent).
+	onSettled func()
 
-	// afterFunc arms page timers (time.AfterFunc; the equivalence and
-	// alloc-budget tests substitute their own clock). noMemo runs every
-	// script for real: the reference arm the tests compare the memoised crawl
+	// afterFunc arms page timers and now reads the clock they run on
+	// (time.AfterFunc and time.Now; the equivalence, alloc-budget and
+	// quiescence tests substitute their own clock). noMemo runs every script
+	// for real: the reference arm the tests compare the memoised crawl
 	// against.
 	afterFunc func(time.Duration, func()) stopper
+	now       func() time.Time
 	noMemo    bool
 
 	mu              sync.Mutex
 	requested       map[string]crawlRequest
 	pendingBlocking int
-	pendingTotal    int
+	inflight        int // fetches and scripts running, fired timers included
 	onloadFired     bool
-	idleFired       bool
 	stopped         bool
-	timers          map[stopper]struct{} // armed page timers, for stop
+	timers          map[stopper]time.Time // armed page timers and when each is due
 
 	// jsMu serializes the page's one interpreter: scripts arrive from a
 	// goroutine per fetched object and from timers.
@@ -75,15 +78,16 @@ type stopper interface{ Stop() bool }
 // crawlMaxDepth bounds recursive discovery (iframes, document.write chains).
 const crawlMaxDepth = 8
 
-func newCrawler(fetch fetchFunc, fixedRandom bool, onObject func(Object), onLoad, onIdle func()) *crawler {
+func newCrawler(fetch fetchFunc, fixedRandom bool, onObject func(Object), onLoad, onSettled func()) *crawler {
 	c := &crawler{
 		fetch:     fetch,
 		onObject:  onObject,
 		onLoad:    onLoad,
-		onIdle:    onIdle,
+		onSettled: onSettled,
 		afterFunc: func(d time.Duration, f func()) stopper { return time.AfterFunc(d, f) },
+		now:       time.Now,
 		requested: make(map[string]crawlRequest),
-		timers:    make(map[stopper]struct{}),
+		timers:    make(map[stopper]time.Time),
 		rng:       rand.New(rand.NewSource(discovery.FixedRandValue)),
 	}
 	c.env = discovery.NewEnv(minijs.New(), c, fixedRandom, crawlMaxDepth)
@@ -120,7 +124,7 @@ func (c *crawler) Request(url string, blocking bool, depth int) {
 		return
 	}
 	c.requested[url] = crawlRequest{blocking, depth}
-	c.pendingTotal++
+	c.inflight++
 	if blocking {
 		c.pendingBlocking++
 	}
@@ -152,8 +156,8 @@ func (c *crawler) isStopped() bool {
 
 func (c *crawler) finish(blocking bool) {
 	c.mu.Lock()
-	c.pendingTotal--
-	var fireLoad, fireIdle bool
+	c.inflight--
+	fireLoad := false
 	if blocking {
 		c.pendingBlocking--
 		if c.pendingBlocking == 0 && !c.onloadFired {
@@ -161,20 +165,35 @@ func (c *crawler) finish(blocking bool) {
 			fireLoad = true
 		}
 	}
-	if c.pendingTotal == 0 && c.onloadFired && !c.idleFired {
-		c.idleFired = true
-		fireIdle = true
-	}
+	settled := c.inflight == 0 && c.onloadFired
 	if c.stopped {
-		fireLoad, fireIdle = false, false
+		fireLoad, settled = false, false
 	}
 	c.mu.Unlock()
 	if fireLoad && c.onLoad != nil {
 		c.onLoad()
 	}
-	if fireIdle && c.onIdle != nil {
-		c.onIdle()
+	if settled && c.onSettled != nil {
+		c.onSettled()
 	}
+}
+
+// quiescent reports whether nothing can reach onObject within window from
+// now: no fetch or script is in flight, and every armed page timer is due
+// after the window ends.
+func (c *crawler) quiescent(window time.Duration) bool {
+	end := c.now().Add(window)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.inflight > 0 {
+		return false
+	}
+	for _, due := range c.timers {
+		if !due.After(end) {
+			return false
+		}
+	}
+	return true
 }
 
 // process discovers what an object references.
@@ -228,12 +247,15 @@ func (c *crawler) SetTimeout(ms float64, fn *minijs.Closure, ctx discovery.Ctx) 
 	if c.stopped {
 		return
 	}
-	c.pendingTotal++
+	d := time.Duration(ms) * time.Millisecond
 	var t stopper
-	t = c.afterFunc(time.Duration(ms)*time.Millisecond, func() {
+	t = c.afterFunc(d, func() {
 		c.mu.Lock()
 		delete(c.timers, t)
 		stopped := c.stopped
+		if !stopped {
+			c.inflight++ // armed until now, running from here
+		}
 		c.mu.Unlock()
 		if stopped {
 			return
@@ -247,7 +269,7 @@ func (c *crawler) SetTimeout(ms float64, fn *minijs.Closure, ctx discovery.Ctx) 
 		c.env.Apply(effects, ctx)
 		c.finish(false)
 	})
-	c.timers[t] = struct{}{}
+	c.timers[t] = c.now().Add(d)
 }
 
 // OnEvent is a no-op: handlers run on the client, not the proxy.

@@ -69,20 +69,21 @@ func TestDrainIdleSessionHandsOff(t *testing.T) {
 }
 
 // TestDrainMidPageResumesOnRestartedProxy drains the proxy out from under a
-// live session (the quiet period keeps it busy past the drain deadline), then
-// restarts a proxy on the same address: the client folds the TDrain notice
-// into its reconnect machinery and resumes the session with its manifest, so
-// the page completes with zero lost objects.
+// live session (the page's own timer ad keeps it busy past the drain
+// deadline), then restarts a proxy on the same address: the client folds the
+// TDrain notice into its reconnect machinery and resumes the session with its
+// manifest, so the page completes with zero lost objects.
 func TestDrainMidPageResumesOnRestartedProxy(t *testing.T) {
 	defer leakcheck.Check(t)()
-	archive, mainURL := testArchive()
+	archive, mainURL := testArchiveAd(2 * time.Second)
 	origin, err := StartOrigin("127.0.0.1:0", replay.Rewriting{Store: archive})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer origin.Close()
-	// The long quiet period pins the session busy (never complete) so the
-	// drain deadline expires and the mid-page handoff path runs.
+	// The 2 s ad is due inside the quiet window, so the crawl is not
+	// quiescent and the session stays busy until the ad is fetched: the drain
+	// deadline expires first and the mid-page handoff path runs.
 	proxy, err := StartProxy("127.0.0.1:0", ProxyConfig{
 		OriginAddr:  origin.Addr(),
 		Sched:       sched.ConfigIND,
@@ -153,7 +154,7 @@ func TestDrainMidPageResumesOnRestartedProxy(t *testing.T) {
 // full.
 func TestDrainMidPageFallsBackToDirect(t *testing.T) {
 	defer leakcheck.Check(t)()
-	archive, mainURL := testArchive()
+	archive, mainURL := testArchiveAd(2 * time.Second)
 	origin, err := StartOrigin("127.0.0.1:0", replay.Rewriting{Store: archive})
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +163,7 @@ func TestDrainMidPageFallsBackToDirect(t *testing.T) {
 	proxy, err := StartProxy("127.0.0.1:0", ProxyConfig{
 		OriginAddr:  origin.Addr(),
 		Sched:       sched.ConfigIND,
-		QuietPeriod: time.Hour, // the session never goes idle on its own
+		QuietPeriod: time.Hour, // the 2 s ad inside it keeps the session mid-page
 		FixedRandom: true,
 	})
 	if err != nil {

@@ -244,8 +244,10 @@ type fleetRow struct {
 	cfg  fleetConfig
 	// pages is how many webgen seed-1 pages the tenants share round-robin —
 	// the page set bench/ and the sim arm's fleet load; 0 is the
-	// hand-written one-page testArchive.
-	pages int
+	// hand-written one-page testArchive, whose timer ad is due after adDelay
+	// (0: its own 120 ms).
+	pages   int
+	adDelay time.Duration
 	// hitRateAbove is the shared-cache hit-rate floor (exclusive).
 	hitRateAbove float64
 	// onePageCopy: cross-session sharing is perfect — the fleet's origin
@@ -280,11 +282,15 @@ var chaosPolicy = resilience.Policy{
 }
 
 // chaos40 is the CI-sized chaos fleet: the drain fires while most of the
-// staggered fleet is still mid-page.
+// staggered fleet is still mid-page. Its rows load the page with an 800 ms
+// ad inside the 1 s quiet window: every session lasts at least 800 ms, so
+// each one accepted before the drain is still mid-page when its 200 ms grace
+// ends.
 var chaos40 = fleetConfig{
 	clients:      40,
 	shards:       4,
 	cacheBytes:   8 << 20,
+	quietPeriod:  time.Second,
 	stagger:      10 * time.Millisecond,
 	faults:       chaosFaults(7),
 	resilience:   chaosPolicy,
@@ -322,26 +328,30 @@ var fleetRows = []fleetRow{
 	// Origin faults plus drain/restart. Joining another session's flight is
 	// a hit: only the first session of each proxy incarnation pays origin
 	// fetches for the one shared page.
-	{test: "TestChaosLoadgenSmoke", name: "chaos40", cfg: chaos40, hitRateAbove: 0.9},
+	{test: "TestChaosLoadgenSmoke", name: "chaos40", cfg: chaos40, adDelay: 800 * time.Millisecond, hitRateAbove: 0.9},
 	// The same run with every tenant connection — first dial, startup retry
 	// and resume alike — behind a slow link: shaping and chaos compose.
 	{test: "TestChaosLoadgenSmoke", name: "chaos40-shaped",
-		cfg:        shaped(chaos40, netem.Params{Latency: 100 * time.Millisecond, Bps: 1 << 20}),
-		slowerThan: "chaos40"},
-	// The 200-tenant chaos gate on the mux200 fleet. The drain's grace is
-	// shorter than the quiet window, so the tenants launched in the 50 ms
-	// before it cannot finish inside it and are handed notices whatever the
-	// machine's speed (at 300 ms the drain notified nobody in 5 runs of 6 on
-	// the 2-core box).
+		cfg:     shaped(chaos40, netem.Params{Latency: 100 * time.Millisecond, Bps: 1 << 20}),
+		adDelay: 800 * time.Millisecond, slowerThan: "chaos40"},
+	// The 200-tenant chaos gate on the mux200 fleet. Every page's first timer
+	// ad (337 ms to 2.09 s) is due inside the 2.5 s quiet window, so a tenant
+	// accepted before the drain is still waiting for one when the drain's
+	// 150 ms grace ends, whatever the machine's speed. Only a page whose
+	// document the faults failed for good arms no timer, and all four would
+	// have to fail to leave no notice (at 500 ms only page 0's timer was
+	// inside, and one run in about thirty lost its document and every notice).
 	{test: "TestChaosLoadgenSmoke", name: "chaos200", long: true, pages: 4,
-		cfg: fleetConfig{clients: 200, shards: 4, cacheBytes: 256 << 20,
+		cfg: fleetConfig{clients: 200, shards: 4, cacheBytes: 256 << 20, quietPeriod: 2500 * time.Millisecond,
 			stagger: 2 * time.Millisecond, faults: chaosFaults(1), resilience: chaosPolicy,
 			drainAfter: 150 * time.Millisecond, drainTimeout: 150 * time.Millisecond}},
 	// The restart handoff in isolation: no origin faults, just a drain and
-	// restart mid-run. At least one session lives through the handoff.
-	{test: "TestChaosLoadgenDrainOnly", name: "drain-only",
+	// restart mid-run. The 800 ms ad inside the 1 s quiet window keeps every
+	// session accepted before the drain mid-page past its 300 ms grace, so
+	// sessions live through the handoff.
+	{test: "TestChaosLoadgenDrainOnly", name: "drain-only", adDelay: 800 * time.Millisecond,
 		cfg: fleetConfig{clients: 20, cacheBytes: 8 << 20, stagger: 10 * time.Millisecond,
-			quietPeriod: 400 * time.Millisecond,
+			quietPeriod: time.Second,
 			drainAfter:  250 * time.Millisecond, drainTimeout: 300 * time.Millisecond}},
 }
 
@@ -368,8 +378,12 @@ func runFleetRows(t *testing.T) {
 					row.cfg.urls = append(row.cfg.urls, p.MainURL)
 				}
 			} else {
+				adDelay := row.adDelay
+				if adDelay == 0 {
+					adDelay = 120 * time.Millisecond
+				}
 				var mainURL string
-				archive, mainURL = testArchive()
+				archive, mainURL = testArchiveAd(adDelay)
 				row.cfg.urls = []string{mainURL}
 			}
 			row.cfg.store = replay.Rewriting{Store: archive}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -17,8 +18,14 @@ import (
 )
 
 // testArchive builds a small page with every discovery mechanism: HTML refs,
-// CSS url(), sync JS fetch, a short timer ad, and a randomized URL.
-func testArchive() (*replay.Archive, string) {
+// CSS url(), sync JS fetch, a short (120 ms) timer ad, and a randomized URL.
+func testArchive() (*replay.Archive, string) { return testArchiveAd(120 * time.Millisecond) }
+
+// testArchiveAd is testArchive with its timer ad due after adDelay. A proxy
+// whose quiet period is longer keeps the session mid-page until the ad is
+// fetched: the crawl cannot prove quiescence while the timer is due inside
+// the window.
+func testArchiveAd(adDelay time.Duration) (*replay.Archive, string) {
 	const main = "http://www.shop.test/index.html"
 	a := replay.NewArchive()
 	rec := func(url, ct, body string) {
@@ -29,7 +36,7 @@ func testArchive() (*replay.Archive, string) {
 <script src="http://cdn.shop.test/app.js"></script>
 </head><body>
 <script>
-setTimeout(120, function() { fetch("http://ads.test/late.png"); });
+setTimeout(`+strconv.Itoa(int(adDelay.Milliseconds()))+`, function() { fetch("http://ads.test/late.png"); });
 fetch("http://ads.test/pixel?r=" + rand(10));
 </script>
 <img src="/hero.jpg">

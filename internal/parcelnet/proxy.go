@@ -27,7 +27,9 @@ type ProxyConfig struct {
 	// Sched is the §4.4 release schedule: when collected objects are handed
 	// to the stream layer.
 	Sched sched.Config
-	// QuietPeriod is the §4.5 completion heuristic window.
+	// QuietPeriod is the §4.5 completion heuristic window. It is an upper
+	// bound: a page completes as soon as its crawl proves the window would
+	// elapse with nothing new.
 	QuietPeriod time.Duration
 	// IdleTimeout reaps sessions whose client has gone silent: the read side
 	// is deadlined per frame, so a dead client frees its session (and the
@@ -407,10 +409,11 @@ type session struct {
 	completeNote   []byte
 
 	// page is the session policy; its flush (admission) runs with s.mu held.
-	page   *sched.Session
-	crawl  *crawler          // the page's discovery crawl; set once by startPage, stopped by teardown
-	cache  map[string]Object // session view: metadata only, bodies live in the shared cache
-	quiet  *time.Timer
+	page  *sched.Session
+	crawl *crawler          // the page's discovery crawl; set once by startPage, stopped by teardown
+	cache map[string]Object // session view: metadata only, bodies live in the shared cache
+	// quiet is the running §4.5 window, armed on the crawl's clock.
+	quiet  stopper
 	closed bool
 
 	deferredSeen int
@@ -703,25 +706,40 @@ func (s *session) startPage(req PageRequest) bool {
 	s.enqueueLocked(outFrame{typ: TMuxSettings, payload: s.mux.settingsPayload()})
 	// Objects the resume manifest lists are recorded, not re-pushed.
 	s.page.StartPage(cfg.Sched, req.Have)
-	s.crawl = newCrawler(s.fetchURL, cfg.FixedRandom,
-		func(obj Object) {
-			s.mu.Lock()
-			s.storeLocked(obj)
-			it := sched.Item{URL: obj.URL, ContentType: obj.ContentType, Status: obj.Status, Body: obj.Body}
-			s.stepLocked(s.page.Collected(it))
-			s.mu.Unlock()
-		},
-		func() {
-			s.mu.Lock()
-			s.stepLocked(s.page.OnLoad())
-			s.mu.Unlock()
-		},
-		nil, // completion is the quiet heuristic's
-	)
+	s.crawl = newCrawler(s.fetchURL, cfg.FixedRandom, s.collected, s.crawlLoaded, s.crawlSettled)
 	s.mu.Unlock()
 
 	s.crawl.start(req.URL)
 	return true
+}
+
+// collected offers one crawled object to the page session.
+func (s *session) collected(obj Object) {
+	s.mu.Lock()
+	s.storeLocked(obj)
+	it := sched.Item{URL: obj.URL, ContentType: obj.ContentType, Status: obj.Status, Body: obj.Body}
+	s.stepLocked(s.page.Collected(it))
+	s.mu.Unlock()
+}
+
+// crawlLoaded is the crawl's onload.
+func (s *session) crawlLoaded() {
+	s.mu.Lock()
+	s.stepLocked(s.page.OnLoad())
+	s.mu.Unlock()
+}
+
+// crawlSettled runs when nothing the crawl started is still running. If the
+// quiet window provably elapses with nothing new — no fetch or script in
+// flight, every page timer due after it, nothing parked (the window is the
+// parked backlog's time to drain rather than be shed) — the page completes
+// now. The proof and the completion share s.mu, so no arrival falls between.
+func (s *session) crawlSettled() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.parked) == 0 && s.crawl.quiescent(s.proxy.cfg.QuietPeriod) {
+		s.stepLocked(s.page.Quiescent())
+	}
 }
 
 // storeLocked records the session's view of an object: metadata only. The
@@ -742,15 +760,14 @@ func (s *session) stepLocked(st sched.Step) {
 		if s.quiet != nil {
 			s.quiet.Stop()
 		}
-		s.quiet = time.AfterFunc(s.proxy.cfg.QuietPeriod, func() {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			// A timer that Stop came too late for carries a superseded gen.
-			s.stepLocked(s.page.QuietFired(gen))
-		})
+		s.quiet = s.crawl.afterFunc(s.proxy.cfg.QuietPeriod, func() { s.quietFired(gen) })
 	}
 	if !st.Complete {
 		return
+	}
+	if s.quiet != nil {
+		s.quiet.Stop()
+		s.quiet = nil
 	}
 	// Parked items that still cannot be admitted are shed now: the page must
 	// terminate with the client knowing everything it has to fetch itself.
@@ -778,6 +795,14 @@ func (s *session) stepLocked(st sched.Step) {
 		s.proxy.cfg.Logf("%v", err)
 		s.conn.Close()
 	}
+}
+
+// quietFired is the §4.5 window's continuation. A timer that Stop came too
+// late for carries a superseded gen, which the page session ignores.
+func (s *session) quietFired(gen int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.stepLocked(s.page.QuietFired(gen))
 }
 
 // stageNoteLocked encodes the completion note and stages it for the

@@ -29,13 +29,14 @@ func fastRecovery() ClientConfig {
 // every object fetched straight from the origin — leaking nothing.
 func TestKillProxyDegradesToDirectOrigin(t *testing.T) {
 	defer leakcheck.Check(t)()
-	archive, mainURL := testArchive()
+	archive, mainURL := testArchiveAd(10 * time.Second)
 	origin, err := StartOrigin("127.0.0.1:0", replay.Rewriting{Store: archive})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer origin.Close()
-	// A long quiet period guarantees the kill lands before completion.
+	// The 10 s ad, due inside the long quiet period, holds the page open: the
+	// kill lands before completion.
 	proxy, err := StartProxy("127.0.0.1:0", ProxyConfig{
 		OriginAddr:  origin.Addr(),
 		Sched:       sched.ConfigIND,
@@ -277,7 +278,7 @@ func TestClosedClientReturnsDistinctError(t *testing.T) {
 // DirectOrigin configured → ErrProxyGone, not a timeout.
 func TestProxyGoneWithoutFallbackFailsDistinctly(t *testing.T) {
 	defer leakcheck.Check(t)()
-	archive, mainURL := testArchive()
+	archive, mainURL := testArchiveAd(10 * time.Second) // holds the page open past the kill
 	origin, err := StartOrigin("127.0.0.1:0", replay.Rewriting{Store: archive})
 	if err != nil {
 		t.Fatal(err)

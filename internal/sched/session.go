@@ -9,7 +9,8 @@ import "strings"
 // clock, conn, lock or goroutine: a driver (core.ProxySession on the event
 // loop, parcelnet.session under its mutex) feeds it inputs, receives releases
 // through flush — synchronously, before the input returns — and then carries
-// out the returned Step.
+// out the returned Step. A driver that can prove the window will elapse with
+// nothing new (parcelnet's crawl) says so with Quiescent instead of waiting.
 type Session struct {
 	// Counts is booked by the Session (releases, mirror skips) and by the
 	// driver (Fetch, OriginBytes, OriginRetries, as its fetches resolve).
@@ -124,6 +125,17 @@ func (s *Session) QuietFired(gen int) Step {
 	s.completeSent = true
 	s.b.Complete()
 	return Step{Complete: true}
+}
+
+// Quiescent reports that the driver has proved nothing can arrive before the
+// current quiet window elapses: after onload it completes the page exactly as
+// that window's QuietFired would, so the window is an upper bound. Before
+// onload, and once the page is complete, it does nothing.
+func (s *Session) Quiescent() Step {
+	if !s.b.onloadSeen {
+		return Step{}
+	}
+	return s.QuietFired(s.quietGen)
 }
 
 // armQuiet hands out the next quiet window; none once the page is complete.

@@ -9,12 +9,13 @@ import (
 // TestSessionSteps drives one script through the session under each schedule
 // and checks, input by input, what was released (reason[urls]), whether a
 // quiet window was handed out, and whether the page completed. The script
-// covers a first load, a resume manifest and a revisit on one session.
+// covers a first load, a resume manifest and a revisit on one session; the
+// first page completes by its quiet window, the revisit by Quiescent.
 func TestSessionSteps(t *testing.T) {
 	const none = ""
 	all := func(s string) [3]string { return [3]string{s, s, s} }
 	type step struct {
-		op  string    // start | collect | onload | quiet
+		op  string    // start | collect | onload | quiet | quiescent
 		arg string    // start: manifest; collect: URL; quiet: last | stale
 		rel [3]string // releases under IND, 512K, ONLD
 		arm bool      // a quiet window was handed out
@@ -39,12 +40,19 @@ func TestSessionSteps(t *testing.T) {
 		// A revisit keeps the mirror and resets the page.
 		{op: "start", arg: "m"},
 		{op: "quiet", arg: "last", rel: all(none)}, // the first page's window
+		{op: "quiescent", rel: all(none)},          // before onload: nothing to prove
 		{op: "collect", arg: "a", rel: all(none)},
 		{op: "collect", arg: "m", rel: all(none)}, // listed by the manifest
 		{op: "collect", arg: "e", rel: [3]string{"object[e]", none, none}},
+		{op: "quiescent", rel: all(none)}, // still before onload: ONLD keeps holding e
 		{op: "onload", rel: [3]string{none, "onload[e]", "onload[e]"}, arm: true},
 		{op: "collect", arg: "a", rel: all(none), arm: true},
-		{op: "quiet", arg: "last", rel: all(none), end: true},
+		// Quiescence completes the page as the last window would have, once.
+		{op: "quiescent", rel: all(none), end: true},
+		{op: "quiescent", rel: all(none)},
+		{op: "quiet", arg: "last", rel: all(none)}, // the window it pre-empted is inert
+		{op: "quiet", arg: "stale", rel: all(none)},
+		{op: "collect", arg: "f", rel: all("complete[f]")},
 		{op: "onload", rel: all(none)}, // nothing armed after complete
 	}
 	size := func(url string) int {
@@ -87,6 +95,8 @@ func TestSessionSteps(t *testing.T) {
 						gen = armed[0]
 					}
 					got = s.QuietFired(gen)
+				case "quiescent":
+					got = s.Quiescent()
 				}
 				if r := strings.Join(rel, " "); r != st.rel[ci] {
 					t.Errorf("step %d (%s %s): released %q, want %q", i, st.op, st.arg, r, st.rel[ci])
