@@ -20,7 +20,7 @@
 //     framed-wire writes, session enqueue wrappers, or deadline setters.
 //   - pairing: functions annotated //parcelvet:acquire name must release
 //     (or transfer) the resource on every path; flags leaks on early error
-//     returns in the proxy admit/shed and mux sender paths.
+//     returns in the session admission and mux sender paths.
 //   - lockorder: builds the static lock graph over the proxy/objcache/hpack
 //     mutexes and reports ordering cycles, double-acquisition, and
 //     blocking calls made with a spinlock-class mutex held.

@@ -95,17 +95,8 @@ func (c *LoadClient) onMessage(m simnet.Message) {
 // request to the proxy's completion notification, and the note's shared-cache
 // accounting.
 func (c *LoadClient) SessionLoad() metrics.SessionLoad {
-	l := metrics.SessionLoad{
-		ID:          c.ID,
-		Page:        c.url,
-		Completed:   c.Notified,
-		CacheHits:   c.note.CacheHits,
-		CacheMisses: c.note.CacheMisses,
-		EgressBytes: c.EgressBytes,
-		OriginBytes: c.note.OriginBytes,
-		Retries:     c.note.OriginRetries,
-		StaleServes: c.note.StaleServes,
-	}
+	l := metrics.NoteLoad(c.note.Counts)
+	l.ID, l.Page, l.Completed, l.EgressBytes = c.ID, c.url, c.Notified, c.EgressBytes
 	if c.Notified {
 		l.Latency = c.CompleteAt - c.StartedAt
 	}

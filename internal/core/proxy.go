@@ -89,7 +89,7 @@ func StartProxy(topo *scenario.Topology, cfg ProxyConfig) *Proxy {
 	p := &Proxy{topo: topo, cfg: cfg, resil: resilience.NewGroup(cfg.Resilience)}
 	topo.Proxy.Listen(func(c *simnet.Conn) {
 		s := &ProxySession{proxy: p, conn: c}
-		s.page = sched.NewSession(s.sendBundle, topo.Page.ObjectCount)
+		s.page = sched.NewSession(s.sendBundle, topo.Page.ObjectCount, 0, nil)
 		p.Sessions = append(p.Sessions, s)
 		c.OnMessage(topo.Proxy, s.onMessage)
 	})
@@ -186,7 +186,7 @@ func (s *ProxySession) startPage(req pageRequest) {
 		s.cache = make(map[string]sched.Item, topo.Page.ObjectCount)
 		s.arrivals = make([]arrival, 0, topo.Page.ObjectCount)
 	}
-	s.page.StartPage(cfg.Sched, nil)
+	s.page.StartPage(cfg.Sched, nil, nil)
 	if s.quietTimer != nil {
 		s.quietTimer.Cancel()
 		s.quietTimer = nil

@@ -180,7 +180,7 @@ func TestLoadgenSimFleet200(t *testing.T) {
 					r.CacheHitRate, r.OriginBytes, hitRate, originBytes)
 			}
 			if r.Deferred != 0 || r.Shed != 0 {
-				t.Errorf("deferred = %d, shed = %d on an arm without admission control", r.Deferred, r.Shed)
+				t.Errorf("deferred = %d, shed = %d under an unbounded budget", r.Deferred, r.Shed)
 			}
 			// The cache's own books reconcile with the sessions': every miss
 			// that did not join a flight led the one fetch that stored its

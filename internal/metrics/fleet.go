@@ -3,6 +3,7 @@ package metrics
 import (
 	"time"
 
+	"github.com/parcel-go/parcel/internal/sched"
 	"github.com/parcel-go/parcel/internal/stats"
 )
 
@@ -55,6 +56,13 @@ type SessionLoad struct {
 	// Phase tags the session for per-phase percentiles in chaos runs (e.g. 0 =
 	// completed before the drain, 1 = after). Harness-defined.
 	Phase int
+}
+
+// NoteLoad is the proxy-booked half of a fleet sample, read off either arm's
+// completion note; the client fills in the rest.
+func NoteLoad(c sched.Counts) SessionLoad {
+	return SessionLoad{CacheHits: c.CacheHits, CacheMisses: c.CacheMisses, OriginBytes: c.OriginBytes,
+		Deferred: c.Deferred, Shed: c.Shed, Retries: c.OriginRetries, StaleServes: c.StaleServes}
 }
 
 // FleetReport aggregates a fleet run on either arm: per-session latency

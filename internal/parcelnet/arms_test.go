@@ -293,13 +293,12 @@ func (c *tapConn) deliveredBeforeComplete() []string {
 // TestCompleteNoteWire pins the TComplete payload byte for byte: where the
 // session keeps its counters must not show on the wire.
 func TestCompleteNoteWire(t *testing.T) {
-	s := &session{proxy: &Proxy{}, page: sched.NewSession(func([]sched.Item, sched.FlushReason) {}, 0)}
+	s := &session{proxy: &Proxy{}, page: sched.NewSession(func([]sched.Item, sched.FlushReason) {}, 0, 0, nil)}
 	s.sendCond = sync.NewCond(&s.mu)
 	s.page.Counts = sched.Counts{
-		ObjectsPushed: 1, BytesPushed: 2, Skipped: 3,
+		ObjectsPushed: 1, BytesPushed: 2, Skipped: 3, Resumed: 4, Deferred: 5, Shed: 6,
 		CacheHits: 7, CacheMisses: 8, OriginRetries: 9, StaleServes: 10, OriginBytes: 11,
 	}
-	s.resumed, s.deferredSeen, s.shedSeen = 4, 5, 6
 	s.stepLocked(sched.Step{Complete: true})
 	const want = `{"objects_pushed":1,"bytes_pushed":2,"objects_skipped":3,"objects_resumed":4,` +
 		`"objects_deferred":5,"objects_shed":6,"cache_hits":7,"cache_misses":8,` +

@@ -157,10 +157,10 @@ func TestSlowReaderDefersThenDelivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if note.ObjectsDeferred == 0 {
+	if note.Deferred == 0 {
 		t.Errorf("completion note reports no deferrals: %+v", note)
 	}
-	if note.ObjectsShed != 0 {
+	if note.Shed != 0 {
 		t.Errorf("deferred pushes were shed: %+v", note)
 	}
 	if note.ObjectsPushed != archive.Len() {
@@ -208,7 +208,7 @@ func TestProxyBudgetShedsToDirectOrigin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if note.ObjectsPushed != 0 || note.ObjectsShed != archive.Len() {
+	if note.ObjectsPushed != 0 || note.Shed != archive.Len() {
 		t.Fatalf("want everything shed: %+v", note)
 	}
 	if proxy.ShedTotal() != int64(archive.Len()) {
@@ -292,7 +292,7 @@ func TestSlowTenantDoesNotStallFastTenants(t *testing.T) {
 	// Transient deferrals of the fast tenant's own making (its reader can lag
 	// briefly) are fine — the isolation property is that nothing of its page
 	// is shed and it completes promptly.
-	if note.ObjectsShed != 0 {
+	if note.Shed != 0 {
 		t.Errorf("fast tenant had pushes shed: %+v", note)
 	}
 	if len(fast.Objects()) != archive.Len() {
@@ -309,7 +309,7 @@ func TestSlowTenantDoesNotStallFastTenants(t *testing.T) {
 	if err != nil {
 		t.Fatalf("slow tenant never completed: %v", err)
 	}
-	if snote.ObjectsPushed+snote.ObjectsShed < archive.Len() {
+	if snote.ObjectsPushed+snote.Shed < archive.Len() {
 		t.Errorf("slow tenant lost objects: %+v", snote)
 	}
 	for _, u := range archive.URLs() {

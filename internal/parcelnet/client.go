@@ -12,6 +12,7 @@ import (
 
 	"github.com/parcel-go/parcel/internal/metrics"
 	"github.com/parcel-go/parcel/internal/mhtml"
+	"github.com/parcel-go/parcel/internal/sched"
 )
 
 func jsonUnmarshal(data []byte, v any) error { return json.Unmarshal(data, v) }
@@ -480,7 +481,7 @@ func (c *Client) reconnect(dead net.Conn) {
 		req.Partial = nil
 		for u, b := range c.partials {
 			if _, done := c.store[u]; !done && len(b) > 0 {
-				req.Partial = append(req.Partial, PartialObject{URL: u, Bytes: int64(len(b))})
+				req.Partial = append(req.Partial, sched.Partial{URL: u, Bytes: int64(len(b))})
 			}
 		}
 		sort.Slice(req.Partial, func(i, j int) bool { return req.Partial[i].URL < req.Partial[j].URL })
@@ -710,20 +711,9 @@ func (c *Client) Has(url string) bool {
 func (c *Client) SessionLoad(id int) metrics.SessionLoad {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	l := metrics.SessionLoad{
-		ID:                  id,
-		Completed:           c.notified && c.rerr == nil,
-		CacheHits:           c.note.CacheHits,
-		CacheMisses:         c.note.CacheMisses,
-		EgressBytes:         c.BytesReceived,
-		OriginBytes:         c.note.OriginBytes,
-		Deferred:            c.note.ObjectsDeferred,
-		Shed:                c.note.ObjectsShed,
-		FallbackWriteErrors: c.FallbackWriteErrors,
-		Retries:             c.note.OriginRetries + c.Retries,
-		StaleServes:         c.note.StaleServes,
-		Drained:             c.Drained > 0,
-	}
+	l := metrics.NoteLoad(c.note.Counts)
+	l.ID, l.Completed, l.EgressBytes = id, c.notified && c.rerr == nil, c.BytesReceived
+	l.FallbackWriteErrors, l.Retries, l.Drained = c.FallbackWriteErrors, l.Retries+c.Retries, c.Drained > 0
 	if c.page != nil {
 		l.Page = c.page.URL
 	}

@@ -135,7 +135,7 @@ func TestDrainMidPageResumesOnRestartedProxy(t *testing.T) {
 	if resumes == 0 {
 		t.Error("session never resumed on the restarted proxy")
 	}
-	if note.ObjectsSkipped == 0 {
+	if note.Skipped == 0 {
 		t.Error("resume manifest skipped nothing: the handoff re-pushed everything")
 	}
 	for _, u := range archive.URLs() {
@@ -262,7 +262,7 @@ func TestShedToDirectUnderMuxStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if note.ObjectsShed == 0 {
+	if note.Shed == 0 {
 		t.Fatalf("nothing shed: %+v", note)
 	}
 	if note.ObjectsPushed == 0 {

@@ -116,12 +116,7 @@ func (m *muxSender) settingsPayload() []byte {
 // add opens a stream for one object. body is the remaining bytes to push —
 // for a resumed object the caller has already sliced off the first offset
 // bytes. The sender holds body by reference and never mutates it, so
-// shared-cache slices can be passed directly. The caller's pushq
-// reservation for those bytes transfers to the stream: the writer releases
-// it chunk by chunk as frames drain, or drain() hands the rest back when
-// the session dies.
-//
-//parcelvet:transfer pushq
+// shared-cache slices can be passed directly.
 func (m *muxSender) add(url, contentType string, status int, body []byte, offset, total int64) *muxStream {
 	s := &muxStream{
 		id:          m.nextID,
@@ -300,17 +295,6 @@ func (m *muxSender) finish(s *muxStream) {
 	m.live--
 }
 
-// pendingBytes is the body bytes still queued across all live streams.
-func (m *muxSender) pendingBytes() int64 {
-	var n int64
-	for _, q := range m.classes {
-		for _, s := range q {
-			n += int64(s.remaining())
-		}
-	}
-	return n
-}
-
 // pendingURLs lists the live streams that still have unsent body bytes — the
 // objects a drain notice must hand back to the client as pending work.
 func (m *muxSender) pendingURLs() []string {
@@ -323,17 +307,6 @@ func (m *muxSender) pendingURLs() []string {
 		}
 	}
 	return urls
-}
-
-// drain empties the scheduler at session teardown and returns the body bytes
-// whose push-budget reservation the caller must release. Idempotent: a
-// second call finds nothing live and returns 0.
-func (m *muxSender) drain() int64 {
-	n := m.pendingBytes()
-	m.classes[0], m.classes[1] = nil, nil
-	m.byID = make(map[uint32]*muxStream)
-	m.live = 0
-	return n
 }
 
 // --- client side ---------------------------------------------------------

@@ -36,6 +36,17 @@ func parseMuxFrame(t *testing.T, frame []byte) muxFrameInfo {
 // TestMuxPrioritySchedulerCriticalFirst pins the scheduler order at the unit
 // level: a bulk stream admitted BEFORE a critical one still drains after it —
 // every critical frame (open through END) precedes the first bulk frame.
+// pendingBytes is the body bytes still queued across all live streams.
+func (m *muxSender) pendingBytes() int64 {
+	var n int64
+	for _, q := range m.classes {
+		for _, s := range q {
+			n += int64(s.remaining())
+		}
+	}
+	return n
+}
+
 func TestMuxPrioritySchedulerCriticalFirst(t *testing.T) {
 	m := newMuxSender(32, 1<<20, 1<<20)
 	bulk := m.add("http://a.test/hero.png", "image/png", 200, make([]byte, 64), 0, 64)
@@ -467,7 +478,7 @@ func TestMuxReconnectResumesMidStream(t *testing.T) {
 	if client.PartialResumes == 0 {
 		t.Fatalf("no mid-stream resume recorded (resumes=%d, note=%+v)", client.Resumes, note)
 	}
-	if note.ObjectsResumed == 0 {
+	if note.Resumed == 0 {
 		t.Fatalf("proxy note reports no resumed streams: %+v", note)
 	}
 	p, err := client.Object("http://resume.test/big.png", 5*time.Second)

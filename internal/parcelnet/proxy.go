@@ -53,18 +53,14 @@ type ProxyConfig struct {
 	// multiplied by session count). 0 means 64 — the paper's
 	// "well-provisioned" server pool (§4.3).
 	OriginConns int
-	// SessionPushBudget bounds the admitted-but-unsent stream body bytes queued
-	// per session. When an object would exceed it, it is deferred — parked,
-	// with everything scheduled after it, and re-admitted as the client drains
-	// — instead of growing the queue without bound behind a slow reader.
-	// 0 means 8 MB; negative disables the budget.
+	// SessionPushBudget and ProxyPushBudget bound the stream body bytes
+	// admitted and not yet written, per session and across all sessions, so
+	// a slow reader cannot grow the queue without bound: sched.Session defers
+	// what would exceed its session's budget and sheds (TShed: the client
+	// fetches it direct) what a session with nothing queued cannot reserve.
+	// 0 means 8 MB and 64 MB; negative disables a budget.
 	SessionPushBudget int64
-	// ProxyPushBudget bounds queued stream bytes across all sessions. When a
-	// session with nothing queued cannot reserve against it, the object is
-	// shed: the client is told (TShed) to fetch it over its direct-origin
-	// path, trading push benefit for bounded memory. 0 means 64 MB; negative
-	// disables the budget.
-	ProxyPushBudget int64
+	ProxyPushBudget   int64
 	// WrapConn, when set, wraps every accepted connection before the session
 	// reads from it (tests use it to shape the server side or shrink socket
 	// buffers so backpressure is reachable at test scale).
@@ -95,7 +91,7 @@ type ProxyConfig struct {
 
 // Proxy is a running real-network PARCEL proxy: a listener fanning sessions
 // out over shards, a shared origin fetcher, the cross-session object cache
-// and push-budget admission control.
+// and the proxy-wide push budget its sessions' admission draws on.
 type Proxy struct {
 	cfg   ProxyConfig
 	ln    net.Listener
@@ -103,14 +99,12 @@ type Proxy struct {
 	fetch *OriginFetcher
 	cache *objcache.Cache
 	res   *resilientFetcher
+	// budget is ProxyPushBudget: the reservation every session's admission
+	// draws on, and the proxy's deferred/shed tally.
+	budget *sched.Budget
 
-	// queued is the proxy-wide reservation counter for admitted-but-unsent
-	// stream bytes; deferred/shedTotal aggregate admission outcomes.
-	queued    atomic.Int64
-	deferred  atomic.Int64
-	shedTotal atomic.Int64
-	drained   atomic.Int64
-	closed    atomic.Bool
+	drained atomic.Int64
+	closed  atomic.Bool
 
 	shards []*shard
 }
@@ -164,9 +158,10 @@ func StartProxy(addr string, cfg ProxyConfig) (*Proxy, error) {
 		return nil, err
 	}
 	p := &Proxy{
-		cfg:   cfg,
-		ln:    ln,
-		fetch: NewOriginFetcherN(cfg.OriginAddr, cfg.OriginConns),
+		cfg:    cfg,
+		ln:     ln,
+		fetch:  NewOriginFetcherN(cfg.OriginAddr, cfg.OriginConns),
+		budget: sched.NewBudget(cfg.ProxyPushBudget),
 	}
 	p.res = newResilientFetcher(p.fetch.FetchValidatedCtx, cfg.Resilience)
 	p.cache = objcache.New(objcache.Config{
@@ -320,35 +315,15 @@ func (p *Proxy) CacheStats() objcache.Stats { return p.cache.Stats() }
 
 // QueuedBytes returns the current proxy-wide reservation against
 // ProxyPushBudget: stream body bytes admitted but not yet written.
-func (p *Proxy) QueuedBytes() int64 { return p.queued.Load() }
+func (p *Proxy) QueuedBytes() int64 { return p.budget.Used() }
 
 // DeferredTotal returns how many objects admission control has parked behind
 // slow readers so far (they are re-admitted as the session drains).
-func (p *Proxy) DeferredTotal() int64 { return p.deferred.Load() }
+func (p *Proxy) DeferredTotal() int64 { return p.budget.Deferred.Load() }
 
 // ShedTotal returns how many objects admission control has shed to clients'
 // direct-origin paths so far.
-func (p *Proxy) ShedTotal() int64 { return p.shedTotal.Load() }
-
-// reserve claims n bytes of the proxy-wide push budget, failing when the
-// budget is exhausted (the shed signal). A reservation is handed to the
-// stream that carries the bytes (muxSender.add) and released as the writer
-// drains its chunks (releaseQueuedLocked); the pairing analyzer checks the
-// admission path does so.
-//
-//parcelvet:acquire pushq
-func (p *Proxy) reserve(n int64) bool {
-	budget := p.cfg.ProxyPushBudget
-	for {
-		cur := p.queued.Load()
-		if budget > 0 && cur+n > budget {
-			return false
-		}
-		if p.queued.CompareAndSwap(cur, cur+n) {
-			return true
-		}
-	}
-}
+func (p *Proxy) ShedTotal() int64 { return p.budget.Shed.Load() }
 
 func (p *Proxy) acceptLoop() {
 	defer p.wg.Done()
@@ -392,32 +367,21 @@ type session struct {
 	// sendq is the control-frame queue and mux the parcelmux stream
 	// scheduler; the session's writer goroutine drains both. The serve loop,
 	// the crawler callbacks, and the quiet timer only ever enqueue, so a slow
-	// client blocks its writer, never the proxy. sendqBytes is the stream body
-	// bytes reserved against the push budgets and not yet written.
-	sendq      []outFrame
-	mux        *muxSender
-	sendqBytes int64
-	writerDone chan struct{}
-	// parked holds deferred items: released by the bundler while the session
-	// budget was full, re-admitted as the writer drains.
-	parked []sched.Item
-	// partialOffsets maps resume-manifest URLs to the byte offset the client
-	// already holds. completeNote stages the encoded TComplete payload until
-	// every live stream has drained (nil: nothing staged).
-	partialOffsets map[string]int64
-	resumed        int
-	completeNote   []byte
+	// client blocks its writer, never the proxy. completeNote stages the
+	// encoded TComplete payload until every live stream has drained (nil:
+	// nothing staged).
+	sendq        []outFrame
+	mux          *muxSender
+	writerDone   chan struct{}
+	completeNote []byte
 
-	// page is the session policy; its flush (admission) runs with s.mu held.
+	// page is the session policy and admission; its flush runs with s.mu held.
 	page  *sched.Session
 	crawl *crawler          // the page's discovery crawl; set once by startPage, stopped by teardown
 	cache map[string]Object // session view: metadata only, bodies live in the shared cache
 	// quiet is the running §4.5 window, armed on the crawl's clock.
 	quiet  stopper
 	closed bool
-
-	deferredSeen int
-	shedSeen     int
 }
 
 func (p *Proxy) serve(conn net.Conn) {
@@ -435,9 +399,7 @@ func (p *Proxy) serve(conn net.Conn) {
 		writerDone: make(chan struct{}),
 	}
 	s.sendCond = sync.NewCond(&s.mu)
-	s.page = sched.NewSession(func(items []sched.Item, _ sched.FlushReason) {
-		s.admitUntilParkLocked(items, true)
-	}, 0)
+	s.page = sched.NewSession(s.pushLocked, 0, p.cfg.SessionPushBudget, p.budget)
 	sh.mu.Lock()
 	if p.closed.Load() {
 		sh.mu.Unlock()
@@ -518,7 +480,7 @@ func (s *session) handleFrame(typ byte, payload []byte) bool {
 // drained. An idle session is only still registered because the client keeps
 // the connection open.
 func (s *session) idleLocked() bool {
-	return s.page.Completed() && len(s.sendq) == 0 && len(s.parked) == 0 &&
+	return s.page.Completed() && len(s.sendq) == 0 && len(s.page.Parked()) == 0 &&
 		s.completeNote == nil && s.mux.live == 0
 }
 
@@ -533,7 +495,7 @@ func (s *session) drainNotice() {
 		return
 	}
 	var note DrainNote
-	for _, it := range s.parked {
+	for _, it := range s.page.Parked() {
 		note.Pending = append(note.Pending, it.URL)
 	}
 	note.Pending = append(note.Pending, s.mux.pendingURLs()...)
@@ -549,8 +511,9 @@ func (s *session) drainNotice() {
 
 // teardown releases everything a session holds: the connection, the page
 // crawl with its pending script timers, the pending quiet timer, the writer
-// goroutine, and any push-budget reservations. It runs exactly once, when
-// serve returns, and unregisters the session from its shard.
+// goroutine, and the page's push-budget reservation, so disconnects never
+// leak it. It runs exactly once, when serve returns, and unregisters the
+// session from its shard.
 func (s *session) teardown() {
 	if s.crawl != nil {
 		// Page timers run for seconds past the last frame; a crawl that
@@ -559,6 +522,7 @@ func (s *session) teardown() {
 	}
 	s.mu.Lock()
 	s.closed = true
+	s.page.Close() // with the client gone, what it sheds has no one to tell
 	if s.quiet != nil {
 		s.quiet.Stop()
 		s.quiet = nil
@@ -574,22 +538,22 @@ func (s *session) teardown() {
 }
 
 // writeLoop is the session's writer goroutine: it drains the send queue onto
-// the connection, releases budget reservations as frames leave, and
-// re-admits parked (deferred) items as space frees up. On a write error it
-// closes the connection so the read side tears the session down.
+// the connection and reports each frame's stream bytes to the page session
+// (Drained), which releases their reservation and re-admits parked items as
+// space frees up. On a write error it closes the connection so the read side
+// tears the session down.
 func (s *session) writeLoop() {
 	defer close(s.writerDone)
+	s.mu.Lock()
 	for {
 		var (
 			f       outFrame
 			raw     []byte // preassembled mux frame (header included)
-			drained int64  // mux body bytes this frame releases
+			drained int64  // mux body bytes this frame drains
 			haveCtl bool
 		)
-		s.mu.Lock()
 		for {
 			if s.closed {
-				s.drainLocked()
 				s.mu.Unlock()
 				return
 			}
@@ -626,38 +590,14 @@ func (s *session) writeLoop() {
 			err = s.fw.WriteRaw(raw)
 		}
 
-		s.mu.Lock()
-		s.releaseQueuedLocked(drained)
 		if err != nil {
 			s.proxy.cfg.Logf("session write: %v", err)
-			s.drainLocked()
-			s.mu.Unlock()
 			s.conn.Close()
 			return
 		}
-		s.promoteParkedLocked()
-		s.mu.Unlock()
+		s.mu.Lock()
+		s.stepLocked(s.page.Drained(drained))
 	}
-}
-
-// releaseQueuedLocked returns n reserved bytes to the session and proxy push
-// budgets — the single point where pushq reservations die, as stream chunks
-// drain onto the wire or with the session itself.
-//
-//parcelvet:release pushq
-func (s *session) releaseQueuedLocked(n int64) {
-	if n <= 0 {
-		return
-	}
-	s.sendqBytes -= n
-	s.proxy.queued.Add(-n)
-}
-
-// drainLocked releases every remaining reservation of a dying session so the
-// proxy-wide budget is never leaked by disconnects.
-func (s *session) drainLocked() {
-	s.sendq = nil
-	s.releaseQueuedLocked(s.mux.drain())
 }
 
 // enqueueLocked appends one control frame to the send queue and wakes the
@@ -693,19 +633,12 @@ func (s *session) startPage(req PageRequest) bool {
 		cfg.Logf("duplicate page request on one session: %s", req.URL)
 		return false
 	}
-	if len(req.Partial) > 0 {
-		s.partialOffsets = make(map[string]int64, len(req.Partial))
-		for _, po := range req.Partial {
-			if po.Bytes > 0 {
-				s.partialOffsets[po.URL] = po.Bytes
-			}
-		}
-	}
 	// Settings ride the control queue so the client learns the windows
 	// before the first stream frame.
 	s.enqueueLocked(outFrame{typ: TMuxSettings, payload: s.mux.settingsPayload()})
-	// Objects the resume manifest lists are recorded, not re-pushed.
-	s.page.StartPage(cfg.Sched, req.Have)
+	// Objects the resume manifest lists are recorded, not re-pushed; partial
+	// streams reopen at the offset the client holds.
+	s.page.StartPage(cfg.Sched, req.Have, req.Partial)
 	s.crawl = newCrawler(s.fetchURL, cfg.FixedRandom, s.collected, s.crawlLoaded, s.crawlSettled)
 	s.mu.Unlock()
 
@@ -731,13 +664,12 @@ func (s *session) crawlLoaded() {
 
 // crawlSettled runs when nothing the crawl started is still running. If the
 // quiet window provably elapses with nothing new — no fetch or script in
-// flight, every page timer due after it, nothing parked (the window is the
-// parked backlog's time to drain rather than be shed) — the page completes
-// now. The proof and the completion share s.mu, so no arrival falls between.
+// flight, every page timer due after it — the page session may complete now.
+// The proof and the completion share s.mu, so no arrival falls between.
 func (s *session) crawlSettled() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.parked) == 0 && s.crawl.quiescent(s.proxy.cfg.QuietPeriod) {
+	if s.crawl.quiescent(s.proxy.cfg.QuietPeriod) {
 		s.stepLocked(s.page.Quiescent())
 	}
 }
@@ -750,11 +682,15 @@ func (s *session) storeLocked(obj Object) {
 	s.cache[obj.URL] = obj
 }
 
-// stepLocked carries out what the page session asks for: restart the §4.5
-// quiet window, or close the page with its completion note.
+// stepLocked carries out what the page session asks for: announce what it
+// shed, restart the §4.5 quiet window, or close the page with its completion
+// note.
 func (s *session) stepLocked(st sched.Step) {
 	if s.closed {
 		return
+	}
+	if len(st.Shed) > 0 {
+		s.shedLocked(st.Shed)
 	}
 	if gen := st.Quiet; gen != 0 {
 		if s.quiet != nil {
@@ -769,27 +705,7 @@ func (s *session) stepLocked(st sched.Step) {
 		s.quiet.Stop()
 		s.quiet = nil
 	}
-	// Parked items that still cannot be admitted are shed now: the page must
-	// terminate with the client knowing everything it has to fetch itself.
-	if len(s.parked) > 0 {
-		s.shedLocked(s.parked)
-		s.parked = nil
-	}
-	c := s.page.Counts
-	err := s.stageNoteLocked(CompleteNote{
-		ObjectsPushed:   c.ObjectsPushed,
-		BytesPushed:     c.BytesPushed,
-		ObjectsSkipped:  c.Skipped,
-		ObjectsResumed:  s.resumed,
-		ObjectsDeferred: s.deferredSeen,
-		ObjectsShed:     s.shedSeen,
-		CacheHits:       c.CacheHits,
-		CacheMisses:     c.CacheMisses,
-		OriginRetries:   c.OriginRetries,
-		StaleServes:     c.StaleServes,
-		OriginBytes:     c.OriginBytes,
-	})
-	if err != nil {
+	if err := s.stageNoteLocked(CompleteNote{s.page.Counts}); err != nil {
 		// Without the note the client waits out its completion timeout; close
 		// the connection instead so it fails over immediately.
 		s.proxy.cfg.Logf("%v", err)
@@ -820,100 +736,25 @@ func (s *session) stageNoteLocked(note CompleteNote) error {
 	return nil
 }
 
-// admitUntilParkLocked is admission control for one release of the schedule
-// (fresh) or for the parked backlog (not fresh): items are admitted in order
-// until the first one that has to wait, and the rest park behind it so
-// schedule order survives deferral. Only a fresh park counts as a deferral;
-// re-parking a backlog is the same deferral continuing.
-func (s *session) admitUntilParkLocked(items []sched.Item, fresh bool) {
-	if s.closed {
-		return
+// pushLocked opens a stream for each object the page session admitted: the
+// body past its resume offset. The writer reports the bytes back through
+// Drained as their chunks leave.
+func (s *session) pushLocked(items []sched.Item, _ sched.FlushReason) {
+	for _, it := range items {
+		s.mux.add(it.URL, it.ContentType, it.Status, it.Body[it.Offset:], it.Offset, int64(len(it.Body)))
 	}
-	for i, it := range items {
-		if len(s.parked) == 0 && s.admitItemLocked(it) {
-			continue
-		}
-		rest := items[i:]
-		s.parked = append(s.parked, rest...)
-		if fresh {
-			s.deferredSeen += len(rest)
-			s.proxy.deferred.Add(int64(len(rest)))
-		}
-		return
-	}
-}
-
-// admitItemLocked settles one object against the push budgets: it opens a
-// stream for it (reserving its remaining body bytes, which the writer
-// releases chunk by chunk) or sheds it to the client's direct-origin path,
-// and returns true; or it returns false because the object has to wait for
-// this session's own queue to drain. A session with nothing queued never
-// waits: within the proxy-wide budget its object is admitted however large
-// (one oversized object cannot livelock), and beyond it the object is shed,
-// since nothing of this session's will drain to make room.
-func (s *session) admitItemLocked(it sched.Item) bool {
-	offset := s.partialOffsets[it.URL]
-	total := int64(len(it.Body))
-	if offset > total {
-		offset = total
-	}
-	rem := it.Body[offset:]
-	n := int64(len(rem))
-	if b := s.proxy.cfg.SessionPushBudget; b > 0 && s.sendqBytes > 0 && s.sendqBytes+n > b {
-		return false
-	}
-	if !s.proxy.reserve(n) {
-		if s.sendqBytes > 0 {
-			return false
-		}
-		s.shedLocked([]sched.Item{it})
-		return true
-	}
-	if offset > 0 {
-		// Booked whole at release; the prefix the client holds is not pushed.
-		s.resumed++
-		s.page.BytesPushed -= offset
-		delete(s.partialOffsets, it.URL)
-	}
-	s.sendqBytes += n
-	s.mux.add(it.URL, it.ContentType, it.Status, rem, offset, total)
 	s.sendCond.Signal()
-	return true
 }
 
-// shedLocked records and announces shed objects, and takes them back out of
-// the pushes the page session booked when it released them.
-func (s *session) shedLocked(items []sched.Item) {
-	urls := make([]string, len(items))
-	for i, it := range items {
-		urls[i] = it.URL
-		s.page.BytesPushed -= int64(len(it.Body))
-	}
-	s.page.ObjectsPushed -= len(items)
-	s.shedSeen += len(items)
-	s.proxy.shedTotal.Add(int64(len(items)))
+// shedLocked announces objects the page session shed: the client fetches
+// them over its direct-origin path.
+func (s *session) shedLocked(urls []string) {
 	if err := s.enqueueJSONLocked(TShed, ShedNote{URLs: urls}); err != nil {
 		// The client would wait on pushes that never come instead of
 		// fetching the shed objects itself; tear the session down.
 		s.proxy.cfg.Logf("%v", err)
 		s.conn.Close()
 	}
-}
-
-// promoteParkedLocked re-admits the parked backlog once the queue has drained
-// below half the session budget, so a long backlog refills the queue
-// incrementally; an empty queue admits unconditionally, so parked items
-// always make progress once the client catches up.
-func (s *session) promoteParkedLocked() {
-	if len(s.parked) == 0 {
-		return
-	}
-	if b := s.proxy.cfg.SessionPushBudget; b > 0 && s.sendqBytes > 0 && s.sendqBytes >= b/2 {
-		return
-	}
-	items := s.parked
-	s.parked = nil
-	s.admitUntilParkLocked(items, false)
 }
 
 // serveFallback answers a missing-object request. The body is re-resolved

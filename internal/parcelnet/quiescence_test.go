@@ -74,7 +74,7 @@ func TestCrawlQuiescence(t *testing.T) {
 					}
 				}
 			})
-			s.page.StartPage(sched.ConfigIND, nil)
+			s.page.StartPage(sched.ConfigIND, nil, nil)
 			var signals atomic.Int32
 			c := newCrawler(nil, true, s.collected, s.crawlLoaded, func() { signals.Add(1) })
 			sc.use(c)
@@ -136,8 +136,8 @@ func TestCrawlQuiescence(t *testing.T) {
 }
 
 // bareSession is a session as serve builds one, without a connection or
-// writer: whatever the page session releases is reported to flush, with its
-// reason, and then admitted into the stream scheduler.
+// writer: whatever the page session admits is reported to flush, with its
+// reason, and then opened as streams.
 func bareSession(cfg ProxyConfig, flush func([]sched.Item, sched.FlushReason)) *session {
 	s := &session{
 		proxy: &Proxy{cfg: cfg},
@@ -147,8 +147,8 @@ func bareSession(cfg ProxyConfig, flush func([]sched.Item, sched.FlushReason)) *
 	s.sendCond = sync.NewCond(&s.mu)
 	s.page = sched.NewSession(func(items []sched.Item, reason sched.FlushReason) {
 		flush(items, reason)
-		s.admitUntilParkLocked(items, true)
-	}, 0)
+		s.pushLocked(items, reason)
+	}, 0, cfg.SessionPushBudget, nil)
 	return s
 }
 
@@ -230,7 +230,7 @@ func TestCompletesOnQuiescence(t *testing.T) {
 		waitFor(t, 5*time.Second, func() bool {
 			for _, s := range proxy.activeSessions() {
 				s.mu.Lock()
-				parked, crawl := len(s.parked), s.crawl
+				parked, crawl := len(s.page.Parked()), s.crawl
 				s.mu.Unlock()
 				if crawl == nil || parked == 0 {
 					return false
@@ -249,7 +249,7 @@ func TestCompletesOnQuiescence(t *testing.T) {
 		if d := time.Since(start); d < quiet {
 			t.Errorf("completed after %v with pushes parked: before the %v window elapsed", d, quiet)
 		}
-		if note.ObjectsDeferred == 0 || note.ObjectsShed != 0 || note.ObjectsPushed != archive.Len() {
+		if note.Deferred == 0 || note.Shed != 0 || note.ObjectsPushed != archive.Len() {
 			t.Errorf("want deferrals drained, nothing shed, everything pushed: %+v", note)
 		}
 		if got := client.Objects(); len(got) != archive.Len() {

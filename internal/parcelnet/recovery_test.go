@@ -148,7 +148,7 @@ func TestReconnectResumesSession(t *testing.T) {
 	if client.Degraded() {
 		t.Fatal("client degraded even though the proxy was reachable")
 	}
-	if note.ObjectsSkipped == 0 {
+	if note.Skipped == 0 {
 		t.Fatalf("resumed session re-pushed everything: %+v (objects held before resume should be skipped)", note)
 	}
 	if got := int(origin.Requests()); got != archive.Len() {

@@ -13,6 +13,8 @@ import (
 	"io"
 	"net"
 	"sync"
+
+	"github.com/parcel-go/parcel/internal/sched"
 )
 
 // Frame types.
@@ -49,39 +51,17 @@ type PageRequest struct {
 	UserAgent string          `json:"user_agent,omitempty"`
 	Screen    string          `json:"screen,omitempty"`
 	Have      []string        `json:"have,omitempty"`
-	Partial   []PartialObject `json:"partial,omitempty"`
+	Partial   []sched.Partial `json:"partial,omitempty"`
 }
 
-// PartialObject is one partially-received stream in a resume manifest: the
-// client holds the first Bytes bytes of the object's body.
-type PartialObject struct {
-	URL   string `json:"url"`
-	Bytes int64  `json:"bytes"`
-}
-
-// CompleteNote is the §4.5 completion notification. ObjectsSkipped counts
-// objects withheld because the resume manifest already listed them. The
-// remaining counters surface the multi-tenant proxy's per-session view:
-// admission-control outcomes (deferred pushes that were delivered late, shed
-// pushes the client must fetch itself) and shared-object-cache effectiveness
-// (hits, misses, and the origin bytes this session actually cost).
-type CompleteNote struct {
-	ObjectsPushed   int   `json:"objects_pushed"`
-	BytesPushed     int64 `json:"bytes_pushed"`
-	ObjectsSkipped  int   `json:"objects_skipped,omitempty"`
-	ObjectsResumed  int   `json:"objects_resumed,omitempty"`
-	ObjectsDeferred int   `json:"objects_deferred,omitempty"`
-	ObjectsShed     int   `json:"objects_shed,omitempty"`
-	CacheHits       int   `json:"cache_hits,omitempty"`
-	CacheMisses     int   `json:"cache_misses,omitempty"`
-	OriginRetries   int   `json:"origin_retries,omitempty"`
-	StaleServes     int   `json:"stale_serves,omitempty"`
-	OriginBytes     int64 `json:"origin_bytes,omitempty"`
-}
+// CompleteNote is the §4.5 completion notification: the page session's books
+// (sched.Counts) — pushes, resume skips and offsets, admission outcomes, and
+// shared-cache effectiveness — as its JSON.
+type CompleteNote struct{ sched.Counts }
 
 // ShedNote tells the client which objects the proxy's admission control
-// dropped from the push schedule: the client completes them itself over the
-// PR 4 direct-origin path (or a fallback object request). Shedding trades
+// dropped from the push schedule: the client completes them itself over its
+// direct-origin path (or a fallback object request). Shedding trades
 // PARCEL's push benefit for bounded proxy memory — DIR degradation, not OOM.
 type ShedNote struct {
 	URLs []string `json:"urls"`

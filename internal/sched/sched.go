@@ -78,6 +78,9 @@ type Item struct {
 	Status      int
 	Body        []byte
 	ArrivedAt   time.Duration
+	// Offset is the body prefix the client already holds (a resume offset),
+	// set by admission on the items it streams: only Body[Offset:] is sent.
+	Offset int64
 }
 
 // FlushReason explains why a bundle was emitted.
@@ -92,6 +95,8 @@ const (
 	FlushOnload
 	// FlushComplete fired at page completion (remainder drain).
 	FlushComplete
+	// FlushDrained re-admits parked objects as the session's queue drains.
+	FlushDrained
 )
 
 func (r FlushReason) String() string {
@@ -104,6 +109,8 @@ func (r FlushReason) String() string {
 		return "onload"
 	case FlushComplete:
 		return "complete"
+	case FlushDrained:
+		return "drained"
 	default:
 		return "?"
 	}

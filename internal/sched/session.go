@@ -4,16 +4,17 @@ import "strings"
 
 // Session is the proxy's page-session policy (§4.4–§4.5), written once for
 // both arms: withhold what the client already holds, release the rest by
-// schedule, re-arm a quiet window on every post-onload arrival, declare the
-// page complete once, and push whatever arrives later individually. It has no
+// schedule, admit each release against the push budgets (stream, park or
+// shed), re-arm a quiet window on every post-onload arrival, declare the page
+// complete once, and push whatever arrives later individually. It has no
 // clock, conn, lock or goroutine: a driver (core.ProxySession on the event
-// loop, parcelnet.session under its mutex) feeds it inputs, receives releases
-// through flush — synchronously, before the input returns — and then carries
-// out the returned Step. A driver that can prove the window will elapse with
-// nothing new (parcelnet's crawl) says so with Quiescent instead of waiting.
+// loop, parcelnet.session under its mutex) feeds it inputs, receives streams
+// through flush, synchronously, then carries out the returned Step. A driver
+// that can prove the window will elapse with nothing new (parcelnet's crawl)
+// says so with Quiescent instead of waiting.
 type Session struct {
-	// Counts is booked by the Session (releases, mirror skips) and by the
-	// driver (Fetch, OriginBytes, OriginRetries, as its fetches resolve).
+	// Counts is booked by the Session, and by the driver as its fetches
+	// resolve (Fetch, OriginBytes, OriginRetries).
 	Counts
 
 	flush func(items []Item, reason FlushReason)
@@ -26,24 +27,42 @@ type Session struct {
 	// quietGen is the last quiet window handed out; QuietFired ignores any
 	// other, so a timer that lost the race with its successor is inert.
 	quietGen int
+
+	// Admission (admission.go): limit bounds queued, the stream bytes admitted
+	// and not yet Drained (≤ 0: unbounded); parked is the deferred backlog,
+	// offsets the resume prefixes the client holds, shed the current input's.
+	limit   int64
+	shared  *Budget
+	queued  int64
+	parked  []Item
+	offsets map[string]int64
+	shed    []string
+	closed  bool
 }
 
-// Counts is one session's accounting, as both arms' completion notes carry it.
+// Counts is one session's accounting, as both arms' completion notes carry
+// it; the json tags are the TComplete payload. Booking rule: every released
+// object is at any moment exactly one of streamed (ObjectsPushed), Shed (the
+// client fetches it itself; parked objects shed at completion included) or
+// parked, so once nothing is parked released = ObjectsPushed + Shed.
+// Deferred counts objects parked at least once: never more than released.
 type Counts struct {
-	// Releases, and the collected objects the mirror withheld: together,
-	// every collected object.
-	ObjectsPushed int
-	BytesPushed   int64
-	Skipped       int
-	// The session's fetches split by the Fetch rule; StaleServes tags the
-	// hits that were a degraded (stale) answer.
-	CacheHits   int
-	CacheMisses int
-	StaleServes int
-	// What the session's own origin fetches transferred, and the
-	// re-attempts made on its behalf.
-	OriginBytes   int64
-	OriginRetries int
+	// Streams opened, their body bytes past any resume offset, and the
+	// collected objects the mirror withheld; Resumed streams had an offset.
+	ObjectsPushed int   `json:"objects_pushed"`
+	BytesPushed   int64 `json:"bytes_pushed"`
+	Skipped       int   `json:"objects_skipped,omitempty"`
+	Resumed       int   `json:"objects_resumed,omitempty"`
+	Deferred      int   `json:"objects_deferred,omitempty"`
+	Shed          int   `json:"objects_shed,omitempty"`
+	// The session's fetches split by the Fetch rule (StaleServes tags the
+	// degraded hits), the re-attempts made on its behalf, and what its own
+	// origin fetches transferred.
+	CacheHits     int   `json:"cache_hits,omitempty"`
+	CacheMisses   int   `json:"cache_misses,omitempty"`
+	OriginRetries int   `json:"origin_retries,omitempty"`
+	StaleServes   int   `json:"stale_serves,omitempty"`
+	OriginBytes   int64 `json:"origin_bytes,omitempty"`
 }
 
 // Fetch books one resolved fetch. A hit is any fetch that produced an object
@@ -63,6 +82,9 @@ func (c *Counts) Fetch(ok, paid, stale bool) {
 
 // Step is what the driver owes the session after an input.
 type Step struct {
+	// Shed lists the objects this input shed: tell the client to fetch them
+	// itself.
+	Shed []string
 	// Quiet, when nonzero, (re)starts the quiet window: cancel the running
 	// timer and, when the new one elapses, hand this generation to QuietFired.
 	Quiet int
@@ -70,17 +92,27 @@ type Step struct {
 	Complete bool
 }
 
-// NewSession constructs a session; flush receives every release and objects
-// (the page's object count, 0 when unknown) sizes the mirror.
-func NewSession(flush func(items []Item, reason FlushReason), objects int) *Session {
-	return &Session{flush: flush, sent: make(map[string]bool, objects)}
+// NewSession constructs a session; flush receives every admitted object and
+// objects (the page's object count, 0 when unknown) sizes the mirror. limit
+// bounds the bytes the session queues and shared is the proxy-wide budget;
+// with neither (0, nil) every release is streamed whole, in release order.
+func NewSession(flush func(items []Item, reason FlushReason), objects int, limit int64, shared *Budget) *Session {
+	return &Session{flush: flush, sent: make(map[string]bool, objects), limit: limit, shared: shared}
 }
 
-// StartPage begins a page load; have is the client's resume manifest. The
-// mirror persists; schedule, onload, completion and quiet window start over.
-func (s *Session) StartPage(cfg Config, have []string) {
+// StartPage begins a page load; have is the client's resume manifest and
+// partial the streams it holds a prefix of. The mirror persists; schedule,
+// onload, completion and quiet window start over.
+func (s *Session) StartPage(cfg Config, have []string, partial []Partial) {
 	for _, u := range have {
 		s.sent[u] = true
+	}
+	s.offsets = nil
+	for _, p := range partial {
+		if s.offsets == nil {
+			s.offsets = make(map[string]int64, len(partial))
+		}
+		s.offsets[p.URL] = max(p.Bytes, 0)
 	}
 	s.b = NewBundler(cfg, s.release)
 	s.completeSent = false
@@ -104,35 +136,39 @@ func (s *Session) Collected(it Item) Step {
 		s.b.Add(it)
 	}
 	if s.b.onloadSeen {
-		return s.armQuiet()
+		return s.step(s.armQuiet())
 	}
-	return Step{}
+	return s.step(Step{})
 }
 
 // OnLoad signals the proxy's onload event: the schedule flushes what it held
 // and the quiet window opens.
 func (s *Session) OnLoad() Step {
 	s.b.OnLoad()
-	return s.armQuiet()
+	return s.step(s.armQuiet())
 }
 
 // QuietFired reports that quiet window gen elapsed with no arrival: for the
-// last window armed, once per page, the schedule drains and the page completes.
+// last window armed, once per page, the schedule drains, whatever is still
+// parked is shed — the page ends with the client knowing everything it has
+// to fetch itself — and the page completes.
 func (s *Session) QuietFired(gen int) Step {
 	if gen != s.quietGen || s.completeSent {
 		return Step{}
 	}
 	s.completeSent = true
 	s.b.Complete()
-	return Step{Complete: true}
+	s.shedParked()
+	return s.step(Step{Complete: true})
 }
 
 // Quiescent reports that the driver has proved nothing can arrive before the
 // current quiet window elapses: after onload it completes the page exactly as
 // that window's QuietFired would, so the window is an upper bound. Before
-// onload, and once the page is complete, it does nothing.
+// onload, once the page is complete, and while pushes are parked (the window
+// is their time to drain rather than be shed) it does nothing.
 func (s *Session) Quiescent() Step {
-	if !s.b.onloadSeen {
+	if !s.b.onloadSeen || len(s.parked) > 0 {
 		return Step{}
 	}
 	return s.QuietFired(s.quietGen)
@@ -147,15 +183,22 @@ func (s *Session) armQuiet() Step {
 	return Step{Quiet: s.quietGen}
 }
 
-// release (the bundler's flush, and the straggler push) marks the mirror,
-// books the push and hands the items to the driver.
+// step hands the input's shed objects to its Step.
+func (s *Session) step(st Step) Step {
+	st.Shed, s.shed = s.shed, nil
+	return st
+}
+
+// release (the bundler's flush, and the straggler push) marks the mirror and
+// admits the items; nothing is released once the session is closed.
 func (s *Session) release(items []Item, reason FlushReason) {
+	if s.closed {
+		return
+	}
 	for _, it := range items {
 		s.sent[it.URL] = true
-		s.ObjectsPushed++
-		s.BytesPushed += int64(len(it.Body))
 	}
-	s.flush(items, reason)
+	s.admit(items, reason, true)
 }
 
 // Critical reports whether contentType is render-blocking (HTML, CSS, script,
