@@ -1,5 +1,5 @@
-// Command parcel-vet runs the repository's custom go/analysis suite
-// (determinism, pooldiscipline, noclosure, wireerr; see internal/analysis).
+// Command parcel-vet runs the repository's custom go/analysis suite: the
+// eight analyzers of internal/analysis (DESIGN.md §10).
 //
 // It speaks the `go vet -vettool` unitchecker protocol, so the same binary
 // works both ways:

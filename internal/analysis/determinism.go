@@ -42,14 +42,7 @@ func runDeterminism(pass *analysis.Pass) (any, error) {
 // runDeterminismImpl is the directive-injectable body: staleallow shadow-runs
 // it with a shared, usage-tracked allow set.
 func runDeterminismImpl(pass *analysis.Pass, al *allows) (any, error) {
-	path := pass.Pkg.Path()
-	sim := pkgMatch(simDeterministic, path)
-	if sim && pkgMatch(realClockAllowlist, path) {
-		pass.Reportf(pass.Files[0].Pos(),
-			"package %s appears in both the sim-deterministic table and the real-clock allowlist; fix the parcel-vet config", path)
-		return nil, nil
-	}
-	if !sim {
+	if !simScoped(pass.Pkg.Path()) {
 		return nil, nil
 	}
 	for _, f := range pass.Files {

@@ -86,7 +86,9 @@ func runAnalyzer(t *testing.T, a *analysis.Analyzer, pkgName string) ([]analysis
 		Instances:  map[*ast.Ident]types.Instance{},
 	}
 	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
-	pkg, err := conf.Check(pkgName, fset, files, info)
+	// Fixtures load at internal/<name>, where the scope rules see them the
+	// way they see the tree's own packages.
+	pkg, err := conf.Check("internal/"+pkgName, fset, files, info)
 	if err != nil {
 		t.Fatalf("typecheck %s: %v", pkgName, err)
 	}

@@ -7,8 +7,8 @@ import (
 	"golang.org/x/tools/go/analysis"
 )
 
-// NoClosure enforces the PR 2 closure-free-continuation rule statically: in
-// hot packages, a capturing closure handed to Schedule/ScheduleAt allocates
+// NoClosure enforces the closure-free-continuation rule statically: in
+// sim-scoped packages (simScoped), a capturing closure handed to Schedule/ScheduleAt allocates
 // once per event — on the simnet data path that is once per packet, which is
 // exactly the allocation class the page-load allocation budget
 // (experiments.TestPageLoadAllocBudget) exists to forbid.
@@ -36,7 +36,7 @@ func runNoClosure(pass *analysis.Pass) (any, error) {
 // runNoClosureImpl is the directive-injectable body: staleallow shadow-runs
 // it with a shared, usage-tracked allow set.
 func runNoClosureImpl(pass *analysis.Pass, al *allows) (any, error) {
-	if !pkgMatch(hotPackages, pass.Pkg.Path()) {
+	if !simScoped(pass.Pkg.Path()) {
 		return nil, nil
 	}
 	for _, f := range pass.Files {

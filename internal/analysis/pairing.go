@@ -75,10 +75,9 @@ type pairAnno struct {
 }
 
 // pairingSeeds carries the annotations across package boundaries without
-// fact plumbing, exactly like pooledTypes: the in-source doc comments are
-// authoritative in-package, and callers in other packages resolve the same
-// functions here by import-path suffix. Seeded with the repository's four
-// load-bearing pairs.
+// fact plumbing, like pooledTypes: the in-source doc comments are
+// authoritative in-package (framebuf, muxwin, pushq, flight), and callers in
+// other packages resolve the functions listed here by import-path suffix.
 var pairingSeeds = map[string]map[string][]pairAnno{
 	"internal/parcelnet": {
 		// Pooled frame buffers: every buffer handed out by the framed reader

@@ -8,20 +8,21 @@
 // the page-load allocation budget). The eight analyzers here catch every
 // violation at `go vet` time instead:
 //
-//   - determinism: sim-deterministic packages must not read wall clocks or
-//     the global RNG, and must not let map iteration order reach output.
-//   - pooldiscipline: pooled objects (simnet packets/outMsgs, eventsim arena
-//     events, minijs frames/arg slices) must not be used after release,
-//     escape into fields/globals/maps, be captured by closures, or be
-//     returned by non-pool functions.
-//   - noclosure: hot packages must schedule continuations with
+//   - determinism: sim-deterministic packages (every internal/ package not in
+//     realClockPackages) must not read wall clocks or the global RNG, and
+//     must not let map iteration order reach output.
+//   - pooldiscipline: pooled objects (pooledTypes: simnet packets/outMsgs,
+//     eventsim arena events, minijs frames, httpsim pending requests) must not
+//     be used after release, escape into fields/globals/maps, be captured by
+//     closures, or be returned by non-pool functions.
+//   - noclosure: the same packages must schedule continuations with
 //     ScheduleArgAt + typed fields, never with capturing closures.
 //   - wireerr: parcelnet/netem must never silently discard errors from
 //     framed-wire writes, session enqueue wrappers, or deadline setters.
 //   - pairing: functions annotated //parcelvet:acquire name must release
 //     (or transfer) the resource on every path; flags leaks on early error
 //     returns in the session admission and mux sender paths.
-//   - lockorder: builds the static lock graph over the proxy/objcache/hpack
+//   - lockorder: builds the static lock graph over the parcelnet/objcache
 //     mutexes and reports ordering cycles, double-acquisition, and
 //     blocking calls made with a spinlock-class mutex held.
 //   - framestate: wire frame emissions must come from functions registered
@@ -42,6 +43,7 @@ import (
 	"go/token"
 	"go/types"
 	"regexp"
+	"slices"
 	"strings"
 
 	"golang.org/x/tools/go/analysis"
@@ -52,110 +54,35 @@ func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{Determinism, PoolDiscipline, NoClosure, WireErr, Pairing, LockOrder, FrameState, StaleAllow}
 }
 
-// simDeterministic lists the packages whose behaviour must be a pure
-// function of their inputs and seeds: everything that runs under the virtual
-// clock or feeds the golden-figure metrics. Matched by import-path suffix;
-// the bare names are the analysistest fixture packages.
-var simDeterministic = map[string]bool{
-	"internal/eventsim":    true,
-	"internal/simnet":      true,
-	"internal/httpsim":     true,
-	"internal/dnssim":      true,
-	"internal/experiments": true,
-	"internal/scenario":    true,
-	"internal/runner":      true,
-	"internal/minijs":      true,
-	"internal/browser":     true,
-	"internal/webgen":      true,
-	"internal/sched":       true,
-	"internal/radio":       true,
-	"internal/energy":      true,
-	"internal/stats":       true,
-	"internal/trace":       true,
-	// Packages beyond the core list that are also pure functions of the
-	// simulation state.
-	"internal/core":         true,
-	"internal/cloudbrowser": true,
-	"internal/dirbrowser":   true,
-	"internal/spdybrowser":  true,
-	"internal/mhtml":        true,
-	"internal/htmlparse":    true,
-	"internal/cssparse":     true,
-	"internal/metrics":      true,
-	// The cross-session object cache sits on both arms: the fleet simulation
-	// shares it between virtual-clock sessions, so recency and eviction must
-	// be driven by access order alone — a wall-clock or global-RNG read there
-	// would leak real time into golden figures.
-	"internal/objcache": true,
-	// The resilience layer (retry backoff, breaker cool-downs) sits on both
-	// arms too: the simulation threads virtual time and its seeded RNG through
-	// it, so a wall-clock or global-RNG read there would make retry schedules
-	// — and therefore golden chaos figures — irreproducible.
-	"internal/resilience": true,
-	// The discovery memo sits on both arms as well: an artifact or a script
-	// outcome must be a pure function of its key, and a replay must equal the
-	// execution it stands for, so a wall-clock read, a global-RNG draw or a
-	// map-ordered effect list there would make one host's recording wrong on
-	// the other. Its hosts own the clock and the RNG (Host.SetTimeout, Rand).
-	"internal/discovery": true,
-
-	// analysistest fixtures
-	"determ_sim":         true,
-	"determ_sim_clean":   true,
-	"determ_cache":       true,
-	"determ_cache_clean": true,
-	"determ_resil":       true,
-	"determ_resil_clean": true,
-	"determ_memo":        true,
-	"determ_memo_clean":  true,
-}
-
-// realClockAllowlist is the checked-in exemption list: packages that talk to
-// real networks, real goroutines, or real time, where wall-clock reads are
-// the point. A package must never appear in both tables; Determinism reports
-// the contradiction if it does.
-var realClockAllowlist = map[string]bool{
-	"internal/parcelnet": true,
-	"internal/netem":     true,
-	"internal/replay":    true,
-	"internal/leakcheck": true,
+// realClockPackages is the one scope exception. Every other package under
+// internal/ is sim-deterministic and closure-free: it runs under the virtual
+// clock, feeds the golden-figure metrics, or sits on both arms (the object
+// cache, the resilience layer, the discovery memo), so determinism and
+// noclosure check it. The packages here talk to real networks, real
+// goroutines or real time, where wall-clock reads are the point. The
+// analysistest harness loads each fixture at internal/<name>, so fixtures
+// follow the same rule.
+var realClockPackages = map[string]bool{
+	"parcelnet": true,
+	"netem":     true,
+	"replay":    true,
+	"leakcheck": true,
+	"analysis":  true, // the analyzers themselves: a build-time tool
 
 	// analysistest fixture
 	"determ_exempt": true,
 }
 
-// hotPackages lists the packages under the PR 2 closure-free-continuation
-// rule: everything on or feeding the per-packet/per-event simulation path.
-var hotPackages = map[string]bool{
-	"internal/eventsim":     true,
-	"internal/simnet":       true,
-	"internal/httpsim":      true,
-	"internal/dnssim":       true,
-	"internal/radio":        true,
-	"internal/core":         true,
-	"internal/browser":      true,
-	"internal/cloudbrowser": true,
-	"internal/dirbrowser":   true,
-	"internal/spdybrowser":  true,
-	// The batch dispatch path: MapBatches workers and the multiplexed
-	// session loop schedule continuations on shared arenas, so stray
-	// closures there defeat the same pooling the simulation path protects.
-	"internal/runner":      true,
-	"internal/experiments": true,
-	// The resilience layer schedules retry continuations on the simulation
-	// arm; a capturing closure per retry would allocate on the same per-event
-	// path the rule protects.
-	"internal/resilience": true,
-	// The shared script environment runs inside the engine's per-script path
-	// on the simulation arm; timers belong to the host, so nothing here
-	// should schedule at all, let alone with a capturing closure.
-	"internal/discovery": true,
-
-	// analysistest fixtures
-	"noclosure_hot":   true,
-	"noclosure_clean": true,
-	"noclosure_resil": true,
-	"noclosure_memo":  true,
+// simScoped reports whether the package at path is under determinism and
+// noclosure: it lies directly under an internal/ directory and is not a
+// real-clock package.
+func simScoped(path string) bool {
+	i := strings.LastIndex("/"+path, "/internal/")
+	if i < 0 {
+		return false
+	}
+	name, _, _ := strings.Cut(path[i+len("internal/"):], "/")
+	return !realClockPackages[name]
 }
 
 // wirePackages lists the packages carrying the real-network framed-wire
@@ -171,24 +98,23 @@ var wirePackages = map[string]bool{
 }
 
 // pooledTypes names the pooled/arena types per package, keyed by import-path
-// suffix. This table is what makes cross-package discipline work without
-// fact plumbing: a package storing an eventsim.Event into a field is checked
-// against it even though the `//parcelvet:pooled` marker lives in eventsim's
-// source. In-package, the marker comment on the type declaration is
-// authoritative (and is how fixture packages declare pooled types).
+// suffix: the one declaration pooldiscipline checks against, in the owning
+// package and in every package that holds one of its objects.
 var pooledTypes = map[string][]string{
 	"internal/simnet":   {"packet", "outMsg"},
 	"internal/eventsim": {"Event"},
 	"internal/minijs":   {"frame"},
 	"internal/httpsim":  {"pendingReq"},
+
+	// analysistest fixtures
+	"pool_bad":   {"buf"},
+	"pool_clean": {"buf"},
 }
 
-// pkgMatch reports whether the package path matches a table entry: exact
-// (fixtures) or by path suffix (real packages under any module prefix).
+// pkgMatch reports whether the package path matches a table entry by path
+// suffix: real packages under any module prefix, fixtures under the harness's
+// internal/.
 func pkgMatch(table map[string]bool, path string) bool {
-	if table[path] {
-		return true
-	}
 	for entry := range table {
 		if strings.HasSuffix(path, "/"+entry) {
 			return true
@@ -196,9 +122,6 @@ func pkgMatch(table map[string]bool, path string) bool {
 	}
 	return false
 }
-
-// pooledMarker is the doc-comment marker declaring a type pooled.
-const pooledMarker = "//parcelvet:pooled"
 
 // allowPrefix starts an in-source escape: //parcelvet:allow name(reason).
 const allowPrefix = "//parcelvet:allow"
@@ -306,49 +229,11 @@ func isTestFile(pass *analysis.Pass, f *ast.File) bool {
 	return strings.HasSuffix(name, "_test.go")
 }
 
-// markedPooledTypes collects the named types in this package whose
-// declaration carries the //parcelvet:pooled marker.
-func markedPooledTypes(pass *analysis.Pass) map[*types.TypeName]bool {
-	marked := map[*types.TypeName]bool{}
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.TYPE {
-				continue
-			}
-			declMarked := hasPooledMarker(gd.Doc)
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				if !declMarked && !hasPooledMarker(ts.Doc) && !hasPooledMarker(ts.Comment) {
-					continue
-				}
-				if obj, ok := pass.TypesInfo.Defs[ts.Name].(*types.TypeName); ok {
-					marked[obj] = true
-				}
-			}
-		}
-	}
-	return marked
-}
-
-func hasPooledMarker(cg *ast.CommentGroup) bool {
-	if cg == nil {
+// isPooled reports whether t (possibly behind pointers) is a pooledTypes type.
+func isPooled(t types.Type) bool {
+	if t == nil {
 		return false
 	}
-	for _, c := range cg.List {
-		if strings.HasPrefix(strings.TrimSpace(c.Text), pooledMarker) {
-			return true
-		}
-	}
-	return false
-}
-
-// isPooled reports whether t (possibly behind pointers) is a pooled type:
-// either marked in the current package or listed in the cross-package table.
-func isPooled(t types.Type, marked map[*types.TypeName]bool) bool {
 	for {
 		ptr, ok := t.Underlying().(*types.Pointer)
 		if !ok {
@@ -357,31 +242,13 @@ func isPooled(t types.Type, marked map[*types.TypeName]bool) bool {
 		t = ptr.Elem()
 	}
 	named, ok := t.(*types.Named)
-	if !ok {
+	if !ok || named.Obj().Pkg() == nil {
 		return false
 	}
-	obj := named.Obj()
-	if marked[obj] {
-		return true
-	}
-	if obj.Pkg() == nil {
-		return false
-	}
-	path := obj.Pkg().Path()
-	if names, ok := pooledTypes[path]; ok {
-		for _, n := range names {
-			if n == obj.Name() {
-				return true
-			}
-		}
-	}
+	path := named.Obj().Pkg().Path()
 	for entry, names := range pooledTypes {
-		if strings.HasSuffix(path, "/"+entry) {
-			for _, n := range names {
-				if n == obj.Name() {
-					return true
-				}
-			}
+		if path == entry || strings.HasSuffix(path, "/"+entry) {
+			return slices.Contains(names, named.Obj().Name())
 		}
 	}
 	return false

@@ -9,10 +9,9 @@ import (
 )
 
 // PoolDiscipline is the static complement to the -tags simdebug runtime
-// checks: pooled objects (types carrying a //parcelvet:pooled marker or
-// listed in the pooledTypes table) are owned by exactly one holder at a
-// time, returned to their free list exactly once, and never referenced
-// afterwards. The runtime check panics only when a test executes the buggy
+// checks: pooled objects (the types listed in pooledTypes) are owned by
+// exactly one holder at a time, returned to their free list exactly once, and
+// never referenced afterwards. The runtime check panics only when a test executes the buggy
 // path; this analyzer rejects the pattern on every path at vet time.
 //
 // Reported patterns:
@@ -32,7 +31,7 @@ import (
 var PoolDiscipline = &analysis.Analyzer{
 	Name: "pooldiscipline",
 	Doc: "flag use-after-free and ownership escapes (fields, globals, maps, closures, " +
-		"returns) of pooled objects marked //parcelvet:pooled",
+		"returns) of pooled objects (the pooledTypes table)",
 	Run: runPoolDiscipline,
 }
 
@@ -51,9 +50,6 @@ func runPoolDiscipline(pass *analysis.Pass) (any, error) {
 // runPoolDisciplineImpl is the directive-injectable body: staleallow
 // shadow-runs it with a shared, usage-tracked allow set.
 func runPoolDisciplineImpl(pass *analysis.Pass, al *allows) (any, error) {
-	marked := markedPooledTypes(pass)
-	pooled := func(t types.Type) bool { return t != nil && isPooled(t, marked) }
-
 	for _, f := range pass.Files {
 		if isTestFile(pass, f) {
 			continue
@@ -64,14 +60,14 @@ func runPoolDisciplineImpl(pass *analysis.Pass, al *allows) (any, error) {
 				continue
 			}
 			checkUseAfterFree(pass, al, fd)
-			checkCaptures(pass, al, fd, pooled)
+			checkCaptures(pass, al, fd)
 			if !poolImplRe.MatchString(fd.Name.Name) {
-				checkEscapes(pass, al, fd, pooled)
-				checkReturns(pass, al, fd, pooled)
+				checkEscapes(pass, al, fd)
+				checkReturns(pass, al, fd)
 			} else {
 				// Pool implementations still must not leak pooled pointers
 				// into closures; captures were checked above.
-				checkMapAndGlobalStores(pass, al, fd, pooled)
+				checkMapAndGlobalStores(pass, al, fd)
 			}
 		}
 	}
@@ -298,14 +294,14 @@ func calleeName(call *ast.CallExpr) string {
 // checkCaptures flags closures that capture pooled variables declared
 // outside the closure: a captured pooled pointer both heap-allocates the
 // closure and lets the pointer outlive its pool ownership window.
-func checkCaptures(pass *analysis.Pass, al *allows, fd *ast.FuncDecl, pooled func(types.Type) bool) {
+func checkCaptures(pass *analysis.Pass, al *allows, fd *ast.FuncDecl) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		lit, ok := n.(*ast.FuncLit)
 		if !ok {
 			return true
 		}
 		for _, v := range capturedVars(pass, lit) {
-			if pooled(v.Type()) {
+			if isPooled(v.Type()) {
 				al.report(pass, lit.Pos(),
 					"closure captures pooled %q (%s); pass it through typed fields or a ScheduleArgAt argument instead",
 					v.Name(), v.Type())
@@ -345,8 +341,8 @@ func capturedVars(pass *analysis.Pass, lit *ast.FuncLit) []*types.Var {
 
 // checkEscapes flags pooled pointers stored into fields of non-pooled
 // structs, into maps, or into package-level variables.
-func checkEscapes(pass *analysis.Pass, al *allows, fd *ast.FuncDecl, pooled func(types.Type) bool) {
-	checkMapAndGlobalStores(pass, al, fd, pooled)
+func checkEscapes(pass *analysis.Pass, al *allows, fd *ast.FuncDecl) {
+	checkMapAndGlobalStores(pass, al, fd)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
 		if !ok {
@@ -354,7 +350,7 @@ func checkEscapes(pass *analysis.Pass, al *allows, fd *ast.FuncDecl, pooled func
 		}
 		for i, lhs := range as.Lhs {
 			rhs := pairedRhs(as, i)
-			if rhs == nil || !pooledValue(pass, rhs, pooled) {
+			if rhs == nil || !pooledValue(pass, rhs) {
 				continue
 			}
 			sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
@@ -362,7 +358,7 @@ func checkEscapes(pass *analysis.Pass, al *allows, fd *ast.FuncDecl, pooled func
 				continue
 			}
 			if selObj, ok := pass.TypesInfo.Selections[sel]; ok && selObj.Kind() == types.FieldVal {
-				if !pooled(selObj.Recv()) {
+				if !isPooled(selObj.Recv()) {
 					al.report(pass, as.Pos(),
 						"pooled pointer stored into field %s of non-pooled %s: ownership escapes the pool",
 						sel.Sel.Name, selObj.Recv())
@@ -376,7 +372,7 @@ func checkEscapes(pass *analysis.Pass, al *allows, fd *ast.FuncDecl, pooled func
 // checkMapAndGlobalStores flags pooled pointers stored into maps or
 // package-level variables (checked even inside pool implementations: the
 // free list itself is a typed chain, never a map or global).
-func checkMapAndGlobalStores(pass *analysis.Pass, al *allows, fd *ast.FuncDecl, pooled func(types.Type) bool) {
+func checkMapAndGlobalStores(pass *analysis.Pass, al *allows, fd *ast.FuncDecl) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
 		if !ok {
@@ -384,7 +380,7 @@ func checkMapAndGlobalStores(pass *analysis.Pass, al *allows, fd *ast.FuncDecl, 
 		}
 		for i, lhs := range as.Lhs {
 			rhs := pairedRhs(as, i)
-			if rhs == nil || !pooledValue(pass, rhs, pooled) {
+			if rhs == nil || !pooledValue(pass, rhs) {
 				continue
 			}
 			switch lhs := ast.Unparen(lhs).(type) {
@@ -418,7 +414,7 @@ func pairedRhs(as *ast.AssignStmt, i int) ast.Expr {
 }
 
 // pooledValue reports whether e is a pooled-typed value (excluding nil).
-func pooledValue(pass *analysis.Pass, e ast.Expr, pooled func(types.Type) bool) bool {
+func pooledValue(pass *analysis.Pass, e ast.Expr) bool {
 	e = ast.Unparen(e)
 	if id, ok := e.(*ast.Ident); ok && id.Name == "nil" {
 		return false
@@ -427,13 +423,13 @@ func pooledValue(pass *analysis.Pass, e ast.Expr, pooled func(types.Type) bool) 
 	if !ok || tv.IsNil() {
 		return false
 	}
-	return pooled(tv.Type)
+	return isPooled(tv.Type)
 }
 
 // checkReturns flags pooled pointers returned by functions outside the pool
 // implementation: callers must receive pooled objects only from the pool's
 // own constructors.
-func checkReturns(pass *analysis.Pass, al *allows, fd *ast.FuncDecl, pooled func(types.Type) bool) {
+func checkReturns(pass *analysis.Pass, al *allows, fd *ast.FuncDecl) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false // literal bodies have their own return semantics
@@ -443,7 +439,7 @@ func checkReturns(pass *analysis.Pass, al *allows, fd *ast.FuncDecl, pooled func
 			return true
 		}
 		for _, res := range ret.Results {
-			if pooledValue(pass, res, pooled) {
+			if pooledValue(pass, res) {
 				al.report(pass, ret.Pos(),
 					"pooled pointer returned from %s: pooled objects may only be handed out by the pool implementation (new*/get*)",
 					fd.Name.Name)

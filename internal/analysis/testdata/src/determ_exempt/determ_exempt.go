@@ -1,6 +1,6 @@
-// Package determ_exempt stands in for the real-clock allowlist packages
-// (parcelnet, netem, replay, leakcheck): wall-clock reads and global RNG are
-// the point there, so the determinism analyzer must stay silent.
+// Package determ_exempt stands in for the realClockPackages (parcelnet,
+// netem, replay, leakcheck): wall-clock reads and global RNG are the point
+// there, so the determinism analyzer must stay silent.
 package determ_exempt
 
 import (

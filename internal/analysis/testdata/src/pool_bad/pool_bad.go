@@ -1,8 +1,8 @@
 // Package pool_bad is the positive pooldiscipline fixture: every ownership
-// violation the analyzer must flag, against a marker-declared pooled type.
+// violation the analyzer must flag, against a pooled type (buf, declared in
+// pooledTypes).
 package pool_bad
 
-//parcelvet:pooled
 type buf struct {
 	next *buf
 	n    int

@@ -4,7 +4,7 @@
 // reassignment re-arming a variable.
 package pool_clean
 
-//parcelvet:pooled
+// buf is pooled: declared in pooledTypes.
 type buf struct {
 	next *buf
 	n    int

@@ -21,8 +21,6 @@ import (
 // zero-allocation hot paths: a package-level func(any) plus a pooled
 // argument pointer schedules without materialising a closure, where a
 // capturing closure would heap-allocate once per event.
-//
-//parcelvet:pooled
 type Event struct {
 	at     time.Duration
 	seq    uint64

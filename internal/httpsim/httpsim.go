@@ -302,7 +302,6 @@ type pconn struct {
 	current func(Response, time.Duration)
 }
 
-//parcelvet:pooled
 type pendingReq struct {
 	domain string // pool key (prefixed for TLS)
 	origin string // logical domain

@@ -154,8 +154,6 @@ type Closure struct {
 // frame is one materialized lexical scope: a flat slot array laid out at
 // compile time. parent links toward the global scope (nil past the
 // outermost frame); the Interp's globals map is the implicit chain root.
-//
-//parcelvet:pooled
 type frame struct {
 	slots  []Value
 	parent *frame

@@ -346,6 +346,57 @@ func BenchmarkMinijsExec(b *testing.B) {
 	}
 }
 
+// allocFreeDefs binds what allocFreeScript calls. A function literal
+// allocates its closure and a return boxes its value into an error, so the
+// closures are made once, before measurement, and return nothing.
+const allocFreeDefs = `
+var total = 0;
+var acc = function(i) {
+  if (i % 3 == 0) { total = total + i * i; } else { total = total - i; }
+};
+var twice = function(i) { acc(i); acc(i + 1); };
+`
+
+// allocFreeScript is loops, closure and native calls, and arithmetic: it
+// builds no strings or objects.
+const allocFreeScript = `
+total = 0;
+for (var i = 0; i < 40; i = i + 1) {
+  for (var j = 0; j < 3; j = j + 1) {
+    twice(i + j);
+  }
+  emit(total);
+}
+`
+
+// TestExecAllocFree pins the interpreter loop (step, exec, execBlock,
+// execScope and the frame and argument pools) at zero allocations per run of
+// a warm compiled program on a reused interpreter. BenchmarkMinijsExec is not
+// a gate: its script builds strings.
+func TestExecAllocFree(t *testing.T) {
+	in := New()
+	in.BindNative("emit", func([]Value) (Value, error) { return Null(), nil })
+	var prog *Program
+	for _, src := range []string{allocFreeDefs, allocFreeScript} {
+		p, err := Compile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := in.Run(p); err != nil {
+			t.Fatal(err)
+		}
+		prog = p
+	}
+	if avg := testing.AllocsPerRun(200, func() {
+		in.ResetOps()
+		if err := in.Run(prog); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("warm run allocates %.2f/op, want 0", avg)
+	}
+}
+
 // BenchmarkMinijsCompileCached measures the program-cache hit path — what
 // every engine after the first pays for a script body it holds as bytes.
 func BenchmarkMinijsCompileCached(b *testing.B) {

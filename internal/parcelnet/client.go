@@ -26,16 +26,17 @@ var ErrClosed = errors.New("parcelnet: client closed")
 // budget was exhausted without a configured direct-origin fallback.
 var ErrProxyGone = errors.New("parcelnet: proxy connection lost")
 
+// dialTimeout bounds each attempt of the built-in dialer; custom
+// ClientConfig.Dial funcs own their timeouts.
+const dialTimeout = 5 * time.Second
+
 // ClientConfig tunes connection recovery. The zero value gives sensible
-// defaults: 5 s dial timeout, 3 reconnect attempts with 50 ms–2 s jittered
-// exponential backoff, and no direct-origin fallback.
+// defaults: 3 reconnect attempts with 50 ms–2 s jittered exponential backoff,
+// and no direct-origin fallback.
 type ClientConfig struct {
 	// Dial overrides net.Dial (e.g. a netem-shaping dialer). When nil,
-	// connections use net.DialTimeout with DialTimeout.
+	// connections use net.DialTimeout with dialTimeout (5 s).
 	Dial func(network, addr string) (net.Conn, error)
-	// DialTimeout bounds each dial attempt (default 5 s; only applies to the
-	// built-in dialer — custom Dial funcs own their timeouts).
-	DialTimeout time.Duration
 	// MaxRetries is the reconnect budget after the proxy connection drops
 	// mid-page (default 3; negative disables reconnection entirely).
 	MaxRetries int
@@ -59,9 +60,6 @@ type ClientConfig struct {
 }
 
 func (cfg *ClientConfig) fillDefaults() {
-	if cfg.DialTimeout == 0 {
-		cfg.DialTimeout = 5 * time.Second
-	}
 	if cfg.MaxRetries == 0 {
 		cfg.MaxRetries = 3
 	}
@@ -180,7 +178,7 @@ func (c *Client) dial() (net.Conn, error) {
 	if c.cfg.Dial != nil {
 		return c.cfg.Dial("tcp", c.addr)
 	}
-	return net.DialTimeout("tcp", c.addr, c.cfg.DialTimeout)
+	return net.DialTimeout("tcp", c.addr, dialTimeout)
 }
 
 // Close closes the proxy connection. Blocked Object/WaitComplete callers

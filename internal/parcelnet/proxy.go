@@ -19,6 +19,11 @@ import (
 	"github.com/parcel-go/parcel/internal/sched"
 )
 
+// originConns bounds the proxy-wide origin connection pool: one shared
+// fetcher for every session, sized like the paper's "well-provisioned" server
+// pool (§4.3).
+const originConns = 64
+
 // ProxyConfig tunes the real-network PARCEL proxy.
 type ProxyConfig struct {
 	// OriginAddr is where every logical domain is served (the replay
@@ -48,11 +53,6 @@ type ProxyConfig struct {
 	// memory, single-flighted so concurrent misses cost one origin fetch.
 	// 0 (or negative) means 256 MB.
 	CacheBytes int64
-	// OriginConns bounds the proxy-wide origin connection pool (the shared
-	// fetcher replaces the historical per-session fetchers, whose pools
-	// multiplied by session count). 0 means 64 — the paper's
-	// "well-provisioned" server pool (§4.3).
-	OriginConns int
 	// SessionPushBudget and ProxyPushBudget bound the stream body bytes
 	// admitted and not yet written, per session and across all sessions, so
 	// a slow reader cannot grow the queue without bound: sched.Session defers
@@ -135,9 +135,6 @@ func StartProxy(addr string, cfg ProxyConfig) (*Proxy, error) {
 	if cfg.CacheBytes <= 0 {
 		cfg.CacheBytes = 256 << 20
 	}
-	if cfg.OriginConns <= 0 {
-		cfg.OriginConns = 64
-	}
 	if cfg.SessionPushBudget == 0 {
 		cfg.SessionPushBudget = 8 << 20
 	}
@@ -160,7 +157,7 @@ func StartProxy(addr string, cfg ProxyConfig) (*Proxy, error) {
 	p := &Proxy{
 		cfg:    cfg,
 		ln:     ln,
-		fetch:  NewOriginFetcherN(cfg.OriginAddr, cfg.OriginConns),
+		fetch:  NewOriginFetcherN(cfg.OriginAddr, originConns),
 		budget: sched.NewBudget(cfg.ProxyPushBudget),
 	}
 	p.res = newResilientFetcher(p.fetch.FetchValidatedCtx, cfg.Resilience)

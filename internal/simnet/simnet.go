@@ -212,8 +212,6 @@ func (n *Network) PathBetween(a, b *Host) PathParams {
 // continuation lives in typed fields: data segments and ACKs carry their
 // sender-side state directly (the allocation-free fast path), everything else
 // (handshake, FIN, datagrams) uses the generic arrive callback.
-//
-//parcelvet:pooled
 type packet struct {
 	net      *Network
 	from, to *Host
@@ -497,8 +495,6 @@ type sender struct {
 
 // outMsg is an in-flight application message, pooled per Network: it returns
 // to the free list when its last byte is delivered.
-//
-//parcelvet:pooled
 type outMsg struct {
 	size      int
 	remaining int // bytes not yet handed to the wire
