@@ -55,7 +55,7 @@ var frameConstRe = regexp.MustCompile(`^T[A-Z][A-Za-z]*$`)
 var framePhase = map[string]int{
 	"TPageRequest": 0, "TMuxSettings": 0,
 	"TStreamOpen": 1,
-	"TStreamData": 2, "TObjectRequest": 2, "TObjectResponse": 2,
+	"TStreamData": 2, "TObjectRequest": 2,
 	"TWindowUpdate": 2, "TShed": 2,
 	"TComplete": 3,
 	"TDrain":    4,
@@ -67,21 +67,21 @@ var framePhase = map[string]int{
 // two PR 9 notes from their legal states (admission overflow, proxy drain),
 // writeLoop owns the TComplete barrier, and the mux writer goroutine
 // (nextFrame) is the sole source of stream frames — the only way object
-// bytes are pushed. The client side: RequestPage/reconnect handshake,
-// Object issues fallback requests, WriteWindowUpdate is the only
-// flow-control credit writer (the client acks only streams it has seen
-// open, so TWindowUpdate stays on live streams by construction).
+// bytes are pushed, fallback answers included. The client side:
+// RequestPage/reconnect handshake, requestLocked issues fallback requests,
+// WriteWindowUpdate is the only flow-control credit writer (the client acks
+// only streams it has seen open, so TWindowUpdate stays on live streams by
+// construction).
 var frameEmitters = map[string]map[string]bool{
-	"TPageRequest":    {"RequestPage": true, "reconnect": true},
-	"TMuxSettings":    {"startPage": true},
-	"TStreamOpen":     {"nextFrame": true},
-	"TStreamData":     {"nextFrame": true},
-	"TObjectRequest":  {"Object": true},
-	"TObjectResponse": {"serveFallback": true},
-	"TWindowUpdate":   {"WriteWindowUpdate": true},
-	"TComplete":       {"writeLoop": true},
-	"TShed":           {"shedLocked": true},
-	"TDrain":          {"drainNotice": true},
+	"TPageRequest":   {"RequestPage": true, "reconnect": true},
+	"TMuxSettings":   {"startPage": true},
+	"TStreamOpen":    {"nextFrame": true},
+	"TStreamData":    {"nextFrame": true},
+	"TObjectRequest": {"requestLocked": true},
+	"TWindowUpdate":  {"WriteWindowUpdate": true},
+	"TComplete":      {"writeLoop": true},
+	"TShed":          {"shedLocked": true},
+	"TDrain":         {"drainNotice": true},
 }
 
 func runFrameState(pass *analysis.Pass) (any, error) {

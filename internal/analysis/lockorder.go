@@ -12,7 +12,7 @@ import (
 )
 
 // LockOrder builds a static lock graph over the concurrency-bearing packages
-// (the proxy's shard/session mutexes, objcache's segment locks, the client
+// (the proxy's registry/session mutexes, objcache's segment locks, the client
 // and crawler locks that guard the hpack tables and JS engine) and reports
 // three hazard classes:
 //
@@ -524,9 +524,8 @@ func lockIdentity(pass *analysis.Pass, call *ast.CallExpr) string {
 		}
 		return base.Name
 	case *ast.IndexExpr:
-		// shards[i].mu.Lock() has a *shard base; unreachable here because
-		// the SelectorExpr case above already consumed x.mu, but keep the
-		// bare-index shape resolvable.
+		// locks[i].Lock() on a slice of mutexes: identity is the element
+		// type's.
 		if tn := exprTypeName(pass, base); tn != "" {
 			return tn + ".Mutex"
 		}

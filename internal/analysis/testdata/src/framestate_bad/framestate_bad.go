@@ -7,7 +7,7 @@ const (
 	TPageRequest byte = iota + 1
 	TComplete
 	TObjectRequest
-	TObjectResponse
+	_
 	TShed
 	TMuxSettings
 	TStreamOpen

@@ -103,7 +103,7 @@ type bundleFetcher struct{ c *Client }
 
 func (f bundleFetcher) Fetch(url string, cb func(browser.Result)) {
 	c := f.c
-	if isHTTPS(url) {
+	if sched.Direct(url) {
 		// Encrypted objects bypass the proxy entirely (§4.5).
 		c.directFetch(url, cb)
 		return

@@ -19,10 +19,6 @@ import (
 
 // --- HTTPS fallback -----------------------------------------------------------
 
-// isHTTPS reports whether url uses the encrypted scheme the proxy cannot
-// parse (§4.5: "PARCEL falls back to the traditional way of downloading").
-func isHTTPS(url string) bool { return strings.HasPrefix(url, "https://") }
-
 // directFetch routes one client fetch over the traditional path: the
 // client's own connection to the origin, TLS included.
 func (c *Client) directFetch(url string, cb func(browser.Result)) {
@@ -92,7 +88,7 @@ func (s *ProxySession) discoverPostObjects(resp httpsim.Response) {
 		return
 	}
 	for _, res := range htmlparse.Resources(root, resp.URL) {
-		if isHTTPS(res.URL) {
+		if sched.Direct(res.URL) {
 			continue
 		}
 		if _, seen := s.cache[res.URL]; seen {

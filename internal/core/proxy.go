@@ -142,7 +142,7 @@ type proxyFetcher struct {
 // Fetch is the engine's entry to the session's one origin-fetch procedure
 // (resilient.go), after the HTTPS skip.
 func (f *proxyFetcher) Fetch(url string, cb func(browser.Result)) {
-	if isHTTPS(url) {
+	if sched.Direct(url) {
 		// The proxy cannot parse encrypted traffic; the client fetches
 		// these itself over the fallback path (§4.5).
 		f.s.SkippedHTTPS++

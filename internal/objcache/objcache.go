@@ -1,7 +1,7 @@
 // Package objcache is the proxy's cross-session object cache: fetched origin
 // objects keyed by canonical URL, validated by an origin validator, shared by
-// every session of a multi-tenant proxy (ISSUE 7 / ROADMAP "Sharded
-// multi-tenant proxy").
+// every session of a multi-tenant proxy (both parcelnet's TCP proxy and the
+// simulated core.Proxy).
 //
 // It extends the pure-function-of-key invariant of internal/browser's
 // artifact cache to origin payloads: for one (canonical URL, validator) pair

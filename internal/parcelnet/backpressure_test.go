@@ -1,6 +1,7 @@
 package parcelnet
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -174,60 +175,80 @@ func TestSlowReaderDefersThenDelivers(t *testing.T) {
 }
 
 // TestProxyBudgetShedsToDirectOrigin is the shed path: a proxy-wide budget
-// smaller than any object can never admit a push, so every object is shed —
-// and a client with a direct-origin path still completes the page from the
-// origin, guided by the shed notes.
+// smaller than any object can never admit a push, so every object is shed,
+// and the client still completes the page, guided by the shed notes. With a
+// direct-origin path it fetches them from the origin. Without one it asks the
+// proxy for each, and each arrives exactly once as a fallback stream: the
+// answer is admitted past the budget and drains out of it like any push.
 func TestProxyBudgetShedsToDirectOrigin(t *testing.T) {
-	defer leakcheck.Check(t)()
-	archive, mainURL := bigArchive(6, 8<<10)
-	origin, err := StartOrigin("127.0.0.1:0", replay.Rewriting{Store: archive})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer origin.Close()
-	proxy, err := StartProxy("127.0.0.1:0", ProxyConfig{
-		OriginAddr:      origin.Addr(),
-		Sched:           sched.ConfigIND,
-		QuietPeriod:     300 * time.Millisecond,
-		ProxyPushBudget: 1 << 10, // below any object's body: everything sheds
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxy.Close()
+	for _, direct := range []bool{true, false} {
+		t.Run(fmt.Sprintf("direct=%v", direct), func(t *testing.T) {
+			defer leakcheck.Check(t)()
+			archive, mainURL := bigArchive(6, 8<<10)
+			origin, err := StartOrigin("127.0.0.1:0", replay.Rewriting{Store: archive})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer origin.Close()
+			proxy, err := StartProxy("127.0.0.1:0", ProxyConfig{
+				OriginAddr:      origin.Addr(),
+				Sched:           sched.ConfigIND,
+				QuietPeriod:     300 * time.Millisecond,
+				ProxyPushBudget: 1 << 10, // below any object's body: everything sheds
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer proxy.Close()
 
-	client, err := DialConfig(proxy.Addr(), ClientConfig{DirectOrigin: origin.Addr()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	if err := client.RequestPage(mainURL, "", ""); err != nil {
-		t.Fatal(err)
-	}
-	note, err := client.WaitComplete(15 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if note.ObjectsPushed != 0 || note.Shed != archive.Len() {
-		t.Fatalf("want everything shed: %+v", note)
-	}
-	if proxy.ShedTotal() != int64(archive.Len()) {
-		t.Errorf("proxy shed counter = %d, want %d", proxy.ShedTotal(), archive.Len())
-	}
-	// The page still completes: every object is reachable, fetched direct.
-	for _, u := range archive.URLs() {
-		if _, err := client.Object(u, 10*time.Second); err != nil {
-			t.Fatalf("shed object %s unreachable: %v", u, err)
-		}
-	}
-	if client.ShedReceived != archive.Len() {
-		t.Errorf("client saw %d shed notices, want %d", client.ShedReceived, archive.Len())
-	}
-	if client.DirectFetches == 0 {
-		t.Error("no direct fetches despite universal shedding")
-	}
-	if proxy.QueuedBytes() != 0 {
-		t.Errorf("queued bytes = %d after completion, want 0", proxy.QueuedBytes())
+			var tap *tapConn
+			cfg := ClientConfig{Dial: func(network, addr string) (net.Conn, error) {
+				conn, err := net.Dial(network, addr)
+				tap = &tapConn{Conn: conn}
+				return tap, err
+			}}
+			if direct {
+				cfg.DirectOrigin = origin.Addr()
+			}
+			client, err := DialConfig(proxy.Addr(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Close()
+			if err := client.RequestPage(mainURL, "", ""); err != nil {
+				t.Fatal(err)
+			}
+			note, err := client.WaitComplete(15 * time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if note.ObjectsPushed != 0 || note.Shed != archive.Len() {
+				t.Fatalf("want everything shed: %+v", note)
+			}
+			if proxy.ShedTotal() != int64(archive.Len()) {
+				t.Errorf("proxy shed counter = %d, want %d", proxy.ShedTotal(), archive.Len())
+			}
+			// The page still completes: every object is reachable.
+			for _, u := range archive.URLs() {
+				if _, err := client.Object(u, 10*time.Second); err != nil {
+					t.Fatalf("shed object %s unreachable: %v", u, err)
+				}
+			}
+			if client.ShedReceived != archive.Len() {
+				t.Errorf("client saw %d shed notices, want %d", client.ShedReceived, archive.Len())
+			}
+			opens := bytes.Count(tap.received(), []byte{TStreamOpen})
+			if direct {
+				if client.DirectFetches == 0 || opens != 0 {
+					t.Errorf("%d direct fetches and %d streams despite universal shedding", client.DirectFetches, opens)
+				}
+			} else if client.Fallbacks != archive.Len() || opens != archive.Len() || len(client.Objects()) != archive.Len() {
+				t.Errorf("%d fallback requests answered by %d streams into %d objects, want %d each",
+					client.Fallbacks, opens, len(client.Objects()), archive.Len())
+			}
+			// Each answer's bytes leave the budget once written.
+			waitFor(t, 5*time.Second, func() bool { return proxy.QueuedBytes() == 0 })
+		})
 	}
 }
 
@@ -249,7 +270,6 @@ func TestSlowTenantDoesNotStallFastTenants(t *testing.T) {
 		OriginAddr:        origin.Addr(),
 		Sched:             sched.ConfigIND,
 		QuietPeriod:       500 * time.Millisecond,
-		Shards:            4,
 		CacheBytes:        4 << 20,
 		SessionPushBudget: 64 << 10,
 		WrapConn: func(c net.Conn) net.Conn {

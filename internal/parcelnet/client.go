@@ -11,11 +11,8 @@ import (
 	"time"
 
 	"github.com/parcel-go/parcel/internal/metrics"
-	"github.com/parcel-go/parcel/internal/mhtml"
 	"github.com/parcel-go/parcel/internal/sched"
 )
-
-func jsonUnmarshal(data []byte, v any) error { return json.Unmarshal(data, v) }
 
 // ErrClosed is returned by Object and WaitComplete after the client itself
 // was closed — distinct from a timeout, so callers can tell "you hung up"
@@ -47,13 +44,15 @@ type ClientConfig struct {
 	// Seed seeds the backoff jitter so recovery replays deterministically
 	// (default 1).
 	Seed int64
-	// DirectOrigin, when set, is the replay origin address the client
-	// degrades to once the retry budget is spent: the page completes in DIR
-	// mode, fetching remaining objects straight from the origin.
+	// DirectOrigin, when set, is the replay origin address of the client's
+	// direct path: objects the proxy cannot see into (sched.Direct) and shed
+	// objects are fetched there, and the client degrades to it once the retry
+	// budget is spent (the page completes in DIR mode). Without it a
+	// sched.Direct object cannot be fetched at all.
 	DirectOrigin string
 	// Mux is inert and read by no code: streams are the only wire format. It
 	// stays declared because bench/ sets it and only a benchmark PR may edit
-	// bench/ (ROADMAP item 2(3) removes both).
+	// bench/ (ROADMAP item 2(2) removes both).
 	Mux bool
 	// Logf, when set, receives recovery diagnostics.
 	Logf func(format string, args ...any)
@@ -96,7 +95,7 @@ type Client struct {
 	cond     *sync.Cond
 	conn     net.Conn // current connection; compared by readLoop for staleness
 	fw       *FrameWriter
-	store    map[string]mhtml.Part
+	store    map[string]Object
 	order    []string
 	page     *PageRequest // active page, kept for session resume
 	notified bool
@@ -113,16 +112,17 @@ type Client struct {
 	asm      *muxAssembler
 	partials map[string][]byte
 
-	// BytesReceived counts stream and fallback-response payload bytes received.
+	// BytesReceived counts stream payload bytes received.
 	BytesReceived int64
-	// Fallbacks counts missing-object requests (to the proxy, or directly to
-	// the origin once degraded).
+	// Fallbacks counts missing-object requests: to the proxy, or straight to
+	// the origin (DirectFetches).
 	Fallbacks int
 	// Resumes counts successful session resumes after a reconnect.
 	Resumes int
 	// Retries counts reconnect dial attempts.
 	Retries int
-	// DirectFetches counts objects fetched from the origin in degraded mode.
+	// DirectFetches counts objects fetched over the direct path: sched.Direct
+	// and shed objects, and every object once degraded.
 	DirectFetches int
 	// ShedReceived counts objects the proxy announced it would not push
 	// (admission control shed them); the client fetches those itself.
@@ -159,7 +159,7 @@ func DialConfig(addr string, cfg ClientConfig) (*Client, error) {
 	c := &Client{
 		addr:  addr,
 		cfg:   cfg,
-		store: make(map[string]mhtml.Part),
+		store: make(map[string]Object),
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}
 	c.asm = newMuxAssembler(c.partialHeld)
@@ -224,9 +224,9 @@ func (c *Client) partialHeld(url string) []byte { return c.partials[url] }
 
 func (c *Client) readLoop(conn net.Conn) {
 	for {
-		// Pooled reads: every branch below copies what it keeps (mhtml.Decode
-		// and json.Unmarshal copy, the mux assembler appends chunks into its
-		// own buffers), so the payload is recycled at the end of the iteration.
+		// Pooled reads: every branch below copies what it keeps (json.Unmarshal
+		// copies, the mux assembler appends chunks into its own buffers), so
+		// the payload is recycled at the end of the iteration.
 		typ, payload, err := ReadFramePooled(conn)
 		if err != nil {
 			c.onDisconnect(conn, err)
@@ -244,28 +244,6 @@ func (c *Client) readLoop(conn net.Conn) {
 // (the read loop recycles it). It returns true on a fatal protocol error.
 func (c *Client) handleClientFrame(typ byte, payload []byte) bool {
 	switch typ {
-	case TObjectResponse:
-		parts, err := mhtml.Decode(payload)
-		if err != nil {
-			c.fail(fmt.Errorf("parcelnet: bad object response: %w", err))
-			return true
-		}
-		c.mu.Lock()
-		c.BytesReceived += int64(len(payload))
-		if c.FirstAt.IsZero() {
-			c.FirstAt = time.Now()
-		}
-		for _, p := range parts {
-			if c.FirstCriticalAt.IsZero() && prioClass(p.ContentType) == muxClassCritical {
-				c.FirstCriticalAt = time.Now()
-			}
-			if _, dup := c.store[p.URL]; !dup {
-				c.order = append(c.order, p.URL)
-			}
-			c.store[p.URL] = p
-		}
-		c.cond.Broadcast()
-		c.mu.Unlock()
 	case TMuxSettings:
 		c.mu.Lock()
 		err := c.asm.onSettings(payload)
@@ -309,7 +287,7 @@ func (c *Client) handleClientFrame(typ byte, payload []byte) bool {
 		}
 	case TShed:
 		var note ShedNote
-		if err := jsonUnmarshal(payload, &note); err != nil {
+		if err := json.Unmarshal(payload, &note); err != nil {
 			c.cfg.Logf("bad shed note: %v", err)
 			return false
 		}
@@ -317,12 +295,8 @@ func (c *Client) handleClientFrame(typ byte, payload []byte) bool {
 		if c.shed == nil {
 			c.shed = make(map[string]bool)
 		}
-		missing := make([]string, 0, len(note.URLs))
 		for _, u := range note.URLs {
 			c.shed[u] = true
-			if _, ok := c.store[u]; !ok {
-				missing = append(missing, u)
-			}
 		}
 		c.ShedReceived += len(note.URLs)
 		eager := c.cfg.DirectOrigin != "" && !c.closed
@@ -331,11 +305,11 @@ func (c *Client) handleClientFrame(typ byte, payload []byte) bool {
 		if eager {
 			// Recover the push benefit we lost: start fetching shed objects
 			// before the page asks for them.
-			go c.fetchShed(missing)
+			go c.fetchShed(note.URLs)
 		}
 	case TDrain:
 		var note DrainNote
-		if err := jsonUnmarshal(payload, &note); err != nil {
+		if err := json.Unmarshal(payload, &note); err != nil {
 			c.cfg.Logf("bad drain note: %v", err)
 		}
 		c.mu.Lock()
@@ -355,11 +329,10 @@ func (c *Client) handleClientFrame(typ byte, payload []byte) bool {
 		conn.Close()
 	case TComplete:
 		var note CompleteNote
-		if err := jsonUnmarshal(payload, &note); err == nil {
-			c.mu.Lock()
+		err := json.Unmarshal(payload, &note)
+		c.mu.Lock()
+		if err == nil {
 			c.note = note
-		} else {
-			c.mu.Lock()
 		}
 		c.notified = true
 		c.CompleteAt = time.Now()
@@ -381,22 +354,18 @@ func (c *Client) deliverPartLocked(p *muxPart) {
 		c.PartialResumes++
 		delete(c.partials, p.URL)
 	}
+	c.storeLocked(Object{URL: p.URL, ContentType: p.ContentType, Status: p.Status, Body: p.Body})
+}
+
+// storeLocked lands one object in the store — a push, a fallback answer or a
+// direct fetch alike — and wakes its waiters; Objects lists each URL once, in
+// first-arrival order.
+func (c *Client) storeLocked(p Object) {
 	if _, dup := c.store[p.URL]; !dup {
 		c.order = append(c.order, p.URL)
 	}
-	c.store[p.URL] = mhtml.Part{URL: p.URL, ContentType: p.ContentType, Status: p.Status, Body: p.Body}
+	c.store[p.URL] = p
 	c.cond.Broadcast()
-}
-
-// noteFallbackWriteError counts a fallback request that never reached the
-// proxy (the write failed) and logs it. The counter is surfaced through
-// SessionLoad so load generators can gate on silent fallback failures.
-func (c *Client) noteFallbackWriteError(format string, args ...any) {
-	c.mu.Lock()
-	c.FallbackWriteErrors++
-	c.cond.Broadcast()
-	c.mu.Unlock()
-	c.cfg.Logf(format, args...)
 }
 
 // fail records a fatal protocol error and wakes waiters.
@@ -531,8 +500,9 @@ func (c *Client) backoff(attempt int) time.Duration {
 	return time.Duration(half + c.rng.Int63n(half+1))
 }
 
-// fetchDirect retrieves url straight from the configured origin (DIR mode).
-func (c *Client) fetchDirect(url string) (mhtml.Part, error) {
+// fetchDirect retrieves url straight from the configured origin (DIR mode)
+// and stores it.
+func (c *Client) fetchDirect(url string) (Object, error) {
 	c.mu.Lock()
 	if c.direct == nil {
 		c.direct = NewOriginFetcher(c.cfg.DirectOrigin)
@@ -543,46 +513,60 @@ func (c *Client) fetchDirect(url string) (mhtml.Part, error) {
 	c.mu.Unlock()
 	body, ct, status, err := f.Fetch(url)
 	if err != nil {
-		return mhtml.Part{}, fmt.Errorf("parcelnet: direct fetch %s: %w", url, err)
+		return Object{}, fmt.Errorf("parcelnet: direct fetch %s: %w", url, err)
 	}
-	return mhtml.Part{URL: url, ContentType: ct, Status: status, Body: body}, nil
+	p := Object{URL: url, ContentType: ct, Status: status, Body: body}
+	c.mu.Lock()
+	c.storeLocked(p)
+	c.mu.Unlock()
+	return p, nil
 }
 
-// fetchShed pulls shed objects from the origin in the background so they are
-// resident by the time the page needs them (DIR semantics for just those
-// objects, not the whole page).
+// requestLocked asks the proxy for url (§4.5); the answer arrives as a
+// stream. A write that fails is counted: the read loop sees the broken
+// connection and drives recovery.
+func (c *Client) requestLocked(url string) {
+	c.Fallbacks++
+	fw := c.fw
+	go func() {
+		if err := fw.WriteJSON(TObjectRequest, ObjectRequest{URL: url}); err != nil {
+			c.noteFallbackWriteError("object request for %s failed: %v", url, err)
+		}
+	}()
+}
+
+// noteFallbackWriteError counts a fallback request that never reached the
+// proxy (the write failed) and logs it. The counter is surfaced through
+// SessionLoad so load generators can gate on silent fallback failures.
+func (c *Client) noteFallbackWriteError(format string, args ...any) {
+	c.mu.Lock()
+	c.FallbackWriteErrors++
+	c.cond.Broadcast()
+	c.mu.Unlock()
+	c.cfg.Logf(format, args...)
+}
+
+// fetchShed lands shed objects in the background, as the page would ask for
+// them (Object fetches them from the origin), so they are resident by the
+// time it does: DIR semantics for just those objects, not the whole page.
 func (c *Client) fetchShed(urls []string) {
 	for _, u := range urls {
-		c.mu.Lock()
-		_, have := c.store[u]
-		dead := c.closed || c.rerr != nil
-		c.mu.Unlock()
-		if have || dead {
-			continue
-		}
-		p, err := c.fetchDirect(u)
-		if err != nil {
+		if _, err := c.Object(u, 0); err != nil {
 			c.cfg.Logf("shed fetch %s: %v", u, err)
-			continue
 		}
-		c.mu.Lock()
-		if _, dup := c.store[p.URL]; !dup {
-			c.order = append(c.order, p.URL)
-		}
-		c.store[p.URL] = p
-		c.cond.Broadcast()
-		c.mu.Unlock()
 	}
 }
 
 // Object returns the named object, waiting for it to be pushed. If the
 // completion notification has arrived and the object is still missing, a
-// fallback request is sent to the proxy (once) — or, in degraded mode,
-// fetched directly from the origin. It fails after timeout; a dead client
-// fails immediately with ErrClosed or ErrProxyGone instead. The received
-// parts outlive the connection: a part that arrived before Close, or before
-// the proxy was lost, is returned with a nil error.
-func (c *Client) Object(url string, timeout time.Duration) (mhtml.Part, error) {
+// fallback request is sent to the proxy (once). Objects the proxy cannot see
+// into (sched.Direct), shed objects when there is a direct path, and every
+// object in degraded mode are fetched directly from the origin; without a
+// direct path a sched.Direct object fails at once. Object fails after
+// timeout; a dead client fails immediately with ErrClosed or ErrProxyGone
+// instead. The received objects outlive the connection: one that arrived
+// before Close, or before the proxy was lost, is returned with a nil error.
+func (c *Client) Object(url string, timeout time.Duration) (Object, error) {
 	deadline := time.Now().Add(timeout)
 	timer := time.AfterFunc(timeout, func() {
 		c.mu.Lock()
@@ -599,63 +583,25 @@ func (c *Client) Object(url string, timeout time.Duration) (mhtml.Part, error) {
 			return p, nil
 		}
 		if c.rerr != nil {
-			return mhtml.Part{}, c.rerr
+			return Object{}, c.rerr
 		}
-		if c.degraded {
+		if sched.Direct(url) || c.degraded || c.shed[url] && c.cfg.DirectOrigin != "" {
+			if c.cfg.DirectOrigin == "" {
+				return Object{}, fmt.Errorf("parcelnet: %s needs a direct fetch and the client has no direct path (ClientConfig.DirectOrigin)", url)
+			}
 			c.mu.Unlock()
 			p, err := c.fetchDirect(url)
 			c.mu.Lock()
-			if err != nil {
-				return mhtml.Part{}, err
-			}
-			if _, dup := c.store[p.URL]; !dup {
-				c.order = append(c.order, p.URL)
-			}
-			c.store[p.URL] = p
-			c.cond.Broadcast()
-			return p, nil
+			return p, err
 		}
-		// A shed object will never be pushed: fetch it directly when we can,
-		// or fall back to an object request without waiting for completion.
-		if c.shed[url] && !requested {
-			if c.cfg.DirectOrigin != "" {
-				c.mu.Unlock()
-				p, err := c.fetchDirect(url)
-				c.mu.Lock()
-				if err != nil {
-					return mhtml.Part{}, err
-				}
-				if _, dup := c.store[p.URL]; !dup {
-					c.order = append(c.order, p.URL)
-				}
-				c.store[p.URL] = p
-				c.cond.Broadcast()
-				return p, nil
-			}
+		// A shed object will never be pushed, and anything missing after
+		// completion will not be either: ask the proxy for it.
+		if (c.shed[url] || c.notified) && !requested {
 			requested = true
-			c.Fallbacks++
-			fw := c.fw
-			go func() {
-				if err := fw.WriteJSON(TObjectRequest, ObjectRequest{URL: url}); err != nil {
-					c.noteFallbackWriteError("shed object request for %s failed: %v", url, err)
-				}
-			}()
-		}
-		if c.notified && !requested {
-			requested = true
-			c.Fallbacks++
-			fw := c.fw
-			go func() {
-				if err := fw.WriteJSON(TObjectRequest, ObjectRequest{URL: url}); err != nil {
-					// The read loop sees the broken connection and drives
-					// reconnection; here we surface the failed request as a
-					// counted error, not just a log line.
-					c.noteFallbackWriteError("fallback object request for %s failed: %v", url, err)
-				}
-			}()
+			c.requestLocked(url)
 		}
 		if time.Now().After(deadline) {
-			return mhtml.Part{}, fmt.Errorf("parcelnet: timeout waiting for %s", url)
+			return Object{}, fmt.Errorf("parcelnet: timeout waiting for %s", url)
 		}
 		c.cond.Wait()
 	}

@@ -56,14 +56,10 @@ func TestCrawlStopsAtTeardown(t *testing.T) {
 	// then hang up well before the first one is due.
 	var crawl *crawler
 	waitFor(t, 5*time.Second, func() bool {
-		for _, sh := range proxy.shards {
-			sh.mu.Lock()
-			for s := range sh.active {
-				s.mu.Lock()
-				crawl = s.crawl
-				s.mu.Unlock()
-			}
-			sh.mu.Unlock()
+		for _, s := range proxy.activeSessions() {
+			s.mu.Lock()
+			crawl = s.crawl
+			s.mu.Unlock()
 		}
 		if crawl == nil {
 			return false

@@ -9,6 +9,7 @@ import (
 
 	"github.com/parcel-go/parcel/internal/discovery"
 	"github.com/parcel-go/parcel/internal/minijs"
+	"github.com/parcel-go/parcel/internal/sched"
 )
 
 // Object is one crawled object.
@@ -131,6 +132,12 @@ func (c *crawler) Request(url string, blocking bool, depth int) {
 	c.mu.Unlock()
 
 	go func() {
+		if sched.Direct(url) {
+			// The proxy cannot see into it: as for the sim proxy's 204, nothing
+			// is fetched or collected, and the client fetches it itself (§4.5).
+			c.finish(blocking)
+			return
+		}
 		body, ct, status, err := c.fetch(url)
 		obj := Object{URL: url, ContentType: ct, Status: status, Body: body}
 		if err != nil {

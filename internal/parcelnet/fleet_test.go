@@ -17,7 +17,7 @@ import (
 )
 
 // fleetConfig describes one multi-tenant run over real TCP: a fleet of
-// concurrent clients loading pages through one sharded ONLD proxy with the
+// concurrent clients loading pages through one ONLD proxy with the
 // shared object cache. Faults, a non-default resilience policy and a mid-run
 // drain/restart are things the config turns on, not a second harness: the
 // zero value of each leaves that machinery idle.
@@ -28,8 +28,7 @@ type fleetConfig struct {
 	store   httpsim.Store
 	urls    []string
 
-	// shards and cacheBytes configure the proxy (see ProxyConfig).
-	shards     int
+	// cacheBytes is the proxy's ProxyConfig.CacheBytes.
 	cacheBytes int64
 	// quietPeriod is the proxy's §4.5 window (default 200 ms — fleet runs
 	// want throughput, not fidelity to the 2 s production default).
@@ -102,7 +101,6 @@ func runFleet(t *testing.T, cfg fleetConfig) fleetResult {
 		Sched:       sched.ConfigONLD,
 		QuietPeriod: cfg.quietPeriod,
 		FixedRandom: true,
-		Shards:      cfg.shards,
 		CacheBytes:  cfg.cacheBytes,
 		Resilience:  cfg.resilience,
 	}
@@ -288,7 +286,6 @@ var chaosPolicy = resilience.Policy{
 // ends.
 var chaos40 = fleetConfig{
 	clients:      40,
-	shards:       4,
 	cacheBytes:   8 << 20,
 	quietPeriod:  time.Second,
 	stagger:      10 * time.Millisecond,
@@ -308,7 +305,7 @@ var fleetRows = []fleetRow{
 	// The CI-sized load run: a modest fleet over netem-shaped links. Everyone
 	// completes, the shared cache shares, egress is attributed.
 	{test: "TestLoadgenSmoke", name: "shaped25",
-		cfg: fleetConfig{clients: 25, shards: 4, cacheBytes: 4 << 20,
+		cfg: fleetConfig{clients: 25, cacheBytes: 4 << 20,
 			netem: netem.Params{Latency: 5 * time.Millisecond, Bps: 4 << 20}},
 		onePageCopy: true, noReconnects: true},
 	// The 200-tenant gate: the fleet bench/ and the sim arm load (200 tenants
@@ -342,7 +339,7 @@ var fleetRows = []fleetRow{
 	// have to fail to leave no notice (at 500 ms only page 0's timer was
 	// inside, and one run in about thirty lost its document and every notice).
 	{test: "TestChaosLoadgenSmoke", name: "chaos200", long: true, pages: 4,
-		cfg: fleetConfig{clients: 200, shards: 4, cacheBytes: 256 << 20, quietPeriod: 2500 * time.Millisecond,
+		cfg: fleetConfig{clients: 200, cacheBytes: 256 << 20, quietPeriod: 2500 * time.Millisecond,
 			stagger: 2 * time.Millisecond, faults: chaosFaults(1), resilience: chaosPolicy,
 			drainAfter: 150 * time.Millisecond, drainTimeout: 150 * time.Millisecond}},
 	// The restart handoff in isolation: no origin faults, just a drain and

@@ -12,12 +12,12 @@ import (
 // round-trip bit-exact through WriteFrame.
 func FuzzFrame(f *testing.F) {
 	var seed bytes.Buffer
-	WriteFrame(&seed, TObjectResponse, []byte("hello"))
+	WriteFrame(&seed, TShed, []byte("hello"))
 	f.Add(seed.Bytes())
 	seed.Reset()
 	WriteFrame(&seed, TStreamData, append(binary.BigEndian.AppendUint32(nil, 3), 0, 'x', 'y'))
 	f.Add(seed.Bytes())
-	f.Add([]byte{TObjectResponse, 0xFF, 0xFF, 0xFF, 0xFF})  // over-limit length
+	f.Add([]byte{TShed, 0xFF, 0xFF, 0xFF, 0xFF})            // over-limit length
 	f.Add([]byte{TComplete, 0, 0, 0, 10, 'a', 'b'})         // truncated payload
 	f.Add([]byte{})                                         // empty
 	f.Add([]byte{TWindowUpdate, 0, 0, 0, 8, 0, 0, 0, 1, 0}) // short window update

@@ -13,7 +13,7 @@ import (
 )
 
 // TestMultiTenantSharedCache drives a fleet of concurrent sessions through
-// one sharded proxy and its cross-session cache: every session
+// one proxy and its cross-session cache: every session
 // completes with the full object set, yet the origin is fetched once per URL
 // — the fleet's total origin bytes equal one copy of the page, and every
 // session beyond the flight group reports cache hits.
@@ -30,7 +30,6 @@ func TestMultiTenantSharedCache(t *testing.T) {
 		Sched:       sched.ConfigIND,
 		QuietPeriod: 300 * time.Millisecond,
 		FixedRandom: true,
-		Shards:      4,
 		CacheBytes:  1 << 20,
 	})
 	if err != nil {
@@ -98,14 +97,14 @@ func TestMultiTenantSharedCache(t *testing.T) {
 	if proxy.SessionsServed() != tenants {
 		t.Errorf("sessions served = %d, want %d", proxy.SessionsServed(), tenants)
 	}
-	// All clients closed: every shard reaps its sessions.
+	// All clients closed: the registry reaps their sessions.
 	waitFor(t, 5*time.Second, func() bool { return proxy.Sessions() == 0 })
 }
 
 // TestMultiTenantKillSubsetSurvivorsComplete kills a subset of tenants
 // mid-page (netem KillAfterBytes on their connections) while the rest load
 // normally: survivors complete with the full object set, the killed sessions'
-// proxy state is reaped by their shards, and nothing leaks.
+// proxy state is reaped from the registry, and nothing leaks.
 func TestMultiTenantKillSubsetSurvivorsComplete(t *testing.T) {
 	defer leakcheck.Check(t)()
 	archive, mainURL := testArchive()
@@ -119,7 +118,6 @@ func TestMultiTenantKillSubsetSurvivorsComplete(t *testing.T) {
 		Sched:       sched.ConfigIND,
 		QuietPeriod: 300 * time.Millisecond,
 		FixedRandom: true,
-		Shards:      4,
 		CacheBytes:  1 << 20,
 	})
 	if err != nil {
@@ -181,20 +179,16 @@ func TestMultiTenantKillSubsetSurvivorsComplete(t *testing.T) {
 			t.Errorf("survivor %d failed: %v", i+victims, err)
 		}
 	}
-	// Dead and closed sessions alike are reaped from their shards.
+	// Dead and closed sessions alike are reaped from the registry.
 	waitFor(t, 5*time.Second, func() bool { return proxy.Sessions() == 0 })
-	total := 0
-	for _, n := range proxy.ShardSessions() {
-		total += n
-	}
-	if total != 0 {
-		t.Errorf("shard registries still hold %d sessions", total)
+	if n := len(proxy.activeSessions()); n != 0 {
+		t.Errorf("the registry still holds %d sessions", n)
 	}
 }
 
-// TestShardDistribution checks that concurrent sessions actually land on
-// multiple shards (the hash spreads by client port) and that the per-shard
-// counts sum to the session total.
+// TestShardDistribution is the session registry check: 32 concurrent
+// sessions are each counted once, by Sessions and by SessionsServed, and none
+// remain once their clients close.
 func TestShardDistribution(t *testing.T) {
 	defer leakcheck.Check(t)()
 	archive, _ := testArchive()
@@ -206,7 +200,6 @@ func TestShardDistribution(t *testing.T) {
 	proxy, err := StartProxy("127.0.0.1:0", ProxyConfig{
 		OriginAddr: origin.Addr(),
 		Sched:      sched.ConfigIND,
-		Shards:     4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -214,32 +207,38 @@ func TestShardDistribution(t *testing.T) {
 	defer proxy.Close()
 
 	const tenants = 32
-	clients := make([]*Client, 0, tenants)
-	defer func() {
+	clients := make([]*Client, tenants)
+	var wg sync.WaitGroup
+	for i := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := Dial(proxy.Addr(), nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			clients[i] = c
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
 		for _, c := range clients {
-			c.Close()
+			if c != nil {
+				c.Close()
+			}
 		}
-	}()
-	for i := 0; i < tenants; i++ {
-		c, err := Dial(proxy.Addr(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		clients = append(clients, c)
+		t.FailNow()
 	}
 	waitFor(t, 5*time.Second, func() bool { return proxy.Sessions() == tenants })
-	counts := proxy.ShardSessions()
-	sum, occupied := 0, 0
-	for _, n := range counts {
-		sum += n
-		if n > 0 {
-			occupied++
-		}
+	if n := proxy.SessionsServed(); n != tenants {
+		t.Errorf("served %d sessions, want %d", n, tenants)
 	}
-	if sum != tenants {
-		t.Fatalf("shard counts %v sum to %d, want %d", counts, sum, tenants)
+	for _, c := range clients {
+		c.Close()
 	}
-	if occupied < 2 {
-		t.Fatalf("all %d sessions hashed onto one shard: %v", tenants, counts)
+	waitFor(t, 5*time.Second, func() bool { return proxy.Sessions() == 0 })
+	if n := proxy.SessionsServed(); n != tenants {
+		t.Errorf("served %d sessions after the clients closed, want %d", n, tenants)
 	}
 }

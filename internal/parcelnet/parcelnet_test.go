@@ -324,6 +324,16 @@ func TestMissingObjectTimesOutWith404(t *testing.T) {
 	if p.Status != 404 {
 		t.Fatalf("status = %d, want 404", p.Status)
 	}
+	// An object the proxy cannot see into is never asked of it: with no
+	// direct path to fetch it over, the client fails at once.
+	start := time.Now()
+	if _, err := client.Object("https://www.shop.test/secure/beacon0.gif", 5*time.Second); err == nil ||
+		!strings.Contains(err.Error(), "no direct path") || time.Since(start) > time.Second {
+		t.Fatalf("https object without a direct path: %v after %v", err, time.Since(start))
+	}
+	if client.Fallbacks != 1 {
+		t.Fatalf("fallbacks = %d, want 1 (the 404)", client.Fallbacks)
+	}
 }
 
 func TestShapedDialStillCorrect(t *testing.T) {
@@ -356,25 +366,26 @@ func TestShapedDialStillCorrect(t *testing.T) {
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte{1, 2, 3, 0, 255}
-	if err := WriteFrame(&buf, TObjectResponse, payload); err != nil {
+	if err := WriteFrame(&buf, TStreamData, payload); err != nil {
 		t.Fatal(err)
 	}
-	typ, got, err := ReadFrame(&buf)
+	typ, got, err := ReadFramePooled(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != TObjectResponse || !bytes.Equal(got, payload) {
+	defer ReleaseFrameBuf(got)
+	if typ != TStreamData || !bytes.Equal(got, payload) {
 		t.Fatalf("frame round-trip: typ=%d payload=%v", typ, got)
 	}
 }
 
 func TestFrameRejectsOversize(t *testing.T) {
 	var buf bytes.Buffer
-	buf.Write([]byte{TObjectResponse, 0xFF, 0xFF, 0xFF, 0xFF})
-	if _, _, err := ReadFrame(&buf); err == nil {
+	buf.Write([]byte{TStreamData, 0xFF, 0xFF, 0xFF, 0xFF})
+	if _, _, err := ReadFramePooled(&buf); err == nil {
 		t.Fatal("oversize frame accepted")
 	}
-	if err := WriteFrame(&buf, TObjectResponse, make([]byte, maxFrame+1)); err == nil {
+	if err := WriteFrame(&buf, TStreamData, make([]byte, maxFrame+1)); err == nil {
 		t.Fatal("oversize write accepted")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"net"
 	"runtime"
 	"sort"
@@ -13,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/parcel-go/parcel/internal/mhtml"
 	"github.com/parcel-go/parcel/internal/objcache"
 	"github.com/parcel-go/parcel/internal/resilience"
 	"github.com/parcel-go/parcel/internal/sched"
@@ -44,10 +42,6 @@ type ProxyConfig struct {
 	// FixedRandom applies the §7.3 replay rewrite in page JS.
 	FixedRandom bool
 
-	// Shards is the accept-side sharding width: sessions are hashed onto
-	// Shards independent registries so registration, reaping, and counters
-	// never contend on one proxy-wide lock. 0 means GOMAXPROCS.
-	Shards int
 	// CacheBytes is the cross-session object cache's byte budget: origin
 	// objects fetched for one session are served to every other session from
 	// memory, single-flighted so concurrent misses cost one origin fetch.
@@ -89,8 +83,8 @@ type ProxyConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// Proxy is a running real-network PARCEL proxy: a listener fanning sessions
-// out over shards, a shared origin fetcher, the cross-session object cache
+// Proxy is a running real-network PARCEL proxy: a listener and the registry
+// of its sessions, a shared origin fetcher, the cross-session object cache
 // and the proxy-wide push budget its sessions' admission draws on.
 type Proxy struct {
 	cfg   ProxyConfig
@@ -106,13 +100,7 @@ type Proxy struct {
 	drained atomic.Int64
 	closed  atomic.Bool
 
-	shards []*shard
-}
-
-// shard owns one slice of the accept-side state: its own lock, session
-// registry, and served counter. Sessions are hashed onto shards by client
-// address, so a stalled or churning tenant contends only with its shard.
-type shard struct {
+	// The session registry: touched at accept and teardown, and by Drain.
 	mu     sync.Mutex
 	active map[*session]struct{}
 	served int
@@ -128,9 +116,6 @@ func StartProxy(addr string, cfg ProxyConfig) (*Proxy, error) {
 	}
 	if cfg.IdleTimeout == 0 {
 		cfg.IdleTimeout = 2 * time.Minute
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = runtime.GOMAXPROCS(0)
 	}
 	if cfg.CacheBytes <= 0 {
 		cfg.CacheBytes = 256 << 20
@@ -159,16 +144,13 @@ func StartProxy(addr string, cfg ProxyConfig) (*Proxy, error) {
 		ln:     ln,
 		fetch:  NewOriginFetcherN(cfg.OriginAddr, originConns),
 		budget: sched.NewBudget(cfg.ProxyPushBudget),
+		active: make(map[*session]struct{}),
 	}
 	p.res = newResilientFetcher(p.fetch.FetchValidatedCtx, cfg.Resilience)
 	p.cache = objcache.New(objcache.Config{
-		Capacity: cfg.CacheBytes, Segments: cfg.Shards,
+		Capacity: cfg.CacheBytes, Segments: runtime.GOMAXPROCS(0),
 		FreshFor: cfg.CacheFreshFor, NegTTL: p.res.group.Policy().NegTTL,
 	})
-	p.shards = make([]*shard, cfg.Shards)
-	for i := range p.shards {
-		p.shards[i] = &shard{active: make(map[*session]struct{})}
-	}
 	p.wg.Add(1)
 	go p.acceptLoop()
 	return p, nil
@@ -245,15 +227,13 @@ func (p *Proxy) Drain(timeout time.Duration) error {
 // DrainedSessions returns how many sessions were handed a TDrain notice.
 func (p *Proxy) DrainedSessions() int64 { return p.drained.Load() }
 
-// activeSessions snapshots the registered sessions across shards.
+// activeSessions snapshots the registered sessions.
 func (p *Proxy) activeSessions() []*session {
-	var out []*session
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		for s := range sh.active {
-			out = append(out, s)
-		}
-		sh.mu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	out := make([]*session, 0, len(p.active))
+	for s := range p.active {
+		out = append(out, s)
 	}
 	return out
 }
@@ -272,39 +252,18 @@ func (p *Proxy) busySessions() int {
 	return n
 }
 
-// Sessions returns the number of currently active sessions across shards.
+// Sessions returns the number of currently active sessions.
 func (p *Proxy) Sessions() int {
-	n := 0
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		n += len(sh.active)
-		sh.mu.Unlock()
-	}
-	return n
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.active)
 }
 
 // SessionsServed returns the total number of sessions accepted so far.
 func (p *Proxy) SessionsServed() int {
-	n := 0
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		n += sh.served
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// ShardSessions returns the per-shard session counts (in shard order) — the
-// observability hook the multi-tenant tests assert shard distribution and
-// reaping against.
-func (p *Proxy) ShardSessions() []int {
-	out := make([]int, len(p.shards))
-	for i, sh := range p.shards {
-		sh.mu.Lock()
-		out[i] = len(sh.active)
-		sh.mu.Unlock()
-	}
-	return out
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.served
 }
 
 // CacheStats returns the shared object cache's counters.
@@ -337,16 +296,9 @@ func (p *Proxy) acceptLoop() {
 	}
 }
 
-// shardFor hashes a client address onto a shard.
-func (p *Proxy) shardFor(addr string) *shard {
-	h := fnv.New32a()
-	h.Write([]byte(addr))
-	return p.shards[h.Sum32()%uint32(len(p.shards))]
-}
-
-// outFrame is one queued control frame (settings, shed and drain notes,
-// fallback responses, the completion note). Control frames reserve nothing
-// against the push budgets; object bytes travel as mux streams.
+// outFrame is one queued control frame (settings, shed and drain notes, the
+// completion note). Control frames reserve nothing against the push budgets;
+// object bytes, fallback answers included, travel as mux streams.
 type outFrame struct {
 	typ     byte
 	payload []byte
@@ -355,7 +307,6 @@ type outFrame struct {
 // session is the per-connection proxy state.
 type session struct {
 	proxy *Proxy
-	shard *shard
 	conn  net.Conn
 	fw    *FrameWriter
 
@@ -385,10 +336,8 @@ func (p *Proxy) serve(conn net.Conn) {
 	if p.cfg.WrapConn != nil {
 		conn = p.cfg.WrapConn(conn)
 	}
-	sh := p.shardFor(conn.RemoteAddr().String())
 	s := &session{
 		proxy:      p,
-		shard:      sh,
 		conn:       conn,
 		fw:         NewFrameWriter(conn),
 		mux:        newMuxSender(p.cfg.MuxChunkSize, p.cfg.MuxStreamWindow, p.cfg.MuxConnWindow),
@@ -397,16 +346,16 @@ func (p *Proxy) serve(conn net.Conn) {
 	}
 	s.sendCond = sync.NewCond(&s.mu)
 	s.page = sched.NewSession(s.pushLocked, 0, p.cfg.SessionPushBudget, p.budget)
-	sh.mu.Lock()
+	p.mu.Lock()
 	if p.closed.Load() {
-		sh.mu.Unlock()
+		p.mu.Unlock()
 		conn.Close()
 		close(s.writerDone)
 		return
 	}
-	sh.served++
-	sh.active[s] = struct{}{}
-	sh.mu.Unlock()
+	p.served++
+	p.active[s] = struct{}{}
+	p.mu.Unlock()
 	go s.writeLoop()
 	defer s.teardown()
 	for {
@@ -510,7 +459,7 @@ func (s *session) drainNotice() {
 // crawl with its pending script timers, the pending quiet timer, the writer
 // goroutine, and the page's push-budget reservation, so disconnects never
 // leak it. It runs exactly once, when serve returns, and unregisters the
-// session from its shard.
+// session.
 func (s *session) teardown() {
 	if s.crawl != nil {
 		// Page timers run for seconds past the last frame; a crawl that
@@ -528,10 +477,10 @@ func (s *session) teardown() {
 	s.mu.Unlock()
 	s.conn.Close()
 	<-s.writerDone
-	sh := s.shard
-	sh.mu.Lock()
-	delete(sh.active, s)
-	sh.mu.Unlock()
+	p := s.proxy
+	p.mu.Lock()
+	delete(p.active, s)
+	p.mu.Unlock()
 }
 
 // writeLoop is the session's writer goroutine: it drains the send queue onto
@@ -554,8 +503,8 @@ func (s *session) writeLoop() {
 				s.mu.Unlock()
 				return
 			}
-			// Control frames (settings, shed notes, fallback responses) drain
-			// ahead of stream data; the TComplete barrier waits for every live
+			// Control frames (settings, shed and drain notes) drain ahead of
+			// stream data; the TComplete barrier waits for every live
 			// stream to finish so completion never overtakes data.
 			if len(s.sendq) > 0 {
 				f = s.sendq[0]
@@ -754,9 +703,10 @@ func (s *session) shedLocked(urls []string) {
 	}
 }
 
-// serveFallback answers a missing-object request. The body is re-resolved
-// through the shared cache (a hit for anything recently pushed); only a
-// recorded error status is answered from the session's view alone.
+// serveFallback answers a missing-object request (§4.5) with a stream: the
+// page session admits it ahead of everything (Requested). The body is
+// re-resolved through the shared cache (a hit for anything recently pushed);
+// only a recorded error status is answered from the session's view alone.
 func (s *session) serveFallback(url string) {
 	s.mu.Lock()
 	obj, ok := s.cache[url]
@@ -773,16 +723,9 @@ func (s *session) serveFallback(url string) {
 			ct = obj.ContentType
 		}
 		obj = Object{URL: url, ContentType: ct, Status: status, Body: body}
-		s.mu.Lock()
-		s.storeLocked(obj)
-		s.mu.Unlock()
 	}
-	enc := mhtml.Encode([]mhtml.Part{{URL: obj.URL, ContentType: obj.ContentType, Status: obj.Status, Body: obj.Body}})
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.enqueueLocked(outFrame{typ: TObjectResponse, payload: enc})
+	s.storeLocked(obj)
+	s.page.Requested(sched.Item{URL: obj.URL, ContentType: obj.ContentType, Status: obj.Status, Body: obj.Body})
 	s.mu.Unlock()
 }

@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"sync"
 
 	"github.com/parcel-go/parcel/internal/sched"
@@ -19,12 +18,12 @@ import (
 
 // Frame types.
 const (
-	TPageRequest byte = iota + 1
-	_                 // 2 is retired: the monolithic bundle frame
-	TComplete         // payload: JSON CompleteNote
-	TObjectRequest
-	TObjectResponse // payload: MHTML bundle with one part
-	TShed           // payload: JSON ShedNote — objects the proxy will not push
+	TPageRequest   byte = iota + 1
+	_                   // 2 is retired: the monolithic bundle frame
+	TComplete           // payload: JSON CompleteNote
+	TObjectRequest      // payload: JSON ObjectRequest; the answer is a stream
+	_                   // 5 is retired: the MHTML fallback answer
+	TShed               // payload: JSON ShedNote — objects the proxy will not push
 
 	// parcelmux frame types: the multiplexed stream layer. Pushed objects
 	// arrive as interleaved per-stream chunks, so a large object cannot
@@ -67,7 +66,8 @@ type ShedNote struct {
 	URLs []string `json:"urls"`
 }
 
-// ObjectRequest is the client's missing-object fallback.
+// ObjectRequest is the client's missing-object fallback (§4.5). The proxy
+// answers it with a stream, admitted like any push.
 type ObjectRequest struct {
 	URL string `json:"url"`
 }
@@ -97,25 +97,6 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	}
 	_, err := w.Write(payload)
 	return err
-}
-
-// ReadFrame reads one framed message. The payload is freshly allocated; hot
-// loops that process-and-drop payloads should use ReadFramePooled instead.
-func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	typ = hdr[0]
-	n := binary.BigEndian.Uint32(hdr[1:])
-	if n > maxFrame {
-		return 0, nil, fmt.Errorf("parcelnet: frame length %d exceeds limit", n)
-	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
-	}
-	return typ, payload, nil
 }
 
 // ReadFramePooled reads one framed message into a buffer from the
@@ -188,6 +169,3 @@ func (fw *FrameWriter) WriteWindowUpdate(streamID, increment uint32) error {
 	binary.BigEndian.PutUint32(p[4:], increment)
 	return fw.Write(TWindowUpdate, p[:])
 }
-
-// dialFunc abstracts net.Dial for netem-shaped connections in tests.
-type dialFunc func(network, addr string) (net.Conn, error)

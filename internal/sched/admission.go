@@ -18,14 +18,15 @@ func NewBudget(limit int64) *Budget { return &Budget{limit: limit} }
 // Used returns the bytes currently reserved.
 func (b *Budget) Used() int64 { return b.used.Load() }
 
-// reserve claims n bytes unless that would exceed the limit. The session's
-// queue holds the claim until Drained or Close releases it.
+// reserve claims n bytes unless that would exceed the limit (force: claim
+// them regardless). The session's queue holds the claim until Drained or
+// Close releases it.
 //
 //parcelvet:acquire pushq
-func (b *Budget) reserve(n int64) bool {
+func (b *Budget) reserve(n int64, force bool) bool {
 	for b != nil {
 		cur := b.used.Load()
-		if b.limit > 0 && cur+n > b.limit {
+		if !force && b.limit > 0 && cur+n > b.limit {
 			return false
 		}
 		if b.used.CompareAndSwap(cur, cur+n) {
@@ -92,7 +93,7 @@ func (s *Session) decide(it *Item) (stream, wait bool) {
 	if len(s.parked) > 0 || s.limit > 0 && s.queued > 0 && s.queued+n > s.limit {
 		return false, true
 	}
-	if !s.shared.reserve(n) {
+	if !s.shared.reserve(n, false) {
 		if s.queued > 0 {
 			return false, true
 		}
@@ -108,6 +109,25 @@ func (s *Session) decide(it *Item) (stream, wait bool) {
 	}
 	it.Offset = offset
 	return true, false
+}
+
+// Requested answers the client's request for an object it is missing
+// (§4.5): it streams now, whole, through the same flush as any push. The
+// client is blocked on it and a shed would only bring the request back, so
+// it overtakes the parked backlog and its bytes are reserved past any
+// budget; it is booked as a push and held until Drained like one.
+func (s *Session) Requested(it Item) {
+	if s.closed {
+		return
+	}
+	n := int64(len(it.Body))
+	s.shared.reserve(n, true)
+	s.hold(n)
+	s.sent[it.URL] = true
+	s.ObjectsPushed++
+	s.BytesPushed += n
+	it.Offset = 0
+	s.flush([]Item{it}, FlushRequested)
 }
 
 // hold moves a fresh reservation into the session's queue.

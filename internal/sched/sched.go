@@ -97,6 +97,8 @@ const (
 	FlushComplete
 	// FlushDrained re-admits parked objects as the session's queue drains.
 	FlushDrained
+	// FlushRequested answers a client's missing-object request (§4.5).
+	FlushRequested
 )
 
 func (r FlushReason) String() string {
@@ -111,6 +113,8 @@ func (r FlushReason) String() string {
 		return "complete"
 	case FlushDrained:
 		return "drained"
+	case FlushRequested:
+		return "requested"
 	default:
 		return "?"
 	}

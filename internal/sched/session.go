@@ -29,8 +29,8 @@ type Session struct {
 	quietGen int
 
 	// Admission (admission.go): limit bounds queued, the stream bytes admitted
-	// and not yet Drained (≤ 0: unbounded); parked is the deferred backlog,
-	// offsets the resume prefixes the client holds, shed the current input's.
+	// and not yet Drained (≤ 0: unbounded; Requested may pass it), parked is
+	// the backlog, offsets the client's resume prefixes, shed the input's.
 	limit   int64
 	shared  *Budget
 	queued  int64
@@ -44,7 +44,8 @@ type Session struct {
 // it; the json tags are the TComplete payload. Booking rule: every released
 // object is at any moment exactly one of streamed (ObjectsPushed), Shed (the
 // client fetches it itself; parked objects shed at completion included) or
-// parked, so once nothing is parked released = ObjectsPushed + Shed.
+// parked, so once nothing is parked released = ObjectsPushed + Shed; each
+// Requested answer is one more release, streamed.
 // Deferred counts objects parked at least once: never more than released.
 type Counts struct {
 	// Streams opened, their body bytes past any resume offset, and the
@@ -200,6 +201,11 @@ func (s *Session) release(items []Item, reason FlushReason) {
 	}
 	s.admit(items, reason, true)
 }
+
+// Direct reports whether url is an object the proxy cannot see into (the
+// encrypted scheme, §4.5): no proxy fetches or pushes it, and the client
+// fetches it itself over its direct path.
+func Direct(url string) bool { return strings.HasPrefix(url, "https://") }
 
 // Critical reports whether contentType is render-blocking (HTML, CSS, script,
 // JSON): the class the stream layer sends first and both arms time.

@@ -15,13 +15,15 @@ import (
 // with an unbounded budget: a first load, a resume manifest and a revisit on
 // one session; the first page completes by its quiet window, the revisit by
 // Quiescent. The admission script runs under IND against a 240-byte session
-// budget and a 300-byte proxy budget that other sessions ("hog") also draw on.
+// budget and a 300-byte proxy budget that other sessions ("hog") also draw on;
+// after every input the budget holds exactly the hog's bytes plus the
+// session's streamed bytes not yet drained.
 func TestSessionSteps(t *testing.T) {
 	const none = ""
 	all := func(s string) [3]string { return [3]string{s, s, s} }
 	type step struct {
-		op     string    // start | collect | onload | quiet | quiescent | drain | hog
-		arg    string    // start: manifest, url:bytes for a partial; collect: URL; quiet: last | stale; drain, hog: bytes
+		op     string    // start | collect | request | onload | quiet | quiescent | drain | hog
+		arg    string    // start: manifest, url:bytes for a partial; collect, request: URL; quiet: last | stale; drain, hog: bytes
 		rel    [3]string // streamed under each of the script's schedules
 		arm    bool      // a quiet window was handed out
 		end    bool      // the page completed
@@ -84,6 +86,14 @@ func TestSessionSteps(t *testing.T) {
 		// A straggler parks like any release and drains like one.
 		{op: "collect", arg: "g", parked: "g"},
 		{op: "drain", arg: "200", rel: all("drained[g]")},
+		// A missing-object request streams at once, booked as a push: past an
+		// exhausted budget and past the parked backlog.
+		{op: "hog", arg: "200"},
+		{op: "collect", arg: "h", parked: "h"}, // 300 of 300 reserved: h waits behind g
+		{op: "request", arg: "c", rel: all("requested[c]"), parked: "h"},
+		{op: "hog", arg: "-200", parked: "h"},
+		{op: "drain", arg: "100", rel: all("drained[h]")},
+		{op: "drain", arg: "200"}, // c's and h's bytes: the budget is back to 0
 	}
 	size := func(url string) int {
 		if url == "big" {
@@ -109,7 +119,7 @@ func TestSessionSteps(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				var rel []string
 				var streamed, shed int
-				var bytes int64
+				var bytes, queued, hogged int64
 				shared := NewBudget(sc.budget)
 				s := NewSession(func(items []Item, reason FlushReason) {
 					urls := make([]string, len(items))
@@ -119,12 +129,13 @@ func TestSessionSteps(t *testing.T) {
 							urls[i] += "@" + strconv.FormatInt(it.Offset, 10)
 						}
 						bytes += int64(len(it.Body)) - it.Offset
+						queued += int64(len(it.Body)) - it.Offset
 					}
 					streamed += len(items)
 					rel = append(rel, fmt.Sprintf("%v[%s]", reason, strings.Join(urls, " ")))
 				}, 0, sc.limit, shared)
 				var armed []int
-				collected, ends := 0, 0
+				collected, requested, ends := 0, 0, 0
 				for i, st := range sc.steps {
 					rel = rel[:0]
 					n, _ := strconv.ParseInt(st.arg, 10, 64)
@@ -148,6 +159,9 @@ func TestSessionSteps(t *testing.T) {
 					case "collect":
 						collected++
 						got = s.Collected(Item{URL: st.arg, Body: make([]byte, size(st.arg))})
+					case "request":
+						requested++
+						s.Requested(Item{URL: st.arg, Body: make([]byte, size(st.arg))})
 					case "onload":
 						got = s.OnLoad()
 					case "quiet":
@@ -159,8 +173,10 @@ func TestSessionSteps(t *testing.T) {
 					case "quiescent":
 						got = s.Quiescent()
 					case "drain":
+						queued -= n
 						got = s.Drained(n)
 					case "hog":
+						hogged += n
 						shared.used.Add(n)
 					}
 					shed += len(got.Shed)
@@ -191,12 +207,15 @@ func TestSessionSteps(t *testing.T) {
 					if err := checkBooks(s, streamed, shed, bytes); err != nil {
 						t.Errorf("step %d (%s %s): %v", i, st.op, st.arg, err)
 					}
+					if u := shared.Used(); u != hogged+queued {
+						t.Errorf("step %d (%s %s): budget holds %d bytes, want %d hogged + %d queued", i, st.op, st.arg, u, hogged, queued)
+					}
 				}
 				if ends != sc.ends {
 					t.Errorf("%d completions, want %d", ends, sc.ends)
 				}
-				if released := s.ObjectsPushed + s.Shed; released+s.Skipped != collected || len(s.Parked()) != 0 {
-					t.Errorf("released %d + skipped %d != collected %d (%d parked)", released, s.Skipped, collected, len(s.Parked()))
+				if released := s.ObjectsPushed + s.Shed; released+s.Skipped != collected+requested || len(s.Parked()) != 0 {
+					t.Errorf("released %d + skipped %d != collected %d + requested %d (%d parked)", released, s.Skipped, collected, requested, len(s.Parked()))
 				}
 				if st := s.Close(); len(st.Shed) != 0 {
 					t.Errorf("Close shed %q with nothing parked", st.Shed)
@@ -237,13 +256,15 @@ func checkBooks(s *Session, streamed, shed int, bytes int64) error {
 // TestAdmissionSeeds is admission's seed-enumerated, clock-free property
 // test: two sessions share one Budget, and each seed draws the budgets, the
 // schedules, object sizes and resume offsets, then interleaves Collected,
-// OnLoad, Drained, QuietFired, Quiescent and Close across them. After every
-// step: streamed order is release order; each released object is streamed,
-// shed or parked — exactly one, parked being the tail of what was released;
-// a session with nothing queued has nothing parked; each queue is what was
-// streamed less what was drained and the budget holds their sum, within its
-// limit; the books match what the driver saw. After both Closes the budget is
-// back to 0. A failing seed is printed; it becomes a row of regressions.
+// Requested, OnLoad, Drained, QuietFired, Quiescent and Close across them.
+// After every step: streamed order is release order, and a requested object
+// streams whole at once; each released object is streamed, shed or parked —
+// exactly one, parked being the tail of what was released; a session with
+// nothing queued has nothing parked; each queue is what was streamed less
+// what was drained and the budget holds their sum, within its limit plus the
+// requested bytes that may still be queued; the books match what the driver
+// saw. After both Closes the budget is back to 0. A failing seed is printed;
+// it becomes a row of regressions.
 func TestAdmissionSeeds(t *testing.T) {
 	var regressions []int64
 	seeds := regressions
@@ -272,9 +293,13 @@ type admissionArm struct {
 	shed     int
 	resumed  int
 	bytes    int64
-	queued   int64           // streamed bytes not yet drained
-	parked   map[string]bool // every object seen parked
-	err      error
+	queued   int64 // streamed bytes not yet drained
+	// requested counts Requested answers streamed; forced is their bytes
+	// since the queue was last empty, the most they can hold past the limit.
+	requested int
+	forced    int64
+	parked    map[string]bool // every object seen parked
+	err       error
 }
 
 func admissionSeed(seed int64) error {
@@ -287,8 +312,19 @@ func admissionSeed(seed int64) error {
 	for i := range arms {
 		a := &admissionArm{size: map[string]int{}, offset: map[string]int64{}, pos: map[string]int{},
 			outcome: map[string]string{}, parked: map[string]bool{}, last: -1}
-		a.s = NewSession(func(items []Item, _ FlushReason) {
+		a.s = NewSession(func(items []Item, reason FlushReason) {
 			for _, it := range items {
+				n := int64(len(it.Body)) - it.Offset
+				a.bytes += n
+				a.queued += n
+				if reason == FlushRequested {
+					if it.Offset != 0 {
+						a.fail("requested %s streamed at offset %d", it.URL, it.Offset)
+					}
+					a.requested++
+					a.forced += n
+					continue
+				}
 				switch {
 				case a.outcome[it.URL] != "":
 					a.fail("%s streamed after it was %s", it.URL, a.outcome[it.URL])
@@ -302,8 +338,6 @@ func admissionSeed(seed int64) error {
 				if it.Offset > 0 {
 					a.resumed++
 				}
-				a.bytes += int64(len(it.Body)) - it.Offset
-				a.queued += int64(len(it.Body)) - it.Offset
 			}
 		}, 0, pick(0, 150, 300, 600), shared)
 		var partial []Partial
@@ -322,7 +356,7 @@ func admissionSeed(seed int64) error {
 	for step := 0; step < 120; step++ {
 		a := arms[rng.Intn(len(arms))]
 		var st Step
-		switch r := rng.Intn(20); {
+		switch r := rng.Intn(21); {
 		case r < 8:
 			if released := a.released(); rng.Intn(5) == 0 && released > 0 {
 				// A mirrored object: skipped, whatever its outcome.
@@ -343,11 +377,16 @@ func admissionSeed(seed int64) error {
 				n = a.queued
 			}
 			a.queued -= n
+			if a.queued == 0 {
+				a.forced = 0
+			}
 			st = a.s.Drained(n)
 		case r < 17:
 			st = a.s.QuietFired(a.gen - rng.Intn(2))
 		case r < 19:
 			st = a.s.Quiescent()
+		case r < 20:
+			a.request(rng)
 		default:
 			a.close()
 		}
@@ -391,15 +430,31 @@ func (a *admissionArm) apply(st Step) {
 	}
 }
 
+// request asks for an object the client is missing: one it was told to
+// fetch itself (shed), or one the proxy never collected.
+func (a *admissionArm) request(rng *rand.Rand) {
+	var shed []string
+	for _, url := range a.order {
+		if a.outcome[url] == "shed" {
+			shed = append(shed, url)
+		}
+	}
+	url := fmt.Sprintf("req%d", a.requested)
+	if len(shed) > 0 && rng.Intn(2) == 0 {
+		url = shed[rng.Intn(len(shed))]
+	}
+	a.s.Requested(Item{URL: url, Body: make([]byte, rng.Intn(400))})
+}
+
 // close tears the session down.
 func (a *admissionArm) close() {
-	a.queued = 0
+	a.queued, a.forced = 0, 0
 	a.apply(a.s.Close())
 }
 
 // checkArms holds both sessions and their budget to the properties.
 func checkArms(arms []*admissionArm, shared *Budget, limit int64) error {
-	var queued int64
+	var queued, forced int64
 	for i, a := range arms {
 		s := a.s
 		if a.err != nil {
@@ -428,7 +483,7 @@ func checkArms(arms []*admissionArm, shared *Budget, limit int64) error {
 		if s.queued != a.queued {
 			return fmt.Errorf("session %d queues %d bytes, its driver holds %d", i, s.queued, a.queued)
 		}
-		if err := checkBooks(s, a.streamed, a.shed, a.bytes); err != nil {
+		if err := checkBooks(s, a.streamed+a.requested, a.shed, a.bytes); err != nil {
 			return fmt.Errorf("session %d: %v", i, err)
 		}
 		if s.Resumed != a.resumed || s.Deferred < len(a.parked) {
@@ -436,9 +491,10 @@ func checkArms(arms []*admissionArm, shared *Budget, limit int64) error {
 				i, s.Resumed, s.Deferred, a.resumed, len(a.parked))
 		}
 		queued += s.queued
+		forced += a.forced
 	}
-	if u := shared.Used(); u != queued || limit > 0 && u > limit {
-		return fmt.Errorf("budget holds %d bytes of %d; the sessions queue %d", u, limit, queued)
+	if u := shared.Used(); u != queued || limit > 0 && u > limit+forced {
+		return fmt.Errorf("budget holds %d bytes of %d (+%d requested); the sessions queue %d", u, limit, forced, queued)
 	}
 	return nil
 }
