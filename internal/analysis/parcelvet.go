@@ -102,7 +102,7 @@ var wirePackages = map[string]bool{
 // package and in every package that holds one of its objects.
 var pooledTypes = map[string][]string{
 	"internal/simnet":   {"packet", "outMsg"},
-	"internal/eventsim": {"Event"},
+	"internal/eventsim": {"event"},
 	"internal/minijs":   {"frame"},
 	"internal/httpsim":  {"pendingReq"},
 

@@ -115,7 +115,7 @@ type ProxySession struct {
 
 	// quietTimer is the running quiet window and quietGen its generation
 	// (Cancel is exact here, so it is always the last armed).
-	quietTimer *eventsim.Event
+	quietTimer eventsim.Timer
 	quietGen   int
 
 	// instrumentation beyond Counts: bundle framing, clock readings, and
@@ -187,10 +187,7 @@ func (s *ProxySession) startPage(req pageRequest) {
 		s.arrivals = make([]arrival, 0, topo.Page.ObjectCount)
 	}
 	s.page.StartPage(cfg.Sched, nil, nil)
-	if s.quietTimer != nil {
-		s.quietTimer.Cancel()
-		s.quietTimer = nil
-	}
+	s.quietTimer.Cancel()
 	httpClient := httpsim.NewClient(topo.Sim, topo.Proxy, topo.Dir, topo.ProxyResolver, cfg.ConnsPerDomain)
 	httpClient.SetMaxTotalConns(64) // well-provisioned server pool (§4.3)
 	s.fetcher = &proxyFetcher{s: s, client: httpClient}
@@ -244,11 +241,8 @@ func (s *ProxySession) DownloadTimeline() []trace.Point {
 func (s *ProxySession) step(st sched.Step) {
 	sim := s.proxy.topo.Sim
 	if st.Quiet != 0 {
-		if s.quietTimer != nil {
-			s.quietTimer.Cancel()
-		}
+		s.quietTimer.Cancel()
 		s.quietGen = st.Quiet
-		//parcelvet:allow pooldiscipline(Event handles are arena-backed and valid for the simulator's lifetime; the field only holds the handle so a superseding quiet timer can Cancel it)
 		s.quietTimer = sim.ScheduleArgAt(sim.Now()+s.proxy.cfg.QuietPeriod, quietFired, s)
 	}
 	if st.Complete {

@@ -41,7 +41,7 @@ type originFetch struct {
 	// gen invalidates the loser of the race between an attempt's response and
 	// its deadline: whichever resolves the attempt first bumps it.
 	gen      int
-	deadline *eventsim.Event
+	deadline eventsim.Timer
 	// early is a resolution Begin returned itself, awaiting delivery.
 	early objcache.Result
 }
@@ -104,7 +104,6 @@ func (of *originFetch) step(st resilience.Step) {
 		}
 		of.gen++
 		gen := of.gen
-		//parcelvet:allow pooldiscipline(Event handles are arena-backed and valid for the simulator's lifetime; the field only holds the handle so the response can Cancel its deadline)
 		of.deadline = sim.ScheduleArgAt(sim.Now()+st.After, originDeadline, of)
 		of.f.client.Do(httpsim.Request{Method: "GET", URL: of.url}, func(resp httpsim.Response, _ time.Duration) {
 			of.responded(gen, resp)

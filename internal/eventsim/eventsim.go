@@ -14,65 +14,111 @@ import (
 	"time"
 )
 
-// Event is a scheduled callback. It can be cancelled before it fires.
+// event is one scheduled callback, carved from an arena block and recycled
+// through its Pools' free list as soon as it is popped, fired or cancelled:
+// a simulator's arena is bounded by its peak pending events, not by the
+// events it ever scheduled.
 //
-// An event carries either a plain fn (Schedule/ScheduleAt) or an
-// argument-taking afn+arg pair (ScheduleArgAt). The latter exists for
-// zero-allocation hot paths: a package-level func(any) plus a pooled
-// argument pointer schedules without materialising a closure, where a
+// fn(arg) is the callback — Schedule and ScheduleAt carry a plain func() as
+// arg of callFunc — and fn == nil marks a cancelled event. ScheduleArgAt
+// exists for zero-allocation hot paths: a package-level func(any) plus a
+// pooled argument pointer schedules without materialising a closure, where a
 // capturing closure would heap-allocate once per event.
-type Event struct {
-	at     time.Duration
-	seq    uint64
-	fn     func()
-	afn    func(any)
-	arg    any
-	cancel bool
+//
+// gen is odd while the slot is queued and even while it is free. It is
+// never reset, whichever simulator on the Pools takes the slot next, so a
+// Timer taken at one generation never matches a later one.
+type event struct {
+	at   time.Duration
+	seq  uint64
+	gen  uint64
+	fn   func(any)
+	arg  any
+	next *event // free-list link
 }
 
-// At returns the virtual time the event is scheduled to fire.
-func (e *Event) At() time.Duration { return e.at }
+func callFunc(arg any) { arg.(func())() }
 
-// Cancel prevents the event from firing. Cancelling an event that already
-// fired (or was cancelled) is a no-op.
-func (e *Event) Cancel() {
-	e.cancel = true
-	e.fn = nil
-	e.afn = nil
-	e.arg = nil
+// Timer is the handle Schedule, ScheduleAt and ScheduleArgAt return: the
+// event's slot and the generation it was scheduled at. Once the event fires
+// or is cancelled its slot is recycled, and the handle goes inert — Cancel
+// does nothing and Pending reports false — whether the slot stays free, is
+// reused by a later event, or was handed to the next simulator on the same
+// Pools. The zero Timer is inert.
+type Timer struct {
+	ev  *event
+	gen uint64
 }
 
-// Cancelled reports whether Cancel was called on the event.
-func (e *Event) Cancelled() bool { return e.cancel }
+// Pending reports whether the event is still due to fire: scheduled, not
+// yet fired, not cancelled.
+func (t Timer) Pending() bool { return t.ev != nil && t.ev.gen == t.gen && t.ev.fn != nil }
 
-// eventBlockSize is how many Events one arena block holds. Events are the
-// dominant allocation of a simulation run (two-plus per packet), so they are
-// carved out of append-only blocks: one heap allocation per block instead of
-// one per event. Blocks are never reused within a simulation, which keeps
-// outstanding *Event handles (e.g. a held cancellation timer) valid for the
-// simulator's whole lifetime.
+// At returns the virtual time the event is due to fire, or 0 once the handle
+// is inert.
+func (t Timer) At() time.Duration {
+	if !t.Pending() {
+		return 0
+	}
+	return t.ev.at
+}
+
+// Cancel prevents the event from firing. On an inert handle it is a no-op.
+// The cancelled event stays queued (Simulator.Pending counts it) until it
+// surfaces, and its slot is recycled then.
+func (t Timer) Cancel() {
+	if t.Pending() {
+		t.ev.fn, t.ev.arg = nil, nil
+	}
+}
+
+// eventBlockSize is how many events one arena block holds: one heap
+// allocation per block instead of one per event.
 const eventBlockSize = 256
 
-// Pools recycles event arena blocks across simulators. A batch engine that
-// runs many page simulations per worker hands every simulator the same Pools
-// so finished runs return their blocks for the next run to carve, instead of
-// re-allocating the arena per page. Pools is owned by one goroutine at a
-// time (the worker driving its batch); it is not safe for concurrent use.
+// Pools holds the storage a simulator's pending set lives in: the event
+// arena with its free list, and spare bucket sets for the queue. Every
+// simulator draws from one (New makes a private one). A batch engine that
+// runs many page simulations per worker hands all of them the same Pools,
+// so one run's recycled events and buckets are the next run's, and live
+// simulators on it share the free list — the generation in every Timer is
+// what makes that safe. Pools is owned by one goroutine at a time (the worker
+// driving its batch); it is not safe for concurrent use.
 type Pools struct {
-	blocks [][]Event
+	free    *event
+	arena   []event // the uncarved rest of the newest block
+	blocks  int     // blocks carved, for TestArenaBoundedByPending
+	buckets [][numBuckets][]queueEntry
 }
 
-// NewPools returns an empty block pool.
+// NewPools returns an empty pool.
 func NewPools() *Pools { return &Pools{} }
 
-func (p *Pools) getBlock() []Event {
-	if n := len(p.blocks); n > 0 {
-		b := p.blocks[n-1]
-		p.blocks[n-1] = nil
-		p.blocks = p.blocks[:n-1]
-		return b
+// newEvent takes a free event, or carves one, and opens its generation.
+func (p *Pools) newEvent() *event {
+	e := p.free
+	if e != nil {
+		p.free = e.next
+		e.next = nil
+	} else {
+		if len(p.arena) == 0 {
+			p.arena = make([]event, eventBlockSize)
+			p.blocks++
+		}
+		e = &p.arena[0]
+		p.arena = p.arena[1:]
 	}
-	return make([]Event, eventBlockSize)
+	e.gen++
+	return e
+}
+
+// freeEvent closes e's generation, which makes every Timer on it inert, and
+// puts it on the free list.
+func (p *Pools) freeEvent(e *event) {
+	e.gen++
+	e.fn, e.arg = nil, nil
+	e.next = p.free
+	p.free = e
 }
 
 // Simulator owns the virtual clock and the pending-event queue.
@@ -85,16 +131,12 @@ func (p *Pools) getBlock() []Event {
 // one. Build with -tags simdebug to turn this contract into a runtime check
 // that panics on cross-goroutine use instead of corrupting the event queue.
 type Simulator struct {
-	now    time.Duration
-	queue  eventQueue
-	seq    uint64
-	rng    *rand.Rand
-	fired  uint64
-	inStep bool
-
-	arena  []Event   // current arena block; see eventBlockSize
-	blocks [][]Event // every block carved this run, for Release
-	pools  *Pools    // shared block pool; nil for a private simulator
+	now   time.Duration
+	queue eventQueue
+	seq   uint64
+	rng   *rand.Rand
+	fired uint64
+	pools *Pools
 
 	owner int64 // owning goroutine id; maintained only under -tags simdebug
 }
@@ -103,56 +145,37 @@ type Simulator struct {
 // is seeded with seed.
 func New(seed int64) *Simulator { return NewWithPools(seed, nil) }
 
-// NewWithPools is New drawing event arena blocks from p (nil for a private
-// arena). Pair with Release to return the blocks when the run is over.
+// NewWithPools is New drawing events and queue buckets from p (nil for a
+// private pool). Pair with Release to return the buckets when the run is
+// over.
 func NewWithPools(seed int64, p *Pools) *Simulator {
-	s := &Simulator{
-		rng:   rand.New(rand.NewSource(seed)),
-		queue: make(eventQueue, 0, eventBlockSize),
-		pools: p,
+	if p == nil {
+		p = NewPools()
+	}
+	s := &Simulator{rng: rand.New(rand.NewSource(seed)), pools: p}
+	if n := len(p.buckets); n > 0 {
+		s.queue.buckets = p.buckets[n-1]
+		p.buckets[n-1] = [numBuckets][]queueEntry{}
+		p.buckets = p.buckets[:n-1]
 	}
 	s.claimOwner()
 	return s
 }
 
-// newEvent carves an event out of the arena.
-func (s *Simulator) newEvent() *Event {
-	if len(s.arena) == 0 {
-		var b []Event
-		if s.pools != nil {
-			b = s.pools.getBlock()
-		} else {
-			b = make([]Event, eventBlockSize)
-		}
-		s.blocks = append(s.blocks, b)
-		s.arena = b
-	}
-	e := &s.arena[0]
-	s.arena = s.arena[1:]
-	return e
-}
-
-// Release returns every arena block this simulator carved to its shared
-// pool. It is only legal once the simulation is over: the event queue must
-// be drained, and the caller must have dropped every outstanding *Event
-// handle — blocks are zeroed and handed to the next simulator, so a retained
-// handle would alias a future run's events. A no-op for pool-less
-// simulators.
+// Release returns the queue's buckets to the simulator's pools for the next
+// simulator to reuse; its events went back one by one as they were popped.
+// It is only legal once the simulation is over: the event queue must be
+// drained. A Timer still held afterwards is inert.
 func (s *Simulator) Release() {
-	if s.pools == nil {
-		return
+	if s.queue.n != 0 {
+		panic(fmt.Sprintf("eventsim: Release with %d events still queued", s.queue.n))
 	}
-	if len(s.queue) != 0 {
-		panic(fmt.Sprintf("eventsim: Release with %d events still queued", len(s.queue)))
+	b := s.queue.buckets
+	for k := range b {
+		b[k] = b[k][:0]
 	}
-	for _, b := range s.blocks {
-		for i := range b {
-			b[i] = Event{}
-		}
-		s.pools.blocks = append(s.pools.blocks, b)
-	}
-	s.blocks = nil
-	s.arena = nil
+	s.pools.buckets = append(s.pools.buckets, b)
+	s.queue = eventQueue{}
 }
 
 // Now returns the current virtual time.
@@ -165,79 +188,63 @@ func (s *Simulator) Rand() *rand.Rand { return s.rng }
 func (s *Simulator) Fired() uint64 { return s.fired }
 
 // Pending returns the number of events currently queued.
-func (s *Simulator) Pending() int { return len(s.queue) }
+func (s *Simulator) Pending() int { return s.queue.n }
 
 // Schedule queues fn to run after delay of virtual time. A negative delay is
 // treated as zero (the event fires at the current instant, after any events
 // already scheduled for that instant).
-func (s *Simulator) Schedule(delay time.Duration, fn func()) *Event {
+func (s *Simulator) Schedule(delay time.Duration, fn func()) Timer {
 	if delay < 0 {
 		delay = 0
 	}
-	//parcelvet:allow pooldiscipline(Event handles are arena-backed and valid for the simulator's lifetime; callers hold them only to Cancel)
 	return s.ScheduleAt(s.now+delay, fn)
 }
 
 // ScheduleAt queues fn to run at absolute virtual time t. Scheduling in the
 // past panics: it indicates a logic error in the caller, and silently
 // reordering events would break causality.
-func (s *Simulator) ScheduleAt(t time.Duration, fn func()) *Event {
-	if t < s.now {
-		panic(fmt.Sprintf("eventsim: ScheduleAt(%v) is before now (%v)", t, s.now))
-	}
+func (s *Simulator) ScheduleAt(t time.Duration, fn func()) Timer {
 	if fn == nil {
 		panic("eventsim: nil event function")
 	}
-	s.checkOwner()
-	s.seq++
-	e := s.newEvent()
-	*e = Event{at: t, seq: s.seq, fn: fn}
-	s.queue.push(queueEntry{at: t, seq: s.seq, ev: e})
-	//parcelvet:allow pooldiscipline(Event handles are arena-backed and valid for the simulator's lifetime; callers hold them only to Cancel)
-	return e
+	return s.ScheduleArgAt(t, callFunc, fn)
 }
 
 // ScheduleArgAt queues fn(arg) to run at absolute virtual time t. It is the
 // allocation-free variant of ScheduleAt: with a package-level fn and a pooled
-// pointer arg, the only storage consumed is the arena-backed Event itself.
+// pointer arg, the only storage consumed is a recycled event slot.
 // Ordering relative to ScheduleAt events follows the shared seq counter.
-func (s *Simulator) ScheduleArgAt(t time.Duration, fn func(any), arg any) *Event {
+func (s *Simulator) ScheduleArgAt(t time.Duration, fn func(any), arg any) Timer {
 	if t < s.now {
-		panic(fmt.Sprintf("eventsim: ScheduleArgAt(%v) is before now (%v)", t, s.now))
+		panic(fmt.Sprintf("eventsim: event at %v is before now (%v)", t, s.now))
 	}
 	if fn == nil {
 		panic("eventsim: nil event function")
 	}
 	s.checkOwner()
 	s.seq++
-	e := s.newEvent()
-	*e = Event{at: t, seq: s.seq, afn: fn, arg: arg}
-	s.queue.push(queueEntry{at: t, seq: s.seq, ev: e})
-	//parcelvet:allow pooldiscipline(Event handles are arena-backed and valid for the simulator's lifetime; callers hold them only to Cancel)
-	return e
+	e := s.pools.newEvent()
+	e.at, e.seq, e.fn, e.arg = t, s.seq, fn, arg
+	s.queue.push(t, e)
+	return Timer{ev: e, gen: e.gen}
 }
 
 // Step executes the earliest pending event, advancing the clock to its
-// scheduled time. It returns false when no events remain.
+// scheduled time. It returns false when no events remain. The event's slot
+// is recycled before its callback runs, so the callback's own Timer is
+// already inert and its first Schedule reuses the slot.
 func (s *Simulator) Step() bool {
 	s.checkOwner()
-	for len(s.queue) > 0 {
-		e := s.queue[0].ev
-		s.queue.pop()
-		if e.cancel {
-			continue
+	for s.queue.n > 0 {
+		e := s.queue.pop()
+		fn, arg := e.ev.fn, e.ev.arg
+		s.pools.freeEvent(e.ev)
+		if fn == nil {
+			continue // cancelled
 		}
 		s.now = e.at
 		s.fired++
-		if e.afn != nil {
-			afn, arg := e.afn, e.arg
-			e.afn, e.arg = nil, nil
-			afn(arg)
-			return true
-		}
-		fn := e.fn
-		e.fn = nil
-		fn()
+		fn(arg)
 		return true
 	}
 	return false
@@ -250,12 +257,13 @@ func (s *Simulator) Run() {
 }
 
 // RunUntil executes events with scheduled time <= t, then advances the clock
-// to exactly t.
+// to exactly t. Cancelled events at the head are dropped even past t.
 func (s *Simulator) RunUntil(t time.Duration) {
-	for len(s.queue) > 0 {
-		head := s.queue[0]
-		if head.ev.cancel {
+	for s.queue.n > 0 {
+		head := s.queue.front()
+		if head.ev.fn == nil {
 			s.queue.pop()
+			s.pools.freeEvent(head.ev)
 			continue
 		}
 		if head.at > t {

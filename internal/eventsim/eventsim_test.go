@@ -1,6 +1,7 @@
 package eventsim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -73,12 +74,130 @@ func TestCancel(t *testing.T) {
 	fired := false
 	e := s.Schedule(time.Millisecond, func() { fired = true })
 	e.Cancel()
+	if e.Pending() {
+		t.Fatal("Pending() = true after Cancel")
+	}
 	s.Run()
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if !e.Cancelled() {
-		t.Fatal("Cancelled() = false after Cancel")
+	// The popped slot was recycled: the handle is inert, not "cancelled".
+	if e.Pending() || e.At() != 0 {
+		t.Fatalf("handle not inert after Run: Pending %v At %v", e.Pending(), e.At())
+	}
+}
+
+// TestTimerInert: a handle that outlives its event never touches the slot's
+// next occupant, however the slot moved on.
+func TestTimerInert(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// stale returns a handle whose event is over, and the simulator
+		// (possibly a second one on the same Pools) to keep running.
+		stale func(p *Pools) (Timer, *Simulator)
+	}{
+		{"after fire", func(p *Pools) (Timer, *Simulator) {
+			s := NewWithPools(1, p)
+			tm := s.Schedule(time.Millisecond, func() {})
+			s.Run()
+			return tm, s
+		}},
+		{"after cancel", func(p *Pools) (Timer, *Simulator) {
+			s := NewWithPools(1, p)
+			tm := s.Schedule(time.Millisecond, func() { t.Fatal("cancelled event fired") })
+			tm.Cancel()
+			s.Run()
+			return tm, s
+		}},
+		{"after Release", func(p *Pools) (Timer, *Simulator) {
+			s := NewWithPools(1, p)
+			tm := s.Schedule(time.Millisecond, func() {})
+			s.Run()
+			s.Release()
+			return tm, NewWithPools(2, p)
+		}},
+		{"double cancel", func(p *Pools) (Timer, *Simulator) {
+			s := NewWithPools(1, p)
+			tm := s.Schedule(time.Millisecond, func() { t.Fatal("cancelled event fired") })
+			tm.Cancel()
+			tm.Cancel()
+			if s.Pending() != 1 {
+				t.Fatalf("Pending = %d after double cancel, want 1", s.Pending())
+			}
+			s.Run()
+			return tm, s
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := NewPools()
+			old, s := tc.stale(p)
+			fired := false
+			next := s.Schedule(time.Millisecond, func() { fired = true })
+			if next.ev != old.ev {
+				t.Fatal("the next event did not reuse the stale handle's slot")
+			}
+			old.Cancel()
+			if old.Pending() || !next.Pending() {
+				t.Fatalf("stale Pending %v, next Pending %v", old.Pending(), next.Pending())
+			}
+			s.Run()
+			if !fired {
+				t.Fatal("a stale handle cancelled its slot's next event")
+			}
+		})
+	}
+}
+
+// TestRunUntilRebase: RunUntil(t) drops a cancelled head past t and peeks
+// the live one behind it, moving the queue's base beyond the clock it leaves
+// at t. Events then scheduled in [t, head) must still fire in (at, seq)
+// order, the ones due with the old head after it.
+func TestRunUntilRebase(t *testing.T) {
+	s := New(1)
+	var order []string
+	log := func(name string) func() { return func() { order = append(order, name) } }
+	s.ScheduleAt(50*time.Millisecond, log("cancelled")).Cancel()
+	s.ScheduleAt(100*time.Millisecond, log("head"))
+	s.RunUntil(10 * time.Millisecond)
+	if s.Now() != 10*time.Millisecond || s.Pending() != 1 {
+		t.Fatalf("after RunUntil: Now %v Pending %d, want 10ms 1", s.Now(), s.Pending())
+	}
+	s.ScheduleAt(100*time.Millisecond, log("head2"))
+	s.ScheduleAt(60*time.Millisecond, log("60"))
+	s.ScheduleAt(20*time.Millisecond, log("20a"))
+	s.ScheduleAt(30*time.Millisecond, log("30"))
+	s.ScheduleAt(20*time.Millisecond, log("20b"))
+	s.Schedule(0, log("now"))
+	s.Run()
+	want := []string{"now", "20a", "20b", "30", "60", "head", "head2"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+}
+
+// TestArenaBoundedByPending: the arena holds the pending set, not the
+// history — a million events with at most 1k pending carve blocks for 1k.
+func TestArenaBoundedByPending(t *testing.T) {
+	const pending, total = 1_000, 1_000_000
+	s := New(1)
+	rng := rand.New(rand.NewSource(1))
+	scheduled := 0
+	var hold func(any)
+	hold = func(any) {
+		if scheduled < total {
+			scheduled++
+			s.ScheduleArgAt(s.Now()+time.Duration(rng.Intn(1_000_000)), hold, nil)
+		}
+	}
+	for ; scheduled < pending; scheduled++ {
+		s.ScheduleArgAt(time.Duration(rng.Intn(1_000_000)), hold, nil)
+	}
+	s.Run()
+	if s.Fired() != total {
+		t.Fatalf("Fired = %d, want %d", s.Fired(), total)
+	}
+	if max := (pending+eventBlockSize-1)/eventBlockSize + 1; s.pools.blocks > max {
+		t.Fatalf("%d events with %d pending carved %d blocks, want <= %d", total, pending, s.pools.blocks, max)
 	}
 }
 

@@ -2,7 +2,6 @@
 
 package eventsim
 
-// check verifies the heap invariant around slot i after every push and pop
-// under -tags simdebug (see queuecheck_on.go); it compiles to nothing
-// otherwise.
-func (q *eventQueue) check(int) {}
+// check verifies the entry a push, pop or refill just touched under -tags
+// simdebug (see queuecheck_on.go); it compiles to nothing otherwise.
+func (q *eventQueue) check(int, int) {}
