@@ -65,7 +65,6 @@ func Analyzers() []*analysis.Analyzer {
 var realClockPackages = map[string]bool{
 	"parcelnet": true,
 	"netem":     true,
-	"replay":    true,
 	"leakcheck": true,
 	"analysis":  true, // the analyzers themselves: a build-time tool
 

@@ -3,15 +3,17 @@ package httpsim
 import (
 	"fmt"
 	"hash/fnv"
+	"math/rand"
 	"sync/atomic"
 	"time"
 )
 
-// OriginFaults configures server-side fault injection: origin errors, stalled
-// responses, truncated bodies, and timed availability flaps. The zero value
-// injects nothing, and an inactive config consumes no RNG draws and schedules
-// no events — the same discipline as simnet's link faults, so golden figures
-// stay bit-identical with faults off.
+// OriginFaults is the one origin fault plan, for the simulated Server and the
+// TCP origin (parcelnet.Origin) alike: origin errors, stalled responses,
+// truncated bodies, and timed availability flaps. The zero value injects
+// nothing, and an inactive plan consumes no RNG draws and schedules no events
+// — the same discipline as simnet's link faults, so golden figures stay
+// bit-identical with faults off.
 type OriginFaults struct {
 	// ErrorRate is the probability a request is answered 503 outright.
 	ErrorRate float64
@@ -23,8 +25,9 @@ type OriginFaults struct {
 	PartialRate float64
 	// StallFor is the extra delay a stalled response waits (default 2 s).
 	StallFor time.Duration
-	// Flaps are windows of virtual time during which the origin answers every
-	// request 503 — a timed outage, checked before any probability draw.
+	// Flaps are windows of time since the origin started during which it
+	// answers every request 503 — a timed outage, checked before any
+	// probability draw.
 	Flaps []FlapWindow
 }
 
@@ -40,13 +43,13 @@ func (f OriginFaults) Active() bool {
 }
 
 // Validate rejects rates outside [0,1] (individually and summed — the three
-// faults are drawn from one uniform sample) and inverted flap windows.
+// faults are drawn from one uniform sample) and inverted flap windows. Rates
+// are checked in declaration order, so the first bad one is the one named.
 func (f OriginFaults) Validate() error {
-	for name, r := range map[string]float64{
-		"ErrorRate": f.ErrorRate, "StallRate": f.StallRate, "PartialRate": f.PartialRate,
-	} {
+	names := [...]string{"ErrorRate", "StallRate", "PartialRate"}
+	for i, r := range [...]float64{f.ErrorRate, f.StallRate, f.PartialRate} {
 		if r < 0 || r > 1 {
-			return fmt.Errorf("httpsim: %s %v outside [0,1]", name, r)
+			return fmt.Errorf("httpsim: %s %v outside [0,1]", names[i], r)
 		}
 	}
 	if sum := f.ErrorRate + f.StallRate + f.PartialRate; sum > 1 {
@@ -63,17 +66,19 @@ func (f OriginFaults) Validate() error {
 	return nil
 }
 
-// flapping reports whether now falls inside a flap window.
-func (f OriginFaults) flapping(now time.Duration) bool {
-	for _, w := range f.Flaps {
-		if now >= w.Start && now < w.End {
-			return true
-		}
+// Armed validates f and returns it ready to drive Decide, with StallFor
+// defaulted to 2 s. Both origins' SetFaults go through it.
+func (f OriginFaults) Armed() (OriginFaults, error) {
+	if err := f.Validate(); err != nil {
+		return OriginFaults{}, err
 	}
-	return false
+	if f.StallFor == 0 {
+		f.StallFor = 2 * time.Second
+	}
+	return f, nil
 }
 
-// OriginFaultStats counts faults the server injected.
+// OriginFaultStats counts faults an origin injected.
 type OriginFaultStats struct {
 	Errors     int // 503s from ErrorRate
 	Stalls     int // responses delayed by StallFor
@@ -86,14 +91,58 @@ func (s OriginFaultStats) Total() int {
 	return s.Errors + s.Stalls + s.Partials + s.FlapErrors
 }
 
+// Fault is what an origin does to one request.
+type Fault int
+
+const (
+	// FaultNone serves the request normally.
+	FaultNone Fault = iota
+	// FaultError answers 503 without the body (ErrorRate, or a flap).
+	FaultError
+	// FaultStall serves the response after StallFor.
+	FaultStall
+	// FaultPartial serves half the body and reports the transfer failed.
+	FaultPartial
+)
+
+// Decide rolls the fault plan for one request, counting what it injects in
+// st. It reads no clock and owns no RNG: now is the driver's time since its
+// origin started (virtual on the simulated server, wall-clock on the TCP
+// origin) and rng is the driver's seeded source. An inactive plan and a
+// request inside a flap window consume no draw, so a fault-free run stays
+// byte-identical to one without a plan. Otherwise one uniform draw is cut
+// by cumulative rate thresholds, so the fault mix is exactly as configured.
+func (f OriginFaults) Decide(now time.Duration, rng *rand.Rand, st *OriginFaultStats) Fault {
+	if !f.Active() {
+		return FaultNone
+	}
+	for _, w := range f.Flaps {
+		if now >= w.Start && now < w.End {
+			st.FlapErrors++
+			return FaultError
+		}
+	}
+	u := rng.Float64()
+	switch {
+	case u < f.ErrorRate:
+		st.Errors++
+		return FaultError
+	case u < f.ErrorRate+f.StallRate:
+		st.Stalls++
+		return FaultStall
+	case u < f.ErrorRate+f.StallRate+f.PartialRate:
+		st.Partials++
+		return FaultPartial
+	}
+	return FaultNone
+}
+
 // SetFaults arms fault injection on the server. Call before traffic; pass the
 // zero value to disarm.
 func (s *Server) SetFaults(f OriginFaults) error {
-	if err := f.Validate(); err != nil {
+	f, err := f.Armed()
+	if err != nil {
 		return err
-	}
-	if f.StallFor == 0 {
-		f.StallFor = 2 * time.Second
 	}
 	s.faults = f
 	return nil
@@ -101,45 +150,6 @@ func (s *Server) SetFaults(f OriginFaults) error {
 
 // FaultStats returns the faults injected so far.
 func (s *Server) FaultStats() OriginFaultStats { return s.stats }
-
-// faultDecision is what the server decided to do to one request.
-type faultDecision int
-
-const (
-	faultNone faultDecision = iota
-	faultError
-	faultStall
-	faultPartial
-	faultFlap
-)
-
-// decideFault rolls the server's fault dice for one request. Inactive
-// configs return faultNone without touching the RNG; flap windows are
-// checked first and consume no draw either. The single uniform draw is cut
-// by cumulative rate thresholds so relative fault mix is exactly as
-// configured.
-func (s *Server) decideFault() faultDecision {
-	if !s.faults.Active() {
-		return faultNone
-	}
-	if s.faults.flapping(s.sched.Now()) {
-		s.stats.FlapErrors++
-		return faultFlap
-	}
-	u := s.sched.Rand().Float64()
-	switch {
-	case u < s.faults.ErrorRate:
-		s.stats.Errors++
-		return faultError
-	case u < s.faults.ErrorRate+s.faults.StallRate:
-		s.stats.Stalls++
-		return faultStall
-	case u < s.faults.ErrorRate+s.faults.StallRate+s.faults.PartialRate:
-		s.stats.Partials++
-		return faultPartial
-	}
-	return faultNone
-}
 
 // validatorHashes counts ContentValidator calls (see ValidatorHashes).
 var validatorHashes atomic.Uint64

@@ -2,6 +2,9 @@ package httpsim
 
 import (
 	"bytes"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 )
@@ -23,17 +26,138 @@ func TestOriginFaultsValidate(t *testing.T) {
 			t.Fatalf("good config %+v rejected: %v", f, err)
 		}
 	}
+	bad := []struct {
+		f    OriginFaults
+		want string // in the error
+	}{
+		{OriginFaults{ErrorRate: -0.1}, "ErrorRate"},
+		{OriginFaults{StallRate: 1.5}, "StallRate"},
+		{OriginFaults{ErrorRate: 2, StallRate: 2}, "ErrorRate"}, // the first bad rate, in declaration order
+		{OriginFaults{ErrorRate: 0.6, StallRate: 0.6}, "sum"},
+		{OriginFaults{ErrorRate: 0.7, PartialRate: 0.7}, "sum"},
+		{OriginFaults{StallFor: -time.Second}, "StallFor"},
+		{OriginFaults{Flaps: []FlapWindow{{Start: 2 * time.Second, End: time.Second}}}, "flap"},
+		{OriginFaults{Flaps: []FlapWindow{{Start: time.Second, End: time.Second}}}, "flap"},
+	}
+	for _, c := range bad {
+		err := c.f.Validate()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("bad config %+v: error %v, want one naming %q", c.f, err, c.want)
+		}
+	}
+}
+
+// TestOriginFaultsArmed checks the plan an origin actually runs: Armed
+// refuses what Validate refuses and defaults only an unset StallFor.
+func TestOriginFaultsArmed(t *testing.T) {
 	bad := []OriginFaults{
-		{ErrorRate: -0.1},
-		{StallRate: 1.5},
-		{ErrorRate: 0.6, StallRate: 0.6},
+		{ErrorRate: 1.2},
+		{StallRate: -0.1},
+		{ErrorRate: 0.7, PartialRate: 0.7},
 		{StallFor: -time.Second},
-		{Flaps: []FlapWindow{{Start: 2 * time.Second, End: time.Second}}},
+		{Flaps: []FlapWindow{{Start: time.Second, End: time.Second}}},
 	}
 	for _, f := range bad {
-		if err := f.Validate(); err == nil {
-			t.Fatalf("bad config %+v accepted", f)
+		if _, err := f.Armed(); err == nil {
+			t.Fatalf("bad config %+v armed", f)
 		}
+	}
+	for in, want := range map[time.Duration]time.Duration{0: 2 * time.Second, time.Second: time.Second} {
+		f, err := OriginFaults{ErrorRate: 0.1, StallFor: in}.Armed()
+		if err != nil || f.StallFor != want {
+			t.Fatalf("Armed(StallFor %v) = %v, %v; want %v", in, f.StallFor, err, want)
+		}
+	}
+}
+
+// TestOriginFaultsDecide drives the clock-free decision both origins share
+// directly: a caller's time, a caller's RNG, a caller's stats.
+func TestOriginFaultsDecide(t *testing.T) {
+	// untouched reports whether rng is still at a fresh source's state.
+	untouched := func(rng *rand.Rand, seed int64) bool {
+		return rng.Int63() == rand.New(rand.NewSource(seed)).Int63()
+	}
+	cases := []struct {
+		name  string
+		check func(t *testing.T)
+	}{
+		{"inactive plan draws nothing", func(t *testing.T) {
+			rng := rand.New(rand.NewSource(1))
+			var st OriginFaultStats
+			for i := 0; i < 100; i++ {
+				if d := (OriginFaults{}).Decide(time.Duration(i)*time.Second, rng, &st); d != FaultNone {
+					t.Fatalf("inactive plan decided %v", d)
+				}
+			}
+			if st.Total() != 0 || !untouched(rng, 1) {
+				t.Fatalf("inactive plan counted %+v or drew from the RNG", st)
+			}
+		}},
+		{"flap beats a rate of 1 and draws nothing", func(t *testing.T) {
+			f := OriginFaults{StallRate: 1, Flaps: []FlapWindow{{Start: time.Second, End: 2 * time.Second}}}
+			rng := rand.New(rand.NewSource(1))
+			var st OriginFaultStats
+			if d := f.Decide(1500*time.Millisecond, rng, &st); d != FaultError {
+				t.Fatalf("inside flap window: %v, want FaultError", d)
+			}
+			if !untouched(rng, 1) {
+				t.Fatal("a flapped request drew from the RNG")
+			}
+			if d := f.Decide(3*time.Second, rng, &st); d != FaultStall {
+				t.Fatalf("outside flap window: %v, want FaultStall", d)
+			}
+			if st != (OriginFaultStats{Stalls: 1, FlapErrors: 1}) {
+				t.Fatalf("stats = %+v", st)
+			}
+		}},
+		{"300 draws at seed 7 hit every class and repeat", func(t *testing.T) {
+			f := OriginFaults{ErrorRate: 0.2, StallRate: 0.2, PartialRate: 0.2}
+			run := func() ([]Fault, OriginFaultStats) {
+				rng := rand.New(rand.NewSource(7))
+				var st OriginFaultStats
+				seq := make([]Fault, 300)
+				for i := range seq {
+					seq[i] = f.Decide(0, rng, &st)
+				}
+				return seq, st
+			}
+			seq1, s1 := run()
+			seq2, s2 := run()
+			if !slices.Equal(seq1, seq2) || s1 != s2 {
+				t.Fatalf("same seed diverged: %+v vs %+v", s1, s2)
+			}
+			if s1.Errors == 0 || s1.Stalls == 0 || s1.Partials == 0 {
+				t.Fatalf("fault mix missing a class: %+v", s1)
+			}
+			if s1.Total() >= 300 {
+				t.Fatalf("60%% rates faulted every request: %+v", s1)
+			}
+		}},
+		{"each rate at 1 yields its own class", func(t *testing.T) {
+			for _, c := range []struct {
+				f    OriginFaults
+				want Fault
+			}{
+				{OriginFaults{ErrorRate: 1}, FaultError},
+				{OriginFaults{StallRate: 1}, FaultStall},
+				{OriginFaults{PartialRate: 1}, FaultPartial},
+			} {
+				f, want := c.f, c.want
+				rng := rand.New(rand.NewSource(1))
+				var st OriginFaultStats
+				for i := 0; i < 20; i++ {
+					if d := f.Decide(0, rng, &st); d != want {
+						t.Fatalf("%+v decided %v, want %v", f, d, want)
+					}
+				}
+				if st.Total() != 20 || st.FlapErrors != 0 {
+					t.Fatalf("%+v: stats %+v", f, st)
+				}
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, c.check)
 	}
 }
 

@@ -182,8 +182,8 @@ func NewServer(sched *eventsim.Simulator, host *simnet.Host, store Store, think 
 				return
 			}
 			s.Requests++
-			fault := s.decideFault()
-			if fault == faultError || fault == faultFlap {
+			fault := s.faults.Decide(sched.Now(), sched.Rand(), &s.stats)
+			if fault == FaultError {
 				resp := Response{Status: 503, URL: req.URL, Body: []byte("origin unavailable")}
 				c.Send(host, resp.WireSize(), resp, req.URL, nil)
 				return
@@ -196,7 +196,7 @@ func NewServer(sched *eventsim.Simulator, host *simnet.Host, store Store, think 
 				} else if obj.Status != 0 {
 					resp.Status = obj.Status
 				}
-				if fault == faultPartial && resp.Status == 200 {
+				if fault == FaultPartial && resp.Status == 200 {
 					// A truncated transfer: half the body arrives, then the
 					// connection-level failure surfaces as a 502 (never
 					// cached, so the retry's full body starts the generation)
@@ -209,7 +209,7 @@ func NewServer(sched *eventsim.Simulator, host *simnet.Host, store Store, think 
 				c.Send(host, resp.WireSize(), resp, req.URL, nil)
 			}
 			delay := s.think
-			if fault == faultStall {
+			if fault == FaultStall {
 				delay += s.faults.StallFor
 			}
 			if delay > 0 {

@@ -43,8 +43,10 @@ type fleetConfig struct {
 	// stagger spaces session starts (0: a pure thundering herd).
 	stagger time.Duration
 
-	// faults arms origin fault injection for the whole run.
-	faults replay.OriginFaults
+	// faults arms origin fault injection for the whole run, on an RNG
+	// seeded by faultSeed.
+	faults    httpsim.OriginFaults
+	faultSeed int64
 	// drainAfter, when non-zero, drains the proxy that long after the fleet
 	// launches (bounded by drainTimeout) and restarts it on the same address
 	// at once, so interrupted clients resume against the new incarnation.
@@ -67,7 +69,7 @@ type fleetResult struct {
 	// drainNotices counts sessions the first incarnation handed a TDrain.
 	drainNotices int64
 	// faults tallies what the origin actually injected.
-	faults replay.FaultStats
+	faults httpsim.OriginFaultStats
 }
 
 // fleetTimeout bounds each session's wait for completion.
@@ -89,12 +91,8 @@ func runFleet(t *testing.T, cfg fleetConfig) fleetResult {
 		t.Fatal(err)
 	}
 	defer origin.Close()
-	if cfg.faults.Active() {
-		fi, err := replay.NewFaultInjector(cfg.faults)
-		if err != nil {
-			t.Fatal(err)
-		}
-		origin.SetFaults(fi)
+	if err := origin.SetFaults(cfg.faults, cfg.faultSeed); err != nil {
+		t.Fatal(err)
 	}
 	pcfg := ProxyConfig{
 		OriginAddr:  origin.Addr(),
@@ -262,12 +260,9 @@ type fleetRow struct {
 
 // chaosFaults guarantees the first crawl's fetches fail (retries carry them
 // past the flap window) and keeps later fetches risky.
-func chaosFaults(seed int64) replay.OriginFaults {
-	return replay.OriginFaults{
-		ErrorRate: 0.1,
-		Seed:      seed,
-		Flaps:     []replay.FlapWindow{{Start: 0, End: 80 * time.Millisecond}},
-	}
+var chaosFaults = httpsim.OriginFaults{
+	ErrorRate: 0.1,
+	Flaps:     []httpsim.FlapWindow{{Start: 0, End: 80 * time.Millisecond}},
 }
 
 // chaosPolicy retries fast enough to outlive chaosFaults' flap and keeps the
@@ -289,7 +284,8 @@ var chaos40 = fleetConfig{
 	cacheBytes:   8 << 20,
 	quietPeriod:  time.Second,
 	stagger:      10 * time.Millisecond,
-	faults:       chaosFaults(7),
+	faults:       chaosFaults,
+	faultSeed:    7,
 	resilience:   chaosPolicy,
 	drainAfter:   120 * time.Millisecond,
 	drainTimeout: 200 * time.Millisecond,
@@ -340,7 +336,7 @@ var fleetRows = []fleetRow{
 	// inside, and one run in about thirty lost its document and every notice).
 	{test: "TestChaosLoadgenSmoke", name: "chaos200", long: true, pages: 4,
 		cfg: fleetConfig{clients: 200, cacheBytes: 256 << 20, quietPeriod: 2500 * time.Millisecond,
-			stagger: 2 * time.Millisecond, faults: chaosFaults(1), resilience: chaosPolicy,
+			stagger: 2 * time.Millisecond, faults: chaosFaults, faultSeed: 1, resilience: chaosPolicy,
 			drainAfter: 150 * time.Millisecond, drainTimeout: 150 * time.Millisecond}},
 	// The restart handoff in isolation: no origin faults, just a drain and
 	// restart mid-run. The 800 ms ad inside the 1 s quiet window keeps every

@@ -4,15 +4,16 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"net"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/parcel-go/parcel/internal/httpsim"
-	"github.com/parcel-go/parcel/internal/replay"
 )
 
 // Origin is a real HTTP server that serves a replay store. All logical
@@ -25,28 +26,49 @@ type Origin struct {
 	ln      net.Listener
 	started time.Time
 
-	// faults, when set, makes per-request fault decisions (errors, stalls,
-	// truncated bodies, flaps). Install with SetFaults before traffic.
-	faults *replay.FaultInjector
-
 	// requests counts served requests (atomic: the server handles
 	// concurrent crawler fetches).
 	requests atomic.Int64
+
+	// mu guards the fault plan, its private RNG and what it injected: the
+	// server decides for concurrent requests.
+	mu     sync.Mutex
+	faults httpsim.OriginFaults
+	rng    *rand.Rand
+	stats  httpsim.OriginFaultStats
 }
 
 // Requests returns how many requests the origin has served.
 func (o *Origin) Requests() int64 { return o.requests.Load() }
 
-// SetFaults arms fault injection. Call before serving traffic; the injector
-// field is not synchronized against in-flight requests.
-func (o *Origin) SetFaults(fi *replay.FaultInjector) { o.faults = fi }
-
-// FaultStats returns injected-fault counts (zero value when no injector).
-func (o *Origin) FaultStats() replay.FaultStats {
-	if o.faults == nil {
-		return replay.FaultStats{}
+// SetFaults arms fault injection (errors, stalls, truncated bodies, flaps)
+// with a private RNG seeded by seed: the same seed and request order
+// reproduce the same fault sequence. Call before serving traffic; pass the
+// zero value to disarm.
+func (o *Origin) SetFaults(f httpsim.OriginFaults, seed int64) error {
+	f, err := f.Armed()
+	if err != nil {
+		return err
 	}
-	return o.faults.Stats()
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.faults, o.rng = f, rand.New(rand.NewSource(seed))
+	return nil
+}
+
+// FaultStats returns the faults injected so far.
+func (o *Origin) FaultStats() httpsim.OriginFaultStats {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.stats
+}
+
+// decide rolls the fault plan for one request on the origin's wall clock and
+// returns the stall duration alongside.
+func (o *Origin) decide() (httpsim.Fault, time.Duration) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.faults.Decide(time.Since(o.started), o.rng, &o.stats), o.faults.StallFor
 }
 
 // StartOrigin serves store on addr ("127.0.0.1:0" for an ephemeral port).
@@ -69,19 +91,16 @@ func (o *Origin) Close() error { return o.srv.Close() }
 
 func (o *Origin) handle(w http.ResponseWriter, r *http.Request) {
 	o.requests.Add(1)
-	fault := replay.FaultNone
-	if o.faults != nil {
-		fault = o.faults.Decide(time.Since(o.started))
-	}
-	if fault == replay.FaultError {
+	fault, stall := o.decide()
+	if fault == httpsim.FaultError {
 		http.Error(w, "origin unavailable", http.StatusServiceUnavailable)
 		return
 	}
-	if fault == replay.FaultStall {
+	if fault == httpsim.FaultStall {
 		// A slow origin, not a dead one: the response arrives after the stall,
 		// pinning the fetcher's connection (and, without the resilient fetch
 		// path's per-attempt deadline, the session waiting on it).
-		time.Sleep(o.faults.StallFor())
+		time.Sleep(stall)
 	}
 	logical := "http://" + r.Host + r.URL.RequestURI()
 	obj, ok := o.store.Get(logical)
@@ -99,7 +118,7 @@ func (o *Origin) handle(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusOK
 	}
 	w.WriteHeader(status)
-	if fault == replay.FaultPartial {
+	if fault == httpsim.FaultPartial {
 		// Truncated transfer: advertise the full length, deliver half, then
 		// abort the connection so the fetcher sees a real io error instead of
 		// a clean short body.

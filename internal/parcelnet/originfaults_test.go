@@ -2,16 +2,20 @@ package parcelnet
 
 import (
 	"context"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/parcel-go/parcel/internal/dnssim"
+	"github.com/parcel-go/parcel/internal/eventsim"
 	"github.com/parcel-go/parcel/internal/httpsim"
 	"github.com/parcel-go/parcel/internal/leakcheck"
-	"github.com/parcel-go/parcel/internal/replay"
+	"github.com/parcel-go/parcel/internal/simnet"
 )
 
-func faultyOrigin(t *testing.T, cfg replay.OriginFaults) (*Origin, *OriginFetcher) {
+func faultyOrigin(t *testing.T, cfg httpsim.OriginFaults, seed int64) (*Origin, *OriginFetcher) {
 	t.Helper()
 	store := httpsim.MapStore{
 		"http://site.example/": {URL: "http://site.example/", ContentType: "text/html", Body: []byte("<html>0123456789abcdef</html>")},
@@ -20,17 +24,15 @@ func faultyOrigin(t *testing.T, cfg replay.OriginFaults) (*Origin, *OriginFetche
 	if err != nil {
 		t.Fatal(err)
 	}
-	fi, err := replay.NewFaultInjector(cfg)
-	if err != nil {
+	if err := o.SetFaults(cfg, seed); err != nil {
 		t.Fatal(err)
 	}
-	o.SetFaults(fi)
 	return o, NewOriginFetcher(o.Addr())
 }
 
 func TestOriginFaultErrorServes503(t *testing.T) {
 	defer leakcheck.Check(t)()
-	o, f := faultyOrigin(t, replay.OriginFaults{ErrorRate: 1})
+	o, f := faultyOrigin(t, httpsim.OriginFaults{ErrorRate: 1}, 1)
 	defer o.Close()
 	_, _, status, _, err := f.FetchValidatedCtx(context.Background(), "http://site.example/")
 	if err != nil {
@@ -47,7 +49,7 @@ func TestOriginFaultErrorServes503(t *testing.T) {
 
 func TestOriginFaultPartialIsTransportError(t *testing.T) {
 	defer leakcheck.Check(t)()
-	o, f := faultyOrigin(t, replay.OriginFaults{PartialRate: 1})
+	o, f := faultyOrigin(t, httpsim.OriginFaults{PartialRate: 1}, 1)
 	defer o.Close()
 	_, _, _, _, err := f.FetchValidatedCtx(context.Background(), "http://site.example/")
 	if err == nil {
@@ -62,7 +64,7 @@ func TestOriginFaultPartialIsTransportError(t *testing.T) {
 func TestOriginFaultStallDelays(t *testing.T) {
 	defer leakcheck.Check(t)()
 	stall := 300 * time.Millisecond
-	o, f := faultyOrigin(t, replay.OriginFaults{StallRate: 1, StallFor: stall})
+	o, f := faultyOrigin(t, httpsim.OriginFaults{StallRate: 1, StallFor: stall}, 1)
 	defer o.Close()
 	t0 := time.Now()
 	_, _, status, _, err := f.FetchValidatedCtx(context.Background(), "http://site.example/")
@@ -125,4 +127,105 @@ func TestOriginDerivedValidatorMatchesSimArm(t *testing.T) {
 		t.Fatalf("BodyValidator drifted from ContentValidator")
 	}
 	f.Client.CloseIdleConnections()
+}
+
+// TestOriginFaultsArmsAgree drives one fault plan from one seed through both
+// origins, 40 sequential requests each, and holds each arm's outcome classes
+// to a reference loop over the shared Decide: the TCP origin on the wall
+// clock (200 / 503 / delayed / io error) and the simulated server on the
+// virtual clock (200 / 503 / delayed / 502), where it is the only RNG
+// consumer.
+func TestOriginFaultsArmsAgree(t *testing.T) {
+	defer leakcheck.Check(t)()
+	const (
+		seed = 11
+		n    = 40
+	)
+	plan := httpsim.OriginFaults{ErrorRate: 0.2, StallRate: 0.2, PartialRate: 0.2, StallFor: 200 * time.Millisecond}
+
+	rng := rand.New(rand.NewSource(seed))
+	var st httpsim.OriginFaultStats
+	want := make([]httpsim.Fault, n)
+	for i := range want {
+		want[i] = plan.Decide(0, rng, &st)
+	}
+	if st.Errors == 0 || st.Stalls == 0 || st.Partials == 0 || st.Total() == n {
+		t.Fatalf("reference sequence does not exercise every class: %+v", st)
+	}
+
+	// TCP arm.
+	o, f := faultyOrigin(t, plan, seed)
+	defer o.Close()
+	tcp := make([]httpsim.Fault, n)
+	for i := range tcp {
+		t0 := time.Now()
+		_, _, status, _, err := f.FetchValidatedCtx(context.Background(), "http://site.example/")
+		switch {
+		case err != nil:
+			tcp[i] = httpsim.FaultPartial
+		case status == 503:
+			tcp[i] = httpsim.FaultError
+		case status == 200 && time.Since(t0) >= plan.StallFor:
+			tcp[i] = httpsim.FaultStall
+		case status == 200:
+			tcp[i] = httpsim.FaultNone
+		default:
+			t.Fatalf("TCP request %d: status %d", i, status)
+		}
+	}
+	f.Client.CloseIdleConnections()
+	if !slices.Equal(tcp, want) {
+		t.Errorf("TCP origin outcomes\n%v\nwant\n%v", tcp, want)
+	}
+	if got := o.FaultStats(); got != st {
+		t.Errorf("TCP origin stats %+v, want %+v", got, st)
+	}
+
+	// Sim arm: no jitter and no link faults, so only the server draws.
+	sim := eventsim.New(seed)
+	network := simnet.New(sim)
+	clientH := network.AddHost("client", simnet.HostConfig{DownlinkBps: 1e6, UplinkBps: 250e3})
+	originH := network.AddHost("origin", simnet.HostConfig{})
+	dnsH := network.AddHost("dns", simnet.HostConfig{})
+	network.SetPath(clientH, originH, simnet.PathParams{RTT: 80 * time.Millisecond})
+	network.SetPath(clientH, dnsH, simnet.PathParams{RTT: 70 * time.Millisecond})
+	dnssim.NewServer(sim, dnsH, 0)
+	store := httpsim.MapStore{
+		"http://site.example/": {URL: "http://site.example/", ContentType: "text/html", Body: []byte("<html>0123456789abcdef</html>")},
+	}
+	srv := httpsim.NewServer(sim, originH, store, 0)
+	if err := srv.SetFaults(plan); err != nil {
+		t.Fatal(err)
+	}
+	client := httpsim.NewClient(sim, clientH, httpsim.Directory{"site.example": originH}, dnssim.NewResolver(clientH, dnsH), 1)
+	var simSeq []httpsim.Fault
+	var issue func()
+	issue = func() {
+		sent := sim.Now()
+		client.Do(httpsim.Request{Method: "GET", URL: "http://site.example/"}, func(r httpsim.Response, at time.Duration) {
+			switch {
+			case r.Status == 502:
+				simSeq = append(simSeq, httpsim.FaultPartial)
+			case r.Status == 503:
+				simSeq = append(simSeq, httpsim.FaultError)
+			case r.Status == 200 && at-sent >= plan.StallFor:
+				simSeq = append(simSeq, httpsim.FaultStall)
+			case r.Status == 200:
+				simSeq = append(simSeq, httpsim.FaultNone)
+			default:
+				t.Fatalf("sim request %d: status %d", len(simSeq), r.Status)
+			}
+			if len(simSeq) < n {
+				issue()
+			}
+		})
+	}
+	issue()
+	sim.Run()
+	if !slices.Equal(simSeq, want) {
+		t.Errorf("simulated server outcomes\n%v\nwant\n%v", simSeq, want)
+	}
+	if got := srv.FaultStats(); got != st {
+		t.Errorf("simulated server stats %+v, want %+v", got, st)
+	}
 }

@@ -29,13 +29,11 @@ func TestResilientRetriesThroughFlap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer origin.Close()
-	fi, err := replay.NewFaultInjector(replay.OriginFaults{
-		Flaps: []replay.FlapWindow{{Start: 0, End: 750 * time.Millisecond}},
-	})
-	if err != nil {
+	if err := origin.SetFaults(httpsim.OriginFaults{
+		Flaps: []httpsim.FlapWindow{{Start: 0, End: 750 * time.Millisecond}},
+	}, 1); err != nil {
 		t.Fatal(err)
 	}
-	origin.SetFaults(fi)
 	proxy, err := StartProxy("127.0.0.1:0", ProxyConfig{
 		OriginAddr:  origin.Addr(),
 		Sched:       sched.ConfigIND,

@@ -164,7 +164,7 @@ func TestBreakerStragglingFailureWhileOpen(t *testing.T) {
 func TestBreakerStateResolvesElapsedCooldown(t *testing.T) {
 	b := NewBreaker(Policy{FailureThreshold: 1, OpenFor: time.Second})
 	b.Failure(0)
-	if b.State(2 * time.Second) != HalfOpen {
+	if b.State(2*time.Second) != HalfOpen {
 		t.Fatal("State did not resolve elapsed cool-down to half-open")
 	}
 	// State must not consume the probe slot.
