@@ -425,10 +425,10 @@ func blockingCall(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 	}
 	recv := recvTypeName(fn)
 	switch {
-	case recv == "FrameWriter" && (name == "Write" || name == "WriteJSON" || name == "WriteRaw" || name == "WriteWindowUpdate"):
+	case recv == "FrameWriter" && (name == "Write" || name == "WriteJSON" || name == "WriteWindowUpdate"):
 		return "FrameWriter." + name, true
-	case recv == "" && name == "WriteFrame" && fn.Pkg() != nil && fn.Pkg() == pass.Pkg:
-		return "WriteFrame", true
+	case recv == "" && (name == "WriteFrame" || name == "writeBatch") && fn.Pkg() != nil && fn.Pkg() == pass.Pkg:
+		return name, true
 	case recv == "Conn" && fn.Pkg() != nil && fn.Pkg().Path() == "net" && (name == "Read" || name == "Write"):
 		return "net.Conn." + name, true
 	}

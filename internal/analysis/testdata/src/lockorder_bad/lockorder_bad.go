@@ -64,6 +64,17 @@ func sleepUnderLock(s *session) {
 	s.mu.Unlock()
 }
 
+// writeBatch stands in for the proxy writer's batch write.
+func writeBatch(b []byte) error { return nil }
+
+// writeUnderLock puts a socket write inside the session lock: the writer
+// must drain its batch under the lock and write it after unlocking.
+func writeUnderLock(s *session) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return writeBatch(nil) // want "blocking writeBatch while holding lock session.mu"
+}
+
 // sendUnderLock blocks on a channel with the lock held.
 func sendUnderLock(s *session, ch chan int) {
 	s.mu.Lock()

@@ -12,8 +12,9 @@ func (c *conn) SetReadDeadline(t time.Time) error { return nil }
 type FrameWriter struct{}
 
 func (w *FrameWriter) WriteFrame(typ byte, payload []byte) error    { return nil }
-func (w *FrameWriter) WriteRaw(frame []byte) error                  { return nil }
 func (w *FrameWriter) WriteWindowUpdate(id, increment uint32) error { return nil }
+
+func writeBatch(c *conn, b []byte) error { return nil }
 
 type metrics struct{}
 
@@ -42,8 +43,8 @@ func good(c *conn, w *FrameWriter, m *metrics, logf func(string, ...any)) error 
 		logf("frame: %v", err)
 		return err
 	}
-	if err := w.WriteRaw(nil); err != nil {
-		logf("raw: %v", err)
+	if err := writeBatch(c, nil); err != nil {
+		logf("batch: %v", err)
 		return err
 	}
 	if err := w.WriteWindowUpdate(1, 64); err != nil {

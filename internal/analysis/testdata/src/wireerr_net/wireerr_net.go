@@ -14,8 +14,10 @@ type FrameWriter struct{}
 func (w *FrameWriter) WriteFrame(typ byte, payload []byte) error    { return nil }
 func (w *FrameWriter) WriteJSON(typ byte, v any) error              { return nil }
 func (w *FrameWriter) Write(p []byte) (int, error)                  { return len(p), nil }
-func (w *FrameWriter) WriteRaw(frame []byte) error                  { return nil }
 func (w *FrameWriter) WriteWindowUpdate(id, increment uint32) error { return nil }
+
+// writeBatch mirrors the proxy writer's one write per frame batch.
+func writeBatch(c *conn, b []byte) error { return nil }
 
 type session struct{}
 
@@ -34,7 +36,7 @@ func bad(c *conn, w *FrameWriter) {
 	defer w.WriteFrame(2, nil)          // want "error from WriteFrame discarded by defer"
 	_ = c.SetWriteDeadline(time.Time{}) // want "error from SetWriteDeadline assigned to blank identifier"
 	_, _ = w.Write(nil)                 // want "error from Write assigned to blank identifier"
-	w.WriteRaw(nil)                     // want "error from WriteRaw discarded"
+	writeBatch(c, nil)                  // want "error from writeBatch discarded"
 	go w.WriteWindowUpdate(1, 64)       // want "error from WriteWindowUpdate discarded by go statement"
 	_ = w.WriteWindowUpdate(0, 1)       // want "error from WriteWindowUpdate assigned to blank identifier"
 }

@@ -27,17 +27,17 @@ var deadlineFuncs = map[string]bool{
 }
 
 // wireWriteFuncs are the framed-wire write entry points, including the
-// parcelmux raw-frame and flow-control writers: a dropped WriteRaw strands a
-// stream mid-object and a dropped WriteWindowUpdate deadlocks the sender
-// against an exhausted window. enqueueJSONLocked and stageNoteLocked are
-// the session-side staging points for the control notes (TDrain/TShed and
-// TComplete): dropping their error silently discards the frame, so the client
-// never learns the session is draining, that an object was shed, or that the
-// page completed.
+// proxy writer's batch writer and the flow-control writer: a dropped
+// writeBatch strands its streams mid-object and a dropped WriteWindowUpdate
+// deadlocks the sender against an exhausted window. enqueueJSONLocked and
+// stageNoteLocked are the session-side staging points for the control notes
+// (TDrain/TShed and TComplete): dropping their error silently discards the
+// frame, so the client never learns the session is draining, that an object
+// was shed, or that the page completed.
 var wireWriteFuncs = map[string]bool{
 	"WriteFrame":        true,
 	"WriteJSON":         true,
-	"WriteRaw":          true,
+	"writeBatch":        true,
 	"WriteWindowUpdate": true,
 	"enqueueJSONLocked": true,
 	"stageNoteLocked":   true,

@@ -1,6 +1,7 @@
 package parcelnet
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -407,11 +408,12 @@ func TestDuplicatePageRequestTearsDownSession(t *testing.T) {
 			var first byte
 			var frames, dataBytes int
 			var rerr error
+			br := bufio.NewReader(conn)
 			for {
 				if err := conn.SetReadDeadline(time.Now().Add(250 * time.Millisecond)); err != nil {
 					t.Fatal(err)
 				}
-				typ, payload, err := ReadFramePooled(conn)
+				typ, payload, err := ReadFramePooled(br)
 				if err != nil {
 					rerr = err
 					break

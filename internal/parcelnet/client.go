@@ -1,6 +1,7 @@
 package parcelnet
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -22,6 +23,9 @@ var ErrClosed = errors.New("parcelnet: client closed")
 // ErrProxyGone is returned when the proxy connection died and the retry
 // budget was exhausted without a configured direct-origin fallback.
 var ErrProxyGone = errors.New("parcelnet: proxy connection lost")
+
+// errDrainNotice is the disconnect cause after a TDrain notice.
+var errDrainNotice = errors.New("parcelnet: proxy drained the session")
 
 // dialTimeout bounds each attempt of the built-in dialer; custom
 // ClientConfig.Dial funcs own their timeouts.
@@ -222,12 +226,17 @@ func (c *Client) RequestPage(url, userAgent, screen string) error {
 // (the read loop drives the assembler under the client lock).
 func (c *Client) partialHeld(url string) []byte { return c.partials[url] }
 
+// clientReadBuf sizes the read loop's buffer: one socket read fills it with
+// as many frames as the proxy's batched writes have delivered.
+const clientReadBuf = 64 << 10
+
 func (c *Client) readLoop(conn net.Conn) {
+	br := bufio.NewReaderSize(conn, clientReadBuf)
 	for {
 		// Pooled reads: every branch below copies what it keeps (json.Unmarshal
 		// copies, the mux assembler appends chunks into its own buffers), so
 		// the payload is recycled at the end of the iteration.
-		typ, payload, err := ReadFramePooled(conn)
+		typ, payload, err := ReadFramePooled(br)
 		if err != nil {
 			c.onDisconnect(conn, err)
 			return
@@ -235,6 +244,14 @@ func (c *Client) readLoop(conn net.Conn) {
 		fatal := c.handleClientFrame(typ, payload)
 		ReleaseFrameBuf(payload)
 		if fatal {
+			return
+		}
+		if typ == TDrain {
+			// Nothing behind the notice is read: the frames the reader has
+			// buffered after it go down with the connection, as unread socket
+			// bytes do. A TComplete among them would otherwise mark the page
+			// done on a connection that then reads as lost.
+			c.onDisconnect(conn, errDrainNotice)
 			return
 		}
 	}
@@ -323,7 +340,7 @@ func (c *Client) handleClientFrame(typ byte, payload []byte) bool {
 		conn := c.conn
 		c.mu.Unlock()
 		c.cfg.Logf("proxy draining (%d objects pending); recovering", len(note.Pending))
-		// Closing our side sends the read loop through the standard disconnect
+		// Close our side; the read loop then takes the standard disconnect
 		// path: harvest partial streams, reconnect with the resume manifest,
 		// or fall back to the direct origin once the budget is spent.
 		conn.Close()

@@ -1,6 +1,8 @@
 package parcelnet
 
 import (
+	"bufio"
+	"encoding/json"
 	"net"
 	"testing"
 	"time"
@@ -275,5 +277,79 @@ func TestShedToDirectUnderMuxStreams(t *testing.T) {
 	}
 	if client.DirectFetches == 0 {
 		t.Error("no direct fetches despite shed objects and a configured origin")
+	}
+}
+
+// TestDrainNoticeEndsTheRead: a TDrain notice ends the client's reading of
+// that connection, even when the frames behind it arrived in the same socket
+// read. The fake proxy writes settings, TDrain and TComplete in one write;
+// the client must resume on a new connection and complete there, not mark
+// the page done from the buffered note and then count the drained
+// connection as lost.
+func TestDrainNoticeEndsTheRead(t *testing.T) {
+	defer leakcheck.Check(t)()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var settings [12]byte
+	note := []byte(`{}`)
+	served := make(chan PageRequest, 2)
+	go func() {
+		for i := 0; i < 2; i++ {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			typ, payload, err := ReadFramePooled(bufio.NewReader(conn))
+			if err != nil || typ != TPageRequest {
+				conn.Close()
+				return
+			}
+			var req PageRequest
+			err = json.Unmarshal(payload, &req)
+			ReleaseFrameBuf(payload)
+			if err != nil {
+				conn.Close()
+				return
+			}
+			served <- req
+			var b frameBatch
+			b.frame(TMuxSettings, settings[:])
+			if i == 0 {
+				b.frame(TDrain, []byte(`{"pending":["http://a.test/x"]}`))
+			}
+			b.frame(TComplete, note)
+			if err := writeBatch(conn, &b); err != nil {
+				conn.Close()
+				return
+			}
+			// Hold the connection until the client hangs up.
+			_, _ = conn.Read(make([]byte, 1))
+			conn.Close()
+		}
+	}()
+	client, err := DialConfig(ln.Addr().String(), ClientConfig{BackoffBase: time.Millisecond, BackoffMax: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if err := client.RequestPage("http://a.test/", "parcel-test/1.0", "720x1280"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.WaitComplete(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if load := client.SessionLoad(0); !load.Completed || !load.Drained {
+		t.Fatalf("session load %+v: want completed after the drain", load)
+	}
+	if client.Resumes != 1 {
+		t.Fatalf("resumes = %d, want 1: the note behind TDrain was read", client.Resumes)
+	}
+	for i := 0; i < 2; i++ {
+		if req := <-served; req.URL != "http://a.test/" {
+			t.Fatalf("request %d for %q", i, req.URL)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package parcelnet
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"testing"
@@ -31,7 +32,7 @@ func FuzzFrame(f *testing.F) {
 				t.Skip()
 			}
 		}
-		typ, payload, err := ReadFramePooled(bytes.NewReader(data))
+		typ, payload, err := ReadFramePooled(bufio.NewReader(bytes.NewReader(data)))
 		if err != nil {
 			return
 		}
@@ -58,7 +59,7 @@ func FuzzMux(f *testing.F) {
 	m.add("http://seed.test/b.png", "image/png", 200, bytes.Repeat([]byte("P"), 24), 0, 24)
 	seq := [][]byte{append([]byte{TMuxSettings}, m.settingsPayload()...)}
 	for {
-		frame, _, ok := m.nextFrame()
+		frame, _, ok := nextTestFrame(m)
 		if !ok {
 			break
 		}

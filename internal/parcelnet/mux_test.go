@@ -3,6 +3,7 @@ package parcelnet
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -14,7 +15,15 @@ import (
 	"github.com/parcel-go/parcel/internal/sched"
 )
 
-// muxFrameInfo parses a preassembled frame from muxSender.nextFrame.
+// nextTestFrame drives m.nextFrame into a batch of its own: the frame's wire
+// bytes, the body bytes it drains, and whether any stream was eligible.
+func nextTestFrame(m *muxSender) ([]byte, int, bool) {
+	var b frameBatch
+	ok := m.nextFrame(&b)
+	return b.flatten(), int(b.body), ok
+}
+
+// muxFrameInfo parses one frame from nextTestFrame.
 type muxFrameInfo struct {
 	typ   byte
 	id    uint32
@@ -56,7 +65,7 @@ func TestMuxPrioritySchedulerCriticalFirst(t *testing.T) {
 	}
 	var order []muxFrameInfo
 	for {
-		frame, _, ok := m.nextFrame()
+		frame, _, ok := nextTestFrame(m)
 		if !ok {
 			break
 		}
@@ -94,7 +103,7 @@ func TestMuxBulkNotStarved(t *testing.T) {
 	bulk := m.add("http://a.test/hero.png", "image/png", 200, make([]byte, 16), 0, 16)
 	sawBulk := -1
 	for i := 0; ; i++ {
-		frame, _, ok := m.nextFrame()
+		frame, _, ok := nextTestFrame(m)
 		if !ok {
 			break
 		}
@@ -118,11 +127,11 @@ func TestMuxZeroWindowStreamNeverWrites(t *testing.T) {
 	m := newMuxSender(32, 1<<20, 1<<20)
 	s := m.add("http://a.test/x.bin", "application/octet-stream", 200, make([]byte, 100), 0, 100)
 	s.window = 0
-	if _, _, ok := m.nextFrame(); ok {
+	if _, _, ok := nextTestFrame(m); ok {
 		t.Fatal("zero-window stream produced a frame")
 	}
 	m.credit(s.id, 40)
-	frame, _, ok := m.nextFrame()
+	frame, _, ok := nextTestFrame(m)
 	if !ok {
 		t.Fatal("credited stream still blocked")
 	}
@@ -133,7 +142,7 @@ func TestMuxZeroWindowStreamNeverWrites(t *testing.T) {
 	// then blocked again.
 	var sent int
 	for {
-		frame, n, ok := m.nextFrame()
+		frame, n, ok := nextTestFrame(m)
 		if !ok {
 			break
 		}
@@ -151,12 +160,12 @@ func TestMuxZeroWindowStreamNeverWrites(t *testing.T) {
 	// Connection-level credit (id 0) alone must not unblock a stream whose
 	// own window is empty.
 	m.credit(0, 1<<20)
-	if _, _, ok := m.nextFrame(); ok {
+	if _, _, ok := nextTestFrame(m); ok {
 		t.Fatal("stream wrote without stream-level credit")
 	}
 	m.credit(s.id, 1<<20)
 	for {
-		if _, _, ok := m.nextFrame(); !ok {
+		if _, _, ok := nextTestFrame(m); !ok {
 			break
 		}
 	}
@@ -174,7 +183,7 @@ func TestMuxConnWindowGatesAllStreams(t *testing.T) {
 	var sent int
 	opens := 0
 	for {
-		frame, n, ok := m.nextFrame()
+		frame, n, ok := nextTestFrame(m)
 		if !ok {
 			break
 		}
@@ -192,7 +201,7 @@ func TestMuxConnWindowGatesAllStreams(t *testing.T) {
 	m.credit(0, 1000)
 	sent = 0
 	for {
-		_, n, ok := m.nextFrame()
+		_, n, ok := nextTestFrame(m)
 		if !ok {
 			break
 		}
@@ -563,7 +572,8 @@ func TestFrameBufPool(t *testing.T) {
 }
 
 // TestWireBenchAllocFree pins the steady-state mux wire path at (amortized)
-// zero allocations per frame: the sender reuses its scratch buffer, the
+// zero allocations per frame and per batch: the writer reuses its batch and
+// sends data chunks in place, the
 // assembler appends into the body buffer preallocated at stream open, and the
 // HPACK-lite encoder indexes a repeat origin into the caller's buffer. The
 // per-cycle stream setup amortizes across the cycle's frames, so anything
@@ -581,6 +591,32 @@ func TestWireBenchAllocFree(t *testing.T) {
 		}
 	}); avg > 0.5 {
 		t.Errorf("DecodeStep allocates %.2f/op, want amortized 0", avg)
+	}
+	// A whole writer pass: fill one batch (about batchBytes of frames) and
+	// write it, flattened into one Write (io.Discard cannot gather) and
+	// gathered into one writev on a loopback *net.TCPConn.
+	if avg := testing.AllocsPerRun(100, func() {
+		if err := wb.encodeBatch(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}); avg > 0 {
+		t.Errorf("flattened batch allocates %.2f/op, want 0", avg)
+	}
+	c, peer := loopback(t)
+	go func() {
+		buf := make([]byte, 64<<10)
+		for {
+			if _, err := peer.Read(buf); err != nil {
+				return
+			}
+		}
+	}()
+	if avg := testing.AllocsPerRun(100, func() {
+		if err := wb.encodeBatch(c); err != nil {
+			t.Fatal(err)
+		}
+	}); avg > 0 {
+		t.Errorf("gathered batch allocates %.2f/op, want 0", avg)
 	}
 	// The first call inserts the origin prefix; the measured one is the
 	// indexed repeat-origin path a bundle's tail objects take.
@@ -613,7 +649,7 @@ func TestMuxReorderedOpensKeepMetaTablesInSync(t *testing.T) {
 	}
 	got := map[string]bool{}
 	for {
-		frame, _, ok := m.nextFrame()
+		frame, _, ok := nextTestFrame(m)
 		if !ok {
 			break
 		}

@@ -1,6 +1,7 @@
 package parcelnet
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"net"
@@ -369,7 +370,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err := WriteFrame(&buf, TStreamData, payload); err != nil {
 		t.Fatal(err)
 	}
-	typ, got, err := ReadFramePooled(&buf)
+	typ, got, err := ReadFramePooled(bufio.NewReader(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +383,7 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestFrameRejectsOversize(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte{TStreamData, 0xFF, 0xFF, 0xFF, 0xFF})
-	if _, _, err := ReadFramePooled(&buf); err == nil {
+	if _, _, err := ReadFramePooled(bufio.NewReader(&buf)); err == nil {
 		t.Fatal("oversize frame accepted")
 	}
 	if err := WriteFrame(&buf, TStreamData, make([]byte, maxFrame+1)); err == nil {

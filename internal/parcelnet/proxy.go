@@ -1,6 +1,7 @@
 package parcelnet
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -308,7 +309,8 @@ type outFrame struct {
 type session struct {
 	proxy *Proxy
 	conn  net.Conn
-	fw    *FrameWriter
+	// out is the writer goroutine's batch, reused from pass to pass.
+	out frameBatch
 
 	mu       sync.Mutex
 	sendCond *sync.Cond
@@ -339,7 +341,6 @@ func (p *Proxy) serve(conn net.Conn) {
 	s := &session{
 		proxy:      p,
 		conn:       conn,
-		fw:         NewFrameWriter(conn),
 		mux:        newMuxSender(p.cfg.MuxChunkSize, p.cfg.MuxStreamWindow, p.cfg.MuxConnWindow),
 		cache:      make(map[string]Object),
 		writerDone: make(chan struct{}),
@@ -358,6 +359,7 @@ func (p *Proxy) serve(conn net.Conn) {
 	p.mu.Unlock()
 	go s.writeLoop()
 	defer s.teardown()
+	br := bufio.NewReader(conn)
 	for {
 		if p.cfg.IdleTimeout > 0 {
 			if err := conn.SetReadDeadline(time.Now().Add(p.cfg.IdleTimeout)); err != nil {
@@ -365,7 +367,7 @@ func (p *Proxy) serve(conn net.Conn) {
 				return
 			}
 		}
-		typ, payload, err := ReadFramePooled(conn)
+		typ, payload, err := ReadFramePooled(br)
 		if err != nil {
 			return
 		}
@@ -483,59 +485,52 @@ func (s *session) teardown() {
 	p.mu.Unlock()
 }
 
-// writeLoop is the session's writer goroutine: it drains the send queue onto
-// the connection and reports each frame's stream bytes to the page session
-// (Drained), which releases their reservation and re-admits parked items as
-// space frees up. On a write error it closes the connection so the read side
-// tears the session down.
+// writeLoop is the session's writer goroutine. Each pass drains, under the
+// lock, what it would send next into one frameBatch of about batchBytes, in
+// the order the protocol fixes: control frames (settings, shed and drain
+// notes) ahead of stream data, then the WRR-ordered stream frames, then the
+// TComplete barrier once every live stream has finished, so completion never
+// overtakes data. The batch leaves in one write, and only then are its stream
+// bytes reported to the page session (Drained), which releases their
+// reservation and re-admits parked items as space frees up. On a write error
+// it closes the connection so the read side tears the session down.
 func (s *session) writeLoop() {
 	defer close(s.writerDone)
+	b := &s.out
 	s.mu.Lock()
 	for {
-		var (
-			f       outFrame
-			raw     []byte // preassembled mux frame (header included)
-			drained int64  // mux body bytes this frame drains
-			haveCtl bool
-		)
-		for {
-			if s.closed {
-				s.mu.Unlock()
-				return
-			}
-			// Control frames (settings, shed and drain notes) drain ahead of
-			// stream data; the TComplete barrier waits for every live
-			// stream to finish so completion never overtakes data.
-			if len(s.sendq) > 0 {
-				f = s.sendq[0]
+		if s.closed {
+			s.mu.Unlock()
+			return
+		}
+	fill:
+		for !b.full() {
+			switch {
+			case len(s.sendq) > 0:
+				f := s.sendq[0]
 				s.sendq[0] = outFrame{}
 				s.sendq = s.sendq[1:]
-				haveCtl = true
-				break
-			}
-			if fr, n, ok := s.mux.nextFrame(); ok {
-				raw, drained = fr, int64(n)
-				break
-			}
-			if s.completeNote != nil && s.mux.live == 0 {
-				f = outFrame{typ: TComplete, payload: s.completeNote}
+				b.frame(f.typ, f.payload)
+			case s.mux.nextFrame(b):
+			case s.completeNote != nil && s.mux.live == 0:
+				b.frame(TComplete, s.completeNote)
 				s.completeNote = nil
-				haveCtl = true
-				break
+			default:
+				break fill
 			}
+		}
+		if b.size() == 0 {
 			s.sendCond.Wait()
+			continue
 		}
 		s.mu.Unlock()
 
-		var err error
-		if haveCtl {
-			err = s.fw.Write(f.typ, f.payload)
-		} else {
-			// raw lives in the mux scratch buffer; only this goroutine calls
-			// nextFrame, so it stays valid across the unlocked write.
-			err = s.fw.WriteRaw(raw)
-		}
-
+		// The batch references cached bodies and queued payloads, none of
+		// which is mutated once queued, so it stays valid across the
+		// unlocked write.
+		err := writeBatch(s.conn, b)
+		drained := b.body
+		b.reset()
 		if err != nil {
 			s.proxy.cfg.Logf("session write: %v", err)
 			s.conn.Close()

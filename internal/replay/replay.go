@@ -15,6 +15,7 @@ import (
 	"os"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -103,12 +104,19 @@ func (a *Archive) TotalBytes() int64 {
 // per run (r=..., rand=..., t=..., ts=..., cb=... with numeric values).
 var randParam = regexp.MustCompile(`([?&](?:r|rand|t|ts|cb|nonce)=)\d+`)
 
+// randRepl keeps the parameter name and substitutes the fixed value.
+var randRepl = "${1}" + strconv.Itoa(webgen.FixedRandValue)
+
 // RewriteURL normalizes a randomized URL the way the paper's modified
 // web-page-replay does (§7.3): run-variant numeric cache-buster values are
 // replaced by the fixed constant, so all schemes and runs request the same
-// object names.
+// object names. A URL with no '?' or '&' holds no parameter to rewrite and is
+// returned without running the regexp.
 func RewriteURL(url string) string {
-	return randParam.ReplaceAllString(url, fmt.Sprintf("${1}%d", webgen.FixedRandValue))
+	if !strings.ContainsAny(url, "?&") {
+		return url
+	}
+	return randParam.ReplaceAllString(url, randRepl)
 }
 
 // Rewriting wraps an archive (or any store) so lookups are normalized with

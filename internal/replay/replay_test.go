@@ -2,6 +2,7 @@ package replay
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -65,6 +66,40 @@ func TestRewriteURL(t *testing.T) {
 		if got := RewriteURL(c.in); got != c.want {
 			t.Errorf("RewriteURL(%q) = %q, want %q", c.in, got, c.want)
 		}
+	}
+}
+
+// TestRewriteURLWebgen holds RewriteURL to the rewrite it replaced (one
+// fmt.Sprintf replacement per call, the regexp run on every URL) over every
+// URL of webgen seeds 1-3, as generated and with cache-buster parameters
+// appended so the regexp path is covered as well as the query-less one.
+func TestRewriteURLWebgen(t *testing.T) {
+	old := func(url string) string {
+		return randParam.ReplaceAllString(url, fmt.Sprintf("${1}%d", webgen.FixedRandValue))
+	}
+	n, rewritten := 0, 0
+	for seed := int64(1); seed <= 3; seed++ {
+		for _, p := range webgen.Generate(webgen.Spec{Seed: seed}) {
+			urls := []string{p.MainURL}
+			for _, o := range p.Objects {
+				urls = append(urls, o.URL)
+			}
+			for _, u := range urls {
+				for _, v := range []string{u, u + "?r=91823", u + "?id=5&ts=1700000000", u + "&cb=7", u + "?name=r5"} {
+					want := old(v)
+					if got := RewriteURL(v); got != want {
+						t.Fatalf("RewriteURL(%q) = %q, want %q", v, got, want)
+					}
+					n++
+					if want != v {
+						rewritten++
+					}
+				}
+			}
+		}
+	}
+	if n < 1000 || rewritten == 0 {
+		t.Fatalf("checked %d URLs, %d rewritten: the table does not cover both paths", n, rewritten)
 	}
 }
 
