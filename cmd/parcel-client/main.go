@@ -54,9 +54,9 @@ func main() {
 	fmt.Printf("page:      %s\n", *url)
 	fmt.Printf("objects:   %d pushed (%.2f MB page bytes)\n", note.ObjectsPushed, float64(note.BytesPushed)/1e6)
 	fmt.Printf("streams:   %.2f MB on the wire, resumed %d\n", float64(client.BytesReceived)/1e6, note.Resumed)
-	fmt.Printf("first critical: %v\n", client.FirstCriticalAt.Sub(start))
-	fmt.Printf("first byte: %v\n", client.FirstAt.Sub(start))
-	fmt.Printf("complete:  %v (wall %v)\n", client.CompleteAt.Sub(start), elapsed)
+	fmt.Printf("first critical: %v\n", client.Timeline.FirstCritical)
+	fmt.Printf("first byte: %v\n", client.Timeline.FirstByte)
+	fmt.Printf("complete:  %v (wall %v)\n", client.Timeline.Complete, elapsed)
 	fmt.Printf("fallbacks: %d\n", client.Fallbacks)
 	if *list {
 		for i, u := range client.Objects() {

@@ -57,7 +57,6 @@ func main() {
 	}
 	defer client.Close()
 
-	start := time.Now()
 	if err := client.RequestPage(page.MainURL, "realnet-example/1.0", "720x1280"); err != nil {
 		log.Fatal(err)
 	}
@@ -69,9 +68,9 @@ func main() {
 	fmt.Printf("\nloaded %s over shaped LTE:\n", page.MainURL)
 	fmt.Printf("  objects pushed:   %d (page has %d)\n", note.ObjectsPushed, page.ObjectCount)
 	fmt.Printf("  streams:          %.2f MB on the wire, resumed %d\n", float64(client.BytesReceived)/1e6, note.Resumed)
-	fmt.Printf("  first critical:   %v\n", client.FirstCriticalAt.Sub(start).Round(time.Millisecond))
-	fmt.Printf("  first byte:       %v\n", client.FirstAt.Sub(start).Round(time.Millisecond))
-	fmt.Printf("  complete:         %v\n", client.CompleteAt.Sub(start).Round(time.Millisecond))
+	fmt.Printf("  first critical:   %v\n", client.Timeline.FirstCritical.Round(time.Millisecond))
+	fmt.Printf("  first byte:       %v\n", client.Timeline.FirstByte.Round(time.Millisecond))
+	fmt.Printf("  complete:         %v\n", client.Timeline.Complete.Round(time.Millisecond))
 	fmt.Printf("  fallback requests: %d\n", client.Fallbacks)
 
 	// 4. The client store now holds the page; a WebView would render from it.

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"cmp"
 	"strings"
 	"time"
 
@@ -33,40 +33,22 @@ func DefaultClientConfig() ClientConfig {
 	}
 }
 
-// Client is the PARCEL client browser for one page session. It reuses the
-// standard parsing/rendering engine (§5.2) but replaces object retrieval:
-// objects arrive pushed from the proxy, requests for identified objects are
-// suppressed, and only objects still missing after the proxy's completion
-// notification are requested explicitly.
+// Client is the PARCEL client browser for one page session: the standard
+// parsing/rendering engine (§5.2), whose fetches drive sched.ClientSession.
+// It keeps the simnet conn, the engine's callbacks and the direct httpsim
+// client.
 type Client struct {
+	sched.ClientSession
 	topo *scenario.Topology
 	cfg  ClientConfig
 
-	Engine *browser.Engine
-	conn   *simnet.Conn
+	Engine  *browser.Engine
+	conn    *simnet.Conn
+	waiting map[string][]func(browser.Result)
 
-	store    map[string]sched.Item
-	waiting  map[string][]func(browser.Result)
-	notified bool
-
-	// direct is the client's own HTTP client for the HTTPS fallback path
-	// (§4.5); created lazily.
-	direct      *httpsim.Client
+	direct      *httpsim.Client // the client's own path (§4.5), made on first use
 	postSeq     int
 	postWaiters map[int]func(browser.Result)
-
-	// Fallbacks counts missing-object requests issued after the completion
-	// notification (§4.5).
-	Fallbacks int
-	// DirectFetches counts HTTPS-fallback fetches that bypassed the proxy.
-	DirectFetches int
-	// BundlesReceived counts bundle messages from the proxy.
-	BundlesReceived int
-	// ObjectsReceived counts pushed objects (including fallback responses).
-	ObjectsReceived int
-	// SuppressedRequests counts engine fetches satisfied without any client
-	// HTTP request — the request-suppression benefit of §4.5.
-	SuppressedRequests int
 }
 
 // NewClient prepares a PARCEL client on the topology. The proxy must be
@@ -76,11 +58,11 @@ func NewClient(topo *scenario.Topology, cfg ClientConfig) *Client {
 		cfg.CPU = browser.MobileCPU()
 	}
 	c := &Client{
-		topo:        topo,
-		cfg:         cfg,
-		store:       make(map[string]sched.Item),
-		waiting:     make(map[string][]func(browser.Result)),
-		postWaiters: make(map[int]func(browser.Result)),
+		ClientSession: sched.NewClientSession(true, topo.Page.ObjectCount),
+		topo:          topo,
+		cfg:           cfg,
+		waiting:       make(map[string][]func(browser.Result)),
+		postWaiters:   make(map[int]func(browser.Result)),
 	}
 	c.Engine = c.newEngine()
 	return c
@@ -97,37 +79,30 @@ func (c *Client) newEngine() *browser.Engine {
 	})
 }
 
-// bundleFetcher is the client's Fetcher: it serves from the pushed-object
-// store and defers misses instead of issuing network requests.
+// bundleFetcher is the client's Fetcher: the session answers each fetch.
 type bundleFetcher struct{ c *Client }
 
 func (f bundleFetcher) Fetch(url string, cb func(browser.Result)) {
 	c := f.c
-	if sched.Direct(url) {
-		// Encrypted objects bypass the proxy entirely (§4.5).
-		c.directFetch(url, cb)
-		return
-	}
-	if it, ok := c.store[url]; ok {
-		c.SuppressedRequests++
-		// The result carries the object's arrival time at the client (its
-		// ArrivedAt was restamped on receive), so trace-derived OLT reflects
-		// when the bytes landed, not when the parser got to them.
+	it, act := c.Want(url)
+	if act == sched.Deliver {
+		// The result carries the object's arrival time at the client, so
+		// trace-derived OLT reflects when the bytes landed, not when the
+		// parser got to them.
 		cb(resultFromItem(it, it.ArrivedAt))
 		return
 	}
 	c.waiting[url] = append(c.waiting[url], cb)
-	if c.notified {
-		c.requestMissing(url)
+	switch act {
+	case sched.Request:
+		c.request(url)
+	case sched.FetchDirect:
+		c.directFetch(url)
 	}
 }
 
 func resultFromItem(it sched.Item, at time.Duration) browser.Result {
-	status := it.Status
-	if status == 0 {
-		status = 200
-	}
-	return browser.Result{URL: it.URL, Status: status, ContentType: it.ContentType, Body: it.Body, At: at}
+	return browser.Result{URL: it.URL, Status: cmp.Or(it.Status, 200), ContentType: it.ContentType, Body: it.Body, At: at}
 }
 
 // Load runs the session: connect, send the page request, and process pushes
@@ -142,6 +117,7 @@ func (c *Client) Load() metrics.PageRun {
 // interleave other work).
 func (c *Client) Start() {
 	topo := c.topo
+	c.ClientSession.Start(topo.Page.MainURL, topo.Sim.Now())
 	req := pageRequest{URL: topo.Page.MainURL, UserAgent: c.cfg.UserAgent, Screen: c.cfg.Screen}
 	c.conn = topo.Client.Dial(topo.Proxy, func(conn *simnet.Conn) {
 		conn.Send(topo.Client, req.wireSize(), req, labelPageReq, nil)
@@ -153,59 +129,37 @@ func (c *Client) Start() {
 func (c *Client) onMessage(m simnet.Message) {
 	switch msg := m.Payload.(type) {
 	case bundleMsg:
-		c.BundlesReceived++
 		for _, it := range msg.Parts {
-			c.receive(it, m.At)
+			c.Received(it, m.At)
+			c.land(it, m.At)
 		}
 	case objectResponse:
-		c.receive(msg.Item, m.At)
+		c.Received(msg.Item, m.At)
+		c.land(msg.Item, m.At)
 	case postResponse:
 		if cb, ok := c.postWaiters[msg.ID]; ok {
 			delete(c.postWaiters, msg.ID)
 			cb(resultFromItem(msg.Item, m.At))
 		}
 	case completeNote:
-		c.notified = true
-		// Fallback requests go out in URL order: map order here would make
-		// TLT, BytesUp and radio energy differ from run to run.
-		missing := make([]string, 0, len(c.waiting))
-		for url := range c.waiting {
-			missing = append(missing, url)
-		}
-		sort.Strings(missing)
-		for _, url := range missing {
-			c.requestMissing(url)
+		for _, url := range c.Complete(msg.Counts, m.At).Request {
+			c.request(url)
 		}
 	}
 }
 
-// receive stores one pushed object and satisfies any deferred engine fetch.
-// The item's ArrivedAt is restamped with the client-side arrival time.
-func (c *Client) receive(it sched.Item, at time.Duration) {
-	c.ObjectsReceived++
-	it.ArrivedAt = at
-	c.store[it.URL] = it
-	if cbs, ok := c.waiting[it.URL]; ok {
-		delete(c.waiting, it.URL)
-		for _, cb := range cbs {
-			cb(resultFromItem(it, at))
-		}
+// land hands an object that arrived at at to the engine fetches waiting for
+// it: none wait for a duplicate, since the first arrival answered them.
+func (c *Client) land(it sched.Item, at time.Duration) {
+	cbs := c.waiting[it.URL]
+	delete(c.waiting, it.URL)
+	for _, cb := range cbs {
+		cb(resultFromItem(it, at))
 	}
 }
 
-// Objects lists the URLs the client holds (pushed or fallback-fetched), sorted.
-func (c *Client) Objects() []string {
-	urls := make([]string, 0, len(c.store))
-	for u := range c.store {
-		urls = append(urls, u)
-	}
-	sort.Strings(urls)
-	return urls
-}
-
-// requestMissing issues the §4.5 fallback request for one URL.
-func (c *Client) requestMissing(url string) {
-	c.Fallbacks++
+// request issues the §4.5 fallback request for one URL.
+func (c *Client) request(url string) {
 	req := objectRequest{URL: url}
 	c.conn.Send(c.topo.Client, 180+len(url), req, labelObjReq, nil)
 }
@@ -231,15 +185,9 @@ func (c *Client) CollectWith(col *metrics.Collector) metrics.PageRun {
 	run.ConnsOpened = 1
 	run.ObjectsLoaded = c.Engine.NumRequested()
 	run.FallbackRequests = c.Fallbacks
-	fillFaultStats(&run, c.topo.Net.FaultStats())
+	st := c.topo.Net.FaultStats()
+	run.DroppedPackets, run.Retransmits, run.RetransmitBytes = st.Dropped, st.Retransmits, st.RetransmitBytes
 	return run
-}
-
-// fillFaultStats copies the network's injection counters into the run.
-func fillFaultStats(run *metrics.PageRun, st simnet.FaultStats) {
-	run.DroppedPackets = st.Dropped
-	run.Retransmits = st.Retransmits
-	run.RetransmitBytes = st.RetransmitBytes
 }
 
 // Run builds the proxy and client on a topology and measures one page load

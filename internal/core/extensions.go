@@ -21,13 +21,14 @@ import (
 
 // directFetch routes one client fetch over the traditional path: the
 // client's own connection to the origin, TLS included.
-func (c *Client) directFetch(url string, cb func(browser.Result)) {
+func (c *Client) directFetch(url string) {
 	if c.direct == nil {
 		c.direct = httpsim.NewClient(c.topo.Sim, c.topo.Client, c.topo.Dir, c.topo.ClientResolver, 6)
 	}
-	c.DirectFetches++
 	c.direct.Do(httpsim.Request{Method: "GET", URL: url}, func(resp httpsim.Response, at time.Duration) {
-		cb(browser.Result{URL: resp.URL, Status: resp.Status, ContentType: resp.ContentType, Body: resp.Body, At: at})
+		it := sched.Item{URL: url, Status: resp.Status, ContentType: resp.ContentType, Body: resp.Body, ArrivedAt: at}
+		c.Fetched(it, true)
+		c.land(it, at)
 	})
 }
 
@@ -113,6 +114,7 @@ func (c *Client) Reload() metrics.PageRun {
 	// A fresh engine renders the revisit; the object store persists (the
 	// device cache).
 	c.Engine = c.newEngine()
+	c.ClientSession.Start(topo.Page.MainURL, start)
 	req := pageRequest{URL: topo.Page.MainURL, UserAgent: c.cfg.UserAgent, Screen: c.cfg.Screen}
 	c.conn.Send(topo.Client, req.wireSize(), req, labelPageReq, nil)
 	c.Engine.Load(topo.Page.MainURL)

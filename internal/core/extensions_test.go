@@ -124,7 +124,7 @@ func TestPostRelaying(t *testing.T) {
 	// §4.5: the proxy processed the HTML response and pushed its objects.
 	deadline := topo.Sim.Now() + 5*time.Second
 	topo.Sim.RunUntil(deadline)
-	if _, ok := client.store[followup]; !ok {
+	if !client.Has(followup) {
 		t.Fatal("object referenced by POST response was not pushed")
 	}
 }

@@ -10,42 +10,26 @@ import (
 )
 
 // LoadClient is the fleet-simulation tenant: it speaks the PARCEL session
-// protocol (page request in, bundles and the completion notification out) but
-// runs no browser engine — it measures delivery latency and bytes, not
-// rendering. That keeps a tenant cheap enough that hundreds share one
-// simulator, which is the point of a load run: the proxy under test does the
-// heavy lifting, the tenants just receive.
+// protocol and drives sched.ClientSession, but runs no browser engine and has
+// no direct path — it measures delivery latency and bytes, not rendering, so
+// hundreds share one simulator and the proxy under test does the heavy
+// lifting.
 type LoadClient struct {
+	sched.ClientSession
 	sim   *eventsim.Simulator
 	host  *simnet.Host
 	proxy *simnet.Host
 	url   string
-
-	conn *simnet.Conn
-	note completeNote
-
+	conn  *simnet.Conn
 	// ID tags the tenant in fleet reports.
 	ID int
-	// StartedAt/CompleteAt bracket the session on the virtual clock.
-	// FirstCriticalAt is when the first render-blocking object (HTML, CSS,
-	// script, JSON) arrived; zero until one does.
-	StartedAt       time.Duration
-	FirstCriticalAt time.Duration
-	CompleteAt      time.Duration
-	// Notified is set once the proxy's completion notification arrives.
-	Notified bool
-
-	// BundlesReceived/ObjectsReceived count proxy pushes; EgressBytes is
-	// every byte the proxy sent this tenant (content and control).
-	BundlesReceived int
-	ObjectsReceived int
-	EgressBytes     int64
 }
 
-// NewLoadClient prepares one tenant on its own access host. Start it with
-// StartAt; read its sample with SessionLoad after the simulation drains.
-func NewLoadClient(id int, sim *eventsim.Simulator, host, proxy *simnet.Host, url string) *LoadClient {
-	return &LoadClient{ID: id, sim: sim, host: host, proxy: proxy, url: url}
+// NewLoadClient prepares one tenant on its own access host to load url, a page
+// of objects objects (0 when unknown). Start it with StartAt; read its sample
+// with SessionLoad after the simulation drains.
+func NewLoadClient(id int, sim *eventsim.Simulator, host, proxy *simnet.Host, url string, objects int) *LoadClient {
+	return &LoadClient{ClientSession: sched.NewClientSession(false, objects), ID: id, sim: sim, host: host, proxy: proxy, url: url}
 }
 
 // StartAt schedules the session's page request at virtual time at (staggered
@@ -58,7 +42,7 @@ func (c *LoadClient) StartAt(at time.Duration) {
 // idiom: package-level func, typed argument).
 func startLoadClient(arg any) {
 	c := arg.(*LoadClient)
-	c.StartedAt = c.sim.Now()
+	c.Start(c.url, c.sim.Now())
 	c.conn = c.host.Dial(c.proxy, func(conn *simnet.Conn) {
 		req := pageRequest{URL: c.url, UserAgent: "PARCEL-loadgen/1.0", Screen: "720x1280"}
 		conn.Send(c.host, req.wireSize(), req, labelPageReq, nil)
@@ -66,42 +50,23 @@ func startLoadClient(arg any) {
 	c.conn.OnMessage(c.host, c.onMessage)
 }
 
+// onMessage books every byte the proxy sent (content and control) and feeds
+// the session; a tenant wants nothing, so the note asks for nothing.
 func (c *LoadClient) onMessage(m simnet.Message) {
-	c.EgressBytes += int64(m.Size)
+	c.BytesReceived += int64(m.Size)
 	switch msg := m.Payload.(type) {
 	case bundleMsg:
-		c.BundlesReceived++
-		c.ObjectsReceived += len(msg.Parts)
-		if c.FirstCriticalAt == 0 {
-			for _, p := range msg.Parts {
-				if sched.Critical(p.ContentType) {
-					c.FirstCriticalAt = m.At
-					break
-				}
-			}
+		for _, it := range msg.Parts {
+			c.Received(it, m.At)
 		}
 	case objectResponse:
-		c.ObjectsReceived++
+		c.Received(msg.Item, m.At)
 	case completeNote:
-		if !c.Notified {
-			c.Notified = true
-			c.CompleteAt = m.At
-			c.note = msg
-		}
+		c.Complete(msg.Counts, m.At)
 	}
 }
 
-// SessionLoad assembles the tenant's fleet sample: completion, latency from
-// request to the proxy's completion notification, and the note's shared-cache
-// accounting.
+// SessionLoad is the tenant's fleet sample.
 func (c *LoadClient) SessionLoad() metrics.SessionLoad {
-	l := metrics.NoteLoad(c.note.Counts)
-	l.ID, l.Page, l.Completed, l.EgressBytes = c.ID, c.url, c.Notified, c.EgressBytes
-	if c.Notified {
-		l.Latency = c.CompleteAt - c.StartedAt
-	}
-	if c.FirstCriticalAt > 0 {
-		l.FirstCritical = c.FirstCriticalAt - c.StartedAt
-	}
-	return l
+	return metrics.ClientLoad(c.ID, &c.ClientSession)
 }

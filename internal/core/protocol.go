@@ -9,6 +9,12 @@
 // executes JS locally; it suppresses its own object requests (objects arrive
 // pushed), and requests any still-missing objects only after the proxy's
 // completion notification (§4.5).
+//
+// Both ends' policies are written once, in sched, for this simulated arm and
+// parcelnet's TCP arm alike: ProxySession drives sched.Session, and Client
+// (the browser) and LoadClient (the engine-free fleet tenant) drive
+// sched.ClientSession. This package keeps what is the simulation's own: the
+// simnet messages, the engines, the httpsim direct path and the virtual clock.
 package core
 
 import (

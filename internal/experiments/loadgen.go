@@ -118,8 +118,8 @@ func loadgenSim(cfg LoadgenSimConfig, pools *scenario.Resources) LoadgenSimResul
 
 	clients := make([]*core.LoadClient, cfg.Tenants)
 	for i := range clients {
-		url := pages[i%len(pages)].MainURL
-		clients[i] = core.NewLoadClient(i, fleet.Sim, fleet.Tenants[i], fleet.Proxy, url)
+		page := pages[i%len(pages)]
+		clients[i] = core.NewLoadClient(i, fleet.Sim, fleet.Tenants[i], fleet.Proxy, page.MainURL, page.ObjectCount)
 		clients[i].StartAt(time.Duration(i) * cfg.Stagger)
 	}
 	fleet.Sim.Run()

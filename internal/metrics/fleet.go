@@ -58,11 +58,16 @@ type SessionLoad struct {
 	Phase int
 }
 
-// NoteLoad is the proxy-booked half of a fleet sample, read off either arm's
-// completion note; the client fills in the rest.
-func NoteLoad(c sched.Counts) SessionLoad {
-	return SessionLoad{CacheHits: c.CacheHits, CacheMisses: c.CacheMisses, OriginBytes: c.OriginBytes,
-		Deferred: c.Deferred, Shed: c.Shed, Retries: c.OriginRetries, StaleServes: c.StaleServes}
+// ClientLoad is session id's fleet sample, read off either arm's client
+// session: its page, timeline and counters, and the proxy's books from its
+// completion note.
+func ClientLoad(id int, s *sched.ClientSession) SessionLoad {
+	n := s.Note()
+	return SessionLoad{ID: id, Page: s.Page(), Completed: s.Completed(),
+		Latency: s.Timeline.Complete, FirstCritical: s.Timeline.FirstCritical,
+		CacheHits: n.CacheHits, CacheMisses: n.CacheMisses, EgressBytes: s.BytesReceived, OriginBytes: n.OriginBytes,
+		Deferred: n.Deferred, Shed: n.Shed, FallbackWriteErrors: s.FallbackWriteErrors,
+		Retries: n.OriginRetries + s.Retries, StaleServes: n.StaleServes, Drained: s.Drained > 0}
 }
 
 // FleetReport aggregates a fleet run on either arm: per-session latency

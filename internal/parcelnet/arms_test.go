@@ -21,9 +21,10 @@ import (
 )
 
 // armLoad is what one page load looked like from outside a driver: the URLs
-// delivered before the completion note and the URLs pushed in all, the
-// session's push/skip books for that load, and how many completion notes the
-// client saw.
+// delivered before the completion note, the session's push/skip books for
+// that load, how many completion notes the client saw, and the client
+// session's side — the URLs its store gained, their body bytes, and the
+// proxy deliveries it counted.
 type armLoad struct {
 	Nth             int // 1 = first load, 2 = revisit
 	Early           []string
@@ -33,6 +34,8 @@ type armLoad struct {
 	Skipped         int
 	CompletionsSeen int
 	FallbacksSent   int
+	StoredBytes     int64
+	Received        int
 }
 
 // TestArmsAgree runs every webgen page of seeds 1–2 through both
@@ -40,8 +43,9 @@ type armLoad struct {
 // (sim: Reload on the same connection; TCP: a new connection whose
 // TPageRequest lists every object of the page) — and requires, load by load,
 // the same URL set delivered before the completion note, exactly one
-// completion, and, once both arms are quiescent, the same pushed URL set,
-// BytesPushed and Skipped.
+// completion, and, once both arms are quiescent, the same BytesPushed and
+// Skipped and the same client stores: each driver's sched.ClientSession holds
+// the same URLs and body bytes and counted the same deliveries.
 //
 // Each page runs with a quiet period of a quarter of its first script timer
 // on both arms. The sim arm waits that window out on its virtual clock; the
@@ -132,16 +136,9 @@ func simArm(t *testing.T, page webgen.Page, cfg sched.Config, quiet time.Duratio
 			ObjectsPushed: c.ObjectsPushed - since.ObjectsPushed, BytesPushed: c.BytesPushed - since.BytesPushed,
 			Skipped:       c.Skipped - since.Skipped,
 			FallbacksSent: simClient.Fallbacks - since.FallbacksSent,
+			Received:      simClient.ObjectsReceived - since.Received,
 		}
-		held := make(map[string]bool, len(since.URLs))
-		for _, u := range since.URLs {
-			held[u] = true
-		}
-		for _, u := range simClient.Objects() {
-			if !held[u] {
-				l.URLs = append(l.URLs, u)
-			}
-		}
+		l.URLs, l.StoredBytes = holds(&simClient.ClientSession, since.URLs)
 		for _, p := range topo.ClientTrace.PacketsSince(0) {
 			if p.Kind == trace.KindData && p.Label == "ctl:complete" {
 				l.CompletionsSeen++
@@ -154,10 +151,11 @@ func simArm(t *testing.T, page webgen.Page, cfg sched.Config, quiet time.Duratio
 	// the client, whose store is then the early set.
 	simClient.Start()
 	var early []string
-	for seen := 0; early == nil && topo.Sim.Step(); seen = topo.ClientTrace.Len() {
+	for seen, noted := 0, false; !noted && topo.Sim.Step(); seen = topo.ClientTrace.Len() {
 		for _, p := range topo.ClientTrace.PacketsSince(seen) {
 			if p.Kind == trace.KindData && p.Label == "ctl:complete" {
-				early = simClient.Objects()
+				noted = true
+				early, _ = holds(&simClient.ClientSession, nil)
 			}
 		}
 	}
@@ -179,6 +177,26 @@ func simArm(t *testing.T, page webgen.Page, cfg sched.Config, quiet time.Duratio
 		t.Fatalf("%s: sim arm pushed %d then skipped %d of the page's %d proxied objects", page.Name, first.ObjectsPushed, revisit.Skipped, collected)
 	}
 	return [2]armLoad{first, revisit}
+}
+
+// holds reads a client session's store: the URLs it holds that came through
+// the proxy and are not in since, sorted, and their body bytes. The sim
+// engine fetches the sched.Direct objects over its own connections; the TCP
+// arm runs no engine to ask for them.
+func holds(s *sched.ClientSession, since []string) (urls []string, bytes int64) {
+	old := make(map[string]bool, len(since))
+	for _, u := range since {
+		old[u] = true
+	}
+	for _, u := range s.Objects() {
+		if !sched.Direct(u) && !old[u] {
+			it, _ := s.Want(u)
+			urls = append(urls, u)
+			bytes += int64(len(it.Body))
+		}
+	}
+	sort.Strings(urls)
+	return urls, bytes
 }
 
 // tcpLoad is one page load through a TCP proxy, tapped on the client side.
@@ -207,7 +225,8 @@ func startTCPLoad(t *testing.T, proxy *Proxy, url string, nth int, have []string
 	t.Cleanup(func() { client.Close() })
 	req := PageRequest{URL: url, Have: have}
 	client.mu.Lock()
-	client.page, client.startedAt = &req, time.Now()
+	client.page = &req
+	client.Start(url, now())
 	client.mu.Unlock()
 	if err := client.fw.WriteJSON(TPageRequest, req); err != nil {
 		t.Fatal(err)
@@ -240,9 +259,11 @@ func (l *tcpLoad) settle(t *testing.T, collected int) armLoad {
 			t.Fatalf("TCP load %d never settled: books %+v, client holds %d, want %d collected", l.nth, c, len(l.client.Objects()), collected)
 		}
 	}
-	out := armLoad{Nth: l.nth, Early: l.early, ObjectsPushed: c.ObjectsPushed, BytesPushed: c.BytesPushed, Skipped: c.Skipped, FallbacksSent: l.client.Fallbacks}
-	out.URLs = append(out.URLs, l.client.Objects()...) // nil when nothing was pushed, like the sim's
-	sort.Strings(out.URLs)
+	out := armLoad{Nth: l.nth, Early: l.early, ObjectsPushed: c.ObjectsPushed, BytesPushed: c.BytesPushed, Skipped: c.Skipped}
+	l.client.mu.Lock()
+	out.URLs, out.StoredBytes = holds(&l.client.ClientSession, nil)
+	out.FallbacksSent, out.Received = l.client.Fallbacks, l.client.ObjectsReceived
+	l.client.mu.Unlock()
 	for _, typ := range l.tap.received() {
 		if typ == TComplete {
 			out.CompletionsSeen++
@@ -267,7 +288,7 @@ func (c *tapConn) deliveredBeforeComplete() []string {
 		}
 		typ, payload := b[0], b[5:n]
 		b = b[n:]
-		var part *muxPart
+		var part *sched.Item
 		var err error
 		switch typ {
 		case TMuxSettings:

@@ -2,12 +2,12 @@ package parcelnet
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
@@ -16,8 +16,7 @@ import (
 )
 
 // ErrClosed is returned by Object and WaitComplete after the client itself
-// was closed — distinct from a timeout, so callers can tell "you hung up"
-// from "the object never arrived".
+// was closed: "you hung up", not "the object never arrived".
 var ErrClosed = errors.New("parcelnet: client closed")
 
 // ErrProxyGone is returned when the proxy connection died and the retry
@@ -27,8 +26,7 @@ var ErrProxyGone = errors.New("parcelnet: proxy connection lost")
 // errDrainNotice is the disconnect cause after a TDrain notice.
 var errDrainNotice = errors.New("parcelnet: proxy drained the session")
 
-// dialTimeout bounds each attempt of the built-in dialer; custom
-// ClientConfig.Dial funcs own their timeouts.
+// dialTimeout bounds each attempt of the built-in dialer.
 const dialTimeout = 5 * time.Second
 
 // ClientConfig tunes connection recovery. The zero value gives sensible
@@ -58,98 +56,52 @@ type ClientConfig struct {
 	// stays declared because bench/ sets it and only a benchmark PR may edit
 	// bench/ (ROADMAP item 2(2) removes both).
 	Mux bool
-	// Logf, when set, receives recovery diagnostics.
+	// Logf, when set, receives recovery diagnostics, sometimes under the
+	// client's lock: it must not call back into the Client.
 	Logf func(format string, args ...any)
 }
 
 func (cfg *ClientConfig) fillDefaults() {
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = 3
-	}
-	if cfg.BackoffBase == 0 {
-		cfg.BackoffBase = 50 * time.Millisecond
-	}
-	if cfg.BackoffMax == 0 {
-		cfg.BackoffMax = 2 * time.Second
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
+	cfg.MaxRetries = cmp.Or(cfg.MaxRetries, 3)
+	cfg.BackoffBase = cmp.Or(cfg.BackoffBase, 50*time.Millisecond)
+	cfg.BackoffMax = cmp.Or(cfg.BackoffMax, 2*time.Second)
+	cfg.Seed = cmp.Or(cfg.Seed, 1)
+	if cfg.Dial == nil {
+		cfg.Dial = func(network, addr string) (net.Conn, error) { return net.DialTimeout(network, addr, dialTimeout) }
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
 }
 
-// Client is the real-network PARCEL client: it opens the single proxy
-// connection, sends the page request, reassembles pushed streams into a local
-// object store, and requests still-missing objects after the proxy's
-// completion notification (§4.5). If the proxy connection drops mid-page the
-// client reconnects with backoff and resumes the session (re-sending the
-// request with a manifest of the objects, and the prefixes of half-received
-// objects, it already holds); once the retry budget is spent it degrades to
-// fetching directly from the origin when ClientConfig.DirectOrigin is set.
-// Rendering/JS execution is up to the embedding application (the simulation
-// packages model it; a real deployment would hand the store to a WebView,
-// §5.2).
+// Client is the real-network PARCEL client: it sends the page request on one
+// proxy connection, reassembles pushed streams and drives sched.ClientSession
+// with them under its mutex. It keeps the conn, the stream assembler, the
+// reconnect with backoff (then DIR mode, with ClientConfig.DirectOrigin set)
+// and the origin fetcher. The session's counters and Timeline read as the
+// Client's fields; its input methods are the driver's, called with the mutex
+// held. Rendering is the embedding application's (a WebView would render
+// from the store, §5.2).
 type Client struct {
+	sched.ClientSession
 	addr string
 	cfg  ClientConfig
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	conn     net.Conn // current connection; compared by readLoop for staleness
-	fw       *FrameWriter
-	store    map[string]Object
-	order    []string
-	page     *PageRequest // active page, kept for session resume
-	notified bool
-	note     CompleteNote
-	shed     map[string]bool // URLs the proxy's admission control shed to us
-	rerr     error
-	closed   bool
-	degraded bool
-	direct   *OriginFetcher
-	rng      *rand.Rand // backoff jitter; touched only by the reconnect goroutine
-	// asm reassembles mux streams on the current connection; partials carries
-	// incomplete stream bodies across reconnects so the next connection can
-	// resume each object at its offset instead of resending the prefix.
-	asm      *muxAssembler
-	partials map[string][]byte
-
-	// BytesReceived counts stream payload bytes received.
-	BytesReceived int64
-	// Fallbacks counts missing-object requests: to the proxy, or straight to
-	// the origin (DirectFetches).
-	Fallbacks int
-	// Resumes counts successful session resumes after a reconnect.
-	Resumes int
-	// Retries counts reconnect dial attempts.
-	Retries int
-	// DirectFetches counts objects fetched over the direct path: sched.Direct
-	// and shed objects, and every object once degraded.
-	DirectFetches int
-	// ShedReceived counts objects the proxy announced it would not push
-	// (admission control shed them); the client fetches those itself.
-	ShedReceived int
-	// PartialResumes counts objects completed from a mid-stream resume (the
-	// reconnect manifest carried a nonzero offset for them).
-	PartialResumes int
-	// Drained counts TDrain notices received: the proxy asked this session to
-	// move off while it shut down, handing back a resume manifest.
-	Drained int
-	// FallbackWriteErrors counts fallback TObjectRequest writes that failed —
-	// requests the proxy never saw. The fleet tests gate on this so silent
-	// fallback failures cannot pass as healthy runs.
-	FallbackWriteErrors int
-
-	// FirstAt and CompleteAt are wall-clock milestones. FirstCriticalAt is
-	// when the first critical-class object (HTML/CSS/JS — the render-blocking
-	// set) landed; the mux layer exists to pull it forward.
-	startedAt       time.Time
-	FirstAt         time.Time
-	FirstCriticalAt time.Time
-	CompleteAt      time.Time
+	mu     sync.Mutex
+	cond   *sync.Cond
+	conn   net.Conn // current connection; compared by readLoop for staleness
+	fw     *FrameWriter
+	asm    *muxAssembler // reassembles the current connection's streams
+	page   *PageRequest  // active page, kept for session resume
+	rerr   error
+	closed bool
+	direct *OriginFetcher // nil: no direct path
+	rng    *rand.Rand     // backoff jitter; touched only by the reconnect goroutine
 }
+
+var clock = time.Now() // the zero of the durations the client feeds its session
+
+func now() time.Duration { return time.Since(clock) }
 
 // Dial connects to a PARCEL proxy. dial may be nil (plain net.Dial) or a
 // shaping dialer (e.g. one that wraps the conn with netem).
@@ -161,28 +113,23 @@ func Dial(addr string, dial func(network, addr string) (net.Conn, error)) (*Clie
 func DialConfig(addr string, cfg ClientConfig) (*Client, error) {
 	cfg.fillDefaults()
 	c := &Client{
-		addr:  addr,
-		cfg:   cfg,
-		store: make(map[string]Object),
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		ClientSession: sched.NewClientSession(cfg.DirectOrigin != "", 0),
+		addr:          addr,
+		cfg:           cfg,
+		rng:           rand.New(rand.NewSource(cfg.Seed)),
 	}
-	c.asm = newMuxAssembler(c.partialHeld)
+	if cfg.DirectOrigin != "" {
+		c.direct = NewOriginFetcher(cfg.DirectOrigin)
+	}
+	c.asm = newMuxAssembler(c.Held)
 	c.cond = sync.NewCond(&c.mu)
-	conn, err := c.dial()
+	conn, err := cfg.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	c.conn = conn
-	c.fw = NewFrameWriter(conn)
+	c.conn, c.fw = conn, NewFrameWriter(conn)
 	go c.readLoop(conn)
 	return c, nil
-}
-
-func (c *Client) dial() (net.Conn, error) {
-	if c.cfg.Dial != nil {
-		return c.cfg.Dial("tcp", c.addr)
-	}
-	return net.DialTimeout("tcp", c.addr, dialTimeout)
 }
 
 // Close closes the proxy connection. Blocked Object/WaitComplete callers
@@ -194,11 +141,8 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
-	if c.rerr == nil {
-		c.rerr = ErrClosed
-	}
+	c.failLocked(ErrClosed)
 	conn := c.conn
-	c.cond.Broadcast()
 	c.mu.Unlock()
 	return conn.Close()
 }
@@ -207,233 +151,181 @@ func (c *Client) Close() error {
 func (c *Client) Degraded() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.degraded
+	return c.ClientSession.Degraded()
 }
 
 // RequestPage asks the proxy to load url on the client's behalf.
 func (c *Client) RequestPage(url, userAgent, screen string) error {
 	req := PageRequest{URL: url, UserAgent: userAgent, Screen: screen}
 	c.mu.Lock()
-	c.startedAt = time.Now()
+	c.Start(url, now())
 	c.page = &req
 	fw := c.fw
 	c.mu.Unlock()
 	return fw.WriteJSON(TPageRequest, req)
 }
 
-// partialHeld is the assembler's resume source: the bytes already held for a
-// URL whose stream the proxy reopened at an offset. Called with c.mu held
-// (the read loop drives the assembler under the client lock).
-func (c *Client) partialHeld(url string) []byte { return c.partials[url] }
-
-// clientReadBuf sizes the read loop's buffer: one socket read fills it with
-// as many frames as the proxy's batched writes have delivered.
-const clientReadBuf = 64 << 10
-
 func (c *Client) readLoop(conn net.Conn) {
-	br := bufio.NewReaderSize(conn, clientReadBuf)
+	br := bufio.NewReaderSize(conn, 64<<10) // a socket read takes a whole batch
 	for {
-		// Pooled reads: every branch below copies what it keeps (json.Unmarshal
-		// copies, the mux assembler appends chunks into its own buffers), so
-		// the payload is recycled at the end of the iteration.
+		// Pooled reads: every branch below copies what it keeps, so the
+		// payload is recycled at the end of the iteration.
 		typ, payload, err := ReadFramePooled(br)
 		if err != nil {
 			c.onDisconnect(conn, err)
 			return
 		}
-		fatal := c.handleClientFrame(typ, payload)
+		acks, ferr := c.handleClientFrame(typ, payload)
 		ReleaseFrameBuf(payload)
-		if fatal {
+		for _, a := range acks {
+			if werr := c.fw.WriteWindowUpdate(a.id, a.inc); werr != nil {
+				// The credit dies with the connection the read side sees break.
+				c.cfg.Logf("window update failed: %v", werr)
+				break
+			}
+		}
+		if ferr != nil {
+			c.mu.Lock()
+			c.failLocked(ferr)
+			c.mu.Unlock()
 			return
 		}
 		if typ == TDrain {
-			// Nothing behind the notice is read: the frames the reader has
-			// buffered after it go down with the connection, as unread socket
-			// bytes do. A TComplete among them would otherwise mark the page
-			// done on a connection that then reads as lost.
+			// Nothing buffered behind the notice is read: a TComplete there
+			// would complete the page on a connection that reads as lost.
 			c.onDisconnect(conn, errDrainNotice)
 			return
 		}
 	}
 }
 
-// handleClientFrame dispatches one inbound frame; it must not retain payload
-// (the read loop recycles it). It returns true on a fatal protocol error.
-func (c *Client) handleClientFrame(typ byte, payload []byte) bool {
+// handleClientFrame dispatches one inbound frame without retaining payload.
+// It returns the window credits the frame earned and a fatal protocol error.
+func (c *Client) handleClientFrame(typ byte, payload []byte) ([]windowAck, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	switch typ {
 	case TMuxSettings:
-		c.mu.Lock()
-		err := c.asm.onSettings(payload)
-		c.mu.Unlock()
-		if err != nil {
-			c.fail(err)
-			return true
-		}
+		return nil, c.asm.onSettings(payload)
 	case TStreamOpen:
-		c.mu.Lock()
 		c.BytesReceived += int64(len(payload))
-		part, err := c.asm.onOpen(payload)
-		if part != nil {
-			c.deliverPartLocked(part)
-		}
-		c.mu.Unlock()
-		if err != nil {
-			c.fail(err)
-			return true
-		}
+		it, err := c.asm.onOpen(payload)
+		c.receivedLocked(it)
+		return nil, err
 	case TStreamData:
-		c.mu.Lock()
 		c.BytesReceived += int64(len(payload))
-		part, acks, err := c.asm.onData(payload)
-		if part != nil {
-			c.deliverPartLocked(part)
-		}
-		fw := c.fw
-		c.mu.Unlock()
-		if err != nil {
-			c.fail(err)
-			return true
-		}
-		for _, a := range acks {
-			if werr := fw.WriteWindowUpdate(a.id, a.inc); werr != nil {
-				// The read side will see the broken connection and drive
-				// recovery; the lost credit dies with the connection.
-				c.cfg.Logf("window update failed: %v", werr)
-				break
-			}
-		}
+		it, acks, err := c.asm.onData(payload)
+		c.receivedLocked(it)
+		return acks, err
 	case TShed:
 		var note ShedNote
 		if err := json.Unmarshal(payload, &note); err != nil {
 			c.cfg.Logf("bad shed note: %v", err)
-			return false
+			return nil, nil
 		}
-		c.mu.Lock()
-		if c.shed == nil {
-			c.shed = make(map[string]bool)
-		}
-		for _, u := range note.URLs {
-			c.shed[u] = true
-		}
-		c.ShedReceived += len(note.URLs)
-		eager := c.cfg.DirectOrigin != "" && !c.closed
-		c.cond.Broadcast()
-		c.mu.Unlock()
-		if eager {
-			// Recover the push benefit we lost: start fetching shed objects
-			// before the page asks for them.
-			go c.fetchShed(note.URLs)
-		}
+		c.stepLocked(c.Shed(note.URLs))
 	case TDrain:
 		var note DrainNote
 		if err := json.Unmarshal(payload, &note); err != nil {
 			c.cfg.Logf("bad drain note: %v", err)
 		}
-		c.mu.Lock()
 		c.Drained++
-		if c.notified {
-			// The page already completed; there is nothing to resume. Flagging
-			// degraded keeps the dying connection from reading as a failure and
-			// routes any later missing-object fetch to the direct-origin path.
-			c.degraded = true
+		if c.Completed() {
+			// Nothing to resume: what the page still wants comes over the
+			// direct path, or, without one, fails as the proxy being gone.
+			c.Degrade(now())
 		}
-		conn := c.conn
-		c.mu.Unlock()
 		c.cfg.Logf("proxy draining (%d objects pending); recovering", len(note.Pending))
-		// Close our side; the read loop then takes the standard disconnect
-		// path: harvest partial streams, reconnect with the resume manifest,
-		// or fall back to the direct origin once the budget is spent.
-		conn.Close()
+		c.conn.Close() // the read loop then takes the disconnect path
 	case TComplete:
 		var note CompleteNote
-		err := json.Unmarshal(payload, &note)
-		c.mu.Lock()
-		if err == nil {
-			c.note = note
+		if err := json.Unmarshal(payload, &note); err != nil {
+			c.cfg.Logf("bad completion note: %v", err)
 		}
-		c.notified = true
-		c.CompleteAt = time.Now()
+		c.stepLocked(c.Complete(note.Counts, now()))
+	}
+	return nil, nil
+}
+
+// receivedLocked lands a completed stream, if any.
+func (c *Client) receivedLocked(it *sched.Item) {
+	if it != nil {
+		c.Received(*it, now())
 		c.cond.Broadcast()
-		c.mu.Unlock()
 	}
-	return false
 }
 
-// deliverPartLocked lands one reassembled mux object in the store.
-func (c *Client) deliverPartLocked(p *muxPart) {
-	if c.FirstAt.IsZero() {
-		c.FirstAt = time.Now()
+// stepLocked carries out a session step (direct fetches in the background,
+// none once closed) and wakes the waiters.
+func (c *Client) stepLocked(st sched.ClientStep) {
+	c.requestLocked(st.Request)
+	if len(st.Direct) > 0 && !c.closed {
+		go func() {
+			for _, u := range st.Direct {
+				if err := c.fetchDirect(u); err != nil {
+					c.cfg.Logf("%v", err)
+				}
+			}
+		}()
 	}
-	if p.Class == muxClassCritical && c.FirstCriticalAt.IsZero() {
-		c.FirstCriticalAt = time.Now()
-	}
-	if p.Resumed {
-		c.PartialResumes++
-		delete(c.partials, p.URL)
-	}
-	c.storeLocked(Object{URL: p.URL, ContentType: p.ContentType, Status: p.Status, Body: p.Body})
-}
-
-// storeLocked lands one object in the store — a push, a fallback answer or a
-// direct fetch alike — and wakes its waiters; Objects lists each URL once, in
-// first-arrival order.
-func (c *Client) storeLocked(p Object) {
-	if _, dup := c.store[p.URL]; !dup {
-		c.order = append(c.order, p.URL)
-	}
-	c.store[p.URL] = p
 	c.cond.Broadcast()
 }
 
-// fail records a fatal protocol error and wakes waiters.
-func (c *Client) fail(err error) {
+// requestLocked asks the proxy for urls (§4.5); answers arrive as streams. A
+// failed write is counted; the read loop sees the broken connection.
+func (c *Client) requestLocked(urls []string) {
+	if len(urls) == 0 {
+		return
+	}
+	fw := c.fw
+	go func() {
+		for _, u := range urls {
+			if err := fw.WriteJSON(TObjectRequest, ObjectRequest{URL: u}); err != nil {
+				c.noteFallbackWriteError(u, err)
+			}
+		}
+	}()
+}
+
+// noteFallbackWriteError counts a proxy request the proxy never saw.
+func (c *Client) noteFallbackWriteError(url string, err error) {
 	c.mu.Lock()
+	c.FallbackWriteErrors++
+	c.mu.Unlock()
+	c.cfg.Logf("object request for %s failed: %v", url, err)
+}
+
+// failLocked records the error that ends the client and wakes waiters.
+func (c *Client) failLocked(err error) {
 	if c.rerr == nil {
 		c.rerr = err
 	}
 	c.cond.Broadcast()
-	c.mu.Unlock()
 }
 
-// onDisconnect decides what a dead connection means: nothing (stale
-// generation or client closed), a fatal error (no page in flight), or a
-// recovery attempt (reconnect with backoff, then degrade or die).
+// onDisconnect decides what a dead connection means: nothing (stale, closed
+// or degraded), the end (no page in flight, or it completed), or a reconnect.
+// Its cut streams join the resume manifest; a fresh assembler (and HPACK
+// table) serves the next connection.
 func (c *Client) onDisconnect(conn net.Conn, err error) {
 	c.mu.Lock()
-	if c.conn != conn || c.closed || c.degraded {
-		c.mu.Unlock()
+	defer c.mu.Unlock()
+	if c.conn != conn || c.closed || c.ClientSession.Degraded() {
 		return
 	}
-	// Harvest the dead connection's half-received streams into the resume
-	// state before anything else: whatever bytes made it across are kept, and
-	// the next connection's manifest asks for the rest of each object.
-	// A fresh assembler serves the next connection (HPACK tables reset with it).
-	if held := c.asm.partials(); len(held) > 0 {
-		if c.partials == nil {
-			c.partials = make(map[string][]byte, len(held))
-		}
-		for u, b := range held {
-			c.partials[u] = b
-		}
-	}
-	c.asm = newMuxAssembler(c.partialHeld)
-	if c.page == nil || c.notified || c.cfg.MaxRetries < 0 {
-		// No page in flight (or it already completed): nothing to resume.
-		if c.rerr == nil {
-			c.rerr = fmt.Errorf("%w: %v", ErrProxyGone, err)
-		}
-		c.cond.Broadcast()
-		c.mu.Unlock()
+	c.Disconnected(c.asm.partials())
+	c.asm = newMuxAssembler(c.Held)
+	if c.page == nil || c.Completed() || c.cfg.MaxRetries < 0 {
+		c.failLocked(fmt.Errorf("%w: %v", ErrProxyGone, err))
 		return
 	}
-	c.mu.Unlock()
 	c.cfg.Logf("proxy connection lost mid-page (%v); reconnecting", err)
-	go c.reconnect(conn)
+	go c.reconnect()
 }
 
 // reconnect retries the proxy with jittered exponential backoff, resuming
 // the session on success and degrading (or failing) when the budget is spent.
-func (c *Client) reconnect(dead net.Conn) {
+func (c *Client) reconnect() {
 	for attempt := 0; attempt < c.cfg.MaxRetries; attempt++ {
 		time.Sleep(c.backoff(attempt))
 		c.mu.Lock()
@@ -443,7 +335,7 @@ func (c *Client) reconnect(dead net.Conn) {
 		}
 		c.Retries++
 		c.mu.Unlock()
-		conn, err := c.dial()
+		conn, err := c.cfg.Dial("tcp", c.addr)
 		if err != nil {
 			c.cfg.Logf("reconnect attempt %d: %v", attempt+1, err)
 			continue
@@ -455,22 +347,8 @@ func (c *Client) reconnect(dead net.Conn) {
 			return
 		}
 		req := *c.page
-		req.Have = make([]string, 0, len(c.store))
-		for u := range c.store {
-			req.Have = append(req.Have, u)
-		}
-		sort.Strings(req.Have)
-		// Extend the manifest with half-received objects: the proxy reopens
-		// each stream at the recorded offset.
-		req.Partial = nil
-		for u, b := range c.partials {
-			if _, done := c.store[u]; !done && len(b) > 0 {
-				req.Partial = append(req.Partial, sched.Partial{URL: u, Bytes: int64(len(b))})
-			}
-		}
-		sort.Slice(req.Partial, func(i, j int) bool { return req.Partial[i].URL < req.Partial[j].URL })
-		c.conn = conn
-		c.fw = NewFrameWriter(conn)
+		req.Have, req.Partial = c.Manifest()
+		c.conn, c.fw = conn, NewFrameWriter(conn)
 		fw := c.fw
 		c.mu.Unlock()
 		if err := fw.WriteJSON(TPageRequest, req); err != nil {
@@ -490,132 +368,66 @@ func (c *Client) reconnect(dead net.Conn) {
 	if c.closed {
 		return
 	}
-	if c.cfg.DirectOrigin != "" {
-		// Graceful degradation: the page finishes in DIR mode. Completion is
-		// declared so Object() falls straight through to direct fetches.
-		c.degraded = true
-		c.notified = true
-		if c.CompleteAt.IsZero() {
-			c.CompleteAt = time.Now()
-		}
+	if c.Degrade(now()) { // the page finishes in DIR mode
 		c.cfg.Logf("retry budget spent; degrading to direct origin %s", c.cfg.DirectOrigin)
-	} else if c.rerr == nil {
-		c.rerr = fmt.Errorf("%w after %d retries", ErrProxyGone, c.cfg.MaxRetries)
+		c.cond.Broadcast()
+	} else {
+		c.failLocked(fmt.Errorf("%w after %d retries", ErrProxyGone, c.cfg.MaxRetries))
 	}
-	c.cond.Broadcast()
 }
 
-// backoff returns the jittered exponential delay before reconnect attempt n.
+// backoff returns the jittered exponential delay before reconnect attempt n:
+// half fixed, half jitter, within [d/2, d], so no herd thunders.
 func (c *Client) backoff(attempt int) time.Duration {
 	d := c.cfg.BackoffBase << uint(attempt)
 	if d > c.cfg.BackoffMax || d <= 0 {
 		d = c.cfg.BackoffMax
 	}
-	// Half fixed, half jitter: avoids thundering herds while keeping the
-	// delay within [d/2, d].
 	half := int64(d / 2)
 	return time.Duration(half + c.rng.Int63n(half+1))
 }
 
-// fetchDirect retrieves url straight from the configured origin (DIR mode)
-// and stores it.
-func (c *Client) fetchDirect(url string) (Object, error) {
-	c.mu.Lock()
-	if c.direct == nil {
-		c.direct = NewOriginFetcher(c.cfg.DirectOrigin)
-	}
-	f := c.direct
-	c.Fallbacks++
-	c.DirectFetches++
-	c.mu.Unlock()
-	body, ct, status, err := f.Fetch(url)
-	if err != nil {
-		return Object{}, fmt.Errorf("parcelnet: direct fetch %s: %w", url, err)
-	}
-	p := Object{URL: url, ContentType: ct, Status: status, Body: body}
-	c.mu.Lock()
-	c.storeLocked(p)
-	c.mu.Unlock()
-	return p, nil
-}
-
-// requestLocked asks the proxy for url (§4.5); the answer arrives as a
-// stream. A write that fails is counted: the read loop sees the broken
-// connection and drives recovery.
-func (c *Client) requestLocked(url string) {
-	c.Fallbacks++
-	fw := c.fw
-	go func() {
-		if err := fw.WriteJSON(TObjectRequest, ObjectRequest{URL: url}); err != nil {
-			c.noteFallbackWriteError("object request for %s failed: %v", url, err)
-		}
-	}()
-}
-
-// noteFallbackWriteError counts a fallback request that never reached the
-// proxy (the write failed) and logs it. The counter is surfaced through
-// SessionLoad so load generators can gate on silent fallback failures.
-func (c *Client) noteFallbackWriteError(format string, args ...any) {
-	c.mu.Lock()
-	c.FallbackWriteErrors++
-	c.cond.Broadcast()
-	c.mu.Unlock()
-	c.cfg.Logf(format, args...)
-}
-
-// fetchShed lands shed objects in the background, as the page would ask for
-// them (Object fetches them from the origin), so they are resident by the
-// time it does: DIR semantics for just those objects, not the whole page.
-func (c *Client) fetchShed(urls []string) {
-	for _, u := range urls {
-		if _, err := c.Object(u, 0); err != nil {
-			c.cfg.Logf("shed fetch %s: %v", u, err)
-		}
-	}
-}
-
-// Object returns the named object, waiting for it to be pushed. If the
-// completion notification has arrived and the object is still missing, a
-// fallback request is sent to the proxy (once). Objects the proxy cannot see
-// into (sched.Direct), shed objects when there is a direct path, and every
-// object in degraded mode are fetched directly from the origin; without a
-// direct path a sched.Direct object fails at once. Object fails after
-// timeout; a dead client fails immediately with ErrClosed or ErrProxyGone
-// instead. The received objects outlive the connection: one that arrived
-// before Close, or before the proxy was lost, is returned with a nil error.
-func (c *Client) Object(url string, timeout time.Duration) (Object, error) {
-	deadline := time.Now().Add(timeout)
-	timer := time.AfterFunc(timeout, func() {
-		c.mu.Lock()
-		c.cond.Broadcast()
-		c.mu.Unlock()
-	})
-	defer timer.Stop()
-
+// fetchDirect fetches url from the direct origin, as the session asked.
+func (c *Client) fetchDirect(url string) error {
+	body, ct, status, err := c.direct.Fetch(url)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	requested := false
+	c.Fetched(sched.Item{URL: url, ContentType: ct, Status: status, Body: body}, err == nil)
+	c.cond.Broadcast()
+	if err != nil {
+		return fmt.Errorf("parcelnet: direct fetch %s: %w", url, err)
+	}
+	return nil
+}
+
+// Object returns the named object, waiting for it to be pushed and carrying
+// out what the session asks on the way (a proxy request, a direct fetch). It
+// fails after timeout, or at once with no direct path for a sched.Direct
+// object or with ErrClosed or ErrProxyGone on a dead client that lacks it.
+func (c *Client) Object(url string, timeout time.Duration) (Object, error) {
+	deadline := time.Now().Add(timeout)
+	defer c.wakeAfter(timeout).Stop()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for {
-		if p, ok := c.store[url]; ok {
-			return p, nil
-		}
-		if c.rerr != nil {
+		it, act := c.Want(url)
+		switch {
+		case act == sched.Deliver:
+			return Object{URL: it.URL, ContentType: it.ContentType, Status: it.Status, Body: it.Body}, nil
+		case c.rerr != nil:
 			return Object{}, c.rerr
-		}
-		if sched.Direct(url) || c.degraded || c.shed[url] && c.cfg.DirectOrigin != "" {
-			if c.cfg.DirectOrigin == "" {
-				return Object{}, fmt.Errorf("parcelnet: %s needs a direct fetch and the client has no direct path (ClientConfig.DirectOrigin)", url)
-			}
+		case act == sched.NoDirectPath:
+			return Object{}, fmt.Errorf("parcelnet: %s needs a direct fetch and the client has no direct path (ClientConfig.DirectOrigin)", url)
+		case act == sched.Request:
+			c.requestLocked([]string{url})
+		case act == sched.FetchDirect:
 			c.mu.Unlock()
-			p, err := c.fetchDirect(url)
+			err := c.fetchDirect(url)
 			c.mu.Lock()
-			return p, err
-		}
-		// A shed object will never be pushed, and anything missing after
-		// completion will not be either: ask the proxy for it.
-		if (c.shed[url] || c.notified) && !requested {
-			requested = true
-			c.requestLocked(url)
+			if err != nil {
+				return Object{}, err
+			}
+			continue
 		}
 		if time.Now().After(deadline) {
 			return Object{}, fmt.Errorf("parcelnet: timeout waiting for %s", url)
@@ -624,22 +436,14 @@ func (c *Client) Object(url string, timeout time.Duration) (Object, error) {
 	}
 }
 
-// WaitComplete blocks until the proxy's completion notification (or timeout).
-// A degraded client reports completion immediately; a dead client returns
-// ErrClosed or ErrProxyGone instead of waiting out the timeout, unless the
-// notification had already arrived.
+// WaitComplete blocks until the completion notification (or timeout); a
+// degraded client is complete, and a dead one that is not fails at once.
 func (c *Client) WaitComplete(timeout time.Duration) (CompleteNote, error) {
 	deadline := time.Now().Add(timeout)
-	timer := time.AfterFunc(timeout, func() {
-		c.mu.Lock()
-		c.cond.Broadcast()
-		c.mu.Unlock()
-	})
-	defer timer.Stop()
-
+	defer c.wakeAfter(timeout).Stop()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for !c.notified {
+	for !c.Completed() {
 		if c.rerr != nil {
 			return CompleteNote{}, c.rerr
 		}
@@ -648,41 +452,35 @@ func (c *Client) WaitComplete(timeout time.Duration) (CompleteNote, error) {
 		}
 		c.cond.Wait()
 	}
-	return c.note, nil
+	return CompleteNote{c.Note()}, nil
+}
+
+// wakeAfter wakes the waiters once timeout has passed.
+func (c *Client) wakeAfter(timeout time.Duration) *time.Timer {
+	return time.AfterFunc(timeout, func() {
+		c.mu.Lock()
+		c.cond.Broadcast()
+		c.mu.Unlock()
+	})
 }
 
 // Objects returns the URLs received so far, in arrival order.
 func (c *Client) Objects() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]string(nil), c.order...)
+	return c.ClientSession.Objects()
 }
 
 // Has reports whether url has been received.
 func (c *Client) Has(url string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.store[url]
-	return ok
+	return c.ClientSession.Has(url)
 }
 
-// SessionLoad snapshots this client's page load as one fleet sample: latency
-// to the completion notification, push/cache counters from the proxy's
-// CompleteNote, and the bytes that crossed the proxy→client link (egress).
+// SessionLoad snapshots this client's page load as one fleet sample.
 func (c *Client) SessionLoad(id int) metrics.SessionLoad {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	l := metrics.NoteLoad(c.note.Counts)
-	l.ID, l.Completed, l.EgressBytes = id, c.notified && c.rerr == nil, c.BytesReceived
-	l.FallbackWriteErrors, l.Retries, l.Drained = c.FallbackWriteErrors, l.Retries+c.Retries, c.Drained > 0
-	if c.page != nil {
-		l.Page = c.page.URL
-	}
-	if !c.startedAt.IsZero() && !c.CompleteAt.IsZero() {
-		l.Latency = c.CompleteAt.Sub(c.startedAt)
-	}
-	if !c.startedAt.IsZero() && !c.FirstCriticalAt.IsZero() {
-		l.FirstCritical = c.FirstCriticalAt.Sub(c.startedAt)
-	}
-	return l
+	return metrics.ClientLoad(id, &c.ClientSession)
 }

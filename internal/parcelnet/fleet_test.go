@@ -206,9 +206,11 @@ func runFleet(t *testing.T, cfg fleetConfig) fleetResult {
 // sample, not an aborted fleet.
 func fleetTenant(id int, proxyAddr, url string, ccfg ClientConfig, startAttempts int) (metrics.SessionLoad, time.Time) {
 	var client *Client
+	var requested time.Time
 	for attempt := 1; ; attempt++ {
 		c, err := DialConfig(proxyAddr, ccfg)
 		if err == nil {
+			requested = time.Now()
 			if err = c.RequestPage(url, "fleet", "1280x800"); err == nil {
 				client = c
 				break
@@ -223,10 +225,7 @@ func fleetTenant(id int, proxyAddr, url string, ccfg ClientConfig, startAttempts
 	defer client.Close()
 	client.WaitComplete(fleetTimeout)
 	load := client.SessionLoad(id)
-	client.mu.Lock()
-	completedAt := client.CompleteAt
-	client.mu.Unlock()
-	return load, completedAt
+	return load, requested.Add(load.Latency)
 }
 
 // fleetRow is one fleet run and the thresholds particular to it. The gates

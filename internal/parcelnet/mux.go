@@ -306,25 +306,14 @@ type windowAck struct {
 	inc uint32
 }
 
-// muxPart is one fully reassembled object.
-type muxPart struct {
-	URL         string
-	ContentType string
-	Status      int
-	Class       int
-	Body        []byte
-	Resumed     bool
-}
-
 // inStream is one partially received object on the client.
 type inStream struct {
 	url         string
 	contentType string
 	status      int
-	class       int
 	total       int64
+	offset      int64 // resume offset: the prefix held before the stream opened
 	buf         []byte
-	resumed     bool
 	consumed    uint32 // bytes since the stream's last WINDOW_UPDATE
 }
 
@@ -366,15 +355,14 @@ func (a *muxAssembler) onSettings(p []byte) error {
 }
 
 // onOpen handles a TStreamOpen payload. When the frame carries the END flag
-// (empty or fully-resumed object) the completed part is returned.
-func (a *muxAssembler) onOpen(p []byte) (*muxPart, error) {
+// (empty or fully-resumed object) the completed object is returned.
+func (a *muxAssembler) onOpen(p []byte) (*sched.Item, error) {
 	if len(p) < 6 {
 		return nil, fmt.Errorf("parcelnet: short stream open frame (%d bytes)", len(p))
 	}
 	id := binary.BigEndian.Uint32(p[0:])
 	flags := p[4]
-	class := int(p[5])
-	rest := p[6:]
+	rest := p[6:] // p[5], the class, orders the sender only
 	offset, rest, err := readUvarint(rest)
 	if err != nil {
 		return nil, err
@@ -400,8 +388,8 @@ func (a *muxAssembler) onOpen(p []byte) (*muxPart, error) {
 		url:         url,
 		contentType: ct,
 		status:      status,
-		class:       class,
 		total:       int64(total),
+		offset:      int64(offset),
 	}
 	if offset > 0 {
 		held := a.partial(url)
@@ -410,22 +398,21 @@ func (a *muxAssembler) onOpen(p []byte) (*muxPart, error) {
 		}
 		s.buf = make([]byte, 0, total)
 		s.buf = append(s.buf, held...)
-		s.resumed = true
 	} else if total > 0 {
 		s.buf = make([]byte, 0, total)
 	}
 	if flags&muxFlagEnd != 0 {
-		return &muxPart{URL: url, ContentType: ct, Status: status, Class: class, Body: s.buf, Resumed: s.resumed}, nil
+		return s.item(), nil
 	}
 	a.streams[id] = s
 	return nil, nil
 }
 
-// onData handles a TStreamData payload. It returns the completed part when
+// onData handles a TStreamData payload. It returns the completed object when
 // the END flag closes the stream, plus any window credits now due. The
 // chunk bytes are copied out of p, so the caller may recycle the frame
 // buffer immediately.
-func (a *muxAssembler) onData(p []byte) (*muxPart, []windowAck, error) {
+func (a *muxAssembler) onData(p []byte) (*sched.Item, []windowAck, error) {
 	if len(p) < 5 {
 		return nil, nil, fmt.Errorf("parcelnet: short stream data frame (%d bytes)", len(p))
 	}
@@ -449,13 +436,18 @@ func (a *muxAssembler) onData(p []byte) (*muxPart, []windowAck, error) {
 	}
 	if flags&muxFlagEnd != 0 {
 		delete(a.streams, id)
-		return &muxPart{URL: s.url, ContentType: s.contentType, Status: s.status, Class: s.class, Body: s.buf, Resumed: s.resumed}, acks, nil
+		return s.item(), acks, nil
 	}
 	if s.consumed >= a.streamWin/2 && a.streamWin > 0 {
 		acks = append(acks, windowAck{id: id, inc: s.consumed})
 		s.consumed = 0
 	}
 	return nil, acks, nil
+}
+
+// item is the stream's object, Offset the resume offset it was opened at.
+func (s *inStream) item() *sched.Item {
+	return &sched.Item{URL: s.url, ContentType: s.contentType, Status: s.status, Body: s.buf, Offset: s.offset}
 }
 
 // partials snapshots every incomplete stream as url -> bytes held. A

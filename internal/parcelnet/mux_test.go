@@ -295,7 +295,7 @@ func TestMuxEndToEnd(t *testing.T) {
 			t.Fatalf("object %s corrupted in transit (%d vs %d bytes)", u, len(p.Body), len(want.Body))
 		}
 	}
-	if client.FirstCriticalAt.IsZero() {
+	if client.Timeline.FirstCritical == 0 {
 		t.Fatal("no first-critical timestamp recorded")
 	}
 	if client.Fallbacks != 0 {

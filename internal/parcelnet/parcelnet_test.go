@@ -203,7 +203,7 @@ func TestZeroConfigIsTheMeasuredConfig(t *testing.T) {
 		}
 		client.mu.Lock()
 		defer client.mu.Unlock()
-		if client.FirstCriticalAt.IsZero() {
+		if client.Timeline.FirstCritical == 0 {
 			t.Errorf("Mux=%v: FirstCriticalAt not set", cfg.Mux)
 		}
 		return tap

@@ -310,7 +310,7 @@ func TestResilientDriversAgree(t *testing.T) {
 				pc := core.DefaultProxyConfig()
 				pc.Resilience = pol
 				proxy := core.StartProxy(topo, pc)
-				core.NewLoadClient(0, topo.Sim, topo.Client, topo.Proxy, page.MainURL).StartAt(0)
+				core.NewLoadClient(0, topo.Sim, topo.Client, topo.Proxy, page.MainURL, page.ObjectCount).StartAt(0)
 				topo.Sim.Run()
 				for _, srv := range topo.Origins {
 					got.failedAttempts += srv.FaultStats().Total()
