@@ -209,9 +209,6 @@ func (e *Engine) NumRequested() int { return len(e.requested) }
 // Requested reports whether the engine has requested url.
 func (e *Engine) Requested(url string) bool { return e.requested[url] }
 
-// DOM returns the document tree (nil before the main document parses).
-func (e *Engine) DOM() *htmlparse.Node { return e.dom }
-
 // Load starts loading the page at url. It may be called once per Engine.
 func (e *Engine) Load(url string) {
 	if e.loadStarted {

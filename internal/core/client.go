@@ -133,9 +133,6 @@ func (c *Client) onMessage(m simnet.Message) {
 			c.Received(it, m.At)
 			c.land(it, m.At)
 		}
-	case objectResponse:
-		c.Received(msg.Item, m.At)
-		c.land(msg.Item, m.At)
 	case postResponse:
 		if cb, ok := c.postWaiters[msg.ID]; ok {
 			delete(c.postWaiters, msg.ID)

@@ -7,6 +7,7 @@ import (
 	"github.com/parcel-go/parcel/internal/dirbrowser"
 	"github.com/parcel-go/parcel/internal/scenario"
 	"github.com/parcel-go/parcel/internal/sched"
+	"github.com/parcel-go/parcel/internal/simnet"
 	"github.com/parcel-go/parcel/internal/webgen"
 )
 
@@ -172,16 +173,42 @@ func TestFallbackServesMissingObject(t *testing.T) {
 		t.Fatal("no random-URL page")
 	}
 	topo := scenario.Build(page, scenario.DefaultParams())
-	StartProxy(topo, DefaultProxyConfig())
+	proxy := StartProxy(topo, DefaultProxyConfig())
 	cc := DefaultClientConfig()
 	cc.FixedRandom = false // client derives a different random URL
 	client := NewClient(topo, cc)
-	client.Load()
+	client.Start()
+	// Tally every object the proxy hands the client in a bundle.
+	var bundled int
+	var bundledBytes int64
+	client.conn.OnMessage(topo.Client, func(m simnet.Message) {
+		if b, ok := m.Payload.(bundleMsg); ok {
+			for _, it := range b.Parts {
+				bundled++
+				bundledBytes += int64(len(it.Body))
+			}
+		}
+		client.onMessage(m)
+	})
+	topo.Sim.Run()
 	if _, ok := client.Engine.CompleteAt(); !ok {
 		t.Fatal("client stalled on missing object")
 	}
 	if client.Fallbacks == 0 {
 		t.Fatal("expected at least one fallback request")
+	}
+	// Each answer is a push like any other: the session books it, it arrives
+	// in a bundle, and it is the bundle log's last release.
+	sess := proxy.Sessions[0]
+	if c := sess.Counts(); c.ObjectsPushed != client.ObjectsReceived || c.BytesPushed != bundledBytes {
+		t.Errorf("proxy booked %d objects / %d B pushed; client received %d objects, bundles carried %d B",
+			c.ObjectsPushed, c.BytesPushed, client.ObjectsReceived, bundledBytes)
+	}
+	if bundled != client.ObjectsReceived {
+		t.Errorf("client received %d objects, %d of them in bundles", client.ObjectsReceived, bundled)
+	}
+	if n := len(sess.BundleLog); n == 0 || sess.BundleLog[n-1] != sched.FlushRequested {
+		t.Errorf("bundle log %v does not end with a requested release", sess.BundleLog)
 	}
 }
 

@@ -59,8 +59,6 @@ func (c *LoadClient) onMessage(m simnet.Message) {
 		for _, it := range msg.Parts {
 			c.Received(it, m.At)
 		}
-	case objectResponse:
-		c.Received(msg.Item, m.At)
 	case completeNote:
 		c.Complete(msg.Counts, m.At)
 	}

@@ -84,14 +84,3 @@ type completeNote struct{ sched.Counts }
 type objectRequest struct {
 	URL string
 }
-
-// objectResponse answers a fallback fetch.
-type objectResponse struct {
-	Item sched.Item
-}
-
-func (o objectResponse) wireSize() int {
-	return mhtml.EncodedSize([]mhtml.Part{{
-		URL: o.Item.URL, ContentType: o.Item.ContentType, Status: o.Item.Status, Body: o.Item.Body,
-	}})
-}

@@ -271,11 +271,11 @@ func (s *ProxySession) sendBundle(items []sched.Item, reason sched.FlushReason) 
 
 // serveFallback answers a client fallback request from cache, or fetches the
 // object from the origin if the proxy never saw it (e.g. a URL the client's
-// JS derived differently, §4.5).
+// JS derived differently, §4.5); the session releases the answer at once.
 func (s *ProxySession) serveFallback(url string) {
 	s.FallbacksSeen++
 	if it, ok := s.cache[url]; ok {
-		s.answerFallback(it)
+		s.page.Requested(it)
 		return
 	}
 	s.fetcher.fetch(url, toFallbackRequest, nil)
@@ -285,10 +285,5 @@ func (s *ProxySession) serveFallback(url string) {
 // kept for later requests and answers the client's objectRequest.
 func toFallbackRequest(of *originFetch, it sched.Item, _ bool) {
 	of.f.s.storeItem(of.url, it)
-	of.f.s.answerFallback(it)
-}
-
-func (s *ProxySession) answerFallback(it sched.Item) {
-	rsp := objectResponse{Item: it}
-	s.conn.Send(s.proxy.topo.Proxy, rsp.wireSize(), rsp, labelBundle, nil)
+	of.f.s.page.Requested(it)
 }

@@ -14,8 +14,6 @@
 package experiments
 
 import (
-	"github.com/parcel-go/parcel/internal/core"
-	"github.com/parcel-go/parcel/internal/dirbrowser"
 	"github.com/parcel-go/parcel/internal/metrics"
 	"github.com/parcel-go/parcel/internal/runner"
 	"github.com/parcel-go/parcel/internal/scenario"
@@ -37,12 +35,11 @@ type batchState struct {
 	col metrics.Collector
 }
 
-// batchSession is one admitted simulation: its topology plus the
-// scheme-specific collector that assembles its metrics once drained.
+// batchSession is one admitted simulation: its topology and the arm started
+// on it.
 type batchSession struct {
-	topo    *scenario.Topology
-	collect func(*metrics.Collector) metrics.PageRun
-	scheme  string
+	topo *scenario.Topology
+	arm  arm
 }
 
 // stepQuantum is how many events a simulation executes before the worker
@@ -64,17 +61,7 @@ func runBatch(st *batchState, tasks []batchTask, cfg Config, out []metrics.PageR
 		params := cfg.Scenario
 		params.Seed = tk.seed
 		topo := scenario.BuildWith(tk.page, params, st.res)
-		if tk.s.DIR {
-			b := dirbrowser.New(topo, dirbrowser.Options{FixedRandom: true})
-			b.Engine.Load(topo.Page.MainURL)
-			sessions[i] = batchSession{topo: topo, collect: b.CollectWith, scheme: "DIR"}
-		} else {
-			pc := proxyConfigFor(cfg, tk.s)
-			core.StartProxy(topo, pc)
-			client := core.NewClient(topo, core.DefaultClientConfig())
-			client.Start()
-			sessions[i] = batchSession{topo: topo, collect: client.CollectWith, scheme: pc.Sched.String()}
-		}
+		sessions[i] = batchSession{topo: topo, arm: tk.s.start(topo, cfg)}
 	}
 
 	// Multiplex: round-robin a quantum of events per live simulation until
@@ -98,9 +85,7 @@ func runBatch(st *batchState, tasks []batchTask, cfg Config, out []metrics.PageR
 	}
 
 	for i := range sessions {
-		run := sessions[i].collect(&st.col)
-		run.Scheme = sessions[i].scheme
-		out[i] = run
+		out[i] = sessions[i].arm.run(&st.col)
 		sessions[i].topo.Release()
 	}
 	return st

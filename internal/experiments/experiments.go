@@ -7,12 +7,15 @@ package experiments
 import (
 	"time"
 
+	"github.com/parcel-go/parcel/internal/browser"
+	"github.com/parcel-go/parcel/internal/cloudbrowser"
 	"github.com/parcel-go/parcel/internal/core"
 	"github.com/parcel-go/parcel/internal/dirbrowser"
 	"github.com/parcel-go/parcel/internal/metrics"
 	"github.com/parcel-go/parcel/internal/objcache"
 	"github.com/parcel-go/parcel/internal/scenario"
 	"github.com/parcel-go/parcel/internal/sched"
+	"github.com/parcel-go/parcel/internal/spdybrowser"
 	"github.com/parcel-go/parcel/internal/stats"
 	"github.com/parcel-go/parcel/internal/webgen"
 )
@@ -75,44 +78,119 @@ func (c Config) PageSet() []webgen.Page {
 type Scheme struct {
 	// Name is the display label ("DIR", "PARCEL(IND)", ...).
 	Name string
-	// Sched is the PARCEL schedule; ignored when DIR is true.
+	// Sched is the PARCEL schedule; other arms ignore it.
 	Sched sched.Config
-	// DIR marks the traditional-browser baseline.
-	DIR bool
+	kind  armKind
 }
 
+// armKind is which client a Scheme starts; the zero value is PARCEL, so a
+// Scheme literal with only Name and Sched is a PARCEL arm.
+type armKind uint8
+
+const (
+	parcelArm armKind = iota
+	dirArm
+	spdyArm // §9's SPDY-transport browser
+	cbArm   // §8.2's cloud browser
+)
+
 // DIRScheme is the traditional mobile browser arm.
-var DIRScheme = Scheme{Name: "DIR", DIR: true}
+var DIRScheme = Scheme{Name: "DIR", kind: dirArm}
+
+var (
+	spdyScheme = Scheme{Name: "SPDY", kind: spdyArm}
+	cbScheme   = Scheme{Name: "CB", kind: cbArm}
+)
 
 // ParcelScheme returns a PARCEL arm with the given schedule.
 func ParcelScheme(cfg sched.Config) Scheme { return Scheme{Name: cfg.String(), Sched: cfg} }
+
+// arm is a Scheme started on a topology.
+type arm struct {
+	name    string
+	collect func(*metrics.Collector) metrics.PageRun
+	engine  *browser.Engine       // DIR and PARCEL: the client's engine
+	cb      *cloudbrowser.Session // CB only
+	proxy   *core.Proxy           // PARCEL only
+}
+
+// start is the one place an arm begins loading topo's page on the mobile
+// client. DIR and PARCEL return with the load under way, for the caller or
+// the batch engine to drain topo.Sim; SPDY and CB have no split start, so
+// their Load drains it here. A PARCEL proxy gets a fresh shared cache when
+// cfg asks for one: per-topology caches keep tasks independent (and therefore
+// order-free), where cross-task sharing would make a task's timing depend on
+// which tasks ran before it.
+func (s Scheme) start(topo *scenario.Topology, cfg Config) arm {
+	a := arm{name: s.Name}
+	switch s.kind {
+	case parcelArm:
+		pc := core.DefaultProxyConfig()
+		pc.Sched = s.Sched
+		if cfg.SharedCache {
+			pc.Cache = objcache.New(objcache.Config{Capacity: 64 << 20})
+		}
+		a.proxy = core.StartProxy(topo, pc)
+		client := core.NewClient(topo, core.DefaultClientConfig())
+		client.Start()
+		a.collect, a.engine = client.CollectWith, client.Engine
+	case dirArm:
+		b := dirbrowser.New(topo, dirbrowser.Options{FixedRandom: true})
+		b.Engine.Load(topo.Page.MainURL)
+		a.collect, a.engine = b.CollectWith, b.Engine
+	case spdyArm:
+		run := spdybrowser.New(topo, spdybrowser.Options{FixedRandom: true}).Load()
+		a.collect = func(*metrics.Collector) metrics.PageRun { return run }
+	case cbArm:
+		sess := cloudbrowser.New(topo, cloudbrowser.DefaultConfig())
+		sess.Load()
+		a.collect, a.cb = func(*metrics.Collector) metrics.PageRun { return sess.Collect() }, sess
+	}
+	return a
+}
+
+// load builds page's topology at seed, starts s on it and drains it.
+func (s Scheme) load(page webgen.Page, cfg Config, seed int64) (*scenario.Topology, arm) {
+	params := cfg.Scenario
+	params.Seed = seed
+	topo := scenario.Build(page, params)
+	a := s.start(topo, cfg)
+	topo.Sim.Run()
+	return topo, a
+}
+
+// run collects the arm's metrics through col's scratch, labelled with its
+// scheme.
+func (a arm) run(col *metrics.Collector) metrics.PageRun {
+	r := a.collect(col)
+	r.Scheme = a.name
+	return r
+}
+
+// click fires one gallery click: on the client's engine, or relayed to the
+// cloud under CB.
+func (a arm) click() {
+	if a.cb != nil {
+		a.cb.Click("click", "gallery-next", nil)
+		return
+	}
+	a.engine.FireEvent("click", "gallery-next")
+}
+
+// cpuActive is the client's CPU-active time so far.
+func (a arm) cpuActive() time.Duration {
+	if a.cb != nil {
+		return a.cb.ClientCPUActive()
+	}
+	return a.engine.CPUActive()
+}
 
 // RunOnce loads one page with one scheme on a fresh topology and returns the
 // run metrics. seed perturbs the topology (jitter draw), mirroring the
 // paper's per-round variability.
 func RunOnce(page webgen.Page, s Scheme, cfg Config, seed int64) metrics.PageRun {
-	cfg = cfg.withDefaults()
-	params := cfg.Scenario
-	params.Seed = seed
-	topo := scenario.Build(page, params)
-	if s.DIR {
-		return dirbrowser.Run(topo, dirbrowser.Options{FixedRandom: true})
-	}
-	pc := proxyConfigFor(cfg, s)
-	return core.Run(topo, pc, core.DefaultClientConfig())
-}
-
-// proxyConfigFor builds one task's proxy configuration, attaching a fresh
-// shared cache when the sweep asks for one. Per-topology caches keep tasks
-// independent (and therefore order-free): cross-task sharing would make a
-// task's timing depend on which tasks ran before it.
-func proxyConfigFor(cfg Config, s Scheme) core.ProxyConfig {
-	pc := core.DefaultProxyConfig()
-	pc.Sched = s.Sched
-	if cfg.SharedCache {
-		pc.Cache = objcache.New(objcache.Config{Capacity: 64 << 20})
-	}
-	return pc
+	_, a := s.load(page, cfg.withDefaults(), seed)
+	return a.run(new(metrics.Collector))
 }
 
 // roundSeed derives the jitter seed of measurement round r. It depends only

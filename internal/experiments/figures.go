@@ -4,14 +4,12 @@ import (
 	"time"
 
 	"github.com/parcel-go/parcel/internal/browser"
-	"github.com/parcel-go/parcel/internal/core"
 	"github.com/parcel-go/parcel/internal/dirbrowser"
 	"github.com/parcel-go/parcel/internal/metrics"
 	"github.com/parcel-go/parcel/internal/radio"
 	"github.com/parcel-go/parcel/internal/runner"
 	"github.com/parcel-go/parcel/internal/scenario"
 	"github.com/parcel-go/parcel/internal/sched"
-	"github.com/parcel-go/parcel/internal/spdybrowser"
 	"github.com/parcel-go/parcel/internal/stats"
 	"github.com/parcel-go/parcel/internal/trace"
 	"github.com/parcel-go/parcel/internal/webgen"
@@ -81,27 +79,14 @@ func Fig5(cfg Config, pageIndex int) Fig5Result {
 	pages := cfg.PageSet()
 	page := pages[pageIndex%len(pages)]
 
-	params := cfg.Scenario
-	params.Seed = cfg.Seed
-
-	parcelScheds := []sched.Config{sched.ConfigIND, sched.ConfigONLD, sched.Config512K}
-	series := runner.Map(cfg.Parallelism, 1+len(parcelScheds), func(i int) Fig5Series {
-		if i == 0 {
-			dTopo := scenario.Build(page, params)
-			dirbrowser.Run(dTopo, dirbrowser.Options{FixedRandom: true})
-			return Fig5Series{Scheme: "DIR", Points: dTopo.ClientTrace.CumulativeBytes(trace.Down)}
+	schemes := []Scheme{DIRScheme, ParcelScheme(sched.ConfigIND), ParcelScheme(sched.ConfigONLD), ParcelScheme(sched.Config512K)}
+	series := runner.Map(cfg.Parallelism, len(schemes), func(i int) Fig5Series {
+		topo, a := schemes[i].load(page, cfg, cfg.Seed)
+		out := Fig5Series{Scheme: schemes[i].Name, Points: topo.ClientTrace.CumulativeBytes(trace.Down)}
+		if a.proxy != nil {
+			out.Bundles = a.proxy.Sessions[0].BundlesSent
 		}
-		sc := parcelScheds[i-1]
-		topo := scenario.Build(page, params)
-		pc := core.DefaultProxyConfig()
-		pc.Sched = sc
-		proxy := core.StartProxy(topo, pc)
-		core.NewClient(topo, core.DefaultClientConfig()).Load()
-		return Fig5Series{
-			Scheme:  sc.String(),
-			Points:  topo.ClientTrace.CumulativeBytes(trace.Down),
-			Bundles: proxy.Sessions[0].BundlesSent,
-		}
+		return out
 	})
 	return Fig5Result{Page: page.Name, Series: series}
 }
@@ -131,32 +116,18 @@ func Fig6a(cfg Config) Fig6aResult {
 			page = p
 		}
 	}
-	params := cfg.Scenario
-	params.Seed = cfg.Seed
-
 	// The DIR and PARCEL loads are independent topologies; run them as two
 	// parallel tasks and merge the halves.
+	schemes := []Scheme{DIRScheme, ParcelScheme(sched.ConfigIND)}
 	halves := runner.Map(cfg.Parallelism, 2, func(i int) Fig6aResult {
-		var out Fig6aResult
-		if i == 0 {
-			dTopo := scenario.Build(page, params)
-			dRun := dirbrowser.Run(dTopo, dirbrowser.Options{FixedRandom: true})
-			out.DIRSeries = dTopo.ClientTrace.CumulativeBytes(trace.Down)
-			out.DIRClientOLT = dRun.OLT
-			return out
+		topo, a := schemes[i].load(page, cfg, cfg.Seed)
+		series := topo.ClientTrace.CumulativeBytes(trace.Down)
+		olt := a.run(new(metrics.Collector)).OLT
+		if a.proxy == nil {
+			return Fig6aResult{DIRSeries: series, DIRClientOLT: olt}
 		}
-		pTopo := scenario.Build(page, params)
-		// Record the proxy-side download timeline via ObjectLoaded counting
-		// at the proxy session.
-		proxy := core.StartProxy(pTopo, core.DefaultProxyConfig())
-		client := core.NewClient(pTopo, core.DefaultClientConfig())
-		pRun := client.Load()
-		out.ParcelSeries = pTopo.ClientTrace.CumulativeBytes(trace.Down)
-		out.ParcelClientOLT = pRun.OLT
-		sess := proxy.Sessions[0]
-		out.ProxyOnload = sess.OnloadAt
-		out.ProxySeries = sess.DownloadTimeline()
-		return out
+		sess := a.proxy.Sessions[0]
+		return Fig6aResult{ParcelSeries: series, ParcelClientOLT: olt, ProxyOnload: sess.OnloadAt, ProxySeries: sess.DownloadTimeline()}
 	})
 	out := halves[1]
 	out.Page = page.Name
@@ -245,15 +216,9 @@ type Fig7aResult struct {
 func Fig7a(cfg Config) Fig7aResult {
 	cfg = cfg.withDefaults()
 	page := webgen.InteractivePage(cfg.PageSet())
-	params := cfg.Scenario
-	params.Seed = cfg.Seed
-
+	schemes := []Scheme{DIRScheme, ParcelScheme(sched.ConfigIND)}
 	runs := runner.Map(cfg.Parallelism, 2, func(i int) metrics.PageRun {
-		topo := scenario.Build(page, params)
-		if i == 0 {
-			return dirbrowser.Run(topo, dirbrowser.Options{FixedRandom: true})
-		}
-		return core.Run(topo, core.DefaultProxyConfig(), core.DefaultClientConfig())
+		return RunOnce(page, schemes[i], cfg, cfg.Seed)
 	})
 	dRun, pRun := runs[0], runs[1]
 
@@ -464,20 +429,10 @@ type SPDYResult struct {
 func SPDYComparison(cfg Config) SPDYResult {
 	cfg = cfg.withDefaults()
 	pages := cfg.PageSet()
-	const arms = 3
+	schemes := []Scheme{DIRScheme, spdyScheme, ParcelScheme(sched.ConfigIND)}
+	arms := len(schemes)
 	runs := runner.Map(cfg.Parallelism, len(pages)*arms, func(i int) metrics.PageRun {
-		page := pages[i/arms]
-		params := cfg.Scenario
-		params.Seed = cfg.Seed
-		topo := scenario.Build(page, params)
-		switch i % arms {
-		case 0:
-			return dirbrowser.Run(topo, dirbrowser.Options{FixedRandom: true})
-		case 1:
-			return spdybrowser.Run(topo, spdybrowser.Options{FixedRandom: true})
-		default:
-			return core.Run(topo, core.DefaultProxyConfig(), core.DefaultClientConfig())
-		}
+		return RunOnce(pages[i/arms], schemes[i%arms], cfg, cfg.Seed)
 	})
 	var out SPDYResult
 	for pi := range pages {

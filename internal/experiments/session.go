@@ -1,16 +1,15 @@
 package experiments
 
 import (
+	"strconv"
 	"strings"
 	"time"
 
-	"github.com/parcel-go/parcel/internal/cloudbrowser"
-	"github.com/parcel-go/parcel/internal/core"
-	"github.com/parcel-go/parcel/internal/dirbrowser"
 	"github.com/parcel-go/parcel/internal/energy"
 	"github.com/parcel-go/parcel/internal/radio"
 	"github.com/parcel-go/parcel/internal/runner"
 	"github.com/parcel-go/parcel/internal/scenario"
+	"github.com/parcel-go/parcel/internal/sched"
 	"github.com/parcel-go/parcel/internal/webgen"
 )
 
@@ -49,14 +48,10 @@ func Fig8(cfg Config) Fig8Result {
 
 	// The three scheme sessions are independent topologies: run them as
 	// parallel tasks, slotted so the result order stays PARCEL, DIR, CB.
-	sessions := []func() SessionResult{
-		func() SessionResult { return runParcelSession(page, cfg, clicks, clickInterval, dev) },
-		func() SessionResult { return runDIRSession(page, cfg, clicks, clickInterval, dev) },
-		func() SessionResult { return runCBSession(page, cfg, clicks, clickInterval, dev) },
-	}
+	schemes := []Scheme{{Name: "PARCEL", Sched: sched.ConfigIND}, DIRScheme, cbScheme}
 	out := Fig8Result{Page: page.Name, Clicks: clicks}
-	out.Results = runner.Map(cfg.Parallelism, len(sessions), func(i int) SessionResult {
-		return sessions[i]()
+	out.Results = runner.Map(cfg.Parallelism, len(schemes), func(i int) SessionResult {
+		return runSession(page, schemes[i], cfg, clicks, clickInterval, dev)
 	})
 	return out
 }
@@ -83,21 +78,9 @@ func sessionEnergy(scheme string, topo *scenario.Topology, cpuAt func(time.Durat
 func sessionLabels(clicks int) []string {
 	labels := []string{"FD"}
 	for i := 1; i <= clicks; i++ {
-		labels = append(labels, "C"+itoa(i))
+		labels = append(labels, "C"+strconv.Itoa(i))
 	}
 	return labels
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b []byte
-	for n > 0 {
-		b = append([]byte{byte('0' + n%10)}, b...)
-		n /= 10
-	}
-	return string(b)
 }
 
 // cpuSampler records a monotone (time, cpuActive) history and interpolates
@@ -122,71 +105,23 @@ func (c *cpuSampler) at(t time.Duration) time.Duration {
 	return out
 }
 
-func runParcelSession(page webgen.Page, cfg Config, clicks int, interval time.Duration, dev energy.DeviceParams) SessionResult {
-	params := cfg.Scenario
-	params.Seed = cfg.Seed
-	topo := scenario.Build(page, params)
-	core.StartProxy(topo, core.DefaultProxyConfig())
-	client := core.NewClient(topo, core.DefaultClientConfig())
-	client.Load()
-
+// runSession loads the page with s (FD), then clicks once per interval,
+// sampling the client's CPU after each click settles.
+func runSession(page webgen.Page, s Scheme, cfg Config, clicks int, interval time.Duration, dev energy.DeviceParams) SessionResult {
+	topo, a := s.load(page, cfg, cfg.Seed)
 	var sampler cpuSampler
 	fd := topo.Sim.Now()
-	sampler.record(fd, client.Engine.CPUActive())
+	sampler.record(fd, a.cpuActive())
 	eventTimes := []time.Duration{fd + 5*time.Second}
 	for i := 1; i <= clicks; i++ {
 		at := fd + time.Duration(i)*interval
 		topo.Sim.RunUntil(at)
-		client.Engine.FireEvent("click", "gallery-next")
+		a.click()
 		topo.Sim.Run()
-		sampler.record(topo.Sim.Now(), client.Engine.CPUActive())
+		sampler.record(topo.Sim.Now(), a.cpuActive())
 		eventTimes = append(eventTimes, at+5*time.Second)
 	}
-	return sessionEnergy("PARCEL", topo, sampler.at, eventTimes, sessionLabels(clicks), dev)
-}
-
-func runDIRSession(page webgen.Page, cfg Config, clicks int, interval time.Duration, dev energy.DeviceParams) SessionResult {
-	params := cfg.Scenario
-	params.Seed = cfg.Seed
-	topo := scenario.Build(page, params)
-	b := dirbrowser.New(topo, dirbrowser.Options{FixedRandom: true})
-	b.Load()
-
-	var sampler cpuSampler
-	fd := topo.Sim.Now()
-	sampler.record(fd, b.Engine.CPUActive())
-	eventTimes := []time.Duration{fd + 5*time.Second}
-	for i := 1; i <= clicks; i++ {
-		at := fd + time.Duration(i)*interval
-		topo.Sim.RunUntil(at)
-		b.Engine.FireEvent("click", "gallery-next")
-		topo.Sim.Run()
-		sampler.record(topo.Sim.Now(), b.Engine.CPUActive())
-		eventTimes = append(eventTimes, at+5*time.Second)
-	}
-	return sessionEnergy("DIR", topo, sampler.at, eventTimes, sessionLabels(clicks), dev)
-}
-
-func runCBSession(page webgen.Page, cfg Config, clicks int, interval time.Duration, dev energy.DeviceParams) SessionResult {
-	params := cfg.Scenario
-	params.Seed = cfg.Seed
-	topo := scenario.Build(page, params)
-	sess := cloudbrowser.New(topo, cloudbrowser.DefaultConfig())
-	sess.Load()
-
-	var sampler cpuSampler
-	fd := topo.Sim.Now()
-	sampler.record(fd, sess.ClientCPUActive())
-	eventTimes := []time.Duration{fd + 5*time.Second}
-	for i := 1; i <= clicks; i++ {
-		at := fd + time.Duration(i)*interval
-		topo.Sim.RunUntil(at)
-		sess.Click("click", "gallery-next", nil)
-		topo.Sim.Run()
-		sampler.record(topo.Sim.Now(), sess.ClientCPUActive())
-		eventTimes = append(eventTimes, at+5*time.Second)
-	}
-	return sessionEnergy("CB", topo, sampler.at, eventTimes, sessionLabels(clicks), dev)
+	return sessionEnergy(s.Name, topo, sampler.at, eventTimes, sessionLabels(clicks), dev)
 }
 
 // SchemeNamed fetches one scheme's series from a Fig8Result.

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"github.com/parcel-go/parcel/internal/core"
-	"github.com/parcel-go/parcel/internal/dirbrowser"
+	"github.com/parcel-go/parcel/internal/metrics"
 	"github.com/parcel-go/parcel/internal/runner"
-	"github.com/parcel-go/parcel/internal/scenario"
 	"github.com/parcel-go/parcel/internal/sched"
 )
 
@@ -47,33 +45,22 @@ func MeasureTable1(cfg Config) Table1Measured {
 	cfg = cfg.withDefaults()
 	pages := cfg.PageSet()
 	page := pages[2%len(pages)]
-	params := cfg.Scenario
-	params.Seed = cfg.Seed
 
+	schemes := []Scheme{DIRScheme, ParcelScheme(sched.ConfigIND)}
 	halves := runner.Map(cfg.Parallelism, 2, func(i int) Table1Measured {
-		if i == 0 {
-			dTopo := scenario.Build(page, params)
-			dRun := dirbrowser.Run(dTopo, dirbrowser.Options{FixedRandom: true})
-			return Table1Measured{
-				DIRClientConns:    dRun.ConnsOpened,
-				DIRClientRequests: dRun.HTTPRequests,
-			}
+		topo, a := schemes[i].load(page, cfg, cfg.Seed)
+		run := a.run(new(metrics.Collector))
+		if a.proxy == nil {
+			return Table1Measured{DIRClientConns: run.ConnsOpened, DIRClientRequests: run.HTTPRequests}
 		}
-		pTopo := scenario.Build(page, params)
-		pc := core.DefaultProxyConfig()
-		pc.Sched = sched.ConfigIND
-		proxy := core.StartProxy(pTopo, pc)
-		client := core.NewClient(pTopo, core.DefaultClientConfig())
-		pRun := client.Load()
-
-		before := pTopo.ClientTrace.Len()
-		client.Engine.FireEvent("click", "gallery-next") // no-op on plain pages
-		pTopo.Sim.Run()
+		before := topo.ClientTrace.Len()
+		a.click() // no-op on plain pages
+		topo.Sim.Run()
 		return Table1Measured{
-			ParcelClientConns:     pRun.ConnsOpened,
-			ParcelClientRequests:  pRun.HTTPRequests,
-			ParcelProxyIdentified: proxy.Sessions[0].Counts().ObjectsPushed,
-			InteractionPackets:    pTopo.ClientTrace.Len() - before,
+			ParcelClientConns:     run.ConnsOpened,
+			ParcelClientRequests:  run.HTTPRequests,
+			ParcelProxyIdentified: a.proxy.Sessions[0].Counts().ObjectsPushed,
+			InteractionPackets:    topo.ClientTrace.Len() - before,
 		}
 	})
 	out := halves[1]

@@ -54,9 +54,6 @@ func NativeValue(f Native) Value { return Value{kind: kindNative, nat: f} }
 // Namespace wraps a map of named host functions (e.g. the document object).
 func Namespace(m map[string]Value) Value { return Value{kind: kindNamespace, space: m} }
 
-// IsNull reports whether v is null.
-func (v Value) IsNull() bool { return v.kind == kindNull }
-
 // IsScalar reports whether v is null, bool, number or string — a value that
 // carries no reference to any interpreter instance and can therefore be
 // transplanted between interpreters (the exec-outcome cache relies on this).

@@ -54,7 +54,7 @@ type ClientConfig struct {
 	DirectOrigin string
 	// Mux is inert and read by no code: streams are the only wire format. It
 	// stays declared because bench/ sets it and only a benchmark PR may edit
-	// bench/ (ROADMAP item 2(2) removes both).
+	// bench/ (ROADMAP item 4(3) removes both).
 	Mux bool
 	// Logf, when set, receives recovery diagnostics, sometimes under the
 	// client's lock: it must not call back into the Client.
@@ -404,7 +404,7 @@ func (c *Client) fetchDirect(url string) error {
 // out what the session asks on the way (a proxy request, a direct fetch). It
 // fails after timeout, or at once with no direct path for a sched.Direct
 // object or with ErrClosed or ErrProxyGone on a dead client that lacks it.
-func (c *Client) Object(url string, timeout time.Duration) (Object, error) {
+func (c *Client) Object(url string, timeout time.Duration) (sched.Item, error) {
 	deadline := time.Now().Add(timeout)
 	defer c.wakeAfter(timeout).Stop()
 	c.mu.Lock()
@@ -413,11 +413,11 @@ func (c *Client) Object(url string, timeout time.Duration) (Object, error) {
 		it, act := c.Want(url)
 		switch {
 		case act == sched.Deliver:
-			return Object{URL: it.URL, ContentType: it.ContentType, Status: it.Status, Body: it.Body}, nil
+			return it, nil
 		case c.rerr != nil:
-			return Object{}, c.rerr
+			return sched.Item{}, c.rerr
 		case act == sched.NoDirectPath:
-			return Object{}, fmt.Errorf("parcelnet: %s needs a direct fetch and the client has no direct path (ClientConfig.DirectOrigin)", url)
+			return sched.Item{}, fmt.Errorf("parcelnet: %s needs a direct fetch and the client has no direct path (ClientConfig.DirectOrigin)", url)
 		case act == sched.Request:
 			c.requestLocked([]string{url})
 		case act == sched.FetchDirect:
@@ -425,12 +425,12 @@ func (c *Client) Object(url string, timeout time.Duration) (Object, error) {
 			err := c.fetchDirect(url)
 			c.mu.Lock()
 			if err != nil {
-				return Object{}, err
+				return sched.Item{}, err
 			}
 			continue
 		}
 		if time.Now().After(deadline) {
-			return Object{}, fmt.Errorf("parcelnet: timeout waiting for %s", url)
+			return sched.Item{}, fmt.Errorf("parcelnet: timeout waiting for %s", url)
 		}
 		c.cond.Wait()
 	}

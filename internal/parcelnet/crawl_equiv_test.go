@@ -14,14 +14,15 @@ import (
 	"github.com/parcel-go/parcel/internal/browser"
 	"github.com/parcel-go/parcel/internal/discovery"
 	"github.com/parcel-go/parcel/internal/eventsim"
+	"github.com/parcel-go/parcel/internal/sched"
 	"github.com/parcel-go/parcel/internal/webgen"
 )
 
 // site is an in-memory page: URL → object.
-type site map[string]Object
+type site map[string]sched.Item
 
 func (st site) put(url, ct, body string) {
-	st[url] = Object{URL: url, ContentType: ct, Body: []byte(body)}
+	st[url] = sched.Item{URL: url, ContentType: ct, Body: []byte(body)}
 }
 
 func (st site) fetch(url string) ([]byte, string, int, error) {
@@ -34,7 +35,7 @@ func (st site) fetch(url string) ([]byte, string, int, error) {
 func webgenSite(p webgen.Page) site {
 	st := make(site, len(p.Objects))
 	for _, o := range p.Objects {
-		st[o.URL] = Object{URL: o.URL, ContentType: o.ContentType, Body: o.Body}
+		st[o.URL] = sched.Item{URL: o.URL, ContentType: o.ContentType, Body: o.Body}
 	}
 	return st
 }
@@ -174,7 +175,7 @@ type crawlSnapshot struct {
 func runSerialCrawl(t *testing.T, st site, mainURL string, fixedRandom bool, configure func(*crawler)) crawlSnapshot {
 	t.Helper()
 	sc := &serialCrawl{st: st, parked: map[string]chan struct{}{}}
-	c := newCrawler(nil, fixedRandom, func(Object) {}, nil, nil)
+	c := newCrawler(nil, fixedRandom, func(sched.Item) {}, nil, nil)
 	sc.use(c)
 	if configure != nil {
 		configure(c)
@@ -474,7 +475,7 @@ func (st site) freeCrawl(mainURL string) int {
 	idle := make(chan struct{})
 	var once sync.Once
 	var c *crawler
-	c = newCrawler(st.fetch, true, func(Object) {}, nil, func() {
+	c = newCrawler(st.fetch, true, func(sched.Item) {}, nil, func() {
 		// Idle is settled with no timer left armed, whatever its due time.
 		if c.quiescent(time.Duration(math.MaxInt64)) {
 			once.Do(func() { close(idle) })

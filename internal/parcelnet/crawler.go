@@ -12,14 +12,6 @@ import (
 	"github.com/parcel-go/parcel/internal/sched"
 )
 
-// Object is one crawled object.
-type Object struct {
-	URL         string
-	ContentType string
-	Status      int
-	Body        []byte
-}
-
 // fetchFunc retrieves one logical URL. Sessions inject it so the crawler is
 // agnostic to where bytes come from: a plain origin fetcher, or the shared
 // cross-session object cache with single-flight de-duplication in front.
@@ -33,8 +25,8 @@ type fetchFunc func(url string) (body []byte, contentType string, status int, er
 // host (discovery.Host), as browser.Engine is its virtual-clock one.
 type crawler struct {
 	fetch    fetchFunc
-	onObject func(Object) // called once per fetched object
-	onLoad   func()       // all onload-blocking work done
+	onObject func(sched.Item) // called once per fetched object
+	onLoad   func()           // all onload-blocking work done
 	// onSettled is called each time, after onload, the last fetch or script
 	// in flight finishes; page timers may still be armed (see quiescent).
 	onSettled func()
@@ -79,7 +71,7 @@ type stopper interface{ Stop() bool }
 // crawlMaxDepth bounds recursive discovery (iframes, document.write chains).
 const crawlMaxDepth = 8
 
-func newCrawler(fetch fetchFunc, fixedRandom bool, onObject func(Object), onLoad, onSettled func()) *crawler {
+func newCrawler(fetch fetchFunc, fixedRandom bool, onObject func(sched.Item), onLoad, onSettled func()) *crawler {
 	c := &crawler{
 		fetch:     fetch,
 		onObject:  onObject,
@@ -139,7 +131,7 @@ func (c *crawler) Request(url string, blocking bool, depth int) {
 			return
 		}
 		body, ct, status, err := c.fetch(url)
-		obj := Object{URL: url, ContentType: ct, Status: status, Body: body}
+		obj := sched.Item{URL: url, ContentType: ct, Status: status, Body: body}
 		if err != nil {
 			c.addError(err)
 			obj.Status = 502
@@ -204,7 +196,7 @@ func (c *crawler) quiescent(window time.Duration) bool {
 }
 
 // process discovers what an object references.
-func (c *crawler) process(obj Object, blocking bool, depth int) {
+func (c *crawler) process(obj sched.Item, blocking bool, depth int) {
 	switch {
 	case strings.Contains(obj.ContentType, "html"):
 		root, _, err := discovery.HTML(obj.Body)

@@ -327,8 +327,8 @@ type session struct {
 
 	// page is the session policy and admission; its flush runs with s.mu held.
 	page  *sched.Session
-	crawl *crawler          // the page's discovery crawl; set once by startPage, stopped by teardown
-	cache map[string]Object // session view: metadata only, bodies live in the shared cache
+	crawl *crawler              // the page's discovery crawl; set once by startPage, stopped by teardown
+	cache map[string]sched.Item // session view: metadata only, bodies live in the shared cache
 	// quiet is the running §4.5 window, armed on the crawl's clock.
 	quiet  stopper
 	closed bool
@@ -342,7 +342,7 @@ func (p *Proxy) serve(conn net.Conn) {
 		proxy:      p,
 		conn:       conn,
 		mux:        newMuxSender(p.cfg.MuxChunkSize, p.cfg.MuxStreamWindow, p.cfg.MuxConnWindow),
-		cache:      make(map[string]Object),
+		cache:      make(map[string]sched.Item),
 		writerDone: make(chan struct{}),
 	}
 	s.sendCond = sync.NewCond(&s.mu)
@@ -588,10 +588,9 @@ func (s *session) startPage(req PageRequest) bool {
 }
 
 // collected offers one crawled object to the page session.
-func (s *session) collected(obj Object) {
+func (s *session) collected(it sched.Item) {
 	s.mu.Lock()
-	s.storeLocked(obj)
-	it := sched.Item{URL: obj.URL, ContentType: obj.ContentType, Status: obj.Status, Body: obj.Body}
+	s.storeLocked(it)
 	s.stepLocked(s.page.Collected(it))
 	s.mu.Unlock()
 }
@@ -618,9 +617,9 @@ func (s *session) crawlSettled() {
 // storeLocked records the session's view of an object: metadata only. The
 // body lives (deduplicated) in the shared cache and fallback requests
 // re-resolve through it, so N sessions of one page cost one body, not N.
-func (s *session) storeLocked(obj Object) {
-	obj.Body = nil
-	s.cache[obj.URL] = obj
+func (s *session) storeLocked(it sched.Item) {
+	it.Body = nil
+	s.cache[it.URL] = it
 }
 
 // stepLocked carries out what the page session asks for: announce what it
@@ -717,10 +716,10 @@ func (s *session) serveFallback(url string) {
 			// type when the refetch lost it.
 			ct = obj.ContentType
 		}
-		obj = Object{URL: url, ContentType: ct, Status: status, Body: body}
+		obj = sched.Item{URL: url, ContentType: ct, Status: status, Body: body}
 	}
 	s.mu.Lock()
 	s.storeLocked(obj)
-	s.page.Requested(sched.Item{URL: obj.URL, ContentType: obj.ContentType, Status: obj.Status, Body: obj.Body})
+	s.page.Requested(obj)
 	s.mu.Unlock()
 }

@@ -142,7 +142,7 @@ func bareSession(cfg ProxyConfig, flush func([]sched.Item, sched.FlushReason)) *
 	s := &session{
 		proxy: &Proxy{cfg: cfg},
 		mux:   newMuxSender(cfg.MuxChunkSize, cfg.MuxStreamWindow, cfg.MuxConnWindow),
-		cache: make(map[string]Object),
+		cache: make(map[string]sched.Item),
 	}
 	s.sendCond = sync.NewCond(&s.mu)
 	s.page = sched.NewSession(func(items []sched.Item, reason sched.FlushReason) {

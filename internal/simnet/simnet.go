@@ -551,22 +551,8 @@ func (h *Host) Dial(remote *Host, onEstablished func(*Conn)) *Conn {
 	return c
 }
 
-// Initiator returns the dialing host.
-func (c *Conn) Initiator() *Host { return c.initiator }
-
 // Responder returns the accepting host.
 func (c *Conn) Responder() *Host { return c.responder }
-
-// Peer returns the other endpoint relative to h.
-func (c *Conn) Peer(h *Host) *Host {
-	if h == c.initiator {
-		return c.responder
-	}
-	if h == c.responder {
-		return c.initiator
-	}
-	panic(fmt.Sprintf("simnet: host %q not on conn %d", h.Name, c.ID))
-}
 
 // OnMessage registers the handler invoked for every message delivered to at.
 func (c *Conn) OnMessage(at *Host, fn func(Message)) {
