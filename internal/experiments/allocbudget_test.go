@@ -3,11 +3,14 @@
 package experiments
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"github.com/parcel-go/parcel/internal/core"
 	"github.com/parcel-go/parcel/internal/metrics"
 	"github.com/parcel-go/parcel/internal/scenario"
+	"github.com/parcel-go/parcel/internal/sched"
 	"github.com/parcel-go/parcel/internal/webgen"
 )
 
@@ -41,5 +44,39 @@ func TestPageLoadAllocBudget(t *testing.T) {
 		t.Errorf("PARCEL page load allocates %.0f/op, budget %d", avg, pageLoadAllocBudget)
 	} else {
 		t.Logf("PARCEL page load: %.0f allocs/op (budget %d)", avg, pageLoadAllocBudget)
+	}
+}
+
+// sweepAllocBudgetKB bounds the bytes one steady-state sweep of 8 pages ×
+// {DIR, PARCEL(IND)} × 1 round allocates at parallelism 1. A sweep that
+// rebuilds its worker's arenas and trace recorders instead of reusing the
+// batch engine's pooled state allocates 7,553 kB; reusing them, 3,705 kB
+// (3,733 kB under -race).
+const sweepAllocBudgetKB = 5000
+
+// TestSweepAllocBudget fails when Sweep stops reusing batch state across
+// calls: after one warm-up sweep, five more must average under the budget.
+// GC is off while it measures, so no collection can free what the engine
+// keeps and the reading repeats exactly.
+func TestSweepAllocBudget(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Pages = 8
+	cfg.Runs = 1
+	cfg.Parallelism = 1
+	schemes := []Scheme{DIRScheme, ParcelScheme(sched.ConfigIND)}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	Sweep(cfg, schemes)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const sweeps = 5
+	for i := 0; i < sweeps; i++ {
+		Sweep(cfg, schemes)
+	}
+	runtime.ReadMemStats(&after)
+	perSweep := (after.TotalAlloc - before.TotalAlloc) / sweeps / 1000
+	if perSweep > sweepAllocBudgetKB {
+		t.Errorf("steady sweep allocates %d kB, budget %d kB", perSweep, sweepAllocBudgetKB)
+	} else {
+		t.Logf("steady sweep: %d kB (budget %d kB)", perSweep, sweepAllocBudgetKB)
 	}
 }

@@ -14,6 +14,8 @@
 package experiments
 
 import (
+	"sync"
+
 	"github.com/parcel-go/parcel/internal/metrics"
 	"github.com/parcel-go/parcel/internal/runner"
 	"github.com/parcel-go/parcel/internal/scenario"
@@ -27,12 +29,44 @@ type batchTask struct {
 	seed int64
 }
 
-// batchState is the per-worker state threaded through runner.MapBatches:
-// the arena pools every simulation this worker drives shares, plus the
-// metrics collector scratch. It never crosses goroutines.
+// batchState is what one running batch owns: the arena pools every
+// simulation of the batch shares, plus the metrics collector scratch. One
+// goroutine holds it at a time.
 type batchState struct {
 	res *scenario.Resources
 	col metrics.Collector
+}
+
+// batchStates keeps batch state across batches and across Sweep calls:
+// runBatch takes one and returns it once every simulation of its batch has
+// been collected and released, so the arenas and trace recorders earlier
+// batches grew are reused, not rebuilt per worker per sweep. The free list
+// holds at most as many states as batches ever ran at once. (A sync.Pool
+// would drop states at every GC, and at random under -race, which makes a
+// sweep's allocations unrepeatable.)
+var batchStates struct {
+	sync.Mutex
+	free []*batchState
+}
+
+// takeBatchState pops the most recently returned state, or makes one.
+func takeBatchState() *batchState {
+	batchStates.Lock()
+	defer batchStates.Unlock()
+	n := len(batchStates.free)
+	if n == 0 {
+		return &batchState{res: scenario.NewResources()}
+	}
+	st := batchStates.free[n-1]
+	batchStates.free = batchStates.free[:n-1]
+	return st
+}
+
+// putBatchState returns st for the next batch.
+func putBatchState(st *batchState) {
+	batchStates.Lock()
+	batchStates.free = append(batchStates.free, st)
+	batchStates.Unlock()
 }
 
 // batchSession is one admitted simulation: its topology and the arm started
@@ -50,12 +84,9 @@ const stepQuantum = 64
 
 // runBatch admits the tasks of one batch, interleaves their event loops
 // until every simulation drains, and collects metrics in task order into
-// out. st carries the worker's pools between batches (nil on the worker's
-// first batch).
-func runBatch(st *batchState, tasks []batchTask, cfg Config, out []metrics.PageRun) *batchState {
-	if st == nil {
-		st = &batchState{res: scenario.NewResources()}
-	}
+// out, on a batchState taken from batchStates.
+func runBatch(tasks []batchTask, cfg Config, out []metrics.PageRun) {
+	st := takeBatchState()
 	sessions := make([]batchSession, len(tasks))
 	for i, tk := range tasks {
 		params := cfg.Scenario
@@ -88,7 +119,8 @@ func runBatch(st *batchState, tasks []batchTask, cfg Config, out []metrics.PageR
 		out[i] = sessions[i].arm.run(&st.col)
 		sessions[i].topo.Release()
 	}
-	return st
+	// Not deferred: a batch that panicked may leave pooled objects in use.
+	putBatchState(st)
 }
 
 // batchSize is how many page simulations one worker multiplexes through its
@@ -101,11 +133,11 @@ const batchSize = 16
 // the batch engine.
 func runTasks(cfg Config, n int, task func(i int) batchTask) []metrics.PageRun {
 	return runner.MapBatches(cfg.Parallelism, n, batchSize,
-		func(st *batchState, lo, hi int, out []metrics.PageRun) *batchState {
+		func(lo, hi int, out []metrics.PageRun) {
 			tasks := make([]batchTask, hi-lo)
 			for i := range tasks {
 				tasks[i] = task(lo + i)
 			}
-			return runBatch(st, tasks, cfg, out)
+			runBatch(tasks, cfg, out)
 		})
 }

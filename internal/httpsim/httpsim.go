@@ -255,6 +255,9 @@ type Client struct {
 	poolList   []*pool
 	queue      []*pendingReq
 	totalConns int
+	// idle counts ready, non-busy connections across every pool (see
+	// pool.idle).
+	idle int
 
 	// reqArena/reqFree recycle pendingReq structs through the same
 	// block-arena + free-list scheme simnet uses for packets: the queue
@@ -286,9 +289,15 @@ func NewClient(sched *eventsim.Simulator, host *simnet.Host, dir Directory, reso
 func (c *Client) SetMaxTotalConns(n int) { c.maxTotal = n }
 
 type pool struct {
-	domain  string
+	origin  string // logical domain (the pool key adds a TLS prefix)
+	tls     bool
 	conns   []*pconn
 	dialing int // connections in handshake
+	// idle counts conns that are ready and not busy. It changes in exactly
+	// four places — handshake (or TLS) done, issue, response, eviction —
+	// each of which moves Client.idle with it, so the dispatcher scans a
+	// pool's conns only when one of them can take a request.
+	idle int
 	// pendingCap is drain-pass scratch: capacity already being created for
 	// this domain at the start of the pass. Reset by every drain; replaces a
 	// per-drain map allocation.
@@ -303,11 +312,9 @@ type pconn struct {
 }
 
 type pendingReq struct {
-	domain string // pool key (prefixed for TLS)
-	origin string // logical domain
-	tls    bool
-	req    Request
-	cb     func(Response, time.Duration)
+	p   *pool // Do creates it as it queues the first request for its key
+	req Request
+	cb  func(Response, time.Duration)
 
 	nextFree *pendingReq
 	pooled   bool // on the free list; double-release check under -tags simdebug
@@ -352,8 +359,14 @@ func (c *Client) Do(req Request, cb func(Response, time.Duration)) {
 		key = "tls:" + domain
 	}
 	start := func(time.Duration) {
+		p := c.pools[key]
+		if p == nil {
+			p = &pool{origin: domain, tls: tls}
+			c.pools[key] = p
+			c.poolList = append(c.poolList, p)
+		}
 		pr := c.newReq()
-		pr.domain, pr.origin, pr.tls, pr.req, pr.cb = key, domain, tls, req, cb
+		pr.p, pr.req, pr.cb = p, req, cb
 		c.queue = append(c.queue, pr)
 		c.drain()
 	}
@@ -371,7 +384,14 @@ func (c *Client) Do(req Request, cb func(Response, time.Duration)) {
 // handshake count as capacity already being created for their domain, so a
 // drain pass never dials more connections than a domain has waiting
 // requests.
+//
+// With nothing idle and the total cap reached, no request can issue or dial,
+// so drain returns at once: the wait costs nothing per queued request.
 func (c *Client) drain() {
+	checkIdle(c)
+	if c.idle == 0 && c.maxTotal > 0 && c.totalConns >= c.maxTotal {
+		return
+	}
 	// Capacity being created per domain in this pass.
 	for _, p := range c.poolList {
 		p.pendingCap = p.dialing
@@ -398,16 +418,13 @@ func (c *Client) drain() {
 // tryIssue runs pr on an idle connection, or arranges capacity for it.
 // It returns true only when the request was actually issued.
 func (c *Client) tryIssue(pr *pendingReq) bool {
-	p := c.pools[pr.domain]
-	if p == nil {
-		p = &pool{domain: pr.domain}
-		c.pools[pr.domain] = p
-		c.poolList = append(c.poolList, p)
-	}
-	for _, pc := range p.conns {
-		if pc.ready && !pc.busy {
-			c.issue(pc, pr)
-			return true
+	p := pr.p
+	if p.idle > 0 {
+		for _, pc := range p.conns {
+			if pc.ready && !pc.busy {
+				c.issue(p, pc, pr)
+				return true
+			}
 		}
 	}
 	// Use capacity already being created (a handshake in flight) before
@@ -421,21 +438,23 @@ func (c *Client) tryIssue(pr *pendingReq) bool {
 	}
 	if c.maxTotal > 0 && c.totalConns >= c.maxTotal {
 		// Browser-like pool management: evict an idle connection of another
-		// domain to make room; if none is idle, wait for a response.
-		if !c.evictIdle(pr.domain) {
+		// domain to make room; if none is idle, wait for a response. p has
+		// none idle (it would have issued), so any idle one is elsewhere.
+		if c.idle == 0 {
 			return false
 		}
+		c.evictIdle(p)
 	}
-	c.dial(p, pr.origin, pr.tls)
+	c.dial(p)
 	return false // the request stays queued until the handshake completes
 }
 
-// evictIdle closes one ready idle connection belonging to a different
-// domain, returning true if room was made. Pools are scanned in creation
-// order so the victim choice is deterministic.
-func (c *Client) evictIdle(exceptDomain string) bool {
+// evictIdle closes the first ready idle connection of a pool other than
+// except, scanning pools in creation order so the victim choice is
+// deterministic. The caller guarantees such a connection exists.
+func (c *Client) evictIdle(except *pool) {
 	for _, p := range c.poolList {
-		if p.domain == exceptDomain {
+		if p == except || p.idle == 0 {
 			continue
 		}
 		for i, pc := range p.conns {
@@ -443,25 +462,33 @@ func (c *Client) evictIdle(exceptDomain string) bool {
 				pc.conn.Close()
 				p.conns = append(p.conns[:i], p.conns[i+1:]...)
 				c.totalConns--
-				return true
+				p.idle--
+				c.idle--
+				return
 			}
 		}
 	}
-	return false
 }
 
-func (c *Client) dial(p *pool, origin string, tls bool) {
-	remote := c.dir.HostFor(origin)
+// ready marks a dialed connection's handshake (and TLS setup) done.
+func (c *Client) ready(p *pool, pc *pconn) {
+	pc.ready = true
+	p.dialing--
+	p.idle++
+	c.idle++
+	c.drain()
+}
+
+func (c *Client) dial(p *pool) {
+	remote := c.dir.HostFor(p.origin)
 	pc := &pconn{}
 	p.conns = append(p.conns, pc)
 	c.ConnsOpened++
 	c.totalConns++
 	p.dialing++
 	pc.conn = c.host.Dial(remote, func(conn *simnet.Conn) {
-		if !tls {
-			pc.ready = true
-			p.dialing--
-			c.drain()
+		if !p.tls {
+			c.ready(p, pc)
 			return
 		}
 		// TLS setup: hello out, certificate back, then ready.
@@ -469,9 +496,7 @@ func (c *Client) dial(p *pool, origin string, tls bool) {
 	})
 	pc.conn.OnMessage(c.host, func(m simnet.Message) {
 		if _, isTLS := m.Payload.(tlsDone); isTLS {
-			pc.ready = true
-			p.dialing--
-			c.drain()
+			c.ready(p, pc)
 			return
 		}
 		resp, ok := m.Payload.(Response)
@@ -481,6 +506,8 @@ func (c *Client) dial(p *pool, origin string, tls bool) {
 		done := pc.current
 		pc.current = nil
 		pc.busy = false
+		p.idle++
+		c.idle++
 		if done != nil {
 			done(resp, m.At)
 		}
@@ -488,8 +515,10 @@ func (c *Client) dial(p *pool, origin string, tls bool) {
 	})
 }
 
-func (c *Client) issue(pc *pconn, pr *pendingReq) {
+func (c *Client) issue(p *pool, pc *pconn, pr *pendingReq) {
 	pc.busy = true
+	p.idle--
+	c.idle--
 	pc.current = pr.cb
 	c.RequestsSent++
 	pc.conn.Send(c.host, pr.req.WireSize(), pr.req, pr.req.URL, nil)
@@ -506,14 +535,3 @@ func (c *Client) OpenConns(domain string) int {
 
 // TotalConns reports open connections across all domains.
 func (c *Client) TotalConns() int { return c.totalConns }
-
-// CloseIdle closes every pooled connection (end of a page session).
-func (c *Client) CloseIdle() {
-	for _, p := range c.poolList {
-		for _, pc := range p.conns {
-			if pc.ready && !pc.busy && !pc.conn.Closed() {
-				pc.conn.Close()
-			}
-		}
-	}
-}

@@ -193,16 +193,3 @@ func TestPostCarriesBodySize(t *testing.T) {
 		t.Fatalf("WireSize = %d, want > body size", req.WireSize())
 	}
 }
-
-func TestCloseIdleClosesConnections(t *testing.T) {
-	f := newFixture(t, MapStore{"http://example.com/": {Body: []byte("x")}}, 6)
-	f.client.Do(Request{URL: "http://example.com/"}, func(Response, time.Duration) {})
-	f.sim.Run()
-	f.client.CloseIdle()
-	f.sim.Run()
-	// No assertion beyond "does not panic and completes" — the FIN packets
-	// are observable in traces; here we just exercise the path.
-	if f.client.OpenConns("example.com") != 1 {
-		t.Fatalf("pool forgot its conn")
-	}
-}

@@ -3,7 +3,10 @@
 package httpsim
 
 // checkReqFree enforces the pendingReq pool ownership contract (no double
-// frees). In normal builds it compiles to nothing; build with -tags simdebug
-// to make a double free panic (see pooldebug_on.go).
+// frees) and checkIdle the dispatcher's idle counts. In normal builds they
+// compile to nothing; build with -tags simdebug to make a violation panic
+// (see pooldebug_on.go).
 
 func checkReqFree(*pendingReq) {}
+
+func checkIdle(*Client) {}

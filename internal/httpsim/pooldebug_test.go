@@ -36,3 +36,16 @@ func TestPendingReqReuseAfterFree(t *testing.T) {
 	}
 	c.releaseReq(q) // must not panic
 }
+
+// TestIdleCountCheckFires proves the debug recount catches a connection that
+// is idle but uncounted.
+func TestIdleCountCheckFires(t *testing.T) {
+	p := &pool{origin: "example.com", conns: []*pconn{{ready: true}}}
+	c := &Client{poolList: []*pool{p}}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("uncounted idle connection: expected panic, got none")
+		}
+	}()
+	checkIdle(c)
+}

@@ -88,18 +88,15 @@ func Map[T any](parallelism, n int, fn func(i int) T) []T {
 
 // MapBatches runs fn over [0, n) in contiguous batches of batchSize tasks
 // and returns the results indexed by task. Each call fills out[0:hi-lo] with
-// the results for tasks [lo, hi). Workers claim whole batches from an atomic
-// counter, so batch boundaries are a pure function of (n, batchSize) —
-// results never depend on scheduling — and every batch a worker claims
-// threads that worker's state value through: fn receives the state returned
-// by the previous fn call on the same worker (the zero S first). That is how
-// a batch engine carries its arena pools from one batch to the next without
-// locking: state never crosses goroutines.
+// the results for tasks [lo, hi). Batches are Each's tasks, claimed whole
+// off its counter, so batch boundaries are a pure function of (n, batchSize)
+// — results never depend on scheduling. State a batch engine reuses between
+// batches is its own to keep (experiments pools it across calls).
 //
 // parallelism <= 0 defaults to the number of CPUs; one worker (or a single
 // batch) runs inline on the calling goroutine in index order. batchSize <= 0
 // defaults to 1. Panics in fn propagate to the caller.
-func MapBatches[S, T any](parallelism, n, batchSize int, fn func(state S, lo, hi int, out []T) S) []T {
+func MapBatches[T any](parallelism, n, batchSize int, fn func(lo, hi int, out []T)) []T {
 	if n <= 0 {
 		return nil
 	}
@@ -107,50 +104,11 @@ func MapBatches[S, T any](parallelism, n, batchSize int, fn func(state S, lo, hi
 		batchSize = 1
 	}
 	out := make([]T, n)
-	batches := (n + batchSize - 1) / batchSize
-	workers := Parallelism(parallelism)
-	if workers > batches {
-		workers = batches
-	}
-	if workers == 1 {
-		var state S
-		for b := 0; b < batches; b++ {
-			lo := b * batchSize
-			hi := min(lo+batchSize, n)
-			state = fn(state, lo, hi, out[lo:hi])
-		}
-		return out
-	}
-
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	var panicOnce sync.Once
-	var panicked any
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicOnce.Do(func() { panicked = r })
-				}
-			}()
-			var state S
-			for {
-				b := int(next.Add(1)) - 1
-				if b >= batches {
-					return
-				}
-				lo := b * batchSize
-				hi := min(lo+batchSize, n)
-				state = fn(state, lo, hi, out[lo:hi])
-			}
-		}()
-	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
+	Each(parallelism, (n+batchSize-1)/batchSize, func(b int) {
+		lo := b * batchSize
+		hi := min(lo+batchSize, n)
+		fn(lo, hi, out[lo:hi])
+	})
 	return out
 }
 

@@ -92,3 +92,28 @@ func TestEach(t *testing.T) {
 		t.Fatalf("sum = %d, want 45", sum.Load())
 	}
 }
+
+func TestMapBatchesCoversEveryTaskOnce(t *testing.T) {
+	for _, parallelism := range []int{1, 3} {
+		for _, batchSize := range []int{0, 1, 7, 100} {
+			var calls atomic.Int32
+			got := MapBatches(parallelism, 50, batchSize, func(lo, hi int, out []int) {
+				calls.Add(1)
+				if len(out) != hi-lo || (batchSize > 1 && hi-lo > batchSize) {
+					t.Errorf("batch [%d, %d) got %d slots", lo, hi, len(out))
+				}
+				for i := range out {
+					out[i] = lo + i
+				}
+			})
+			for i, v := range got {
+				if v != i {
+					t.Fatalf("parallelism %d batchSize %d: out[%d] = %d", parallelism, batchSize, i, v)
+				}
+			}
+			if want := (50 + max(batchSize, 1) - 1) / max(batchSize, 1); int(calls.Load()) != want {
+				t.Fatalf("parallelism %d batchSize %d: %d batches, want %d", parallelism, batchSize, calls.Load(), want)
+			}
+		}
+	}
+}

@@ -69,6 +69,8 @@ func New(topo *scenario.Topology, opt Options) *Browser {
 	engine := browser.New(topo.Sim, &fetcher{topo: topo, c: client, issueCost: opt.RequestIssueCost}, browser.Options{
 		CPU:         opt.CPU,
 		FixedRandom: opt.FixedRandom,
+		ExecCache:   topo.ExecCache,
+		JSPools:     topo.JSPools,
 	})
 	return &Browser{Engine: engine, Client: client, topo: topo}
 }
@@ -84,6 +86,10 @@ func (b *Browser) Load() metrics.PageRun {
 	run.HTTPRequests = b.Client.RequestsSent
 	run.ConnsOpened = b.Client.ConnsOpened
 	run.ObjectsLoaded = b.Engine.NumRequested()
+	st := b.topo.Net.FaultStats()
+	run.DroppedPackets = st.Dropped
+	run.Retransmits = st.Retransmits
+	run.RetransmitBytes = st.RetransmitBytes
 	return run
 }
 

@@ -6,6 +6,7 @@ import (
 	"github.com/parcel-go/parcel/internal/core"
 	"github.com/parcel-go/parcel/internal/dirbrowser"
 	"github.com/parcel-go/parcel/internal/scenario"
+	"github.com/parcel-go/parcel/internal/simnet"
 	"github.com/parcel-go/parcel/internal/stats"
 	"github.com/parcel-go/parcel/internal/webgen"
 )
@@ -84,5 +85,23 @@ func TestSPDYBeatsDIRButNotParcel(t *testing.T) {
 	}
 	if parcel >= 0.75*spdy {
 		t.Fatalf("PARCEL median OLT %.2fs not well below SPDY %.2fs", parcel, spdy)
+	}
+}
+
+// TestSPDYReportsFaultCounts holds the SPDY arm to the DIR arm's accounting:
+// a load over a lossy access link reports the network's drops and
+// retransmissions.
+func TestSPDYReportsFaultCounts(t *testing.T) {
+	params := scenario.DefaultParams()
+	params.AccessFaults = simnet.FaultParams{LossRate: 0.05}
+	topo := scenario.Build(pageAt(t, 1), params)
+	run := Run(topo, Options{FixedRandom: true})
+	st := topo.Net.FaultStats()
+	if st.Dropped == 0 {
+		t.Fatal("5% loss dropped nothing")
+	}
+	if run.DroppedPackets != st.Dropped || run.Retransmits != st.Retransmits || run.RetransmitBytes != st.RetransmitBytes {
+		t.Fatalf("run reports dropped %d, retransmits %d (%d B); network counted %d, %d (%d B)",
+			run.DroppedPackets, run.Retransmits, run.RetransmitBytes, st.Dropped, st.Retransmits, st.RetransmitBytes)
 	}
 }
