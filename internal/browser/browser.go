@@ -117,6 +117,14 @@ type Options struct {
 	JSPools *minijs.Pools
 }
 
+// object is the engine's state for one requested URL: its result once it
+// arrived, and the callbacks waiting for it until then.
+type object struct {
+	result  Result
+	arrived bool
+	waiters []func(Result)
+}
+
 // Engine loads one page.
 type Engine struct {
 	sim   *eventsim.Simulator
@@ -127,10 +135,7 @@ type Engine struct {
 	baseURL string
 	dom     *htmlparse.Node
 
-	requested map[string]bool
-	loaded    map[string]bool
-	results   map[string]Result
-	waiters   map[string][]func(Result)
+	objects map[string]object // every URL requested, keyed by URL
 
 	pendingBlocking int // gates OnLoad
 	pendingTotal    int // gates Complete
@@ -164,14 +169,11 @@ func New(sim *eventsim.Simulator, fetch Fetcher, opt Options) *Engine {
 		opt.MaxDepth = 8
 	}
 	e := &Engine{
-		sim:       sim,
-		fetch:     fetch,
-		opt:       opt,
-		requested: make(map[string]bool),
-		loaded:    make(map[string]bool),
-		results:   make(map[string]Result),
-		waiters:   make(map[string][]func(Result)),
-		handlers:  make(map[string][]*minijs.Closure),
+		sim:      sim,
+		fetch:    fetch,
+		opt:      opt,
+		objects:  make(map[string]object),
+		handlers: make(map[string][]*minijs.Closure),
 	}
 	e.env = discovery.NewEnv(minijs.NewWithPools(opt.JSPools), engineHost{e}, opt.FixedRandom, opt.MaxDepth)
 	return e
@@ -195,8 +197,8 @@ func (e *Engine) CPUActive() time.Duration { return e.cpuActive }
 
 // RequestedURLs returns every URL the engine asked its fetcher for.
 func (e *Engine) RequestedURLs() []string {
-	out := make([]string, 0, len(e.requested))
-	for u := range e.requested {
+	out := make([]string, 0, len(e.objects))
+	for u := range e.objects {
 		out = append(out, u)
 	}
 	sort.Strings(out)
@@ -204,10 +206,13 @@ func (e *Engine) RequestedURLs() []string {
 }
 
 // NumRequested returns the number of distinct objects requested.
-func (e *Engine) NumRequested() int { return len(e.requested) }
+func (e *Engine) NumRequested() int { return len(e.objects) }
 
 // Requested reports whether the engine has requested url.
-func (e *Engine) Requested(url string) bool { return e.requested[url] }
+func (e *Engine) Requested(url string) bool {
+	_, ok := e.objects[url]
+	return ok
+}
 
 // Load starts loading the page at url. It may be called once per Engine.
 func (e *Engine) Load(url string) {
@@ -222,7 +227,7 @@ func (e *Engine) Load(url string) {
 // requestObject issues a deduplicated fetch; the response is dispatched by
 // content type (HTML, CSS, script, or opaque asset).
 func (e *Engine) requestObject(url string, blocking bool, depth int) {
-	if e.requested[url] {
+	if e.Requested(url) {
 		return
 	}
 	e.fetchFresh(url, blocking, func(r Result) {
@@ -234,7 +239,7 @@ func (e *Engine) requestObject(url string, blocking bool, depth int) {
 // that onResult must eventually balance (dispatch and the walker paths do).
 // Duplicate interest in the same URL goes through waitFor.
 func (e *Engine) fetchFresh(url string, blocking bool, onResult func(Result)) {
-	e.requested[url] = true
+	e.objects[url] = object{}
 	e.pendingTotal++
 	if blocking {
 		e.pendingBlocking++
@@ -243,8 +248,10 @@ func (e *Engine) fetchFresh(url string, blocking bool, onResult func(Result)) {
 		e.opt.Events.FetchIssued(url, blocking)
 	}
 	e.fetch.Fetch(url, func(r Result) {
-		e.loaded[url] = true
-		e.results[url] = r
+		// Nothing waits on an arrived URL (waitFor answers at once), so the
+		// waiters taken here are all there will be.
+		ws := e.objects[url].waiters
+		e.objects[url] = object{result: r, arrived: true}
 		if blocking && !e.onloadFired && r.At > e.lastBlockingArrival {
 			e.lastBlockingArrival = r.At
 		}
@@ -252,11 +259,8 @@ func (e *Engine) fetchFresh(url string, blocking bool, onResult func(Result)) {
 			e.opt.Events.ObjectLoaded(url, len(r.Body), r.At)
 		}
 		onResult(r)
-		if ws := e.waiters[url]; len(ws) > 0 {
-			delete(e.waiters, url)
-			for _, w := range ws {
-				w(r)
-			}
+		for _, w := range ws {
+			w(r)
 		}
 	})
 }
@@ -264,11 +268,13 @@ func (e *Engine) fetchFresh(url string, blocking bool, onResult func(Result)) {
 // waitFor delivers the result of an already-requested URL: immediately if it
 // arrived, or when it lands. It carries no pending accounting of its own.
 func (e *Engine) waitFor(url string, cb func(Result)) {
-	if r, ok := e.results[url]; ok {
-		cb(r)
+	o := e.objects[url]
+	if o.arrived {
+		cb(o.result)
 		return
 	}
-	e.waiters[url] = append(e.waiters[url], cb)
+	o.waiters = append(o.waiters, cb)
+	e.objects[url] = o
 }
 
 // dispatch processes a fetched object and eventually calls finish exactly
@@ -447,7 +453,7 @@ func (w *docWalker) awaitScript(url string) {
 		}
 		w.resume()
 	}
-	if e.requested[url] {
+	if e.Requested(url) {
 		e.waitFor(url, onArrive)
 		return
 	}

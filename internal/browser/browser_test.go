@@ -33,6 +33,9 @@ func (f *fakeFetcher) Fetch(url string, cb func(Result)) {
 
 func obj(ct, body string) Result { return Result{ContentType: ct, Body: []byte(body)} }
 
+// arrived reports whether url's response has reached e.
+func arrived(e *Engine, url string) bool { return e.objects[url].arrived }
+
 func newEngine(t *testing.T, store map[string]Result, delay time.Duration, opt Options) (*eventsim.Simulator, *Engine, *fakeFetcher) {
 	t.Helper()
 	sim := eventsim.New(1)
@@ -121,7 +124,7 @@ func TestAsyncScriptDoesNotBlockOnload(t *testing.T) {
 	if !(co > ol) {
 		t.Fatalf("complete %v should be after onload %v (async tail)", co, ol)
 	}
-	if !e.loaded["http://www.site.com/late.png"] {
+	if !arrived(e, "http://www.site.com/late.png") {
 		t.Fatal("async-discovered object never loaded")
 	}
 }
@@ -145,7 +148,7 @@ func TestSetTimeoutFetchIsPostOnload(t *testing.T) {
 	if co < 3*time.Second {
 		t.Fatalf("complete at %v — must wait for the 3s timer fetch", co)
 	}
-	if !e.loaded["http://www.site.com/ad.png"] {
+	if !arrived(e, "http://www.site.com/ad.png") {
 		t.Fatal("timer fetch never loaded")
 	}
 	if e.TimersSet != 1 {
@@ -186,7 +189,7 @@ func TestDocumentWriteDiscovery(t *testing.T) {
 	e.Load(mainURL)
 	sim.Run()
 	for _, u := range []string{"/w1.png", "/w2.js", "/w3.png"} {
-		if !e.loaded["http://www.site.com"+u] {
+		if !arrived(e, "http://www.site.com"+u) {
 			t.Fatalf("%s not loaded; requested: %v", u, e.RequestedURLs())
 		}
 	}
@@ -271,7 +274,7 @@ func TestEventHandlerCanFetch(t *testing.T) {
 	sim.Run()
 	e.FireEvent("click", "more")
 	sim.Run()
-	if !e.loaded["http://www.site.com/extra.json"] {
+	if !arrived(e, "http://www.site.com/extra.json") {
 		t.Fatal("handler fetch not loaded")
 	}
 }
@@ -383,7 +386,7 @@ func TestIframeRecursion(t *testing.T) {
 	sim, e, _ := newEngine(t, store, time.Millisecond, Options{})
 	e.Load(mainURL)
 	sim.Run()
-	if !e.loaded["http://ads.net/banner.gif"] {
+	if !arrived(e, "http://ads.net/banner.gif") {
 		t.Fatalf("iframe resources not loaded: %v", e.RequestedURLs())
 	}
 }

@@ -168,7 +168,7 @@ func TestDupScriptAcrossWalkAndFetch(t *testing.T) {
 	if count != 1 {
 		t.Fatalf("shared.js fetched %d times", count)
 	}
-	if !e.loaded["http://www.site.com/done.png"] {
+	if !arrived(e, "http://www.site.com/done.png") {
 		t.Fatal("content after duplicate script lost")
 	}
 }

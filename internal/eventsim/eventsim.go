@@ -79,11 +79,12 @@ const eventBlockSize = 256
 // Pools holds the storage a simulator's pending set lives in: the event
 // arena with its free list, and spare bucket sets for the queue. Every
 // simulator draws from one (New makes a private one). A batch engine that
-// runs many page simulations per worker hands all of them the same Pools,
-// so one run's recycled events and buckets are the next run's, and live
-// simulators on it share the free list — the generation in every Timer is
-// what makes that safe. Pools is owned by one goroutine at a time (the worker
-// driving its batch); it is not safe for concurrent use.
+// runs many page simulations per worker, one after another, hands all of
+// them the same Pools, so one run's recycled events and buckets are the
+// next run's — the generation in every Timer keeps a handle inert once its
+// slot is reused, in this run or a later one. Pools is owned by one
+// goroutine at a time (the worker driving its batch); it is not safe for
+// concurrent use.
 type Pools struct {
 	free    *event
 	arena   []event // the uncarved rest of the newest block

@@ -12,11 +12,13 @@ import (
 // Sweep at every parallelism, with the shared object cache off and on, must
 // reproduce bit for bit a plain serial loop of RunOnce + medianReduce — one
 // private topology per task, no shared arenas, no exec-outcome cache. This is
-// the determinism contract of batch.go — shared arenas, the exec-outcome
-// cache, round-robin multiplexing, and the per-topology cache may change
-// where time and memory go, never what the figures say.
+// the determinism contract of batch.go — pooled resources reused from one
+// task to the next, the exec-outcome cache, and the per-topology cache may
+// change where time and memory go, never what the figures say. All four arm
+// kinds run: SPDY and CB drain inside start, DIR and PARCEL in load.
 func TestBatchMatchesSerial(t *testing.T) {
-	schemes := []Scheme{DIRScheme, ParcelScheme(sched.ConfigIND), ParcelScheme(sched.Config512K)}
+	schemes := []Scheme{DIRScheme, ParcelScheme(sched.ConfigIND), ParcelScheme(sched.Config512K),
+		spdyScheme, cbScheme}
 	for _, sharedCache := range []bool{false, true} {
 		cfg := goldenConfig()
 		cfg.SharedCache = sharedCache

@@ -115,12 +115,12 @@ type arm struct {
 }
 
 // start is the one place an arm begins loading topo's page on the mobile
-// client. DIR and PARCEL return with the load under way, for the caller or
-// the batch engine to drain topo.Sim; SPDY and CB have no split start, so
-// their Load drains it here. A PARCEL proxy gets a fresh shared cache when
-// cfg asks for one: per-topology caches keep tasks independent (and therefore
-// order-free), where cross-task sharing would make a task's timing depend on
-// which tasks ran before it.
+// client. DIR and PARCEL return with the load under way, for load to drain
+// topo.Sim; SPDY and CB have no split start, so their Load drains it here
+// and load's Run finds nothing left. A PARCEL proxy gets a fresh shared
+// cache when cfg asks for one: per-topology caches keep tasks independent
+// (and therefore order-free), where cross-task sharing would make a task's
+// timing depend on which tasks ran before it.
 func (s Scheme) start(topo *scenario.Topology, cfg Config) arm {
 	a := arm{name: s.Name}
 	switch s.kind {
@@ -149,11 +149,14 @@ func (s Scheme) start(topo *scenario.Topology, cfg Config) arm {
 	return a
 }
 
-// load builds page's topology at seed, starts s on it and drains it.
-func (s Scheme) load(page webgen.Page, cfg Config, seed int64) (*scenario.Topology, arm) {
+// load builds page's topology at seed, starts s on it and drains it. It is
+// the one path every simulation takes: res is the batch engine's pooled
+// resources, or nil for a private topology (RunOnce, the single-load figures,
+// Table 1 and the Fig. 8 session).
+func (s Scheme) load(page webgen.Page, cfg Config, seed int64, res *scenario.Resources) (*scenario.Topology, arm) {
 	params := cfg.Scenario
 	params.Seed = seed
-	topo := scenario.Build(page, params)
+	topo := scenario.BuildWith(page, params, res)
 	a := s.start(topo, cfg)
 	topo.Sim.Run()
 	return topo, a
@@ -189,7 +192,7 @@ func (a arm) cpuActive() time.Duration {
 // run metrics. seed perturbs the topology (jitter draw), mirroring the
 // paper's per-round variability.
 func RunOnce(page webgen.Page, s Scheme, cfg Config, seed int64) metrics.PageRun {
-	_, a := s.load(page, cfg.withDefaults(), seed)
+	_, a := s.load(page, cfg.withDefaults(), seed, nil)
 	return a.run(new(metrics.Collector))
 }
 
@@ -238,8 +241,8 @@ type PageResult struct {
 // Sweep runs every scheme over every page. It fans every (page, scheme,
 // round) simulation out as one task of the batched engine — the flattening
 // exposes the evaluation's full width (pages × schemes × rounds independent
-// topologies) to the cfg.Parallelism worker pool, and each worker
-// multiplexes batchSize of those simulations through shared arena pools —
+// topologies) to the cfg.Parallelism worker pool, and each worker runs
+// batchSize of those simulations in turn on one set of pooled resources —
 // and then reduces rounds to medians in index order, so the result is
 // identical to the serial page-by-page loop at any parallelism level.
 func Sweep(cfg Config, schemes []Scheme) []PageResult {

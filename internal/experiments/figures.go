@@ -81,7 +81,7 @@ func Fig5(cfg Config, pageIndex int) Fig5Result {
 
 	schemes := []Scheme{DIRScheme, ParcelScheme(sched.ConfigIND), ParcelScheme(sched.ConfigONLD), ParcelScheme(sched.Config512K)}
 	series := runner.Map(cfg.Parallelism, len(schemes), func(i int) Fig5Series {
-		topo, a := schemes[i].load(page, cfg, cfg.Seed)
+		topo, a := schemes[i].load(page, cfg, cfg.Seed, nil)
 		out := Fig5Series{Scheme: schemes[i].Name, Points: topo.ClientTrace.CumulativeBytes(trace.Down)}
 		if a.proxy != nil {
 			out.Bundles = a.proxy.Sessions[0].BundlesSent
@@ -120,7 +120,7 @@ func Fig6a(cfg Config) Fig6aResult {
 	// parallel tasks and merge the halves.
 	schemes := []Scheme{DIRScheme, ParcelScheme(sched.ConfigIND)}
 	halves := runner.Map(cfg.Parallelism, 2, func(i int) Fig6aResult {
-		topo, a := schemes[i].load(page, cfg, cfg.Seed)
+		topo, a := schemes[i].load(page, cfg, cfg.Seed, nil)
 		series := topo.ClientTrace.CumulativeBytes(trace.Down)
 		olt := a.run(new(metrics.Collector)).OLT
 		if a.proxy == nil {
@@ -425,14 +425,14 @@ type SPDYResult struct {
 
 // SPDYComparison sweeps the page set across the three arms. Every
 // (page, arm) pair is an independent topology, so the sweep fans all of them
-// out on the worker pool and reassembles per-page triples in index order.
+// out on the batch engine and reassembles per-page triples in index order.
 func SPDYComparison(cfg Config) SPDYResult {
 	cfg = cfg.withDefaults()
 	pages := cfg.PageSet()
 	schemes := []Scheme{DIRScheme, spdyScheme, ParcelScheme(sched.ConfigIND)}
 	arms := len(schemes)
-	runs := runner.Map(cfg.Parallelism, len(pages)*arms, func(i int) metrics.PageRun {
-		return RunOnce(pages[i/arms], schemes[i%arms], cfg, cfg.Seed)
+	runs := runTasks(cfg, len(pages)*arms, func(i int) batchTask {
+		return batchTask{page: pages[i/arms], s: schemes[i%arms], seed: cfg.Seed}
 	})
 	var out SPDYResult
 	for pi := range pages {

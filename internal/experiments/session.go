@@ -108,7 +108,7 @@ func (c *cpuSampler) at(t time.Duration) time.Duration {
 // runSession loads the page with s (FD), then clicks once per interval,
 // sampling the client's CPU after each click settles.
 func runSession(page webgen.Page, s Scheme, cfg Config, clicks int, interval time.Duration, dev energy.DeviceParams) SessionResult {
-	topo, a := s.load(page, cfg, cfg.Seed)
+	topo, a := s.load(page, cfg, cfg.Seed, nil)
 	var sampler cpuSampler
 	fd := topo.Sim.Now()
 	sampler.record(fd, a.cpuActive())

@@ -48,7 +48,7 @@ func MeasureTable1(cfg Config) Table1Measured {
 
 	schemes := []Scheme{DIRScheme, ParcelScheme(sched.ConfigIND)}
 	halves := runner.Map(cfg.Parallelism, 2, func(i int) Table1Measured {
-		topo, a := schemes[i].load(page, cfg, cfg.Seed)
+		topo, a := schemes[i].load(page, cfg, cfg.Seed, nil)
 		run := a.run(new(metrics.Collector))
 		if a.proxy == nil {
 			return Table1Measured{DIRClientConns: run.ConnsOpened, DIRClientRequests: run.HTTPRequests}

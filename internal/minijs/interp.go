@@ -171,8 +171,7 @@ const maxCallDepth = 2000
 // by slot count and call-argument slices. A Pools may be shared by every
 // Interp of a simulation batch — frames and argument slices are only held
 // during a synchronous script execution, never across simulator events, so
-// interleaved simulations on one goroutine cannot observe each other's
-// frames. Pools is not safe for concurrent use across goroutines.
+// simulations on one goroutine cannot observe each other's frames. Pools is not safe for concurrent use across goroutines.
 type Pools struct {
 	framePool [maxPooledSlots + 1][]*frame
 	argFree   [][]Value

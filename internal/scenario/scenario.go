@@ -117,7 +117,7 @@ type Topology struct {
 }
 
 // Resources bundles the arena pools and scratch that a batch worker threads
-// through consecutive (and interleaved) page simulations: event arena
+// through the page simulations it runs one after another: event arena
 // blocks, packet/message free lists, minijs call frames, and finished trace
 // recorders. One Resources serves every simulation driven by one goroutine;
 // it is not safe for concurrent use. Construct with NewResources.

@@ -115,7 +115,7 @@ type Network struct {
 
 // Pools holds the packet and message free lists plus their arena blocks.
 // One Pools can back many Networks as long as they all run on the same
-// goroutine (a batch of interleaved page simulations per worker): a released
+// goroutine (the page simulations a batch worker runs in turn): a released
 // object is fully zeroed before it reaches the free list, so whichever
 // network pops it next starts from a clean slate. Pools is not safe for
 // concurrent use.
