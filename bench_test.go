@@ -213,7 +213,7 @@ func BenchmarkPageLoadDIR(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		topo := scenario.Build(page, scenario.DefaultParams())
-		dirbrowser.Run(topo, dirbrowser.Options{FixedRandom: true})
+		dirbrowser.New(topo, dirbrowser.Options{FixedRandom: true}).Load()
 	}
 }
 
@@ -226,11 +226,11 @@ func BenchmarkAblationConnsPerDomain(b *testing.B) {
 	var capped, uncapped float64
 	for i := 0; i < b.N; i++ {
 		t1 := scenario.Build(page, scenario.DefaultParams())
-		capped = dirbrowser.Run(t1, dirbrowser.Options{FixedRandom: true}).OLT.Seconds()
+		capped = dirbrowser.New(t1, dirbrowser.Options{FixedRandom: true}).Load().OLT.Seconds()
 		t2 := scenario.Build(page, scenario.DefaultParams())
-		uncapped = dirbrowser.Run(t2, dirbrowser.Options{
+		uncapped = dirbrowser.New(t2, dirbrowser.Options{
 			FixedRandom: true, ConnsPerDomain: 32, MaxTotalConns: -1,
-		}).OLT.Seconds()
+		}).Load().OLT.Seconds()
 	}
 	b.ReportMetric(capped, "capped-OLT-s")
 	b.ReportMetric(uncapped, "uncapped-OLT-s")

@@ -20,33 +20,18 @@ import (
 	"github.com/parcel-go/parcel/internal/trace"
 )
 
-// Config tunes the cloud browser.
-type Config struct {
-	// SnapshotFactor scales page bytes into rendered-snapshot bytes (cloud
+// The evaluation's cloud-browser constants.
+const (
+	// snapshotFactor scales page bytes into rendered-snapshot bytes (cloud
 	// browsers compress aggressively; OBML-style formats ship well under
 	// the raw page weight).
-	SnapshotFactor float64
-	// UpdateOverheadBytes is the fixed cost of a per-interaction snapshot
+	snapshotFactor = 0.6
+	// updateOverheadBytes is the fixed cost of a per-interaction snapshot
 	// delta (layout re-serialization).
-	UpdateOverheadBytes int
-	// ClientRenderPerKB is the thin client's cost to paint a snapshot.
-	ClientRenderPerKB time.Duration
-	// CPU is the cloud engine profile.
-	CPU browser.CPUModel
-	// FixedRandom applies the §7.3 replay rewrite in the cloud engine.
-	FixedRandom bool
-}
-
-// DefaultConfig returns the evaluation defaults.
-func DefaultConfig() Config {
-	return Config{
-		SnapshotFactor:      0.6,
-		UpdateOverheadBytes: 24 << 10,
-		ClientRenderPerKB:   300 * time.Microsecond,
-		CPU:                 browser.ProxyCPU(),
-		FixedRandom:         true,
-	}
-}
+	updateOverheadBytes = 24 << 10
+	// clientRenderPerKB is the thin client's cost to paint a snapshot.
+	clientRenderPerKB = 300 * time.Microsecond
+)
 
 // message labels for traces.
 const (
@@ -67,7 +52,6 @@ type cbEvent struct{ Event, Target string }
 // Session is one CB page session: cloud engine plus thin client.
 type Session struct {
 	topo *scenario.Topology
-	cfg  Config
 
 	CloudEngine *browser.Engine
 	conn        *simnet.Conn
@@ -91,27 +75,30 @@ type Session struct {
 
 // New prepares a CB session on the topology: the cloud side listens on the
 // proxy host.
-func New(topo *scenario.Topology, cfg Config) *Session {
-	if cfg.SnapshotFactor == 0 {
-		cfg = DefaultConfig()
-	}
-	s := &Session{topo: topo, cfg: cfg}
+func New(topo *scenario.Topology) *Session {
+	s := &Session{topo: topo}
 	topo.Proxy.Listen(func(c *simnet.Conn) {
 		c.OnMessage(topo.Proxy, s.onCloudMessage)
 	})
 	return s
 }
 
-// Load performs the first download (FD): the cloud loads the page and ships
-// the initial snapshot at its onload event; post-onload content arrives as a
-// trailing update at cloud completion.
-func (s *Session) Load() metrics.PageRun {
+// Start begins the first download (FD) without running the simulator: the
+// client dials the cloud and sends the page request. The cloud loads the
+// page and ships the initial snapshot at its onload event; post-onload
+// content arrives as a trailing update at cloud completion.
+func (s *Session) Start() {
 	topo := s.topo
 	s.conn = topo.Client.Dial(topo.Proxy, func(conn *simnet.Conn) {
 		conn.Send(topo.Client, 260+len(topo.Page.MainURL), cbPageRequest{URL: topo.Page.MainURL}, labelPageReq, nil)
 	})
 	s.conn.OnMessage(topo.Client, s.onClientMessage)
-	topo.Sim.Run()
+}
+
+// Load runs the first download to quiescence and returns the metrics.
+func (s *Session) Load() metrics.PageRun {
+	s.Start()
+	s.topo.Sim.Run()
 	return s.Collect()
 }
 
@@ -125,6 +112,8 @@ func (s *Session) onCloudMessage(m simnet.Message) {
 	}
 }
 
+// startCloudLoad loads url in the cloud engine: the proxy CPU profile, with
+// the §7.3 replay rewrite.
 func (s *Session) startCloudLoad(url string) {
 	topo := s.topo
 	client := httpsim.NewClient(topo.Sim, topo.Proxy, topo.Dir, topo.ProxyResolver, 6)
@@ -132,17 +121,17 @@ func (s *Session) startCloudLoad(url string) {
 	var bytesAtOnload, bytesTotal int64
 	fetcher := cbFetcher{client: client, bytes: &bytesTotal}
 	s.CloudEngine = browser.New(topo.Sim, fetcher, browser.Options{
-		CPU:         s.cfg.CPU,
-		FixedRandom: s.cfg.FixedRandom,
+		CPU:         browser.ProxyCPU(),
+		FixedRandom: true,
 		Events: browser.Events{
 			OnLoad: func(at time.Duration) {
 				bytesAtOnload = bytesTotal
-				s.sendSnapshot(int(float64(bytesAtOnload)*s.cfg.SnapshotFactor), true)
+				s.sendSnapshot(int(float64(bytesAtOnload)*snapshotFactor), true)
 			},
 			Complete: func(at time.Duration) {
 				tail := bytesTotal - bytesAtOnload
 				if tail > 0 {
-					s.sendSnapshot(s.cfg.UpdateOverheadBytes+int(float64(tail)*s.cfg.SnapshotFactor), false)
+					s.sendSnapshot(updateOverheadBytes+int(float64(tail)*snapshotFactor), false)
 				}
 			},
 		},
@@ -176,13 +165,11 @@ func (s *Session) sendSnapshot(size int, initial bool) {
 // resulting snapshot delta — the network round-trip PARCEL's local JS
 // execution avoids.
 func (s *Session) handleRemoteEvent(ev cbEvent) {
-	bytesBefore := int64(0)
 	if s.CloudEngine != nil {
 		s.CloudEngine.FireEvent(ev.Event, ev.Target)
 	}
-	_ = bytesBefore
 	// The handler ran remotely; ship the updated view.
-	s.sendSnapshot(s.cfg.UpdateOverheadBytes+s.galleryDeltaBytes(), false)
+	s.sendSnapshot(updateOverheadBytes+s.galleryDeltaBytes(), false)
 }
 
 // galleryDeltaBytes estimates the content bytes a gallery interaction
@@ -198,7 +185,7 @@ func (s *Session) galleryDeltaBytes() int {
 	if n == 0 {
 		return 8 << 10
 	}
-	return int(float64(total/n) * s.cfg.SnapshotFactor)
+	return int(float64(total/n) * snapshotFactor)
 }
 
 // onClientMessage handles cloud→client traffic at the client host.
@@ -208,7 +195,7 @@ func (s *Session) onClientMessage(m simnet.Message) {
 		return
 	}
 	// Thin-client render: cheap, serialized on the device CPU.
-	cost := time.Duration(float64(s.cfg.ClientRenderPerKB) * float64(snap.Bytes) / 1024)
+	cost := time.Duration(float64(clientRenderPerKB) * float64(snap.Bytes) / 1024)
 	start := s.topo.Sim.Now()
 	if start < s.clientCPUBusy {
 		start = s.clientCPUBusy
@@ -249,8 +236,14 @@ func (s *Session) ClientCPUActive() time.Duration { return s.clientCPUActive }
 // Collect assembles metrics. OLT is the initial snapshot arrival (the thin
 // client has nothing to show before it); TLT the last snapshot byte.
 func (s *Session) Collect() metrics.PageRun {
+	var col metrics.Collector
+	return s.CollectWith(&col)
+}
+
+// CollectWith is Collect reducing the trace through col's reusable scratch.
+func (s *Session) CollectWith(col *metrics.Collector) metrics.PageRun {
 	run := metrics.PageRun{Scheme: "CB", Page: s.topo.Page.Name}
-	metrics.FromTrace(&run, s.topo.ClientTrace, s.snapshotAt, radio.DefaultLTE(), func(p trace.Packet) bool {
+	col.FromTrace(&run, s.topo.ClientTrace, s.snapshotAt, radio.DefaultLTE(), func(p trace.Packet) bool {
 		return !strings.HasPrefix(p.Label, "ctl:")
 	})
 	run.CPUActive = s.clientCPUActive
@@ -258,9 +251,4 @@ func (s *Session) Collect() metrics.PageRun {
 	run.ConnsOpened = 1
 	run.ObjectsLoaded = s.SnapshotsSent
 	return run
-}
-
-// Run loads a page with CB on the topology.
-func Run(topo *scenario.Topology, cfg Config) metrics.PageRun {
-	return New(topo, cfg).Load()
 }

@@ -17,7 +17,7 @@ func interactivePage(t testing.TB) webgen.Page {
 func TestCBLoadsAndSnapshots(t *testing.T) {
 	page := interactivePage(t)
 	topo := scenario.Build(page, scenario.DefaultParams())
-	sess := New(topo, DefaultConfig())
+	sess := New(topo)
 	run := sess.Load()
 	if run.OLT == 0 {
 		t.Fatal("initial snapshot never arrived")
@@ -40,7 +40,7 @@ func TestCBLoadsAndSnapshots(t *testing.T) {
 func TestCBClicksCostNetwork(t *testing.T) {
 	page := interactivePage(t)
 	topo := scenario.Build(page, scenario.DefaultParams())
-	sess := New(topo, DefaultConfig())
+	sess := New(topo)
 	sess.Load()
 	before := topo.ClientTrace.Len()
 	var updated time.Duration
@@ -63,7 +63,7 @@ func TestCBClickEnergyGrowsButParcelStaysFlat(t *testing.T) {
 	page := interactivePage(t)
 
 	cbTopo := scenario.Build(page, scenario.DefaultParams())
-	cb := New(cbTopo, DefaultConfig())
+	cb := New(cbTopo)
 	cb.Load()
 	cbBefore := cbTopo.ClientTrace.Len()
 	for i := 0; i < 3; i++ {
@@ -95,7 +95,7 @@ func TestCBClientCPUIsCheap(t *testing.T) {
 	page := interactivePage(t)
 
 	cbTopo := scenario.Build(page, scenario.DefaultParams())
-	cb := New(cbTopo, DefaultConfig())
+	cb := New(cbTopo)
 	cb.Load()
 
 	pTopo := scenario.Build(page, scenario.DefaultParams())
@@ -112,7 +112,7 @@ func TestCBClientCPUIsCheap(t *testing.T) {
 func TestCBHandlesNonInteractivePage(t *testing.T) {
 	pages := webgen.Generate(webgen.Spec{Seed: 1234, NumPages: 8})
 	topo := scenario.Build(pages[0], scenario.DefaultParams())
-	sess := New(topo, DefaultConfig())
+	sess := New(topo)
 	run := sess.Load()
 	if run.OLT == 0 {
 		t.Fatal("no snapshot for plain page")

@@ -94,7 +94,7 @@ func TestParcelBeatsDIROnLatencyAndEnergy(t *testing.T) {
 		page := testPage(t, idx)
 		pRun, _, _ := parcelRun(t, page, sched.ConfigIND)
 		dTopo := scenario.Build(page, scenario.DefaultParams())
-		dRun := dirbrowser.Run(dTopo, dirbrowser.Options{FixedRandom: true})
+		dRun := dirbrowser.New(dTopo, dirbrowser.Options{FixedRandom: true}).Load()
 		if dRun.OLT == 0 {
 			t.Fatalf("DIR OLT zero on page %d", idx)
 		}

@@ -1,9 +1,12 @@
-// Package dirbrowser is the DIR baseline (§7.1): a traditional mobile
-// browser that performs object identification on the device and fetches
-// every object itself over the cellular link with per-object HTTP
-// request–response interactions, DNS lookups per domain, and up to six
-// persistent connections per domain — the download pattern of Figure 5a
-// whose round trips and short transfers PARCEL eliminates.
+// Package dirbrowser is the on-device browser of the DIR baseline (§7.1)
+// and of the SPDY-proxy comparison arm (Table 1, §3/§4.3). Object
+// identification happens on the device in both; they differ only in
+// transport. DIR fetches every object itself over the cellular link with
+// per-object HTTP request–response interactions, DNS lookups per domain, and
+// up to six persistent connections per domain — the download pattern of
+// Figure 5a whose round trips and short transfers PARCEL eliminates. SPDY
+// multiplexes one connection per domain with compressed headers, which the
+// paper expects to help only as fast as the slow client issues requests.
 package dirbrowser
 
 import (
@@ -26,7 +29,7 @@ type Options struct {
 	MaxTotalConns int
 	// RequestIssueCost is the client CPU spent dispatching each HTTP
 	// request (URL canonicalization, cache lookup, socket bookkeeping);
-	// requests issue serially on the device (default 2 ms).
+	// requests issue serially on the device (default 3 ms).
 	RequestIssueCost time.Duration
 	// CPU defaults to the mobile profile.
 	CPU browser.CPUModel
@@ -50,19 +53,27 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Browser is one DIR page-load session.
-type Browser struct {
-	Engine *browser.Engine
-	Client *httpsim.Client
-	topo   *scenario.Topology
+// Transport is the browser's connection layer: *httpsim.Client (DIR) or
+// *httpsim.SPDYClient (SPDY).
+type Transport interface {
+	Do(req httpsim.Request, cb func(httpsim.Response, time.Duration))
+	Counts() httpsim.Counters
 }
 
-// fetcher adapts the cellular HTTP client to the engine, serializing request
-// dispatch on the device (issueBusy models the network-stack portion of the
-// main thread).
+// Browser is one on-device page-load session.
+type Browser struct {
+	Engine *browser.Engine
+	Client Transport
+	topo   *scenario.Topology
+	scheme string // "DIR" or "SPDY"
+}
+
+// fetcher adapts the transport to the engine, serializing request dispatch
+// on the device (issueBusy models the network-stack portion of the main
+// thread).
 type fetcher struct {
 	topo      *scenario.Topology
-	c         *httpsim.Client
+	c         Transport
 	issueCost time.Duration
 	issueBusy time.Duration
 }
@@ -90,23 +101,38 @@ func (f *fetcher) Fetch(url string, cb func(browser.Result)) {
 	sim.ScheduleAt(start, do)
 }
 
-// New prepares a DIR browser on the topology.
+// New prepares a DIR browser on the topology: HTTP/1.1 connection pools.
 func New(topo *scenario.Topology, opt Options) *Browser {
 	opt = opt.withDefaults()
 	client := httpsim.NewClient(topo.Sim, topo.Client, topo.Dir, topo.ClientResolver, opt.ConnsPerDomain)
 	client.SetMaxTotalConns(opt.MaxTotalConns)
-	engine := browser.New(topo.Sim, &fetcher{topo: topo, c: client, issueCost: opt.RequestIssueCost}, browser.Options{
+	return newBrowser(topo, "DIR", client, opt)
+}
+
+// NewSPDY prepares a SPDY browser on the topology: one multiplexed
+// connection per domain, with DIR's default CPU and issue cost and the
+// replay rewrite on.
+func NewSPDY(topo *scenario.Topology) *Browser {
+	client := httpsim.NewSPDYClient(topo.Sim, topo.Client, topo.Dir, topo.ClientResolver)
+	return newBrowser(topo, "SPDY", client, Options{FixedRandom: true}.withDefaults())
+}
+
+func newBrowser(topo *scenario.Topology, scheme string, t Transport, opt Options) *Browser {
+	engine := browser.New(topo.Sim, &fetcher{topo: topo, c: t, issueCost: opt.RequestIssueCost}, browser.Options{
 		CPU:         opt.CPU,
 		FixedRandom: opt.FixedRandom,
 		ExecCache:   topo.ExecCache,
 		JSPools:     topo.JSPools,
 	})
-	return &Browser{Engine: engine, Client: client, topo: topo}
+	return &Browser{Engine: engine, Client: t, topo: topo, scheme: scheme}
 }
+
+// Start begins loading the topology's page without running the simulator.
+func (b *Browser) Start() { b.Engine.Load(b.topo.Page.MainURL) }
 
 // Load runs the full page download to quiescence and returns the metrics.
 func (b *Browser) Load() metrics.PageRun {
-	b.Engine.Load(b.topo.Page.MainURL)
+	b.Start()
 	b.topo.Sim.Run()
 	return b.Collect()
 }
@@ -121,21 +147,17 @@ func (b *Browser) Collect() metrics.PageRun {
 // CollectWith is Collect reducing the trace through col's reusable scratch
 // (for batch engines that collect many sessions per worker).
 func (b *Browser) CollectWith(col *metrics.Collector) metrics.PageRun {
-	run := metrics.PageRun{Scheme: "DIR", Page: b.topo.Page.Name}
+	run := metrics.PageRun{Scheme: b.scheme, Page: b.topo.Page.Name}
 	onload, _ := b.Engine.OnloadNetAt()
 	col.FromTrace(&run, b.topo.ClientTrace, onload, radio.DefaultLTE(), nil)
 	run.CPUActive = b.Engine.CPUActive()
-	run.HTTPRequests = b.Client.RequestsSent
-	run.ConnsOpened = b.Client.ConnsOpened
+	counts := b.Client.Counts()
+	run.HTTPRequests = counts.RequestsSent
+	run.ConnsOpened = counts.ConnsOpened
 	run.ObjectsLoaded = b.Engine.NumRequested()
 	st := b.topo.Net.FaultStats()
 	run.DroppedPackets = st.Dropped
 	run.Retransmits = st.Retransmits
 	run.RetransmitBytes = st.RetransmitBytes
 	return run
-}
-
-// Run builds, loads and measures a page in one call.
-func Run(topo *scenario.Topology, opt Options) metrics.PageRun {
-	return New(topo, opt).Load()
 }

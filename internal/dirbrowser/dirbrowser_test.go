@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/parcel-go/parcel/internal/browser"
+	"github.com/parcel-go/parcel/internal/httpsim"
 	"github.com/parcel-go/parcel/internal/scenario"
 	"github.com/parcel-go/parcel/internal/webgen"
 )
@@ -40,7 +41,7 @@ func TestTotalConnectionCapHolds(t *testing.T) {
 	topo := scenario.Build(page, scenario.DefaultParams())
 	b := New(topo, Options{FixedRandom: true, MaxTotalConns: 10})
 	b.Load()
-	if got := b.Client.TotalConns(); got > 10 {
+	if got := b.Client.(*httpsim.Client).TotalConns(); got > 10 {
 		t.Fatalf("open conns = %d, cap 10", got)
 	}
 }
@@ -49,9 +50,9 @@ func TestMoreParallelismLoadsFaster(t *testing.T) {
 	page := pageAt(t, 2)
 	load := func(perDomain, total int) time.Duration {
 		topo := scenario.Build(page, scenario.DefaultParams())
-		return Run(topo, Options{
+		return New(topo, Options{
 			FixedRandom: true, ConnsPerDomain: perDomain, MaxTotalConns: total,
-		}).OLT
+		}).Load().OLT
 	}
 	capped := load(2, 6)
 	roomy := load(6, 17)
@@ -64,7 +65,7 @@ func TestRequestIssueCostSlowsLoad(t *testing.T) {
 	page := pageAt(t, 3)
 	load := func(cost time.Duration) time.Duration {
 		topo := scenario.Build(page, scenario.DefaultParams())
-		return Run(topo, Options{FixedRandom: true, RequestIssueCost: cost}).OLT
+		return New(topo, Options{FixedRandom: true, RequestIssueCost: cost}).Load().OLT
 	}
 	cheap := load(500 * time.Microsecond)
 	dear := load(8 * time.Millisecond)
@@ -77,7 +78,7 @@ func TestDesktopCPUFasterThanMobile(t *testing.T) {
 	page := pageAt(t, 4)
 	load := func(cpu browser.CPUModel) time.Duration {
 		topo := scenario.Build(page, scenario.DefaultParams())
-		return Run(topo, Options{FixedRandom: true, CPU: cpu}).OLT
+		return New(topo, Options{FixedRandom: true, CPU: cpu}).Load().OLT
 	}
 	if d, m := load(browser.DesktopCPU()), load(browser.MobileCPU()); d >= m {
 		t.Fatalf("desktop OLT %v >= mobile %v", d, m)
@@ -86,7 +87,7 @@ func TestDesktopCPUFasterThanMobile(t *testing.T) {
 
 func TestDefaultsApplied(t *testing.T) {
 	opt := Options{}.withDefaults()
-	if opt.MaxTotalConns != 17 || opt.RequestIssueCost == 0 {
+	if opt.MaxTotalConns != 17 || opt.RequestIssueCost != 3*time.Millisecond {
 		t.Fatalf("defaults: %+v", opt)
 	}
 	uncapped := Options{MaxTotalConns: -1}

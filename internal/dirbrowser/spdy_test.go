@@ -1,26 +1,26 @@
-package spdybrowser
+package dirbrowser
 
 import (
 	"testing"
 
 	"github.com/parcel-go/parcel/internal/core"
-	"github.com/parcel-go/parcel/internal/dirbrowser"
+	"github.com/parcel-go/parcel/internal/httpsim"
 	"github.com/parcel-go/parcel/internal/scenario"
 	"github.com/parcel-go/parcel/internal/simnet"
 	"github.com/parcel-go/parcel/internal/stats"
 	"github.com/parcel-go/parcel/internal/webgen"
 )
 
-func pageAt(t testing.TB, idx int) webgen.Page {
+func spdyPageAt(t testing.TB, idx int) webgen.Page {
 	t.Helper()
 	pages := webgen.Generate(webgen.Spec{Seed: 31, NumPages: 6})
 	return pages[idx%len(pages)]
 }
 
 func TestSPDYLoadsFullPage(t *testing.T) {
-	page := pageAt(t, 0)
+	page := spdyPageAt(t, 0)
 	topo := scenario.Build(page, scenario.DefaultParams())
-	b := New(topo, Options{FixedRandom: true})
+	b := NewSPDY(topo)
 	run := b.Load()
 	if run.OLT == 0 {
 		t.Fatal("onload never fired")
@@ -34,17 +34,18 @@ func TestSPDYLoadsFullPage(t *testing.T) {
 }
 
 func TestSPDYSingleConnPerDomain(t *testing.T) {
-	page := pageAt(t, 2)
+	page := spdyPageAt(t, 2)
 	topo := scenario.Build(page, scenario.DefaultParams())
-	b := New(topo, Options{FixedRandom: true})
+	b := NewSPDY(topo)
 	b.Load()
-	if b.Client.TotalConns() > len(page.Domains) {
-		t.Fatalf("SPDY opened %d conns for %d domains", b.Client.TotalConns(), len(page.Domains))
+	spdy := b.Client.(*httpsim.SPDYClient)
+	if spdy.TotalConns() > len(page.Domains) {
+		t.Fatalf("SPDY opened %d conns for %d domains", spdy.TotalConns(), len(page.Domains))
 	}
 	dTopo := scenario.Build(page, scenario.DefaultParams())
-	d := dirbrowser.Run(dTopo, dirbrowser.Options{FixedRandom: true})
-	if b.Client.ConnsOpened >= d.ConnsOpened {
-		t.Fatalf("SPDY conns %d >= DIR conns %d", b.Client.ConnsOpened, d.ConnsOpened)
+	d := New(dTopo, Options{FixedRandom: true}).Load()
+	if spdy.ConnsOpened >= d.ConnsOpened {
+		t.Fatalf("SPDY conns %d >= DIR conns %d", spdy.ConnsOpened, d.ConnsOpened)
 	}
 }
 
@@ -68,11 +69,11 @@ func TestSPDYBeatsDIRButNotParcel(t *testing.T) {
 	const n = 6
 	var spdyOLT, dirOLT, parcelOLT []float64
 	for i := 0; i < n; i++ {
-		page := pageAt(t, i)
+		page := spdyPageAt(t, i)
 		sTopo := scenario.Build(page, scenario.DefaultParams())
-		s := Run(sTopo, Options{FixedRandom: true})
+		s := NewSPDY(sTopo).Load()
 		dTopo := scenario.Build(page, scenario.DefaultParams())
-		d := dirbrowser.Run(dTopo, dirbrowser.Options{FixedRandom: true})
+		d := New(dTopo, Options{FixedRandom: true}).Load()
 		pTopo := scenario.Build(page, scenario.DefaultParams())
 		p := core.Run(pTopo, core.DefaultProxyConfig(), core.DefaultClientConfig())
 		spdyOLT = append(spdyOLT, s.OLT.Seconds())
@@ -94,8 +95,8 @@ func TestSPDYBeatsDIRButNotParcel(t *testing.T) {
 func TestSPDYReportsFaultCounts(t *testing.T) {
 	params := scenario.DefaultParams()
 	params.AccessFaults = simnet.FaultParams{LossRate: 0.05}
-	topo := scenario.Build(pageAt(t, 1), params)
-	run := Run(topo, Options{FixedRandom: true})
+	topo := scenario.Build(spdyPageAt(t, 1), params)
+	run := NewSPDY(topo).Load()
 	st := topo.Net.FaultStats()
 	if st.Dropped == 0 {
 		t.Fatal("5% loss dropped nothing")

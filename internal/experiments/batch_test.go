@@ -15,10 +15,10 @@ import (
 // the determinism contract of batch.go — pooled resources reused from one
 // task to the next, the exec-outcome cache, and the per-topology cache may
 // change where time and memory go, never what the figures say. All four arm
-// kinds run: SPDY and CB drain inside start, DIR and PARCEL in load.
+// kinds run, each started mid-load by start and drained by load.
 func TestBatchMatchesSerial(t *testing.T) {
 	schemes := []Scheme{DIRScheme, ParcelScheme(sched.ConfigIND), ParcelScheme(sched.Config512K),
-		spdyScheme, cbScheme}
+		SPDYScheme, CBScheme}
 	for _, sharedCache := range []bool{false, true} {
 		cfg := goldenConfig()
 		cfg.SharedCache = sharedCache

@@ -15,7 +15,6 @@ import (
 	"github.com/parcel-go/parcel/internal/objcache"
 	"github.com/parcel-go/parcel/internal/scenario"
 	"github.com/parcel-go/parcel/internal/sched"
-	"github.com/parcel-go/parcel/internal/spdybrowser"
 	"github.com/parcel-go/parcel/internal/stats"
 	"github.com/parcel-go/parcel/internal/webgen"
 )
@@ -84,7 +83,8 @@ type Scheme struct {
 }
 
 // armKind is which client a Scheme starts; the zero value is PARCEL, so a
-// Scheme literal with only Name and Sched is a PARCEL arm.
+// Scheme literal with only Name and Sched is a PARCEL arm. DIR and SPDY are
+// one on-device browser (dirbrowser) over two transports.
 type armKind uint8
 
 const (
@@ -97,10 +97,12 @@ const (
 // DIRScheme is the traditional mobile browser arm.
 var DIRScheme = Scheme{Name: "DIR", kind: dirArm}
 
-var (
-	spdyScheme = Scheme{Name: "SPDY", kind: spdyArm}
-	cbScheme   = Scheme{Name: "CB", kind: cbArm}
-)
+// SPDYScheme is the on-device browser over one multiplexed connection per
+// domain (Table 1's SPDY-proxies column).
+var SPDYScheme = Scheme{Name: "SPDY", kind: spdyArm}
+
+// CBScheme is the cloud browser arm (§8.2).
+var CBScheme = Scheme{Name: "CB", kind: cbArm}
 
 // ParcelScheme returns a PARCEL arm with the given schedule.
 func ParcelScheme(cfg sched.Config) Scheme { return Scheme{Name: cfg.String(), Sched: cfg} }
@@ -109,17 +111,16 @@ func ParcelScheme(cfg sched.Config) Scheme { return Scheme{Name: cfg.String(), S
 type arm struct {
 	name    string
 	collect func(*metrics.Collector) metrics.PageRun
-	engine  *browser.Engine       // DIR and PARCEL: the client's engine
+	engine  *browser.Engine       // DIR, SPDY and PARCEL: the client's engine
 	cb      *cloudbrowser.Session // CB only
 	proxy   *core.Proxy           // PARCEL only
 }
 
 // start is the one place an arm begins loading topo's page on the mobile
-// client. DIR and PARCEL return with the load under way, for load to drain
-// topo.Sim; SPDY and CB have no split start, so their Load drains it here
-// and load's Run finds nothing left. A PARCEL proxy gets a fresh shared
-// cache when cfg asks for one: per-topology caches keep tasks independent
-// (and therefore order-free), where cross-task sharing would make a task's
+// client. Every arm returns with its load under way and collect set, for
+// the caller to drain topo.Sim. A PARCEL proxy gets a fresh shared cache
+// when cfg asks for one: per-topology caches keep tasks independent (and
+// therefore order-free), where cross-task sharing would make a task's
 // timing depend on which tasks ran before it.
 func (s Scheme) start(topo *scenario.Topology, cfg Config) arm {
 	a := arm{name: s.Name}
@@ -134,19 +135,35 @@ func (s Scheme) start(topo *scenario.Topology, cfg Config) arm {
 		client := core.NewClient(topo, core.DefaultClientConfig())
 		client.Start()
 		a.collect, a.engine = client.CollectWith, client.Engine
-	case dirArm:
-		b := dirbrowser.New(topo, dirbrowser.Options{FixedRandom: true})
-		b.Engine.Load(topo.Page.MainURL)
+	case dirArm, spdyArm:
+		var b *dirbrowser.Browser
+		if s.kind == spdyArm {
+			b = dirbrowser.NewSPDY(topo)
+		} else {
+			b = dirbrowser.New(topo, dirbrowser.Options{FixedRandom: true})
+		}
+		b.Start()
 		a.collect, a.engine = b.CollectWith, b.Engine
-	case spdyArm:
-		run := spdybrowser.New(topo, spdybrowser.Options{FixedRandom: true}).Load()
-		a.collect = func(*metrics.Collector) metrics.PageRun { return run }
 	case cbArm:
-		sess := cloudbrowser.New(topo, cloudbrowser.DefaultConfig())
-		sess.Load()
-		a.collect, a.cb = func(*metrics.Collector) metrics.PageRun { return sess.Collect() }, sess
+		sess := cloudbrowser.New(topo)
+		sess.Start()
+		a.collect, a.cb = sess.CollectWith, sess
 	}
 	return a
+}
+
+// drain starts s on topo and runs topo's simulator to quiescence.
+func (s Scheme) drain(topo *scenario.Topology, cfg Config) arm {
+	a := s.start(topo, cfg)
+	topo.Sim.Run()
+	return a
+}
+
+// Run loads topo's page with s on the caller's topology and returns the
+// run metrics: the public facade's entry (parcel.RunDIR, RunSPDY, RunCB
+// and RunPARCEL).
+func (s Scheme) Run(topo *scenario.Topology) metrics.PageRun {
+	return s.drain(topo, Config{}).run(new(metrics.Collector))
 }
 
 // load builds page's topology at seed, starts s on it and drains it. It is
@@ -157,9 +174,7 @@ func (s Scheme) load(page webgen.Page, cfg Config, seed int64, res *scenario.Res
 	params := cfg.Scenario
 	params.Seed = seed
 	topo := scenario.BuildWith(page, params, res)
-	a := s.start(topo, cfg)
-	topo.Sim.Run()
-	return topo, a
+	return topo, s.drain(topo, cfg)
 }
 
 // run collects the arm's metrics through col's scratch, labelled with its

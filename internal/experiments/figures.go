@@ -39,12 +39,12 @@ func Fig3(cfg Config) Fig3Result {
 		params.Wired = true
 		params.Seed = cfg.Seed
 		topo := scenario.Build(page, params)
-		wired := dirbrowser.Run(topo, dirbrowser.Options{
+		wired := dirbrowser.New(topo, dirbrowser.Options{
 			FixedRandom:      true,
 			CPU:              browser.DesktopCPU(),
 			RequestIssueCost: time.Millisecond,
 			MaxTotalConns:    35, // desktop-class pool
-		})
+		}).Load()
 		return pagePair{cell: cell.OLT.Seconds(), wired: wired.OLT.Seconds()}
 	})
 	var out Fig3Result
@@ -429,7 +429,7 @@ type SPDYResult struct {
 func SPDYComparison(cfg Config) SPDYResult {
 	cfg = cfg.withDefaults()
 	pages := cfg.PageSet()
-	schemes := []Scheme{DIRScheme, spdyScheme, ParcelScheme(sched.ConfigIND)}
+	schemes := []Scheme{DIRScheme, SPDYScheme, ParcelScheme(sched.ConfigIND)}
 	arms := len(schemes)
 	runs := runTasks(cfg, len(pages)*arms, func(i int) batchTask {
 		return batchTask{page: pages[i/arms], s: schemes[i%arms], seed: cfg.Seed}

@@ -48,7 +48,7 @@ func Fig8(cfg Config) Fig8Result {
 
 	// The three scheme sessions are independent topologies: run them as
 	// parallel tasks, slotted so the result order stays PARCEL, DIR, CB.
-	schemes := []Scheme{{Name: "PARCEL", Sched: sched.ConfigIND}, DIRScheme, cbScheme}
+	schemes := []Scheme{{Name: "PARCEL", Sched: sched.ConfigIND}, DIRScheme, CBScheme}
 	out := Fig8Result{Page: page.Name, Clicks: clicks}
 	out.Results = runner.Map(cfg.Parallelism, len(schemes), func(i int) SessionResult {
 		return runSession(page, schemes[i], cfg, clicks, clickInterval, dev)

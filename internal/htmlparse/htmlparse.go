@@ -421,17 +421,6 @@ func Find(root *Node, tag string) []*Node {
 	return out
 }
 
-// FindByAttr returns the first element whose attribute key equals value.
-func FindByAttr(root *Node, key, value string) *Node {
-	var found *Node
-	Walk(root, func(n *Node) {
-		if found == nil && n.Tag != "" && n.Attr(key) == value {
-			found = n
-		}
-	})
-	return found
-}
-
 // ResKind classifies a referenced resource.
 type ResKind int
 

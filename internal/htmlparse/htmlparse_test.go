@@ -122,17 +122,6 @@ func TestBareLessThanIsText(t *testing.T) {
 	}
 }
 
-func TestFindByAttr(t *testing.T) {
-	root := mustParse(t, `<div id="a"></div><div id="b"><span id="c"></span></div>`)
-	n := FindByAttr(root, "id", "c")
-	if n == nil || n.Tag != "span" {
-		t.Fatalf("FindByAttr = %+v", n)
-	}
-	if FindByAttr(root, "id", "zzz") != nil {
-		t.Fatal("found nonexistent node")
-	}
-}
-
 func TestResourcesExtraction(t *testing.T) {
 	src := `
 <html><head>

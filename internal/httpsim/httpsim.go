@@ -266,11 +266,20 @@ type Client struct {
 	reqArena []pendingReq
 	reqFree  *pendingReq
 
+	Counters
+}
+
+// Counters is what a client has put on the wire; Client and SPDYClient
+// embed it.
+type Counters struct {
 	// RequestsSent counts requests put on the wire.
 	RequestsSent int
 	// ConnsOpened counts TCP connections dialed.
 	ConnsOpened int
 }
+
+// Counts returns the counters so far.
+func (c *Counters) Counts() Counters { return *c }
 
 // NewClient builds a client. resolver may be nil (no DNS cost).
 // maxConnsPerDomain <= 0 defaults to 6; maxTotalConns <= 0 means unlimited.

@@ -23,10 +23,7 @@ type SPDYClient struct {
 
 	conns map[string]*spdyConn
 
-	// RequestsSent counts requests put on the wire.
-	RequestsSent int
-	// ConnsOpened counts TCP connections dialed (one per domain).
-	ConnsOpened int
+	Counters // ConnsOpened is one per domain
 }
 
 type spdyConn struct {

@@ -64,17 +64,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(ss / float64(len(xs)))
 }
 
-// CoefficientOfVariation returns StdDev/Mean, the dispersion measure the
-// paper uses to report page variability (§7.3). It returns 0 when the mean
-// is 0.
-func CoefficientOfVariation(xs []float64) float64 {
-	m := Mean(xs)
-	if m == 0 {
-		return 0
-	}
-	return StdDev(xs) / m
-}
-
 // CDFPoint is one step of an empirical CDF.
 type CDFPoint struct {
 	X float64 // value

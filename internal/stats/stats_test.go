@@ -87,16 +87,6 @@ func TestMeanEmpty(t *testing.T) {
 	}
 }
 
-func TestCoefficientOfVariation(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := CoefficientOfVariation(xs); got != 0.4 {
-		t.Errorf("CV = %v, want 0.4", got)
-	}
-	if got := CoefficientOfVariation([]float64{0, 0}); got != 0 {
-		t.Errorf("CV of zeros = %v, want 0", got)
-	}
-}
-
 func TestCDFShape(t *testing.T) {
 	points := CDF([]float64{3, 1, 2})
 	if len(points) != 3 {

@@ -2,10 +2,11 @@
 // proxy-assisted mobile web-browsing system (Sivakumar et al., CoNEXT 2014)
 // together with every substrate its evaluation needs — a discrete-event LTE
 // network simulator, an LTE RRC radio-energy model, a from-scratch browsing
-// engine (HTML/CSS parsing and a mini-JS interpreter), the DIR and
+// engine (HTML/CSS parsing and a mini-JS interpreter), the DIR, SPDY and
 // cloud-browser baselines, a calibrated synthetic page-set generator, and
 // the experiment harnesses that regenerate every table and figure of the
-// paper.
+// paper. RunDIR, RunSPDY, RunCB and RunPARCEL start their arm the way every
+// sweep and figure does, through one scheme runner.
 //
 // # Quick start
 //
@@ -27,15 +28,12 @@ import (
 	"time"
 
 	"github.com/parcel-go/parcel/internal/browser"
-	"github.com/parcel-go/parcel/internal/cloudbrowser"
 	"github.com/parcel-go/parcel/internal/core"
-	"github.com/parcel-go/parcel/internal/dirbrowser"
 	"github.com/parcel-go/parcel/internal/experiments"
 	"github.com/parcel-go/parcel/internal/metrics"
 	"github.com/parcel-go/parcel/internal/radio"
 	"github.com/parcel-go/parcel/internal/scenario"
 	"github.com/parcel-go/parcel/internal/sched"
-	"github.com/parcel-go/parcel/internal/spdybrowser"
 	"github.com/parcel-go/parcel/internal/webgen"
 )
 
@@ -119,9 +117,7 @@ func DefaultClientConfig() ClientConfig { return core.DefaultClientConfig() }
 // RunPARCEL loads the topology's page through a PARCEL proxy with the given
 // schedule and returns the client-side measurements.
 func RunPARCEL(topo *Topology, schedule Schedule) PageRun {
-	cfg := core.DefaultProxyConfig()
-	cfg.Sched = schedule
-	return core.Run(topo, cfg, core.DefaultClientConfig())
+	return experiments.ParcelScheme(schedule).Run(topo)
 }
 
 // RunPARCELWith is RunPARCEL with full proxy/client control.
@@ -132,20 +128,20 @@ func RunPARCELWith(topo *Topology, proxyCfg ProxyConfig, clientCfg ClientConfig)
 // RunDIR loads the topology's page with the traditional mobile browser
 // baseline (per-object HTTP over the cellular link, 6 connections/domain).
 func RunDIR(topo *Topology) PageRun {
-	return dirbrowser.Run(topo, dirbrowser.Options{FixedRandom: true})
+	return experiments.DIRScheme.Run(topo)
 }
 
 // RunCB loads the topology's page with the cloud-heavy browser baseline
 // (cloud-side JS, per-interaction snapshots, §8.2).
 func RunCB(topo *Topology) PageRun {
-	return cloudbrowser.Run(topo, cloudbrowser.DefaultConfig())
+	return experiments.CBScheme.Run(topo)
 }
 
 // RunSPDY loads the topology's page with the SPDY-transport baseline: one
 // multiplexed connection per domain, client-side object identification
 // (Table 1's SPDY-proxies column).
 func RunSPDY(topo *Topology) PageRun {
-	return spdybrowser.Run(topo, spdybrowser.Options{FixedRandom: true})
+	return experiments.SPDYScheme.Run(topo)
 }
 
 // NewParcelSession starts a PARCEL proxy and client on the topology without
