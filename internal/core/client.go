@@ -15,23 +15,23 @@ import (
 	"github.com/parcel-go/parcel/internal/trace"
 )
 
+// The client device (§7.1's Galaxy S3): its engine runs on browser.MobileCPU,
+// and its page request tells the proxy which device to emulate (§4.5).
+const (
+	clientUserAgent = "PARCEL/1.0 (Android; Galaxy S3)"
+	clientScreen    = "720x1280"
+)
+
 // ClientConfig tunes the PARCEL client browser.
 type ClientConfig struct {
-	CPU         browser.CPUModel
+	// FixedRandom applies the §7.3 replay rewrite in the client's engine.
+	// Off, the client's scripts derive URLs the proxy never fetched, and
+	// the page reaches them through the §4.5 fallback.
 	FixedRandom bool
-	UserAgent   string
-	Screen      string
 }
 
 // DefaultClientConfig returns the evaluation defaults.
-func DefaultClientConfig() ClientConfig {
-	return ClientConfig{
-		CPU:         browser.MobileCPU(),
-		FixedRandom: true,
-		UserAgent:   "PARCEL/1.0 (Android; Galaxy S3)",
-		Screen:      "720x1280",
-	}
-}
+func DefaultClientConfig() ClientConfig { return ClientConfig{FixedRandom: true} }
 
 // Client is the PARCEL client browser for one page session: the standard
 // parsing/rendering engine (§5.2), whose fetches drive sched.ClientSession.
@@ -54,9 +54,6 @@ type Client struct {
 // NewClient prepares a PARCEL client on the topology. The proxy must be
 // started (StartProxy) before Load.
 func NewClient(topo *scenario.Topology, cfg ClientConfig) *Client {
-	if cfg.CPU == (browser.CPUModel{}) {
-		cfg.CPU = browser.MobileCPU()
-	}
 	c := &Client{
 		ClientSession: sched.NewClientSession(true, topo.Page.ObjectCount),
 		topo:          topo,
@@ -72,7 +69,7 @@ func NewClient(topo *scenario.Topology, cfg ClientConfig) *Client {
 // (Reload) replays scripts from the topology's memo like the first visit.
 func (c *Client) newEngine() *browser.Engine {
 	return browser.New(c.topo.Sim, bundleFetcher{c}, browser.Options{
-		CPU:         c.cfg.CPU,
+		CPU:         browser.MobileCPU(),
 		FixedRandom: c.cfg.FixedRandom,
 		ExecCache:   c.topo.ExecCache,
 		JSPools:     c.topo.JSPools,
@@ -118,7 +115,7 @@ func (c *Client) Load() metrics.PageRun {
 func (c *Client) Start() {
 	topo := c.topo
 	c.ClientSession.Start(topo.Page.MainURL, topo.Sim.Now())
-	req := pageRequest{URL: topo.Page.MainURL, UserAgent: c.cfg.UserAgent, Screen: c.cfg.Screen}
+	req := pageRequest{URL: topo.Page.MainURL, UserAgent: clientUserAgent, Screen: clientScreen}
 	c.conn = topo.Client.Dial(topo.Proxy, func(conn *simnet.Conn) {
 		conn.Send(topo.Client, req.wireSize(), req, labelPageReq, nil)
 	})

@@ -115,7 +115,7 @@ func (c *Client) Reload() metrics.PageRun {
 	// device cache).
 	c.Engine = c.newEngine()
 	c.ClientSession.Start(topo.Page.MainURL, start)
-	req := pageRequest{URL: topo.Page.MainURL, UserAgent: c.cfg.UserAgent, Screen: c.cfg.Screen}
+	req := pageRequest{URL: topo.Page.MainURL, UserAgent: clientUserAgent, Screen: clientScreen}
 	c.conn.Send(topo.Client, req.wireSize(), req, labelPageReq, nil)
 	c.Engine.Load(topo.Page.MainURL)
 	topo.Sim.Run()

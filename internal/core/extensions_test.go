@@ -88,7 +88,7 @@ func TestDIRFetchesHTTPSWithTLSCost(t *testing.T) {
 	}
 	// The https fetch on a fresh pool pays handshake + TLS + request ≈ 3
 	// RTTs; DNS is cached. It must take longer than 2 plain RTTs.
-	rtt := scenario.DefaultParams().LTERTT
+	rtt := topo.Net.PathBetween(topo.Client, topo.Proxy).RTT
 	if got := tHTTPS - issued; got < 2*rtt {
 		t.Fatalf("https fetch took %v, expected at least TCP+TLS+request ≈ 3 RTT", got)
 	}

@@ -14,6 +14,15 @@ import (
 	"github.com/parcel-go/parcel/internal/trace"
 )
 
+// The proxy's fixed traits: a well-provisioned machine (browser.ProxyCPU)
+// whose headless engine applies the §7.3 replay rewrite, fetching over at
+// most proxyConnsPerDomain connections per origin and proxyMaxConns in all
+// (§4.3).
+const (
+	proxyConnsPerDomain = 6
+	proxyMaxConns       = 64
+)
+
 // ProxyConfig tunes the PARCEL proxy.
 type ProxyConfig struct {
 	// Sched is the bundle schedule (IND / PARCEL(X) / ONLD).
@@ -22,13 +31,6 @@ type ProxyConfig struct {
 	// which the proxy declares the page complete (§4.5). The paper derives
 	// it from the post-onload inter-arrival statistic (95% < 5 s).
 	QuietPeriod time.Duration
-	// CPU defaults to the proxy profile.
-	CPU browser.CPUModel
-	// FixedRandom applies the §7.3 replay rewrite inside the proxy's JS
-	// engine.
-	FixedRandom bool
-	// ConnsPerDomain bounds the proxy's origin connection pools.
-	ConnsPerDomain int
 	// CompressionFactor, when in (0,1), scales pushed body bytes on the
 	// wire — the orthogonal data-compression/transformation feature cloud
 	// proxies offer (§3); 0 disables it.
@@ -50,13 +52,7 @@ type ProxyConfig struct {
 
 // DefaultProxyConfig returns the evaluation defaults (IND schedule).
 func DefaultProxyConfig() ProxyConfig {
-	return ProxyConfig{
-		Sched:          sched.ConfigIND,
-		QuietPeriod:    3 * time.Second,
-		CPU:            browser.ProxyCPU(),
-		FixedRandom:    true,
-		ConnsPerDomain: 6,
-	}
+	return ProxyConfig{Sched: sched.ConfigIND, QuietPeriod: 3 * time.Second}
 }
 
 // Proxy is a running PARCEL proxy: it accepts client connections on the
@@ -79,9 +75,6 @@ func (p *Proxy) Resilience() *resilience.Group { return p.resil }
 func StartProxy(topo *scenario.Topology, cfg ProxyConfig) *Proxy {
 	if cfg.QuietPeriod == 0 {
 		cfg.QuietPeriod = 3 * time.Second
-	}
-	if cfg.CPU == (browser.CPUModel{}) {
-		cfg.CPU = browser.ProxyCPU()
 	}
 	if err := cfg.Resilience.Validate(); err != nil {
 		panic("core: bad resilience policy: " + err.Error())
@@ -188,12 +181,12 @@ func (s *ProxySession) startPage(req pageRequest) {
 	}
 	s.page.StartPage(cfg.Sched, nil, nil)
 	s.quietTimer.Cancel()
-	httpClient := httpsim.NewClient(topo.Sim, topo.Proxy, topo.Dir, topo.ProxyResolver, cfg.ConnsPerDomain)
-	httpClient.SetMaxTotalConns(64) // well-provisioned server pool (§4.3)
+	httpClient := httpsim.NewClient(topo.Sim, topo.Proxy, topo.Dir, topo.ProxyResolver, proxyConnsPerDomain)
+	httpClient.SetMaxTotalConns(proxyMaxConns)
 	s.fetcher = &proxyFetcher{s: s, client: httpClient}
 	s.engine = browser.New(topo.Sim, s.fetcher, browser.Options{
-		CPU:         cfg.CPU,
-		FixedRandom: cfg.FixedRandom,
+		CPU:         browser.ProxyCPU(),
+		FixedRandom: true,
 		ExecCache:   topo.ExecCache,
 		JSPools:     topo.JSPools,
 		Events: browser.Events{

@@ -31,7 +31,9 @@ type Config struct {
 	Runs int
 	// Jitter adds per-packet LTE delay noise across runs.
 	Jitter time.Duration
-	// Scenario overrides the topology defaults (zero value = defaults).
+	// Scenario is what the run varies of the calibrated topology (zero
+	// value: nothing); Seed is set per round and Jitter, when positive,
+	// replaces LTEJitter.
 	Scenario scenario.Params
 	// Parallelism bounds the worker pool that fans out independent
 	// (page, scheme, round) simulations: 0 (the default) means one worker
@@ -57,9 +59,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Runs == 0 {
 		c.Runs = 5
-	}
-	if c.Scenario.LTERTT == 0 {
-		c.Scenario = scenario.DefaultParams()
 	}
 	if c.Jitter > 0 {
 		c.Scenario.LTEJitter = c.Jitter

@@ -18,6 +18,15 @@ import (
 	"github.com/parcel-go/parcel/internal/webgen"
 )
 
+// Every simulated fleet runs on the calibrated topology, its tenants arriving
+// fleetStagger apart, its proxy declaring a page complete after fleetQuiet of
+// origin silence (load runs measure delivery, not the production completion
+// heuristic), and its shared cache holding entries fresh for good.
+const (
+	fleetStagger = 10 * time.Millisecond
+	fleetQuiet   = 500 * time.Millisecond
+)
+
 // LoadgenSimConfig describes one simulated fleet run.
 type LoadgenSimConfig struct {
 	// Tenants is the fleet size (concurrent sessions through one proxy).
@@ -30,13 +39,6 @@ type LoadgenSimConfig struct {
 	Sched sched.Config
 	// CacheBytes sizes the shared cross-session cache (0 disables it).
 	CacheBytes int64
-	// Stagger spaces tenant arrivals on the virtual clock (default 10 ms).
-	Stagger time.Duration
-	// QuietPeriod overrides the proxy's §4.5 window (default 500 ms — load
-	// runs measure delivery, not the production completion heuristic).
-	QuietPeriod time.Duration
-	// Scenario overrides the topology defaults (zero value = defaults).
-	Scenario scenario.Params
 
 	// OriginFaults arms fault injection on every origin server (the chaos
 	// arm). The zero value injects nothing and keeps the run bit-identical to
@@ -46,10 +48,6 @@ type LoadgenSimConfig struct {
 	// deadlines, retry budget, per-origin breakers. Zero fields take the
 	// resilience defaults (see core.ProxyConfig.Resilience).
 	Resilience resilience.Policy
-	// CacheFreshFor is the shared cache's freshness window — entries older
-	// than it revalidate at the origin and serve stale when the origin is
-	// failing. 0 means entries never go stale.
-	CacheFreshFor time.Duration
 }
 
 // LoadgenSimResult is a simulated fleet run's full measurement.
@@ -84,33 +82,19 @@ func loadgenSim(cfg LoadgenSimConfig, pools *scenario.Resources) LoadgenSimResul
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.Stagger == 0 {
-		cfg.Stagger = 10 * time.Millisecond
-	}
-	if cfg.QuietPeriod == 0 {
-		cfg.QuietPeriod = 500 * time.Millisecond
-	}
-	params := cfg.Scenario
-	if params.LTERTT == 0 {
-		params = scenario.DefaultParams()
-	}
-	params.Seed = cfg.Seed
-	if cfg.OriginFaults.Active() {
-		params.OriginFaults = cfg.OriginFaults
-	}
+	params := scenario.Params{Seed: cfg.Seed, OriginFaults: cfg.OriginFaults}
 
 	pages := webgen.Generate(webgen.Spec{Seed: cfg.Seed, NumPages: cfg.Pages})
 	fleet := scenario.BuildFleet(pages, cfg.Tenants, params, pools)
 
 	pc := core.DefaultProxyConfig()
 	pc.Sched = cfg.Sched
-	pc.QuietPeriod = cfg.QuietPeriod
+	pc.QuietPeriod = fleetQuiet
 	pc.Resilience = cfg.Resilience
 	var cache *objcache.Cache
 	if cfg.CacheBytes > 0 {
 		cache = objcache.New(objcache.Config{
-			Capacity: cfg.CacheBytes, FreshFor: cfg.CacheFreshFor,
-			NegTTL: cfg.Resilience.WithDefaults().NegTTL,
+			Capacity: cfg.CacheBytes, NegTTL: cfg.Resilience.WithDefaults().NegTTL,
 		})
 		pc.Cache = cache
 	}
@@ -120,7 +104,7 @@ func loadgenSim(cfg LoadgenSimConfig, pools *scenario.Resources) LoadgenSimResul
 	for i := range clients {
 		page := pages[i%len(pages)]
 		clients[i] = core.NewLoadClient(i, fleet.Sim, fleet.Tenants[i], fleet.Proxy, page.MainURL, page.ObjectCount)
-		clients[i].StartAt(time.Duration(i) * cfg.Stagger)
+		clients[i].StartAt(time.Duration(i) * fleetStagger)
 	}
 	fleet.Sim.Run()
 

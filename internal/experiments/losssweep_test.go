@@ -129,3 +129,17 @@ func TestZeroFaultSweepMatchesPlainSweep(t *testing.T) {
 		}
 	}
 }
+
+// TestAccessFaultsReachTheTopology sets faults on a config straight from
+// DefaultConfig, whose Scenario is otherwise zero: the faults must reach the
+// run's network, not be replaced by the calibrated defaults.
+func TestAccessFaultsReachTheTopology(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Pages = 1
+	cfg.Scenario.AccessFaults = (FaultProfile{Name: "uniform"}).At(0.08)
+	page := cfg.PageSet()[0]
+	run := RunOnce(page, DIRScheme, cfg, cfg.Seed)
+	if run.DroppedPackets == 0 || run.Retransmits == 0 {
+		t.Fatalf("8%% access loss dropped nothing: dropped=%d retransmits=%d", run.DroppedPackets, run.Retransmits)
+	}
+}

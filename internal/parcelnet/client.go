@@ -392,7 +392,7 @@ func (c *Client) fetchDirect(url string) error {
 	body, ct, status, err := c.direct.Fetch(url)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.Fetched(sched.Item{URL: url, ContentType: ct, Status: status, Body: body}, err == nil)
+	c.Fetched(sched.Item{URL: url, ContentType: ct, Status: status, Body: body, ArrivedAt: now()}, err == nil)
 	c.cond.Broadcast()
 	if err != nil {
 		return fmt.Errorf("parcelnet: direct fetch %s: %w", url, err)
@@ -436,15 +436,18 @@ func (c *Client) Object(url string, timeout time.Duration) (sched.Item, error) {
 	}
 }
 
-// WaitComplete blocks until the completion notification (or timeout); a
-// degraded client is complete, and a dead one that is not fails at once.
+// WaitComplete blocks until the page completes at the client (or timeout):
+// the completion notification has come, or the client degraded, and every
+// direct fetch under way then — the objects the proxy shed, say — has
+// finished (Timeline.Complete). A dead client without the notification
+// fails at once.
 func (c *Client) WaitComplete(timeout time.Duration) (CompleteNote, error) {
 	deadline := time.Now().Add(timeout)
 	defer c.wakeAfter(timeout).Stop()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for !c.Completed() {
-		if c.rerr != nil {
+	for c.Timeline.Complete == 0 {
+		if c.rerr != nil && !c.Completed() {
 			return CompleteNote{}, c.rerr
 		}
 		if time.Now().After(deadline) {

@@ -30,9 +30,6 @@ type Fleet struct {
 // res is BuildWith's: nil builds a private fleet whose session engines
 // interpret every script, the reference the memoised fleet is compared to.
 func BuildFleet(pages []webgen.Page, tenants int, p Params, res *Resources) *Fleet {
-	if p.LTERTT == 0 {
-		p = DefaultParams()
-	}
 	topo := newTopology(p, res)
 	// Page seeds the proxy sessions' map-capacity hints; the first page is as
 	// good a guess as any for a homogeneous fleet.
@@ -61,9 +58,9 @@ func BuildFleet(pages []webgen.Page, tenants int, p Params, res *Resources) *Fle
 	hosts := make([]*simnet.Host, tenants)
 	for i := range hosts {
 		h := topo.Net.AddHost("tenant:"+strconv.Itoa(i), simnet.HostConfig{
-			DownlinkBps: p.LTEDownBps, UplinkBps: p.LTEUpBps,
+			DownlinkBps: lteDownBps, UplinkBps: lteUpBps,
 		})
-		topo.Net.SetPath(h, topo.Proxy, simnet.PathParams{RTT: p.LTERTT, Jitter: p.LTEJitter})
+		topo.Net.SetPath(h, topo.Proxy, simnet.PathParams{RTT: lteRTT, Jitter: p.LTEJitter})
 		hosts[i] = h
 	}
 

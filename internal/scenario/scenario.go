@@ -8,6 +8,7 @@
 package scenario
 
 import (
+	"cmp"
 	"time"
 
 	"github.com/parcel-go/parcel/internal/discovery"
@@ -20,34 +21,49 @@ import (
 	"github.com/parcel-go/parcel/internal/webgen"
 )
 
-// Params describes one experiment topology.
+// The calibrated links every topology is built from. The access follows
+// §2.3/§8.3 (LTE RTT 70–86 ms, observed download speeds 4–8 Mbps with median
+// 6); the wire-line profile is Figure 3's desktop access; the proxy and the
+// origins sit on well-provisioned wired links (§4.3), and the replay origins
+// answer after a fixed think time (§7.3).
+const (
+	lteRTT     = 78 * time.Millisecond
+	lteDownBps = 6_750_000 / 8 // 6.75 Mbps in bytes/s
+	lteUpBps   = 2_000_000 / 8
+
+	wiredRTT     = 12 * time.Millisecond
+	wiredDownBps = 50_000_000 / 8
+	wiredUpBps   = 20_000_000 / 8
+
+	proxyBps      = 200_000_000 / 8
+	originThink   = 2 * time.Millisecond
+	dnsServerTime = time.Millisecond
+
+	// defaultProxyOriginRTT is the dummynet proxy↔server delay a zero
+	// Params.ProxyOriginRTT stands for.
+	defaultProxyOriginRTT = 20 * time.Millisecond
+)
+
+// Params is what an experiment varies of the calibrated topology. The zero
+// value of every field is the calibrated setting, so a caller sets only the
+// fields it changes.
 type Params struct {
+	// Seed seeds the simulator (jitter, heterogeneous origin delays, faults).
 	Seed int64
 
-	// LTE access characteristics (defaults follow §2.3/§8.3: RTT 70–86 ms,
-	// observed download speeds 4–8 Mbps with median 6).
-	LTERTT     time.Duration
-	LTEDownBps int64
-	LTEUpBps   int64
-	LTEJitter  time.Duration
+	// LTEJitter adds per-packet delay noise on the LTE access.
+	LTEJitter time.Duration
 
-	// Wired swaps the client's access link for a wire-line profile (the
+	// Wired swaps the client's access link for the wire-line profile (the
 	// Figure 3 comparison).
-	Wired        bool
-	WiredRTT     time.Duration
-	WiredDownBps int64
-	WiredUpBps   int64
+	Wired bool
 
 	// ProxyOriginRTT is the dummynet-emulated proxy↔server delay
-	// (20 ms default; 60 ms for the §8.3 sensitivity study).
+	// (0 means 20 ms; 60 ms for the §8.3 sensitivity study).
 	ProxyOriginRTT time.Duration
 	// HeterogeneousOrigins gives every domain its own proxy↔origin delay
 	// drawn from 10–120 ms (the §8.4 "real web servers" setting).
 	HeterogeneousOrigins bool
-
-	ProxyBps      int64
-	OriginThink   time.Duration
-	DNSServerTime time.Duration
 
 	// AccessFaults injects loss/outages on every path that crosses the
 	// client's access link (client↔proxy, client↔DNS, client↔origins). The
@@ -62,22 +78,10 @@ type Params struct {
 	OriginFaults httpsim.OriginFaults
 }
 
-// DefaultParams returns the paper-calibrated defaults.
+// DefaultParams returns the paper-calibrated defaults: seed 1 and the 20 ms
+// proxy↔server delay.
 func DefaultParams() Params {
-	return Params{
-		Seed:           1,
-		LTERTT:         78 * time.Millisecond,
-		LTEDownBps:     6_750_000 / 8, // 6.75 Mbps in bytes/s
-		LTEUpBps:       2_000_000 / 8,
-		LTEJitter:      0,
-		WiredRTT:       12 * time.Millisecond,
-		WiredDownBps:   50_000_000 / 8,
-		WiredUpBps:     20_000_000 / 8,
-		ProxyOriginRTT: 20 * time.Millisecond,
-		ProxyBps:       200_000_000 / 8,
-		OriginThink:    2 * time.Millisecond,
-		DNSServerTime:  time.Millisecond,
-	}
+	return Params{Seed: 1, ProxyOriginRTT: defaultProxyOriginRTT}
 }
 
 // Topology is a built experiment network for one page.
@@ -173,9 +177,6 @@ func Build(page webgen.Page, p Params) *Topology { return BuildWith(page, p, nil
 // BuildWith is Build drawing arenas and scratch from res (nil for private
 // allocations, i.e. plain Build).
 func BuildWith(page webgen.Page, p Params, res *Resources) *Topology {
-	if p.LTERTT == 0 {
-		p = DefaultParams()
-	}
 	topo := newTopology(p, res)
 	n := topo.Net
 
@@ -189,14 +190,14 @@ func BuildWith(page webgen.Page, p Params, res *Resources) *Topology {
 	// the whole capture one allocation instead of a growing block chain.
 	clientTrace.Reserve(int(page.TotalBytes/simnet.MSS)*3/2 + page.ObjectCount*8 + 64)
 	clientCfg := simnet.HostConfig{
-		DownlinkBps: p.LTEDownBps, UplinkBps: p.LTEUpBps, Recorder: clientTrace,
+		DownlinkBps: lteDownBps, UplinkBps: lteUpBps, Recorder: clientTrace,
 	}
-	accessRTT := p.LTERTT
+	accessRTT := lteRTT
 	jitter := p.LTEJitter
 	if p.Wired {
-		clientCfg.DownlinkBps = p.WiredDownBps
-		clientCfg.UplinkBps = p.WiredUpBps
-		accessRTT = p.WiredRTT
+		clientCfg.DownlinkBps = wiredDownBps
+		clientCfg.UplinkBps = wiredUpBps
+		accessRTT = wiredRTT
 		jitter = 0
 	}
 	client := n.AddHost("client", clientCfg)
@@ -239,10 +240,10 @@ func newTopology(p Params, res *Resources) *Topology {
 		topo.Net = simnet.New(topo.Sim)
 	}
 	n := topo.Net
-	topo.Proxy = n.AddHost("proxy", simnet.HostConfig{DownlinkBps: p.ProxyBps, UplinkBps: p.ProxyBps})
+	topo.Proxy = n.AddHost("proxy", simnet.HostConfig{DownlinkBps: proxyBps, UplinkBps: proxyBps})
 	topo.DNS = n.AddHost("dns", simnet.HostConfig{})
 	n.SetPath(topo.Proxy, topo.DNS, simnet.PathParams{RTT: 2 * time.Millisecond})
-	dnssim.NewServer(topo.Sim, topo.DNS, p.DNSServerTime)
+	dnssim.NewServer(topo.Sim, topo.DNS, dnsServerTime)
 	topo.ProxyResolver = dnssim.NewResolver(topo.Proxy, topo.DNS)
 	return topo
 }
@@ -257,8 +258,8 @@ func (t *Topology) addOrigins(domains []string, store httpsim.Store, wire func(o
 	t.Dir = make(httpsim.Directory, len(domains))
 	t.Origins = make([]*httpsim.Server, 0, len(domains))
 	for _, domain := range domains {
-		origin := n.AddHost("origin:"+domain, simnet.HostConfig{DownlinkBps: p.ProxyBps, UplinkBps: p.ProxyBps})
-		originRTT := p.ProxyOriginRTT
+		origin := n.AddHost("origin:"+domain, simnet.HostConfig{DownlinkBps: proxyBps, UplinkBps: proxyBps})
+		originRTT := cmp.Or(p.ProxyOriginRTT, defaultProxyOriginRTT)
 		if p.HeterogeneousOrigins {
 			originRTT = time.Duration(10+rng.Intn(110)) * time.Millisecond
 		}
@@ -266,7 +267,7 @@ func (t *Topology) addOrigins(domains []string, store httpsim.Store, wire func(o
 		if wire != nil {
 			wire(origin, originRTT)
 		}
-		srv := httpsim.NewServer(t.Sim, origin, store, p.OriginThink)
+		srv := httpsim.NewServer(t.Sim, origin, store, originThink)
 		if p.OriginFaults.Active() {
 			if err := srv.SetFaults(p.OriginFaults); err != nil {
 				panic("scenario: bad origin faults: " + err.Error())

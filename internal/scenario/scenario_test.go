@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -81,8 +82,25 @@ func TestHeterogeneousOriginsVary(t *testing.T) {
 func TestZeroParamsGetDefaults(t *testing.T) {
 	page := onePage(t)
 	topo := Build(page, Params{})
-	if topo.Params.LTERTT == 0 {
-		t.Fatal("defaults not applied")
+	if rtt := topo.Net.PathBetween(topo.Client, topo.Proxy).RTT; rtt != 78*time.Millisecond {
+		t.Fatalf("zero params: access RTT = %v, want the calibrated 78ms", rtt)
+	}
+	origin := topo.Dir.HostFor(page.Domains[0])
+	if rtt := topo.Net.PathBetween(topo.Proxy, origin).RTT; rtt != 20*time.Millisecond {
+		t.Fatalf("zero params: proxy-origin RTT = %v, want 20ms", rtt)
+	}
+}
+
+// TestPartialParamsKept builds from params that set only some fields: every
+// field set must reach the topology, none may be swapped for the defaults.
+func TestPartialParamsKept(t *testing.T) {
+	page := onePage(t)
+	topo := Build(page, Params{Seed: 5, Wired: true})
+	if rtt := topo.Net.PathBetween(topo.Client, topo.Proxy).RTT; rtt != 12*time.Millisecond {
+		t.Errorf("Wired dropped: access RTT = %v, want the wire-line 12ms", rtt)
+	}
+	if got, want := topo.Sim.Rand().Int63(), rand.New(rand.NewSource(5)).Int63(); got != want {
+		t.Errorf("Seed dropped: the simulator's first draw %d is not seed 5's %d", got, want)
 	}
 }
 

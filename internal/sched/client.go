@@ -25,6 +25,7 @@ type ClientSession struct {
 	items              []Item              // the store, in arrival order
 	urls               map[string]urlState // every URL the session knows of
 	partials           map[string][]byte   // cut streams' prefixes, for resume
+	fetching           int                 // direct fetches under way
 	notified, degraded bool
 	note               Counts
 }
@@ -44,8 +45,13 @@ type ClientCounts struct {
 }
 
 // Timeline holds a page load's milestones as durations from Start, each zero
-// until reached: the first proxy delivery, the first of a Critical type, and
-// the completion note (or the Degrade that stands in for it).
+// until reached: the first proxy delivery; the first critical object to
+// land, pushed or fetched directly — one of a Critical type, or the page's
+// document whatever it holds (an error page renders too); and completion,
+// which is the completion note (or the Degrade that stands in for it) or, if
+// direct fetches are under way then, the last of them to finish. A page
+// whose objects the proxy shed completes once the client holds them, not
+// when the proxy stops.
 type Timeline struct{ FirstByte, FirstCritical, Complete time.Duration }
 
 // urlState is what the session knows of one URL: its place in the store
@@ -104,26 +110,40 @@ func (s *ClientSession) Received(it Item, at time.Duration) {
 	if s.Timeline.FirstByte == 0 {
 		s.Timeline.FirstByte = at - s.start
 	}
-	if s.Timeline.FirstCritical == 0 && Critical(it.ContentType) {
-		s.Timeline.FirstCritical = at - s.start
-	}
 	it.ArrivedAt = at
 	s.land(it)
 }
 
-// Fetched lands the result of a direct fetch FetchDirect started (ok false:
-// it failed, and the next Want may start another).
+// Fetched lands the result of a direct fetch FetchDirect started, finished
+// at it.ArrivedAt (ok false: it failed, and the next Want may start
+// another).
 func (s *ClientSession) Fetched(it Item, ok bool) {
 	o := s.urls[it.URL]
+	if o.state&objFetching != 0 {
+		s.fetching--
+	}
 	o.state &^= objFetching
 	s.urls[it.URL] = o
 	if ok {
 		s.land(it)
 	}
+	s.settle(it.ArrivedAt)
 }
 
-// land stores it unless the URL is held already: the first arrival wins.
+// settle stamps completion at at once the page is notified and no direct
+// fetch is under way.
+func (s *ClientSession) settle(at time.Duration) {
+	if s.notified && s.fetching == 0 && s.Timeline.Complete == 0 {
+		s.Timeline.Complete = at - s.start
+	}
+}
+
+// land stores it, arrived at it.ArrivedAt, unless the URL is held already:
+// the first arrival wins.
 func (s *ClientSession) land(it Item) {
+	if s.Timeline.FirstCritical == 0 && (it.URL == s.page || Critical(it.ContentType)) {
+		s.Timeline.FirstCritical = it.ArrivedAt - s.start
+	}
 	if o := s.urls[it.URL]; o.held == 0 {
 		s.items = append(s.items, it)
 		o.held = int32(len(s.items))
@@ -152,6 +172,7 @@ func (s *ClientSession) take(url string, o urlState) Action {
 		s.Fallbacks++
 	case FetchDirect:
 		o.state |= objFetching
+		s.fetching++
 		s.DirectFetches++
 		if !Direct(url) {
 			s.Fallbacks++
@@ -197,7 +218,7 @@ func (s *ClientSession) Complete(note Counts, at time.Duration) ClientStep {
 	if s.notified {
 		return ClientStep{}
 	}
-	s.notified, s.note, s.Timeline.Complete = true, note, at-s.start
+	s.notified, s.note = true, note
 	var missing []string
 	for u, o := range s.urls {
 		if o.held == 0 && o.state&objWanted != 0 {
@@ -205,7 +226,9 @@ func (s *ClientSession) Complete(note Counts, at time.Duration) ClientStep {
 		}
 	}
 	sort.Strings(missing)
-	return s.advance(missing)
+	st := s.advance(missing)
+	s.settle(at)
+	return st
 }
 
 // Shed takes a shed note: the proxy will not push urls. With a direct path
@@ -259,7 +282,8 @@ func (s *ClientSession) Manifest() (have []string, partial []Partial) {
 // stands in for the completion note. Without a direct path it reports false.
 func (s *ClientSession) Degrade(at time.Duration) bool {
 	if s.direct && !s.notified {
-		s.notified, s.Timeline.Complete = true, at-s.start
+		s.notified = true
+		s.settle(at)
 	}
 	s.degraded = s.direct
 	return s.direct

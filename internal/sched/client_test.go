@@ -194,3 +194,31 @@ func TestClientTimeline(t *testing.T) {
 		t.Errorf("img = %q at %v, want the first arrival", it.Body, it.ArrivedAt)
 	}
 }
+
+// TestClientTimelineDirect: an object that lands over the direct path counts
+// for the first critical milestone, and a note that comes while direct
+// fetches are under way completes the page when the last of them finishes,
+// failed or not.
+func TestClientTimelineDirect(t *testing.T) {
+	s := NewClientSession(true, 0)
+	s.Start("page", 100*time.Millisecond)
+	s.Shed([]string{"doc", "img"})
+	s.Complete(Counts{}, 200*time.Millisecond)
+	if s.Timeline.Complete != 0 || !s.Completed() {
+		t.Fatalf("note with two direct fetches under way: timeline %+v, completed %v; want notified, not complete", s.Timeline, s.Completed())
+	}
+	s.Fetched(Item{URL: "doc", ContentType: "text/html", ArrivedAt: 250 * time.Millisecond}, true)
+	s.Fetched(Item{URL: "img", ArrivedAt: 300 * time.Millisecond}, false)
+	want := Timeline{FirstCritical: 150 * time.Millisecond, Complete: 200 * time.Millisecond}
+	if s.Timeline != want {
+		t.Errorf("timeline %+v, want %+v: the direct document, then the last direct fetch", s.Timeline, want)
+	}
+
+	// The page's document is critical whatever it holds: a failed fetch's
+	// error answer, with no content type, is what the page renders.
+	s.Start("page", 0)
+	s.Received(Item{URL: "page", Status: 502}, 40*time.Millisecond)
+	if s.Timeline.FirstCritical != 40*time.Millisecond {
+		t.Errorf("error document: first critical %v, want 40ms", s.Timeline.FirstCritical)
+	}
+}

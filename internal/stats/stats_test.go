@@ -71,13 +71,10 @@ func TestPercentileDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-func TestMeanAndStdDev(t *testing.T) {
+func TestMean(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if got := Mean(xs); got != 5 {
 		t.Errorf("Mean = %v, want 5", got)
-	}
-	if got := StdDev(xs); got != 2 {
-		t.Errorf("StdDev = %v, want 2", got)
 	}
 }
 
@@ -146,10 +143,10 @@ func TestPearsonLengthMismatchPanics(t *testing.T) {
 	Pearson([]float64{1, 2}, []float64{1})
 }
 
-func TestMinMaxSum(t *testing.T) {
+func TestMinMax(t *testing.T) {
 	xs := []float64{3, -1, 2}
-	if Min(xs) != -1 || Max(xs) != 3 || Sum(xs) != 4 {
-		t.Fatalf("Min/Max/Sum wrong: %v %v %v", Min(xs), Max(xs), Sum(xs))
+	if Min(xs) != -1 || Max(xs) != 3 {
+		t.Fatalf("Min/Max wrong: %v %v", Min(xs), Max(xs))
 	}
 }
 

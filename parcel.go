@@ -27,7 +27,6 @@ package parcel
 import (
 	"time"
 
-	"github.com/parcel-go/parcel/internal/browser"
 	"github.com/parcel-go/parcel/internal/core"
 	"github.com/parcel-go/parcel/internal/experiments"
 	"github.com/parcel-go/parcel/internal/metrics"
@@ -40,8 +39,11 @@ import (
 // Page is one synthetic evaluation page: its objects, domains and metadata.
 type Page = webgen.Page
 
-// NetworkParams describes the simulated topology (LTE access, proxy link,
-// origin delays).
+// NetworkParams is what an experiment varies of the paper-calibrated
+// topology: the seed, LTE jitter, the wire-line access of Figure 3, the
+// proxy↔origin delay (§8.3), heterogeneous origins (§8.4) and injected
+// faults. The zero value of each field is the calibrated setting, so a
+// caller sets only what it changes.
 type NetworkParams = scenario.Params
 
 // Topology is a built simulation network for one page.
@@ -62,14 +64,14 @@ type RadioReport = radio.Report
 // AnalyticModel is the paper's §6 closed-form latency/energy model.
 type AnalyticModel = sched.Model
 
-// ProxyConfig tunes the PARCEL proxy (schedule, completion heuristic, CPU).
+// ProxyConfig tunes the PARCEL proxy: schedule, completion quiet period,
+// shared cache, origin-fetch resilience and §3 compression. The proxy's CPU
+// profile, replay rewrite and connection pools are fixed.
 type ProxyConfig = core.ProxyConfig
 
-// ClientConfig tunes the PARCEL client browser.
+// ClientConfig tunes the PARCEL client browser: only the replay rewrite. The
+// device (mobile CPU profile, user agent, screen) is fixed.
 type ClientConfig = core.ClientConfig
-
-// CPUModel prices browser processing work (parse, JS execution, decode).
-type CPUModel = browser.CPUModel
 
 // ExperimentConfig controls the evaluation sweeps (page count, rounds,
 // jitter, topology overrides).
@@ -107,22 +109,17 @@ func Threshold(bytes int) Schedule {
 func ONLD() Schedule { return sched.ConfigONLD }
 
 // DefaultProxyConfig returns the PARCEL proxy defaults (IND schedule, 3 s
-// completion quiet period, proxy CPU profile).
+// completion quiet period).
 func DefaultProxyConfig() ProxyConfig { return core.DefaultProxyConfig() }
 
-// DefaultClientConfig returns the PARCEL client defaults (mobile CPU
-// profile, replay rewrite enabled).
+// DefaultClientConfig returns the PARCEL client defaults (replay rewrite
+// enabled).
 func DefaultClientConfig() ClientConfig { return core.DefaultClientConfig() }
 
 // RunPARCEL loads the topology's page through a PARCEL proxy with the given
 // schedule and returns the client-side measurements.
 func RunPARCEL(topo *Topology, schedule Schedule) PageRun {
 	return experiments.ParcelScheme(schedule).Run(topo)
-}
-
-// RunPARCELWith is RunPARCEL with full proxy/client control.
-func RunPARCELWith(topo *Topology, proxyCfg ProxyConfig, clientCfg ClientConfig) PageRun {
-	return core.Run(topo, proxyCfg, clientCfg)
 }
 
 // RunDIR loads the topology's page with the traditional mobile browser
