@@ -8,12 +8,10 @@
 package discovery
 
 import (
-	"strings"
 	"sync"
 
 	"github.com/parcel-go/parcel/internal/cssparse"
 	"github.com/parcel-go/parcel/internal/htmlparse"
-	"github.com/parcel-go/parcel/internal/minijs"
 )
 
 // Page-artifact cache: parsed DOM trees, CSS ref lists, and inline-style
@@ -197,34 +195,4 @@ func AssetURLs(text, baseURL string) []string {
 	}
 	artCache.mu.Unlock()
 	return urls
-}
-
-// Prewarm populates the artifact and program caches for one page object
-// before any scheme loads it. internal/scenario calls this while building a
-// topology, so by the time engines run — across DIR, CB, and PARCEL, and
-// across sweep rounds — parsing and script compilation are cache hits. It
-// is an optimization only: engines compute identical artifacts on demand if
-// it is never called.
-func Prewarm(url, contentType string, body []byte) {
-	switch {
-	case strings.Contains(contentType, "html"):
-		_, nodes, err := HTML(body)
-		if err != nil {
-			return
-		}
-		for _, n := range nodes {
-			switch n.Tag {
-			case "script":
-				if n.Attr("src") == "" && strings.TrimSpace(n.Text) != "" {
-					_, _ = minijs.Compile(n.Text)
-				}
-			case "style":
-				AssetURLs(n.Text, url)
-			}
-		}
-	case strings.Contains(contentType, "css"):
-		CSSRefs(body, url)
-	case strings.Contains(contentType, "javascript"):
-		_, _ = minijs.CompileBytes(body)
-	}
 }

@@ -135,6 +135,9 @@ type recorder struct {
 	readSeen         map[string]bool
 	written          map[string]bool
 	writeOrder       []string
+	// lastRead and lastWrite are the names the hooks saw last: a repeat
+	// (a loop reading and writing one global) returns before the maps.
+	lastRead, lastWrite string
 }
 
 // replay validates ent against the interpreter's current state and, on
@@ -180,6 +183,10 @@ func (v *Env) record(prog *minijs.Program) ([]Effect, int, error) {
 	}
 	v.in.SetGlobalHooks(
 		func(name string, val minijs.Value, ok bool) {
+			if name == rec.lastRead {
+				return
+			}
+			rec.lastRead = name
 			if rec.written[name] || rec.readSeen[name] {
 				return
 			}
@@ -193,6 +200,10 @@ func (v *Env) record(prog *minijs.Program) ([]Effect, int, error) {
 			rec.reads = append(rec.reads, globalRead{name: name, v: val, ok: ok})
 		},
 		func(name string) {
+			if name == rec.lastWrite {
+				return
+			}
+			rec.lastWrite = name
 			if !rec.written[name] {
 				rec.written[name] = true
 				rec.writeOrder = append(rec.writeOrder, name)

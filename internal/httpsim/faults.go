@@ -2,7 +2,7 @@ package httpsim
 
 import (
 	"fmt"
-	"hash/fnv"
+	"hash/crc32"
 	"math/rand"
 	"sync/atomic"
 	"time"
@@ -160,11 +160,20 @@ var validatorHashes atomic.Uint64
 func ValidatorHashes() uint64 { return validatorHashes.Load() }
 
 // ContentValidator is the canonical content-hash validator both arms use as
-// the cache ETag: FNV-64a over the body, hex-encoded. Same bytes, same
-// validator — which is exactly the objcache generation contract.
+// the cache ETag: the body's CRC-32C followed by its CRC-32 (IEEE), as 16
+// lowercase hex digits. Same bytes, same validator — which is exactly the
+// objcache generation contract. Both checksums run on the CPU's CRC and
+// carry-less-multiply instructions where it has them, so hashing a page set
+// costs little next to generating it.
 func ContentValidator(body []byte) string {
 	validatorHashes.Add(1)
-	h := fnv.New64a()
-	h.Write(body)
-	return fmt.Sprintf("%016x", h.Sum64())
+	v := uint64(crc32.Checksum(body, castagnoli))<<32 | uint64(crc32.ChecksumIEEE(body))
+	var hex [16]byte
+	for i := len(hex) - 1; i >= 0; i-- {
+		hex[i] = "0123456789abcdef"[v&0xf]
+		v >>= 4
+	}
+	return string(hex[:])
 }
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)

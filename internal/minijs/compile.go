@@ -1,19 +1,31 @@
 package minijs
 
-import "sync"
+import (
+	"fmt"
+	"strings"
+	"sync"
+)
 
 // This file is the compile phase of the "compile once, run many" pipeline.
-// After parsing, every identifier is resolved to a (hops, slot) index into
-// flat []Value frames, so the interpreter never walks map[string]Value
-// chains at runtime. Resolution is a pure function of the AST and runs
-// exactly once per source string (Parse always resolves; Compile memoizes
-// whole programs), after which a Program is immutable and safe to share
-// across goroutines — the experiment runner's worker pool executes the same
-// compiled scripts concurrently on independent Interps.
+// Parse hands the AST to the compiler, which resolves every identifier to a
+// (hops, slot) index into flat []Value frames and turns every statement and
+// expression into a Go closure. Running a program is then a chain of direct
+// closure calls: no type switch per node, no operator string compares, no
+// map[string]Value chains. Compilation is a pure function of the AST and
+// runs exactly once per source string (Compile memoizes whole programs),
+// after which a Program is immutable and safe to share across goroutines —
+// the experiment runner's workers and the TCP proxy's crawlers execute the
+// same compiled scripts concurrently on independent Interps.
 //
-// The resolved form must be *observationally identical* to the reference
+// The compiled form must be *observationally identical* to the reference
 // map-chain interpreter (kept in reference_test.go and enforced by
-// FuzzMinijs), which pins down three subtleties:
+// FuzzMinijs and TestSlotResolvedMatchesRef), which pins down four points:
+//
+//   - Every compiled statement and expression charges one step on entry,
+//     and loops charge one after each iteration, exactly where the
+//     reference walk does, so op counts and the op at which the budget
+//     fails are identical. A literal folded into its parent operator still
+//     charges its own step, after the operand to its left.
 //
 //   - A scope is materialized exactly where the reference allocates an env
 //     the program can observe: a function call's param scope, a block with
@@ -32,9 +44,23 @@ import "sync"
 //
 //   - Frames are recycled through free lists (see interp.go), which is only
 //     sound for scopes no closure can capture. Evaluating a function
-//     literal captures the whole live chain, so resolution marks every
+//     literal captures the whole live chain, so compilation marks every
 //     enclosing scope as escaping; escaping frames are heap-allocated and
 //     never pooled.
+
+// execFn runs one compiled statement (or block) in frame f. A return
+// statement reports errReturnSignal with its value in Interp.ret.
+type execFn func(in *Interp, f *frame) error
+
+// evalFn evaluates one compiled expression in frame f.
+type evalFn func(in *Interp, f *frame) (Value, error)
+
+// funcCode is a compiled function literal, shared by every closure made
+// from it.
+type funcCode struct {
+	scope *scopeInfo
+	body  execFn
+}
 
 // scopeInfo is the compiled description of one materialized lexical scope.
 type scopeInfo struct {
@@ -67,31 +93,31 @@ type slotRef struct {
 	slot int
 }
 
-// resolveProgram annotates the AST in place. It runs inside Parse, so every
-// Program the package hands out is resolved before it can be shared.
-func resolveProgram(p *Program) {
-	r := resolver{}
-	r.stmts(p.Stmts)
+// compileProgram compiles the AST. It runs inside Parse, so every Program
+// the package hands out is compiled before it can be shared.
+func compileProgram(p *Program) {
+	c := compiler{}
+	p.run = c.block(p.Stmts)
 }
 
-// resolver tracks the compile-time chain of materialized scopes; the global
+// compiler tracks the compile-time chain of materialized scopes; the global
 // scope is not represented (it stays a dynamic map at runtime).
-type resolver struct {
+type compiler struct {
 	stack []*scopeInfo
 }
 
-func (r *resolver) enter(sc *scopeInfo) { r.stack = append(r.stack, sc) }
-func (r *resolver) exit()               { r.stack = r.stack[:len(r.stack)-1] }
+func (c *compiler) enter(sc *scopeInfo) { c.stack = append(c.stack, sc) }
+func (c *compiler) exit()               { c.stack = c.stack[:len(c.stack)-1] }
 
 // candidates collects every enclosing scope declaring name, innermost
 // first. The runtime walks them in order and takes the first whose slot has
 // been initialized, which reproduces the reference interpreter's
 // map-membership walk exactly.
-func (r *resolver) candidates(name string) []slotRef {
+func (c *compiler) candidates(name string) []slotRef {
 	var cands []slotRef
-	for i := len(r.stack) - 1; i >= 0; i-- {
-		if slot := r.stack[i].slotOf(name); slot >= 0 {
-			cands = append(cands, slotRef{hops: len(r.stack) - 1 - i, slot: slot})
+	for i := len(c.stack) - 1; i >= 0; i-- {
+		if slot := c.stack[i].slotOf(name); slot >= 0 {
+			cands = append(cands, slotRef{hops: len(c.stack) - 1 - i, slot: slot})
 		}
 	}
 	return cands
@@ -136,100 +162,573 @@ func funcScope(params []string, body []Stmt) *scopeInfo {
 	return sc
 }
 
-func (r *resolver) stmts(ss []Stmt) {
-	for _, s := range ss {
-		r.stmt(s)
+func execNothing(*Interp, *frame) error { return nil }
+
+// block compiles statements run in order in the current frame.
+func (c *compiler) block(ss []Stmt) execFn {
+	fns := make([]execFn, len(ss))
+	for i, s := range ss {
+		fns[i] = c.stmt(s)
+	}
+	switch len(fns) {
+	case 0:
+		return execNothing
+	case 1:
+		return fns[0]
+	}
+	return func(in *Interp, f *frame) error {
+		for _, s := range fns {
+			if err := s(in, f); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 }
 
-func (r *resolver) block(ss []Stmt, sc *scopeInfo) {
+// scoped compiles a block that runs in a fresh frame when it declares
+// variables — fresh per entry, so loop iterations get independent bindings
+// — and directly in the enclosing frame otherwise.
+func (c *compiler) scoped(ss []Stmt) execFn {
+	sc := blockInfo(ss)
 	if sc == nil {
-		r.stmts(ss)
-		return
+		return c.block(ss)
 	}
-	r.enter(sc)
-	r.stmts(ss)
-	r.exit()
+	c.enter(sc)
+	body := c.block(ss)
+	c.exit()
+	return func(in *Interp, f *frame) error {
+		nf := in.newFrame(sc, f)
+		err := body(in, nf)
+		in.freeFrame(nf, sc)
+		return err
+	}
 }
 
-func (r *resolver) stmt(s Stmt) {
+func (c *compiler) stmt(s Stmt) execFn {
 	switch s := s.(type) {
 	case *VarStmt:
-		if s.Init != nil {
-			r.expr(s.Init)
-		}
-		s.slot = -1
-		if n := len(r.stack); n > 0 {
-			s.slot = r.stack[n-1].slotOf(s.Name)
-		}
+		return c.varStmt(s)
 	case *AssignStmt:
-		r.expr(s.X)
-		s.cands = r.candidates(s.Name)
+		return c.assign(s)
 	case *ExprStmt:
-		r.expr(s.X)
+		x := c.expr(s.X)
+		return func(in *Interp, f *frame) error {
+			if err := in.step(); err != nil {
+				return err
+			}
+			_, err := x(in, f)
+			return err
+		}
 	case *IfStmt:
-		r.expr(s.Cond)
-		s.thenScope = blockInfo(s.Then)
-		r.block(s.Then, s.thenScope)
-		s.elseScope = blockInfo(s.Else)
-		r.block(s.Else, s.elseScope)
+		cond := c.expr(s.Cond)
+		then, els := c.scoped(s.Then), c.scoped(s.Else)
+		return func(in *Interp, f *frame) error {
+			if err := in.step(); err != nil {
+				return err
+			}
+			v, err := cond(in, f)
+			if err != nil {
+				return err
+			}
+			if v.Truthy() {
+				return then(in, f)
+			}
+			return els(in, f)
+		}
 	case *WhileStmt:
-		r.expr(s.Cond)
-		s.bodyScope = blockInfo(s.Body)
-		r.block(s.Body, s.bodyScope)
+		cond := c.expr(s.Cond)
+		body := c.scoped(s.Body)
+		return func(in *Interp, f *frame) error {
+			if err := in.step(); err != nil {
+				return err
+			}
+			for {
+				v, err := cond(in, f)
+				if err != nil {
+					return err
+				}
+				if !v.Truthy() {
+					return nil
+				}
+				if err := body(in, f); err != nil {
+					return err
+				}
+				if err := in.step(); err != nil {
+					return err
+				}
+			}
+		}
 	case *ForStmt:
-		if v, ok := s.Init.(*VarStmt); ok {
-			s.initScope = &scopeInfo{names: []string{v.Name}}
-			r.enter(s.initScope)
-		}
-		if s.Init != nil {
-			r.stmt(s.Init)
-		}
-		if s.Cond != nil {
-			r.expr(s.Cond)
-		}
-		if s.Post != nil {
-			r.stmt(s.Post)
-		}
-		s.bodyScope = blockInfo(s.Body)
-		r.block(s.Body, s.bodyScope)
-		if s.initScope != nil {
-			r.exit()
-		}
+		return c.forStmt(s)
 	case *ReturnStmt:
-		if s.X != nil {
-			r.expr(s.X)
+		x := c.exprOrNull(s.X)
+		return func(in *Interp, f *frame) error {
+			if err := in.step(); err != nil {
+				return err
+			}
+			v, err := x(in, f)
+			if err != nil {
+				return err
+			}
+			in.ret = v
+			return errReturnSignal
 		}
+	}
+	panic(fmt.Sprintf("minijs: cannot compile statement %T", s)) // Parse makes no other
+}
+
+func (c *compiler) varStmt(s *VarStmt) execFn {
+	init := c.exprOrNull(s.Init)
+	name, slot := s.Name, -1
+	if n := len(c.stack); n > 0 {
+		slot = c.stack[n-1].slotOf(name)
+	}
+	return func(in *Interp, f *frame) error {
+		if err := in.step(); err != nil {
+			return err
+		}
+		v, err := init(in, f)
+		if err != nil {
+			return err
+		}
+		if slot < 0 {
+			in.setGlobal(name, v)
+		} else {
+			f.slots[slot] = v
+		}
+		return nil
 	}
 }
 
-func (r *resolver) expr(x Expr) {
+// assign writes through the same candidate walk as an identifier read,
+// falling back to an implicit global (sloppy-mode JS) when no initialized
+// binding exists.
+func (c *compiler) assign(s *AssignStmt) execFn {
+	x := c.expr(s.X)
+	name, cands := s.Name, c.candidates(s.Name)
+	switch {
+	case len(cands) == 0:
+		return func(in *Interp, f *frame) error {
+			if err := in.step(); err != nil {
+				return err
+			}
+			v, err := x(in, f)
+			if err != nil {
+				return err
+			}
+			in.setGlobal(name, v)
+			return nil
+		}
+	case len(cands) == 1 && cands[0].hops == 0:
+		slot := cands[0].slot
+		return func(in *Interp, f *frame) error {
+			if err := in.step(); err != nil {
+				return err
+			}
+			v, err := x(in, f)
+			if err != nil {
+				return err
+			}
+			if f.slots[slot].obj != &unsetTag {
+				f.slots[slot] = v
+			} else {
+				in.setGlobal(name, v)
+			}
+			return nil
+		}
+	}
+	return func(in *Interp, f *frame) error {
+		if err := in.step(); err != nil {
+			return err
+		}
+		v, err := x(in, f)
+		if err != nil {
+			return err
+		}
+		for _, c := range cands {
+			fr := f
+			for h := c.hops; h > 0; h-- {
+				fr = fr.parent
+			}
+			if fr.slots[c.slot].obj != &unsetTag {
+				fr.slots[c.slot] = v
+				return nil
+			}
+		}
+		in.setGlobal(name, v)
+		return nil
+	}
+}
+
+func (c *compiler) forStmt(s *ForStmt) execFn {
+	// The induction variable of `for (var ...)` gets its own frame; its
+	// lifetime spans every iteration, so it is released only when the loop
+	// exits.
+	var initScope *scopeInfo
+	if v, ok := s.Init.(*VarStmt); ok {
+		initScope = &scopeInfo{names: []string{v.Name}}
+		c.enter(initScope)
+	}
+	init, post := execNothing, execNothing
+	if s.Init != nil {
+		init = c.stmt(s.Init)
+	}
+	cond := func(*Interp, *frame) (Value, error) { return Bool(true), nil }
+	if s.Cond != nil {
+		cond = c.expr(s.Cond)
+	}
+	if s.Post != nil {
+		post = c.stmt(s.Post)
+	}
+	body := c.scoped(s.Body)
+	if initScope != nil {
+		c.exit()
+	}
+	loop := func(in *Interp, f *frame) error {
+		if err := init(in, f); err != nil {
+			return err
+		}
+		for {
+			v, err := cond(in, f)
+			if err != nil {
+				return err
+			}
+			if !v.Truthy() {
+				return nil
+			}
+			if err := body(in, f); err != nil {
+				return err
+			}
+			if err := post(in, f); err != nil {
+				return err
+			}
+			if err := in.step(); err != nil {
+				return err
+			}
+		}
+	}
+	if initScope == nil {
+		return func(in *Interp, f *frame) error {
+			if err := in.step(); err != nil {
+				return err
+			}
+			return loop(in, f)
+		}
+	}
+	return func(in *Interp, f *frame) error {
+		if err := in.step(); err != nil {
+			return err
+		}
+		nf := in.newFrame(initScope, f)
+		err := loop(in, nf)
+		in.freeFrame(nf, initScope)
+		return err
+	}
+}
+
+func (c *compiler) expr(x Expr) evalFn {
 	switch x := x.(type) {
 	case *Lit:
-	case *Ident:
-		x.cands = r.candidates(x.Name)
-	case *Member:
-		r.expr(x.X)
-	case *Call:
-		r.expr(x.Fn)
-		for _, a := range x.Args {
-			r.expr(a)
+		v := x.Val
+		return func(in *Interp, f *frame) (Value, error) {
+			if err := in.step(); err != nil {
+				return Null(), err
+			}
+			return v, nil
 		}
-	case *Binary:
-		r.expr(x.L)
-		r.expr(x.R)
-	case *Unary:
-		r.expr(x.X)
+	case *Ident:
+		return c.ident(x.Name)
+	case *Member:
+		base, name := c.expr(x.X), x.Name
+		return func(in *Interp, f *frame) (Value, error) {
+			if err := in.step(); err != nil {
+				return Null(), err
+			}
+			b, err := base(in, f)
+			if err != nil {
+				return Null(), err
+			}
+			if b.kind() != kindNamespace {
+				return Null(), fmt.Errorf("minijs: member access %q on non-object", name)
+			}
+			v, ok := b.obj.space[name]
+			if !ok {
+				return Null(), fmt.Errorf("minijs: unknown member %q", name)
+			}
+			return v, nil
+		}
 	case *FuncLit:
 		// Evaluating the literal captures the live chain: every enclosing
 		// frame may now outlive its scope.
-		for _, sc := range r.stack {
+		for _, sc := range c.stack {
 			sc.escapes = true
 		}
-		x.fnScope = funcScope(x.Params, x.Body)
-		r.enter(x.fnScope)
-		r.stmts(x.Body)
-		r.exit()
+		code := &funcCode{scope: funcScope(x.Params, x.Body)}
+		c.enter(code.scope)
+		code.body = c.block(x.Body)
+		c.exit()
+		return func(in *Interp, f *frame) (Value, error) {
+			if err := in.step(); err != nil {
+				return Null(), err
+			}
+			return Value{obj: &object{kind: kindClosure, closure: Closure{code: code, frame: f}}}, nil
+		}
+	case *Unary:
+		return c.unary(x)
+	case *Binary:
+		return c.binary(x)
+	case *Call:
+		return c.call(x)
+	}
+	panic(fmt.Sprintf("minijs: cannot compile expression %T", x)) // Parse makes no other
+}
+
+// exprOrNull compiles an optional expression: a missing one yields null
+// without a step, as the reference walker never evaluates it.
+func (c *compiler) exprOrNull(x Expr) evalFn {
+	if x == nil {
+		return func(*Interp, *frame) (Value, error) { return Null(), nil }
+	}
+	return c.expr(x)
+}
+
+// ident compiles an identifier read: the innermost initialized candidate
+// binding wins (a var whose declaration has not executed yet is invisible),
+// with the dynamic global map as the final fallback.
+func (c *compiler) ident(name string) evalFn {
+	cands := c.candidates(name)
+	switch {
+	case len(cands) == 0:
+		return func(in *Interp, f *frame) (Value, error) {
+			if err := in.step(); err != nil {
+				return Null(), err
+			}
+			return in.global(name)
+		}
+	case len(cands) == 1 && cands[0].hops == 0:
+		slot := cands[0].slot
+		return func(in *Interp, f *frame) (Value, error) {
+			if err := in.step(); err != nil {
+				return Null(), err
+			}
+			if v := f.slots[slot]; v.obj != &unsetTag {
+				return v, nil
+			}
+			return in.global(name)
+		}
+	}
+	return func(in *Interp, f *frame) (Value, error) {
+		if err := in.step(); err != nil {
+			return Null(), err
+		}
+		for _, c := range cands {
+			fr := f
+			for h := c.hops; h > 0; h-- {
+				fr = fr.parent
+			}
+			if v := fr.slots[c.slot]; v.obj != &unsetTag {
+				return v, nil
+			}
+		}
+		return in.global(name)
+	}
+}
+
+func (c *compiler) unary(x *Unary) evalFn {
+	operand, not := c.expr(x.X), x.Op == "!" // the parser makes only ! and -
+	return func(in *Interp, f *frame) (Value, error) {
+		if err := in.step(); err != nil {
+			return Null(), err
+		}
+		v, err := operand(in, f)
+		if err != nil {
+			return Null(), err
+		}
+		if not {
+			return Bool(!v.Truthy()), nil
+		}
+		return Number(-v.Num()), nil
+	}
+}
+
+// binOp is a strict (both operands evaluated) binary operator; && and || are
+// compiled on their own.
+type binOp uint8
+
+const (
+	opAdd binOp = iota + 1
+	opSub
+	opMul
+	opDiv
+	opMod
+	opEq
+	opNe
+	opLt
+	opGt
+	opLe
+	opGe
+)
+
+var binOps = map[string]binOp{
+	"+": opAdd, "-": opSub, "*": opMul, "/": opDiv, "%": opMod,
+	"==": opEq, "!=": opNe, "<": opLt, ">": opGt, "<=": opLe, ">=": opGe,
+}
+
+func (c *compiler) binary(x *Binary) evalFn {
+	l := c.expr(x.L)
+	if x.Op == "&&" || x.Op == "||" {
+		r, and := c.expr(x.R), x.Op == "&&"
+		return func(in *Interp, f *frame) (Value, error) {
+			if err := in.step(); err != nil {
+				return Null(), err
+			}
+			lv, err := l(in, f)
+			if err != nil {
+				return Null(), err
+			}
+			if lv.Truthy() != and {
+				return lv, nil
+			}
+			return r(in, f)
+		}
+	}
+	op, ok := binOps[x.Op]
+	if !ok {
+		panic("minijs: cannot compile operator " + x.Op) // the parser makes no other
+	}
+	if lit, ok := x.R.(*Lit); ok && lit.Val.obj == &numberTag {
+		// Fold a number literal into its operator: it is still charged its
+		// own step, after the left operand, as its own evaluation would be.
+		rv, rn := lit.Val, lit.Val.n
+		return func(in *Interp, f *frame) (Value, error) {
+			if err := in.step(); err != nil {
+				return Null(), err
+			}
+			lv, err := l(in, f)
+			if err != nil {
+				return Null(), err
+			}
+			if err := in.step(); err != nil {
+				return Null(), err
+			}
+			if lv.obj == &numberTag {
+				return numeric(op, lv.n, rn), nil
+			}
+			return applyBinary(op, lv, rv), nil
+		}
+	}
+	r := c.expr(x.R)
+	return func(in *Interp, f *frame) (Value, error) {
+		if err := in.step(); err != nil {
+			return Null(), err
+		}
+		lv, err := l(in, f)
+		if err != nil {
+			return Null(), err
+		}
+		rv, err := r(in, f)
+		if err != nil {
+			return Null(), err
+		}
+		if lv.obj == &numberTag && rv.obj == &numberTag {
+			return numeric(op, lv.n, rv.n), nil
+		}
+		return applyBinary(op, lv, rv), nil
+	}
+}
+
+// numeric applies op to two numbers: the fast path of applyBinary, taking
+// the operands as floats so they stay in registers.
+func numeric(op binOp, l, r float64) Value {
+	switch op {
+	case opAdd:
+		return Value{obj: &numberTag, n: l + r}
+	case opSub:
+		return Value{obj: &numberTag, n: l - r}
+	case opMul:
+		return Value{obj: &numberTag, n: l * r}
+	case opDiv:
+		return Value{obj: &numberTag, n: l / r}
+	case opMod:
+		// Integer remainder; a divisor that truncates to 0 (0.5 as well as
+		// 0) yields 0 rather than dividing by zero.
+		ri := int64(r)
+		if ri == 0 {
+			return Value{obj: &numberTag}
+		}
+		return Value{obj: &numberTag, n: float64(int64(l) % ri)}
+	case opEq:
+		return Bool(l == r)
+	case opNe:
+		return Bool(l != r)
+	case opLt:
+		return Bool(l < r)
+	case opGt:
+		return Bool(l > r)
+	case opLe:
+		return Bool(!(l > r)) // unordered (NaN) operands compare equal
+	default: // opGe
+		return Bool(!(l < r))
+	}
+}
+
+// applyBinary applies a strict operator to any two values: + concatenates
+// when either side is a string, == and != compare kinds too, and the
+// orderings compare two strings lexically; everything else is arithmetic
+// on Num.
+func applyBinary(op binOp, l, r Value) Value {
+	switch op {
+	case opAdd:
+		if l.obj == &stringTag || r.obj == &stringTag {
+			return String(l.Str() + r.Str())
+		}
+	case opEq:
+		return Bool(l.Equals(r))
+	case opNe:
+		return Bool(!l.Equals(r))
+	case opLt, opGt, opLe, opGe:
+		if l.obj == &stringTag && r.obj == &stringTag {
+			c := strings.Compare(l.s, r.s)
+			return numeric(op, float64(c), 0)
+		}
+	}
+	return numeric(op, l.Num(), r.Num())
+}
+
+func (c *compiler) call(x *Call) evalFn {
+	fn := c.expr(x.Fn)
+	args := make([]evalFn, len(x.Args))
+	for i, a := range x.Args {
+		args[i] = c.expr(a)
+	}
+	return func(in *Interp, f *frame) (Value, error) {
+		if err := in.step(); err != nil {
+			return Null(), err
+		}
+		fnv, err := fn(in, f)
+		if err != nil {
+			return Null(), err
+		}
+		argv := in.getArgs(len(args))
+		for i, a := range args {
+			if argv[i], err = a(in, f); err != nil {
+				in.putArgs(argv)
+				return Null(), err
+			}
+		}
+		var v Value
+		switch fnv.kind() {
+		case kindNative:
+			v, err = fnv.obj.nat(argv)
+		case kindClosure:
+			v, err = in.CallClosure(&fnv.obj.closure, argv...)
+		default:
+			in.putArgs(argv)
+			return Null(), fmt.Errorf("minijs: call of non-function")
+		}
+		in.putArgs(argv)
+		return v, err
 	}
 }
 
@@ -243,11 +742,13 @@ var progCache = struct {
 	m  map[string]*Program
 }{m: make(map[string]*Program, 64)}
 
-// Compile parses and resolves src, memoizing the result by source string.
+// Compile parses and compiles src, memoizing the result by source string.
 // Compiled programs are immutable; concurrent callers — the experiment
 // runner's workers, the proxy and client engines of one page load, every
-// scheme loading the same webgen page — share one *Program. Parse failures
-// are not cached (they are rare and deterministic).
+// scheme loading the same webgen page — share one *Program: when two
+// goroutines compile one fresh source at once, the first to store wins and
+// both return its Program, so memos keyed by program see it once. Parse
+// failures are not cached (they are rare and deterministic).
 func Compile(src string) (*Program, error) {
 	progCache.mu.RLock()
 	p := progCache.m[src]
@@ -260,10 +761,14 @@ func Compile(src string) (*Program, error) {
 		return nil, err
 	}
 	progCache.mu.Lock()
-	if len(progCache.m) >= maxProgCache {
-		progCache.m = make(map[string]*Program, 64)
+	if won := progCache.m[src]; won != nil {
+		p = won
+	} else {
+		if len(progCache.m) >= maxProgCache {
+			progCache.m = make(map[string]*Program, 64)
+		}
+		progCache.m[src] = p
 	}
-	progCache.m[src] = p
 	progCache.mu.Unlock()
 	return p, nil
 }

@@ -7,16 +7,17 @@ import (
 )
 
 // FuzzMinijs is a differential fuzzer: every input that parses is executed
-// by both the slot-resolved interpreter and the pre-refactor reference
+// by both the closure-compiled interpreter and the map-env reference
 // implementation (reference_test.go) under identical deterministic
 // builtins, and any divergence in emitted calls, error strings, op counts,
 // or final globals fails. This is the strongest guarantee the compile-once
-// refactor offers: the resolver cannot mis-scope an identifier, and the
-// frame pools cannot leak a stale binding, without this target noticing.
+// design offers: the compiler cannot mis-scope an identifier or misplace a
+// step, and the frame pools cannot leak a stale binding, without this
+// target noticing.
 //
 // The seed corpus is real generator output (every script body the simulator
 // actually executes, including document.write payloads) plus hand-written
-// fragments that aim at resolver edge cases the generator never produces.
+// fragments that aim at scoping edge cases the generator never produces.
 func FuzzMinijs(f *testing.F) {
 	for _, page := range webgen.Generate(webgen.Spec{Seed: 77, NumPages: 3}) {
 		for _, obj := range page.Objects {

@@ -1,22 +1,49 @@
 package minijs
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 )
 
 // Value is a runtime value: null, bool, number, string, closure, native
 // function, or namespace.
+//
+// A Value is three fields in four machine words, small enough for the
+// compiler to keep in registers: the operands of a binary operator and an
+// evaluation's result never round-trip through memory. The kind lives
+// behind obj: scalars point at one shared tag per kind (so a kind test is a
+// pointer compare), reference values at their own object, and null at
+// nothing.
 type Value struct {
-	kind  valueKind
-	b     bool
-	n     float64
-	s     string
-	fn    *Closure
-	nat   Native
-	space map[string]Value
+	obj *object
+	n   float64 // number; a bool holds 1 for true, 0 for false
+	s   string  // string
+}
+
+// object is a Value's kind and, for closures, natives and namespaces, what
+// the value refers to.
+type object struct {
+	kind    valueKind
+	closure Closure
+	nat     Native
+	space   map[string]Value
+}
+
+// The kind tags of the scalar values (null has none).
+var (
+	boolTag   = object{kind: kindBool}
+	numberTag = object{kind: kindNumber}
+	stringTag = object{kind: kindString}
+	unsetTag  = object{kind: kindUnset}
+)
+
+func (v Value) kind() valueKind {
+	if v.obj == nil {
+		return kindNull
+	}
+	return v.obj.kind
 }
 
 type valueKind int
@@ -40,35 +67,40 @@ const (
 func Null() Value { return Value{} }
 
 // Bool wraps a bool.
-func Bool(b bool) Value { return Value{kind: kindBool, b: b} }
+func Bool(b bool) Value {
+	if b {
+		return Value{obj: &boolTag, n: 1}
+	}
+	return Value{obj: &boolTag}
+}
 
 // Number wraps a float64.
-func Number(n float64) Value { return Value{kind: kindNumber, n: n} }
+func Number(n float64) Value { return Value{obj: &numberTag, n: n} }
 
 // String wraps a string.
-func String(s string) Value { return Value{kind: kindString, s: s} }
+func String(s string) Value { return Value{obj: &stringTag, s: s} }
 
 // NativeValue wraps a host function.
-func NativeValue(f Native) Value { return Value{kind: kindNative, nat: f} }
+func NativeValue(f Native) Value { return Value{obj: &object{kind: kindNative, nat: f}} }
 
 // Namespace wraps a map of named host functions (e.g. the document object).
-func Namespace(m map[string]Value) Value { return Value{kind: kindNamespace, space: m} }
+func Namespace(m map[string]Value) Value { return Value{obj: &object{kind: kindNamespace, space: m}} }
 
 // IsScalar reports whether v is null, bool, number or string — a value that
 // carries no reference to any interpreter instance and can therefore be
 // transplanted between interpreters (the exec-outcome cache relies on this).
-func (v Value) IsScalar() bool { return v.kind <= kindString }
+func (v Value) IsScalar() bool { return v.kind() <= kindString }
 
 // SameKind reports whether v and o hold the same kind of value.
-func (v Value) SameKind(o Value) bool { return v.kind == o.kind }
+func (v Value) SameKind(o Value) bool { return v.kind() == o.kind() }
 
 // Truthy follows JavaScript-like coercion.
 func (v Value) Truthy() bool {
-	switch v.kind {
+	switch v.kind() {
 	case kindNull:
 		return false
 	case kindBool:
-		return v.b
+		return v.n != 0
 	case kindNumber:
 		return v.n != 0
 	case kindString:
@@ -80,7 +112,7 @@ func (v Value) Truthy() bool {
 
 // Num returns the numeric value (0 for non-numbers).
 func (v Value) Num() float64 {
-	if v.kind == kindNumber {
+	if v.obj == &numberTag {
 		return v.n
 	}
 	return 0
@@ -88,11 +120,11 @@ func (v Value) Num() float64 {
 
 // Str renders the value as a string, the way string concatenation sees it.
 func (v Value) Str() string {
-	switch v.kind {
+	switch v.kind() {
 	case kindNull:
 		return "null"
 	case kindBool:
-		return strconv.FormatBool(v.b)
+		return strconv.FormatBool(v.n != 0)
 	case kindNumber:
 		if v.n == float64(int64(v.n)) {
 			return strconv.FormatInt(int64(v.n), 10)
@@ -111,22 +143,22 @@ func (v Value) Str() string {
 
 // Closure returns the closure value, or nil.
 func (v Value) Closure() *Closure {
-	if v.kind == kindClosure {
-		return v.fn
+	if v.kind() == kindClosure {
+		return &v.obj.closure
 	}
 	return nil
 }
 
 // Equals implements the == operator.
 func (v Value) Equals(o Value) bool {
-	if v.kind != o.kind {
+	if v.kind() != o.kind() {
 		return false
 	}
-	switch v.kind {
+	switch v.kind() {
 	case kindNull:
 		return true
 	case kindBool:
-		return v.b == o.b
+		return v.n == o.n
 	case kindNumber:
 		return v.n == o.n
 	case kindString:
@@ -139,13 +171,11 @@ func (v Value) Equals(o Value) bool {
 // Native is a host-provided builtin.
 type Native func(args []Value) (Value, error)
 
-// Closure is a user function with its captured environment: the compiled
-// scope layout of its body plus the frame chain live at creation.
+// Closure is a user function with its captured environment: the function
+// literal's compiled code plus the frame chain live at creation.
 type Closure struct {
-	Params []string
-	Body   []Stmt
-	scope  *scopeInfo
-	frame  *frame
+	code  *funcCode
+	frame *frame
 }
 
 // frame is one materialized lexical scope: a flat slot array laid out at
@@ -188,6 +218,9 @@ type Interp struct {
 	ops     int
 	maxOps  int
 	depth   int // live CallClosure nesting
+	// ret carries a return statement's value to the CallClosure (or Run)
+	// that errReturnSignal unwinds to.
+	ret Value
 
 	// pools recycles frames and call-argument slices, following the
 	// simnet/trace free-list pattern: owner-checked under -tags simdebug,
@@ -271,16 +304,16 @@ func (in *Interp) SetGlobalHooks(onRead func(name string, v Value, ok bool), onW
 	in.onGlobalWrite = onWrite
 }
 
-// errReturn carries a return value up the stack.
-type errReturn struct{ v Value }
-
-func (errReturn) Error() string { return "return outside function" }
+// errReturnSignal unwinds a return statement to the nearest CallClosure or
+// Run, which takes the value from Interp.ret: a sentinel rather than an
+// error carrying the value, so returning allocates nothing.
+var errReturnSignal = errors.New("return outside function")
 
 // Run executes a program in the global scope.
 func (in *Interp) Run(p *Program) error {
-	err := in.execBlock(p.Stmts, nil)
-	if r, ok := err.(errReturn); ok {
-		_ = r
+	err := p.run(in, nil)
+	if err == errReturnSignal {
+		in.ret = Value{}
 		return nil // top-level return is tolerated
 	}
 	return err
@@ -291,38 +324,48 @@ func (in *Interp) CallClosure(c *Closure, args ...Value) (Value, error) {
 	if c == nil {
 		return Null(), fmt.Errorf("minijs: call of null closure")
 	}
-	if c.scope == nil {
+	if c.code == nil {
 		return Null(), fmt.Errorf("minijs: call of unresolved closure")
 	}
 	if in.depth >= maxCallDepth {
 		return Null(), fmt.Errorf("minijs: call depth exceeded (%d)", maxCallDepth)
 	}
 	in.depth++
-	sc := c.scope
+	sc := c.code.scope
 	f := in.newFrame(sc, c.frame)
-	for i := range c.Params {
-		slot := sc.paramSlots[i]
+	for i, slot := range sc.paramSlots {
 		if i < len(args) {
 			f.slots[slot] = args[i]
 		} else {
 			f.slots[slot] = Null()
 		}
 	}
-	err := in.execBlock(c.Body, f)
+	err := c.code.body(in, f)
 	in.freeFrame(f, sc)
 	in.depth--
-	if r, ok := err.(errReturn); ok {
-		return r.v, nil
+	if err == errReturnSignal {
+		v := in.ret
+		in.ret = Value{}
+		return v, nil
 	}
 	return Null(), err
 }
 
+// step charges one evaluation step against the op budget.
 func (in *Interp) step() error {
 	in.ops++
 	if in.ops > in.maxOps {
-		return fmt.Errorf("minijs: op budget exceeded (%d)", in.maxOps)
+		return in.budgetExceeded()
 	}
 	return nil
+}
+
+// budgetExceeded is kept out of line so that step inlines into every
+// compiled node.
+//
+//go:noinline
+func (in *Interp) budgetExceeded() error {
+	return fmt.Errorf("minijs: op budget exceeded (%d)", in.maxOps)
 }
 
 // newFrame materializes a scope, recycling a pooled frame of the right size
@@ -341,7 +384,7 @@ func (in *Interp) newFrame(sc *scopeInfo, parent *frame) *frame {
 	}
 	f := &frame{slots: make([]Value, n), parent: parent}
 	for i := range f.slots {
-		f.slots[i] = Value{kind: kindUnset}
+		f.slots[i] = Value{obj: &unsetTag}
 	}
 	return f
 }
@@ -363,7 +406,7 @@ func (in *Interp) freeFrame(f *frame, sc *scopeInfo) {
 	f.pooled = true
 	f.parent = nil
 	for i := range f.slots {
-		f.slots[i] = Value{kind: kindUnset}
+		f.slots[i] = Value{obj: &unsetTag}
 	}
 	in.pools.framePool[n] = append(in.pools.framePool[n], f)
 }
@@ -398,322 +441,25 @@ func (in *Interp) putArgs(s []Value) {
 	in.pools.argFree = append(in.pools.argFree, s[:0])
 }
 
-// lookup resolves an identifier through its compiled candidate bindings:
-// the innermost candidate whose slot has been initialized wins (a var whose
-// declaration has not executed yet is invisible), with the dynamic global
-// map as the final fallback.
-func (in *Interp) lookup(x *Ident, f *frame) (Value, bool) {
-	for _, c := range x.cands {
-		fr := f
-		for h := c.hops; h > 0; h-- {
-			fr = fr.parent
-		}
-		if v := fr.slots[c.slot]; v.kind != kindUnset {
-			return v, true
-		}
-	}
-	v, ok := in.globals[x.Name]
+// global reads a name from the dynamic global map — the fallback of every
+// identifier no initialized frame slot binds.
+func (in *Interp) global(name string) (Value, error) {
+	v, ok := in.globals[name]
 	if in.onGlobalRead != nil {
-		in.onGlobalRead(x.Name, v, ok)
+		in.onGlobalRead(name, v, ok)
 	}
-	return v, ok
+	if !ok {
+		return Null(), fmt.Errorf("minijs: undefined variable %q", name)
+	}
+	return v, nil
 }
 
-// assign writes through the same candidate walk as lookup, falling back to
-// an implicit global (sloppy-mode JS) when no initialized binding exists.
-func (in *Interp) assign(cands []slotRef, name string, v Value, f *frame) {
-	for _, c := range cands {
-		fr := f
-		for h := c.hops; h > 0; h-- {
-			fr = fr.parent
-		}
-		if fr.slots[c.slot].kind != kindUnset {
-			fr.slots[c.slot] = v
-			return
-		}
-	}
+// setGlobal writes a name in the dynamic global map: a top-level var, or an
+// assignment no initialized frame slot binds (an implicit global, as in
+// sloppy-mode JS).
+func (in *Interp) setGlobal(name string, v Value) {
 	if in.onGlobalWrite != nil {
 		in.onGlobalWrite(name)
 	}
 	in.globals[name] = v
-}
-
-func (in *Interp) execBlock(stmts []Stmt, f *frame) error {
-	for _, s := range stmts {
-		if err := in.exec(s, f); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// execScope runs a block in a fresh frame when the block declares variables
-// (sc != nil) — fresh per entry, so loop iterations get independent
-// bindings — and directly in the enclosing frame otherwise.
-func (in *Interp) execScope(stmts []Stmt, sc *scopeInfo, f *frame) error {
-	if sc == nil {
-		return in.execBlock(stmts, f)
-	}
-	nf := in.newFrame(sc, f)
-	err := in.execBlock(stmts, nf)
-	in.freeFrame(nf, sc)
-	return err
-}
-
-func (in *Interp) exec(s Stmt, f *frame) error {
-	if err := in.step(); err != nil {
-		return err
-	}
-	switch s := s.(type) {
-	case *VarStmt:
-		v := Null()
-		if s.Init != nil {
-			var err error
-			v, err = in.eval(s.Init, f)
-			if err != nil {
-				return err
-			}
-		}
-		if s.slot >= 0 {
-			f.slots[s.slot] = v
-		} else {
-			if in.onGlobalWrite != nil {
-				in.onGlobalWrite(s.Name)
-			}
-			in.globals[s.Name] = v
-		}
-		return nil
-	case *AssignStmt:
-		v, err := in.eval(s.X, f)
-		if err != nil {
-			return err
-		}
-		in.assign(s.cands, s.Name, v, f)
-		return nil
-	case *ExprStmt:
-		_, err := in.eval(s.X, f)
-		return err
-	case *IfStmt:
-		cond, err := in.eval(s.Cond, f)
-		if err != nil {
-			return err
-		}
-		if cond.Truthy() {
-			return in.execScope(s.Then, s.thenScope, f)
-		}
-		return in.execScope(s.Else, s.elseScope, f)
-	case *WhileStmt:
-		for {
-			cond, err := in.eval(s.Cond, f)
-			if err != nil {
-				return err
-			}
-			if !cond.Truthy() {
-				return nil
-			}
-			if err := in.execScope(s.Body, s.bodyScope, f); err != nil {
-				return err
-			}
-			if err := in.step(); err != nil {
-				return err
-			}
-		}
-	case *ForStmt:
-		scope := f
-		if s.initScope != nil {
-			// The induction variable gets its own frame; its lifetime spans
-			// every iteration, so it is released only when the loop exits.
-			scope = in.newFrame(s.initScope, f)
-		}
-		err := in.runFor(s, scope)
-		if s.initScope != nil {
-			in.freeFrame(scope, s.initScope)
-		}
-		return err
-	case *ReturnStmt:
-		v := Null()
-		if s.X != nil {
-			var err error
-			v, err = in.eval(s.X, f)
-			if err != nil {
-				return err
-			}
-		}
-		return errReturn{v: v}
-	default:
-		return fmt.Errorf("minijs: unknown statement %T", s)
-	}
-}
-
-func (in *Interp) runFor(s *ForStmt, scope *frame) error {
-	if s.Init != nil {
-		if err := in.exec(s.Init, scope); err != nil {
-			return err
-		}
-	}
-	for {
-		if s.Cond != nil {
-			cond, err := in.eval(s.Cond, scope)
-			if err != nil {
-				return err
-			}
-			if !cond.Truthy() {
-				return nil
-			}
-		}
-		if err := in.execScope(s.Body, s.bodyScope, scope); err != nil {
-			return err
-		}
-		if s.Post != nil {
-			if err := in.exec(s.Post, scope); err != nil {
-				return err
-			}
-		}
-		if err := in.step(); err != nil {
-			return err
-		}
-	}
-}
-
-func (in *Interp) eval(x Expr, f *frame) (Value, error) {
-	if err := in.step(); err != nil {
-		return Null(), err
-	}
-	switch x := x.(type) {
-	case *Lit:
-		return x.Val, nil
-	case *Ident:
-		if v, ok := in.lookup(x, f); ok {
-			return v, nil
-		}
-		return Null(), fmt.Errorf("minijs: undefined variable %q", x.Name)
-	case *Member:
-		base, err := in.eval(x.X, f)
-		if err != nil {
-			return Null(), err
-		}
-		if base.kind != kindNamespace {
-			return Null(), fmt.Errorf("minijs: member access %q on non-object", x.Name)
-		}
-		v, ok := base.space[x.Name]
-		if !ok {
-			return Null(), fmt.Errorf("minijs: unknown member %q", x.Name)
-		}
-		return v, nil
-	case *FuncLit:
-		return Value{kind: kindClosure, fn: &Closure{Params: x.Params, Body: x.Body, scope: x.fnScope, frame: f}}, nil
-	case *Unary:
-		v, err := in.eval(x.X, f)
-		if err != nil {
-			return Null(), err
-		}
-		switch x.Op {
-		case "!":
-			return Bool(!v.Truthy()), nil
-		case "-":
-			return Number(-v.Num()), nil
-		}
-		return Null(), fmt.Errorf("minijs: unknown unary op %q", x.Op)
-	case *Binary:
-		return in.evalBinary(x, f)
-	case *Call:
-		fnv, err := in.eval(x.Fn, f)
-		if err != nil {
-			return Null(), err
-		}
-		args := in.getArgs(len(x.Args))
-		for i, a := range x.Args {
-			args[i], err = in.eval(a, f)
-			if err != nil {
-				in.putArgs(args)
-				return Null(), err
-			}
-		}
-		var v Value
-		switch fnv.kind {
-		case kindNative:
-			v, err = fnv.nat(args)
-		case kindClosure:
-			v, err = in.CallClosure(fnv.fn, args...)
-		default:
-			in.putArgs(args)
-			return Null(), fmt.Errorf("minijs: call of non-function")
-		}
-		in.putArgs(args)
-		return v, err
-	default:
-		return Null(), fmt.Errorf("minijs: unknown expression %T", x)
-	}
-}
-
-func (in *Interp) evalBinary(x *Binary, f *frame) (Value, error) {
-	// Short-circuit operators.
-	if x.Op == "&&" || x.Op == "||" {
-		l, err := in.eval(x.L, f)
-		if err != nil {
-			return Null(), err
-		}
-		if x.Op == "&&" && !l.Truthy() {
-			return l, nil
-		}
-		if x.Op == "||" && l.Truthy() {
-			return l, nil
-		}
-		return in.eval(x.R, f)
-	}
-	l, err := in.eval(x.L, f)
-	if err != nil {
-		return Null(), err
-	}
-	r, err := in.eval(x.R, f)
-	if err != nil {
-		return Null(), err
-	}
-	switch x.Op {
-	case "+":
-		if l.kind == kindString || r.kind == kindString {
-			return String(l.Str() + r.Str()), nil
-		}
-		return Number(l.Num() + r.Num()), nil
-	case "-":
-		return Number(l.Num() - r.Num()), nil
-	case "*":
-		return Number(l.Num() * r.Num()), nil
-	case "/":
-		return Number(l.Num() / r.Num()), nil
-	case "%":
-		ri := r.Num()
-		if ri == 0 {
-			return Number(0), nil
-		}
-		return Number(float64(int64(l.Num()) % int64(ri))), nil
-	case "==":
-		return Bool(l.Equals(r)), nil
-	case "!=":
-		return Bool(!l.Equals(r)), nil
-	case "<":
-		return compare(l, r, func(c int) bool { return c < 0 }), nil
-	case ">":
-		return compare(l, r, func(c int) bool { return c > 0 }), nil
-	case "<=":
-		return compare(l, r, func(c int) bool { return c <= 0 }), nil
-	case ">=":
-		return compare(l, r, func(c int) bool { return c >= 0 }), nil
-	}
-	return Null(), fmt.Errorf("minijs: unknown operator %q", x.Op)
-}
-
-func compare(l, r Value, ok func(int) bool) Value {
-	if l.kind == kindString && r.kind == kindString {
-		return Bool(ok(strings.Compare(l.s, r.s)))
-	}
-	ln, rn := l.Num(), r.Num()
-	switch {
-	case ln < rn:
-		return Bool(ok(-1))
-	case ln > rn:
-		return Bool(ok(1))
-	default:
-		return Bool(ok(0))
-	}
 }

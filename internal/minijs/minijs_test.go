@@ -43,6 +43,18 @@ func TestArithmeticAndVars(t *testing.T) {
 	}
 }
 
+// TestModuloByFractionTruncatesToZero: the remainder is taken on integers,
+// and a divisor that truncates to 0 yields 0 like a 0 divisor does, instead
+// of dividing by zero in the host.
+func TestModuloByFractionTruncatesToZero(t *testing.T) {
+	var calls []string
+	run(t, `var h = 0.5; emit(5 % 0.5, -7 % 0.9, 7 % 0, 7.9 % 2.5, 20000 % 0.000001, 3 % h);`,
+		map[string]Native{"emit": collectCalls(&calls)})
+	if len(calls) != 1 || calls[0] != "0|0|0|1|0|0" {
+		t.Fatalf("calls = %v", calls)
+	}
+}
+
 func TestStringConcat(t *testing.T) {
 	var calls []string
 	run(t, `var base = "http://x.com/img"; emit(base + "/" + 5 + ".png");`,

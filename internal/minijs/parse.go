@@ -15,22 +15,20 @@ type Program struct {
 	Stmts []Stmt
 	// Source is retained for diagnostics and size accounting.
 	Source string
+
+	run execFn // compiled top-level block (see compile.go)
 }
 
 // VarStmt declares a variable: var name = init;
 type VarStmt struct {
 	Name string
 	Init Expr // may be nil
-
-	slot int // compiled: slot in the enclosing scope's frame, -1 = global
 }
 
 // AssignStmt assigns to an existing variable: name = x;
 type AssignStmt struct {
 	Name string
 	X    Expr
-
-	cands []slotRef // compiled: candidate bindings, innermost first
 }
 
 // ExprStmt evaluates an expression for side effects.
@@ -41,8 +39,6 @@ type IfStmt struct {
 	Cond Expr
 	Then []Stmt
 	Else []Stmt // may be nil
-
-	thenScope, elseScope *scopeInfo // compiled: nil when branch declares no vars
 }
 
 // ForStmt is for (init; cond; post) {body}.
@@ -51,17 +47,12 @@ type ForStmt struct {
 	Cond Expr // may be nil (infinite, bounded by op budget)
 	Post Stmt // may be nil
 	Body []Stmt
-
-	initScope *scopeInfo // compiled: non-nil iff Init is a var declaration
-	bodyScope *scopeInfo // compiled: nil when body declares no vars
 }
 
 // WhileStmt is while (cond) {body}.
 type WhileStmt struct {
 	Cond Expr
 	Body []Stmt
-
-	bodyScope *scopeInfo // compiled: nil when body declares no vars
 }
 
 // ReturnStmt returns from the enclosing function.
@@ -81,8 +72,6 @@ type Lit struct{ Val Value }
 // Ident references a variable.
 type Ident struct {
 	Name string
-
-	cands []slotRef // compiled: candidate bindings, innermost first
 }
 
 // Member accesses X.Name (used for namespace builtins like document.write).
@@ -113,8 +102,6 @@ type Unary struct {
 type FuncLit struct {
 	Params []string
 	Body   []Stmt
-
-	fnScope *scopeInfo // compiled: param + body-var scope layout
 }
 
 func (*Lit) exprNode()     {}
@@ -141,7 +128,7 @@ func Parse(src string) (*Program, error) {
 		stmts = append(stmts, s)
 	}
 	prog := &Program{Stmts: stmts, Source: src}
-	resolveProgram(prog)
+	compileProgram(prog)
 	return prog, nil
 }
 

@@ -39,8 +39,8 @@ func TestFrameReuseAfterFree(t *testing.T) {
 		t.Fatal("recycled frame still marked pooled")
 	}
 	for i, v := range g.slots {
-		if v.kind != kindUnset {
-			t.Fatalf("recycled frame slot %d not reset (kind %d)", i, v.kind)
+		if v.kind() != kindUnset {
+			t.Fatalf("recycled frame slot %d not reset (kind %d)", i, v.kind())
 		}
 	}
 	in.freeFrame(g, sc) // must not panic

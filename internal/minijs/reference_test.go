@@ -1,10 +1,13 @@
 package minijs
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // This file preserves the pre-refactor interpreter — map[string]Value
 // environment chains walked by name at runtime — as a reference
-// implementation. The slot-resolved interpreter in interp.go must be
+// implementation. The closure-compiled interpreter (compile.go) must be
 // observationally identical to it: same emitted native calls, same error
 // strings, same op counts, same final globals. TestSlotResolvedMatchesRef
 // and FuzzMinijs enforce that equivalence.
@@ -12,8 +15,12 @@ import "fmt"
 // The only deliberate additions relative to the original are the
 // maxCallDepth bound (which interp.go also applies, with the identical
 // error string — fuzz inputs can otherwise recurse past the Go stack) and
-// the clos side map, which stands in for the env field the production
-// Closure no longer carries.
+// the clos side map, which stands in for the parameters, body and env the
+// production Closure no longer carries (it holds compiled code instead).
+// errReturn and refCompare are the original's, kept here because the
+// compiled interpreter no longer uses them. The one deliberate change is
+// in `%`: a divisor that truncates to 0 yields 0 on both sides, where the
+// original divided by zero and panicked.
 
 type refEnv struct {
 	vars   map[string]Value
@@ -39,21 +46,32 @@ func (e *refEnv) assign(name string, v Value) bool {
 	return false
 }
 
+// errReturn carries a return value up the reference interpreter's stack.
+type errReturn struct{ v Value }
+
+func (errReturn) Error() string { return "return outside function" }
+
+// refClosure is what the reference interpreter knows of a closure it made.
+type refClosure struct {
+	lit *FuncLit
+	env *refEnv
+}
+
 type refInterp struct {
 	globals *refEnv
 	ops     int
 	maxOps  int
 	depth   int
-	// clos maps each closure created by this interpreter to its captured
-	// environment chain.
-	clos map[*Closure]*refEnv
+	// clos maps each closure created by this interpreter to its function
+	// literal and captured environment chain.
+	clos map[*Closure]refClosure
 }
 
 func newRef() *refInterp {
 	return &refInterp{
 		globals: &refEnv{vars: make(map[string]Value)},
 		maxOps:  DefaultMaxOps,
-		clos:    make(map[*Closure]*refEnv),
+		clos:    make(map[*Closure]refClosure),
 	}
 }
 
@@ -76,15 +94,16 @@ func (in *refInterp) callClosure(c *Closure, args ...Value) (Value, error) {
 		return Null(), fmt.Errorf("minijs: call depth exceeded (%d)", maxCallDepth)
 	}
 	in.depth++
-	scope := &refEnv{vars: make(map[string]Value, len(c.Params)), parent: in.clos[c]}
-	for i, p := range c.Params {
+	rc := in.clos[c]
+	scope := &refEnv{vars: make(map[string]Value, len(rc.lit.Params)), parent: rc.env}
+	for i, p := range rc.lit.Params {
 		if i < len(args) {
 			scope.vars[p] = args[i]
 		} else {
 			scope.vars[p] = Null()
 		}
 	}
-	err := in.execBlock(c.Body, scope)
+	err := in.execBlock(rc.lit.Body, scope)
 	in.depth--
 	if r, ok := err.(errReturn); ok {
 		return r.v, nil
@@ -240,18 +259,18 @@ func (in *refInterp) eval(x Expr, e *refEnv) (Value, error) {
 		if err != nil {
 			return Null(), err
 		}
-		if base.kind != kindNamespace {
+		if base.kind() != kindNamespace {
 			return Null(), fmt.Errorf("minijs: member access %q on non-object", x.Name)
 		}
-		v, ok := base.space[x.Name]
+		v, ok := base.obj.space[x.Name]
 		if !ok {
 			return Null(), fmt.Errorf("minijs: unknown member %q", x.Name)
 		}
 		return v, nil
 	case *FuncLit:
-		c := &Closure{Params: x.Params, Body: x.Body}
-		in.clos[c] = e
-		return Value{kind: kindClosure, fn: c}, nil
+		v := Value{obj: &object{kind: kindClosure}}
+		in.clos[v.Closure()] = refClosure{lit: x, env: e}
+		return v, nil
 	case *Unary:
 		v, err := in.eval(x.X, e)
 		if err != nil {
@@ -278,11 +297,11 @@ func (in *refInterp) eval(x Expr, e *refEnv) (Value, error) {
 				return Null(), err
 			}
 		}
-		switch fnv.kind {
+		switch fnv.kind() {
 		case kindNative:
-			return fnv.nat(args)
+			return fnv.obj.nat(args)
 		case kindClosure:
-			return in.callClosure(fnv.fn, args...)
+			return in.callClosure(fnv.Closure(), args...)
 		default:
 			return Null(), fmt.Errorf("minijs: call of non-function")
 		}
@@ -316,7 +335,7 @@ func (in *refInterp) evalBinary(x *Binary, e *refEnv) (Value, error) {
 	}
 	switch x.Op {
 	case "+":
-		if l.kind == kindString || r.kind == kindString {
+		if l.kind() == kindString || r.kind() == kindString {
 			return String(l.Str() + r.Str()), nil
 		}
 		return Number(l.Num() + r.Num()), nil
@@ -327,25 +346,40 @@ func (in *refInterp) evalBinary(x *Binary, e *refEnv) (Value, error) {
 	case "/":
 		return Number(l.Num() / r.Num()), nil
 	case "%":
-		ri := r.Num()
+		ri := int64(r.Num())
 		if ri == 0 {
 			return Number(0), nil
 		}
-		return Number(float64(int64(l.Num()) % int64(ri))), nil
+		return Number(float64(int64(l.Num()) % ri)), nil
 	case "==":
 		return Bool(l.Equals(r)), nil
 	case "!=":
 		return Bool(!l.Equals(r)), nil
 	case "<":
-		return compare(l, r, func(c int) bool { return c < 0 }), nil
+		return refCompare(l, r, func(c int) bool { return c < 0 }), nil
 	case ">":
-		return compare(l, r, func(c int) bool { return c > 0 }), nil
+		return refCompare(l, r, func(c int) bool { return c > 0 }), nil
 	case "<=":
-		return compare(l, r, func(c int) bool { return c <= 0 }), nil
+		return refCompare(l, r, func(c int) bool { return c <= 0 }), nil
 	case ">=":
-		return compare(l, r, func(c int) bool { return c >= 0 }), nil
+		return refCompare(l, r, func(c int) bool { return c >= 0 }), nil
 	}
 	return Null(), fmt.Errorf("minijs: unknown operator %q", x.Op)
+}
+
+func refCompare(l, r Value, ok func(int) bool) Value {
+	if l.kind() == kindString && r.kind() == kindString {
+		return Bool(ok(strings.Compare(l.s, r.s)))
+	}
+	ln, rn := l.Num(), r.Num()
+	switch {
+	case ln < rn:
+		return Bool(ok(-1))
+	case ln > rn:
+		return Bool(ok(1))
+	default:
+		return Bool(ok(0))
+	}
 }
 
 // refGlobalsByStr renders the reference interpreter's global scope the way

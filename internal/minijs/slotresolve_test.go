@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// Differential harness: run the same program through the slot-resolved
-// interpreter and the pre-refactor reference (reference_test.go) under
+// Differential harness: run the same program through the closure-compiled
+// interpreter and the map-env reference (reference_test.go) under
 // identical deterministic builtins, and demand identical observable
 // behavior — emitted native calls, error strings, op counts, and final
 // globals.
@@ -131,9 +131,9 @@ func runReference(prog *Program, maxOps int) diffResult {
 	return res
 }
 
-// checkDiff parses src once and runs the same AST through both
-// interpreters (the reference reads only the Name fields, ignoring the
-// compiled annotations).
+// checkDiff parses src once and runs the same program through both
+// interpreters (the reference walks its AST; the compiled side runs its
+// closures).
 func checkDiff(t *testing.T, src string) {
 	t.Helper()
 	prog, err := Parse(src)
@@ -143,7 +143,7 @@ func checkDiff(t *testing.T, src string) {
 	const maxOps = 200_000
 	got, want := runSlotted(prog, maxOps), runReference(prog, maxOps)
 	if !got.equal(want) {
-		t.Fatalf("slot-resolved and reference interpreters diverge on %q:\n slotted: %+v\n reference: %+v", src, got, want)
+		t.Fatalf("compiled and reference interpreters diverge on %q:\n slotted: %+v\n reference: %+v", src, got, want)
 	}
 }
 
@@ -209,6 +209,7 @@ func TestSlotResolvedMatchesRef(t *testing.T) {
 		// Mixed arithmetic, strings, logic.
 		`emit(1 + 2 * 3, "a" + 1, 10 % 3, 10 % 0, -(4), !0, 1 < 2 && "x" < "y");`,
 		`emit(null == null, 1 == "1", true != false, 2 <= 2, "b" >= "a");`,
+		`var h = 0.5; emit(5 % h, 5 % 0.5, -7 % -0.9, 9 % 2.5, "a" < 1, "a" < "a");`,
 		// for-loop with assignment init and empty sections.
 		`var i = 0; for (i = 5; i < 8; i = i + 1) { emit(i); } emit(i);`,
 		`var n = 0; for (; n < 2;) { n = n + 1; } emit(n);`,
@@ -257,8 +258,8 @@ func TestLoopFramesAreRecycled(t *testing.T) {
 	}
 	for _, f := range in.pools.framePool[1] {
 		for i, v := range f.slots {
-			if v.kind != kindUnset {
-				t.Fatalf("pooled frame slot %d not reset: kind %d", i, v.kind)
+			if v.kind() != kindUnset {
+				t.Fatalf("pooled frame slot %d not reset: kind %d", i, v.kind())
 			}
 		}
 	}
@@ -357,4 +358,41 @@ func TestCompileConcurrentSharing(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestCompileRaceKeepsFirstProgram: goroutines compiling one fresh source at
+// once all get the same *Program. A loser of the store race must not replace
+// the winner's entry, or memos keyed by program (the exec-outcome memo)
+// would record the script twice.
+func TestCompileRaceKeepsFirstProgram(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		src := fmt.Sprintf("var compile_race_%d = %d;", round, round)
+		const n = 8
+		progs := make([]*Program, n)
+		var start, wg sync.WaitGroup
+		start.Add(1)
+		for g := 0; g < n; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				start.Wait()
+				p, err := Compile(src)
+				if err != nil {
+					t.Error(err)
+				}
+				progs[g] = p
+			}()
+		}
+		start.Done()
+		wg.Wait()
+		cached, err := Compile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for g, p := range progs {
+			if p != cached {
+				t.Fatalf("round %d: goroutine %d got a Program other than the cached one", round, g)
+			}
+		}
+	}
 }

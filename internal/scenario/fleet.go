@@ -64,8 +64,5 @@ func BuildFleet(pages []webgen.Page, tenants int, p Params, res *Resources) *Fle
 		hosts[i] = h
 	}
 
-	for _, page := range pages {
-		prewarm(page)
-	}
 	return &Fleet{Topology: topo, Tenants: hosts, Pages: pages}
 }

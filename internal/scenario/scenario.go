@@ -11,7 +11,6 @@ import (
 	"cmp"
 	"time"
 
-	"github.com/parcel-go/parcel/internal/discovery"
 	"github.com/parcel-go/parcel/internal/dnssim"
 	"github.com/parcel-go/parcel/internal/eventsim"
 	"github.com/parcel-go/parcel/internal/httpsim"
@@ -219,7 +218,6 @@ func BuildWith(page webgen.Page, p Params, res *Resources) *Topology {
 			n.SetFaults(client, origin, p.AccessFaults)
 		}
 	})
-	prewarm(page)
 	return topo
 }
 
@@ -275,15 +273,5 @@ func (t *Topology) addOrigins(domains []string, store httpsim.Store, wire func(o
 		}
 		t.Origins = append(t.Origins, srv)
 		t.Dir[domain] = origin
-	}
-}
-
-// prewarm fills the process-wide artifact and program caches with the page's
-// objects: every scheme, sweep round and tenant session that loads this page
-// then hits cached DOM trees, CSS ref lists, and compiled scripts instead of
-// re-parsing identical bytes per engine.
-func prewarm(page webgen.Page) {
-	for _, obj := range page.Objects {
-		discovery.Prewarm(obj.URL, obj.ContentType, obj.Body)
 	}
 }

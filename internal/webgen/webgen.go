@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -261,11 +262,11 @@ func generatePage(rng *rand.Rand, cfg pageConfig) Page {
 		if i == 0 {
 			imp = fmt.Sprintf("http://%s/css/reset.css", domain)
 			p.Objects = append(p.Objects, httpsim.Object{
-				URL: imp, ContentType: "text/css", Body: []byte(cssBody(rng, nil, "", 3000)),
+				URL: imp, ContentType: "text/css", Body: cssBody(rng, nil, "", 3000),
 			})
 		}
 		p.Objects = append(p.Objects, httpsim.Object{
-			URL: u, ContentType: "text/css", Body: []byte(cssBody(rng, refs, imp, 4000+rng.Intn(24000))),
+			URL: u, ContentType: "text/css", Body: cssBody(rng, refs, imp, 4000+rng.Intn(24000)),
 		})
 	}
 
@@ -311,13 +312,13 @@ func generatePage(rng *rand.Rand, cfg pageConfig) Page {
 			}
 			p.Objects = append(p.Objects, httpsim.Object{
 				URL: loaderURL, ContentType: "application/javascript",
-				Body: []byte(jsBody(rng, loaderFetches, 1200)),
+				Body: jsBody(rng, "", loaderFetches, 1200),
 			})
 			extra = fmt.Sprintf("document.write(\"<script src='%s'></\" + \"script>\");\n", loaderURL)
 		}
 		p.Objects = append(p.Objects, httpsim.Object{
 			URL: u, ContentType: "application/javascript",
-			Body: []byte(extra + jsBody(rng, fetches, 2000+rng.Intn(30000))),
+			Body: jsBody(rng, extra, fetches, 2000+rng.Intn(30000)),
 		})
 	}
 
@@ -332,7 +333,7 @@ func generatePage(rng *rand.Rand, cfg pageConfig) Page {
 		})
 		p.Objects = append(p.Objects, httpsim.Object{
 			URL: u, ContentType: "application/javascript",
-			Body: []byte(jsBody(rng, []string{ad}, 1500+rng.Intn(6000))),
+			Body: jsBody(rng, "", []string{ad}, 1500+rng.Intn(6000)),
 		})
 	}
 
@@ -407,7 +408,7 @@ onEvent("click", "gallery-next", function() {
 	htmlSize := 15000 + rng.Intn(60000)
 	html := htmlBody(rng, cssURLs, syncJSURLs, asyncJSURLs, imgURLs, inline, htmlSize)
 	p.Objects = append(p.Objects, httpsim.Object{
-		URL: p.MainURL, ContentType: "text/html", Body: []byte(html),
+		URL: p.MainURL, ContentType: "text/html", Body: html,
 	})
 
 	p.ObjectCount = len(p.Objects)
@@ -457,73 +458,119 @@ func filler(n int) []byte {
 	return make([]byte, n)
 }
 
+// Bodies are appended straight into one buffer each: a generated set is
+// megabytes of markup, stylesheet and script text, so formatting through
+// temporaries would dominate a cold set-up. Every helper draws from rng in
+// exactly the order the text reads, which TestGenerateGolden pins.
+
 // htmlBody emits real markup referencing the page's resources, padded with
 // content paragraphs to approximate targetSize.
-func htmlBody(rng *rand.Rand, css, syncJS, asyncJS, imgs []string, inlineJS string, targetSize int) string {
-	var b strings.Builder
-	b.WriteString("<!DOCTYPE html>\n<html>\n<head>\n<title>generated page</title>\n")
+func htmlBody(rng *rand.Rand, css, syncJS, asyncJS, imgs []string, inlineJS string, targetSize int) []byte {
+	b := make([]byte, 0, targetSize+512)
+	b = append(b, "<!DOCTYPE html>\n<html>\n<head>\n<title>generated page</title>\n"...)
 	for _, u := range css {
-		fmt.Fprintf(&b, "<link rel=\"stylesheet\" href=%q>\n", u)
+		b = append(b, `<link rel="stylesheet" href=`...)
+		b = strconv.AppendQuote(b, u)
+		b = append(b, ">\n"...)
 	}
 	for _, u := range syncJS {
-		fmt.Fprintf(&b, "<script src=%q></script>\n", u)
+		b = append(b, "<script src="...)
+		b = strconv.AppendQuote(b, u)
+		b = append(b, "></script>\n"...)
 	}
 	for _, u := range asyncJS {
-		fmt.Fprintf(&b, "<script src=%q async></script>\n", u)
+		b = append(b, "<script src="...)
+		b = strconv.AppendQuote(b, u)
+		b = append(b, " async></script>\n"...)
 	}
-	b.WriteString("</head>\n<body>\n")
+	b = append(b, "</head>\n<body>\n"...)
 	if inlineJS != "" {
-		fmt.Fprintf(&b, "<script>\n%s\n</script>\n", inlineJS)
+		b = append(b, "<script>\n"...)
+		b = append(b, inlineJS...)
+		b = append(b, "\n</script>\n"...)
 	}
 	// Interleave images with text content.
 	for i, u := range imgs {
-		fmt.Fprintf(&b, "<div class=\"story\"><img src=%q alt=\"img%d\">", u, i)
-		b.WriteString("<p>")
-		b.WriteString(loremSentence(rng))
-		b.WriteString("</p></div>\n")
+		b = append(b, `<div class="story"><img src=`...)
+		b = strconv.AppendQuote(b, u)
+		b = append(b, ` alt="img`...)
+		b = strconv.AppendInt(b, int64(i), 10)
+		b = append(b, `"><p>`...)
+		b = appendLorem(b, rng)
+		b = append(b, "</p></div>\n"...)
 	}
-	for b.Len() < targetSize {
-		fmt.Fprintf(&b, "<p>%s</p>\n", loremSentence(rng))
+	for len(b) < targetSize {
+		b = append(b, "<p>"...)
+		b = appendLorem(b, rng)
+		b = append(b, "</p>\n"...)
 	}
-	b.WriteString("</body>\n</html>\n")
-	return b.String()
+	b = append(b, "</body>\n</html>\n"...)
+	return b[:len(b):len(b)]
 }
 
 // cssBody emits a stylesheet with the given url() references and optional
 // @import, padded with rules to approximate targetSize.
-func cssBody(rng *rand.Rand, assetRefs []string, importURL string, targetSize int) string {
-	var b strings.Builder
+func cssBody(rng *rand.Rand, assetRefs []string, importURL string, targetSize int) []byte {
+	b := make([]byte, 0, targetSize+128)
 	if importURL != "" {
-		fmt.Fprintf(&b, "@import %q;\n", importURL)
+		b = append(b, "@import "...)
+		b = strconv.AppendQuote(b, importURL)
+		b = append(b, ";\n"...)
 	}
 	for i, u := range assetRefs {
-		fmt.Fprintf(&b, ".bg%d { background-image: url(%q); }\n", i, u)
+		b = append(b, ".bg"...)
+		b = strconv.AppendInt(b, int64(i), 10)
+		b = append(b, " { background-image: url("...)
+		b = strconv.AppendQuote(b, u)
+		b = append(b, "); }\n"...)
 	}
-	i := 0
-	for b.Len() < targetSize {
-		fmt.Fprintf(&b, ".pad%d { margin: %dpx; padding: %dpx; color: #%06x; }\n",
-			i, rng.Intn(40), rng.Intn(40), rng.Intn(0xffffff))
-		i++
+	for i := 0; len(b) < targetSize; i++ {
+		b = append(b, ".pad"...)
+		b = strconv.AppendInt(b, int64(i), 10)
+		b = append(b, " { margin: "...)
+		b = strconv.AppendInt(b, int64(rng.Intn(40)), 10)
+		b = append(b, "px; padding: "...)
+		b = strconv.AppendInt(b, int64(rng.Intn(40)), 10)
+		b = append(b, "px; color: #"...)
+		b = appendHex6(b, rng.Intn(0xffffff))
+		b = append(b, "; }\n"...)
 	}
-	return b.String()
+	return b[:len(b):len(b)]
 }
 
-// jsBody emits a script that fetches the given URLs plus light computational
-// work, padded with comments to approximate targetSize.
-func jsBody(rng *rand.Rand, fetchURLs []string, targetSize int) string {
-	var b strings.Builder
-	b.WriteString("var acc = 0;\n")
+// jsBody emits prefix, then a script that fetches the given URLs plus light
+// computational work, padded with comments until the part after prefix
+// approximates targetSize.
+func jsBody(rng *rand.Rand, prefix string, fetchURLs []string, targetSize int) []byte {
+	b := make([]byte, 0, len(prefix)+targetSize+256)
+	b = append(b, prefix...)
+	b = append(b, "var acc = 0;\n"...)
 	// Computational work scaling with script size: executing a framework-
 	// sized script costs a 2012-class phone on the order of 100 ms.
-	fmt.Fprintf(&b, "for (var i = 0; i < %d; i = i + 1) { acc = acc + i; }\n", targetSize/10+rng.Intn(60))
+	b = append(b, "for (var i = 0; i < "...)
+	b = strconv.AppendInt(b, int64(targetSize/10+rng.Intn(60)), 10)
+	b = append(b, "; i = i + 1) { acc = acc + i; }\n"...)
 	for _, u := range fetchURLs {
-		fmt.Fprintf(&b, "fetch(%q);\n", u)
+		b = append(b, "fetch("...)
+		b = strconv.AppendQuote(b, u)
+		b = append(b, ");\n"...)
 	}
-	b.WriteString("document.append(\"section\");\n")
-	for b.Len() < targetSize {
-		fmt.Fprintf(&b, "// %s\n", loremSentence(rng))
+	b = append(b, "document.append(\"section\");\n"...)
+	for len(b)-len(prefix) < targetSize {
+		b = append(b, "// "...)
+		b = appendLorem(b, rng)
+		b = append(b, '\n')
 	}
-	return b.String()
+	return b[:len(b):len(b)]
+}
+
+// appendHex6 appends v as at least six lowercase hex digits, zero-padded
+// (fmt's %06x).
+func appendHex6(b []byte, v int) []byte {
+	for shift := 20; shift >= 4 && v < 1<<shift; shift -= 4 {
+		b = append(b, '0')
+	}
+	return strconv.AppendInt(b, int64(v), 16)
 }
 
 var loremWords = strings.Fields(`lorem ipsum dolor sit amet consectetur
@@ -531,11 +578,14 @@ adipiscing elit sed do eiusmod tempor incididunt ut labore et dolore magna
 aliqua enim ad minim veniam quis nostrud exercitation ullamco laboris nisi
 aliquip ex ea commodo consequat`)
 
-func loremSentence(rng *rand.Rand) string {
+// appendLorem appends one sentence of 8–21 space-separated lorem words.
+func appendLorem(b []byte, rng *rand.Rand) []byte {
 	n := 8 + rng.Intn(14)
-	words := make([]string, n)
-	for i := range words {
-		words[i] = loremWords[rng.Intn(len(loremWords))]
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = append(b, loremWords[rng.Intn(len(loremWords))]...)
 	}
-	return strings.Join(words, " ")
+	return b
 }

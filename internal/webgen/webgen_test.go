@@ -1,6 +1,7 @@
 package webgen
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -250,6 +251,24 @@ func TestGeneratedObjectsPinValidatorsLazily(t *testing.T) {
 		// two ETag calls.
 		if n := httpsim.ValidatorHashes() - before; n != uint64(2*objects) {
 			t.Fatalf("seed %d: %d hashes for %d objects, want %d", seed, n, objects, 2*objects)
+		}
+	}
+}
+
+// TestContentValidatorSeparatesPageSets checks the validator on the bodies it
+// serves: across the page sets of seeds 1–5, two bodies share a validator
+// only if they are the same bytes.
+func TestContentValidatorSeparatesPageSets(t *testing.T) {
+	byValidator := map[string][]byte{}
+	for seed := int64(1); seed <= 5; seed++ {
+		for _, p := range generateSet(Spec{Seed: seed, NumPages: 34}) {
+			for _, o := range p.Objects {
+				v := httpsim.ContentValidator(o.Body)
+				if prev, ok := byValidator[v]; ok && !bytes.Equal(prev, o.Body) {
+					t.Fatalf("seed %d %s: validator %s names two different bodies (%d and %d bytes)", seed, o.URL, v, len(prev), len(o.Body))
+				}
+				byValidator[v] = o.Body
+			}
 		}
 	}
 }
