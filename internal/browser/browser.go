@@ -115,6 +115,9 @@ type Options struct {
 	// call-argument free lists — shared across every engine of a
 	// simulation batch.
 	JSPools *minijs.Pools
+	// Objects is the page's object count (webgen.Page.ObjectCount), which
+	// sizes the per-URL state up front; 0 grows it on demand.
+	Objects int
 }
 
 // object is the engine's state for one requested URL: its result once it
@@ -172,7 +175,7 @@ func New(sim *eventsim.Simulator, fetch Fetcher, opt Options) *Engine {
 		sim:      sim,
 		fetch:    fetch,
 		opt:      opt,
-		objects:  make(map[string]object),
+		objects:  make(map[string]object, opt.Objects),
 		handlers: make(map[string][]*minijs.Closure),
 	}
 	e.env = discovery.NewEnv(minijs.NewWithPools(opt.JSPools), engineHost{e}, opt.FixedRandom, opt.MaxDepth)

@@ -116,13 +116,14 @@ func (s *Session) onCloudMessage(m simnet.Message) {
 // the §7.3 replay rewrite.
 func (s *Session) startCloudLoad(url string) {
 	topo := s.topo
-	client := httpsim.NewClient(topo.Sim, topo.Proxy, topo.Dir, topo.ProxyResolver, 6)
+	client := httpsim.NewClientWithPools(topo.Sim, topo.Proxy, topo.Dir, topo.ProxyResolver, 6, topo.HTTPPools)
 	client.SetMaxTotalConns(64)
 	var bytesAtOnload, bytesTotal int64
 	fetcher := cbFetcher{client: client, bytes: &bytesTotal}
 	s.CloudEngine = browser.New(topo.Sim, fetcher, browser.Options{
 		CPU:         browser.ProxyCPU(),
 		FixedRandom: true,
+		Objects:     topo.Page.ObjectCount,
 		Events: browser.Events{
 			OnLoad: func(at time.Duration) {
 				bytesAtOnload = bytesTotal

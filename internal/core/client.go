@@ -73,6 +73,7 @@ func (c *Client) newEngine() *browser.Engine {
 		FixedRandom: c.cfg.FixedRandom,
 		ExecCache:   c.topo.ExecCache,
 		JSPools:     c.topo.JSPools,
+		Objects:     c.topo.Page.ObjectCount,
 	})
 }
 

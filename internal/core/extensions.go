@@ -23,7 +23,7 @@ import (
 // client's own connection to the origin, TLS included.
 func (c *Client) directFetch(url string) {
 	if c.direct == nil {
-		c.direct = httpsim.NewClient(c.topo.Sim, c.topo.Client, c.topo.Dir, c.topo.ClientResolver, 6)
+		c.direct = httpsim.NewClientWithPools(c.topo.Sim, c.topo.Client, c.topo.Dir, c.topo.ClientResolver, 6, c.topo.HTTPPools)
 	}
 	c.direct.Do(httpsim.Request{Method: "GET", URL: url}, func(resp httpsim.Response, at time.Duration) {
 		it := sched.Item{URL: url, Status: resp.Status, ContentType: resp.ContentType, Body: resp.Body, ArrivedAt: at}

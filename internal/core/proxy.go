@@ -181,7 +181,7 @@ func (s *ProxySession) startPage(req pageRequest) {
 	}
 	s.page.StartPage(cfg.Sched, nil, nil)
 	s.quietTimer.Cancel()
-	httpClient := httpsim.NewClient(topo.Sim, topo.Proxy, topo.Dir, topo.ProxyResolver, proxyConnsPerDomain)
+	httpClient := httpsim.NewClientWithPools(topo.Sim, topo.Proxy, topo.Dir, topo.ProxyResolver, proxyConnsPerDomain, topo.HTTPPools)
 	httpClient.SetMaxTotalConns(proxyMaxConns)
 	s.fetcher = &proxyFetcher{s: s, client: httpClient}
 	s.engine = browser.New(topo.Sim, s.fetcher, browser.Options{
@@ -189,6 +189,7 @@ func (s *ProxySession) startPage(req pageRequest) {
 		FixedRandom: true,
 		ExecCache:   topo.ExecCache,
 		JSPools:     topo.JSPools,
+		Objects:     topo.Page.ObjectCount,
 		Events: browser.Events{
 			OnLoad: func(at time.Duration) {
 				s.OnloadAt = at

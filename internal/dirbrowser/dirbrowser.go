@@ -104,7 +104,7 @@ func (f *fetcher) Fetch(url string, cb func(browser.Result)) {
 // New prepares a DIR browser on the topology: HTTP/1.1 connection pools.
 func New(topo *scenario.Topology, opt Options) *Browser {
 	opt = opt.withDefaults()
-	client := httpsim.NewClient(topo.Sim, topo.Client, topo.Dir, topo.ClientResolver, opt.ConnsPerDomain)
+	client := httpsim.NewClientWithPools(topo.Sim, topo.Client, topo.Dir, topo.ClientResolver, opt.ConnsPerDomain, topo.HTTPPools)
 	client.SetMaxTotalConns(opt.MaxTotalConns)
 	return newBrowser(topo, "DIR", client, opt)
 }
@@ -123,6 +123,7 @@ func newBrowser(topo *scenario.Topology, scheme string, t Transport, opt Options
 		FixedRandom: opt.FixedRandom,
 		ExecCache:   topo.ExecCache,
 		JSPools:     topo.JSPools,
+		Objects:     topo.Page.ObjectCount,
 	})
 	return &Browser{Engine: engine, Client: t, topo: topo, scheme: scheme}
 }

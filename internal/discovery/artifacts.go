@@ -5,11 +5,24 @@
 // does instead of re-interpreting it. browser.Engine (virtual clock) and
 // parcelnet's crawler (goroutines, real time) are its two hosts; everything
 // here is a pure function of its inputs, so it holds no clock and no RNG.
+//
+// Key discipline: every artifact is keyed by content, and the content maps
+// decide what a body resolves to. HTML and CSSRefs (like
+// minijs.CompileBytes) also keep an identity index in front of their map
+// (internal/bodyindex): a body slice seen before is answered by its start
+// address and length, without hashing it. The index holds only what the
+// content map holds, is cleared with it, and never keeps a body alive. It is
+// sound because bodies are immutable: a body passed to HTML or CSSRefs must
+// not be modified afterwards, which both hosts keep (httpsim.Object.Pinned,
+// the object cache's shared slices). Under -tags simdebug every index hit
+// re-checks the bytes and panics on a change.
 package discovery
 
 import (
 	"sync"
+	"unsafe"
 
+	"github.com/parcel-go/parcel/internal/bodyindex"
 	"github.com/parcel-go/parcel/internal/cssparse"
 	"github.com/parcel-go/parcel/internal/htmlparse"
 )
@@ -42,19 +55,39 @@ type htmlArtifact struct {
 	err   error             // body does not parse (deterministic per body)
 }
 
-var artCache = struct {
+// cssArtifact is what the CSS identity index holds for a stylesheet body:
+// the base URL it was resolved against and the refs the content map holds
+// for that pair.
+type cssArtifact struct {
+	base string
+	refs []cssparse.Ref
+}
+
+var artCache = newArtifactCache()
+
+type artifactCache struct {
 	mu sync.RWMutex
-	n  int // total entries across all maps
+	n  int // total entries across the content maps
 	// html is keyed by document bytes; refs and assets are two-level
 	// (base URL, then content) so the hot inner lookup can use Go's
 	// byte-slice-keyed string indexing without allocating.
 	html   map[string]*htmlArtifact
 	refs   map[string]map[string][]cssparse.Ref
 	assets map[string]map[string][]string
-}{
-	html:   make(map[string]*htmlArtifact, 64),
-	refs:   make(map[string]map[string][]cssparse.Ref, 16),
-	assets: make(map[string]map[string][]string, 16),
+	// htmlIdx and refsIdx are the identity fronts of html and refs: a repeat
+	// lookup of one body object is answered by its address and length,
+	// without hashing the body. They hold only what the content maps hold
+	// and are cleared with them.
+	htmlIdx *bodyindex.Index[*htmlArtifact]
+	refsIdx *bodyindex.Index[cssArtifact]
+}
+
+func newArtifactCache() *artifactCache {
+	c := &artifactCache{}
+	c.htmlIdx = bodyindex.New[*htmlArtifact](&c.mu)
+	c.refsIdx = bodyindex.New[cssArtifact](&c.mu)
+	clearLocked(c)
+	return c
 }
 
 // evictLocked clears the whole cache once it reaches capacity. Caller holds
@@ -62,15 +95,17 @@ var artCache = struct {
 // after inserting (insert helpers below handle this).
 func evictLocked() {
 	if artCache.n >= maxArtifactEntries {
-		clearLocked()
+		clearLocked(artCache)
 	}
 }
 
-func clearLocked() {
-	artCache.html = make(map[string]*htmlArtifact, 64)
-	artCache.refs = make(map[string]map[string][]cssparse.Ref, 16)
-	artCache.assets = make(map[string]map[string][]string, 16)
-	artCache.n = 0
+func clearLocked(c *artifactCache) {
+	c.html = make(map[string]*htmlArtifact, 64)
+	c.refs = make(map[string]map[string][]cssparse.Ref, 16)
+	c.assets = make(map[string]map[string][]string, 16)
+	c.n = 0
+	c.htmlIdx.Clear()
+	c.refsIdx.Clear()
 }
 
 // Reset drops every memoized artifact and script outcome. Nothing depends on
@@ -78,7 +113,7 @@ func clearLocked() {
 // tests use it to compare a cold memo against a warm one.
 func Reset() {
 	artCache.mu.Lock()
-	clearLocked()
+	clearLocked(artCache)
 	artCache.mu.Unlock()
 	outcomes.Lock()
 	outcomes.m = nil
@@ -101,11 +136,24 @@ func buildHTMLArtifact(body []byte) *htmlArtifact {
 
 // HTML returns the parsed tree and its element list for a document body,
 // parsing at most once per distinct body process-wide. err is the parse
-// error of a body that does not parse.
+// error of a body that does not parse. body must not be modified once
+// passed: a repeat call with the same slice is answered by its identity
+// (see bodyindex) in time independent of its length; under -tags simdebug
+// such a hit re-checks the bytes and panics if they changed.
 func HTML(body []byte) (root *htmlparse.Node, nodes []*htmlparse.Node, err error) {
 	artCache.mu.RLock()
-	art := artCache.html[string(body)]
+	art, indexed := artCache.htmlIdx.Get(body)
+	if !indexed {
+		art = artCache.html[string(body)]
+	} else if bodyindex.Check && artCache.html[string(body)] != art {
+		artCache.mu.RUnlock()
+		panic("discovery: document body modified after HTML memoised it")
+	}
+	epoch := artCache.htmlIdx.Epoch()
 	artCache.mu.RUnlock()
+	if indexed {
+		return art.root, art.nodes, art.err
+	}
 	if art == nil {
 		art = buildHTMLArtifact(body)
 		artCache.mu.Lock()
@@ -116,8 +164,12 @@ func HTML(body []byte) (root *htmlparse.Node, nodes []*htmlparse.Node, err error
 			artCache.html[string(body)] = art
 			artCache.n++
 		}
-		artCache.mu.Unlock()
+		epoch = artCache.htmlIdx.Epoch()
+	} else {
+		artCache.mu.Lock()
 	}
+	artCache.htmlIdx.Put(epoch, body, art)
+	artCache.mu.Unlock()
 	return art.root, art.nodes, art.err
 }
 
@@ -143,31 +195,55 @@ func htmlString(html string) (*htmlparse.Node, error) {
 }
 
 // CSSRefs returns cssparse.Refs(body, baseURL), computed once per (base URL,
-// stylesheet bytes) pair.
+// stylesheet bytes) pair. body must not be modified once passed: a repeat
+// call with the same slice and base URL is answered by the slice's identity
+// (see bodyindex) in time independent of its length; under -tags simdebug
+// such a hit re-checks the bytes and panics if they changed.
 func CSSRefs(body []byte, baseURL string) []cssparse.Ref {
 	artCache.mu.RLock()
-	inner := artCache.refs[baseURL]
-	refs, hit := inner[string(body)]
+	art, indexed := artCache.refsIdx.Get(body)
+	indexed = indexed && art.base == baseURL
+	refs, hit := art.refs, indexed
+	if !indexed {
+		refs, hit = artCache.refs[baseURL][string(body)]
+	} else if bodyindex.Check {
+		if cur, ok := artCache.refs[baseURL][string(body)]; !ok || !sameRefs(cur, refs) {
+			artCache.mu.RUnlock()
+			panic("discovery: stylesheet body modified after CSSRefs memoised it")
+		}
+	}
+	epoch := artCache.refsIdx.Epoch()
 	artCache.mu.RUnlock()
-	if hit {
+	if indexed {
 		return refs
 	}
-	refs = cssparse.Refs(string(body), baseURL)
-	artCache.mu.Lock()
-	evictLocked()
-	inner = artCache.refs[baseURL] // re-fetch: evictLocked may have cleared
-	if inner == nil {
-		inner = make(map[string][]cssparse.Ref, 4)
-		artCache.refs[baseURL] = inner
-	}
-	if prev, ok := inner[string(body)]; ok {
-		refs = prev
+	if !hit {
+		refs = cssparse.Refs(string(body), baseURL)
+		artCache.mu.Lock()
+		evictLocked()
+		inner := artCache.refs[baseURL] // after evictLocked, which may have cleared
+		if inner == nil {
+			inner = make(map[string][]cssparse.Ref, 4)
+			artCache.refs[baseURL] = inner
+		}
+		if prev, ok := inner[string(body)]; ok {
+			refs = prev
+		} else {
+			inner[string(body)] = refs
+			artCache.n++
+		}
+		epoch = artCache.refsIdx.Epoch()
 	} else {
-		inner[string(body)] = refs
-		artCache.n++
+		artCache.mu.Lock()
 	}
+	artCache.refsIdx.Put(epoch, body, cssArtifact{base: baseURL, refs: refs})
 	artCache.mu.Unlock()
 	return refs
+}
+
+// sameRefs reports whether a and b are the one memoised slice.
+func sameRefs(a, b []cssparse.Ref) bool {
+	return len(a) == len(b) && unsafe.SliceData(a) == unsafe.SliceData(b)
 }
 
 // AssetURLs returns cssparse.AssetURLs(text, baseURL), computed once per

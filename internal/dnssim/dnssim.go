@@ -55,13 +55,23 @@ func NewServer(sim *eventsim.Simulator, host *simnet.Host, delay time.Duration) 
 	return s
 }
 
+// Waiter is what a lookup wakes once its name resolves. A pooled request can
+// be its own Waiter, so a lookup needs no closure.
+type Waiter interface{ Resolved(at time.Duration) }
+
+// Func adapts a function to Waiter.
+type Func func(at time.Duration)
+
+// Resolved calls f.
+func (f Func) Resolved(at time.Duration) { f(at) }
+
 // Resolver performs cached, coalesced lookups from a client host against one
 // DNS server host.
 type Resolver struct {
 	host    *simnet.Host
 	server  *simnet.Host
 	cache   map[string]bool
-	pending map[string][]func(at time.Duration)
+	pending map[string][]Waiter
 	nextID  uint64
 
 	// Lookups counts queries actually sent on the wire (cache misses).
@@ -77,7 +87,7 @@ func NewResolver(host, server *simnet.Host) *Resolver {
 		host:    host,
 		server:  server,
 		cache:   make(map[string]bool),
-		pending: make(map[string][]func(at time.Duration)),
+		pending: make(map[string][]Waiter),
 	}
 	host.HandleDatagrams(func(from *simnet.Host, payload any, size int, at time.Duration) {
 		a, ok := payload.(answer)
@@ -88,23 +98,23 @@ func NewResolver(host, server *simnet.Host) *Resolver {
 		waiters := r.pending[a.name]
 		delete(r.pending, a.name)
 		for _, w := range waiters {
-			w(at)
+			w.Resolved(at)
 		}
 	})
 	return r
 }
 
-// Resolve invokes cb when name is resolved: immediately (same event) on a
+// Resolve wakes w when name is resolved: immediately (same event) on a
 // cache hit, otherwise after a round-trip to the DNS server. Concurrent
 // lookups for one name share a single query.
-func (r *Resolver) Resolve(name string, cb func(at time.Duration)) {
+func (r *Resolver) Resolve(name string, w Waiter) {
 	if r.cache[name] {
 		r.Hits++
-		cb(0)
+		w.Resolved(0)
 		return
 	}
 	waiting := r.pending[name]
-	r.pending[name] = append(waiting, cb)
+	r.pending[name] = append(waiting, w)
 	if len(waiting) > 0 {
 		return // query already in flight
 	}

@@ -23,10 +23,10 @@ func TestResolveTakesOneRTT(t *testing.T) {
 	sim, r := setup(t, 0)
 	var done time.Duration
 	resolved := false
-	r.Resolve("example.com", func(at time.Duration) {
+	r.Resolve("example.com", Func(func(at time.Duration) {
 		done = sim.Now()
 		resolved = true
-	})
+	}))
 	sim.Run()
 	if !resolved {
 		t.Fatal("never resolved")
@@ -42,7 +42,7 @@ func TestResolveTakesOneRTT(t *testing.T) {
 func TestServerDelayAdds(t *testing.T) {
 	sim, r := setup(t, 30*time.Millisecond)
 	var done time.Duration
-	r.Resolve("example.com", func(time.Duration) { done = sim.Now() })
+	r.Resolve("example.com", Func(func(time.Duration) { done = sim.Now() }))
 	sim.Run()
 	if done < 100*time.Millisecond || done > 106*time.Millisecond {
 		t.Fatalf("resolved at %v, want ≈ 100ms", done)
@@ -51,10 +51,10 @@ func TestServerDelayAdds(t *testing.T) {
 
 func TestCacheHit(t *testing.T) {
 	sim, r := setup(t, 0)
-	r.Resolve("example.com", func(time.Duration) {})
+	r.Resolve("example.com", Func(func(time.Duration) {}))
 	sim.Run()
 	var hitAt time.Duration = -1
-	r.Resolve("example.com", func(time.Duration) { hitAt = sim.Now() })
+	r.Resolve("example.com", Func(func(time.Duration) { hitAt = sim.Now() }))
 	if hitAt != sim.Now() {
 		t.Fatalf("cache hit not synchronous: %v", hitAt)
 	}
@@ -67,7 +67,7 @@ func TestConcurrentLookupsCoalesce(t *testing.T) {
 	sim, r := setup(t, 0)
 	var done int
 	for i := 0; i < 5; i++ {
-		r.Resolve("shared.com", func(time.Duration) { done++ })
+		r.Resolve("shared.com", Func(func(time.Duration) { done++ }))
 	}
 	sim.Run()
 	if done != 5 {
@@ -80,8 +80,8 @@ func TestConcurrentLookupsCoalesce(t *testing.T) {
 
 func TestDistinctNamesSeparateLookups(t *testing.T) {
 	sim, r := setup(t, 0)
-	r.Resolve("a.com", func(time.Duration) {})
-	r.Resolve("b.com", func(time.Duration) {})
+	r.Resolve("a.com", Func(func(time.Duration) {}))
+	r.Resolve("b.com", Func(func(time.Duration) {}))
 	sim.Run()
 	if r.Lookups != 2 {
 		t.Fatalf("Lookups = %d, want 2", r.Lookups)
@@ -90,10 +90,10 @@ func TestDistinctNamesSeparateLookups(t *testing.T) {
 
 func TestFlushCache(t *testing.T) {
 	sim, r := setup(t, 0)
-	r.Resolve("a.com", func(time.Duration) {})
+	r.Resolve("a.com", Func(func(time.Duration) {}))
 	sim.Run()
 	r.FlushCache()
-	r.Resolve("a.com", func(time.Duration) {})
+	r.Resolve("a.com", Func(func(time.Duration) {}))
 	sim.Run()
 	if r.Lookups != 1 {
 		// Lookups was reset by FlushCache, so the second resolve counts 1.

@@ -18,13 +18,13 @@ import (
 // engine's resources — shared arenas, the exec-outcome memo and collector
 // scratch amortized across loads, exactly what one page costs a sweep worker.
 // Before the pooling work the same load took 29,634 allocations. Measured on
-// go1.24: 2375 plain and under -cover, 2425 (every run) under -race, and
+// go1.24: 2256 plain and under -cover, 2306 (every run) under -race, and
 // about 45,000 under -tags simdebug, whose owner checks parse runtime.Stack on every
 // schedule and step — hence this file's build constraint.
 const pageLoadAllocBudget = 2500
 
 // TestPageLoadAllocBudget fails when the sim fetch path grows a per-object or
-// per-packet allocation: the load sits ~125 under its budget, 75 under -race.
+// per-packet allocation: the load sits ~245 under its budget, 195 under -race.
 func TestPageLoadAllocBudget(t *testing.T) {
 	page := webgen.Generate(webgen.Spec{Seed: 77, NumPages: 4})[2]
 	res := scenario.NewResources()
@@ -50,9 +50,9 @@ func TestPageLoadAllocBudget(t *testing.T) {
 // sweepAllocBudgetKB bounds the bytes one steady-state sweep of 8 pages ×
 // {DIR, PARCEL(IND)} × 1 round allocates at parallelism 1. A sweep that
 // rebuilds its worker's arenas and trace recorders instead of reusing the
-// batch engine's pooled state allocates 4,518 kB; reusing them, 3,145 kB
-// (3,172 kB under -race), on go1.24.
-const sweepAllocBudgetKB = 3200
+// batch engine's pooled state allocates 4,518 kB; reusing them, 2,506 kB
+// (2,535 kB under -race), on go1.24.
+const sweepAllocBudgetKB = 2600
 
 // TestSweepAllocBudget fails when Sweep stops reusing batch state across
 // calls: after one warm-up sweep, five more must average under the budget.

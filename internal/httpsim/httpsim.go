@@ -247,7 +247,7 @@ type Client struct {
 	maxConns int
 	maxTotal int
 
-	pools map[string]*pool
+	pools map[poolKey]*pool
 	// poolList holds the pools in creation order. Every behaviour-affecting
 	// iteration walks this slice, never the map: map iteration order is
 	// randomized per process, and iterating it to pick an eviction victim (or
@@ -259,15 +259,24 @@ type Client struct {
 	// pool.idle).
 	idle int
 
-	// reqArena/reqFree recycle pendingReq structs through the same
-	// block-arena + free-list scheme simnet uses for packets: the queue
-	// churns once per request-dispatch opportunity, and without pooling it
-	// dominated the client's steady-state allocations.
-	reqArena []pendingReq
-	reqFree  *pendingReq
+	reqs *Pools
 
 	Counters
 }
+
+// Pools recycles pendingReq structs through the same block-arena +
+// free-list scheme simnet uses for packets: a request churns through the
+// queue once per dispatch opportunity, and without pooling it dominated the
+// client's steady-state allocations. One Pools serves every client a batch
+// worker builds, one simulation after another (scenario.Resources); it is
+// not safe for concurrent use.
+type Pools struct {
+	reqArena []pendingReq
+	reqFree  *pendingReq
+}
+
+// NewPools returns empty request pools.
+func NewPools() *Pools { return &Pools{} }
 
 // Counters is what a client has put on the wire; Client and SPDYClient
 // embed it.
@@ -284,12 +293,21 @@ func (c *Counters) Counts() Counters { return *c }
 // NewClient builds a client. resolver may be nil (no DNS cost).
 // maxConnsPerDomain <= 0 defaults to 6; maxTotalConns <= 0 means unlimited.
 func NewClient(sched *eventsim.Simulator, host *simnet.Host, dir Directory, resolver *dnssim.Resolver, maxConnsPerDomain int) *Client {
+	return NewClientWithPools(sched, host, dir, resolver, maxConnsPerDomain, nil)
+}
+
+// NewClientWithPools is NewClient drawing its request structs from reqs
+// (nil for private pools).
+func NewClientWithPools(sched *eventsim.Simulator, host *simnet.Host, dir Directory, resolver *dnssim.Resolver, maxConnsPerDomain int, reqs *Pools) *Client {
 	if maxConnsPerDomain <= 0 {
 		maxConnsPerDomain = 6
 	}
+	if reqs == nil {
+		reqs = NewPools()
+	}
 	return &Client{
 		sched: sched, host: host, dir: dir, resolver: resolver,
-		maxConns: maxConnsPerDomain, pools: make(map[string]*pool),
+		maxConns: maxConnsPerDomain, pools: make(map[poolKey]*pool), reqs: reqs,
 	}
 }
 
@@ -297,8 +315,15 @@ func NewClient(sched *eventsim.Simulator, host *simnet.Host, dir Directory, reso
 // domains (0 = unlimited). Call before issuing requests.
 func (c *Client) SetMaxTotalConns(n int) { c.maxTotal = n }
 
+// poolKey names a connection pool: http and https to one domain pool
+// separately.
+type poolKey struct {
+	domain string
+	tls    bool
+}
+
 type pool struct {
-	origin  string // logical domain (the pool key adds a TLS prefix)
+	origin  string // logical domain
 	tls     bool
 	conns   []*pconn
 	dialing int // connections in handshake
@@ -320,8 +345,12 @@ type pconn struct {
 	current func(Response, time.Duration)
 }
 
+// pendingReq is one request from Do until it is issued. It is its own DNS
+// Waiter, so Do builds no closure.
 type pendingReq struct {
-	p   *pool // Do creates it as it queues the first request for its key
+	c   *Client
+	key poolKey
+	p   *pool // set once resolved; Resolved creates it for the first request of its key
 	req Request
 	cb  func(Response, time.Duration)
 
@@ -333,27 +362,27 @@ type pendingReq struct {
 const reqBlockSize = 64
 
 // newReq carves a pendingReq off the free list or the arena.
-func (c *Client) newReq() *pendingReq {
-	if pr := c.reqFree; pr != nil {
-		c.reqFree = pr.nextFree
+func (r *Pools) newReq() *pendingReq {
+	if pr := r.reqFree; pr != nil {
+		r.reqFree = pr.nextFree
 		pr.nextFree = nil
 		pr.pooled = false
 		return pr
 	}
-	if len(c.reqArena) == 0 {
-		c.reqArena = make([]pendingReq, reqBlockSize)
+	if len(r.reqArena) == 0 {
+		r.reqArena = make([]pendingReq, reqBlockSize)
 	}
-	pr := &c.reqArena[0]
-	c.reqArena = c.reqArena[1:]
+	pr := &r.reqArena[0]
+	r.reqArena = r.reqArena[1:]
 	return pr
 }
 
 // releaseReq returns a dispatched request to the free list, dropping its
-// callback and request references.
-func (c *Client) releaseReq(pr *pendingReq) {
+// client, callback and request references.
+func (r *Pools) releaseReq(pr *pendingReq) {
 	checkReqFree(pr)
-	*pr = pendingReq{nextFree: c.reqFree, pooled: true}
-	c.reqFree = pr
+	*pr = pendingReq{nextFree: r.reqFree, pooled: true}
+	r.reqFree = pr
 }
 
 // Do issues req and invokes cb with the response. Connection management
@@ -363,27 +392,27 @@ func (c *Client) releaseReq(pr *pendingReq) {
 // exchange (one extra round trip).
 func (c *Client) Do(req Request, cb func(Response, time.Duration)) {
 	domain, _, tls := SplitURLScheme(req.URL)
-	key := domain
-	if tls {
-		key = "tls:" + domain
-	}
-	start := func(time.Duration) {
-		p := c.pools[key]
-		if p == nil {
-			p = &pool{origin: domain, tls: tls}
-			c.pools[key] = p
-			c.poolList = append(c.poolList, p)
-		}
-		pr := c.newReq()
-		pr.p, pr.req, pr.cb = p, req, cb
-		c.queue = append(c.queue, pr)
-		c.drain()
-	}
+	pr := c.reqs.newReq()
+	pr.c, pr.key, pr.req, pr.cb = c, poolKey{domain, tls}, req, cb
 	if c.resolver != nil {
-		c.resolver.Resolve(domain, start)
+		c.resolver.Resolve(domain, pr)
 	} else {
-		start(0)
+		pr.Resolved(0)
 	}
+}
+
+// Resolved queues the request on its pool once its domain resolved.
+func (pr *pendingReq) Resolved(time.Duration) {
+	c := pr.c
+	p := c.pools[pr.key]
+	if p == nil {
+		p = &pool{origin: pr.key.domain, tls: pr.key.tls}
+		c.pools[pr.key] = p
+		c.poolList = append(c.poolList, p)
+	}
+	pr.p = p
+	c.queue = append(c.queue, pr)
+	c.drain()
 }
 
 // drain issues every queued request that can proceed, in FIFO order per
@@ -412,7 +441,7 @@ func (c *Client) drain() {
 	for i := 0; i < len(c.queue); i++ {
 		pr := c.queue[i]
 		if c.tryIssue(pr) {
-			c.releaseReq(pr)
+			c.reqs.releaseReq(pr)
 			continue
 		}
 		c.queue[kept] = pr
@@ -535,7 +564,7 @@ func (c *Client) issue(p *pool, pc *pconn, pr *pendingReq) {
 
 // OpenConns reports currently open connections for a domain (tests).
 func (c *Client) OpenConns(domain string) int {
-	p := c.pools[domain]
+	p := c.pools[poolKey{domain: domain}]
 	if p == nil {
 		return 0
 	}

@@ -9,32 +9,32 @@ import "testing"
 // to nothing, so there is nothing to test there.
 
 func TestDoubleFreePendingReqPanics(t *testing.T) {
-	var c Client
-	pr := c.newReq()
-	c.releaseReq(pr)
+	var r Pools
+	pr := r.newReq()
+	r.releaseReq(pr)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("double releaseReq: expected panic, got none")
 		}
 	}()
-	c.releaseReq(pr)
+	r.releaseReq(pr)
 }
 
 // TestPendingReqReuseAfterFree sanity-checks the happy path under the debug
 // build: allocate, free, re-allocate — the recycled request must come back
 // with the pooled flag cleared so a later legitimate free succeeds.
 func TestPendingReqReuseAfterFree(t *testing.T) {
-	var c Client
-	pr := c.newReq()
-	c.releaseReq(pr)
-	q := c.newReq()
+	var r Pools
+	pr := r.newReq()
+	r.releaseReq(pr)
+	q := r.newReq()
 	if q != pr {
 		t.Fatal("free list did not recycle the released pendingReq")
 	}
 	if q.pooled {
 		t.Fatal("recycled pendingReq still marked pooled")
 	}
-	c.releaseReq(q) // must not panic
+	r.releaseReq(q) // must not panic
 }
 
 // TestIdleCountCheckFires proves the debug recount catches a connection that

@@ -81,7 +81,7 @@ func (c *SPDYClient) Do(req Request, cb func(Response, time.Duration)) {
 		c.send(sc, req)
 	}
 	if c.resolver != nil {
-		c.resolver.Resolve(domain, start)
+		c.resolver.Resolve(domain, dnssim.Func(start))
 	} else {
 		start(0)
 	}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+
+	"github.com/parcel-go/parcel/internal/bodyindex"
 )
 
 // This file is the compile phase of the "compile once, run many" pipeline.
@@ -737,10 +739,22 @@ func (c *compiler) call(x *Call) evalFn {
 // so eviction can only cost a recompile, never change a result.
 const maxProgCache = 4096
 
-var progCache = struct {
-	mu sync.RWMutex
-	m  map[string]*Program
-}{m: make(map[string]*Program, 64)}
+// progCache is the program memo: m, keyed by source, is the source of
+// truth; idx, keyed by body identity, answers a repeat CompileBytes of one
+// body object without reading it, and is cleared with m.
+var progCache = newProgramMemo()
+
+type programMemo struct {
+	mu  sync.RWMutex
+	m   map[string]*Program
+	idx *bodyindex.Index[*Program]
+}
+
+func newProgramMemo() *programMemo {
+	c := &programMemo{m: make(map[string]*Program, 64)}
+	c.idx = bodyindex.New[*Program](&c.mu)
+	return c
+}
 
 // Compile parses and compiles src, memoizing the result by source string.
 // Compiled programs are immutable; concurrent callers — the experiment
@@ -766,6 +780,7 @@ func Compile(src string) (*Program, error) {
 	} else {
 		if len(progCache.m) >= maxProgCache {
 			progCache.m = make(map[string]*Program, 64)
+			progCache.idx.Clear()
 		}
 		progCache.m[src] = p
 	}
@@ -773,16 +788,37 @@ func Compile(src string) (*Program, error) {
 	return p, nil
 }
 
-// CompileBytes is Compile for byte slices. The cache hit path does not
-// allocate: the map lookup uses Go's byte-slice-keyed string indexing, so a
-// script body fetched as []byte costs a string conversion only on its first
-// compile anywhere in the process.
+// CompileBytes is Compile for a script body held as bytes, and returns the
+// same *Program Compile does for that source. src must not be modified once
+// passed (bodies are immutable by contract on both arms): a repeat call with
+// the same slice is answered by its identity — start address and length —
+// without reading the bytes, so it costs the same for any body size and does
+// not allocate. A new slice with known content costs one hash and compare; a
+// string conversion is paid only on the first compile anywhere in the
+// process. Under -tags simdebug an identity hit re-checks the bytes and
+// panics if they changed.
 func CompileBytes(src []byte) (*Program, error) {
 	progCache.mu.RLock()
-	p := progCache.m[string(src)]
+	p, indexed := progCache.idx.Get(src)
+	if !indexed {
+		p = progCache.m[string(src)]
+	} else if bodyindex.Check && progCache.m[string(src)] != p {
+		progCache.mu.RUnlock()
+		panic("minijs: script body modified after CompileBytes memoised it")
+	}
+	epoch := progCache.idx.Epoch()
 	progCache.mu.RUnlock()
-	if p != nil {
+	if indexed {
 		return p, nil
 	}
-	return Compile(string(src))
+	if p == nil {
+		var err error
+		if p, err = Compile(string(src)); err != nil {
+			return nil, err
+		}
+	}
+	progCache.mu.Lock()
+	progCache.idx.Put(epoch, src, p)
+	progCache.mu.Unlock()
+	return p, nil
 }

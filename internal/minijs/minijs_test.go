@@ -410,18 +410,25 @@ func TestExecAllocFree(t *testing.T) {
 }
 
 // BenchmarkMinijsCompileCached measures the program-cache hit path — what
-// every engine after the first pays for a script body it holds as bytes.
+// every engine after the first pays for a script body it holds as bytes —
+// for a small and a large body: an identity hit reads no bytes.
 func BenchmarkMinijsCompileCached(b *testing.B) {
-	src := []byte(benchScript)
-	if _, err := CompileBytes(src); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := CompileBytes(src); err != nil {
-			b.Fatal(err)
-		}
+	for _, size := range []struct {
+		name string
+		src  []byte
+	}{{"bench", []byte(benchScript)}, {"1MB", scriptBody(1 << 20)}} {
+		b.Run(size.name, func(b *testing.B) {
+			if _, err := CompileBytes(size.src); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := CompileBytes(size.src); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

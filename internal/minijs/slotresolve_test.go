@@ -335,16 +335,29 @@ func TestCompileConcurrentSharing(t *testing.T) {
 		`var f = function(n) { return n + 1; }; emit(f(1), f(2));`,
 		`var x = "a"; if (x == "a") { var y = x + "b"; emit(y); }`,
 	}
+	// Every goroutine also compiles one shared body slice per source, and a
+	// copy of its own, so identity hits and content hits race with the
+	// stores that create them; all must return Compile's *Program.
+	bodies := make([][]byte, len(srcs))
+	for i, src := range srcs {
+		bodies[i] = []byte(src)
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for rep := 0; rep < 20; rep++ {
-				for _, src := range srcs {
+				for i, src := range srcs {
 					prog, err := Compile(src)
 					if err != nil {
 						t.Error(err)
+						return
+					}
+					shared, _ := CompileBytes(bodies[i])
+					own, _ := CompileBytes([]byte(src))
+					if shared != prog || own != prog {
+						t.Error("CompileBytes returned another *Program than Compile")
 						return
 					}
 					in := New()

@@ -141,6 +141,9 @@ func Key(url string) string {
 	}
 	host := strings.ToLower(rest[:hostEnd])
 	host = strings.TrimSuffix(host, ":80")
+	if host == rest[:hostEnd] && scheme == url[:len(scheme)] {
+		return url // already canonical: no copy
+	}
 	return scheme + host + rest[hostEnd:]
 }
 

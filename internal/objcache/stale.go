@@ -167,28 +167,48 @@ func (c *Cache) Begin(url string, now time.Duration, wake func(Result)) (Result,
 	s := c.segFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if res, ok := s.resolveLocked(key, now); ok {
+		return res, nil
+	}
+	return Result{Outcome: OutcomePending}, s.joinLocked(key, wake)
+}
+
+// resolveLocked is Begin's answer when the cache itself can give one: a
+// fresh hit, or inside the key's negative-cache window the stale body or
+// ErrNegativeCached. ok is false when the caller must join or lead a flight.
+// Called with the segment lock held.
+func (s *segment) resolveLocked(key string, now time.Duration) (res Result, ok bool) {
 	e, resident := s.entries[key]
 	if resident && s.fresh(e, now) {
 		s.hits++
 		s.lru.moveToFront(e)
-		return Result{Obj: e.obj, Outcome: OutcomeHit}, nil
+		return Result{Obj: e.obj, Outcome: OutcomeHit}, true
 	}
 	if until, ok := s.neg[key]; ok && now < until {
 		s.negHits++
 		if !resident {
 			s.misses++
 		}
-		return s.staleOrFailLocked(key, ErrNegativeCached, 1), nil
+		return s.staleOrFailLocked(key, ErrNegativeCached, 1), true
 	}
 	s.misses++
+	return Result{}, false
+}
+
+// joinLocked queues wake on the key's open flight, or opens one led by the
+// caller and returns it (nil when the caller joined). Called with the
+// segment lock held.
+//
+//parcelvet:acquire flight
+func (s *segment) joinLocked(key string, wake func(Result)) *Flight {
 	if f, ok := s.flights[key]; ok {
 		s.shared++
 		f.waiters = append(f.waiters, wake)
-		return Result{Outcome: OutcomePending}, nil
+		return nil
 	}
 	f := &Flight{s: s, key: key, waiters: []func(Result){wake}}
 	s.flights[key] = f
-	return Result{Outcome: OutcomePending}, f
+	return f
 }
 
 // Settle publishes the leader's fetch outcome as of now. A success is stored
@@ -245,22 +265,36 @@ func (s *segment) staleOrFailLocked(key string, fetchErr error, n int) Result {
 
 // GetOrFetchStale is Begin and Settle for callers that can block: the leader
 // runs fetch and settles with what it returned, a joiner waits for the
-// leader, and everyone returns the one resolution.
+// leader, and everyone returns the one resolution. A resolution the cache
+// gives itself (a hit) allocates nothing: the waiter is built on a miss.
 func (c *Cache) GetOrFetchStale(url string, now time.Duration, fetch func() (Object, error)) (Object, Outcome, error) {
-	var woken Result
-	done := make(chan struct{})
-	res, f := c.Begin(url, now, func(r Result) {
-		woken = r
-		close(done)
-	})
+	key := Key(url)
+	s := c.segFor(key)
+	s.mu.Lock()
+	if res, ok := s.resolveLocked(key, now); ok {
+		s.mu.Unlock()
+		return res.Obj, res.Outcome, res.Err
+	}
+	w := &blockingWaiter{done: make(chan struct{})}
+	f := s.joinLocked(key, w.wake)
+	s.mu.Unlock()
 	if f != nil {
 		defer f.settleOnPanic(now)
 		obj, err := fetch()
 		f.Settle(obj, err, now)
 	}
-	if res.Outcome == OutcomePending {
-		<-done
-		res = woken
-	}
-	return res.Obj, res.Outcome, res.Err
+	<-w.done
+	return w.res.Obj, w.res.Outcome, w.res.Err
+}
+
+// blockingWaiter is GetOrFetchStale's continuation: Settle hands it the
+// resolution and wakes the caller.
+type blockingWaiter struct {
+	res  Result
+	done chan struct{}
+}
+
+func (w *blockingWaiter) wake(r Result) {
+	w.res = r
+	close(w.done)
 }

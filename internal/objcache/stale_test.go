@@ -222,6 +222,22 @@ func TestGetOrFetchStaleFreshHit(t *testing.T) {
 	}
 }
 
+// TestGetOrFetchStaleHitAllocatesNothing: a warm hit — the proxy's common
+// case — builds no waiter, channel or flight, and keys the lookup without
+// copying an already-canonical URL.
+func TestGetOrFetchStaleHitAllocatesNothing(t *testing.T) {
+	c := staleCache(0, time.Second)
+	c.PutAt(sobj("http://a.com/x.js", "one"), 0)
+	fetch := func() (Object, error) { return Object{}, errors.New("fetched despite a fresh entry") }
+	if n := testing.AllocsPerRun(1000, func() {
+		if _, out, err := c.GetOrFetchStale("http://a.com/x.js", time.Second, fetch); err != nil || out != OutcomeHit {
+			t.Fatalf("out=%v err=%v", out, err)
+		}
+	}); n != 0 {
+		t.Fatalf("warm hit allocates %.1f/op, want 0", n)
+	}
+}
+
 func TestGetOrFetchStaleRevalidates(t *testing.T) {
 	c := staleCache(10*time.Second, time.Second)
 	c.PutAt(sobj("http://a.com/x", "one"), 0)

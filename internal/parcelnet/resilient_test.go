@@ -9,6 +9,7 @@ import (
 	"github.com/parcel-go/parcel/internal/core"
 	"github.com/parcel-go/parcel/internal/httpsim"
 	"github.com/parcel-go/parcel/internal/leakcheck"
+	"github.com/parcel-go/parcel/internal/objcache"
 	"github.com/parcel-go/parcel/internal/replay"
 	"github.com/parcel-go/parcel/internal/resilience"
 	"github.com/parcel-go/parcel/internal/scenario"
@@ -328,5 +329,29 @@ func TestResilientDriversAgree(t *testing.T) {
 				t.Errorf("blocking arm %+v, simulated arm %+v, want both %+v", blocking, simulated, sc.want)
 			}
 		})
+	}
+}
+
+// TestFetchURLWarmHitAllocatesNothing: a session's fetch of an object the
+// shared cache holds fresh — nearly every fetch of a warm proxy — allocates
+// nothing on the way through the cache.
+func TestFetchURLWarmHitAllocatesNothing(t *testing.T) {
+	cache := objcache.New(objcache.Config{Capacity: 1 << 20, Segments: 1})
+	const url = "http://a.test/app.js"
+	cache.PutAt(objcache.Object{URL: url, ContentType: "application/javascript", Status: 200, Body: []byte("var a = 1;")}, 0)
+	origin := func(context.Context, string) ([]byte, string, int, string, error) {
+		return nil, "", 0, "", errors.New("origin contacted on a warm hit")
+	}
+	p := &Proxy{cache: cache, res: newResilientFetcher(origin, resilience.Policy{})}
+	s := &session{proxy: p, page: sched.NewSession(func([]sched.Item, sched.FlushReason) {}, 0, 0, nil)}
+	if n := testing.AllocsPerRun(1000, func() {
+		if _, _, _, err := s.fetchURL(url); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("warm hit allocates %.1f/op, want 0", n)
+	}
+	if hits := s.page.CacheHits; hits == 0 {
+		t.Fatal("the session counted no cache hits")
 	}
 }

@@ -115,19 +115,24 @@ type Topology struct {
 	// the reference the memoised engines are compared against.
 	ExecCache bool
 	JSPools   *minijs.Pools
+	// HTTPPools supplies the request structs of every httpsim client built
+	// on this topology (httpsim.NewClientWithPools); nil when the topology
+	// draws from no Resources.
+	HTTPPools *httpsim.Pools
 
 	res *Resources
 }
 
 // Resources bundles the arena pools and scratch that a batch worker threads
 // through the page simulations it runs one after another: event arena
-// blocks, packet/message free lists, minijs call frames, and finished trace
-// recorders. One Resources serves every simulation driven by one goroutine;
+// blocks, packet/message free lists, minijs call frames, HTTP request
+// structs, and finished trace recorders. One Resources serves every simulation driven by one goroutine;
 // it is not safe for concurrent use. Construct with NewResources.
 type Resources struct {
 	Events *eventsim.Pools
 	Net    *simnet.Pools
 	JS     *minijs.Pools
+	HTTP   *httpsim.Pools
 
 	recorders []*trace.Recorder
 }
@@ -138,6 +143,7 @@ func NewResources() *Resources {
 		Events: eventsim.NewPools(),
 		Net:    simnet.NewPools(),
 		JS:     minijs.NewPools(),
+		HTTP:   httpsim.NewPools(),
 	}
 }
 
@@ -233,6 +239,7 @@ func newTopology(p Params, res *Resources) *Topology {
 		topo.Net = simnet.NewWithPools(topo.Sim, res.Net)
 		topo.ExecCache = true
 		topo.JSPools = res.JS
+		topo.HTTPPools = res.HTTP
 	} else {
 		topo.Sim = eventsim.New(p.Seed)
 		topo.Net = simnet.New(topo.Sim)
