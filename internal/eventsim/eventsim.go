@@ -34,7 +34,7 @@ type event struct {
 	gen  uint64
 	fn   func(any)
 	arg  any
-	next *event // free-list link
+	next *event // free-list or slot-list link
 }
 
 func callFunc(arg any) { arg.(func())() }
@@ -77,19 +77,19 @@ func (t Timer) Cancel() {
 const eventBlockSize = 256
 
 // Pools holds the storage a simulator's pending set lives in: the event
-// arena with its free list, and spare bucket sets for the queue. Every
+// arena with its free list, and spare queues (timing wheels). Every
 // simulator draws from one (New makes a private one). A batch engine that
 // runs many page simulations per worker, one after another, hands all of
-// them the same Pools, so one run's recycled events and buckets are the
+// them the same Pools, so one run's recycled events and wheel are the
 // next run's — the generation in every Timer keeps a handle inert once its
 // slot is reused, in this run or a later one. Pools is owned by one
 // goroutine at a time (the worker driving its batch); it is not safe for
 // concurrent use.
 type Pools struct {
-	free    *event
-	arena   []event // the uncarved rest of the newest block
-	blocks  int     // blocks carved, for TestArenaBoundedByPending
-	buckets [][numBuckets][]queueEntry
+	free   *event
+	arena  []event // the uncarved rest of the newest block
+	blocks int     // blocks carved, for TestArenaBoundedByPending
+	queues []*eventQueue
 }
 
 // NewPools returns an empty pool.
@@ -132,51 +132,49 @@ func (p *Pools) freeEvent(e *event) {
 // one. Build with -tags simdebug to turn this contract into a runtime check
 // that panics on cross-goroutine use instead of corrupting the event queue.
 type Simulator struct {
+	owner ownerCheck // empty unless built with -tags simdebug
+
 	now   time.Duration
-	queue eventQueue
+	queue *eventQueue
 	seq   uint64
 	rng   *rand.Rand
 	fired uint64
 	pools *Pools
-
-	owner int64 // owning goroutine id; maintained only under -tags simdebug
 }
 
 // New returns a simulator whose clock starts at zero and whose random source
 // is seeded with seed.
 func New(seed int64) *Simulator { return NewWithPools(seed, nil) }
 
-// NewWithPools is New drawing events and queue buckets from p (nil for a
-// private pool). Pair with Release to return the buckets when the run is
-// over.
+// NewWithPools is New drawing events and its queue from p (nil for a
+// private pool). Pair with Release to return the queue when the run is over.
 func NewWithPools(seed int64, p *Pools) *Simulator {
 	if p == nil {
 		p = NewPools()
 	}
 	s := &Simulator{rng: rand.New(rand.NewSource(seed)), pools: p}
-	if n := len(p.buckets); n > 0 {
-		s.queue.buckets = p.buckets[n-1]
-		p.buckets[n-1] = [numBuckets][]queueEntry{}
-		p.buckets = p.buckets[:n-1]
+	if n := len(p.queues); n > 0 {
+		s.queue = p.queues[n-1]
+		p.queues[n-1] = nil
+		p.queues = p.queues[:n-1]
+	} else {
+		s.queue = new(eventQueue)
 	}
 	s.claimOwner()
 	return s
 }
 
-// Release returns the queue's buckets to the simulator's pools for the next
-// simulator to reuse; its events went back one by one as they were popped.
-// It is only legal once the simulation is over: the event queue must be
-// drained. A Timer still held afterwards is inert.
+// Release returns the queue to the simulator's pools for the next simulator
+// to reuse; its events went back one by one as they were popped. It is only
+// legal once the simulation is over: the event queue must be drained. Only
+// Now, Rand and Fired answer afterwards, and a Timer still held is inert.
 func (s *Simulator) Release() {
 	if s.queue.n != 0 {
 		panic(fmt.Sprintf("eventsim: Release with %d events still queued", s.queue.n))
 	}
-	b := s.queue.buckets
-	for k := range b {
-		b[k] = b[k][:0]
-	}
-	s.pools.buckets = append(s.pools.buckets, b)
-	s.queue = eventQueue{}
+	s.queue.reset()
+	s.pools.queues = append(s.pools.queues, s.queue)
+	s.queue = nil
 }
 
 // Now returns the current virtual time.
@@ -222,11 +220,12 @@ func (s *Simulator) ScheduleArgAt(t time.Duration, fn func(any), arg any) Timer 
 	if fn == nil {
 		panic("eventsim: nil event function")
 	}
-	s.checkOwner()
+	s.enterQueue()
 	s.seq++
 	e := s.pools.newEvent()
 	e.at, e.seq, e.fn, e.arg = t, s.seq, fn, arg
-	s.queue.push(t, e)
+	s.queue.push(e)
+	s.exitQueue()
 	return Timer{ev: e, gen: e.gen}
 }
 
@@ -235,15 +234,16 @@ func (s *Simulator) ScheduleArgAt(t time.Duration, fn func(any), arg any) Timer 
 // is recycled before its callback runs, so the callback's own Timer is
 // already inert and its first Schedule reuses the slot.
 func (s *Simulator) Step() bool {
-	s.checkOwner()
 	for s.queue.n > 0 {
+		s.enterQueue()
 		e := s.queue.pop()
-		fn, arg := e.ev.fn, e.ev.arg
-		s.pools.freeEvent(e.ev)
+		at, fn, arg := e.at, e.fn, e.arg
+		s.pools.freeEvent(e)
+		s.exitQueue()
 		if fn == nil {
 			continue // cancelled
 		}
-		s.now = e.at
+		s.now = at
 		s.fired++
 		fn(arg)
 		return true
@@ -253,6 +253,7 @@ func (s *Simulator) Step() bool {
 
 // Run executes events until the queue is empty.
 func (s *Simulator) Run() {
+	s.checkOwner()
 	for s.Step() {
 	}
 }
@@ -260,13 +261,17 @@ func (s *Simulator) Run() {
 // RunUntil executes events with scheduled time <= t, then advances the clock
 // to exactly t. Cancelled events at the head are dropped even past t.
 func (s *Simulator) RunUntil(t time.Duration) {
+	s.checkOwner()
 	for s.queue.n > 0 {
+		s.enterQueue()
 		head := s.queue.front()
-		if head.ev.fn == nil {
+		if head.fn == nil {
 			s.queue.pop()
-			s.pools.freeEvent(head.ev)
+			s.pools.freeEvent(head)
+			s.exitQueue()
 			continue
 		}
+		s.exitQueue()
 		if head.at > t {
 			break
 		}

@@ -173,6 +173,29 @@ func TestRunUntilRebase(t *testing.T) {
 	if fmt.Sprint(order) != fmt.Sprint(want) {
 		t.Fatalf("order = %v, want %v", order, want)
 	}
+
+	// Across block boundaries: the peeked head sits a hundred 67 ms blocks
+	// past the clock, so the rebuilds move the current slot back over them
+	// and re-place entries in the coarse level and the far heap as well.
+	s = New(1)
+	order = nil
+	s.ScheduleAt(4*time.Second, log("cancelled")).Cancel()
+	s.ScheduleAt(8*time.Second, log("head"))
+	s.RunUntil(10 * time.Millisecond)
+	if s.Now() != 10*time.Millisecond || s.Pending() != 1 {
+		t.Fatalf("after RunUntil: Now %v Pending %d, want 10ms 1", s.Now(), s.Pending())
+	}
+	s.ScheduleAt(400*time.Second, log("far"))
+	s.ScheduleAt(8*time.Second, log("head2"))
+	s.ScheduleAt(100*time.Millisecond, log("100ms"))
+	s.ScheduleAt(20*time.Millisecond, log("20ms"))
+	s.ScheduleAt(100*time.Millisecond, log("100ms2"))
+	s.Schedule(0, log("now"))
+	s.Run()
+	want = []string{"now", "20ms", "100ms", "100ms2", "head", "head2", "far"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("across blocks: order = %v, want %v", order, want)
+	}
 }
 
 // TestArenaBoundedByPending: the arena holds the pending set, not the

@@ -1,15 +1,15 @@
 package eventsim
 
 import (
+	"container/heap"
 	"math/rand"
-	"sort"
 	"testing"
 	"time"
 )
 
 // The queue's contract is its pop order: (at, seq), nothing else. These tests
-// drive a Simulator and a reference model — a slice kept sorted by (at, seq),
-// with the same lazy deletion of cancelled events — through one script of
+// drive a Simulator and a reference model — a binary heap on (at, seq), with
+// the same lazy deletion of cancelled events — through one script of
 // operations and require the two to agree after every operation.
 
 // refEvent is one scheduled event in the reference model.
@@ -19,6 +19,21 @@ type refEvent struct {
 	id        int
 	spawn     time.Duration // delay of the child it schedules on firing; <0 for none
 	cancelled bool
+}
+
+// refHeap is the model's pending set, a container/heap on (at, seq).
+type refHeap []*refEvent
+
+func (q refHeap) Len() int { return len(q) }
+func (q refHeap) Less(i, j int) bool {
+	return q[i].at < q[j].at || q[i].at == q[j].at && q[i].seq < q[j].seq
+}
+func (q refHeap) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *refHeap) Push(x any)   { *q = append(*q, x.(*refEvent)) }
+func (q *refHeap) Pop() any {
+	e := (*q)[len(*q)-1]
+	*q = (*q)[:len(*q)-1]
+	return e
 }
 
 type firing struct {
@@ -36,7 +51,7 @@ type queueHarness struct {
 
 	now      time.Duration // model side
 	seq      uint64
-	pending  []*refEvent // sorted by (at, seq), cancelled events included
+	pending  refHeap // cancelled events included
 	byID     []*refEvent
 	modelLog []firing
 }
@@ -74,11 +89,7 @@ func (h *queueHarness) modelAdd(delay, spawn time.Duration) {
 	h.seq++
 	e := &refEvent{at: h.now + delay, seq: h.seq, id: len(h.byID), spawn: spawn}
 	h.byID = append(h.byID, e)
-	// seq only grows, so the slot is after every event with at <= e.at.
-	i := sort.Search(len(h.pending), func(i int) bool { return h.pending[i].at > e.at })
-	h.pending = append(h.pending, nil)
-	copy(h.pending[i+1:], h.pending[i:])
-	h.pending[i] = e
+	heap.Push(&h.pending, e)
 }
 
 func (h *queueHarness) schedule(kind byte, delay, spawn time.Duration) {
@@ -96,8 +107,7 @@ func (h *queueHarness) cancel(id int) {
 
 func (h *queueHarness) modelStep() bool {
 	for len(h.pending) > 0 {
-		e := h.pending[0]
-		h.pending = h.pending[1:]
+		e := heap.Pop(&h.pending).(*refEvent)
 		if e.cancelled {
 			continue
 		}
@@ -114,7 +124,7 @@ func (h *queueHarness) modelStep() bool {
 func (h *queueHarness) modelRunUntil(t time.Duration) {
 	for len(h.pending) > 0 {
 		if h.pending[0].cancelled {
-			h.pending = h.pending[1:]
+			heap.Pop(&h.pending)
 			continue
 		}
 		if h.pending[0].at > t {
@@ -149,20 +159,30 @@ func (h *queueHarness) agree(op string) {
 	}
 }
 
+// scriptUnits are the delay scales a script operation can pick: the
+// milliseconds a page load's events mostly sit apart, microseconds (inside
+// one 16 µs slot of the wheel, or the next), seconds (past the 67 ms fine
+// level, into the coarse one) and minutes (past its 275 s horizon, into the
+// far heap).
+var scriptUnits = [4]time.Duration{time.Millisecond, time.Microsecond, 4 * time.Second, 64 * time.Second}
+
 // runQueueScript interprets script as a sequence of operations, three bytes
-// each (opcode, a, b), then drains the queue. Delays are small on purpose so
-// that many events share an instant and the seq tiebreak decides.
+// each (opcode, a, b), then drains the queue. The opcode's low three bits
+// pick the operation and the next two the unit of its delays (scriptUnits;
+// 0 is milliseconds). Delays are few units on purpose so that many events
+// share an instant and the seq tiebreak decides.
 func runQueueScript(t testing.TB, script []byte) {
 	h := &queueHarness{t: t, sim: New(1)}
 	for ; len(script) >= 3; script = script[3:] {
 		op, a, b := script[0]%8, script[1], script[2]
+		unit := scriptUnits[script[0]>>3%4]
 		switch op {
 		case 0, 1, 2:
 			spawn := time.Duration(-1)
 			if b%4 == 0 {
-				spawn = time.Duration(b>>2%8) * time.Millisecond
+				spawn = time.Duration(b>>2%8) * unit
 			}
-			h.schedule(op, time.Duration(a%16)*time.Millisecond, spawn)
+			h.schedule(op, time.Duration(a%16)*unit, spawn)
 			h.agree("schedule")
 		case 3:
 			if n := len(h.handles); n > 0 {
@@ -175,7 +195,7 @@ func runQueueScript(t testing.TB, script []byte) {
 			}
 			h.agree("step")
 		case 5:
-			until := h.now + time.Duration(a%32)*time.Millisecond
+			until := h.now + time.Duration(a%32)*unit
 			h.modelRunUntil(until)
 			h.sim.RunUntil(until)
 			h.agree("rununtil")
@@ -184,7 +204,7 @@ func runQueueScript(t testing.TB, script []byte) {
 			x := uint32(b) + 1
 			for i := 0; i < int(a%64); i++ {
 				x = x*1664525 + 1013904223
-				h.schedule(byte(x>>8), time.Duration(x>>16%64)*time.Millisecond, -1)
+				h.schedule(byte(x>>8), time.Duration(x>>16%64)*unit, -1)
 			}
 			h.agree("burst")
 		}
@@ -235,7 +255,82 @@ func TestEventQueueDeep(t *testing.T) {
 	h.agree("drain")
 }
 
+// queueCases are scripts for what random ones reach only by luck. Each is
+// also a FuzzEventQueue seed.
+var queueCases = map[string][]byte{
+	// Microsecond bursts: slots of more than 16 same-slot events (sorted by
+	// the general path), and pushes into the current slot while it drains.
+	"micro-slot": {
+		8, 5, 0, 14, 63, 3, 14, 63, 7, 4, 0, 0, 8, 0, 1, 4, 0, 0, 8, 3, 1,
+		12, 0, 0, 9, 0, 0, 10, 1, 4, 3, 0, 9, 13, 2, 0, 4, 0, 0, 8, 1, 1,
+	},
+	// Seconds apart: the coarse level, cascades into the fine one, and a
+	// RunUntil that leaves the clock blocks behind the current slot.
+	"coarse-seconds": {
+		16, 3, 4, 22, 63, 9, 3, 0, 5, 3, 0, 11, 21, 5, 0, 4, 0, 0, 0, 7, 4,
+		16, 0, 1, 17, 2, 1, 4, 0, 0, 21, 2, 0, 0, 1, 1, 12, 0, 0,
+	},
+	// Minutes apart: the far heap past the coarse horizon, interleaved with
+	// millisecond events, and a RunUntil into the heap's range.
+	"far-minutes": {
+		24, 15, 1, 30, 63, 5, 0, 5, 1, 29, 3, 0, 24, 4, 4, 3, 0, 2, 4, 0, 0,
+		0, 2, 1, 29, 8, 0, 4, 0, 0, 22, 10, 1, 28, 0, 0,
+	},
+	// RunUntil drops a cancelled head and peeks a live one a hundred blocks
+	// out; the pushes that follow rebuild the queue across block boundaries.
+	"rununtil-rebase-block": {
+		16, 1, 1, 3, 0, 0, 16, 2, 1, 5, 31, 0, 0, 15, 1, 16, 2, 1, 1, 4, 1,
+		24, 5, 1, 2, 0, 1, 4, 0, 0, 8, 3, 1, 4, 0, 0,
+	},
+	// Two events due at 77 ms cascade into one fine slot from the coarse
+	// level; an event at 70 ms, in the same 67 ms block, then pushes a third
+	// due at 77 ms straight into that slot. Only a (at, seq) sort of the slot
+	// fires them in scheduling order.
+	"cascade-same-instant": {
+		5, 31, 0, 5, 31, 0, 0, 15, 1, 1, 15, 1, 2, 8, 28,
+	},
+}
+
+func TestEventQueueCases(t *testing.T) {
+	for name, script := range queueCases {
+		t.Run(name, func(t *testing.T) { runQueueScript(t, script) })
+	}
+}
+
+// TestSameInstantCascadeAndPush: n events due at one instant reach a fine
+// slot through a coarse cascade, and n more through direct pushes once their
+// block is current; they fire in scheduling order. n = 2 sorts the slot by
+// insertion, n = 40 by the general sort.
+func TestSameInstantCascadeAndPush(t *testing.T) {
+	const due = 77 * time.Millisecond // block 1; the clock starts in block 0
+	for _, n := range []int{2, 40} {
+		s := New(1)
+		var order []int
+		log := func(i int) func() { return func() { order = append(order, i) } }
+		for i := 0; i < n; i++ {
+			s.ScheduleAt(due, log(i))
+		}
+		s.ScheduleAt(70*time.Millisecond, func() {
+			for i := n; i < 2*n; i++ {
+				s.ScheduleAt(due, log(i))
+			}
+		})
+		s.Run()
+		for i, v := range order {
+			if v != i {
+				t.Fatalf("n=%d: order = %v", n, order)
+			}
+		}
+		if len(order) != 2*n {
+			t.Fatalf("n=%d: %d fired, want %d", n, len(order), 2*n)
+		}
+	}
+}
+
 func FuzzEventQueue(f *testing.F) {
+	for _, script := range queueCases {
+		f.Add(script)
+	}
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 3*4096 {
 			return
@@ -246,20 +341,40 @@ func FuzzEventQueue(f *testing.F) {
 
 // BenchmarkEventQueue is the steady state of a simulation: pop the earliest
 // event, push one later, with depth events queued throughout. 1k is a page
-// load's queue and 100k is headroom. A 200-tenant fleet (seed 1, ONLD,
-// 256 MB cache) holds 5,340 entries on average and peaks at 9,040, 37 % of
-// them cancelled 10 s origin deadlines: the fleet row keeps 6k queued, a
-// third of them such deadlines. The bulk row schedules 200k events before
-// the first pop, the shape of bench/'s eventsim.ns_per_event probe and the
-// radix queue's worst case: every entry is pushed against base 0 and
-// redistributed once per bit it shares with its predecessors' keys.
+// load's queue and 100k is headroom, both with delays uniform over 0–1 s. A
+// 200-tenant fleet (seed 1, ONLD, 256 MB cache) holds 5,340 entries on
+// average and peaks at 9,040, 37 % of them cancelled 10 s origin deadlines:
+// the fleet row keeps 6k queued, a third of them such deadlines. The sweep
+// row replays the delays a steady seed-1 sweep schedules, by bit length of
+// the delay in nanoseconds: 13 % at 11–13 (2–8 µs, packet serialisation),
+// 14 % at 14–21, 65 % at 22–28 (4–268 ms, propagation and timers) and 8 % at
+// 29–34; its 400 queued events sit inside the 100–700 a page load's queue
+// holds. The bulk row schedules 200k events 1 µs apart before the first pop,
+// the shape of bench/'s eventsim.ns_per_event probe: each slot of the wheel
+// drains 16 events and a fresh block cascades every 67 ms of keys.
 func BenchmarkEventQueue(b *testing.B) {
-	delays := make([]time.Duration, 1<<16)
 	rng := rand.New(rand.NewSource(1))
-	for i := range delays {
-		delays[i] = time.Duration(rng.Intn(1_000_000)) * time.Microsecond
+	uniform := make([]time.Duration, 1<<16)
+	for i := range uniform {
+		uniform[i] = time.Duration(rng.Intn(1_000_000)) * time.Microsecond
 	}
-	steady := func(b *testing.B, live, deadlines int) {
+	sweep := make([]time.Duration, 1<<16)
+	for i := range sweep {
+		var lo, hi int // bit lengths
+		switch p := rng.Intn(100); {
+		case p < 13:
+			lo, hi = 11, 13
+		case p < 27:
+			lo, hi = 14, 21
+		case p < 92:
+			lo, hi = 22, 28
+		default:
+			lo, hi = 29, 34
+		}
+		l := lo + rng.Intn(hi-lo+1)
+		sweep[i] = time.Duration(1<<(l-1) + rng.Int63n(1<<(l-1)))
+	}
+	steady := func(b *testing.B, delays []time.Duration, live, deadlines int) {
 		sim := New(1)
 		i := 0
 		var hold func(any)
@@ -298,9 +413,10 @@ func BenchmarkEventQueue(b *testing.B) {
 			sim.Step()
 		}
 	}
-	b.Run("1000", func(b *testing.B) { steady(b, 1_000, 0) })
-	b.Run("100000", func(b *testing.B) { steady(b, 100_000, 0) })
-	b.Run("fleet", func(b *testing.B) { steady(b, 4_000, 2_000) })
+	b.Run("1000", func(b *testing.B) { steady(b, uniform, 1_000, 0) })
+	b.Run("100000", func(b *testing.B) { steady(b, uniform, 100_000, 0) })
+	b.Run("fleet", func(b *testing.B) { steady(b, uniform, 4_000, 2_000) })
+	b.Run("sweep", func(b *testing.B) { steady(b, sweep, 400, 0) })
 	b.Run("bulk", func(b *testing.B) {
 		const events = 200_000
 		for n := 0; n < b.N; n++ {

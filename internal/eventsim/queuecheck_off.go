@@ -2,6 +2,11 @@
 
 package eventsim
 
-// check verifies the entry a push, pop or refill just touched under -tags
-// simdebug (see queuecheck_on.go); it compiles to nothing otherwise.
-func (q *eventQueue) check(int, int) {}
+// queueDebug gates the whole-slot loops of the wheel's checks; check and
+// checkCur verify what a push, pop or cascade just touched under -tags
+// simdebug (see queuecheck_on.go) and compile to nothing otherwise.
+const queueDebug = false
+
+func (q *eventQueue) check(*event, int, int, int64) {}
+
+func (q *eventQueue) checkCur(int) {}
