@@ -24,14 +24,15 @@ func benchCfg(pages int) experiments.Config {
 	cfg := experiments.DefaultConfig()
 	cfg.Pages = pages
 	cfg.Runs = 1
-	cfg.Jitter = 0
+	cfg.Scenario.LTEJitter = 0
 	return cfg
 }
 
 func BenchmarkFig3_CellularVsWired(b *testing.B) {
 	var gap float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.Fig3(benchCfg(6))
+		cfg := benchCfg(6)
+		r := experiments.Fig3(cfg, experiments.Sweep(cfg, []experiments.Scheme{experiments.DIRScheme}))
 		gap = stats.Median(r.CellularOLT) / stats.Median(r.WiredOLT)
 	}
 	b.ReportMetric(gap, "cellular/wired-OLT-ratio")
@@ -62,7 +63,7 @@ func BenchmarkFig6a_Timeline(b *testing.B) {
 func BenchmarkFig6b_LatencyCDF(b *testing.B) {
 	var reduction float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.Fig6bAndEnergy(benchCfg(8))
+		r := experiments.Fig6b(experiments.Sweep(benchCfg(8), experiments.HeadlineSchemes))
 		reduction = 1 - stats.Median(r.ParcelOLT)/stats.Median(r.DIROLT)
 	}
 	b.ReportMetric(100*reduction, "OLT-reduction-%")
@@ -71,7 +72,7 @@ func BenchmarkFig6b_LatencyCDF(b *testing.B) {
 func BenchmarkFig6c_Correlation(b *testing.B) {
 	var corr float64
 	for i := 0; i < b.N; i++ {
-		corr = experiments.Fig6c(benchCfg(8)).Correlation
+		corr = experiments.Fig6c(experiments.Sweep(benchCfg(8), experiments.HeadlineSchemes)).Correlation
 	}
 	b.ReportMetric(corr, "pearson-r")
 }
@@ -88,7 +89,7 @@ func BenchmarkFig7a_RRCStates(b *testing.B) {
 func BenchmarkFig7b_EnergyCDF(b *testing.B) {
 	var reduction float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.Fig6bAndEnergy(benchCfg(8))
+		r := experiments.Fig7bc(experiments.Sweep(benchCfg(8), experiments.HeadlineSchemes))
 		reduction = 1 - stats.Median(r.ParcelEnergy)/stats.Median(r.DIREnergy)
 	}
 	b.ReportMetric(100*reduction, "energy-reduction-%")
@@ -107,7 +108,7 @@ func BenchmarkFig8_InteractiveSession(b *testing.B) {
 func BenchmarkFig9_BundleVariants(b *testing.B) {
 	var onldIncrease float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.Fig9(benchCfg(6))
+		r := experiments.Fig9(experiments.Sweep(benchCfg(6), experiments.BundlingSchemes))
 		onldIncrease = stats.Median(r.OLTIncrease["PARCEL(ONLD)"])
 	}
 	b.ReportMetric(onldIncrease, "ONLD-OLT-increase-s")
@@ -116,7 +117,7 @@ func BenchmarkFig9_BundleVariants(b *testing.B) {
 func BenchmarkFig10_RealServersOLT(b *testing.B) {
 	var reduction float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.Fig1011(benchCfg(8))
+		r := experiments.Fig1011(experiments.Sweep(experiments.RealServers.Apply(benchCfg(8)), experiments.RealServerSchemes))
 		reduction = 1 - stats.Median(r.ParcelOLT)/stats.Median(r.DIROLT)
 	}
 	b.ReportMetric(100*reduction, "OLT-reduction-%")
@@ -125,7 +126,7 @@ func BenchmarkFig10_RealServersOLT(b *testing.B) {
 func BenchmarkFig11_RealServersEnergy(b *testing.B) {
 	var reduction float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.Fig1011(benchCfg(8))
+		r := experiments.Fig1011(experiments.Sweep(experiments.RealServers.Apply(benchCfg(8)), experiments.RealServerSchemes))
 		reduction = 1 - stats.Median(r.ParcelEnergy)/stats.Median(r.DIREnergy)
 	}
 	b.ReportMetric(100*reduction, "energy-reduction-%")
@@ -152,7 +153,9 @@ func BenchmarkModel_OptimalBundle(b *testing.B) {
 func BenchmarkDelaySensitivity(b *testing.B) {
 	var penaltyGrowth float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.DelaySensitivity(benchCfg(4))
+		cfg := benchCfg(4)
+		r := experiments.DelaySensitivity(experiments.Sweep(cfg, experiments.DelaySchemes),
+			experiments.Sweep(experiments.FarOrigin.Apply(cfg), experiments.DelaySchemes))
 		k20, k60 := (20 * time.Millisecond).String(), (60 * time.Millisecond).String()
 		pen20 := r.MedianOLT[k20]["PARCEL(ONLD)"] - r.MedianOLT[k20]["PARCEL(IND)"]
 		pen60 := r.MedianOLT[k60]["PARCEL(ONLD)"] - r.MedianOLT[k60]["PARCEL(IND)"]
@@ -169,7 +172,7 @@ func BenchmarkDelaySensitivity(b *testing.B) {
 func BenchmarkSweepSerialVsParallel(b *testing.B) {
 	cfg := benchCfg(8)
 	cfg.Runs = 2
-	cfg.Jitter = 2 * time.Millisecond
+	cfg.Scenario.LTEJitter = 2 * time.Millisecond
 	schemes := []experiments.Scheme{
 		experiments.DIRScheme,
 		experiments.ParcelScheme(sched.ConfigIND),

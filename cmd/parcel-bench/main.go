@@ -10,7 +10,8 @@
 //
 // Independent targets render concurrently (each into its own buffer, printed
 // in request order); the simulations inside each target additionally fan out
-// on the -parallelism worker pool.
+// on the -parallelism worker pool. Each sweep the requested targets reduce
+// runs once, for the union of the schemes they read of it.
 //
 // Absolute numbers come from a simulator, not the authors' LTE testbed; the
 // shapes (who wins, by what factor, the trade-off orderings) are what the
@@ -23,8 +24,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/parcel-go/parcel/internal/experiments"
@@ -41,6 +44,46 @@ var allTargets = []string{
 	"summary", "losssweep",
 }
 
+// reads lists, for each sweep-based target, the schemes it reads of each
+// setting's sweep. The other targets run their own simulations.
+var reads = map[string]map[experiments.Setting][]experiments.Scheme{
+	"fig3":    {experiments.Calibrated: {experiments.DIRScheme}},
+	"fig6b":   {experiments.Calibrated: experiments.HeadlineSchemes},
+	"fig6c":   {experiments.Calibrated: experiments.HeadlineSchemes},
+	"fig7b":   {experiments.Calibrated: experiments.HeadlineSchemes},
+	"fig7c":   {experiments.Calibrated: experiments.HeadlineSchemes},
+	"summary": {experiments.Calibrated: experiments.HeadlineSchemes},
+	"fig9":    {experiments.Calibrated: experiments.BundlingSchemes},
+	"fig10":   {experiments.RealServers: experiments.RealServerSchemes},
+	"fig11":   {experiments.RealServers: experiments.RealServerSchemes},
+	"delay":   {experiments.Calibrated: experiments.DelaySchemes, experiments.FarOrigin: experiments.DelaySchemes},
+}
+
+// sweeps holds one sweep per setting the requested targets read, over the
+// union of the schemes they read of it. The first target to ask for a sweep
+// runs it; the others wait for that run.
+type sweeps map[experiments.Setting]func() []experiments.PageResult
+
+func planSweeps(cfg experiments.Config, targets []string) sweeps {
+	union := map[experiments.Setting][]experiments.Scheme{}
+	for _, t := range targets {
+		for setting, schemes := range reads[t] {
+			for _, s := range schemes {
+				if !slices.Contains(union[setting], s) {
+					union[setting] = append(union[setting], s)
+				}
+			}
+		}
+	}
+	sw := sweeps{}
+	for setting, schemes := range union {
+		sw[setting] = sync.OnceValue(func() []experiments.PageResult {
+			return experiments.Sweep(setting.Apply(cfg), schemes)
+		})
+	}
+	return sw
+}
+
 func main() {
 	pages := flag.Int("pages", 34, "evaluation page-set size (paper: 34)")
 	runs := flag.Int("runs", 3, "measurement rounds per page/scheme")
@@ -53,7 +96,7 @@ func main() {
 	cfg.Pages = *pages
 	cfg.Runs = *runs
 	cfg.Seed = *seed
-	cfg.Jitter = *jitter
+	cfg.Scenario.LTEJitter = *jitter
 	cfg.Parallelism = *parallelism
 
 	targets := flag.Args()
@@ -69,67 +112,67 @@ func main() {
 	// Validate everything up front so an unknown target fails before any
 	// multi-second sweep starts.
 	for _, t := range targets {
-		if !knownTarget(t) {
+		if !slices.Contains(allTargets, t) {
 			fmt.Fprintf(os.Stderr, "parcel-bench: unknown target %q (want one of %s)\n",
 				t, strings.Join(allTargets, " "))
 			os.Exit(2)
 		}
 	}
 
-	// Targets are independent of one another: render them concurrently, each
-	// into a private buffer, and print the buffers in the order they were
-	// asked for.
+	run(os.Stdout, cfg, targets)
+}
+
+// run renders targets to w in order. Targets are independent of one another
+// but for the sweeps they share: render them concurrently, each into a
+// private buffer, and write the buffers in the order they were asked for.
+func run(w io.Writer, cfg experiments.Config, targets []string) {
+	sw := planSweeps(cfg, targets)
 	outputs := runner.Map(cfg.Parallelism, len(targets), func(i int) []byte {
 		var buf bytes.Buffer
-		render(&buf, targets[i], cfg)
+		render(&buf, targets[i], cfg, sw)
 		return buf.Bytes()
 	})
 	for _, out := range outputs {
-		os.Stdout.Write(out)
+		w.Write(out)
 	}
 }
 
-func knownTarget(target string) bool {
-	for _, t := range allTargets {
-		if t == target {
-			return true
-		}
-	}
-	return false
-}
-
-func render(w io.Writer, target string, cfg experiments.Config) {
+func render(w io.Writer, target string, cfg experiments.Config, sw sweeps) {
 	switch target {
 	case "fig3":
-		fig3(w, cfg)
+		fig3(w, experiments.Fig3(cfg, sw[experiments.Calibrated]()))
 	case "fig5":
 		fig5(w, cfg)
 	case "fig6a":
 		fig6a(w, cfg)
 	case "fig6b":
-		fig6b(w, cfg)
+		fig6b(w, experiments.Fig6b(sw[experiments.Calibrated]()))
 	case "fig6c":
-		fig6c(w, cfg)
+		fig6c(w, experiments.Fig6c(sw[experiments.Calibrated]()))
 	case "fig7a":
 		fig7a(w, cfg)
-	case "fig7b", "fig7c":
-		fig7bc(w, cfg, target)
+	case "fig7b":
+		fig7b(w, experiments.Fig7bc(sw[experiments.Calibrated]()))
+	case "fig7c":
+		fig7c(w, experiments.Fig7bc(sw[experiments.Calibrated]()))
 	case "fig8":
 		fig8(w, cfg)
 	case "fig9":
-		fig9(w, cfg)
-	case "fig10", "fig11":
-		fig1011(w, cfg, target)
+		fig9(w, experiments.Fig9(sw[experiments.Calibrated]()))
+	case "fig10":
+		fig10(w, experiments.Fig1011(sw[experiments.RealServers]()))
+	case "fig11":
+		fig11(w, experiments.Fig1011(sw[experiments.RealServers]()))
 	case "model":
 		model(w)
 	case "delay":
-		delay(w, cfg)
+		delay(w, experiments.DelaySensitivity(sw[experiments.Calibrated](), sw[experiments.FarOrigin]()))
 	case "table1":
 		table1(w, cfg)
 	case "spdy":
 		spdy(w, cfg)
 	case "summary":
-		summary(w, cfg)
+		summary(w, experiments.Summarize(sw[experiments.Calibrated]()))
 	case "losssweep":
 		losssweep(w, cfg)
 	}
@@ -164,9 +207,8 @@ func cdfSteps(w io.Writer, name string, xs []float64) {
 	fmt.Fprintln(w)
 }
 
-func fig3(w io.Writer, cfg experiments.Config) {
+func fig3(w io.Writer, r experiments.Fig3Result) {
 	header(w, "Figure 3: median OLT CDF, cellular vs wired download (DIR)")
-	r := experiments.Fig3(cfg)
 	cdfRows(w, "access", map[string][]float64{
 		"cellular (LTE)": r.CellularOLT,
 		"wired":          r.WiredOLT,
@@ -223,9 +265,8 @@ func printTimeline(w io.Writer, name string, pts []trace.Point) {
 	fmt.Fprintf(w, " %0.1fs:%.2f\n", last.At.Seconds(), float64(last.Bytes)/1e6)
 }
 
-func fig6b(w io.Writer, cfg experiments.Config) {
+func fig6b(w io.Writer, r experiments.Fig6bResult) {
 	header(w, "Figure 6b: latency CDFs, PARCEL(IND) vs DIR")
-	r := experiments.Fig6b(cfg)
 	cdfRows(w, "latency", map[string][]float64{
 		"PARCEL OLT": r.ParcelOLT,
 		"PARCEL TLT": r.ParcelTLT,
@@ -240,9 +281,8 @@ func fig6b(w io.Writer, cfg experiments.Config) {
 		100*fracUnder(r.ParcelOLT, 3), 100*fracUnder(r.DIROLT, 3))
 }
 
-func fig6c(w io.Writer, cfg experiments.Config) {
+func fig6c(w io.Writer, r experiments.Fig6cResult) {
 	header(w, "Figure 6c: total-latency reduction vs number of HTTP requests")
-	r := experiments.Fig6c(cfg)
 	for _, p := range r.Points {
 		fmt.Fprintf(w, "  %-14s requests=%4d reduction=%6.2fs\n", p.Page, p.HTTPRequests, p.ReductionSec)
 	}
@@ -278,19 +318,18 @@ func compressIntervals(ivs []radio.Interval) string {
 	return b.String()
 }
 
-func fig7bc(w io.Writer, cfg experiments.Config, target string) {
-	r := experiments.Fig7bc(cfg)
-	if target == "fig7b" {
-		header(w, "Figure 7b: per-page median radio energy, PARCEL vs DIR")
-		cdfRows(w, "radio energy", map[string][]float64{
-			"PARCEL": r.ParcelEnergy,
-			"DIR":    r.DIREnergy,
-		}, "joules")
-		fmt.Fprintf(w, "paper: PARCEL < 4 J for 80%% of pages (max 8 J); DIR < 4 J for 38%% (max 13 J)\n")
-		fmt.Fprintf(w, "measured: PARCEL < 4 J for %.0f%%; DIR < 4 J for %.0f%%\n",
-			100*stats.CDFAt(r.ParcelEnergy, 4), 100*stats.CDFAt(r.DIREnergy, 4))
-		return
-	}
+func fig7b(w io.Writer, r experiments.Fig7bcResult) {
+	header(w, "Figure 7b: per-page median radio energy, PARCEL vs DIR")
+	cdfRows(w, "radio energy", map[string][]float64{
+		"PARCEL": r.ParcelEnergy,
+		"DIR":    r.DIREnergy,
+	}, "joules")
+	fmt.Fprintf(w, "paper: PARCEL < 4 J for 80%% of pages (max 8 J); DIR < 4 J for 38%% (max 13 J)\n")
+	fmt.Fprintf(w, "measured: PARCEL < 4 J for %.0f%%; DIR < 4 J for %.0f%%\n",
+		100*stats.CDFAt(r.ParcelEnergy, 4), 100*stats.CDFAt(r.DIREnergy, 4))
+}
+
+func fig7c(w io.Writer, r experiments.Fig7bcResult) {
 	header(w, "Figure 7c: radio-energy savings fraction per page (and CR share)")
 	atLeast20, atLeast50, crHalf := 0, 0, 0
 	for i := range r.Pages {
@@ -333,9 +372,8 @@ func fig8(w io.Writer, cfg experiments.Config) {
 	fmt.Fprintln(w, "paper: CB radio grows every click; PARCEL/DIR flat; CB total lowest at FD but highest by C4")
 }
 
-func fig9(w io.Writer, cfg experiments.Config) {
+func fig9(w io.Writer, r experiments.Fig9Result) {
 	header(w, "Figure 9: bundling variants vs PARCEL(IND)")
-	r := experiments.Fig9(cfg)
 	olt := map[string][]float64{}
 	energy := map[string][]float64{}
 	for _, v := range r.Variants {
@@ -353,17 +391,16 @@ func fig9(w io.Writer, cfg experiments.Config) {
 	fmt.Fprintln(w, "paper: ONLD OLT increase ≈ 0.57 s, 512K ≈ 0.11 s; 512K saves energy on ~60% of pages, mainly large ones")
 }
 
-func fig1011(w io.Writer, cfg experiments.Config, target string) {
-	r := experiments.Fig1011(cfg)
-	if target == "fig10" {
-		header(w, "Figure 10: OLT with real web servers (heterogeneous origin RTTs)")
-		cdfRows(w, "OLT", map[string][]float64{
-			"PARCEL(512K)": r.ParcelOLT,
-			"DIR":          r.DIROLT,
-		}, "seconds")
-		fmt.Fprintf(w, "paper: PARCEL(512K) median < 2.5 s vs DIR ≈ 6 s\n")
-		return
-	}
+func fig10(w io.Writer, r experiments.Fig1011Result) {
+	header(w, "Figure 10: OLT with real web servers (heterogeneous origin RTTs)")
+	cdfRows(w, "OLT", map[string][]float64{
+		"PARCEL(512K)": r.ParcelOLT,
+		"DIR":          r.DIROLT,
+	}, "seconds")
+	fmt.Fprintf(w, "paper: PARCEL(512K) median < 2.5 s vs DIR ≈ 6 s\n")
+}
+
+func fig11(w io.Writer, r experiments.Fig1011Result) {
 	header(w, "Figure 11: radio energy with real web servers")
 	cdfRows(w, "radio energy", map[string][]float64{
 		"PARCEL(512K)": r.ParcelEnergy,
@@ -386,9 +423,8 @@ func model(w io.Writer) {
 	fmt.Fprintf(w, "energy-minimizing n on curve: %.0f\n", m.MinEnergyN)
 }
 
-func delay(w io.Writer, cfg experiments.Config) {
+func delay(w io.Writer, r experiments.DelaySensResult) {
 	header(w, "§8.3 sensitivity: proxy↔server delay 20 ms vs 60 ms")
-	r := experiments.DelaySensitivity(cfg)
 	for _, rtt := range r.RTTs {
 		k := rtt.String()
 		fmt.Fprintf(w, "  RTT %-6s IND OLT=%5.2fs E=%5.2fJ | ONLD OLT=%5.2fs E=%5.2fJ\n", k,
@@ -445,9 +481,8 @@ func losssweep(w io.Writer, cfg experiments.Config) {
 	fmt.Fprintln(w, "server-side fetching keep its latency/energy growth below DIR's")
 }
 
-func summary(w io.Writer, cfg experiments.Config) {
+func summary(w io.Writer, s experiments.Summary) {
 	header(w, "Headline: PARCEL vs DIR")
-	s := experiments.Headline(cfg)
 	fmt.Fprintf(w, "median OLT: DIR %.2f s -> PARCEL %.2f s  (reduction %.1f%%; paper %.1f%%)\n",
 		s.DIRMedianOLT, s.ParcelMedianOLT, 100*s.OLTReduction, 100*s.PaperOLTReduction)
 	fmt.Fprintf(w, "median radio energy: DIR %.2f J -> PARCEL %.2f J  (reduction %.1f%%; paper %.1f%%)\n",

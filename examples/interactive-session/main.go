@@ -18,7 +18,7 @@ func main() {
 	cfg := parcel.DefaultExperiments()
 	cfg.Pages = 8
 	cfg.Runs = 1
-	cfg.Jitter = 0
+	cfg.Scenario.LTEJitter = 0
 
 	r := experiments.Fig8(cfg)
 	fmt.Printf("interactive page: %s (%d clicks, 60 s apart)\n\n", r.Page, r.Clicks)

@@ -211,41 +211,3 @@ func TestRevisitReplaysFromMemo(t *testing.T) {
 		t.Errorf("memoised revisit measured\n%+v\nreference\n%+v", got, want)
 	}
 }
-
-func TestCompressionShrinksWireBytes(t *testing.T) {
-	page := testPage(t, 1)
-	run := func(factor float64) int64 {
-		topo := scenario.Build(page, scenario.DefaultParams())
-		cfg := DefaultProxyConfig()
-		cfg.CompressionFactor = factor
-		StartProxy(topo, cfg)
-		client := NewClient(topo, DefaultClientConfig())
-		r := client.Load()
-		if _, ok := client.Engine.CompleteAt(); !ok {
-			t.Fatal("page incomplete")
-		}
-		return r.BytesDown
-	}
-	plain := run(0)
-	compressed := run(0.6)
-	if compressed >= plain {
-		t.Fatalf("compressed bytes %d >= plain %d", compressed, plain)
-	}
-	if float64(compressed) > 0.8*float64(plain) {
-		t.Fatalf("compression too weak: %d vs %d", compressed, plain)
-	}
-}
-
-func TestCompressionImprovesLatency(t *testing.T) {
-	page := testPage(t, 1)
-	runOLT := func(factor float64) time.Duration {
-		topo := scenario.Build(page, scenario.DefaultParams())
-		cfg := DefaultProxyConfig()
-		cfg.CompressionFactor = factor
-		StartProxy(topo, cfg)
-		return NewClient(topo, DefaultClientConfig()).Load().OLT
-	}
-	if runOLT(0.6) >= runOLT(0) {
-		t.Fatal("compression did not reduce OLT on a transfer-bound page")
-	}
-}

@@ -63,18 +63,6 @@ func (b bundleMsg) wireSize() int {
 	return size
 }
 
-// compressedWireSize models proxy-side compression/transcoding (§3): body
-// bytes shrink by factor, framing stays.
-func (b bundleMsg) compressedWireSize(factor float64) int {
-	full := b.wireSize()
-	var bodies int
-	for _, it := range b.Parts {
-		bodies += len(it.Body)
-	}
-	compressed := int(float64(bodies) * factor)
-	return full - bodies + compressed
-}
-
 // completeNote is the proxy's page-completion notification (§4.5): after it,
 // the client may request objects it identified but never received. The
 // session's counters ride along in the fixed 160-byte control frame's slack.

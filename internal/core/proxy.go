@@ -31,10 +31,6 @@ type ProxyConfig struct {
 	// which the proxy declares the page complete (§4.5). The paper derives
 	// it from the post-onload inter-arrival statistic (95% < 5 s).
 	QuietPeriod time.Duration
-	// CompressionFactor, when in (0,1), scales pushed body bytes on the
-	// wire — the orthogonal data-compression/transformation feature cloud
-	// proxies offer (§3); 0 disables it.
-	CompressionFactor float64
 	// Cache, when non-nil, is the cross-session object cache shared by every
 	// session this proxy serves: origin responses are published into it and
 	// later sessions' fetches are served from it at proxy-local time, so a
@@ -256,11 +252,7 @@ func (s *ProxySession) sendBundle(items []sched.Item, reason sched.FlushReason) 
 	s.BundlesSent++
 	s.BundleLog = append(s.BundleLog, reason)
 	msg := bundleMsg{Seq: s.BundlesSent, Reason: reason, Parts: items}
-	size := msg.wireSize()
-	if f := s.proxy.cfg.CompressionFactor; f > 0 && f < 1 {
-		size = msg.compressedWireSize(f)
-	}
-	s.conn.Send(s.proxy.topo.Proxy, size, msg, labelBundle, nil)
+	s.conn.Send(s.proxy.topo.Proxy, msg.wireSize(), msg, labelBundle, nil)
 }
 
 // serveFallback answers a client fallback request from cache, or fetches the

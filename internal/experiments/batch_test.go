@@ -9,38 +9,34 @@ import (
 )
 
 // TestBatchMatchesSerial pins the batch engine to the reference it replaced:
-// Sweep at every parallelism, with the shared object cache off and on, must
-// reproduce bit for bit a plain serial loop of RunOnce + medianReduce — one
-// private topology per task, no shared arenas, no exec-outcome cache. This is
-// the determinism contract of batch.go — pooled resources reused from one
-// task to the next, the exec-outcome cache, and the per-topology cache may
-// change where time and memory go, never what the figures say. All four arm
-// kinds run, each started mid-load by start and drained by load.
+// Sweep at every parallelism must reproduce bit for bit a plain serial loop
+// of RunOnce + medianReduce — one private topology per task, no shared
+// arenas, no exec-outcome cache. This is the determinism contract of
+// batch.go — pooled resources reused from one task to the next and the
+// exec-outcome cache may change where time and memory go, never what the
+// figures say. All four arm kinds run, each started mid-load by start and
+// drained by load.
 func TestBatchMatchesSerial(t *testing.T) {
 	schemes := []Scheme{DIRScheme, ParcelScheme(sched.ConfigIND), ParcelScheme(sched.Config512K),
 		SPDYScheme, CBScheme}
-	for _, sharedCache := range []bool{false, true} {
-		cfg := goldenConfig()
-		cfg.SharedCache = sharedCache
-		var want []PageResult
-		for _, page := range cfg.PageSet() {
-			pr := PageResult{Page: page, Runs: map[string]metrics.PageRun{}}
-			for _, s := range schemes {
-				runs := make([]metrics.PageRun, cfg.Runs)
-				for r := range runs {
-					runs[r] = RunOnce(page, s, cfg, roundSeed(cfg, r))
-				}
-				pr.Runs[s.Name] = medianReduce(runs)
+	cfg := goldenConfig()
+	var want []PageResult
+	for _, page := range cfg.PageSet() {
+		pr := PageResult{Page: page, Runs: map[string]metrics.PageRun{}}
+		for _, s := range schemes {
+			runs := make([]metrics.PageRun, cfg.Runs)
+			for r := range runs {
+				runs[r] = RunOnce(page, s, cfg, roundSeed(cfg, r))
 			}
-			want = append(want, pr)
+			pr.Runs[s.Name] = medianReduce(runs)
 		}
-		for _, par := range []int{1, 4} {
-			c := cfg
-			c.Parallelism = par
-			if got := Sweep(c, schemes); !reflect.DeepEqual(got, want) {
-				t.Errorf("sharedCache=%v parallelism %d: sweep differs from the serial RunOnce loop",
-					sharedCache, par)
-			}
+		want = append(want, pr)
+	}
+	for _, par := range []int{1, 4} {
+		c := cfg
+		c.Parallelism = par
+		if got := Sweep(c, schemes); !reflect.DeepEqual(got, want) {
+			t.Errorf("parallelism %d: sweep differs from the serial RunOnce loop", par)
 		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"github.com/parcel-go/parcel/internal/core"
 	"github.com/parcel-go/parcel/internal/dirbrowser"
 	"github.com/parcel-go/parcel/internal/metrics"
-	"github.com/parcel-go/parcel/internal/objcache"
 	"github.com/parcel-go/parcel/internal/scenario"
 	"github.com/parcel-go/parcel/internal/sched"
 	"github.com/parcel-go/parcel/internal/stats"
@@ -29,11 +28,8 @@ type Config struct {
 	// uses 20–40 LTE rounds to beat radio variability, we default to 5
 	// (the simulator varies only by jitter seed).
 	Runs int
-	// Jitter adds per-packet LTE delay noise across runs.
-	Jitter time.Duration
-	// Scenario is what the run varies of the calibrated topology (zero
-	// value: nothing); Seed is set per round and Jitter, when positive,
-	// replaces LTEJitter.
+	// Scenario is what the run varies of the calibrated topology, LTE jitter
+	// included (zero value: nothing); Seed is set per round.
 	Scenario scenario.Params
 	// Parallelism bounds the worker pool that fans out independent
 	// (page, scheme, round) simulations: 0 (the default) means one worker
@@ -41,16 +37,11 @@ type Config struct {
 	// from (Seed, round) alone, so results are bit-for-bit identical at any
 	// parallelism level.
 	Parallelism int
-	// SharedCache gives every PARCEL proxy the sweep starts a cross-session
-	// object cache (a fresh one per topology). Sweep sessions are
-	// single-tenant with unique per-page URLs, so the cache never hits and
-	// the figures must not move — the golden suite pins that invariance.
-	SharedCache bool
 }
 
 // DefaultConfig returns the standard evaluation configuration.
 func DefaultConfig() Config {
-	return Config{Seed: 1, Pages: 34, Runs: 5, Jitter: 2 * time.Millisecond}
+	return Config{Seed: 1, Pages: 34, Runs: 5, Scenario: scenario.Params{LTEJitter: 2 * time.Millisecond}}
 }
 
 func (c Config) withDefaults() Config {
@@ -59,9 +50,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Runs == 0 {
 		c.Runs = 5
-	}
-	if c.Jitter > 0 {
-		c.Scenario.LTEJitter = c.Jitter
 	}
 	return c
 }
@@ -117,19 +105,13 @@ type arm struct {
 
 // start is the one place an arm begins loading topo's page on the mobile
 // client. Every arm returns with its load under way and collect set, for
-// the caller to drain topo.Sim. A PARCEL proxy gets a fresh shared cache
-// when cfg asks for one: per-topology caches keep tasks independent (and
-// therefore order-free), where cross-task sharing would make a task's
-// timing depend on which tasks ran before it.
-func (s Scheme) start(topo *scenario.Topology, cfg Config) arm {
+// the caller to drain topo.Sim.
+func (s Scheme) start(topo *scenario.Topology) arm {
 	a := arm{name: s.Name}
 	switch s.kind {
 	case parcelArm:
 		pc := core.DefaultProxyConfig()
 		pc.Sched = s.Sched
-		if cfg.SharedCache {
-			pc.Cache = objcache.New(objcache.Config{Capacity: 64 << 20})
-		}
 		a.proxy = core.StartProxy(topo, pc)
 		client := core.NewClient(topo, core.DefaultClientConfig())
 		client.Start()
@@ -152,8 +134,8 @@ func (s Scheme) start(topo *scenario.Topology, cfg Config) arm {
 }
 
 // drain starts s on topo and runs topo's simulator to quiescence.
-func (s Scheme) drain(topo *scenario.Topology, cfg Config) arm {
-	a := s.start(topo, cfg)
+func (s Scheme) drain(topo *scenario.Topology) arm {
+	a := s.start(topo)
 	topo.Sim.Run()
 	return a
 }
@@ -162,7 +144,7 @@ func (s Scheme) drain(topo *scenario.Topology, cfg Config) arm {
 // run metrics: the public facade's entry (parcel.RunDIR, RunSPDY, RunCB
 // and RunPARCEL).
 func (s Scheme) Run(topo *scenario.Topology) metrics.PageRun {
-	return s.drain(topo, Config{}).run(new(metrics.Collector))
+	return s.drain(topo).run(new(metrics.Collector))
 }
 
 // load builds page's topology at seed, starts s on it and drains it. It is
@@ -173,7 +155,7 @@ func (s Scheme) load(page webgen.Page, cfg Config, seed int64, res *scenario.Res
 	params := cfg.Scenario
 	params.Seed = seed
 	topo := scenario.BuildWith(page, params, res)
-	return topo, s.drain(topo, cfg)
+	return topo, s.drain(topo)
 }
 
 // run collects the arm's metrics through col's scratch, labelled with its
@@ -232,18 +214,6 @@ func medianReduce(runs []metrics.PageRun) metrics.PageRun {
 	rep.TLT = time.Duration(stats.Median(tlts) * float64(time.Second))
 	rep.RadioJ = stats.Median(radios)
 	return rep
-}
-
-// MedianRun loads a page cfg.Runs times with different jitter seeds and
-// returns the per-metric medians (the paper's median-of-rounds reduction,
-// §7.1), along with one representative run for trace-level detail. Rounds
-// run batched on the cfg.Parallelism worker pool.
-func MedianRun(page webgen.Page, s Scheme, cfg Config) metrics.PageRun {
-	cfg = cfg.withDefaults()
-	runs := runTasks(cfg, cfg.Runs, func(r int) batchTask {
-		return batchTask{page: page, s: s, seed: roundSeed(cfg, r)}
-	})
-	return medianReduce(runs)
 }
 
 // PageResult couples a page with its per-scheme median runs.

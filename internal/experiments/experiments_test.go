@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/parcel-go/parcel/internal/httpsim"
+	"github.com/parcel-go/parcel/internal/metrics"
 	"github.com/parcel-go/parcel/internal/sched"
 	"github.com/parcel-go/parcel/internal/stats"
 )
@@ -15,12 +17,17 @@ func quickCfg(pages int) Config {
 	cfg := DefaultConfig()
 	cfg.Pages = pages
 	cfg.Runs = 1
-	cfg.Jitter = 0
+	cfg.Scenario.LTEJitter = 0
 	return cfg
 }
 
+// calibrated sweeps quickCfg(pages) with schemes.
+func calibrated(pages int, schemes []Scheme) []PageResult {
+	return Sweep(quickCfg(pages), schemes)
+}
+
 func TestFig3WiredBeatsCellular(t *testing.T) {
-	r := Fig3(quickCfg(8))
+	r := Fig3(quickCfg(8), calibrated(8, []Scheme{DIRScheme}))
 	if len(r.CellularOLT) != 8 || len(r.WiredOLT) != 8 {
 		t.Fatalf("series lengths wrong: %d/%d", len(r.CellularOLT), len(r.WiredOLT))
 	}
@@ -76,7 +83,8 @@ func TestFig6aTimelineOrdering(t *testing.T) {
 }
 
 func TestFig6bParcelDominates(t *testing.T) {
-	r := Fig6bAndEnergy(quickCfg(10))
+	sweep := calibrated(10, HeadlineSchemes)
+	r, e := Fig6b(sweep), Fig7bc(sweep)
 	if stats.Median(r.ParcelOLT) >= stats.Median(r.DIROLT) {
 		t.Fatalf("PARCEL OLT median %.2f >= DIR %.2f", stats.Median(r.ParcelOLT), stats.Median(r.DIROLT))
 	}
@@ -84,13 +92,25 @@ func TestFig6bParcelDominates(t *testing.T) {
 		t.Fatalf("PARCEL TLT median %.2f >= DIR %.2f", stats.Median(r.ParcelTLT), stats.Median(r.DIRTLT))
 	}
 	// Energy ordering too (Figure 7b).
-	if stats.Median(r.ParcelEnergy) >= stats.Median(r.DIREnergy) {
-		t.Fatalf("PARCEL energy median %.2f >= DIR %.2f", stats.Median(r.ParcelEnergy), stats.Median(r.DIREnergy))
+	if stats.Median(e.ParcelEnergy) >= stats.Median(e.DIREnergy) {
+		t.Fatalf("PARCEL energy median %.2f >= DIR %.2f", stats.Median(e.ParcelEnergy), stats.Median(e.DIREnergy))
 	}
 }
 
+// TestReductionNamesMissingColumn: a reduction handed a sweep without a
+// column it reads panics and names that column, rather than reducing zeros.
+func TestReductionNamesMissingColumn(t *testing.T) {
+	sweep := []PageResult{{Runs: map[string]metrics.PageRun{"DIR": {OLT: time.Second}}}}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "PARCEL(IND)") {
+			t.Fatalf("panic %q, want one naming PARCEL(IND)", msg)
+		}
+	}()
+	Fig6b(sweep)
+}
+
 func TestFig6cPositiveCorrelation(t *testing.T) {
-	r := Fig6c(quickCfg(12))
+	r := Fig6c(calibrated(12, HeadlineSchemes))
 	if len(r.Points) != 12 {
 		t.Fatalf("points = %d", len(r.Points))
 	}
@@ -117,7 +137,7 @@ func TestFig7aTransitionsAndEnergy(t *testing.T) {
 }
 
 func TestFig7cSavingsDecomposition(t *testing.T) {
-	r := Fig7bc(quickCfg(10))
+	r := Fig7bc(calibrated(10, HeadlineSchemes))
 	positive := 0
 	for i, s := range r.TotalSavings {
 		if s > 0 {
@@ -188,7 +208,7 @@ func TestFig8SessionShapes(t *testing.T) {
 }
 
 func TestFig9VariantShapes(t *testing.T) {
-	r := Fig9(quickCfg(10))
+	r := Fig9(calibrated(10, BundlingSchemes))
 	if len(r.Variants) != 4 {
 		t.Fatalf("variants = %v", r.Variants)
 	}
@@ -210,7 +230,7 @@ func TestFig9VariantShapes(t *testing.T) {
 }
 
 func TestFig1011RealServers(t *testing.T) {
-	r := Fig1011(quickCfg(10))
+	r := Fig1011(Sweep(RealServers.Apply(quickCfg(10)), RealServerSchemes))
 	if stats.Median(r.ParcelOLT) >= stats.Median(r.DIROLT) {
 		t.Fatalf("real servers: PARCEL OLT %.2f >= DIR %.2f", stats.Median(r.ParcelOLT), stats.Median(r.DIROLT))
 	}
@@ -220,7 +240,8 @@ func TestFig1011RealServers(t *testing.T) {
 }
 
 func TestDelaySensitivity(t *testing.T) {
-	r := DelaySensitivity(quickCfg(6))
+	cfg := quickCfg(6)
+	r := DelaySensitivity(Sweep(cfg, DelaySchemes), Sweep(FarOrigin.Apply(cfg), DelaySchemes))
 	k20, k60 := (20 * time.Millisecond).String(), (60 * time.Millisecond).String()
 	// Higher proxy↔server delay raises everyone's OLT.
 	if r.MedianOLT[k60]["PARCEL(IND)"] <= r.MedianOLT[k20]["PARCEL(IND)"] {
@@ -318,7 +339,7 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Pages = 4
 	cfg.Runs = 3
-	cfg.Jitter = 2 * time.Millisecond
+	cfg.Scenario.LTEJitter = 2 * time.Millisecond
 	schemes := []Scheme{DIRScheme, ParcelScheme(sched.ConfigIND), ParcelScheme(sched.Config512K)}
 
 	cfg.Parallelism = 1

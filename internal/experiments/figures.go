@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"time"
 
 	"github.com/parcel-go/parcel/internal/browser"
@@ -15,6 +16,63 @@ import (
 	"github.com/parcel-go/parcel/internal/webgen"
 )
 
+// --- The sweeps the figures reduce -------------------------------------------
+
+// Setting is the topology a sweep runs on. Every sweep-based figure below is a
+// reduction of the columns it reads of one or two settings' sweeps, so a
+// caller that renders several figures runs each setting's sweep once, for the
+// union of the schemes they read, and hands the same []PageResult to each.
+type Setting uint8
+
+const (
+	// Calibrated is §7's testbed: cfg.Scenario as given (a 20 ms
+	// proxy↔server delay unless the caller set another).
+	Calibrated Setting = iota
+	// RealServers gives every domain its own proxy↔origin delay (§8.4).
+	RealServers
+	// FarOrigin is §8.3's 60 ms proxy↔server delay.
+	FarOrigin
+)
+
+// Apply returns cfg in setting s.
+func (s Setting) Apply(cfg Config) Config {
+	switch s {
+	case RealServers:
+		cfg.Scenario.HeterogeneousOrigins = true
+	case FarOrigin:
+		cfg.Scenario.ProxyOriginRTT = farOriginRTT
+	}
+	return cfg
+}
+
+const farOriginRTT = 60 * time.Millisecond
+
+// The scheme columns the reductions read.
+var (
+	// HeadlineSchemes is the paper's main comparison, read of the Calibrated
+	// sweep by Fig6b, Fig6c, Fig7bc and Summarize; Fig3 reads its DIR column.
+	HeadlineSchemes = []Scheme{DIRScheme, ParcelScheme(sched.ConfigIND)}
+	// BundlingSchemes is PARCEL(IND) and the bundling variants Fig9 reads of
+	// the Calibrated sweep.
+	BundlingSchemes = []Scheme{ParcelScheme(sched.ConfigIND), ParcelScheme(sched.Config512K),
+		ParcelScheme(sched.Config1M), ParcelScheme(sched.Config2M), ParcelScheme(sched.ConfigONLD)}
+	// RealServerSchemes is what Fig1011 reads of the RealServers sweep.
+	RealServerSchemes = []Scheme{DIRScheme, ParcelScheme(sched.Config512K)}
+	// DelaySchemes is what DelaySensitivity reads of the Calibrated and the
+	// FarOrigin sweeps.
+	DelaySchemes = []Scheme{ParcelScheme(sched.ConfigIND), ParcelScheme(sched.ConfigONLD)}
+)
+
+// column returns pr's median run of the named scheme. A reduction handed a
+// sweep that did not run the scheme it reads has been handed the wrong sweep.
+func (pr PageResult) column(name string) metrics.PageRun {
+	run, ok := pr.Runs[name]
+	if !ok {
+		panic(fmt.Sprintf("experiments: the sweep has no %s column", name))
+	}
+	return run
+}
+
 // --- Figure 3: median OLT, cellular vs wired ------------------------------
 
 // Fig3Result carries the two OLT distributions of Figure 3.
@@ -23,35 +81,28 @@ type Fig3Result struct {
 	WiredOLT    []float64
 }
 
-// Fig3 downloads the page set with the traditional browser over the LTE
-// access (mobile device) and over a wire-line access (desktop-class client),
-// the §2.3 motivation comparison. Pages run in parallel; the wired and
-// cellular arms of one page are two further independent tasks.
-func Fig3(cfg Config) Fig3Result {
-	cfg = cfg.withDefaults()
-	pages := cfg.PageSet()
-	type pagePair struct{ cell, wired float64 }
-	pairs := runner.Map(cfg.Parallelism, len(pages), func(i int) pagePair {
-		page := pages[i]
-		cell := MedianRun(page, DIRScheme, cfg)
-
+// Fig3 compares the traditional browser over the LTE access (mobile device)
+// with the same browser over a wire-line access (desktop-class client), the
+// §2.3 motivation comparison. The cellular arm is the DIR column of
+// calibrated, cfg's Calibrated sweep; the wired arm loads each of its pages
+// once at cfg.Seed, the pages in parallel.
+func Fig3(cfg Config, calibrated []PageResult) Fig3Result {
+	var out Fig3Result
+	for _, pr := range calibrated {
+		out.CellularOLT = append(out.CellularOLT, pr.column("DIR").OLT.Seconds())
+	}
+	out.WiredOLT = runner.Map(cfg.Parallelism, len(calibrated), func(i int) float64 {
 		params := cfg.Scenario
 		params.Wired = true
 		params.Seed = cfg.Seed
-		topo := scenario.Build(page, params)
-		wired := dirbrowser.New(topo, dirbrowser.Options{
+		topo := scenario.Build(calibrated[i].Page, params)
+		return dirbrowser.New(topo, dirbrowser.Options{
 			FixedRandom:      true,
 			CPU:              browser.DesktopCPU(),
 			RequestIssueCost: time.Millisecond,
 			MaxTotalConns:    35, // desktop-class pool
-		}).Load()
-		return pagePair{cell: cell.OLT.Seconds(), wired: wired.OLT.Seconds()}
+		}).Load().OLT.Seconds()
 	})
-	var out Fig3Result
-	for _, p := range pairs {
-		out.CellularOLT = append(out.CellularOLT, p.cell)
-		out.WiredOLT = append(out.WiredOLT, p.wired)
-	}
 	return out
 }
 
@@ -144,13 +195,12 @@ type Fig6bResult struct {
 	DIROLT, DIRTLT       []float64
 }
 
-// Fig6b sweeps the page set with PARCEL(IND) and DIR.
-func Fig6b(cfg Config) Fig6bResult {
-	cfg = cfg.withDefaults()
+// Fig6b reduces the Calibrated sweep's DIR and PARCEL(IND) columns.
+func Fig6b(calibrated []PageResult) Fig6bResult {
 	var out Fig6bResult
-	for _, pr := range Sweep(cfg, []Scheme{DIRScheme, ParcelScheme(sched.ConfigIND)}) {
-		d := pr.Runs["DIR"]
-		p := pr.Runs["PARCEL(IND)"]
+	for _, pr := range calibrated {
+		d := pr.column("DIR")
+		p := pr.column("PARCEL(IND)")
 		out.DIROLT = append(out.DIROLT, d.OLT.Seconds())
 		out.DIRTLT = append(out.DIRTLT, d.TLT.Seconds())
 		out.ParcelOLT = append(out.ParcelOLT, p.OLT.Seconds())
@@ -174,14 +224,14 @@ type Fig6cResult struct {
 	Correlation float64
 }
 
-// Fig6c correlates total-latency reduction with the number of HTTP requests.
-func Fig6c(cfg Config) Fig6cResult {
-	cfg = cfg.withDefaults()
+// Fig6c correlates total-latency reduction with the number of HTTP requests,
+// over the Calibrated sweep's DIR and PARCEL(IND) columns.
+func Fig6c(calibrated []PageResult) Fig6cResult {
 	var out Fig6cResult
 	var xs, ys []float64
-	for _, pr := range Sweep(cfg, []Scheme{DIRScheme, ParcelScheme(sched.ConfigIND)}) {
-		d := pr.Runs["DIR"]
-		p := pr.Runs["PARCEL(IND)"]
+	for _, pr := range calibrated {
+		d := pr.column("DIR")
+		p := pr.column("PARCEL(IND)")
 		pt := Fig6cPoint{
 			Page:         pr.Page.Name,
 			HTTPRequests: d.HTTPRequests,
@@ -246,14 +296,13 @@ type Fig7bcResult struct {
 	CRSavingShare []float64 // share of the saving attributable to CR
 }
 
-// Fig7bc sweeps the set and reduces to the Figure 7b CDF and the Figure 7c
-// per-page savings decomposition.
-func Fig7bc(cfg Config) Fig7bcResult {
-	cfg = cfg.withDefaults()
+// Fig7bc reduces the Calibrated sweep's DIR and PARCEL(IND) columns to the
+// Figure 7b CDF and the Figure 7c per-page savings decomposition.
+func Fig7bc(calibrated []PageResult) Fig7bcResult {
 	var out Fig7bcResult
-	for _, pr := range Sweep(cfg, []Scheme{DIRScheme, ParcelScheme(sched.ConfigIND)}) {
-		d := pr.Runs["DIR"]
-		p := pr.Runs["PARCEL(IND)"]
+	for _, pr := range calibrated {
+		d := pr.column("DIR")
+		p := pr.column("PARCEL(IND)")
 		out.Pages = append(out.Pages, pr.Page.Name)
 		out.DIREnergy = append(out.DIREnergy, d.RadioJ)
 		out.ParcelEnergy = append(out.ParcelEnergy, p.RadioJ)
@@ -290,24 +339,21 @@ type Fig9Result struct {
 	PageBytes      []float64
 }
 
-// Fig9 compares PARCEL(512K/1M/2M/ONLD) against PARCEL(IND) (§8.3).
-func Fig9(cfg Config) Fig9Result {
-	cfg = cfg.withDefaults()
-	variants := []sched.Config{sched.Config512K, sched.Config1M, sched.Config2M, sched.ConfigONLD}
-	schemes := []Scheme{ParcelScheme(sched.ConfigIND)}
+// Fig9 compares PARCEL(512K/1M/2M/ONLD) against PARCEL(IND) (§8.3), over
+// the Calibrated sweep's BundlingSchemes columns.
+func Fig9(calibrated []PageResult) Fig9Result {
 	out := Fig9Result{
 		OLTIncrease:    make(map[string][]float64),
 		EnergyIncrease: make(map[string][]float64),
 	}
-	for _, v := range variants {
-		out.Variants = append(out.Variants, v.String())
-		schemes = append(schemes, ParcelScheme(v))
+	for _, v := range BundlingSchemes[1:] {
+		out.Variants = append(out.Variants, v.Name)
 	}
-	for _, pr := range Sweep(cfg, schemes) {
-		base := pr.Runs["PARCEL(IND)"]
+	for _, pr := range calibrated {
+		base := pr.column("PARCEL(IND)")
 		out.PageBytes = append(out.PageBytes, float64(pr.Page.TotalBytes))
 		for _, v := range out.Variants {
-			run := pr.Runs[v]
+			run := pr.column(v)
 			out.OLTIncrease[v] = append(out.OLTIncrease[v], run.OLT.Seconds()-base.OLT.Seconds())
 			out.EnergyIncrease[v] = append(out.EnergyIncrease[v], run.RadioJ-base.RadioJ)
 		}
@@ -324,14 +370,12 @@ type Fig1011Result struct {
 	ParcelEnergy, DIREnergy []float64
 }
 
-// Fig1011 runs the real-servers setting.
-func Fig1011(cfg Config) Fig1011Result {
-	cfg = cfg.withDefaults()
-	cfg.Scenario.HeterogeneousOrigins = true
+// Fig1011 reduces the RealServers sweep's DIR and PARCEL(512K) columns.
+func Fig1011(realServers []PageResult) Fig1011Result {
 	var out Fig1011Result
-	for _, pr := range Sweep(cfg, []Scheme{DIRScheme, ParcelScheme(sched.Config512K)}) {
-		d := pr.Runs["DIR"]
-		p := pr.Runs["PARCEL(512K)"]
+	for _, pr := range realServers {
+		d := pr.column("DIR")
+		p := pr.column("PARCEL(512K)")
 		out.DIROLT = append(out.DIROLT, d.OLT.Seconds())
 		out.ParcelOLT = append(out.ParcelOLT, p.OLT.Seconds())
 		out.DIREnergy = append(out.DIREnergy, d.RadioJ)
@@ -350,35 +394,28 @@ type DelaySensResult struct {
 	MedianEnergy map[string]map[string]float64
 }
 
-// DelaySensitivity runs the §8.3 sensitivity study (20 ms vs 60 ms). The
-// outer RTT loop stays serial: each iteration's Sweep already saturates the
-// worker pool, so nesting another fan-out would only add scheduling noise.
-func DelaySensitivity(cfg Config) DelaySensResult {
-	cfg = cfg.withDefaults()
+// DelaySensitivity reduces the §8.3 sensitivity study (20 ms vs 60 ms) from
+// the DelaySchemes columns of the Calibrated sweep (the 20 ms row) and of the
+// FarOrigin sweep (the 60 ms row).
+func DelaySensitivity(calibrated, farOrigin []PageResult) DelaySensResult {
 	out := DelaySensResult{
-		RTTs:         []time.Duration{20 * time.Millisecond, 60 * time.Millisecond},
+		RTTs:         []time.Duration{20 * time.Millisecond, farOriginRTT},
 		MedianOLT:    make(map[string]map[string]float64),
 		MedianEnergy: make(map[string]map[string]float64),
 	}
-	schemes := []Scheme{ParcelScheme(sched.ConfigIND), ParcelScheme(sched.ConfigONLD)}
-	for _, rtt := range out.RTTs {
-		c := cfg
-		c.Scenario.ProxyOriginRTT = rtt
-		olts := map[string][]float64{}
-		energies := map[string][]float64{}
-		for _, pr := range Sweep(c, schemes) {
-			for _, s := range schemes {
-				run := pr.Runs[s.Name]
-				olts[s.Name] = append(olts[s.Name], run.OLT.Seconds())
-				energies[s.Name] = append(energies[s.Name], run.RadioJ)
-			}
-		}
-		key := rtt.String()
+	for i, sweep := range [][]PageResult{calibrated, farOrigin} {
+		key := out.RTTs[i].String()
 		out.MedianOLT[key] = map[string]float64{}
 		out.MedianEnergy[key] = map[string]float64{}
-		for _, s := range schemes {
-			out.MedianOLT[key][s.Name] = stats.Median(olts[s.Name])
-			out.MedianEnergy[key][s.Name] = stats.Median(energies[s.Name])
+		for _, s := range DelaySchemes {
+			var olts, energies []float64
+			for _, pr := range sweep {
+				run := pr.column(s.Name)
+				olts = append(olts, run.OLT.Seconds())
+				energies = append(energies, run.RadioJ)
+			}
+			out.MedianOLT[key][s.Name] = stats.Median(olts)
+			out.MedianEnergy[key][s.Name] = stats.Median(energies)
 		}
 	}
 	return out
@@ -396,14 +433,19 @@ type Summary struct {
 	PaperEnergyReduction                float64
 }
 
-// Headline computes the abstract numbers (paper: 49.6% and 65%).
-func Headline(cfg Config) Summary {
-	r := Fig6bAndEnergy(cfg)
+// Headline computes the abstract numbers (paper: 49.6% and 65%): it sweeps
+// cfg's HeadlineSchemes and summarizes them.
+func Headline(cfg Config) Summary { return Summarize(Sweep(cfg, HeadlineSchemes)) }
+
+// Summarize reduces the Calibrated sweep's DIR and PARCEL(IND) columns to the
+// abstract numbers.
+func Summarize(calibrated []PageResult) Summary {
+	latency, energy := Fig6b(calibrated), Fig7bc(calibrated)
 	s := Summary{
-		DIRMedianOLT:         stats.Median(r.DIROLT),
-		ParcelMedianOLT:      stats.Median(r.ParcelOLT),
-		DIRMedianEnergy:      stats.Median(r.DIREnergy),
-		ParcelMedianEnergy:   stats.Median(r.ParcelEnergy),
+		DIRMedianOLT:         stats.Median(latency.DIROLT),
+		ParcelMedianOLT:      stats.Median(latency.ParcelOLT),
+		DIRMedianEnergy:      stats.Median(energy.DIREnergy),
+		ParcelMedianEnergy:   stats.Median(energy.ParcelEnergy),
 		PaperOLTReduction:    0.496,
 		PaperEnergyReduction: 0.65,
 	}
@@ -442,31 +484,6 @@ func SPDYComparison(cfg Config) SPDYResult {
 		out.ParcelOLT = append(out.ParcelOLT, p.OLT.Seconds())
 		out.DIREnergy = append(out.DIREnergy, d.RadioJ)
 		out.SPDYEnergy = append(out.SPDYEnergy, sp.RadioJ)
-		out.ParcelEnergy = append(out.ParcelEnergy, p.RadioJ)
-	}
-	return out
-}
-
-// CombinedResult carries both latency and energy sweeps over one run.
-type CombinedResult struct {
-	ParcelOLT, DIROLT       []float64
-	ParcelTLT, DIRTLT       []float64
-	ParcelEnergy, DIREnergy []float64
-}
-
-// Fig6bAndEnergy runs the DIR/PARCEL sweep once and extracts both figures'
-// series (cheaper than running Fig6b and Fig7bc separately).
-func Fig6bAndEnergy(cfg Config) CombinedResult {
-	cfg = cfg.withDefaults()
-	var out CombinedResult
-	for _, pr := range Sweep(cfg, []Scheme{DIRScheme, ParcelScheme(sched.ConfigIND)}) {
-		d := pr.Runs["DIR"]
-		p := pr.Runs["PARCEL(IND)"]
-		out.DIROLT = append(out.DIROLT, d.OLT.Seconds())
-		out.DIRTLT = append(out.DIRTLT, d.TLT.Seconds())
-		out.DIREnergy = append(out.DIREnergy, d.RadioJ)
-		out.ParcelOLT = append(out.ParcelOLT, p.OLT.Seconds())
-		out.ParcelTLT = append(out.ParcelTLT, p.TLT.Seconds())
 		out.ParcelEnergy = append(out.ParcelEnergy, p.RadioJ)
 	}
 	return out

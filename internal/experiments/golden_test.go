@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 )
@@ -29,7 +30,7 @@ func goldenConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Pages = 6
 	cfg.Runs = 2
-	cfg.Jitter = 2 * time.Millisecond
+	cfg.Scenario.LTEJitter = 2 * time.Millisecond
 	cfg.Parallelism = 1
 	return cfg
 }
@@ -105,12 +106,15 @@ type goldenFigs struct {
 	HeadlineEnergyReduction float64 `json:"headline_energy_reduction"`
 }
 
-// measureGolden runs every figure harness on the given config.
+// measureGolden runs every figure harness on the given config, each sweep once.
 func measureGolden(t *testing.T, cfg Config) goldenFigs {
 	t.Helper()
 	var g goldenFigs
+	calibrated := Sweep(cfg, slices.Concat(HeadlineSchemes, BundlingSchemes[1:]))
+	realServers := Sweep(RealServers.Apply(cfg), RealServerSchemes)
+	farOrigin := Sweep(FarOrigin.Apply(cfg), DelaySchemes)
 
-	r3 := Fig3(cfg)
+	r3 := Fig3(cfg, calibrated)
 	g.Fig3CellularOLT = r3.CellularOLT
 	g.Fig3WiredOLT = r3.WiredOLT
 
@@ -129,15 +133,16 @@ func measureGolden(t *testing.T, cfg Config) goldenFigs {
 	g.Fig6aParcelOLTNS = int64(r6a.ParcelClientOLT)
 	g.Fig6aDIROLTNS = int64(r6a.DIRClientOLT)
 
-	r6b := Fig6bAndEnergy(cfg)
+	r6b := Fig6b(calibrated)
 	g.Fig6bParcelOLT = r6b.ParcelOLT
 	g.Fig6bParcelTLT = r6b.ParcelTLT
 	g.Fig6bDIROLT = r6b.DIROLT
 	g.Fig6bDIRTLT = r6b.DIRTLT
-	g.Fig7bParcelEnergy = r6b.ParcelEnergy
-	g.Fig7bDIREnergy = r6b.DIREnergy
+	r7b := Fig7bc(calibrated)
+	g.Fig7bParcelEnergy = r7b.ParcelEnergy
+	g.Fig7bDIREnergy = r7b.DIREnergy
 
-	r6c := Fig6c(cfg)
+	r6c := Fig6c(calibrated)
 	g.Fig6cCorrelation = r6c.Correlation
 	for _, p := range r6c.Points {
 		g.Fig6cRequests = append(g.Fig6cRequests, p.HTTPRequests)
@@ -160,17 +165,17 @@ func measureGolden(t *testing.T, cfg Config) goldenFigs {
 		g.Fig8 = append(g.Fig8, gs)
 	}
 
-	r9 := Fig9(cfg)
+	r9 := Fig9(calibrated)
 	g.Fig9OLTIncrease = r9.OLTIncrease
 	g.Fig9EnergyIncrease = r9.EnergyIncrease
 
-	r1011 := Fig1011(cfg)
+	r1011 := Fig1011(realServers)
 	g.Fig1011ParcelOLT = r1011.ParcelOLT
 	g.Fig1011DIROLT = r1011.DIROLT
 	g.Fig1011ParcelEnergy = r1011.ParcelEnergy
 	g.Fig1011DIREnergy = r1011.DIREnergy
 
-	rd := DelaySensitivity(cfg)
+	rd := DelaySensitivity(calibrated, farOrigin)
 	g.DelayMedianOLT = rd.MedianOLT
 	g.DelayMedianEnergy = rd.MedianEnergy
 
@@ -191,7 +196,7 @@ func measureGolden(t *testing.T, cfg Config) goldenFigs {
 	g.ModelOptimalBundle = rm.OptimalBundle
 	g.ModelMinEnergyN = rm.MinEnergyN
 
-	rh := Headline(cfg)
+	rh := Summarize(calibrated)
 	g.HeadlineOLTReduction = rh.OLTReduction
 	g.HeadlineEnergyReduction = rh.EnergyReduction
 
@@ -239,43 +244,15 @@ func TestGoldenFigures(t *testing.T) {
 	}
 }
 
-// TestGoldenSharedCacheInvariant asserts the cross-session cache is inert in
-// single-tenant sweeps: every session is alone on its proxy with a fresh
-// cache and page-unique URLs, so enabling it must reproduce the committed
-// golden figures bit for bit. Any drift means the cache path changed a
-// session's own timing — a correctness bug, not a tuning choice.
-func TestGoldenSharedCacheInvariant(t *testing.T) {
-	cfg := goldenConfig()
-	cfg.SharedCache = true
-	got := measureGolden(t, cfg)
-
-	data, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("read golden (run with -update to generate): %v", err)
-	}
-	var want goldenFigs
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("parse golden: %v", err)
-	}
-	gv, wv := reflect.ValueOf(got), reflect.ValueOf(want)
-	typ := gv.Type()
-	for i := 0; i < typ.NumField(); i++ {
-		if !reflect.DeepEqual(gv.Field(i).Interface(), wv.Field(i).Interface()) {
-			t.Errorf("%s drifted under SharedCache:\n got:  %#v\n want: %#v",
-				typ.Field(i).Name, gv.Field(i).Interface(), wv.Field(i).Interface())
-		}
-	}
-}
-
 // TestGoldenParallelismInvariant asserts the golden metrics do not depend on
 // the worker-pool width: the same figure harness at parallelism 2 must produce
-// the same bits as the serial golden run (the PR 1 determinism contract).
+// the same bits as the serial golden run (the batch engine's determinism contract).
 func TestGoldenParallelismInvariant(t *testing.T) {
 	cfg := goldenConfig()
-	serial := Fig6bAndEnergy(cfg)
+	serial := Fig6b(Sweep(cfg, HeadlineSchemes))
 	cfg.Parallelism = 2
-	parallel := Fig6bAndEnergy(cfg)
+	parallel := Fig6b(Sweep(cfg, HeadlineSchemes))
 	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("Fig6bAndEnergy differs between parallelism 1 and 2")
+		t.Fatalf("Fig6b differs between parallelism 1 and 2")
 	}
 }

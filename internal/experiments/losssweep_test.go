@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/parcel-go/parcel/internal/scenario"
 	"github.com/parcel-go/parcel/internal/sched"
 )
 
@@ -24,7 +25,7 @@ func chaosSeed() int64 {
 // chaosConfig is a small-but-real sweep configuration: enough pages and
 // rounds to exercise loss paths without making the suite slow.
 func chaosConfig() Config {
-	return Config{Seed: chaosSeed(), Pages: 3, Runs: 2, Jitter: 2 * time.Millisecond}
+	return Config{Seed: chaosSeed(), Pages: 3, Runs: 2, Scenario: scenario.Params{LTEJitter: 2 * time.Millisecond}}
 }
 
 var chaosSchemes = []Scheme{DIRScheme, ParcelScheme(sched.ConfigONLD)}

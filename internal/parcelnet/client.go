@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/parcel-go/parcel/internal/metrics"
+	"github.com/parcel-go/parcel/internal/resilience"
 	"github.com/parcel-go/parcel/internal/sched"
 )
 
@@ -63,8 +64,6 @@ type ClientConfig struct {
 
 func (cfg *ClientConfig) fillDefaults() {
 	cfg.MaxRetries = cmp.Or(cfg.MaxRetries, 3)
-	cfg.BackoffBase = cmp.Or(cfg.BackoffBase, 50*time.Millisecond)
-	cfg.BackoffMax = cmp.Or(cfg.BackoffMax, 2*time.Second)
 	cfg.Seed = cmp.Or(cfg.Seed, 1)
 	if cfg.Dial == nil {
 		cfg.Dial = func(network, addr string) (net.Conn, error) { return net.DialTimeout(network, addr, dialTimeout) }
@@ -326,8 +325,9 @@ func (c *Client) onDisconnect(conn net.Conn, err error) {
 // reconnect retries the proxy with jittered exponential backoff, resuming
 // the session on success and degrading (or failing) when the budget is spent.
 func (c *Client) reconnect() {
+	retry := resilience.Policy{BackoffBase: c.cfg.BackoffBase, BackoffMax: c.cfg.BackoffMax}.WithDefaults()
 	for attempt := 0; attempt < c.cfg.MaxRetries; attempt++ {
-		time.Sleep(c.backoff(attempt))
+		time.Sleep(retry.Backoff(attempt+1, c.rng))
 		c.mu.Lock()
 		if c.closed {
 			c.mu.Unlock()
@@ -374,17 +374,6 @@ func (c *Client) reconnect() {
 	} else {
 		c.failLocked(fmt.Errorf("%w after %d retries", ErrProxyGone, c.cfg.MaxRetries))
 	}
-}
-
-// backoff returns the jittered exponential delay before reconnect attempt n:
-// half fixed, half jitter, within [d/2, d], so no herd thunders.
-func (c *Client) backoff(attempt int) time.Duration {
-	d := c.cfg.BackoffBase << uint(attempt)
-	if d > c.cfg.BackoffMax || d <= 0 {
-		d = c.cfg.BackoffMax
-	}
-	half := int64(d / 2)
-	return time.Duration(half + c.rng.Int63n(half+1))
 }
 
 // fetchDirect fetches url from the direct origin, as the session asked.

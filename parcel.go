@@ -65,16 +65,17 @@ type RadioReport = radio.Report
 type AnalyticModel = sched.Model
 
 // ProxyConfig tunes the PARCEL proxy: schedule, completion quiet period,
-// shared cache, origin-fetch resilience and §3 compression. The proxy's CPU
-// profile, replay rewrite and connection pools are fixed.
+// shared cache and origin-fetch resilience. The proxy's CPU profile, replay
+// rewrite and connection pools are fixed.
 type ProxyConfig = core.ProxyConfig
 
 // ClientConfig tunes the PARCEL client browser: only the replay rewrite. The
 // device (mobile CPU profile, user agent, screen) is fixed.
 type ClientConfig = core.ClientConfig
 
-// ExperimentConfig controls the evaluation sweeps (page count, rounds,
-// jitter, topology overrides).
+// ExperimentConfig controls the evaluation sweeps: seed, page count, rounds,
+// worker-pool width and the topology overrides (LTE jitter among them, in
+// Scenario.LTEJitter).
 type ExperimentConfig = experiments.Config
 
 // GeneratePages deterministically generates n evaluation pages calibrated to

@@ -97,7 +97,7 @@ func TestFacadeHeadlineSmall(t *testing.T) {
 	cfg := parcel.DefaultExperiments()
 	cfg.Pages = 6
 	cfg.Runs = 1
-	cfg.Jitter = 0
+	cfg.Scenario.LTEJitter = 0
 	s := parcel.Headline(cfg)
 	if s.OLTReduction <= 0 || s.EnergyReduction <= 0 {
 		t.Fatalf("reductions: %+v", s)
